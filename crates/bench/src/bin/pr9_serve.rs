@@ -43,7 +43,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[derive(Serialize)]
 struct Run {
@@ -486,8 +486,11 @@ fn shed_phase(models: usize) -> ShedRun {
     .expect("daemon starts");
     let addr = handle.addr();
 
-    // The blocker occupies the single worker with one long batch of
-    // distinct (uncacheable-by-repeat) queries...
+    // The blocker occupies the single worker with a long batch of
+    // distinct (uncacheable-by-repeat) queries, and sends it again until
+    // one has executed and a probe has been shed (or 10 s pass): what the
+    // batch costs to execute decides how often it is sent, not whether
+    // probes find it.
     let blocker_texts: Vec<String> = (0..3000)
         .map(|i| {
             let reference = format!("hub/family-{:02}/model-{:05}", (i * 53) % 37, (i * 53) % models);
@@ -499,11 +502,24 @@ fn shed_phase(models: usize) -> ShedRun {
     let min_retry = Arc::new(AtomicU64::new(u64::MAX));
     let blocker = {
         let done = Arc::clone(&done);
+        let shed_total = Arc::clone(&shed_total);
         std::thread::spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
-            let reply = client.query_batch(&blocker_texts).expect("blocker batch");
-            assert!(reply.ok, "blocker batch must execute");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut executed = false;
+            while (!executed || shed_total.load(Ordering::SeqCst) == 0)
+                && Instant::now() < deadline
+            {
+                let reply = client.query_batch(&blocker_texts).expect("blocker batch");
+                if reply.ok {
+                    executed = true;
+                } else {
+                    // The probes filled the gate before this batch arrived.
+                    assert_eq!(reply.error_code(), Some("overloaded"));
+                }
+            }
             done.store(true, Ordering::SeqCst);
+            assert!(executed, "a blocker batch must execute");
         })
     };
     // ...while 6 probes burst single queries: with capacity

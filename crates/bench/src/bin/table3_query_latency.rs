@@ -5,12 +5,18 @@
 //! semantic predicate alone, and (iii) both. The paper's claims: queries
 //! stay in the low-millisecond range even at 100K records, the semantic
 //! lookup is far cheaper than the resource range search, and both-
-//! predicate queries cost roughly the sum.
+//! predicate queries cost roughly the sum. Ours cost less than that: with
+//! a semantic predicate the engine tests the bounded candidate list
+//! against the bounds and never runs the range search, and arm (iii)
+//! does what the engine does.
 //!
 //! Populating a 100K-model semantic index with *real* pairwise analysis is
-//! an offline job (Table 2 measures its unit cost); here the index
-//! structures themselves are exercised with synthetic-but-realistic
-//! records, exactly what a query touches at run time.
+//! an offline job (Table 2 measures its unit cost), and even with a
+//! stand-in analyzer the index's own maintenance is O(n) per insert and
+//! O(n²) memory in one batch — hours or tens of GB at 100K. So the
+//! records are assembled directly (`SemanticIndex::from_parts`, as the
+//! serving benchmarks build theirs): 16 score-sorted candidates per model,
+//! which is what a query touches at run time.
 //!
 //! ```sh
 //! cargo run --release -p sommelier-bench --bin table3_query_latency
@@ -18,41 +24,45 @@
 
 use serde::Serialize;
 use sommelier_bench::{print_table, write_json};
-use sommelier_graph::{Model, ModelBuilder, TaskKind};
+use sommelier_graph::Fingerprint;
 use sommelier_index::lsh::LshConfig;
-use sommelier_index::semantic::{PairAnalyzer, SemanticIndexConfig};
-use sommelier_index::{ResourceConstraint, ResourceIndex, SemanticIndex};
+use sommelier_index::semantic::SemanticIndexConfig;
+use sommelier_index::{
+    CandidateKind, CandidateRecord, ResourceConstraint, ResourceIndex, SemanticIndex,
+};
 use sommelier_runtime::ResourceProfile;
-use sommelier_tensor::{mix64, stable_hash64, Prng, Shape, Tensor};
+use sommelier_tensor::{mix64, Prng};
 use std::time::Instant;
 
-/// A stand-in analyzer with plausible diff values — the index structure,
-/// not the analysis, is under test here.
-struct SyntheticAnalyzer {
-    seed: u64,
+const CANDIDATES: usize = 16;
+
+fn key(i: usize) -> String {
+    format!("m{i:06}")
 }
 
-impl PairAnalyzer for SyntheticAnalyzer {
-    fn whole_diff(&self, a: &Model, b: &Model) -> Option<f64> {
-        // Deterministic per pair so parallel insertion stays reproducible.
-        let pair = mix64(&[
-            self.seed,
-            stable_hash64(a.name.as_bytes()),
-            stable_hash64(b.name.as_bytes()),
-        ]);
-        Some(Prng::seed_from_u64(pair).uniform() * 0.3)
-    }
-}
-
-/// A tiny model with a unique fingerprint per index `i`.
-fn record_model(i: usize) -> Model {
-    let mut w = Tensor::zeros(2, 2);
-    w.set(0, 0, i as f32 + 1.0);
-    w.set(1, 1, 1.0);
-    ModelBuilder::new(format!("m{i:06}"), TaskKind::Other, Shape::vector(2))
-        .dense_with(w, None)
-        .build()
-        .expect("valid")
+/// `n` models, each listing [`CANDIDATES`] others in descending score
+/// order; diffs spread over [0, 0.3) so a `WITHIN 0.8` lookup stops
+/// about two thirds of the way down a list.
+fn semantic_index(n: usize) -> SemanticIndex {
+    let entries = (0..n)
+        .map(|i| {
+            let mut rng = Prng::seed_from_u64(mix64(&[7, i as u64]));
+            let mut diffs: Vec<f64> = (0..CANDIDATES).map(|_| rng.uniform() * 0.3).collect();
+            diffs.sort_by(f64::total_cmp);
+            let candidates = diffs
+                .into_iter()
+                .enumerate()
+                .map(|(j, diff_bound)| CandidateRecord {
+                    key: key((i + 1 + j * 131) % n),
+                    diff_bound,
+                    score: 1.0 - diff_bound,
+                    kind: CandidateKind::Whole,
+                })
+                .collect();
+            (Fingerprint(i as u64 + 1), key(i), candidates)
+        })
+        .collect();
+    SemanticIndex::from_parts(SemanticIndexConfig::default(), 1, entries, Vec::new())
 }
 
 fn profile(rng: &mut Prng) -> ResourceProfile {
@@ -80,25 +90,9 @@ fn main() {
     for &n in &sizes {
         let mut rng = Prng::seed_from_u64(42);
         let mut resource = ResourceIndex::new(LshConfig::default(), 1);
-        let mut semantic = SemanticIndex::new(
-            SemanticIndexConfig {
-                sample_size: 5,
-                segments: false,
-                max_candidates: 64,
-            },
-            1,
-        );
-        let analyzer = SyntheticAnalyzer { seed: 7 };
-        // Resolver keeps a window of recent models (sampling only ever
-        // touches stored names; rebuild on demand by parsing the index).
-        let resolve = |k: &str| {
-            let i: usize = k.trim_start_matches('m').parse().ok()?;
-            Some(record_model(i))
-        };
+        let semantic = semantic_index(n);
         for i in 0..n {
-            let m = record_model(i);
-            semantic.insert(&m, &resolve, &analyzer);
-            resource.insert(&m.name, profile(&mut rng));
+            resource.insert(key(i), profile(&mut rng));
         }
 
         // (i) resource predicate alone.
@@ -118,12 +112,13 @@ fn main() {
         // (ii) semantic predicate alone.
         let start = Instant::now();
         for q in 0..queries {
-            let key = format!("m{:06}", (q * 37) % n);
+            let key = key((q * 37) % n);
             found += semantic.lookup_key(&key, 0.8).len();
         }
         let semantic_ms = start.elapsed().as_secs_f64() * 1e3 / queries as f64;
 
-        // (iii) both: semantic lookup intersected with the admitted set.
+        // (iii) both, as the engine runs it: the semantic lookup bounds
+        // the candidates, and each one's profile is probed and tested.
         let mut qrng = Prng::seed_from_u64(9);
         let start = Instant::now();
         for q in 0..queries {
@@ -132,13 +127,11 @@ fn main() {
                 max_gflops: Some(qrng.uniform() * 20.0),
                 max_latency_ms: None,
             };
-            let admitted: std::collections::HashSet<String> =
-                resource.query(&c).into_iter().collect();
-            let key = format!("m{:06}", (q * 37) % n);
+            let key = key((q * 37) % n);
             found += semantic
                 .lookup_key(&key, 0.8)
                 .into_iter()
-                .filter(|cand| admitted.contains(&cand.key))
+                .filter(|cand| resource.profile_of(&cand.key).is_some_and(|p| c.admits(p)))
                 .count();
         }
         let both_ms = start.elapsed().as_secs_f64() * 1e3 / queries as f64;

@@ -1,13 +1,16 @@
 //! The resource profile index (paper Section 5.3).
 //!
 //! Each entry maps a resource-profile vector `(memory, GFLOPs, latency)`
-//! to a model key. Vectors are organized with cosine-family LSH for fast
-//! distance-based range search; a query converts its constraints into a
-//! probe vector, collects LSH candidates, and exact-filters them against
-//! the per-dimension bounds ("among the returned models with closest
-//! resource profile, those that satisfy the constraints in all dimensions
-//! will be the outputs"). An exhaustive mode (linear scan) is provided for
-//! the LSH ablation and as a correctness oracle.
+//! to a model key, and the index answers two questions. *Does this model
+//! fit?* — [`ResourceIndex::profile_of`], an O(1) probe, which is all the
+//! query engine asks: its semantic stage hands it a bounded candidate
+//! list and it tests each candidate's profile against the bounds ("those
+//! that satisfy the constraints in all dimensions will be the outputs").
+//! *Which models fit?* — [`ResourceIndex::query`], the resource-only range
+//! query: one exact pass over the live slots. The cosine LSH over the
+//! same vectors is maintained and persisted but read by neither — an
+//! upper-bound range is not a neighbourhood of any probe point — nor yet
+//! by [`ResourceIndex::nearest`], which scans the slab.
 //!
 //! # Incremental maintenance
 //!
@@ -27,6 +30,7 @@
 use crate::lsh::{CosineLsh, LshConfig};
 use serde::{Deserialize, Serialize};
 use sommelier_parallel::ThreadPool;
+use sommelier_runtime::metrics::counters::CachedCounter;
 use sommelier_runtime::ResourceProfile;
 use sommelier_tensor::linalg;
 use std::collections::{BTreeSet, HashMap};
@@ -49,37 +53,16 @@ impl ResourceConstraint {
         p.within(self.max_memory_mb, self.max_gflops, self.max_latency_ms)
     }
 
-    /// The probe vector used for LSH candidate collection: unconstrained
-    /// dimensions probe at the constrained dimensions' scale midpoint.
-    fn probe_vector(&self) -> Vec<f64> {
-        let fallback = [
-            self.max_memory_mb,
-            self.max_gflops,
-            self.max_latency_ms,
-        ]
-        .iter()
-        .flatten()
-        .copied()
-        .fold(0.0, f64::max)
-        .max(1.0);
-        vec![
-            self.max_memory_mb.unwrap_or(fallback),
-            self.max_gflops.unwrap_or(fallback),
-            self.max_latency_ms.unwrap_or(fallback),
-        ]
-    }
-
     /// True when no dimension is constrained.
     pub fn is_unconstrained(&self) -> bool {
         self.max_memory_mb.is_none() && self.max_gflops.is_none() && self.max_latency_ms.is_none()
     }
 }
 
-/// Hamming-1 neighbor buckets probed per LSH table during range queries
-/// (bounded multi-probe: recall of near-hyperplane probes improves at a
-/// fixed `tables × (1 + MULTIPROBE_BITS)` probe budget, with no extra
-/// tables and no stored state).
-const MULTIPROBE_BITS: usize = 2;
+/// Full passes over the slot table ([`ResourceIndex::query`]). The
+/// query engine must never raise it: its resource stage is per-candidate
+/// [`ResourceIndex::profile_of`] probes.
+static RANGE_SCANS: CachedCounter = CachedCounter::new("index.resource.range_scans");
 
 /// Lanes per profile row in the scoring slab: the 3-dimensional profile
 /// vector zero-padded to 4 so rows stay power-of-two strided (and the
@@ -101,8 +84,9 @@ pub struct ResourceIndex {
     /// Tombstones for removed entries (aligned with `entries`).
     removed: Arc<Vec<bool>>,
     lsh: Arc<CosineLsh>,
-    /// When true, queries linear-scan instead of probing the LSH — the
-    /// correctness oracle and the ablation baseline.
+    /// Persisted with the index (a JSON field, a `.somb` flag bit) and
+    /// kept so snapshots stay byte-compatible; it has no effect on a
+    /// query — the range query is one exact pass whichever way it is set.
     pub exhaustive: bool,
     /// Derived: key → first live slot (the entry `profile_of` serves).
     slots: Arc<HashMap<String, u32>>,
@@ -378,67 +362,25 @@ impl ResourceIndex {
             .map(|&i| &self.entries[i as usize].1)
     }
 
-    /// Keys of all models admitted by the constraint.
-    ///
-    /// LSH mode collects hash-collision candidates around the constraint's
-    /// probe vector and widens with a scan of small profiles (every model
-    /// cheaper than the probe in all dimensions trivially satisfies upper
-    /// bounds; LSH alone would miss distant-but-admissible vectors).
+    /// Keys of all models admitted by the constraint, in slot order —
+    /// the resource-only range query (paper Table 3, column (i)). Exact:
+    /// one pass testing every live slot against the bounds.
     pub fn query(&self, constraint: &ResourceConstraint) -> Vec<String> {
-        self.query_with(&sommelier_parallel::global(), constraint)
+        RANGE_SCANS.add(1);
+        self.entries
+            .iter()
+            .zip(self.removed.iter())
+            .filter(|((_, p), removed)| !**removed && constraint.admits(p))
+            .map(|((k, _), _)| k.clone())
+            .collect()
     }
 
-    /// [`ResourceIndex::query`] on an explicit pool: the admit sweep runs
-    /// in parallel chunks and the LSH tables are probed concurrently
-    /// ([`CosineLsh::candidates_with`]). Results are identical to the
-    /// sequential path at any job count — admit flags are positional and
-    /// the final filter walks slots in id order.
-    pub fn query_with(&self, pool: &ThreadPool, constraint: &ResourceConstraint) -> Vec<String> {
-        // Exact per-slot admit flags, computed once, in parallel chunks.
-        let chunk = self.entries.len().div_ceil(pool.jobs().max(1) * 4).max(1);
-        let admits: Vec<bool> = pool
-            .par_chunks(&self.entries, chunk, |_idx, entries| {
-                entries
-                    .iter()
-                    .map(|(_, p)| constraint.admits(p))
-                    .collect::<Vec<bool>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        if self.exhaustive || constraint.is_unconstrained() {
-            return self
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.removed[*i] && admits[*i])
-                .map(|(_, (k, _))| k.clone())
-                .collect();
-        }
-        let probe = constraint.probe_vector();
-        let mut included = vec![false; self.entries.len()];
-        // Bounded multi-probe: widening the candidate set can only add
-        // ids that still pass the exact admit filter below, so recall
-        // improves and precision is untouched.
-        for id in self
-            .lsh
-            .candidates_multiprobe(pool, &probe, MULTIPROBE_BITS)
-        {
-            included[id] = true;
-        }
-        // Upper-bound constraints admit everything dominated by the probe;
-        // sweep those in as well.
-        for (id, admitted) in admits.iter().enumerate() {
-            if *admitted {
-                included[id] = true;
-            }
-        }
-        included
-            .into_iter()
-            .enumerate()
-            .filter(|(id, inc)| *inc && !self.removed[*id] && admits[*id])
-            .map(|(id, _)| self.entries[id].0.clone())
-            .collect()
+    /// [`ResourceIndex::query`] for callers that hold a pool. The pass
+    /// is a comparison or three per slot and a key clone per admitted
+    /// one, too little to fan out: the pool is not used, so the result
+    /// cannot depend on its lane count.
+    pub fn query_with(&self, _pool: &ThreadPool, constraint: &ResourceConstraint) -> Vec<String> {
+        self.query(constraint)
     }
 
     /// The `k` entries with profiles closest (l2 on the raw vectors) to a
@@ -540,23 +482,6 @@ mod tests {
     fn unconstrained_query_returns_everything() {
         let idx = populated(false);
         assert_eq!(idx.query(&ResourceConstraint::default()).len(), 4);
-    }
-
-    #[test]
-    fn lsh_and_exhaustive_agree_on_upper_bounds() {
-        let lsh = populated(false);
-        let ex = populated(true);
-        for mem in [0.5, 5.0, 50.0, 5000.0] {
-            let c = ResourceConstraint {
-                max_memory_mb: Some(mem),
-                ..Default::default()
-            };
-            let mut a = lsh.query(&c);
-            let mut b = ex.query(&c);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "divergence at mem={mem}");
-        }
     }
 
     #[test]
@@ -663,30 +588,73 @@ mod tests {
         );
     }
 
+    /// The spec of the range query, written against the audit view: live
+    /// slots that admit, in slot order.
+    fn brute_force(idx: &ResourceIndex, c: &ResourceConstraint) -> Vec<String> {
+        idx.entries_audit()
+            .into_iter()
+            .filter(|(_, p, removed)| !removed && c.admits(p))
+            .map(|(k, _, _)| k.to_string())
+            .collect()
+    }
+
     #[test]
-    fn parallel_query_matches_sequential_exactly() {
-        let pool4 = ThreadPool::new(4);
-        for exhaustive in [true, false] {
-            let idx = populated(exhaustive);
-            for constraint in [
-                ResourceConstraint::default(),
-                ResourceConstraint {
-                    max_memory_mb: Some(50.0),
-                    max_gflops: Some(5.0),
-                    max_latency_ms: None,
-                },
-                ResourceConstraint {
-                    max_latency_ms: Some(11.0),
-                    ..Default::default()
-                },
-            ] {
-                assert_eq!(
-                    idx.query(&constraint),
-                    idx.query_with(&pool4, &constraint),
-                    "exhaustive={exhaustive}"
-                );
+    fn range_query_is_the_slot_order_filter_through_every_mutation() {
+        let pools = [ThreadPool::new(1), ThreadPool::new(4)];
+        let grid: Vec<ResourceConstraint> = [None, Some(0.5), Some(40.0), Some(5000.0)]
+            .into_iter()
+            .flat_map(|mem| {
+                [None, Some(3.0)].into_iter().flat_map(move |gf| {
+                    [None, Some(11.0)].into_iter().map(move |lat| ResourceConstraint {
+                        max_memory_mb: mem,
+                        max_gflops: gf,
+                        max_latency_ms: lat,
+                    })
+                })
+            })
+            .collect();
+        let check = |idx: &mut ResourceIndex, stage: &str| {
+            for exhaustive in [false, true] {
+                idx.exhaustive = exhaustive;
+                for c in &grid {
+                    let want = brute_force(idx, c);
+                    assert_eq!(idx.query(c), want, "{stage}, exhaustive={exhaustive}, {c:?}");
+                    for pool in &pools {
+                        assert_eq!(
+                            idx.query_with(pool, c),
+                            want,
+                            "{stage}, exhaustive={exhaustive}, jobs={}, {c:?}",
+                            pool.jobs()
+                        );
+                    }
+                }
             }
+        };
+        let mut idx = ResourceIndex::new(LshConfig::default(), 3);
+        for i in 0..200u32 {
+            let x = f64::from(i * 37 % 101);
+            idx.insert(format!("m{i:03}"), profile(x * 2.0, x / 10.0, 100.0 - x));
         }
+        // A key held by two live slots, the second cheaper than the first.
+        idx.insert("m007", profile(0.1, 0.1, 0.1));
+        check(&mut idx, "built");
+        assert_eq!(
+            idx.query(&ResourceConstraint::default()).len(),
+            201,
+            "every live slot is emitted, a twice-inserted key twice"
+        );
+        for i in (0..200).step_by(3) {
+            assert!(idx.remove(&format!("m{i:03}")));
+        }
+        check(&mut idx, "tombstoned");
+        // Reinsertion lands in freed slots, out of key order.
+        idx.insert("m000", profile(1.0, 0.2, 5.0));
+        idx.insert("late", profile(30.0, 2.0, 9.0));
+        assert_eq!(idx.slot_count(), 201, "reinsertion reuses freed slots");
+        check(&mut idx, "reinserted");
+        idx.compact();
+        assert_eq!(idx.slot_count(), idx.len());
+        check(&mut idx, "compacted");
     }
 
     #[test]

@@ -31,13 +31,20 @@ use sommelier_index::semantic::SemanticIndexConfig;
 use sommelier_index::{CandidateKind, PairAnalyzer, ResourceIndex, SemanticIndex};
 use sommelier_parallel::{RcuCell, ThreadPool};
 use sommelier_repo::{ModelRepository, RepoError};
-use sommelier_runtime::metrics::{counters, latency, qor_difference};
+use sommelier_runtime::metrics::counters::{self, CachedCounter};
+use sommelier_runtime::metrics::{latency, qor_difference};
 use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
 use sommelier_tensor::{mix64, Prng, Tensor};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+// The read path's metrics, resolved once: a served query takes no
+// registry lock and allocates no name.
+static SNAPSHOT_EPOCH: CachedCounter = CachedCounter::new("query.snapshot_epoch");
+static CANDIDATES_SCORED: CachedCounter = CachedCounter::new("query.candidates_scored");
+static BATCH_MS: OnceLock<Arc<latency::Histogram>> = OnceLock::new();
 
 /// Engine configuration (the knob surface of paper Section 5.5).
 #[derive(Clone, Debug)]
@@ -458,7 +465,7 @@ impl SommelierReader {
     /// Execute a textual query against the current snapshot.
     pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {
         let snap = self.published.pin();
-        counters::set("query.snapshot_epoch", snap.epoch);
+        SNAPSHOT_EPOCH.set(snap.epoch);
         self.query_on(&snap, text)
     }
 
@@ -466,7 +473,7 @@ impl SommelierReader {
     /// snapshot (bypasses the text-keyed plan cache).
     pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
         let snap = self.published.pin();
-        counters::set("query.snapshot_epoch", snap.epoch);
+        SNAPSHOT_EPOCH.set(snap.epoch);
         self.query_ast_on(&snap, query)
     }
 
@@ -482,7 +489,7 @@ impl SommelierReader {
     /// identical at any lane count.
     pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
         let snap = self.published.pin();
-        counters::set("query.snapshot_epoch", snap.epoch);
+        SNAPSHOT_EPOCH.set(snap.epoch);
         let items = self.pool.par_map(texts, |text| {
             let start = Instant::now();
             let results = self.query_on(&snap, text);
@@ -497,7 +504,7 @@ impl SommelierReader {
             latency::record("query.batch.latency_ms", item.latency_ms);
             local.record(item.latency_ms);
         }
-        local.flush_into(&latency::histogram("query.batch_ms"));
+        local.flush_into(BATCH_MS.get_or_init(|| latency::histogram("query.batch_ms")));
         items
     }
 
@@ -639,27 +646,20 @@ impl SommelierReader {
             .into_iter()
             .filter(|c| c.key != plan.reference_key)
             .collect();
-        counters::add("query.candidates_scored", candidates.len() as u64);
+        CANDIDATES_SCORED.add(candidates.len() as u64);
         // No semantic candidates ⇒ no results; skip the resource probe.
         if candidates.is_empty() {
             return Vec::new();
         }
 
-        // Stage 2: resource filter, fanned out across the pool. With an
-        // explicit execution setting the candidates are re-profiled on
-        // the fly (each re-profile is an independent task); otherwise the
-        // prebuilt index answers the range query with parallel
-        // multi-probe LSH table reads. `par_map` keeps candidate order,
-        // so results are identical to the sequential pipeline.
-        let admitted: Option<std::collections::HashSet<String>> = match setting {
-            Some(_) => None,
-            None => Some(
-                snap.resource
-                    .query_with(&self.pool, &plan.constraint)
-                    .into_iter()
-                    .collect(),
-            ),
-        };
+        // Stage 2: resource filter — work proportional to the candidate
+        // list, never to the repository: one O(1) `profile_of` probe per
+        // candidate, tested against the bounds. The range index is not
+        // consulted (`index.resource.range_scans` stays flat). With an
+        // explicit execution setting each candidate is instead loaded
+        // and re-profiled — an independent task worth fanning out;
+        // `par_map` keeps candidate order, so results are identical to
+        // the sequential pipeline.
         let profile_of = |key: &str| -> Option<ResourceProfile> {
             match setting {
                 Some(s) => {
@@ -673,26 +673,10 @@ impl SommelierReader {
             let profile = match &c.kind {
                 // Synthesized models share the host's (= reference's)
                 // structure, hence its resource profile.
-                CandidateKind::Synthesized { .. } => {
-                    if !plan.constraint.admits(ref_profile) {
-                        return None;
-                    }
-                    *ref_profile
-                }
-                _ => {
-                    if let Some(admitted) = &admitted {
-                        if !admitted.contains(&c.key) {
-                            return None;
-                        }
-                    }
-                    let p = profile_of(&c.key)?;
-                    if !plan.constraint.admits(&p) {
-                        return None;
-                    }
-                    p
-                }
+                CandidateKind::Synthesized { .. } => *ref_profile,
+                _ => profile_of(&c.key)?,
             };
-            Some(QueryResult {
+            plan.constraint.admits(&profile).then(|| QueryResult {
                 key: c.key.clone(),
                 score: c.score,
                 diff_bound: c.diff_bound,
@@ -700,12 +684,15 @@ impl SommelierReader {
                 kind: c.kind.clone(),
             })
         };
-        let mut results: Vec<QueryResult> = self
-            .pool
-            .par_map(&candidates, score_one)
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut results: Vec<QueryResult> = match setting {
+            Some(_) => self
+                .pool
+                .par_map(&candidates, score_one)
+                .into_iter()
+                .flatten()
+                .collect(),
+            None => candidates.iter().filter_map(score_one).collect(),
+        };
 
         // Stage 3: final selection. Sorting uses `total_cmp` so the
         // pipeline never panics on non-finite scores or profiles (a
@@ -1203,7 +1190,11 @@ impl Sommelier {
         Ok(engine)
     }
 
-    fn assemble_from_snapshot(
+    /// [`Sommelier::connect_with_indices`] over a snapshot already in
+    /// memory: decoded from a file, or put together from live index
+    /// structures as they stand, tombstones and all (a saved image is
+    /// canonical and has none).
+    pub fn assemble_from_snapshot(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
         snapshot: sommelier_index::persist::IndexSnapshot,
@@ -1909,6 +1900,41 @@ mod tests {
             .query_ast(&Query::corr(&names[0]).top(5).within(1.5))
             .unwrap();
         assert!(impossible.is_empty());
+    }
+
+    #[test]
+    fn served_queries_never_scan_the_range_index() {
+        // The counter is process-wide, and this is the only test in the
+        // binary that asks the resource index a range query.
+        let scans = || counters::get("index.resource.range_scans");
+        let (engine, names) = engine_with_variants();
+        let texts: Vec<String> = [
+            "WITHIN 0.2",
+            "ON memory <= 90% WITHIN 0.2 ORDER BY memory",
+            "ON memory <= 90% AND flops <= 1000 GFLOPS WITHIN 0.3 ORDER BY latency",
+            "ON latency <= 0.000001 MS WITHIN 0.0",
+        ]
+        .iter()
+        .flat_map(|tail| names.iter().map(move |n| format!("SELECT models 3 CORR {n} {tail}")))
+        .collect();
+        let before = scans();
+        // Every text misses the plan cache once, then hits it.
+        for pass in 0..2 {
+            for item in engine.reader().with_pool(4).query_batch(&texts) {
+                item.results.expect("query executes");
+            }
+            assert_eq!(
+                engine.plan_cache_stats().hits,
+                (pass * texts.len()) as u64,
+                "pass {pass}"
+            );
+        }
+        engine
+            .query_ast(&Query::corr(&names[0]).top(3).within(0.2).memory_at_most_frac(0.9))
+            .expect("uncached AST query executes");
+        assert_eq!(scans(), before, "a served query swept the resource index");
+        engine.resource_index().query(&sommelier_index::ResourceConstraint::default());
+        assert_eq!(scans(), before + 1, "the counter does not see a direct range query");
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! A query is executed as a pipeline of filtering operations: the
 //! *semantic filter* (candidate lookup on the semantic index), the
-//! *resource filter* (range query on the resource index), and the *final
-//! selection*. Planning resolves what the AST leaves symbolic: the
-//! reference key (task references resolve to the default reference
-//! model), and relative resource bounds against the reference model's
-//! profile, producing the concrete multi-dimensional constraint vector
+//! *resource filter* (each candidate's profile, probed on the resource
+//! index, against the bounds), and the *final selection*. Planning
+//! resolves what the AST leaves symbolic: the reference key (task
+//! references resolve to the default reference model), and relative
+//! resource bounds against the reference model's profile, producing
+//! the concrete multi-dimensional constraint vector
 //! the paper describes ("memory less than 200 MB, computation complexity
 //! less than 50 GFLOPS, and latency less than 30 ms is simply represented
 //! as a vector (200, 50, 30)").

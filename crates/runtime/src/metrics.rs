@@ -26,7 +26,8 @@ use sommelier_tensor::{ops, Tensor};
 /// `pairwise_cache.hits`, `pairwise_cache.misses`,
 /// `pairwise_cache.evictions`, `pairwise_cache.entries`,
 /// `index.pair_analyses`, `index.models_indexed`,
-/// `query.candidates_scored`; from the durability layer:
+/// `query.candidates_scored`, `index.resource.range_scans` (raised by
+/// the range API, never by a served query); from the durability layer:
 /// `recovery.loads`, `recovery.rebuilds`, `recovery.quarantined`,
 /// `recovery.resave_failures`, `recovery.retries`; and from the deep
 /// audit: `audit.runs`, `audit.models_analyzed` (fingerprint-memo
@@ -53,6 +54,39 @@ pub mod counters {
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
         )
+    }
+
+    /// A counter for a per-request path: declared as a `static` at the
+    /// call site, it resolves its handle on first use and from then on
+    /// a bump is one relaxed atomic — no registry lock, no allocation
+    /// of the name. Same registry entry as [`add`]/[`set`]/[`get`] under
+    /// that name, so readers cannot tell the difference.
+    pub struct CachedCounter {
+        name: &'static str,
+        handle: OnceLock<Arc<AtomicU64>>,
+    }
+
+    impl CachedCounter {
+        pub const fn new(name: &'static str) -> Self {
+            CachedCounter {
+                name,
+                handle: OnceLock::new(),
+            }
+        }
+
+        fn handle(&self) -> &AtomicU64 {
+            self.handle.get_or_init(|| counter(self.name))
+        }
+
+        /// Add `delta` to the counter.
+        pub fn add(&self, delta: u64) {
+            self.handle().fetch_add(delta, Ordering::Relaxed);
+        }
+
+        /// Overwrite the counter.
+        pub fn set(&self, value: u64) {
+            self.handle().store(value, Ordering::Relaxed);
+        }
     }
 
     /// Add `delta` to the named counter.
@@ -165,6 +199,24 @@ pub mod counters {
             // The pre-reset handle still drives the registered counter.
             handle.fetch_add(2, Ordering::Relaxed);
             assert_eq!(get(name), 2);
+            reset();
+        }
+
+        #[test]
+        fn cached_counter_is_the_named_registry_entry() {
+            let _guard = serialize();
+            static CACHED: CachedCounter = CachedCounter::new("test.metrics.counter_d");
+            let name = "test.metrics.counter_d";
+            add(name, 1);
+            CACHED.add(4);
+            assert_eq!(get(name), 5);
+            CACHED.set(2);
+            add(name, 1);
+            assert_eq!(get(name), 3);
+            // `reset` zeroes in place, so the resolved handle stays live.
+            reset();
+            CACHED.add(7);
+            assert_eq!(get(name), 7);
             reset();
         }
     }

@@ -54,6 +54,10 @@ const FLUSH_EVERY: u64 = 64;
 /// The merged request-latency histogram's registry name.
 pub const REQUEST_HISTOGRAM: &str = "serve.request_ms";
 
+/// Frames answered, bumped once per request: a resolved handle, so the
+/// connection loop takes no registry lock.
+static REQUESTS: counters::CachedCounter = counters::CachedCounter::new("serve.requests");
+
 /// Startup knobs of [`Daemon::serve`]; mirrors the CLI flags.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -256,7 +260,7 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
         let started = std::time::Instant::now();
         let (response, stop_after) = serve_line(&shared, &reader, trimmed);
         local.record(started.elapsed().as_secs_f64() * 1e3);
-        counters::add("serve.requests", 1);
+        REQUESTS.add(1);
         if local.len() >= FLUSH_EVERY {
             local.flush_into(&shared.hist);
         }

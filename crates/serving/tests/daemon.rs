@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 use sommelier_graph::TaskKind;
@@ -263,33 +264,48 @@ fn over_admission_sheds_with_typed_retry_after() {
         queue_depth: 0,
         ..DaemonConfig::default()
     });
+    // The blocker keeps the permit busy, batch after batch, until the
+    // probe has been shed once: what a batch costs to execute decides
+    // how many are sent, not whether the probe finds the window.
     let big_batch: Vec<String> = (0..600).map(|_| query_text(&reference)).collect();
+    let shed_seen = Arc::new(AtomicBool::new(false));
+    let deadline = Instant::now() + Duration::from_secs(10);
     let blocker = {
-        let addr = addr.clone();
+        let (addr, shed_seen) = (addr.clone(), Arc::clone(&shed_seen));
         std::thread::spawn(move || {
             let mut c = Client::connect(&addr).unwrap();
-            c.query_batch(&big_batch).unwrap()
+            let mut completed = false;
+            while !shed_seen.load(Ordering::SeqCst) && Instant::now() < deadline {
+                let reply = c.query_batch(&big_batch).unwrap();
+                if reply.ok {
+                    completed = true;
+                } else {
+                    // The probe held the permit when this batch arrived.
+                    assert_eq!(reply.error_code(), Some("overloaded"), "{:?}", reply.body);
+                }
+            }
+            completed
         })
     };
-    // Poke until we land inside the blocker's execution window.
     let mut shed = None;
     let mut probe = Client::connect(&addr).unwrap();
-    for _ in 0..2000 {
+    while shed.is_none() && Instant::now() < deadline {
         let reply = probe.query(&query_text(&reference)).unwrap();
         if reply.error_code() == Some("overloaded") {
             shed = Some(reply);
-            break;
+        } else {
+            assert!(reply.ok, "probe must succeed or shed: {:?}", reply.body);
         }
-        assert!(reply.ok, "probe must succeed or shed: {:?}", reply.body);
     }
-    let reply = shed.expect("a probe must be shed while the batch executes");
+    shed_seen.store(true, Ordering::SeqCst);
+    let completed = blocker.join().unwrap();
+    let reply = shed.expect("a probe must be shed while a batch executes");
     assert!(
         reply.retry_after_ms().unwrap_or(0) > 0,
         "shed must carry retry_after_ms: {:?}",
         reply.body
     );
-    let blocked = blocker.join().unwrap();
-    assert!(blocked.ok, "the admitted batch still completes");
+    assert!(completed, "the batch that caused the shed still completes");
     // The shed shows up in the metrics scrape.
     let metrics = probe.metrics().unwrap();
     let counters = metrics.body.get_field("counters").unwrap();

@@ -1,0 +1,294 @@
+//! Differential test of the read path: `query_ast` against a naive
+//! oracle written here, over a synthetic index whose resource side has
+//! been through everything a live one goes through — tombstones, a
+//! removed key reinserted into a reused slot, a key held by two live
+//! slots with different profiles — and whose candidate lists point at
+//! all of them, at keys with no profile at all, and at synthesized
+//! models.
+//!
+//! The engine's resource stage probes each semantic candidate's profile
+//! and never asks the resource index a range query; this is the check
+//! that doing so answers every query exactly as the definition does.
+
+use sommelier::index::lsh::LshConfig;
+use sommelier::index::persist::SNAPSHOT_VERSION;
+use sommelier::index::semantic::SemanticIndexConfig;
+use sommelier::index::{
+    CandidateKind, CandidateRecord, IndexSnapshot, ResourceIndex, SemanticIndex,
+};
+use sommelier::prelude::*;
+use sommelier::query::ast::BoundValue::{self, Absolute, RelativePercent};
+use sommelier::query::ResourceDim::{self, Flops, Latency, Memory};
+use sommelier::query::{RefSpec, ResourcePredicate, SelectKind};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+const KEYS: usize = 2048;
+const CANDIDATES: usize = 16;
+
+/// The reference whose candidate list is wired at the special keys: its
+/// `j`-th candidate is key `MAIN + 1 + 127 j`.
+const MAIN: usize = 100;
+/// Inserted twice, the second time much cheaper (`MAIN`'s candidate 0).
+const TWICE: usize = MAIN + 1;
+/// Removed, then reinserted with a new profile (`MAIN`'s candidate 1).
+const REINSERTED: usize = MAIN + 1 + 127;
+/// Removed for good (`MAIN`'s candidate 2); so is every `i % 5 == 3`.
+const GONE: usize = MAIN + 1 + 2 * 127;
+
+fn key(i: usize) -> String {
+    format!("m{i:04}")
+}
+
+fn removed(i: usize) -> bool {
+    i % 5 == 3 || i == GONE
+}
+
+fn resource_index() -> ResourceIndex {
+    let mut rng = Prng::seed_from_u64(17);
+    let mut profile = || ResourceProfile {
+        memory_mb: 32.0 + rng.uniform() * 4096.0,
+        gflops: 0.5 + rng.uniform() * 40.0,
+        latency_ms: 1.0 + rng.uniform() * 90.0,
+    };
+    let mut idx = ResourceIndex::new(LshConfig::default(), 1);
+    for i in 0..KEYS {
+        idx.insert(key(i), profile());
+    }
+    idx.insert(
+        key(TWICE),
+        ResourceProfile {
+            memory_mb: 0.1,
+            gflops: 0.1,
+            latency_ms: 0.1,
+        },
+    );
+    for i in (0..KEYS).filter(|i| removed(*i)) {
+        assert!(idx.remove(&key(i)));
+    }
+    idx.insert(key(REINSERTED), profile());
+    assert_eq!(idx.slot_count(), KEYS + 1, "no compaction, no growth");
+    let audit = idx.entries_audit();
+    assert_eq!(
+        (audit[3].0, audit[3].2),
+        (key(REINSERTED).as_str(), false),
+        "the reinserted key took the lowest freed slot"
+    );
+    assert!(audit.iter().filter(|(_, _, dead)| *dead).count() > 400);
+    idx
+}
+
+fn semantic_index() -> SemanticIndex {
+    let entries = (0..KEYS)
+        .map(|i| {
+            let candidates = (0..CANDIDATES)
+                .map(|j| {
+                    let other = key((i + 1 + 127 * j) % KEYS);
+                    let diff_bound = 0.01 + 0.05 * j as f64 + 0.001 * (i % 7) as f64;
+                    let (key, kind) = match j {
+                        7 | 15 => (
+                            format!("{}+{other}", key(i)),
+                            CandidateKind::Synthesized { donor: other },
+                        ),
+                        _ if j % 3 == 0 => (
+                            other,
+                            CandidateKind::Transitive {
+                                via: key((i + 5) % KEYS),
+                            },
+                        ),
+                        _ => (other, CandidateKind::Whole),
+                    };
+                    CandidateRecord {
+                        key,
+                        diff_bound,
+                        score: 1.0 - diff_bound,
+                        kind,
+                    }
+                })
+                .collect();
+            (Fingerprint(i as u64 + 1), key(i), candidates)
+        })
+        .collect();
+    SemanticIndex::from_parts(SemanticIndexConfig::default(), 1, entries, Vec::new())
+}
+
+fn dim_of(p: &ResourceProfile, dim: ResourceDim) -> f64 {
+    match dim {
+        Memory => p.memory_mb,
+        Flops => p.gflops,
+        Latency => p.latency_ms,
+    }
+}
+
+/// The definition of a query's answer: the reference's candidates at or
+/// above the threshold, each with the profile of the first live slot
+/// holding its key (the reference's own for a synthesized model), kept
+/// if that profile is within every bound, stably sorted, truncated.
+/// `None` when the reference has no live profile.
+fn oracle(
+    semantic: &SemanticIndex,
+    first_live: &HashMap<&str, ResourceProfile>,
+    query: &Query,
+) -> Option<Vec<QueryResult>> {
+    let RefSpec::Named(reference) = &query.reference else {
+        unreachable!("the grid names its references")
+    };
+    let ref_profile = *first_live.get(reference.as_str())?;
+    let bounds: Vec<(ResourceDim, f64)> = query
+        .predicates
+        .iter()
+        .map(|p| {
+            let bound = match p.value {
+                Absolute(v) => v,
+                RelativePercent(pct) => dim_of(&ref_profile, p.dim) * pct / 100.0,
+            };
+            (p.dim, bound)
+        })
+        .collect();
+    let mut results: Vec<QueryResult> = semantic
+        .candidates_of(reference)
+        .iter()
+        .filter(|c| c.key != *reference && c.score >= query.threshold)
+        .filter_map(|c| {
+            let profile = match c.kind {
+                CandidateKind::Synthesized { .. } => ref_profile,
+                _ => *first_live.get(c.key.as_str())?,
+            };
+            bounds
+                .iter()
+                .all(|(dim, bound)| dim_of(&profile, *dim) <= *bound)
+                .then(|| QueryResult {
+                    key: c.key.clone(),
+                    score: c.score,
+                    diff_bound: c.diff_bound,
+                    profile,
+                    kind: c.kind.clone(),
+                })
+        })
+        .collect();
+    let ascending = |dim| move |a: &QueryResult, b: &QueryResult| {
+        dim_of(&a.profile, dim).total_cmp(&dim_of(&b.profile, dim))
+    };
+    match query.selection {
+        FinalSelection::Similarity => results.sort_by(|a, b| b.score.total_cmp(&a.score)),
+        FinalSelection::Memory => results.sort_by(ascending(Memory)),
+        FinalSelection::Flops => results.sort_by(ascending(Flops)),
+        FinalSelection::Latency => results.sort_by(ascending(Latency)),
+    }
+    results.truncate(match query.select {
+        SelectKind::Model => 1,
+        SelectKind::Models(n) => n,
+    });
+    Some(results)
+}
+
+#[test]
+fn query_results_equal_the_naive_oracle_on_a_churned_index() {
+    let (semantic, resource) = (semantic_index(), resource_index());
+    let engine = Sommelier::assemble_from_snapshot(
+        Arc::new(InMemoryRepository::new()),
+        SommelierConfig::default(),
+        IndexSnapshot {
+            version: SNAPSHOT_VERSION,
+            stats: None,
+            semantic,
+            resource,
+        },
+    );
+    let readers = [engine.reader().with_pool(1), engine.reader().with_pool(4)];
+    let semantic = engine.semantic_index();
+    let audit = engine.resource_index().entries_audit();
+    let mut first_live: HashMap<&str, ResourceProfile> = HashMap::new();
+    for (key, profile, dead) in &audit {
+        if !dead {
+            first_live.entry(*key).or_insert(**profile);
+        }
+    }
+    assert!(first_live[key(TWICE).as_str()].memory_mb >= 32.0);
+    assert!(!first_live.contains_key(key(GONE).as_str()));
+
+    let on = |dim, value: BoundValue| ResourcePredicate { dim, value };
+    let bound_sets: Vec<Vec<ResourcePredicate>> = vec![
+        vec![],
+        vec![on(Memory, Absolute(1500.0))],
+        vec![on(Flops, Absolute(12.5))],
+        vec![on(Latency, Absolute(0.5))],
+        vec![on(Memory, RelativePercent(90.0))],
+        vec![on(Flops, RelativePercent(150.0))],
+        vec![on(Latency, RelativePercent(60.0))],
+        vec![on(Memory, RelativePercent(120.0)), on(Latency, Absolute(40.0))],
+        vec![
+            on(Memory, Absolute(3000.0)),
+            on(Flops, RelativePercent(80.0)),
+            on(Latency, RelativePercent(110.0)),
+        ],
+    ];
+    let orders = [
+        FinalSelection::Similarity,
+        FinalSelection::Memory,
+        FinalSelection::Flops,
+        FinalSelection::Latency,
+    ];
+    let (mut queries, mut non_empty, mut unknown) = (0, 0, 0);
+    for reference in [MAIN, TWICE, REINSERTED, 1500, KEYS - 1, 3, GONE] {
+        for predicates in &bound_sets {
+            for selection in orders {
+                for limit in [0, 1, 3, 64] {
+                    for threshold in [0.2, 0.9, 1.1] {
+                        let query = Query {
+                            select: SelectKind::Models(limit),
+                            reference: RefSpec::Named(key(reference)),
+                            threshold,
+                            predicates: predicates.clone(),
+                            selection,
+                            exec_spec: BTreeMap::new(),
+                        };
+                        let want = oracle(semantic, &first_live, &query);
+                        for reader in &readers {
+                            let got = reader.query_ast(&query);
+                            match (&want, got) {
+                                (Some(want), Ok(got)) => assert_eq!(
+                                    &got,
+                                    want,
+                                    "jobs={}, {query:?}",
+                                    reader.jobs()
+                                ),
+                                (None, Err(QueryError::UnknownReference(_))) => {}
+                                (want, got) => panic!(
+                                    "jobs={}, {query:?}: engine {got:?}, oracle {want:?}",
+                                    reader.jobs()
+                                ),
+                            }
+                        }
+                        queries += 1;
+                        match &want {
+                            Some(results) => non_empty += usize::from(!results.is_empty()),
+                            None => unknown += 1,
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The grid is not vacuous: two references of seven have lost their
+    // profile, a fifth of all cells still answer with something (a zero
+    // limit, `WITHIN 1.1` and the tightest bounds never do), and the
+    // wired list reaches every special key.
+    assert_eq!(unknown, queries * 2 / 7);
+    assert!(non_empty * 5 > queries, "{non_empty} of {queries} non-empty");
+    let all = oracle(
+        semantic,
+        &first_live,
+        &Query::corr(key(MAIN)).top(64).within(0.0),
+    )
+    .expect("the main reference is live");
+    let keys: Vec<&str> = all.iter().map(|r| r.key.as_str()).collect();
+    assert!(keys.contains(&key(TWICE).as_str()) && keys.contains(&key(REINSERTED).as_str()));
+    assert!(!keys.contains(&key(GONE).as_str()));
+    assert_eq!(
+        all.iter()
+            .filter(|r| matches!(r.kind, CandidateKind::Synthesized { .. }))
+            .count(),
+        2
+    );
+}
