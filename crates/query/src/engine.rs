@@ -479,12 +479,10 @@ impl SommelierReader {
 
     /// Execute a batch of textual queries, fanned across the reader's
     /// pool. The whole batch pins *one* snapshot, so every item is
-    /// served from the same epoch; per-lane latency is recorded into
-    /// the exact `query.batch.latency_ms` series (p50/p90/p99 via
-    /// [`latency::quantiles`]) and merged into the mergeable
-    /// `query.batch_ms` histogram — one batched merge, not one
-    /// registry-lock acquisition per item — so concurrent readers (the
-    /// serving daemon) aggregate tail latency without contending.
+    /// served from the same epoch; per-lane latency is merged into the
+    /// mergeable `query.batch_ms` histogram — one batched merge, not
+    /// one registry-lock acquisition per item — so concurrent readers
+    /// (the serving daemon) aggregate tail latency without contending.
     /// Items come back in input order, and the result sets are
     /// identical at any lane count.
     pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
@@ -501,7 +499,6 @@ impl SommelierReader {
         });
         let mut local = latency::LocalRecorder::new();
         for item in &items {
-            latency::record("query.batch.latency_ms", item.latency_ms);
             local.record(item.latency_ms);
         }
         local.flush_into(BATCH_MS.get_or_init(|| latency::histogram("query.batch_ms")));
@@ -1639,6 +1636,32 @@ mod tests {
             epoch_before + 1,
             "reregister is one logical mutation: exactly one publish"
         );
+    }
+
+    #[test]
+    fn dropped_then_readded_model_is_served_from_the_pairwise_cache() {
+        // The one job the edge table cannot do for the pairwise cache:
+        // a drop as its own mutation kills the model's edges, so the
+        // later re-add re-attempts those pairs — and must find every
+        // one of them memoized, landing on the pre-drop state.
+        let (mut engine, names) = engine_with_variants();
+        let image = |engine: &Sommelier| {
+            let snap = engine.reader().snapshot();
+            let stats =
+                sommelier_index::persist::SnapshotStats::of(&snap.semantic, &snap.resource, 0);
+            sommelier_index::somb::encode(&snap.semantic, &snap.resource, Some(&stats))
+        };
+        for name in &names {
+            let model = engine.repo.load(name).unwrap();
+            let before = image(&engine);
+            assert!(engine.unregister(name));
+            let dropped = engine.cache_stats();
+            engine.reregister(&model).unwrap();
+            let readded = engine.cache_stats();
+            assert!(readded.hits > dropped.hits, "{name}: re-add must hit the cache");
+            assert_eq!(readded.misses, dropped.misses, "{name}: re-add re-analyzed a pair");
+            assert!(image(&engine) == before, "{name}: re-add drifted from the pre-drop state");
+        }
     }
 
     /// A repository wrapper that counts `load` calls, so tests can

@@ -140,8 +140,7 @@ pub mod counters {
 
     /// Zero every registered counter. Existing handles stay valid (the
     /// atomics are reset in place, not replaced), so cached handles and
-    /// the registry can never disagree. Bench runs call this so each
-    /// phase starts from a clean slate.
+    /// the registry can never disagree.
     pub fn reset() {
         let map = registry().lock().unwrap_or_else(|e| e.into_inner());
         for v in map.values() {
@@ -233,7 +232,9 @@ pub mod counters {
 ///
 /// * exact series ([`record`]/[`quantiles`]) — every sample is kept, the
 ///   quantiles are exact, and every `record` takes the registry lock.
-///   Right for benches and tests, wrong for a server's per-request path.
+///   Wrong for a server's per-request path, and nothing in the
+///   workspace records into it any more; it stays only until
+///   `benchmark/` stops reading [`quantiles`].
 /// * mergeable histograms ([`Histogram`]/[`LocalRecorder`]) — each
 ///   serving thread accumulates into a private fixed-size bucket array
 ///   (no lock, no allocation) and periodically merges it into a shared
@@ -292,18 +293,6 @@ pub mod latency {
             p90: nearest_rank(&sorted, 0.90),
             p99: nearest_rank(&sorted, 0.99),
         })
-    }
-
-    /// All named series with their quantiles, sorted by name.
-    pub fn snapshot() -> Vec<(String, LatencyQuantiles)> {
-        let names: Vec<String> = {
-            let map = series().lock().unwrap_or_else(|e| e.into_inner());
-            map.keys().cloned().collect()
-        };
-        names
-            .into_iter()
-            .filter_map(|n| quantiles(&n).map(|q| (n, q)))
-            .collect()
     }
 
     /// Drop every recorded sample and zero every merged histogram.
@@ -634,8 +623,8 @@ pub mod latency {
     }
 }
 
-/// Reset every metrics surface (counters and latency series) to empty —
-/// the bench harness calls this between phases.
+/// Reset every metrics surface (counters and latency series) to empty,
+/// so a measured phase starts from a clean slate.
 pub fn reset() {
     counters::reset();
     latency::reset();

@@ -48,7 +48,7 @@ pub struct AdmissionStats {
     pub accepted: u64,
     pub shed: u64,
     /// High-water mark of concurrently admitted-or-queued requests.
-    /// Bounded by `workers + queue_depth` — the bench asserts this to
+    /// Bounded by `workers + queue_depth` — the tests assert this to
     /// prove the queue never grew past its depth.
     pub max_inflight: usize,
 }

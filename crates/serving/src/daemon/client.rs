@@ -2,7 +2,7 @@
 //!
 //! One TCP connection, synchronous request/response: [`Client::call`]
 //! writes one frame and reads one response line. The CLI's `client`
-//! subcommand and the saturation bench are both built on this.
+//! subcommand, the daemon tests and `benchmark/` are built on this.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

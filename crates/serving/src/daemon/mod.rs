@@ -135,7 +135,7 @@ impl DaemonHandle {
     }
 
     /// Run `f` with the engine lock held — the mutator-side entry
-    /// point for embedders (the saturation bench storms `apply`
+    /// point for embedders (the daemon tests and `benchmark/` `apply`
     /// through this while connections keep reading the old snapshot).
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Sommelier) -> R) -> R {
         let mut engine = self
@@ -216,11 +216,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let Ok(stream) = stream else { continue };
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::spawn(move || handle_connection(conn_shared, stream));
-        shared
+        let mut threads = shared
             .conn_threads
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+            .unwrap_or_else(|e| e.into_inner());
+        // Reap here, where the list grows: a daemon must not hold one
+        // handle per connection it has ever accepted.
+        threads.retain(|h| !h.is_finished());
+        threads.push(handle);
     }
 }
 
@@ -573,6 +576,12 @@ fn metrics_frame(shared: &Shared, id: u64, reader: &SommelierReader) -> String {
         "serve.active_connections",
         shared.active.load(Ordering::SeqCst),
     );
+    let conn_threads = shared
+        .conn_threads
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .len();
+    counters::set("serve.conn_threads", conn_threads as u64);
     let counter_map = Value::Map(
         counters::snapshot()
             .into_iter()

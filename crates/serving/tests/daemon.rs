@@ -1,6 +1,6 @@
 //! End-to-end tests of the query daemon over real TCP connections:
 //! protocol round trips, epoch pinning under republish, tenant
-//! auth/quota, typed load-shed, and graceful shutdown.
+//! auth/quota, typed load-shed, connection churn, and graceful shutdown.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,6 +50,15 @@ fn start(config: DaemonConfig) -> (sommelier_serving::DaemonHandle, String, Stri
     let handle = Daemon::serve(engine, config).expect("daemon starts");
     let addr = handle.addr().to_string();
     (handle, addr, reference, victim)
+}
+
+/// One `serve.*` counter out of a fresh `metrics` scrape.
+fn scraped_counter(client: &mut Client, name: &str) -> u64 {
+    let metrics = client.metrics().unwrap();
+    match metrics.body.get_field("counters").and_then(|c| c.get_field(name)) {
+        Some(Value::UInt(n)) => *n,
+        other => panic!("{name} missing from the scrape: {other:?}"),
+    }
 }
 
 fn query_text(reference: &str) -> String {
@@ -306,13 +315,35 @@ fn over_admission_sheds_with_typed_retry_after() {
         reply.body
     );
     assert!(completed, "the batch that caused the shed still completes");
-    // The shed shows up in the metrics scrape.
-    let metrics = probe.metrics().unwrap();
-    let counters = metrics.body.get_field("counters").unwrap();
-    match counters.get_field("serve.shed") {
-        Some(Value::UInt(n)) => assert!(*n >= 1),
-        other => panic!("serve.shed missing: {other:?}"),
+    // The shed shows up in the metrics scrape, and so does the bound:
+    // workers + queue_depth = 1.
+    assert!(scraped_counter(&mut probe, "serve.shed") >= 1);
+    assert!(scraped_counter(&mut probe, "serve.max_inflight") <= 1);
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn finished_connection_threads_are_reaped_not_accumulated() {
+    let (handle, addr, _reference, _victim) = start(DaemonConfig::default());
+    for _ in 0..200 {
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(client.ping().unwrap().ok);
     }
+    // A handle is reaped at the first accept after its thread ends, so
+    // the last few may lag; every scrape connects afresh and reaps.
+    let mut retained = u64::MAX;
+    for _ in 0..50 {
+        let mut client = Client::connect(&addr).unwrap();
+        retained = scraped_counter(&mut client, "serve.conn_threads");
+        if retained <= 8 {
+            break;
+        }
+    }
+    assert!(
+        retained <= 8,
+        "{retained} join handles held after 200 closed connections"
+    );
     handle.shutdown();
     handle.wait();
 }

@@ -94,27 +94,26 @@ fn transitive_bounds_dominate_direct_measurements() {
 #[test]
 fn resource_index_agrees_with_exhaustive_oracle() {
     let (engine, names) = engine(8);
-    // Clone the index into exhaustive mode and compare on a grid of
-    // constraints.
-    let mut oracle = engine.resource_index().clone();
-    oracle.exhaustive = true;
+    let index = engine.resource_index();
+    let base = index.profile_of(&names[0]).unwrap().memory_mb;
+    // The oracle is the definition: every live slot whose profile the
+    // constraint admits, in slot order.
     for &frac in &[0.25f64, 0.5, 1.0, 2.0] {
-        let base = engine
-            .resource_index()
-            .profile_of(&names[0])
-            .unwrap()
-            .memory_mb;
         let c = sommelier::index::ResourceConstraint {
             max_memory_mb: Some(base * frac),
             max_gflops: None,
             max_latency_ms: None,
         };
-        let mut fast = engine.resource_index().query(&c);
-        let mut slow = oracle.query(&c);
-        fast.sort();
-        slow.sort();
-        assert_eq!(fast, slow, "divergence at frac {frac}");
+        let want: Vec<&str> = index
+            .entries_audit()
+            .into_iter()
+            .filter(|(_, profile, removed)| !removed && c.admits(profile))
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(index.query(&c), want, "divergence at frac {frac}");
     }
+    let all = index.query(&sommelier::index::ResourceConstraint::default());
+    assert_eq!(all.len(), names.len(), "an unbounded query returns every model");
 }
 
 #[test]
