@@ -2,28 +2,20 @@
 
 use sommelier_equiv::explain::explain;
 use sommelier_equiv::whole::EquivConfig;
-use sommelier_fault::storage::{is_quarantine_name, is_temp_name};
 use sommelier_fault::{StdStorage, Storage};
 use sommelier_graph::{serde_model, TaskKind};
+use sommelier_index::persist::{self, snapshot_path, INDEX_FILE, INDEX_FILE_BIN};
 use sommelier_lint::DenySpec;
 use sommelier_query::{SnapshotRecovery, Sommelier, SommelierConfig};
 use sommelier_repo::{
-    chunk_hash, decode_key, dedup_store, is_chunk_name, Manifest, ModelRepository,
-    OnDiskRepository, CHUNK_DIR, CHUNK_SUFFIX, MANIFEST_SUFFIX,
+    dedup_store, repair_store, scan_store, ModelRepository, OnDiskRepository, Outcome,
 };
-use std::collections::BTreeSet;
 use sommelier_runtime::ResourceProfile;
 use sommelier_tensor::{Prng, Tensor};
 use sommelier_zoo::series::build_series;
 use sommelier_zoo::families::Family;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// File name (inside the repository directory) of the persisted indices.
-const INDEX_FILE: &str = "sommelier.index.json";
-
-/// Binary-format sibling of [`INDEX_FILE`] (`sommelier compact` output).
-const INDEX_FILE_BIN: &str = "sommelier.index.somb";
 
 type CmdResult = Result<(), String>;
 
@@ -80,18 +72,6 @@ fn open_repo(dir: &Path) -> Result<Arc<OnDiskRepository>, String> {
         ));
     }
     Ok(Arc::new(OnDiskRepository::open(dir).map_err(fail)?))
-}
-
-/// The index snapshot path a repository serves from: the binary
-/// snapshot when one exists (a compacted repository), the JSON file
-/// otherwise. New repositories index to JSON until compacted.
-fn index_path(dir: &Path) -> PathBuf {
-    let bin = dir.join(INDEX_FILE_BIN);
-    if bin.exists() {
-        bin
-    } else {
-        dir.join(INDEX_FILE)
-    }
 }
 
 fn engine_config(flags: &[(&str, &str)]) -> Result<SommelierConfig, String> {
@@ -261,11 +241,11 @@ pub fn index(args: &[String]) -> CmdResult {
     let start = std::time::Instant::now();
     let added = engine.index_existing().map_err(fail)?;
     let secs = start.elapsed().as_secs_f64();
-    engine.save_indices(&index_path(&dir)).map_err(fail)?;
+    engine.save_indices(&snapshot_path(&dir)).map_err(fail)?;
     println!(
         "indexed {added} models in {secs:.1}s with {} job(s) → {}",
         engine.jobs(),
-        index_path(&dir).display()
+        snapshot_path(&dir).display()
     );
     let stats = engine.cache_stats();
     println!(
@@ -305,7 +285,7 @@ pub fn apply(args: &[String]) -> CmdResult {
     }
     let cfg = engine_config(&engine_flags)?;
     let mut engine = load_engine(&dir, cfg)?;
-    let path = index_path(&dir);
+    let path = snapshot_path(&dir);
     let start = std::time::Instant::now();
     let applied = engine.apply(batch).map_err(fail)?;
     let secs = start.elapsed().as_secs_f64();
@@ -337,7 +317,7 @@ pub fn compact(args: &[String]) -> CmdResult {
     if !dir.exists() {
         return Err(format!("repository '{}' does not exist", dir.display()));
     }
-    let source = index_path(&dir);
+    let source = snapshot_path(&dir);
     if !source.exists() {
         return Err(format!(
             "no index at {} (run `sommelier index {}` first)",
@@ -347,10 +327,10 @@ pub fn compact(args: &[String]) -> CmdResult {
     }
     let storage = StdStorage;
     let (snapshot, format) =
-        sommelier_index::persist::read_snapshot_sniffed_with(&storage, &source).map_err(fail)?;
+        persist::read_snapshot_sniffed_with(&storage, &source).map_err(fail)?;
     let from_bytes = std::fs::metadata(&source).map_err(fail)?.len();
     let target = dir.join(INDEX_FILE_BIN);
-    sommelier_index::persist::save_snapshot_as(
+    persist::save_snapshot_as(
         &storage,
         &snapshot,
         sommelier_index::SnapshotFormat::Binary,
@@ -374,7 +354,7 @@ pub fn compact(args: &[String]) -> CmdResult {
 
 fn load_engine(dir: &Path, cfg: SommelierConfig) -> Result<Sommelier, String> {
     let repo = open_repo(dir)?;
-    let path = index_path(dir);
+    let path = snapshot_path(dir);
     if !path.exists() {
         return Err(format!(
             "no index at {} (run `sommelier index {}` first)",
@@ -475,52 +455,7 @@ pub fn query(args: &[String]) -> CmdResult {
             .snapshot_format()
             .map(|f| f.as_str())
             .unwrap_or("none");
-        let queries = Value::Seq(
-            items
-                .iter()
-                .map(|item| {
-                    let mut fields = vec![
-                        ("epoch".to_string(), Value::UInt(item.epoch)),
-                        ("latency_ms".to_string(), Value::Float(item.latency_ms)),
-                    ];
-                    match &item.results {
-                        Ok(results) => fields.push((
-                            "results".to_string(),
-                            Value::Seq(
-                                results
-                                    .iter()
-                                    .map(|r| {
-                                        Value::Map(vec![
-                                            ("key".to_string(), Value::Str(r.key.clone())),
-                                            ("score".to_string(), Value::Float(r.score)),
-                                            (
-                                                "diff_bound".to_string(),
-                                                Value::Float(r.diff_bound),
-                                            ),
-                                            (
-                                                "memory_mb".to_string(),
-                                                Value::Float(r.profile.memory_mb),
-                                            ),
-                                            (
-                                                "gflops".to_string(),
-                                                Value::Float(r.profile.gflops),
-                                            ),
-                                            (
-                                                "latency_ms".to_string(),
-                                                Value::Float(r.profile.latency_ms),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        )),
-                        Err(e) => fields
-                            .push(("error".to_string(), Value::Str(e.to_string()))),
-                    }
-                    Value::Map(fields)
-                })
-                .collect(),
-        );
+        let queries = Value::Seq(items.iter().map(|item| Value::Map(item.fields())).collect());
         // Aggregate quantiles over the batch: exact nearest-rank
         // p50/p90/p99 of the per-query latencies.
         let mut sorted: Vec<f64> = items.iter().map(|i| i.latency_ms).collect();
@@ -746,18 +681,20 @@ pub fn audit(args: &[String]) -> CmdResult {
 
 /// `sommelier fsck <dir> [--repair] [--prune]`
 ///
-/// Walks the store directory and checks every artifact the durability
-/// layer manages: model and manifest files must carry canonical key
-/// encodings and parse; manifests must reference only chunks that
-/// exist; chunks must hash-verify and be referenced by some manifest;
-/// the index snapshot must parse; quarantined (`*.corrupt-*`) and
-/// orphaned temp (`*.tmp-*`) files are reported. Without flags the
-/// command only reports, failing (for scripting) if anything is found.
-/// `--repair` deletes orphaned temps and orphaned chunks, quarantines
-/// unparseable or dangling-reference artifacts, and rebuilds +
-/// re-persists the index from the repository. `--prune` deletes
-/// quarantined files; it works on its own — without `--repair` it
-/// prunes quarantines left by earlier runs but fixes nothing else.
+/// Prints what the store scan ([`sommelier_repo::scan_store`], the one
+/// `sommelier lint` reports from) finds wrong with the directory —
+/// model and manifest files must carry canonical key encodings and
+/// parse; manifests must reference only chunks that exist and sit on
+/// a base chain that ends; chunks must hash-verify and be referenced
+/// by some manifest; quarantined (`*.corrupt-*`) and orphaned temp
+/// (`*.tmp-*`) files are reported — and checks that the index
+/// snapshot parses. Without flags the command only reports, failing
+/// (for scripting) if anything is found. `--repair` deletes orphaned
+/// temps and orphaned chunks, quarantines unparseable or unloadable
+/// artifacts, and rebuilds + re-persists the index from the
+/// repository. `--prune` deletes quarantined files; it works on its
+/// own — without `--repair` it prunes quarantines left by earlier runs
+/// but fixes nothing else.
 pub fn fsck(args: &[String]) -> CmdResult {
     let (positional, flags) = split_flags(args)?;
     let dir = repo_dir(&positional)?;
@@ -774,250 +711,63 @@ pub fn fsck(args: &[String]) -> CmdResult {
         return Err(format!("repository '{}' does not exist", dir.display()));
     }
     let storage = StdStorage;
-    let names = storage.list(&dir).map_err(fail)?;
-    let mut findings = 0usize;
-    let mut fixed = 0usize;
-    let mut index_broken = false;
-    let mut manifests: Vec<(String, Manifest)> = Vec::new();
-    for name in &names {
-        let path = dir.join(name);
-        if is_quarantine_name(name) {
-            findings += 1;
-            if prune {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("pruned quarantined file {name}");
-            } else {
-                println!("quarantined file: {name} (remove with --prune)");
-            }
-        } else if is_temp_name(name) {
-            findings += 1;
-            if repair {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("removed orphaned temp {name}");
-            } else {
-                println!("orphaned temp file: {name} (remove with --repair)");
-            }
-        } else if let Some(stem) = name.strip_suffix(MANIFEST_SUFFIX) {
-            if decode_key(stem).is_none() {
-                findings += 1;
-                println!("non-canonical manifest file name: {name} (republish via the API)");
-                continue;
-            }
-            let parsed = storage
-                .read(&path)
-                .map_err(fail)
-                .and_then(|bytes| String::from_utf8(bytes).map_err(fail))
-                .and_then(|text| Manifest::from_json(&text));
-            match parsed {
-                Ok(manifest) => manifests.push((name.clone(), manifest)),
-                Err(e) => {
-                    findings += 1;
-                    if repair {
-                        let q = sommelier_fault::quarantine(&storage, &path).map_err(fail)?;
-                        fixed += 1;
-                        println!(
-                            "quarantined unreadable manifest {name} → {}",
-                            q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                        );
-                        if prune {
-                            storage.remove(&q).map_err(fail)?;
-                            println!(
-                                "pruned quarantined file {}",
-                                q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                            );
-                        }
-                    } else {
-                        println!("unreadable manifest file: {name}: {e}");
-                    }
-                }
-            }
-        } else if let Some(stem) = name.strip_suffix(".model.json") {
-            if decode_key(stem).is_none() {
-                findings += 1;
-                println!("non-canonical model file name: {name} (republish via the API)");
-                continue;
-            }
-            if let Err(e) = serde_model::load(&path) {
-                findings += 1;
-                if repair {
-                    let q = sommelier_fault::quarantine(&storage, &path).map_err(fail)?;
-                    fixed += 1;
-                    println!(
-                        "quarantined unreadable model {name} → {}",
-                        q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                    );
-                    // The fresh quarantine postdates the listing; honor
-                    // --prune in the same invocation.
-                    if prune {
-                        storage.remove(&q).map_err(fail)?;
-                        println!(
-                            "pruned quarantined file {}",
-                            q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                        );
-                    }
-                } else {
-                    println!("unreadable model file: {name}: {e}");
-                }
-            }
-        } else if name == INDEX_FILE || name == INDEX_FILE_BIN {
-            // Either encoding: the reader sniffs JSON vs binary.
-            if let Err(e) = sommelier_index::persist::read_snapshot(&path) {
-                findings += 1;
-                index_broken = true;
-                if !repair {
-                    println!("unreadable index snapshot: {name}: {e}");
+    let scan = scan_store(&storage, &dir).map_err(fail)?;
+    let outcomes = repair_store(&storage, &dir, &scan, repair, prune).map_err(fail)?;
+    let mut findings = scan.findings.len();
+    let mut fixed = outcomes.iter().filter(|o| **o != Outcome::Left).count();
+    for (finding, outcome) in scan.findings.iter().zip(&outcomes) {
+        let (kind, file) = (finding.kind, &finding.file);
+        match outcome {
+            Outcome::Left => println!("{file}: {} ({})", finding.message, kind.fix().hint()),
+            Outcome::Removed => println!("removed {} {file}", kind.label()),
+            Outcome::Quarantined(to) => {
+                println!("quarantined {file} ({}) → {to}", kind.label());
+                if prune {
+                    println!("pruned quarantined file {to}");
                 }
             }
         }
     }
-    // Chunk hygiene: every chunk must hash-verify and be referenced by
-    // some manifest; every manifest reference must resolve to a chunk.
-    let chunk_dir = dir.join(CHUNK_DIR);
-    let chunk_names = storage.list(&chunk_dir).unwrap_or_default();
-    let mut present: BTreeSet<String> = BTreeSet::new();
-    for cname in &chunk_names {
-        let path = chunk_dir.join(cname);
-        if is_quarantine_name(cname) {
-            findings += 1;
-            if prune {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("pruned quarantined chunk {cname}");
-            } else {
-                println!("quarantined chunk: {cname} (remove with --prune)");
-            }
-        } else if is_temp_name(cname) {
-            findings += 1;
-            if repair {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("removed orphaned temp chunk {cname}");
-            } else {
-                println!("orphaned temp chunk: {cname} (remove with --repair)");
-            }
-        } else if !is_chunk_name(cname) {
-            findings += 1;
-            if repair {
-                storage.remove(&path).map_err(fail)?;
-                fixed += 1;
-                println!("removed stray file in chunk dir: {cname}");
-            } else {
-                println!("stray file in chunk dir: {cname} (remove with --repair)");
-            }
-        } else {
-            let stem = cname.strip_suffix(CHUNK_SUFFIX).unwrap_or(cname);
-            let bytes = storage.read(&path).map_err(fail)?;
-            if chunk_hash(&bytes) == stem {
-                present.insert(stem.to_string());
-            } else {
-                // Corrupt chunks never count as present: manifests that
-                // reference one are unreconstructable and show up as
-                // dangling below.
-                findings += 1;
-                if repair {
-                    let q = sommelier_fault::quarantine(&storage, &path).map_err(fail)?;
-                    fixed += 1;
-                    println!(
-                        "quarantined corrupt chunk {cname} → {}",
-                        q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                    );
-                    if prune {
-                        storage.remove(&q).map_err(fail)?;
-                        println!(
-                            "pruned quarantined file {}",
-                            q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                        );
-                    }
-                } else {
-                    println!("corrupt chunk: {cname} (content does not match its hash)");
-                }
-            }
-        }
-    }
-    let referenced: BTreeSet<&str> = manifests
-        .iter()
-        .flat_map(|(_, m)| m.chunk_refs())
-        .collect();
-    for hash in &present {
-        if !referenced.contains(hash.as_str()) {
-            findings += 1;
-            let cname = format!("{hash}{CHUNK_SUFFIX}");
-            if repair {
-                storage.remove(&chunk_dir.join(&cname)).map_err(fail)?;
-                fixed += 1;
-                println!("removed orphaned chunk {cname}");
-            } else {
-                println!("orphaned chunk: {cname} (referenced by no manifest; remove with --repair)");
-            }
-        }
-    }
-    for (name, manifest) in &manifests {
-        let missing: Vec<&str> = manifest
-            .chunk_refs()
-            .into_iter()
-            .filter(|h| !present.contains(*h))
-            .collect();
-        if missing.is_empty() {
-            continue;
-        }
+    // The snapshot the engine would serve, in either encoding (the
+    // reader sniffs JSON vs binary).
+    let index = snapshot_path(&dir);
+    let index_error = if index.exists() {
+        persist::read_snapshot(&index).err()
+    } else {
+        None
+    };
+    if let Some(e) = index_error {
         findings += 1;
         if repair {
-            let q = sommelier_fault::quarantine(&storage, &dir.join(name)).map_err(fail)?;
+            // The engine's own recovery path: quarantine the torn file,
+            // rebuild from the repository, re-persist.
+            let repo = open_repo(&dir)?;
+            let (_, outcome) = Sommelier::connect_or_recover(
+                repo as Arc<dyn ModelRepository>,
+                SommelierConfig::default(),
+                &index,
+            )
+            .map_err(fail)?;
             fixed += 1;
-            println!(
-                "quarantined manifest {name} with {} dangling chunk ref(s) → {}",
-                missing.len(),
-                q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-            );
-            if prune {
-                storage.remove(&q).map_err(fail)?;
-                println!(
-                    "pruned quarantined file {}",
-                    q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                );
+            match outcome {
+                SnapshotRecovery::RebuiltQuarantined(q) => {
+                    let to = q.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+                    println!("quarantined unreadable index snapshot → {to}; rebuilt and re-saved");
+                    // The quarantine postdates the scan; honor --prune
+                    // in the same invocation.
+                    if prune {
+                        storage.remove(&q).map_err(fail)?;
+                        println!("pruned quarantined file {to}");
+                    }
+                }
+                _ => println!("rebuilt and re-saved the index snapshot"),
             }
         } else {
-            println!(
-                "dangling chunk reference(s) in manifest {name}: {} missing (first: {})",
-                missing.len(),
-                missing[0]
-            );
-        }
-    }
-    // Repairing an unreadable snapshot = the engine's own recovery path:
-    // quarantine the torn file, rebuild from the repository, re-persist.
-    if repair && index_broken {
-        let repo = open_repo(&dir)?;
-        let (_, outcome) = Sommelier::connect_or_recover(
-            repo as Arc<dyn ModelRepository>,
-            SommelierConfig::default(),
-            &index_path(&dir),
-        )
-        .map_err(fail)?;
-        fixed += 1;
-        match outcome {
-            SnapshotRecovery::RebuiltQuarantined(q) => {
-                println!(
-                    "quarantined unreadable index snapshot → {}; rebuilt and re-saved",
-                    q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                );
-                // The quarantine file postdates our directory listing, so
-                // the prune loop above never saw it.
-                if prune {
-                    storage.remove(&q).map_err(fail)?;
-                    println!(
-                        "pruned quarantined file {}",
-                        q.file_name().and_then(|n| n.to_str()).unwrap_or("?")
-                    );
-                }
-            }
-            _ => println!("rebuilt and re-saved the index snapshot"),
+            println!("unreadable index snapshot: {}: {e}", index.display());
         }
     }
     if findings == 0 {
-        println!("{}: clean ({} file(s) checked)", dir.display(), names.len());
+        println!("{}: clean ({} file(s) checked)", dir.display(), scan.files_checked);
         return Ok(());
     }
     println!("{}: {findings} finding(s), {fixed} fixed", dir.display());

@@ -468,8 +468,109 @@ fn query_json_reports_aggregate_latency_quantiles() {
     let out = run(&["query", d, &q, "--repeat", "5", "--format", "json"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let json = stdout(&out);
-    for key in ["\"latency\"", "\"p50_ms\"", "\"p90_ms\"", "\"p99_ms\""] {
+    // `kind`: results go through the encoder the daemon frames use.
+    for key in ["\"latency\"", "\"p50_ms\"", "\"p90_ms\"", "\"p99_ms\"", "\"kind\""] {
         assert!(json.contains(key), "json missing {key}: {json}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `fsck` and `lint` read the store through one scan, so they name the
+/// same files. Two defects each of them used to miss: `fsck` never
+/// looked at delta bases, lint never hashed a chunk.
+#[test]
+fn fsck_and_lint_name_the_same_files_for_broken_bases_and_corrupt_chunks() {
+    use sommelier_graph::{ModelBuilder, TaskKind};
+    use sommelier_lint::{Diagnostic, Severity};
+    use sommelier_repo::{ModelRepository, OnDiskRepository};
+    use sommelier_tensor::{Prng, Shape, Tensor};
+
+    // A full manifest and a sparse delta against it.
+    let family = |tag: &str| -> PathBuf {
+        let dir = temp_repo(tag);
+        let repo = OnDiskRepository::open(&dir).unwrap();
+        let base = ModelBuilder::new("base", TaskKind::Other, Shape::vector(16))
+            .dense(8, &mut Prng::seed_from_u64(3))
+            .build()
+            .unwrap();
+        let mut v1 = base.renamed("v1");
+        let id = v1.linear_layers()[0];
+        let mut p = v1.layer(id).params.clone();
+        let w = p.weight.as_ref().unwrap();
+        let mut data = w.as_slice().to_vec();
+        data[0] += 0.5;
+        p.weight = Some(Tensor::from_vec(w.rows(), w.cols(), data));
+        v1.set_params(id, p).unwrap();
+        repo.publish_chunked("base", &base, false).unwrap();
+        repo.publish_delta("v1", &v1, "base", false).unwrap();
+        assert!(repo.load("v1").is_ok());
+        dir
+    };
+    // Both tools fail, and every file one reports the other reports:
+    // returns fsck's report and lint's store findings.
+    let both = |dir: &PathBuf| -> (String, Vec<Diagnostic>) {
+        let d = dir.to_str().unwrap();
+        let fsck = run(&["fsck", d]);
+        assert!(!fsck.status.success(), "fsck must fail: {}", stdout(&fsck));
+        let lint = run(&["lint", d, "--format", "json"]);
+        assert!(!lint.status.success(), "lint must fail: {}", stdout(&lint));
+        let diags: Vec<Diagnostic> = serde_json::from_str(stdout(&lint).trim()).unwrap();
+        let by_file: Vec<Diagnostic> = diags
+            .into_iter()
+            .filter(|diag| diag.target.starts_with("file '"))
+            .collect();
+        let report = stdout(&fsck);
+        let lines: Vec<&str> = report.lines().collect();
+        let (summary, findings) = lines.split_last().unwrap();
+        assert!(summary.contains("finding(s)"), "{report}");
+        assert_eq!(findings.len(), by_file.len(), "{report}\n{by_file:?}");
+        for diag in &by_file {
+            let file = diag.target.trim_start_matches("file '").trim_end_matches('\'');
+            assert!(
+                findings.iter().any(|l| l.starts_with(&format!("{file}: "))),
+                "lint names {file}, fsck does not: {report}"
+            );
+        }
+        (report, by_file)
+    };
+    let is_error_on = |diags: &[Diagnostic], code: &str, file: &str| {
+        diags.iter().any(|diag| {
+            diag.code == code
+                && diag.severity == Severity::Error
+                && diag.target == format!("file '{file}'")
+        })
+    };
+
+    // (a) The delta's base manifest is deleted: `load("v1")` fails.
+    let dir = family("agree-base");
+    std::fs::remove_file(dir.join("base.manifest.json")).unwrap();
+    let (report, diags) = both(&dir);
+    assert!(report.contains("v1.manifest.json: broken delta base"), "{report}");
+    assert!(is_error_on(&diags, "SOM076", "v1.manifest.json"), "{diags:?}");
+    // Repair quarantines the delta and sweeps the base's chunks.
+    let d = dir.to_str().unwrap();
+    let out = run(&["fsck", d, "--repair", "--prune"]);
+    assert!(out.status.success(), "{}\n{}", stdout(&out), stderr(&out));
+    assert!(stdout(&run(&["fsck", d])).contains("clean"));
+    assert!(run(&["lint", d, "--deny", "warn"]).status.success());
+    std::fs::remove_dir_all(&dir).ok();
+
+    // (b) One byte flipped in a chunk `base` references.
+    let dir = family("agree-chunk");
+    let victim = std::fs::read_dir(dir.join("chunks"))
+        .unwrap()
+        .filter_map(Result::ok)
+        .next()
+        .expect("chunks exist");
+    let mut bytes = std::fs::read(victim.path()).unwrap();
+    bytes[0] ^= 0x01;
+    std::fs::write(victim.path(), bytes).unwrap();
+    let chunk = format!("chunks/{}", victim.file_name().to_string_lossy());
+    let (report, diags) = both(&dir);
+    assert!(report.contains(&format!("{chunk}: corrupt chunk")), "{report}");
+    assert!(report.contains("base.manifest.json: dangling chunk reference(s)"), "{report}");
+    assert!(is_error_on(&diags, "SOM074", &chunk), "{diags:?}");
+    assert!(is_error_on(&diags, "SOM074", "base.manifest.json"), "{diags:?}");
+    assert!(is_error_on(&diags, "SOM076", "v1.manifest.json"), "{diags:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,7 +12,7 @@ use crate::semantic::SemanticIndex;
 use serde::{Deserialize, Serialize};
 use sommelier_fault::{StdStorage, Storage};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// On-disk encoding of a snapshot. Readers sniff the format from the
 /// leading bytes ([`crate::somb::MAGIC`] marks binary, anything else is
@@ -48,6 +48,24 @@ impl SnapshotFormat {
 impl fmt::Display for SnapshotFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// File name (inside a repository directory) of the JSON snapshot.
+pub const INDEX_FILE: &str = "sommelier.index.json";
+
+/// File name of the binary (`.somb`) snapshot, `sommelier compact`'s
+/// output.
+pub const INDEX_FILE_BIN: &str = "sommelier.index.somb";
+
+/// The snapshot a repository directory serves from: the binary one
+/// when it exists (a compacted repository), the JSON one otherwise.
+pub fn snapshot_path(dir: &Path) -> PathBuf {
+    let bin = dir.join(INDEX_FILE_BIN);
+    if bin.exists() {
+        bin
+    } else {
+        dir.join(INDEX_FILE)
     }
 }
 

@@ -31,12 +31,11 @@
 //! * **publication epoch** ([`passes::epoch`]) — regressed or missing
 //!   publication epochs and candidates referencing keys the snapshot
 //!   never registered (`SOM060`–`SOM062`);
-//! * **store hygiene** ([`passes::store`]) — quarantined artifacts,
-//!   orphaned temp files from interrupted atomic writes, model files
-//!   whose names are not canonical key encodings, unlistable store
-//!   directories, and chunk-store hygiene: manifests referencing
-//!   missing chunks, chunks no manifest references, and delta
-//!   manifests with missing or cyclic base chains
+//! * **store hygiene** ([`passes::store`]) — the findings of the store
+//!   scan `sommelier fsck` prints ([`sommelier_repo::scan_store`]):
+//!   quarantined artifacts, orphaned temps, non-canonical file names,
+//!   unlistable directories, dangling, corrupt and orphaned chunks,
+//!   delta manifests on a missing or cyclic base chain
 //!   (`SOM070`–`SOM076`).
 //!
 //! On top of the shallow families sits the *deep audit*: an
@@ -63,20 +62,13 @@ pub use audit::{AuditOutcome, Auditor};
 pub use deny::DenySpec;
 pub use diagnostics::{codes, Diagnostic, LintReport, Severity};
 
+use sommelier_fault::StdStorage;
 use sommelier_graph::Model;
 use sommelier_index::{persist, ResourceIndex, SemanticIndex};
 use sommelier_query::Query;
-use sommelier_repo::{ModelRepository, OnDiskRepository};
+use sommelier_repo::{classify, scan_store, ModelRepository, OnDiskRepository, StoreEntry};
 use std::path::Path;
 use std::time::SystemTime;
-
-/// File name (inside a repository directory) of the persisted indices.
-/// Mirrors the CLI's convention.
-pub const INDEX_FILE: &str = "sommelier.index.json";
-
-/// File name of the binary (`.somb`) snapshot. When both files exist
-/// the binary one wins, mirroring the CLI's resolution order.
-pub const INDEX_FILE_BIN: &str = "sommelier.index.somb";
 
 /// Everything a lint run can look at. All fields are optional-by-shape:
 /// passes skip whatever is absent, so the same runner lints a bare
@@ -101,14 +93,9 @@ pub struct LintContext {
     pub index_mtime: Option<SystemTime>,
     /// Modification times of stored model files, keyed like `models`.
     pub model_mtimes: Vec<(String, SystemTime)>,
-    /// Raw file names of the store directory (for hygiene lints).
-    pub store_files: Vec<String>,
-    /// Raw file names inside the store's `chunks/` namespace.
-    pub chunk_files: Vec<String>,
-    /// Parsed chunk manifests as `(file name, manifest)` — the
-    /// store-hygiene pass checks chunk references and delta base
-    /// chains against these.
-    pub manifests: Vec<(String, sommelier_repo::Manifest)>,
+    /// What the store scan ([`sommelier_repo::scan_store`], the one
+    /// `sommelier fsck` prints) found wrong with the directory.
+    pub store_findings: Vec<sommelier_repo::Finding>,
     /// Queries to lint statically (parsed ASTs).
     pub queries: Vec<Query>,
     /// Findings produced while *loading* the context (unreadable model
@@ -133,19 +120,8 @@ impl LintContext {
         }
         let repo = OnDiskRepository::open(dir).map_err(|e| e.to_string())?;
         let mut ctx = LintContext::new();
-        match repo.try_keys() {
-            Ok(keys) => {
-                for key in keys {
-                    match repo.load(&key) {
-                        Ok(model) => ctx.models.push((key, model)),
-                        Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
-                            codes::MODEL_UNREADABLE,
-                            format!("model '{key}'"),
-                            format!("stored model could not be loaded: {e}"),
-                        )),
-                    }
-                }
-            }
+        match scan_store(&StdStorage, dir) {
+            Ok(scan) => ctx.store_findings = scan.findings,
             // A listing failure blinds every store check: report it
             // loudly rather than linting an empty-looking repository.
             Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
@@ -154,66 +130,39 @@ impl LintContext {
                 format!("repository directory could not be listed: {e}"),
             )),
         }
-        // Raw directory listing: store-hygiene fodder plus model-file
-        // mtimes, decoded back to the repository keys they store.
+        for key in repo.keys() {
+            match repo.load(&key) {
+                Ok(model) => ctx.models.push((key, model)),
+                Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
+                    codes::MODEL_UNREADABLE,
+                    format!("model '{key}'"),
+                    format!("stored model could not be loaded: {e}"),
+                )),
+            }
+        }
+        // Model-file mtimes, decoded back to the repository keys they
+        // store. Both representations count as "the model file" for
+        // freshness: a republished manifest must stale the index
+        // exactly like a republished flat file.
         if let Ok(entries) = std::fs::read_dir(dir) {
             let mut mtimes = std::collections::BTreeMap::new();
             for entry in entries.flatten() {
                 let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if entry.path().is_dir() {
-                    continue; // the chunks/ namespace is listed below
-                }
-                ctx.store_files.push(name.to_string());
-                // Both representations count as "the model file" for
-                // freshness: a republished manifest must stale the
-                // index exactly like a republished flat file.
-                let Some(key) = name
-                    .strip_suffix(sommelier_repo::MODEL_SUFFIX)
-                    .or_else(|| name.strip_suffix(sommelier_repo::MANIFEST_SUFFIX))
-                    .and_then(sommelier_repo::decode_key)
+                let (StoreEntry::Model(key) | StoreEntry::Manifest(key)) =
+                    classify(&name.to_string_lossy())
                 else {
                     continue;
                 };
-                if let Ok(meta) = entry.metadata() {
-                    if let Ok(mtime) = meta.modified() {
-                        let slot = mtimes.entry(key).or_insert(mtime);
-                        if mtime > *slot {
-                            *slot = mtime;
-                        }
+                if let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) {
+                    let slot = mtimes.entry(key).or_insert(mtime);
+                    if mtime > *slot {
+                        *slot = mtime;
                     }
                 }
             }
             ctx.model_mtimes = mtimes.into_iter().collect();
         }
-        ctx.store_files.sort();
-        // Parse every manifest for chunk-hygiene checks. Unparseable
-        // ones already surfaced as MODEL_UNREADABLE through the
-        // key-loading loop above.
-        for name in &ctx.store_files {
-            if !name.ends_with(sommelier_repo::MANIFEST_SUFFIX) {
-                continue;
-            }
-            if let Ok(bytes) = std::fs::read(dir.join(name)) {
-                if let Ok(json) = String::from_utf8(bytes) {
-                    if let Ok(manifest) = sommelier_repo::Manifest::from_json(&json) {
-                        ctx.manifests.push((name.clone(), manifest));
-                    }
-                }
-            }
-        }
-        if let Ok(entries) = std::fs::read_dir(dir.join(sommelier_repo::CHUNK_DIR)) {
-            for entry in entries.flatten() {
-                if let Some(name) = entry.file_name().to_str() {
-                    ctx.chunk_files.push(name.to_string());
-                }
-            }
-        }
-        ctx.chunk_files.sort();
-        // Binary snapshot wins over JSON when both exist (CLI order).
-        let bin_path = dir.join(INDEX_FILE_BIN);
-        let json_path = dir.join(INDEX_FILE);
-        let index_path = if bin_path.exists() { bin_path } else { json_path };
+        let index_path = persist::snapshot_path(dir);
         if index_path.exists() {
             ctx.index_mtime = std::fs::metadata(&index_path)
                 .and_then(|m| m.modified())

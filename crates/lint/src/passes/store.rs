@@ -1,53 +1,37 @@
 //! `SOM07x` — store-hygiene lints over the raw repository directory.
 //!
-//! The durability layer (PR 5) leaves deliberate evidence on disk:
-//! unreadable snapshots are renamed to `*.corrupt-<epoch>` instead of
-//! deleted, and a crash mid-`write_atomic` can strand a fully private
-//! `*.tmp-<pid>-<seq>` sibling. Neither is ever *read* by the engine
-//! again, so without a reporting loop they accumulate silently. This
-//! pass closes that loop:
+//! The directory is read once, by [`sommelier_repo::scan_store`] — the
+//! same scan `sommelier fsck` prints and repairs from — and its
+//! findings arrive in [`crate::LintContext::store_findings`]. This pass
+//! is the table from finding kind to lint code, so it stays
+//! execution-free like every other pass and cannot disagree with
+//! `fsck` about which file is wrong:
 //!
-//! * **quarantined artifacts** (`SOM070`, warn) — a corrupt snapshot or
-//!   model was found and set aside; an operator should inspect and then
+//! * **quarantined artifacts** (`SOM070`, warn) — a corrupt snapshot,
+//!   model or chunk was set aside as `*.corrupt-<epoch>`; inspect, then
 //!   prune it (`sommelier fsck --prune`);
 //! * **orphaned temps** (`SOM071`, warn) — an interrupted atomic write
-//!   left its temp sibling behind; harmless but worth deleting
-//!   (`sommelier fsck --repair`);
-//! * **non-canonical model file names** (`SOM072`, warn) — a
-//!   `*.model.json` file whose stem is not a canonical
-//!   [`sommelier_repo::encode_key`] spelling. The repository will never
-//!   surface it as a key, so it is effectively invisible data;
-//! * **listing failures** (`SOM073`, error) — the directory itself
-//!   could not be enumerated, so every other store check is blind;
+//!   left its `*.tmp-<pid>-<seq>` sibling behind;
+//! * **non-canonical file names** (`SOM072`, warn) — a model or
+//!   manifest file whose stem is not a canonical
+//!   [`sommelier_repo::encode_key`] spelling: invisible data;
+//! * **listing failures** (`SOM073`, error) — raised at load time: the
+//!   directory could not be enumerated, so every store check is blind;
 //! * **dangling chunk references** (`SOM074`, error) — a manifest
-//!   names a chunk the `chunks/` namespace does not hold, so the model
-//!   it describes cannot be reconstructed;
-//! * **orphaned chunks** (`SOM075`, warn) — a chunk (or a stray
-//!   non-chunk file in the chunk namespace) that no manifest
-//!   references: refcount zero, wasted bytes, prunable
-//!   (`sommelier fsck --repair`);
+//!   names a chunk `chunks/` does not hold, or the chunk itself no
+//!   longer hashes to its name and so counts as absent;
+//! * **orphaned chunks** (`SOM075`, warn) — a chunk no manifest
+//!   references, or a stray non-chunk file in `chunks/`;
 //! * **broken delta bases** (`SOM076`, error) — a delta manifest whose
-//!   base key is not stored, or whose base chain cycles.
-//!
-//! The pass works off [`crate::LintContext::store_files`],
-//! [`crate::LintContext::chunk_files`], and
-//! [`crate::LintContext::manifests`] — raw names and parsed manifests
-//! captured at context-load time — so it stays execution-free like
-//! every other pass.
+//!   base chain reaches a key that cannot be loaded, or cycles;
+//! * files that do not parse surface as `SOM007`, by file name, next
+//!   to the loader's per-key `SOM007`.
 
-use crate::diagnostics::{codes, Diagnostic};
+use crate::diagnostics::{codes, Diagnostic, Severity};
 use crate::{LintContext, Pass};
-use sommelier_fault::storage::{is_quarantine_name, is_temp_name};
-use sommelier_repo::{decode_key, is_chunk_name};
-use std::collections::{BTreeMap, BTreeSet};
+use sommelier_repo::FindingKind;
 
-/// File-name suffix of stored models (mirrors the repository layout).
-const MODEL_SUFFIX: &str = ".model.json";
-
-/// File-name suffix of chunk manifests.
-const MANIFEST_SUFFIX: &str = ".manifest.json";
-
-/// Reports quarantined, orphaned, and mis-named files in the store.
+/// Reports what the store scan found, under the `SOM07x` codes.
 pub struct StoreHygienePass;
 
 impl Pass for StoreHygienePass {
@@ -56,198 +40,23 @@ impl Pass for StoreHygienePass {
     }
 
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        for name in &ctx.store_files {
-            if is_quarantine_name(name) {
-                out.push(
-                    Diagnostic::warn(
-                        codes::QUARANTINED_FILE,
-                        format!("file '{name}'"),
-                        "quarantined artifact from a failed load is still on disk",
-                    )
-                    .with_help("inspect it, then remove it with `sommelier fsck --prune`"),
-                );
-            } else if is_temp_name(name) {
-                out.push(
-                    Diagnostic::warn(
-                        codes::ORPHANED_TEMP,
-                        format!("file '{name}'"),
-                        "orphaned temp file from an interrupted atomic write",
-                    )
-                    .with_help("safe to delete: `sommelier fsck --repair`"),
-                );
-            } else if let Some(stem) = name
-                .strip_suffix(MODEL_SUFFIX)
-                .or_else(|| name.strip_suffix(MANIFEST_SUFFIX))
-            {
-                if decode_key(stem).is_none() {
-                    out.push(
-                        Diagnostic::warn(
-                            codes::NON_CANONICAL_MODEL_FILE,
-                            format!("file '{name}'"),
-                            "model file name is not a canonical key encoding; \
-                             the repository will never list it",
-                        )
-                        .with_help(
-                            "republish the model through the repository API and delete the file",
-                        ),
-                    );
-                }
-            }
-        }
-        Self::check_chunks(ctx, out);
-        Self::check_delta_bases(ctx, out);
-    }
-}
-
-impl StoreHygienePass {
-    /// `SOM074`/`SOM075`: cross-check manifest chunk references against
-    /// the chunk namespace in both directions.
-    fn check_chunks(ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        let present: BTreeSet<&str> = ctx
-            .chunk_files
-            .iter()
-            .filter(|n| is_chunk_name(n))
-            .filter_map(|n| n.strip_suffix(".chunk"))
-            .collect();
-        let mut referenced: BTreeSet<&str> = BTreeSet::new();
-        for (file, manifest) in &ctx.manifests {
-            let mut missing: Vec<&str> = Vec::new();
-            for hash in manifest.chunk_refs() {
-                referenced.insert(hash);
-                if !present.contains(hash) {
-                    missing.push(hash);
-                }
-            }
-            missing.sort();
-            missing.dedup();
-            if !missing.is_empty() {
-                out.push(
-                    Diagnostic::error(
-                        codes::DANGLING_CHUNK,
-                        format!("file '{file}'"),
-                        format!(
-                            "manifest references {} chunk(s) absent from chunks/ \
-                             (first: {}); the model cannot be reconstructed",
-                            missing.len(),
-                            missing[0]
-                        ),
-                    )
-                    .with_help("restore the chunks or quarantine the manifest: `sommelier fsck --repair`"),
-                );
-            }
-        }
-        for name in &ctx.chunk_files {
-            if is_temp_name(name) {
-                out.push(
-                    Diagnostic::warn(
-                        codes::ORPHANED_TEMP,
-                        format!("file 'chunks/{name}'"),
-                        "orphaned temp file from an interrupted chunk write",
-                    )
-                    .with_help("safe to delete: `sommelier fsck --repair`"),
-                );
-            } else if is_quarantine_name(name) {
-                out.push(
-                    Diagnostic::warn(
-                        codes::QUARANTINED_FILE,
-                        format!("file 'chunks/{name}'"),
-                        "quarantined chunk is still on disk",
-                    )
-                    .with_help("inspect it, then remove it with `sommelier fsck --prune`"),
-                );
-            } else if !is_chunk_name(name) {
-                out.push(
-                    Diagnostic::warn(
-                        codes::ORPHANED_CHUNK,
-                        format!("file 'chunks/{name}'"),
-                        "stray file in the chunk namespace is not a content-addressed chunk",
-                    )
-                    .with_help("no manifest can reference it; delete it"),
-                );
-            } else if !referenced.contains(name.trim_end_matches(".chunk")) {
-                out.push(
-                    Diagnostic::warn(
-                        codes::ORPHANED_CHUNK,
-                        format!("file 'chunks/{name}'"),
-                        "chunk is referenced by no manifest (refcount zero)",
-                    )
-                    .with_help("reclaim the bytes: `sommelier fsck --repair`"),
-                );
-            }
-        }
-    }
-
-    /// `SOM076`: every delta manifest's base chain must resolve to a
-    /// stored key and terminate.
-    fn check_delta_bases(ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        // Keys stored in either representation.
-        let stored: BTreeSet<String> = ctx
-            .store_files
-            .iter()
-            .filter_map(|n| {
-                n.strip_suffix(MODEL_SUFFIX)
-                    .or_else(|| n.strip_suffix(MANIFEST_SUFFIX))
-                    .and_then(decode_key)
-            })
-            .collect();
-        // Keys with a flat file: the flat representation wins on load,
-        // so a chain passing through one terminates there.
-        let flat: BTreeSet<String> = ctx
-            .store_files
-            .iter()
-            .filter_map(|n| n.strip_suffix(MODEL_SUFFIX).and_then(decode_key))
-            .collect();
-        // key -> base, for manifests that delta.
-        let bases: BTreeMap<String, &str> = ctx
-            .manifests
-            .iter()
-            .filter_map(|(file, m)| {
-                let key = file.strip_suffix(MANIFEST_SUFFIX).and_then(decode_key)?;
-                Some((key, m.base.as_deref()?))
-            })
-            .collect();
-        for (file, manifest) in &ctx.manifests {
-            let Some(base) = manifest.base.as_deref() else {
-                continue;
+        use FindingKind::*;
+        use Severity::{Error, Warn};
+        for finding in &ctx.store_findings {
+            let (code, severity) = match finding.kind {
+                Quarantined => (codes::QUARANTINED_FILE, Warn),
+                OrphanedTemp => (codes::ORPHANED_TEMP, Warn),
+                NonCanonicalName => (codes::NON_CANONICAL_MODEL_FILE, Warn),
+                UnreadableModel | UnreadableManifest => (codes::MODEL_UNREADABLE, Error),
+                CorruptChunk | DanglingChunkRef => (codes::DANGLING_CHUNK, Error),
+                StrayChunkFile | OrphanedChunk => (codes::ORPHANED_CHUNK, Warn),
+                BrokenDeltaBase => (codes::BROKEN_DELTA_BASE, Error),
             };
-            if !stored.contains(base) {
-                out.push(
-                    Diagnostic::error(
-                        codes::BROKEN_DELTA_BASE,
-                        format!("file '{file}'"),
-                        format!("delta manifest's base '{base}' is not stored"),
-                    )
-                    .with_help("restore the base model or republish this key as a full manifest"),
-                );
-                continue;
-            }
-            let Some(key) = file.strip_suffix(MANIFEST_SUFFIX).and_then(decode_key) else {
-                continue;
-            };
-            let mut seen = BTreeSet::new();
-            let mut cur = key;
-            let cyclic = loop {
-                if !seen.insert(cur.clone()) {
-                    break true;
-                }
-                if flat.contains(&cur) {
-                    break false; // the flat file wins: the chain ends here
-                }
-                match bases.get(&cur) {
-                    Some(next) => cur = (*next).to_string(),
-                    None => break false,
-                }
-            };
-            if cyclic {
-                out.push(
-                    Diagnostic::error(
-                        codes::BROKEN_DELTA_BASE,
-                        format!("file '{file}'"),
-                        "delta manifest's base chain cycles; the model cannot be reconstructed",
-                    )
-                    .with_help("republish one member of the cycle as a full manifest"),
-                );
-            }
+            let target = format!("file '{}'", finding.file);
+            out.push(
+                Diagnostic::new(severity, code, target, &finding.message)
+                    .with_help(finding.kind.fix().hint()),
+            );
         }
     }
 }
@@ -255,34 +64,33 @@ impl StoreHygienePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Severity;
+    use sommelier_repo::scan::cross_check;
+    use sommelier_repo::{Finding, Manifest};
 
-    fn run(ctx: &LintContext) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        StoreHygienePass.run(ctx, &mut out);
-        out
-    }
-
-    fn ctx_with_files(names: &[&str]) -> LintContext {
+    /// Lint what the directory-free half of the store scan finds in a
+    /// listing: root names, `chunks/` names, parsed manifests.
+    fn run(files: &[&str], chunk_files: &[String], manifests: &[(&str, Manifest)]) -> Vec<Diagnostic> {
+        let files: Vec<String> = files.iter().map(|s| s.to_string()).collect();
+        let manifests = manifests
+            .iter()
+            .map(|(file, m)| (file.to_string(), m.clone()))
+            .collect();
         let mut ctx = LintContext::new();
-        ctx.store_files = names.iter().map(|s| s.to_string()).collect();
-        ctx
+        ctx.store_findings = cross_check(&files, chunk_files, &manifests);
+        let mut out = Vec::new();
+        StoreHygienePass.run(&ctx, &mut out);
+        out
     }
 
     #[test]
     fn clean_store_is_silent() {
-        let ctx = ctx_with_files(&[
-            "alpha.model.json",
-            "a%2Fb.model.json",
-            "sommelier.index.json",
-        ]);
-        assert!(run(&ctx).is_empty());
+        let files = ["alpha.model.json", "a%2Fb.model.json", "sommelier.index.json"];
+        assert!(run(&files, &[], &[]).is_empty());
     }
 
     #[test]
     fn quarantined_files_warn() {
-        let ctx = ctx_with_files(&["sommelier.index.json.corrupt-1700000000"]);
-        let out = run(&ctx);
+        let out = run(&["sommelier.index.json.corrupt-1700000000"], &[], &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].code, codes::QUARANTINED_FILE);
         assert_eq!(out[0].severity, Severity::Warn);
@@ -290,13 +98,12 @@ mod tests {
 
     #[test]
     fn orphaned_temps_warn() {
-        let ctx = ctx_with_files(&["alpha.model.json.tmp-123-7"]);
-        let out = run(&ctx);
+        let out = run(&["alpha.model.json.tmp-123-7"], &[], &[]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].code, codes::ORPHANED_TEMP);
     }
 
-    fn manifest_for(base: Option<&str>, chunks: &[&str]) -> sommelier_repo::Manifest {
+    fn manifest_for(base: Option<&str>, chunks: &[&str]) -> Manifest {
         use sommelier_graph::{ModelBuilder, TaskKind};
         use sommelier_tensor::{Prng, Shape};
         let mut rng = Prng::seed_from_u64(1);
@@ -305,7 +112,7 @@ mod tests {
             .build()
             .unwrap();
         let (skeleton, _) = model.strip_params();
-        sommelier_repo::Manifest {
+        Manifest {
             format_version: 1,
             base: base.map(String::from),
             skeleton,
@@ -329,34 +136,34 @@ mod tests {
 
     #[test]
     fn dangling_chunk_reference_errors() {
-        let mut ctx = ctx_with_files(&["m.manifest.json"]);
         let present = hex('a');
         let missing = hex('b');
-        ctx.chunk_files = vec![format!("{present}.chunk")];
-        ctx.manifests = vec![(
-            "m.manifest.json".into(),
-            manifest_for(None, &[&present, &missing]),
-        )];
-        let out = run(&ctx);
+        let out = run(
+            &["m.manifest.json"],
+            &[format!("{present}.chunk")],
+            &[("m.manifest.json", manifest_for(None, &[&present, &missing]))],
+        );
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].code, codes::DANGLING_CHUNK);
         assert_eq!(out[0].severity, Severity::Error);
+        assert_eq!(out[0].target, "file 'm.manifest.json'");
         assert!(out[0].message.contains(&missing));
     }
 
     #[test]
     fn orphaned_and_stray_chunks_warn() {
-        let mut ctx = ctx_with_files(&["m.manifest.json"]);
         let used = hex('a');
         let orphan = hex('c');
-        ctx.chunk_files = vec![
-            format!("{used}.chunk"),
-            format!("{orphan}.chunk"),
-            "notes.txt".into(),
-            format!("{used}.chunk.tmp-1-1"),
-        ];
-        ctx.manifests = vec![("m.manifest.json".into(), manifest_for(None, &[&used]))];
-        let out = run(&ctx);
+        let out = run(
+            &["m.manifest.json"],
+            &[
+                format!("{used}.chunk"),
+                format!("{orphan}.chunk"),
+                "notes.txt".into(),
+                format!("{used}.chunk.tmp-1-1"),
+            ],
+            &[("m.manifest.json", manifest_for(None, &[&used]))],
+        );
         let orphans: Vec<_> = out
             .iter()
             .filter(|d| d.code == codes::ORPHANED_CHUNK)
@@ -369,35 +176,73 @@ mod tests {
     #[test]
     fn missing_and_cyclic_delta_bases_error() {
         // "a" deltas on a key nobody stores.
-        let mut ctx = ctx_with_files(&["a.manifest.json"]);
-        ctx.manifests = vec![("a.manifest.json".into(), manifest_for(Some("ghost"), &[]))];
-        let out = run(&ctx);
+        let out = run(
+            &["a.manifest.json"],
+            &[],
+            &[("a.manifest.json", manifest_for(Some("ghost"), &[]))],
+        );
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].code, codes::BROKEN_DELTA_BASE);
 
         // a -> b -> a cycle, both stored as manifests.
-        let mut ctx = ctx_with_files(&["a.manifest.json", "b.manifest.json"]);
-        ctx.manifests = vec![
-            ("a.manifest.json".into(), manifest_for(Some("b"), &[])),
-            ("b.manifest.json".into(), manifest_for(Some("a"), &[])),
-        ];
-        let out = run(&ctx);
+        let out = run(
+            &["a.manifest.json", "b.manifest.json"],
+            &[],
+            &[
+                ("a.manifest.json", manifest_for(Some("b"), &[])),
+                ("b.manifest.json", manifest_for(Some("a"), &[])),
+            ],
+        );
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().all(|d| d.code == codes::BROKEN_DELTA_BASE));
 
         // A healthy delta (base stored flat) is silent.
-        let mut ctx = ctx_with_files(&["base.model.json", "v1.manifest.json"]);
-        ctx.manifests = vec![("v1.manifest.json".into(), manifest_for(Some("base"), &[]))];
-        assert!(run(&ctx).is_empty());
+        let out = run(
+            &["base.model.json", "v1.manifest.json"],
+            &[],
+            &[("v1.manifest.json", manifest_for(Some("base"), &[]))],
+        );
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn non_canonical_model_names_warn() {
         // `%2f` decodes but is not the canonical (uppercase) spelling,
         // and a raw '/' could never appear; both are invisible to keys().
-        let ctx = ctx_with_files(&["a%2fb.model.json", "nul%0.model.json"]);
-        let out = run(&ctx);
+        let out = run(&["a%2fb.model.json", "nul%0.model.json"], &[], &[]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|d| d.code == codes::NON_CANONICAL_MODEL_FILE));
+    }
+
+    /// The kinds only a directory can show (the scan's I/O half plants
+    /// them; `sommelier-repo` tests that): each has a code, names its
+    /// file, and a corrupt chunk is an error on the chunk itself.
+    #[test]
+    fn unreadable_files_and_corrupt_chunks_are_errors_on_their_file() {
+        let chunk = format!("chunks/{}.chunk", hex('a'));
+        let mut ctx = LintContext::new();
+        for (kind, file) in [
+            (FindingKind::UnreadableModel, "m.model.json"),
+            (FindingKind::UnreadableManifest, "m.manifest.json"),
+            (FindingKind::CorruptChunk, chunk.as_str()),
+        ] {
+            ctx.store_findings.push(Finding {
+                kind,
+                file: file.to_string(),
+                message: "does not parse".into(),
+            });
+        }
+        let mut out = Vec::new();
+        StoreHygienePass.run(&ctx, &mut out);
+        let got: Vec<_> = out.iter().map(|d| (d.code.as_str(), d.target.as_str())).collect();
+        assert_eq!(
+            got,
+            vec![
+                (codes::MODEL_UNREADABLE, "file 'm.model.json'"),
+                (codes::MODEL_UNREADABLE, "file 'm.manifest.json'"),
+                (codes::DANGLING_CHUNK, format!("file '{chunk}'").as_str()),
+            ]
+        );
+        assert!(out.iter().all(|d| d.severity == Severity::Error));
     }
 }

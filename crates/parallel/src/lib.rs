@@ -24,8 +24,6 @@
 //!   [`ThreadPool::par_chunks_mut`] — deterministic-order data
 //!   parallelism: results come back in input order regardless of which
 //!   worker computed them.
-//! * [`ShardedMap`] — a lock-striped hash map for commutative parallel
-//!   merges (the transitive-derivation reduction of the semantic index).
 //! * [`RcuCell`] — an RCU-style publication cell: readers pin an
 //!   immutable `Arc`-shared value without locking, a writer swaps in the
 //!   next value and waits out a grace period before reclaiming the old
@@ -38,11 +36,9 @@
 
 mod pool;
 mod rcu;
-mod sharded;
 
 pub use pool::{Scope, ThreadPool};
 pub use rcu::RcuCell;
-pub use sharded::ShardedMap;
 
 use std::sync::{Arc, OnceLock, RwLock};
 

@@ -22,6 +22,7 @@ use crate::ast::{FinalSelection, Query, RefSpec};
 use crate::parser::{parse, ParseError};
 use crate::plan::{plan, QueryPlan};
 use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
+use serde::Value;
 use sommelier_equiv::genbound::architecture_factor;
 use sommelier_equiv::whole::{AssessError, GenBoundMode};
 use sommelier_equiv::{assess_whole, EquivConfig, PairKey, PairKind, PairwiseCache};
@@ -109,6 +110,32 @@ pub struct QueryResult {
     pub profile: ResourceProfile,
     /// Relation provenance (whole / transitive / synthesized).
     pub kind: CandidateKind,
+}
+
+fn kind_value(kind: &CandidateKind) -> Value {
+    match kind {
+        CandidateKind::Whole => Value::Str("whole".to_string()),
+        CandidateKind::Transitive { via } => Value::Map(vec![
+            ("transitive".to_string(), Value::Bool(true)),
+            ("via".to_string(), Value::Str(via.clone())),
+        ]),
+        CandidateKind::Synthesized { donor } => Value::Map(vec![
+            ("synthesized".to_string(), Value::Bool(true)),
+            ("donor".to_string(), Value::Str(donor.clone())),
+        ]),
+    }
+}
+
+fn result_value(r: &QueryResult) -> Value {
+    Value::Map(vec![
+        ("key".to_string(), Value::Str(r.key.clone())),
+        ("score".to_string(), Value::Float(r.score)),
+        ("diff_bound".to_string(), Value::Float(r.diff_bound)),
+        ("memory_mb".to_string(), Value::Float(r.profile.memory_mb)),
+        ("gflops".to_string(), Value::Float(r.profile.gflops)),
+        ("latency_ms".to_string(), Value::Float(r.profile.latency_ms)),
+        ("kind".to_string(), kind_value(&r.kind)),
+    ])
 }
 
 /// Query/processing failures.
@@ -409,6 +436,26 @@ pub struct BatchQueryItem {
     /// The snapshot epoch the query was served from. Every item of one
     /// batch carries the same epoch — the batch pins one snapshot.
     pub epoch: u64,
+}
+
+impl BatchQueryItem {
+    /// The JSON fields of one answered lane — epoch, latency, and the
+    /// results or the error text: the body of a daemon `query` frame,
+    /// of each `query_batch` item and of `query --format json`.
+    pub fn fields(&self) -> Vec<(String, Value)> {
+        let mut fields = vec![
+            ("epoch".to_string(), Value::UInt(self.epoch)),
+            ("latency_ms".to_string(), Value::Float(self.latency_ms)),
+        ];
+        match &self.results {
+            Ok(results) => fields.push((
+                "results".to_string(),
+                Value::Seq(results.iter().map(result_value).collect()),
+            )),
+            Err(e) => fields.push(("error".to_string(), Value::Str(e.to_string()))),
+        }
+        fields
+    }
 }
 
 /// The lock-free read side of the engine.

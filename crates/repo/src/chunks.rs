@@ -142,14 +142,6 @@ pub fn chunk_hash(bytes: &[u8]) -> String {
     format!("{h1:016x}{h2:016x}")
 }
 
-/// Whether a file name inside `chunks/` is a canonical chunk name
-/// (32 lowercase hex chars + [`CHUNK_SUFFIX`]).
-pub fn is_chunk_name(name: &str) -> bool {
-    name.strip_suffix(CHUNK_SUFFIX).is_some_and(|stem| {
-        stem.len() == 32 && stem.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
-    })
-}
-
 /// Raw storage form of a tensor: f32 little-endian, row-major.
 pub fn tensor_bytes(t: &Tensor) -> Vec<u8> {
     let mut out = Vec::with_capacity(t.len() * 4);
@@ -172,6 +164,15 @@ fn tensor_from_bytes(rows: usize, cols: usize, bytes: &[u8]) -> Result<Tensor, S
         .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         .collect();
     Ok(Tensor::from_vec(rows, cols, data))
+}
+
+/// Names of the files in a chunk directory. An absent directory reads
+/// as empty — a legacy flat store.
+pub(crate) fn list_chunk_dir(storage: &dyn Storage, chunk_dir: &Path) -> io::Result<Vec<String>> {
+    match storage.list(chunk_dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        listed => listed,
+    }
 }
 
 /// The content-addressed chunk namespace of one repository.
@@ -218,16 +219,6 @@ impl ChunkStore {
             ));
         }
         Ok(bytes)
-    }
-
-    /// Names of every chunk file present (canonical or not). An absent
-    /// chunk directory reads as empty — a legacy flat store.
-    pub fn list(&self) -> io::Result<Vec<String>> {
-        match self.storage.list(&self.dir) {
-            Ok(names) => Ok(names),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
     }
 
     fn put_tensor(&self, t: &Tensor) -> io::Result<TensorRef> {
@@ -473,6 +464,10 @@ mod tests {
     use sommelier_graph::{ModelBuilder, TaskKind};
     use sommelier_tensor::{Prng, Shape};
 
+    fn chunk_count(cs: &ChunkStore) -> usize {
+        list_chunk_dir(&StdStorage, &cs.dir).unwrap().len()
+    }
+
     fn store(tag: &str) -> (PathBuf, ChunkStore) {
         let dir = std::env::temp_dir().join(format!(
             "sommelier-chunks-{tag}-{}",
@@ -499,9 +494,9 @@ mod tests {
         assert_eq!(chunk_hash(b"abc"), chunk_hash(b"abc"));
         assert_ne!(chunk_hash(b"abc"), chunk_hash(b"abd"));
         assert_ne!(chunk_hash(b""), chunk_hash(b"\0"));
-        assert!(is_chunk_name(&format!("{}{CHUNK_SUFFIX}", chunk_hash(b"x"))));
-        assert!(!is_chunk_name("deadbeef.chunk"));
-        assert!(!is_chunk_name("README.md"));
+        let hash = chunk_hash(b"x");
+        assert_eq!(hash.len(), 32);
+        assert!(hash.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
     }
 
     #[test]
@@ -510,7 +505,7 @@ mod tests {
         let h = cs.put(b"payload").unwrap();
         assert_eq!(cs.put(b"payload").unwrap(), h);
         assert_eq!(cs.get(&h).unwrap(), b"payload");
-        assert_eq!(cs.list().unwrap().len(), 1);
+        assert_eq!(chunk_count(&cs), 1);
         // Corrupt the chunk on disk: reads must fail verification.
         std::fs::write(cs.path_of(&h), b"tampered").unwrap();
         assert!(cs.get(&h).is_err());
@@ -536,9 +531,9 @@ mod tests {
         let (dir, cs) = store("share");
         let m = model("one", 9);
         encode_full(&m, &cs).unwrap();
-        let before = cs.list().unwrap().len();
+        let before = chunk_count(&cs);
         encode_full(&m.renamed("two"), &cs).unwrap();
-        assert_eq!(cs.list().unwrap().len(), before);
+        assert_eq!(chunk_count(&cs), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,10 +17,12 @@
 //! the repository's callers never see the difference.
 
 pub mod chunks;
+pub mod scan;
 pub mod store;
 
-pub use chunks::{
-    chunk_hash, is_chunk_name, ChunkStore, Manifest, CHUNK_DIR, CHUNK_SUFFIX, MANIFEST_SUFFIX,
+pub use chunks::{chunk_hash, ChunkStore, Manifest, CHUNK_DIR, CHUNK_SUFFIX, MANIFEST_SUFFIX};
+pub use scan::{
+    classify, repair_store, scan_store, Finding, FindingKind, Fix, Outcome, StoreEntry, StoreScan,
 };
 pub use store::{
     decode_key, dedup_store, encode_key, DedupStats, InMemoryRepository, ModelRepository,

@@ -1,6 +1,7 @@
 //! Publish/load model storage.
 
 use crate::chunks::{self, ChunkStore, Manifest, CHUNK_DIR, MANIFEST_SUFFIX};
+use crate::scan::{base_chain_terminates, classify, StoreEntry};
 use parking_lot::RwLock;
 use sommelier_fault::{StdStorage, Storage};
 use sommelier_graph::serde_model;
@@ -318,21 +319,19 @@ impl OnDiskRepository {
         // Walk the base chain before writing anything: a manifest
         // whose chain loops through `key` would make `key`
         // unloadable.
-        let mut chain = base_key.to_string();
-        let mut seen = BTreeSet::new();
-        loop {
-            if chain == key || !seen.insert(chain.clone()) {
-                return Err(RepoError::Storage(format!(
-                    "publishing '{key}' with base '{base_key}' would create a delta cycle"
-                )));
+        let acyclic = base_chain_terminates(key, |cur| {
+            if cur == key {
+                Ok(Some(base_key.to_string())) // the link about to be written
+            } else if self.storage.exists(&self.path_for(cur)) {
+                Ok(None) // flat models never have a base
+            } else {
+                self.read_manifest(cur).map(|m| m.base)
             }
-            if self.storage.exists(&self.path_for(&chain)) {
-                break; // flat models never have a base
-            }
-            match self.read_manifest(&chain).map(|m| m.base)? {
-                Some(next) => chain = next,
-                None => break,
-            }
+        })?;
+        if !acyclic {
+            return Err(RepoError::Storage(format!(
+                "publishing '{key}' with base '{base_key}' would create a delta cycle"
+            )));
         }
         let base = self.load(base_key)?;
         let store = self.chunk_store();
@@ -380,19 +379,16 @@ impl OnDiskRepository {
     pub fn model_bytes(&self) -> io::Result<u64> {
         let mut total = 0u64;
         for name in self.storage.list(&self.root)? {
-            if name.ends_with(MODEL_SUFFIX) || name.ends_with(MANIFEST_SUFFIX) {
+            if matches!(
+                classify(&name),
+                StoreEntry::Model(_) | StoreEntry::Manifest(_) | StoreEntry::NonCanonical
+            ) {
                 total += std::fs::metadata(self.root.join(&name))?.len();
             }
         }
         let chunk_dir = self.root.join(CHUNK_DIR);
-        match self.storage.list(&chunk_dir) {
-            Ok(names) => {
-                for name in names {
-                    total += std::fs::metadata(chunk_dir.join(&name))?.len();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        for name in chunks::list_chunk_dir(&*self.storage, &chunk_dir)? {
+            total += std::fs::metadata(chunk_dir.join(&name))?.len();
         }
         Ok(total)
     }
@@ -461,23 +457,13 @@ pub fn dedup_store(repo: &OnDiskRepository) -> Result<DedupStats, RepoError> {
             .filter(|b| b != key && key_set.contains(b));
         hints.insert(key.clone(), hint);
     }
-    let mut cyclic = Vec::new();
-    for key in &keys {
-        let mut seen = BTreeSet::new();
-        let mut cur = key.clone();
-        loop {
-            if !seen.insert(cur.clone()) {
-                cyclic.push(key.clone());
-                break;
-            }
-            match hints.get(&cur).and_then(Clone::clone) {
-                Some(next) => cur = next,
-                None => break,
-            }
-        }
-    }
+    let hint_of = |cur: &str| Ok::<_, std::convert::Infallible>(hints.get(cur).cloned().flatten());
+    let cyclic: Vec<&String> = keys
+        .iter()
+        .filter(|key| base_chain_terminates(key, hint_of) == Ok(false))
+        .collect();
     for key in cyclic {
-        hints.insert(key, None);
+        hints.insert(key.clone(), None);
     }
     for key in &keys {
         if repo.stored_format(key) == Some(StoredFormat::Chunked) {
@@ -548,29 +534,15 @@ impl ModelRepository for OnDiskRepository {
         let mut out = BTreeSet::new();
         for name in names {
             // A key stored flat *and* chunked (a migration window)
-            // must still list once — hence the set.
-            if let Some(stem) = name
-                .strip_suffix(MODEL_SUFFIX)
-                .or_else(|| name.strip_suffix(MANIFEST_SUFFIX))
-            {
-                // Non-canonical stems are not repository entries (we
-                // never write them); lint reports them as hygiene
-                // findings rather than keys() inventing a key.
-                if let Some(key) = decode_key(stem) {
-                    out.insert(key);
-                }
+            // must still list once — hence the set. Non-canonical
+            // stems are not repository entries (we never write them);
+            // the store scan reports them rather than keys() inventing
+            // a key.
+            if let StoreEntry::Model(key) | StoreEntry::Manifest(key) = classify(&name) {
+                out.insert(key);
             }
         }
         Ok(out.into_iter().collect())
-    }
-
-    /// One directory pass — the count matches what
-    /// [`ModelRepository::try_keys`] would return.
-    fn len(&self) -> usize {
-        match self.try_keys() {
-            Ok(keys) => keys.len(),
-            Err(_) => 0,
-        }
     }
 }
 

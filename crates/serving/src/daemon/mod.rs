@@ -40,8 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use serde::Value;
-use sommelier_index::CandidateKind;
-use sommelier_query::{QueryResult, Sommelier, SommelierReader};
+use sommelier_query::{Sommelier, SommelierReader};
 use sommelier_runtime::metrics::{counters, latency};
 
 use admission::{AdmissionGate, Decision};
@@ -370,47 +369,6 @@ fn serve_line(shared: &Shared, reader: &SommelierReader, line: &str) -> (String,
     }
 }
 
-fn kind_value(kind: &CandidateKind) -> Value {
-    match kind {
-        CandidateKind::Whole => Value::Str("whole".to_string()),
-        CandidateKind::Transitive { via } => Value::Map(vec![
-            ("transitive".to_string(), Value::Bool(true)),
-            ("via".to_string(), Value::Str(via.clone())),
-        ]),
-        CandidateKind::Synthesized { donor } => Value::Map(vec![
-            ("synthesized".to_string(), Value::Bool(true)),
-            ("donor".to_string(), Value::Str(donor.clone())),
-        ]),
-    }
-}
-
-fn result_value(r: &QueryResult) -> Value {
-    Value::Map(vec![
-        ("key".to_string(), Value::Str(r.key.clone())),
-        ("score".to_string(), Value::Float(r.score)),
-        ("diff_bound".to_string(), Value::Float(r.diff_bound)),
-        ("memory_mb".to_string(), Value::Float(r.profile.memory_mb)),
-        ("gflops".to_string(), Value::Float(r.profile.gflops)),
-        ("latency_ms".to_string(), Value::Float(r.profile.latency_ms)),
-        ("kind".to_string(), kind_value(&r.kind)),
-    ])
-}
-
-fn item_value(item: &sommelier_query::BatchQueryItem) -> Value {
-    let mut fields = vec![
-        ("epoch".to_string(), Value::UInt(item.epoch)),
-        ("latency_ms".to_string(), Value::Float(item.latency_ms)),
-    ];
-    match &item.results {
-        Ok(results) => fields.push((
-            "results".to_string(),
-            Value::Seq(results.iter().map(result_value).collect()),
-        )),
-        Err(e) => fields.push(("error".to_string(), Value::Str(e.to_string()))),
-    }
-    Value::Map(fields)
-}
-
 fn run_query_op(request: &Request, reader: &SommelierReader) -> String {
     match &request.op {
         Op::Query { text } => {
@@ -419,17 +377,7 @@ fn run_query_op(request: &Request, reader: &SommelierReader) -> String {
             let items = reader.query_batch(std::slice::from_ref(text));
             let item = &items[0];
             match &item.results {
-                Ok(results) => ok_frame(
-                    request.id,
-                    vec![
-                        ("epoch".to_string(), Value::UInt(item.epoch)),
-                        ("latency_ms".to_string(), Value::Float(item.latency_ms)),
-                        (
-                            "results".to_string(),
-                            Value::Seq(results.iter().map(result_value).collect()),
-                        ),
-                    ],
-                ),
+                Ok(_) => ok_frame(request.id, item.fields()),
                 Err(e) => error_frame(
                     Some(request.id),
                     ErrorCode::QueryFailed,
@@ -450,7 +398,7 @@ fn run_query_op(request: &Request, reader: &SommelierReader) -> String {
                     ("epoch".to_string(), Value::UInt(epoch)),
                     (
                         "items".to_string(),
-                        Value::Seq(items.iter().map(item_value).collect()),
+                        Value::Seq(items.iter().map(|item| Value::Map(item.fields())).collect()),
                     ),
                 ],
             )

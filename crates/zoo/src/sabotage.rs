@@ -16,13 +16,8 @@
 //! sabotaged repository.
 
 use serde::Value;
+use sommelier_index::persist::{INDEX_FILE, INDEX_FILE_BIN};
 use std::path::{Path, PathBuf};
-
-/// The persisted-indices file name, mirroring the CLI's layout.
-const INDEX_FILE: &str = "sommelier.index.json";
-
-/// The binary (`.somb`) snapshot file name, mirroring the CLI's layout.
-const INDEX_FILE_BIN: &str = "sommelier.index.somb";
 
 /// One plantable defect class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -14,6 +14,7 @@
 //! `build_series` parameters, same default `SommelierConfig`, indices
 //! persisted to `sommelier.index.json`.
 
+use sommelier::index::persist::INDEX_FILE;
 use sommelier::lint::{Auditor, LintContext};
 use sommelier::prelude::*;
 use sommelier::zoo::sabotage::{self, Defect};
@@ -22,8 +23,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-
-const INDEX_FILE: &str = "sommelier.index.json";
 
 /// Fresh scratch directory under the target dir (kept out of the repo
 /// root and unique per label so parallel tests never collide).

@@ -9,16 +9,13 @@
 
 use sommelier::fault::storage::{is_quarantine_name, is_temp_name};
 use sommelier::fault::{FaultPlan, FaultyStorage, StdStorage, Storage};
-use sommelier::index::persist;
+use sommelier::index::persist::{self, INDEX_FILE, INDEX_FILE_BIN};
 use sommelier::prelude::*;
 use sommelier::query::SnapshotRecovery;
 use sommelier::runtime::metrics::counters;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-const INDEX_FILE: &str = "sommelier.index.json";
-const INDEX_FILE_BIN: &str = "sommelier.index.somb";
 
 fn fault_seed() -> u64 {
     std::env::var("SOMMELIER_FAULT_SEED")
@@ -275,6 +272,107 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
     }
 
     for dir in [&base, &committed, &work] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// Repair is itself a mutation sequence (removes, quarantine renames),
+/// and since it runs under `Storage` it can be crashed like one: a
+/// crash at any primitive op of `repair_store` loses no key that loaded
+/// before it, and rerunning scan + repair (with its follow-up sweep of
+/// the chunks only a quarantined manifest named) leaves nothing to
+/// report.
+#[test]
+fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
+    use sommelier::graph::serde_model;
+    use sommelier::repo::{repair_store, scan_store, Manifest, CHUNK_DIR};
+
+    let seed = fault_seed();
+    let tiny = |name: &str, rng_seed: u64| {
+        ModelBuilder::new(name, TaskKind::Other, Shape::vector(4))
+            .dense(2, &mut Prng::seed_from_u64(rng_seed))
+            .build()
+            .unwrap()
+    };
+    let base = scratch("repair-base");
+    let repo = OnDiskRepository::open(&base).unwrap();
+    // Two chunked families (a full manifest and a delta each) and a
+    // flat model; `lost/*` is about to become unloadable.
+    let (keep, lost) = (tiny("keep/base", 41), tiny("lost/base", 43));
+    repo.publish_chunked("keep/base", &keep, false).unwrap();
+    repo.publish_delta("keep/ft", &keep.renamed("keep/ft"), "keep/base", false).unwrap();
+    repo.publish_chunked("lost/base", &lost, false).unwrap();
+    repo.publish_delta("lost/ft", &lost.renamed("lost/ft"), "lost/base", false).unwrap();
+    repo.publish("flat", &tiny("flat", 47), false).unwrap();
+
+    // Damage: a deleted chunk (dangling ref, and through it a broken
+    // delta base), an orphaned chunk, a temp and a quarantine.
+    let manifest = std::fs::read_to_string(base.join("lost%2Fbase.manifest.json")).unwrap();
+    let victim = Manifest::from_json(&manifest).unwrap().chunk_refs()[0].to_string();
+    std::fs::remove_file(repo.chunk_store().path_of(&victim)).unwrap();
+    repo.chunk_store().put(b"referenced by nobody").unwrap();
+    std::fs::write(base.join("flat.model.json.tmp-9-0"), b"partial").unwrap();
+    std::fs::write(base.join(CHUNK_DIR).join("old.chunk.corrupt-17"), b"evidence").unwrap();
+
+    let scan = scan_store(&StdStorage, &base).unwrap();
+    let loadable: BTreeMap<String, String> = repo
+        .try_keys()
+        .unwrap()
+        .into_iter()
+        .filter_map(|key| {
+            let json = serde_model::to_json(&repo.load(&key).ok()?);
+            Some((key, json))
+        })
+        .collect();
+    assert_eq!(
+        loadable.keys().collect::<Vec<_>>(),
+        ["flat", "keep/base", "keep/ft"],
+        "the damage must cost exactly the lost/* family: {:?}",
+        scan.findings
+    );
+    let assert_loadable = |dir: &Path, when: &str| {
+        let repo = OnDiskRepository::open(dir).unwrap();
+        for (key, json) in &loadable {
+            let model = repo
+                .load(key)
+                .unwrap_or_else(|e| panic!("{when}: load '{key}': {e}"));
+            assert_eq!(&serde_model::to_json(&model), json, "{when}: '{key}' changed");
+        }
+    };
+
+    // Scan + repair twice, uninterrupted: the second pass is the sweep.
+    let finish = |dir: &Path, when: &str| {
+        for _ in 0..2 {
+            let scan = scan_store(&StdStorage, dir).unwrap();
+            repair_store(&StdStorage, dir, &scan, true, true).unwrap();
+        }
+        let after = scan_store(&StdStorage, dir).unwrap();
+        assert!(after.findings.is_empty(), "{when}: left {:?}", after.findings);
+        assert_loadable(dir, when);
+    };
+
+    // Fault-free run: the sweep's op count.
+    let work = scratch("repair-work");
+    copy_dir(&base, &work);
+    let counting = FaultyStorage::new(StdStorage, FaultPlan::count_only());
+    repair_store(&counting, &work, &scan, true, true).unwrap();
+    let total_ops = counting.ops();
+    assert!(total_ops >= 6, "repair spans {total_ops} ops: {:?}", scan.findings);
+    assert_loadable(&work, "fault-free repair");
+    finish(&work, "after a fault-free repair");
+
+    for crash_op in 0..total_ops {
+        copy_dir(&base, &work);
+        let faulty = FaultyStorage::new(StdStorage, FaultPlan::crash_at(seed, crash_op));
+        assert!(repair_store(&faulty, &work, &scan, true, true).is_err());
+        assert!(faulty.is_dead(), "crash point {crash_op} must fire");
+        assert_loadable(&work, &format!("crash at op {crash_op}"));
+
+        // "Restart": a fresh scan and an uninterrupted repair.
+        finish(&work, &format!("rerun after crash at op {crash_op}"));
+    }
+
+    for dir in [&base, &work] {
         std::fs::remove_dir_all(dir).ok();
     }
 }
