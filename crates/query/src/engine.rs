@@ -901,10 +901,11 @@ impl Sommelier {
     /// Publish the builder state as the next immutable snapshot. Every
     /// mutator ends here; in-flight queries keep their pinned epoch and
     /// new queries pick this one up — nobody ever blocks on the swap.
-    /// Cheap by construction: both indices are structurally shared
-    /// (`Arc`-backed members), so "cloning" them bumps reference counts
-    /// instead of deep-copying entry tables — a mutation pays for the
-    /// entries it touched, never for repository size.
+    /// Both indices share their `Arc`-backed members with the snapshot,
+    /// so no candidate list is copied; what a publish still pays per
+    /// repository key is the clone of the semantic entry map (one `Arc`
+    /// bump each) and the release of the previous snapshot's: ≈ 0.55 ms
+    /// at 5 000 keys (ROADMAP item 4b).
     fn publish_snapshot(&mut self) {
         self.epoch += 1;
         self.reader.published.publish(Arc::new(EngineSnapshot {

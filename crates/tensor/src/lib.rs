@@ -22,6 +22,6 @@ pub mod rng;
 pub mod shape;
 pub mod tensor;
 
-pub use rng::{mix64, stable_hash64, Prng};
+pub use rng::{mix64, stable_hash64, Mix64, Prng};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -36,13 +36,45 @@ pub fn stable_hash64(bytes: &[u8]) -> u64 {
 /// (SplitMix64 absorption). Order-sensitive: `mix64(&[a, b])` and
 /// `mix64(&[b, a])` differ, so directional pair seeds stay distinct.
 pub fn mix64(parts: &[u64]) -> u64 {
-    let mut state = 0x6a09_e667_f3bc_c909u64;
-    let mut acc = 0u64;
-    for &p in parts {
-        state ^= p;
-        acc = acc.rotate_left(23) ^ splitmix64(&mut state);
+    parts
+        .iter()
+        .fold(Mix64::default(), |m, &p| m.absorb(p))
+        .finish()
+}
+
+/// [`mix64`] one word at a time: a caller hashing many sequences that
+/// share a prefix absorbs the prefix once and copies the state.
+#[derive(Clone, Copy, Debug)]
+pub struct Mix64 {
+    state: u64,
+    acc: u64,
+}
+
+impl Default for Mix64 {
+    /// No word absorbed yet.
+    #[inline]
+    fn default() -> Self {
+        Mix64 {
+            state: 0x6a09_e667_f3bc_c909,
+            acc: 0,
+        }
     }
-    acc
+}
+
+impl Mix64 {
+    #[inline]
+    #[must_use]
+    pub fn absorb(mut self, word: u64) -> Self {
+        self.state ^= word;
+        self.acc = self.acc.rotate_left(23) ^ splitmix64(&mut self.state);
+        self
+    }
+
+    /// The value `mix64` returns for the words absorbed so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.acc
+    }
 }
 
 /// A seeded pseudo-random number generator (xoshiro256++) with the
@@ -61,6 +93,7 @@ pub struct Prng {
     state: [u64; 4],
 }
 
+#[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -215,6 +248,12 @@ mod tests {
         assert_eq!(ab, mix64(&[1, 2]));
         assert_ne!(ab, mix64(&[2, 1]));
         assert_ne!(mix64(&[1]), mix64(&[1, 0]));
+        // Pinned: persisted edge tables were chosen by these values.
+        assert_eq!(mix64(&[]), 0);
+        assert_eq!(mix64(&[9, 2, 3]), 0x6943_9f01_2e87_7f1c);
+        let prefix = Mix64::default().absorb(9).absorb(2);
+        assert_eq!(prefix.absorb(3).finish(), mix64(&[9, 2, 3]));
+        assert_eq!(prefix.absorb(4).finish(), mix64(&[9, 2, 4]));
     }
 
     #[test]
