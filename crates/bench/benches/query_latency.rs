@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sommelier_graph::{Model, ModelBuilder, TaskKind};
-use sommelier_index::lsh::LshConfig;
 use sommelier_index::semantic::{PairAnalyzer, SemanticIndexConfig};
 use sommelier_index::{ResourceConstraint, ResourceIndex, SemanticIndex};
 use sommelier_runtime::ResourceProfile;
@@ -36,7 +35,7 @@ fn record_model(i: usize) -> Model {
 
 fn populate(n: usize) -> (SemanticIndex, ResourceIndex) {
     let mut rng = Prng::seed_from_u64(42);
-    let mut resource = ResourceIndex::new(LshConfig::default(), 1);
+    let mut resource = ResourceIndex::default();
     let mut semantic = SemanticIndex::new(
         SemanticIndexConfig {
             sample_size: 5,

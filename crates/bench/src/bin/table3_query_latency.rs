@@ -25,7 +25,6 @@
 use serde::Serialize;
 use sommelier_bench::{print_table, write_json};
 use sommelier_graph::Fingerprint;
-use sommelier_index::lsh::LshConfig;
 use sommelier_index::semantic::SemanticIndexConfig;
 use sommelier_index::{
     CandidateKind, CandidateRecord, ResourceConstraint, ResourceIndex, SemanticIndex,
@@ -89,7 +88,7 @@ fn main() {
 
     for &n in &sizes {
         let mut rng = Prng::seed_from_u64(42);
-        let mut resource = ResourceIndex::new(LshConfig::default(), 1);
+        let mut resource = ResourceIndex::default();
         let semantic = semantic_index(n);
         for i in 0..n {
             resource.insert(key(i), profile(&mut rng));

@@ -14,7 +14,6 @@ use serde::Serialize;
 use sommelier_bench::{fmt, print_table, write_json};
 use sommelier_graph::{Model, ModelBuilder, TaskKind};
 use sommelier_index::footprint::{resource_footprint_bytes, semantic_footprint_bytes, to_mb};
-use sommelier_index::lsh::LshConfig;
 use sommelier_index::semantic::{PairAnalyzer, SemanticIndexConfig};
 use sommelier_index::{ResourceIndex, SemanticIndex};
 use sommelier_runtime::ResourceProfile;
@@ -59,7 +58,7 @@ fn main() {
 
     for &n in &sizes {
         let mut rng = Prng::seed_from_u64(42);
-        let mut resource = ResourceIndex::new(LshConfig::default(), 1);
+        let mut resource = ResourceIndex::default();
         let mut semantic = SemanticIndex::new(
             SemanticIndexConfig {
                 sample_size: 5,

@@ -301,13 +301,12 @@ pub fn apply(args: &[String]) -> CmdResult {
 /// `sommelier compact <dir>`
 ///
 /// Rewrite the index snapshot into the `.somb` binary format: smaller,
-/// CRC-validated in O(1) on open, and served by linear scans over an
-/// aligned profile slab. Reads whichever snapshot the repository has
-/// (JSON or an older binary — the format is sniffed, not assumed),
-/// writes `sommelier.index.somb` through the atomic-rename protocol,
-/// then removes the JSON original. Queries keep working against JSON
-/// repositories; compacting is an optimization, not a migration
-/// requirement.
+/// CRC-validated in O(1) on open, decoded from fixed-size rows. Reads
+/// whichever snapshot the repository has (the format is sniffed, not
+/// assumed), writes `sommelier.index.somb` through the atomic-rename
+/// protocol, then removes the JSON original. Queries keep working
+/// against JSON repositories; compacting is an optimization, not a
+/// migration requirement.
 pub fn compact(args: &[String]) -> CmdResult {
     let (positional, flags) = split_flags(args)?;
     if let Some((name, _)) = flags.first() {

@@ -44,7 +44,7 @@ COMMANDS:
     compact <dir>                       rewrite the index snapshot as
                                         sommelier.index.somb — the binary
                                         format (CRC-checked header, string
-                                        table, aligned f32 profile slab):
+                                        table, fixed-size rows):
                                         much faster cold opens; the JSON
                                         original is removed. JSON
                                         repositories keep working unchanged

@@ -63,19 +63,8 @@ fn write_corrupt_snapshot(dir: &Path) {
         "order": ["m-a", "ghost"],
         "seed_state": 0
     }"#;
-    let resource = r#"{
-        "entries": [],
-        "removed": [],
-        "lsh": {
-            "dim": 3,
-            "config": {"bits": 2, "tables": 1},
-            "planes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-            "buckets": [{}],
-            "len": 0
-        },
-        "exhaustive": false
-    }"#;
-    let snapshot = format!("{{\"version\":2,\"semantic\":{semantic},\"resource\":{resource}}}");
+    let resource = r#"{"entries": []}"#;
+    let snapshot = format!("{{\"version\":3,\"semantic\":{semantic},\"resource\":{resource}}}");
     std::fs::write(dir.join("sommelier.index.json"), snapshot).expect("snapshot writes");
 }
 

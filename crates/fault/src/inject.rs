@@ -97,10 +97,9 @@ impl FaultPlan {
 /// the snapshot format evolves into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinaryTearKind {
-    /// Cut the image short inside its trailing data region (the slab
-    /// sits at the tail of the section chain, so a truncated copy loses
-    /// slab bytes first).
-    TruncatedSlab,
+    /// Cut the image short inside its trailing data region, as a
+    /// truncating copy does.
+    TruncatedTail,
     /// Flip one byte of the body, leaving length intact — a CRC-only
     /// corruption.
     CorruptedCrc,
@@ -111,14 +110,14 @@ pub enum BinaryTearKind {
 
 impl BinaryTearKind {
     pub const ALL: [BinaryTearKind; 3] = [
-        BinaryTearKind::TruncatedSlab,
+        BinaryTearKind::TruncatedTail,
         BinaryTearKind::CorruptedCrc,
         BinaryTearKind::MisalignedSection,
     ];
 
     pub fn name(self) -> &'static str {
         match self {
-            BinaryTearKind::TruncatedSlab => "truncated-slab",
+            BinaryTearKind::TruncatedTail => "truncated-tail",
             BinaryTearKind::CorruptedCrc => "corrupted-crc",
             BinaryTearKind::MisalignedSection => "misaligned-section",
         }
@@ -135,7 +134,7 @@ pub fn tear_binary(bytes: &[u8], seed: u64, kind: BinaryTearKind) -> Vec<u8> {
     }
     let r = mix(seed, bytes.len() as u64);
     match kind {
-        BinaryTearKind::TruncatedSlab => {
+        BinaryTearKind::TruncatedTail => {
             // Cut somewhere in the last third: past the header, inside
             // the data sections.
             let lo = bytes.len() * 2 / 3;
@@ -414,7 +413,7 @@ mod tests {
             assert_eq!(a, b, "{}: same seed, same tear", kind.name());
             assert_ne!(a, image, "{}: the tear changed something", kind.name());
         }
-        let t = tear_binary(&image, 9, BinaryTearKind::TruncatedSlab);
+        let t = tear_binary(&image, 9, BinaryTearKind::TruncatedTail);
         assert!(t.len() >= image.len() * 2 / 3 && t.len() < image.len());
         assert_eq!(t, image[..t.len()], "truncation is a clean prefix");
         let c = tear_binary(&image, 9, BinaryTearKind::CorruptedCrc);

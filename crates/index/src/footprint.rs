@@ -28,7 +28,7 @@ pub fn semantic_footprint_bytes(index: &SemanticIndex) -> usize {
     total
 }
 
-/// Approximate bytes held by a resource index (entries + LSH tables).
+/// Approximate bytes held by a resource index (keys + profiles).
 pub fn resource_footprint_bytes(index: &ResourceIndex) -> usize {
     index.footprint_bytes()
 }
@@ -41,7 +41,6 @@ pub fn to_mb(bytes: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsh::LshConfig;
     use crate::semantic::{PairAnalyzer, SemanticIndexConfig};
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
     use sommelier_runtime::ResourceProfile;
@@ -81,8 +80,8 @@ mod tests {
 
     #[test]
     fn resource_footprint_scales_with_models() {
-        let mut small = ResourceIndex::new(LshConfig::default(), 1);
-        let mut big = ResourceIndex::new(LshConfig::default(), 1);
+        let mut small = ResourceIndex::default();
+        let mut big = ResourceIndex::default();
         for i in 0..5 {
             small.insert(
                 format!("m{i}"),

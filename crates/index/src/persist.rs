@@ -84,10 +84,11 @@ pub struct IndexSnapshot {
 }
 
 /// Current snapshot format version. Version 2 (incremental index
-/// maintenance) added the semantic edge table to the JSON image and
-/// canonicalized the resource sections; older snapshots are rebuilt
-/// from the repository by the engine's recovery path.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// maintenance) added the semantic edge table to the JSON image;
+/// version 3 reduced the resource index to its key-ordered entries.
+/// Older snapshots are refused with [`PersistError::Version`] and
+/// rebuilt from the repository by the engine's recovery path.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Current stats-header version (evolves independently of
 /// [`SNAPSHOT_VERSION`]; unknown versions are tolerated by readers).
@@ -281,9 +282,8 @@ pub fn read_snapshot_sniffed_with(
     counters::set("snapshot.bytes_mapped", bytes.len() as u64);
     let (snapshot, format) = if crate::somb::is_binary(&bytes) {
         // Binary open: O(1) header validation up front, then section
-        // decode out of an aligned buffer.
-        let aligned = crate::somb::SnapshotBytes::from_vec(bytes);
-        (crate::somb::decode(aligned.as_slice())?, SnapshotFormat::Binary)
+        // decode.
+        (crate::somb::decode(&bytes)?, SnapshotFormat::Binary)
     } else {
         let json = String::from_utf8(bytes)
             .map_err(|e| PersistError::Format(format!("snapshot is not UTF-8: {e}")))?;
@@ -317,7 +317,6 @@ pub fn load(path: &Path) -> Result<(SemanticIndex, ResourceIndex), PersistError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsh::LshConfig;
     use crate::resource::ResourceConstraint;
     use crate::semantic::{PairAnalyzer, SemanticIndexConfig};
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
@@ -334,7 +333,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let mut sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let mut res = ResourceIndex::new(LshConfig::default(), 1);
+        let mut res = ResourceIndex::default();
         let models: Vec<Model> = (0..4)
             .map(|i| {
                 let mut rng = Prng::seed_from_u64(i);
@@ -384,7 +383,7 @@ mod tests {
     #[test]
     fn snapshot_carries_a_content_derived_stats_header() {
         let mut sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let mut res = ResourceIndex::new(LshConfig::default(), 1);
+        let mut res = ResourceIndex::default();
         let models: Vec<Model> = (0..3)
             .map(|i| {
                 let mut rng = Prng::seed_from_u64(i + 40);
@@ -431,7 +430,7 @@ mod tests {
         // Forward tolerance: a snapshot written before the stats header
         // existed has no `stats` field at all — it must parse to `None`.
         let sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let res = ResourceIndex::new(LshConfig::default(), 1);
+        let res = ResourceIndex::default();
         let path =
             std::env::temp_dir().join(format!("sommelier-nostats-{}.json", std::process::id()));
         save(&sem, &res, 0, &path).unwrap();
@@ -467,12 +466,12 @@ mod tests {
     #[test]
     fn version_mismatch_is_typed() {
         let sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let res = ResourceIndex::new(LshConfig::default(), 1);
+        let res = ResourceIndex::default();
         let path =
             std::env::temp_dir().join(format!("sommelier-vers-{}.json", std::process::id()));
         save(&sem, &res, 0, &path).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, json.replacen("\"version\":2", "\"version\":9", 1)).unwrap();
+        std::fs::write(&path, json.replacen("\"version\":3", "\"version\":9", 1)).unwrap();
         let err = load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(
@@ -488,7 +487,7 @@ mod tests {
     fn interrupted_save_preserves_the_previous_snapshot() {
         use sommelier_fault::{FaultPlan, FaultyStorage};
         let sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let res = ResourceIndex::new(LshConfig::default(), 1);
+        let res = ResourceIndex::default();
         let path = std::env::temp_dir().join(format!(
             "sommelier-atomic-{}.json",
             std::process::id()
@@ -516,7 +515,7 @@ mod tests {
     #[test]
     fn binary_snapshot_round_trips_and_is_sniffed() {
         let mut sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let mut res = ResourceIndex::new(LshConfig::default(), 1);
+        let mut res = ResourceIndex::default();
         let models: Vec<Model> = (0..4)
             .map(|i| {
                 let mut rng = Prng::seed_from_u64(i + 90);
@@ -574,7 +573,7 @@ mod tests {
     fn interrupted_binary_save_preserves_the_previous_snapshot() {
         use sommelier_fault::{FaultPlan, FaultyStorage};
         let sem = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        let res = ResourceIndex::new(LshConfig::default(), 1);
+        let res = ResourceIndex::default();
         let path = std::env::temp_dir().join(format!(
             "sommelier-batomic-{}.somb",
             std::process::id()

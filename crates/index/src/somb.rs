@@ -11,10 +11,6 @@
 //! * an interned string table (every key stored once, rows refer by id);
 //! * fixed-size resource rows and candidate rows with inline filter
 //!   metadata (flags, fingerprints, cost bounds as exact `f64` bits);
-//! * one contiguous **64-byte-aligned `f32` slab** holding all resource
-//!   vectors ([`crate::resource::SLAB_STRIDE`] lanes per row) — the
-//!   linear-scan surface for the chunked scoring kernels, sliceable
-//!   zero-copy out of a [`SnapshotBytes`] buffer;
 //! * per-section CRC32s so tears localize (and the lint layer can name
 //!   the torn section).
 //!
@@ -24,34 +20,32 @@
 //! binary → JSON is byte-identical and both formats serve bit-equal
 //! query results.
 //!
-//! Layout (version 2, all integers little-endian):
+//! Layout (version 3, all integers little-endian, sections 8-aligned):
 //!
 //! ```text
 //! header   0   magic "SOMB" | version u32 | header_len u32 | flags u32
 //!          16  epoch i64 | stats_version u32 | section_count u32
 //!          32  models i64 | candidate_records i64 | resource_entries i64
-//!          56  section table: 6 × { offset u64, len u64, crc32 u32, pad u32 }
-//!          200 header_crc32 u32        (over bytes [0, 200))
-//! sections strings | resource rows | f32 slab (64-aligned) | lsh
-//!          | semantic | edges
+//!          56  section table: 4 × { offset u64, len u64, crc32 u32, pad u32 }
+//!          152 header_crc32 u32        (over bytes [0, 152))
+//! sections strings | resource rows | semantic | edges
 //! ```
 //!
 //! Version 2 (incremental index maintenance) added the `edges` section —
 //! one fixed 56-byte row per attempted model pair, `(lo, hi)`-sorted:
 //! both fingerprints, a presence mask, and the four measured diffs as
-//! exact `f64` bits. The resource sections are written from the index's
-//! *canonical view* (live sorted-key entries, no tombstones, renumbered
-//! LSH ids), so a snapshot's bytes are a pure function of the surviving
-//! key set regardless of the mutation history that produced it.
+//! exact `f64` bits. Version 3 dropped the `f32` profile slab and the
+//! LSH section, which nothing read. Resource rows are written in key
+//! order, so a snapshot's bytes are a pure function of the surviving key
+//! set regardless of the mutation history that produced it.
 //!
 //! Versioning policy: `version` bumps on any layout change; readers
 //! reject unknown versions with a typed error (the engine then
 //! quarantines and rebuilds). New *optional* payload goes behind new
 //! `flags` bits within a version.
 
-use crate::lsh::{CosineLsh, LshConfig};
 use crate::persist::{IndexSnapshot, PersistError, SnapshotStats, SNAPSHOT_VERSION};
-use crate::resource::{ResourceIndex, SLAB_STRIDE};
+use crate::resource::ResourceIndex;
 use crate::semantic::{CandidateKind, CandidateRecord, EdgeRow, SemanticIndex, SemanticIndexConfig};
 use sommelier_graph::Fingerprint;
 use sommelier_runtime::ResourceProfile;
@@ -59,23 +53,24 @@ use sommelier_runtime::ResourceProfile;
 /// Magic bytes identifying a binary snapshot (the format sniff).
 pub const MAGIC: [u8; 4] = *b"SOMB";
 /// Current binary format version.
-pub const SOMB_VERSION: u32 = 2;
+pub const SOMB_VERSION: u32 = 3;
 
 /// Fixed header size: 56 bytes of scalars + section table + trailing CRC.
 const HEADER_LEN: usize = 56 + SECTION_COUNT * 24 + 4;
-const SECTION_COUNT: usize = 6;
+const SECTION_COUNT: usize = 4;
 
 /// Section indices in the header table.
 const SEC_STRINGS: usize = 0;
 const SEC_ROWS: usize = 1;
-const SEC_SLAB: usize = 2;
-const SEC_LSH: usize = 3;
-const SEC_SEMANTIC: usize = 4;
-const SEC_EDGES: usize = 5;
+const SEC_SEMANTIC: usize = 2;
+const SEC_EDGES: usize = 3;
 
 /// Human-readable section names (lint diagnostics).
-pub const SECTION_NAMES: [&str; SECTION_COUNT] =
-    ["strings", "resource-rows", "slab", "lsh", "semantic", "edges"];
+pub const SECTION_NAMES: [&str; SECTION_COUNT] = ["strings", "resource-rows", "semantic", "edges"];
+
+/// Byte size of one fixed resource row: key id u32, reserved u32, then
+/// memory / GFLOPs / latency as exact `f64` bits.
+const RESOURCE_ROW_BYTES: u32 = 32;
 
 /// Byte size of one fixed edge row.
 const EDGE_ROW_BYTES: u32 = 56;
@@ -88,7 +83,6 @@ const EDGE_SEG_REV: u32 = 1 << 3;
 /// Header flag bits.
 const FLAG_STATS: u32 = 1 << 0;
 const FLAG_EPOCH: u32 = 1 << 1;
-const FLAG_EXHAUSTIVE: u32 = 1 << 2;
 
 /// Candidate row `kind` tags.
 const KIND_WHOLE: u32 = 0;
@@ -184,66 +178,6 @@ fn crc32_sw(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotBytes: an owned, 64-byte-aligned byte buffer
-// ---------------------------------------------------------------------------
-
-/// An owned snapshot image whose first byte sits on a 64-byte boundary.
-///
-/// The std-only stand-in for `mmap`: the file is read in one syscall
-/// into an aligned buffer so in-file 64-byte-aligned sections (the f32
-/// slab) stay aligned in memory and can be viewed zero-copy. The same
-/// abstraction boundary would hold an actual memory map.
-pub struct SnapshotBytes {
-    buf: Vec<u8>,
-    start: usize,
-}
-
-impl SnapshotBytes {
-    /// Wrap raw bytes, re-homing them to a 64-byte-aligned base when the
-    /// allocator did not already provide one.
-    pub fn from_vec(bytes: Vec<u8>) -> Self {
-        if (bytes.as_ptr() as usize).is_multiple_of(64) {
-            return SnapshotBytes { buf: bytes, start: 0 };
-        }
-        let mut buf: Vec<u8> = Vec::with_capacity(bytes.len() + 64);
-        // Padding within the reserved capacity never reallocates, so the
-        // base pointer observed here is the one the data lands behind.
-        let pad = (64 - (buf.as_ptr() as usize % 64)) % 64;
-        buf.resize(pad, 0);
-        buf.extend_from_slice(&bytes);
-        SnapshotBytes { buf, start: pad }
-    }
-
-    /// The snapshot image.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.start..]
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Zero-copy view of the f32 slab section, if the image is a valid
-    /// binary snapshot. The section is 64-byte-aligned in-file and the
-    /// buffer is 64-byte-aligned in memory, so the cast never copies.
-    pub fn slab_f32(&self) -> Option<&[f32]> {
-        let header = validate_header(self.as_slice()).ok()?;
-        let (off, len) = header.sections[SEC_SLAB];
-        let raw = self.as_slice().get(off..off + len)?;
-        let (head, floats, tail) = unsafe { raw.align_to::<f32>() };
-        if head.is_empty() && tail.is_empty() {
-            Some(floats)
-        } else {
-            None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Little-endian primitives
 // ---------------------------------------------------------------------------
 
@@ -260,10 +194,6 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -301,10 +231,6 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -312,12 +238,6 @@ impl<'a> Cursor<'a> {
 
 fn truncated(what: &str) -> PersistError {
     PersistError::Format(format!("binary snapshot truncated in {what}"))
-}
-
-fn align_to(out: &mut Vec<u8>, align: usize) {
-    while !out.len().is_multiple_of(align) {
-        out.push(0);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -364,18 +284,17 @@ pub fn encode(
     resource: &ResourceIndex,
     stats: Option<&SnapshotStats>,
 ) -> Vec<u8> {
-    // Deterministic entry orders up front. The resource side encodes its
-    // canonical view (live sorted-key entries, renumbered LSH) so the
-    // image is a pure function of the surviving key set.
+    // Deterministic entry orders up front (the resource side's is key
+    // order) so the image is a pure function of the surviving key set.
     let mut sem_entries = semantic.entries_audit();
     sem_entries.sort_by_key(|(fp, _, _)| fp.0);
-    let (res_entries, _, res_lsh) = resource.canonical_view();
+    let res_entries = resource.entries_audit();
     let edge_rows = semantic.edge_rows();
 
     let interner = Interner::build(
         res_entries
             .iter()
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| *k)
             .chain(sem_entries.iter().flat_map(|(_, key, cands)| {
                 std::iter::once(*key).chain(cands.iter().flat_map(|c| {
                     std::iter::once(c.key.as_str()).chain(match &c.kind {
@@ -399,47 +318,13 @@ pub fn encode(
     let mut rows = Vec::new();
     assert!(res_entries.len() < u32::MAX as usize, "resource row overflow");
     put_u32(&mut rows, res_entries.len() as u32);
-    put_u32(&mut rows, 32); // row byte size, a reader sanity anchor
+    put_u32(&mut rows, RESOURCE_ROW_BYTES); // a reader sanity anchor
     for (key, p) in &res_entries {
         put_u32(&mut rows, interner.id(key));
-        put_u32(&mut rows, 0); // removed flag: canonical rows are all live
+        put_u32(&mut rows, 0); // reserved
         put_f64(&mut rows, p.memory_mb);
         put_f64(&mut rows, p.gflops);
         put_f64(&mut rows, p.latency_ms);
-    }
-
-    // Canonical slab: one row per live entry, derived from the exact f64
-    // profiles (the same derivation the loader performs).
-    let mut slab = Vec::with_capacity(res_entries.len() * SLAB_STRIDE * 4);
-    for (_, p) in &res_entries {
-        for v in [p.memory_mb as f32, p.gflops as f32, p.latency_ms as f32, 0.0] {
-            put_f32(&mut slab, v);
-        }
-    }
-
-    let lsh = &res_lsh;
-    let mut lsh_bytes = Vec::new();
-    let cfg = lsh.config();
-    put_u32(&mut lsh_bytes, lsh.dim() as u32);
-    put_u32(&mut lsh_bytes, cfg.bits as u32);
-    put_u32(&mut lsh_bytes, cfg.tables as u32);
-    put_u32(&mut lsh_bytes, 0);
-    put_u64(&mut lsh_bytes, lsh.len() as u64);
-    for plane in lsh.planes() {
-        for &x in plane {
-            put_f64(&mut lsh_bytes, x);
-        }
-    }
-    for table in lsh.buckets_audit() {
-        put_u32(&mut lsh_bytes, table.len() as u32);
-        for (sig, ids) in table {
-            put_u64(&mut lsh_bytes, sig);
-            put_u32(&mut lsh_bytes, ids.len() as u32);
-            for &id in ids {
-                assert!(id < u32::MAX as usize, "lsh id overflow");
-                put_u32(&mut lsh_bytes, id as u32);
-            }
-        }
     }
 
     let sem_cfg = semantic.config();
@@ -501,19 +386,17 @@ pub fn encode(
         put_f64(&mut edges, r.seg_rev.unwrap_or(0.0));
     }
 
-    // Assemble: header placeholder, then sections (slab 64-aligned).
+    // Assemble: header placeholder, then the sections, each 8-aligned.
     let mut out = vec![0u8; HEADER_LEN];
     let mut sections = [(0usize, 0usize, 0u32); SECTION_COUNT];
-    let payloads: [(usize, &[u8], usize); SECTION_COUNT] = [
-        (SEC_STRINGS, &strings, 8),
-        (SEC_ROWS, &rows, 8),
-        (SEC_SLAB, &slab, 64),
-        (SEC_LSH, &lsh_bytes, 8),
-        (SEC_SEMANTIC, &sem, 8),
-        (SEC_EDGES, &edges, 8),
+    let payloads: [(usize, &[u8]); SECTION_COUNT] = [
+        (SEC_STRINGS, &strings),
+        (SEC_ROWS, &rows),
+        (SEC_SEMANTIC, &sem),
+        (SEC_EDGES, &edges),
     ];
-    for (idx, payload, align) in payloads {
-        align_to(&mut out, align);
+    for (idx, payload) in payloads {
+        out.resize(out.len().next_multiple_of(8), 0);
         sections[idx] = (out.len(), payload.len(), crc32(payload));
         out.extend_from_slice(payload);
     }
@@ -529,9 +412,6 @@ pub fn encode(
     }
     if stats.is_some_and(|s| s.epoch.is_some()) {
         flags |= FLAG_EPOCH;
-    }
-    if resource.exhaustive {
-        flags |= FLAG_EXHAUSTIVE;
     }
     put_u32(&mut header, flags);
     put_i64(&mut header, stats.and_then(|s| s.epoch).unwrap_or(0));
@@ -658,12 +538,6 @@ pub fn validate_header(bytes: &[u8]) -> Result<Header, PersistError> {
         }
         sections[i] = (off, len);
     }
-    if sections[SEC_SLAB].0 % 64 != 0 {
-        return Err(PersistError::Format(format!(
-            "slab section offset {} is not 64-byte aligned",
-            sections[SEC_SLAB].0
-        )));
-    }
     Ok(Header {
         version,
         flags,
@@ -711,6 +585,18 @@ fn verify_sections(bytes: &[u8], header: &Header) -> Result<(), PersistError> {
     Ok(())
 }
 
+/// What a fixed resource row stores: its key's string id (bytes 0..4)
+/// and the profile (bytes 8..32, exact `f64`s).
+fn resource_row(row: &[u8]) -> (u32, ResourceProfile) {
+    let le_f64 = |o: usize| f64::from_le_bytes(row[o..o + 8].try_into().unwrap());
+    let profile = ResourceProfile {
+        memory_mb: le_f64(8),
+        gflops: le_f64(16),
+        latency_ms: le_f64(24),
+    };
+    (u32::from_le_bytes(row[0..4].try_into().unwrap()), profile)
+}
+
 fn decode_strings(payload: &[u8]) -> Result<Vec<String>, PersistError> {
     let mut c = Cursor::new(payload);
     let count = c.u32()? as usize;
@@ -738,10 +624,7 @@ fn lookup<'a>(strings: &'a [String], id: u32, what: &str) -> Result<&'a str, Per
 }
 
 /// Decode a binary snapshot image into the same [`IndexSnapshot`] the
-/// JSON loader produces. All section CRCs are verified; the slab is
-/// shape-checked against the row table (the derived in-memory slab is
-/// rebuilt from the exact `f64` rows, so both load paths construct
-/// identical indices).
+/// JSON loader produces. All section CRCs are verified.
 pub fn decode(bytes: &[u8]) -> Result<IndexSnapshot, PersistError> {
     let header = validate_header(bytes)?;
     // CRC the whole body up front, then parse without re-hashing: the
@@ -762,90 +645,21 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
     let mut c = Cursor::new(section_raw(bytes, header, SEC_ROWS));
     let row_count = c.u32()? as usize;
     let row_bytes = c.u32()?;
-    if row_bytes != 32 {
+    if row_bytes != RESOURCE_ROW_BYTES {
         return Err(PersistError::Format(format!(
             "unexpected resource row size {row_bytes}"
         )));
     }
     let mut entries = Vec::with_capacity(row_count);
-    let mut removed = Vec::with_capacity(row_count);
     for _ in 0..row_count {
         // One bounds check per fixed-size row, not one per field.
-        let row = c.take(32)?;
-        let le_u32 = |o: usize| u32::from_le_bytes(row[o..o + 4].try_into().unwrap());
-        let le_f64 = |o: usize| f64::from_le_bytes(row[o..o + 8].try_into().unwrap());
-        let key = lookup(&strings, le_u32(0), "resource row")?.to_string();
-        let flags = le_u32(4);
-        let profile = ResourceProfile {
-            memory_mb: le_f64(8),
-            gflops: le_f64(16),
-            latency_ms: le_f64(24),
-        };
-        entries.push((key, profile));
-        removed.push(flags & 1 != 0);
+        let (key_id, profile) = resource_row(c.take(RESOURCE_ROW_BYTES as usize)?);
+        entries.push((lookup(&strings, key_id, "resource row")?.to_string(), profile));
     }
     if !c.done() {
         return Err(PersistError::Format("trailing bytes in resource rows".into()));
     }
-
-    // Slab: shape must match the row table (content is derived from the
-    // exact f64 rows on load; the stored copy is the scan surface and a
-    // consistency witness).
-    let (_, slab_len) = header.sections[SEC_SLAB];
-    let expected = row_count * SLAB_STRIDE * std::mem::size_of::<f32>();
-    if slab_len != expected {
-        return Err(PersistError::Format(format!(
-            "slab holds {slab_len} bytes but {row_count} rows require {expected}"
-        )));
-    }
-
-    // LSH.
-    let mut c = Cursor::new(section_raw(bytes, header, SEC_LSH));
-    let dim = c.u32()? as usize;
-    let bits = c.u32()? as usize;
-    let tables = c.u32()? as usize;
-    c.u32()?; // reserved
-    let lsh_len = c.u64()? as usize;
-    if dim == 0 || bits == 0 || bits > 64 || tables == 0 {
-        return Err(PersistError::Format(format!(
-            "implausible LSH geometry dim={dim} bits={bits} tables={tables}"
-        )));
-    }
-    let mut planes = Vec::with_capacity(tables * bits);
-    for _ in 0..tables * bits {
-        let mut plane = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            plane.push(c.f64()?);
-        }
-        planes.push(plane);
-    }
-    let mut buckets = Vec::with_capacity(tables);
-    for _ in 0..tables {
-        let bucket_count = c.u32()? as usize;
-        let mut table = Vec::with_capacity(bucket_count);
-        for _ in 0..bucket_count {
-            let sig = c.u64()?;
-            let id_count = c.u32()? as usize;
-            let raw = c.take(id_count.checked_mul(4).ok_or_else(|| truncated("lsh ids"))?)?;
-            let ids = raw
-                .chunks_exact(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize)
-                .collect();
-            table.push((sig, ids));
-        }
-        buckets.push(table);
-    }
-    if !c.done() {
-        return Err(PersistError::Format("trailing bytes in lsh section".into()));
-    }
-    let lsh = CosineLsh::from_parts(
-        dim,
-        LshConfig { bits, tables },
-        planes,
-        buckets,
-        lsh_len,
-    );
-    let resource = ResourceIndex::from_parts(entries, removed, lsh, header.flags & FLAG_EXHAUSTIVE != 0);
+    let resource: ResourceIndex = entries.into_iter().collect();
 
     // Semantic.
     let mut c = Cursor::new(section_raw(bytes, header, SEC_SEMANTIC));
@@ -953,7 +767,7 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
 }
 
 // ---------------------------------------------------------------------------
-// Integrity scan (the lint surface: SOM054–SOM056)
+// Integrity scan (the lint surface: SOM054, SOM056)
 // ---------------------------------------------------------------------------
 
 /// One structural defect found in a binary snapshot image.
@@ -963,10 +777,9 @@ pub enum IntegrityIssue {
     Header(String),
     /// A section's stored CRC disagrees with its bytes (SOM054).
     SectionCrc { section: &'static str, stored: u32, computed: u32 },
-    /// Slab byte length ≠ row count × stride × 4 (SOM055).
-    SlabShape { expected: usize, found: usize },
-    /// A slab lane holds a non-finite value (SOM056).
-    NonFinite { slot: usize, lane: usize },
+    /// A resource row stores a non-finite profile (SOM056). `key` is
+    /// `None` when the string table no longer resolves the row's key id.
+    NonFinite { row: usize, key: Option<String> },
 }
 
 /// Scan a binary snapshot image for structural defects without
@@ -978,14 +791,11 @@ pub fn integrity_issues(bytes: &[u8]) -> Vec<IntegrityIssue> {
         Err(e) => return vec![IntegrityIssue::Header(e.to_string())],
     };
     let mut issues = Vec::new();
-    let mut rows_ok = true;
+    let mut strings_ok = true;
     for (i, name) in SECTION_NAMES.iter().enumerate() {
-        let (off, len) = header.sections[i];
-        let computed = crc32(&bytes[off..off + len]);
+        let computed = crc32(section_raw(bytes, &header, i));
         if computed != header.section_crcs[i] {
-            if i == SEC_ROWS {
-                rows_ok = false;
-            }
+            strings_ok &= i != SEC_STRINGS;
             issues.push(IntegrityIssue::SectionCrc {
                 section: name,
                 stored: header.section_crcs[i],
@@ -993,28 +803,22 @@ pub fn integrity_issues(bytes: &[u8]) -> Vec<IntegrityIssue> {
             });
         }
     }
-    // Slab shape: needs a trustworthy row count.
-    if rows_ok {
-        let (off, len) = header.sections[SEC_ROWS];
-        let mut c = Cursor::new(&bytes[off..off + len]);
-        if let Ok(row_count) = c.u32() {
-            let expected = row_count as usize * SLAB_STRIDE * std::mem::size_of::<f32>();
-            let found = header.sections[SEC_SLAB].1;
-            if found != expected {
-                issues.push(IntegrityIssue::SlabShape { expected, found });
-            }
-        }
-    }
-    // Non-finite slab lanes (only the profile lanes; the pad lane is
-    // always zero by construction but a forged non-finite pad is still a
-    // defect worth naming).
-    let (off, len) = header.sections[SEC_SLAB];
-    for (i, chunk) in bytes[off..off + len].chunks_exact(4).enumerate() {
-        let v = f32::from_le_bytes(chunk.try_into().unwrap());
-        if !v.is_finite() {
+    // Non-finite stored profiles. The rows are read whatever their CRC
+    // says (a tear that forges a NaN is still worth naming), past the
+    // 8-byte count/size prefix; the string table only if its CRC holds
+    // (its length fields size allocations).
+    let strings = if strings_ok {
+        decode_strings(section_raw(bytes, &header, SEC_STRINGS)).unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let rows = section_raw(bytes, &header, SEC_ROWS).get(8..).unwrap_or_default();
+    for (row, raw) in rows.chunks_exact(RESOURCE_ROW_BYTES as usize).enumerate() {
+        let (key_id, profile) = resource_row(raw);
+        if !profile.is_finite() {
             issues.push(IntegrityIssue::NonFinite {
-                slot: i / SLAB_STRIDE,
-                lane: i % SLAB_STRIDE,
+                row,
+                key: strings.get(key_id as usize).cloned(),
             });
         }
     }
@@ -1027,7 +831,7 @@ mod tests {
     use crate::persist::STATS_VERSION;
 
     /// A small but representative snapshot: every candidate kind, a
-    /// tombstone, an odd string set.
+    /// removed key, an odd string set.
     fn sample_indices() -> (SemanticIndex, ResourceIndex) {
         let mk = |key: &str, d: f64, kind: CandidateKind| CandidateRecord {
             key: key.to_string(),
@@ -1057,7 +861,7 @@ mod tests {
             ],
             vec!["alpha".to_string(), "beta".to_string(), "gamma".to_string()],
         );
-        let mut resource = ResourceIndex::new(LshConfig::default(), 7);
+        let mut resource = ResourceIndex::default();
         resource.insert("alpha", ResourceProfile { memory_mb: 123.456, gflops: 7.89, latency_ms: 0.1 });
         resource.insert("beta", ResourceProfile { memory_mb: 64.0, gflops: 3.5, latency_ms: 0.05 });
         resource.insert("gamma", ResourceProfile { memory_mb: 8.0, gflops: 0.5, latency_ms: 0.01 });
@@ -1112,25 +916,10 @@ mod tests {
         let h = validate_header(&bytes).unwrap();
         assert_eq!(h.version, SOMB_VERSION);
         assert_eq!(h.models, 3);
-        assert_eq!(h.resource_entries, 2, "tombstoned slot is not live");
+        assert_eq!(h.resource_entries, 2, "the removed key has no row");
         assert_eq!(h.epoch, 5);
         assert_eq!(h.stats().unwrap().epoch, Some(5));
-        // Slab is 64-byte aligned in-file.
-        assert_eq!(h.sections[SEC_SLAB].0 % 64, 0);
-    }
-
-    #[test]
-    fn snapshot_bytes_yields_an_aligned_zero_copy_slab() {
-        let bytes = SnapshotBytes::from_vec(sample_snapshot_bytes());
-        let slab = bytes.slab_f32().expect("aligned slab view");
-        // Canonical rows: only the live entries, sorted by key (the
-        // tombstoned "gamma" slot is compacted away at encode time).
-        assert_eq!(slab.len(), 2 * SLAB_STRIDE);
-        let expected: Vec<f32> = vec![
-            123.456, 7.89, 0.1, 0.0, // alpha
-            64.0, 3.5, 0.05, 0.0, // beta
-        ];
-        assert_eq!(slab, expected.as_slice(), "file slab mirrors the canonical profiles");
+        assert_eq!(h.sections[SEC_ROWS].1, 8 + 2 * RESOURCE_ROW_BYTES as usize);
     }
 
     #[test]
@@ -1144,29 +933,38 @@ mod tests {
 
     #[test]
     fn unknown_version_is_typed() {
-        let mut bytes = sample_snapshot_bytes();
-        bytes[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            validate_header(&bytes),
-            Err(PersistError::Version { found: 9, expected: SOMB_VERSION })
-        ));
+        // A future version, and the previous one with the 204-byte,
+        // six-section header it had: refused on the version word, before
+        // anything laid out differently is read.
+        for (version, header_len) in [(9u32, HEADER_LEN as u32), (2, 204)] {
+            let mut bytes = sample_snapshot_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            bytes[8..12].copy_from_slice(&header_len.to_le_bytes());
+            for result in [validate_header(&bytes).map(|_| ()), decode(&bytes).map(|_| ())] {
+                assert!(matches!(
+                    result,
+                    Err(PersistError::Version { found, expected: SOMB_VERSION }) if found == version
+                ));
+            }
+        }
     }
 
     #[test]
     fn torn_section_fails_decode_and_names_the_section() {
         let bytes = sample_snapshot_bytes();
         let h = validate_header(&bytes).unwrap();
-        // Flip a byte inside the slab: header still validates (O(1)
-        // open), decode fails on the section CRC, lint names the slab.
+        // Flip a byte inside the resource rows: header still validates
+        // (O(1) open), decode fails on the section CRC, lint names the
+        // section.
         let mut torn = bytes.clone();
-        torn[h.sections[SEC_SLAB].0] ^= 0x5A;
+        torn[h.sections[SEC_ROWS].0] ^= 0x5A;
         assert!(validate_header(&torn).is_ok());
         let err = decode(&torn).unwrap_err();
-        assert!(err.to_string().contains("slab"), "{err}");
+        assert!(err.to_string().contains("resource-rows"), "{err}");
         let issues = integrity_issues(&torn);
         assert!(issues
             .iter()
-            .any(|i| matches!(i, IntegrityIssue::SectionCrc { section: "slab", .. })));
+            .any(|i| matches!(i, IntegrityIssue::SectionCrc { section: "resource-rows", .. })));
     }
 
     #[test]
@@ -1179,47 +977,26 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_slab_values_are_reported() {
-        let mut bytes = sample_snapshot_bytes();
-        let h = validate_header(&bytes).unwrap();
-        let (off, _) = h.sections[SEC_SLAB];
-        bytes[off..off + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let issues = integrity_issues(&bytes);
-        assert!(issues
-            .iter()
-            .any(|i| matches!(i, IntegrityIssue::NonFinite { slot: 0, lane: 0 })));
-        // The same tear also breaks the slab CRC.
-        assert!(issues
-            .iter()
-            .any(|i| matches!(i, IntegrityIssue::SectionCrc { section: "slab", .. })));
-    }
-
-    #[test]
-    fn slab_shape_mismatch_is_reported() {
-        // Forge a coherent-but-wrong snapshot: shrink the slab section
-        // length and re-stamp both CRCs so only the shape check fires.
-        let mut bytes = sample_snapshot_bytes();
-        let slab_entry = 56 + SEC_SLAB * 24;
-        let (off, len) = {
-            let h = validate_header(&bytes).unwrap();
-            h.sections[SEC_SLAB]
-        };
-        let new_len = len - SLAB_STRIDE * 4;
-        bytes[slab_entry + 8..slab_entry + 16].copy_from_slice(&(new_len as u64).to_le_bytes());
-        let crc = crc32(&bytes[off..off + new_len]);
-        bytes[slab_entry + 16..slab_entry + 20].copy_from_slice(&crc.to_le_bytes());
-        let hcrc = crc32(&bytes[..HEADER_LEN - 4]);
-        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&hcrc.to_le_bytes());
-        let issues = integrity_issues(&bytes);
-        assert!(
-            issues.iter().any(|i| matches!(
-                i,
-                IntegrityIssue::SlabShape { expected, found }
-                    if *expected == len && *found == new_len
-            )),
-            "{issues:?}"
+    fn non_finite_profile_rows_are_reported() {
+        // A NaN that was indexed: every CRC holds, the row is the defect.
+        let (sem, mut res) = sample_indices();
+        res.insert("beta", ResourceProfile { memory_mb: 64.0, gflops: 3.5, latency_ms: f64::NAN });
+        let bytes = encode(&sem, &res, None);
+        assert_eq!(
+            integrity_issues(&bytes),
+            vec![IntegrityIssue::NonFinite { row: 1, key: Some("beta".to_string()) }]
         );
-        assert!(matches!(decode(&bytes), Err(PersistError::Format(_))));
+        assert!(decode(&bytes).is_ok(), "only lint stands between this image and serving");
+        // A NaN forged into the bytes at rest: named all the same, next
+        // to the CRC it broke.
+        let mut bytes = sample_snapshot_bytes();
+        let (off, _) = validate_header(&bytes).unwrap().sections[SEC_ROWS];
+        bytes[off + 8 + 8..off + 8 + 16].copy_from_slice(&f64::INFINITY.to_le_bytes());
+        let issues = integrity_issues(&bytes);
+        assert!(issues.contains(&IntegrityIssue::NonFinite { row: 0, key: Some("alpha".to_string()) }));
+        assert!(issues
+            .iter()
+            .any(|i| matches!(i, IntegrityIssue::SectionCrc { section: "resource-rows", .. })));
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub mod codes {
     pub const DANGLING_KEY: &str = "SOM020";
     /// A candidate list is not sorted by descending score.
     pub const UNSORTED_CANDIDATES: &str = "SOM021";
-    /// An LSH bucket references a resource-vector slot that does not exist.
-    pub const LSH_DANGLING_ID: &str = "SOM022";
     /// Recorded bounds violate the transitive triangle relation.
     pub const TRIANGLE_VIOLATION: &str = "SOM023";
     /// The index snapshot is older than a stored model file.
@@ -69,15 +67,8 @@ pub mod codes {
     pub const STATS_CONTENT_MISMATCH: &str = "SOM053";
     /// A binary snapshot's header or a section CRC fails validation.
     pub const BINARY_SNAPSHOT_CORRUPT: &str = "SOM054";
-    /// The binary slab's byte length ≠ row count × stride × 4.
-    pub const SLAB_SHAPE_MISMATCH: &str = "SOM055";
-    /// The binary resource slab holds a NaN or infinite lane.
-    pub const NON_FINITE_SLAB: &str = "SOM056";
-    /// An LSH bucket id dangles from the resource slab: it references a
-    /// tombstoned (removed) slot. Incremental maintenance purges bucket
-    /// ids at removal time, so a dangling id means a removal path
-    /// skipped the LSH purge (or the snapshot was edited by hand).
-    pub const LSH_TOMBSTONED_ID: &str = "SOM057";
+    /// A stored resource profile holds a NaN or infinite dimension.
+    pub const NON_FINITE_PROFILE: &str = "SOM056";
     /// The publication epoch is negative, or zero on a populated snapshot.
     pub const EPOCH_REGRESSION: &str = "SOM060";
     /// The header's declared version disagrees with its epoch field.
@@ -134,7 +125,6 @@ pub mod codes {
         (MODEL_UNREADABLE, "stored model file could not be read"),
         (DANGLING_KEY, "index references a key absent from the repository"),
         (UNSORTED_CANDIDATES, "candidate list not sorted by score"),
-        (LSH_DANGLING_ID, "LSH bucket references a missing vector slot"),
         (TRIANGLE_VIOLATION, "bounds violate the triangle relation"),
         (STALE_INDEX, "index snapshot older than a stored model"),
         (SCORE_MISMATCH, "candidate score disagrees with its diff bound"),
@@ -150,9 +140,7 @@ pub mod codes {
         (NEGATIVE_STATS_COUNTER, "stats-header counter is negative"),
         (STATS_CONTENT_MISMATCH, "stats header disagrees with contents"),
         (BINARY_SNAPSHOT_CORRUPT, "binary snapshot header/CRC mismatch"),
-        (SLAB_SHAPE_MISMATCH, "slab length disagrees with row count x dim"),
-        (NON_FINITE_SLAB, "binary slab holds non-finite values"),
-        (LSH_TOMBSTONED_ID, "LSH bucket id references a tombstoned slot"),
+        (NON_FINITE_PROFILE, "stored resource profile is non-finite"),
         (EPOCH_REGRESSION, "publication epoch regressed or is missing"),
         (EPOCH_HEADER_MISMATCH, "header version disagrees with its epoch"),
         (UNREGISTERED_CANDIDATE, "candidate references an unregistered key"),
@@ -475,7 +463,7 @@ mod tests {
         ] {
             assert!(seen.contains(known), "{known} missing from registry");
         }
-        assert_eq!(codes::ALL.len(), 48, "update the registry with new codes");
+        assert_eq!(codes::ALL.len(), 45, "update the registry with new codes");
     }
 
     #[test]

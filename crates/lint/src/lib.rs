@@ -16,9 +16,9 @@
 //!   orderings, family cost outliers, serde round-trip drift, all-zero
 //!   weights (`SOM001`–`SOM007`);
 //! * **repository & index invariants** ([`passes::index`]) — dangling
-//!   keys, unsorted candidate lists, LSH buckets referencing missing
-//!   resource vectors, transitive-bound triangle violations, stale
-//!   snapshots, score/bound disagreement (`SOM020`–`SOM027`);
+//!   keys, unsorted candidate lists, transitive-bound triangle
+//!   violations, stale snapshots, score/bound disagreement
+//!   (`SOM020`–`SOM027`), non-finite stored profiles (`SOM056`);
 //! * **query plans** ([`passes::plan`]) — unsatisfiable `WITHIN`
 //!   thresholds, statically empty resource budgets, shadowed
 //!   predicates, references that prune to nothing (`SOM040`–`SOM044`);
@@ -26,8 +26,8 @@
 //!   unknown-version, negative, or content-inconsistent metrics headers
 //!   in persisted snapshots (`SOM050`–`SOM053`);
 //! * **binary snapshot image** ([`passes::binary`]) — header/section
-//!   CRC mismatches, slab-shape violations, and non-finite slab lanes
-//!   in `.somb` binary snapshots (`SOM054`–`SOM056`);
+//!   CRC mismatches and non-finite resource rows in `.somb` binary
+//!   snapshots (`SOM054`, `SOM056`);
 //! * **publication epoch** ([`passes::epoch`]) — regressed or missing
 //!   publication epochs and candidates referencing keys the snapshot
 //!   never registered (`SOM060`–`SOM062`);
@@ -86,7 +86,7 @@ pub struct LintContext {
     /// Raw bytes of a binary (`.somb`) snapshot image, when the
     /// repository's index is the binary format. The
     /// [`passes::binary::BinarySnapshotPass`] scans these directly, so
-    /// CRC and slab findings survive even when the image is too damaged
+    /// CRC and row findings survive even when the image is too damaged
     /// to decode into `semantic`/`resource`.
     pub binary_snapshot: Option<Vec<u8>>,
     /// Modification time of the index snapshot file.

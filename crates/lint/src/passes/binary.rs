@@ -1,20 +1,20 @@
-//! `SOM054`–`SOM056` — binary (`.somb`) snapshot-image lints.
+//! `SOM054`, `SOM056` — binary (`.somb`) snapshot-image lints.
 //!
-//! PR 7's binary snapshot format carries its own integrity machinery: a
-//! CRC-checked header, per-section CRCs, and a shape invariant tying the
-//! f32 resource slab to the row table. The read path already *rejects*
-//! a damaged image (and the engine quarantines + rebuilds), but the
-//! lint layer should explain **what** is wrong with the bytes, not just
-//! that loading failed. This pass scans the raw image with
+//! The binary snapshot format carries its own integrity machinery: a
+//! CRC-checked header and per-section CRCs. The read path already
+//! *rejects* a damaged image (and the engine quarantines + rebuilds), but
+//! the lint layer should explain **what** is wrong with the bytes, not
+//! just that loading failed. This pass scans the raw image with
 //! [`sommelier_index::somb::integrity_issues`] — no index construction,
 //! so it works even on images too damaged to decode:
 //!
 //! * header or section CRC mismatch → `SOM054` (`Error`);
-//! * slab byte length ≠ row count × stride × 4 → `SOM055` (`Error`);
-//! * non-finite f32 lanes in the slab → `SOM056` (`Error`) — a slab
-//!   that *decodes* but would poison every distance computation.
+//! * a resource row storing a non-finite profile → `SOM056` (`Error`) —
+//!   an image that *decodes* and then answers every bound comparison on
+//!   that key wrongly.
 
 use crate::diagnostics::{codes, Diagnostic};
+use crate::passes::index::non_finite_profile;
 use crate::{LintContext, Pass};
 use sommelier_index::somb::{self, IntegrityIssue};
 
@@ -51,18 +51,9 @@ impl Pass for BinarySnapshotPass {
                     ),
                 )
                 .with_help("quarantine the file and rebuild with `sommelier index`"),
-                IntegrityIssue::SlabShape { expected, found } => Diagnostic::error(
-                    codes::SLAB_SHAPE_MISMATCH,
+                IntegrityIssue::NonFinite { row, key } => non_finite_profile(
                     "binary-snapshot",
-                    format!(
-                        "resource slab holds {found} byte(s) but the row table \
-                         implies {expected}"
-                    ),
-                ),
-                IntegrityIssue::NonFinite { slot, lane } => Diagnostic::error(
-                    codes::NON_FINITE_SLAB,
-                    "binary-snapshot",
-                    format!("slab slot {slot} lane {lane} is not finite"),
+                    &key.map_or(format!("resource row {row}"), |k| format!("'{k}'")),
                 ),
             });
         }
@@ -73,7 +64,6 @@ impl Pass for BinarySnapshotPass {
 mod tests {
     use super::*;
     use crate::Severity;
-    use sommelier_index::lsh::LshConfig;
     use sommelier_index::semantic::SemanticIndexConfig;
     use sommelier_index::{ResourceIndex, SemanticIndex};
 
@@ -83,18 +73,22 @@ mod tests {
         out
     }
 
-    fn image() -> Vec<u8> {
-        let mut resource = ResourceIndex::new(LshConfig::default(), 1);
+    fn image_with_latency(latency_ms: f64) -> Vec<u8> {
+        let mut resource = ResourceIndex::default();
         resource.insert(
             "m",
             sommelier_runtime::ResourceProfile {
                 memory_mb: 10.0,
                 gflops: 2.0,
-                latency_ms: 5.0,
+                latency_ms,
             },
         );
         let semantic = SemanticIndex::new(SemanticIndexConfig::default(), 1);
         somb::encode(&semantic, &resource, None)
+    }
+
+    fn image() -> Vec<u8> {
+        image_with_latency(5.0)
     }
 
     #[test]
@@ -134,5 +128,16 @@ mod tests {
                 && d.message.contains("CRC mismatch")),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn non_finite_profile_in_a_binary_image_is_reported_with_its_key() {
+        let mut ctx = LintContext::new();
+        ctx.binary_snapshot = Some(image_with_latency(f64::NAN));
+        let out = run(&ctx);
+        assert_eq!(out.len(), 1, "every CRC holds, the row is the defect: {out:?}");
+        assert_eq!(out[0].code, codes::NON_FINITE_PROFILE);
+        assert_eq!(out[0].severity, Severity::Error);
+        assert!(out[0].message.contains("'m'"), "{out:?}");
     }
 }

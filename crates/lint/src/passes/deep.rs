@@ -477,10 +477,7 @@ pub fn cross_artifact_findings(
         // SOM091 — stored resource vectors must agree with vectors
         // recomputed from the models under the default execution
         // setting (the only setting the persisted index is built with).
-        for (key, stored, removed) in resource.entries_audit() {
-            if removed {
-                continue;
-            }
+        for (key, stored) in resource.entries_audit() {
             let Some((_, model)) = ctx.models.iter().find(|(k, _)| k == key) else {
                 continue;
             };

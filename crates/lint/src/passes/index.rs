@@ -3,11 +3,10 @@
 //! The persisted indices are derived data: every key they mention must
 //! exist in the repository, candidate lists must keep the descending
 //! score order the query engine's early-exit relies on, scores must
-//! agree with their recorded difference bounds, LSH buckets must point
-//! at live vector slots, directly measured bounds must be mutually
-//! consistent, and the snapshot must not predate the artifacts it
-//! summarizes. Each of these is checked here without touching a single
-//! weight.
+//! agree with their recorded difference bounds, stored resource profiles
+//! must be finite, directly measured bounds must be mutually consistent,
+//! and the snapshot must not predate the artifacts it summarizes. Each of
+//! these is checked here without touching a single weight.
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
@@ -23,13 +22,21 @@ const RESOURCE: &str = "resource-index";
 const SCORE_EPS: f64 = 1e-9;
 
 /// Referential and ordering invariants of both indices: dangling keys
-/// (`SOM020`), unsorted candidate lists (`SOM021`), LSH buckets pointing
-/// at missing slots (`SOM022`), score/bound disagreement (`SOM025`),
-/// indexed models without a live resource profile (`SOM026`), and LSH
-/// bucket ids left dangling at tombstoned slots (`SOM057` — incremental
-/// removal purges bucket ids eagerly, so a survivor means a removal
-/// path skipped the purge).
+/// (`SOM020`), unsorted candidate lists (`SOM021`), score/bound
+/// disagreement (`SOM025`), indexed models without a resource profile
+/// (`SOM026`), and non-finite profiles in a JSON image (`SOM056`).
 pub struct IndexIntegrityPass;
+
+/// `SOM056` on `subject` — raised here for a JSON image and by
+/// [`crate::passes::binary`] for a `.somb` one.
+pub(crate) fn non_finite_profile(location: &str, subject: &str) -> Diagnostic {
+    Diagnostic::error(
+        codes::NON_FINITE_PROFILE,
+        location,
+        format!("stored resource profile of {subject} is non-finite"),
+    )
+    .with_help("no bound comparison against it means anything; re-run `sommelier index`")
+}
 
 impl Pass for IndexIntegrityPass {
     fn name(&self) -> &'static str {
@@ -102,8 +109,8 @@ impl Pass for IndexIntegrityPass {
             }
         }
         if let Some(resource) = &ctx.resource {
-            for (key, _, removed) in resource.entries_audit() {
-                if !removed && !stored.contains(key) {
+            for (key, profile) in resource.entries_audit() {
+                if !stored.contains(key) {
                     out.push(
                         Diagnostic::error(
                             codes::DANGLING_KEY,
@@ -113,35 +120,10 @@ impl Pass for IndexIntegrityPass {
                         .with_help("re-run `sommelier index` to rebuild from the repository"),
                     );
                 }
-            }
-            let slots = resource.slot_count();
-            let removed_flags: Vec<bool> = resource
-                .entries_audit()
-                .iter()
-                .map(|(_, _, removed)| *removed)
-                .collect();
-            for id in resource.lsh().stored_ids() {
-                if id >= slots {
-                    out.push(Diagnostic::error(
-                        codes::LSH_DANGLING_ID,
-                        RESOURCE,
-                        format!("LSH bucket references vector slot {id}, but only {slots} exist"),
-                    ));
-                } else if removed_flags[id] {
-                    out.push(
-                        Diagnostic::error(
-                            codes::LSH_TOMBSTONED_ID,
-                            RESOURCE,
-                            format!(
-                                "LSH bucket id {id} dangles from the resource slab: slot {id} is \
-                                 tombstoned"
-                            ),
-                        )
-                        .with_help(
-                            "removal must purge LSH bucket ids; re-run `sommelier index` to \
-                             rebuild the snapshot",
-                        ),
-                    );
+                // A `.somb` image's rows are read by the binary pass,
+                // which also works when the image no longer decodes.
+                if ctx.binary_snapshot.is_none() && !profile.is_finite() {
+                    out.push(non_finite_profile(RESOURCE, &format!("'{key}'")));
                 }
             }
         }
@@ -267,7 +249,7 @@ mod tests {
     use super::*;
     use crate::diagnostics::Severity;
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
-    use sommelier_index::{lsh::LshConfig, ResourceIndex, SemanticIndex};
+    use sommelier_index::{ResourceIndex, SemanticIndex};
     use sommelier_runtime::ResourceProfile;
     use sommelier_tensor::{Prng, Shape};
     use std::time::{Duration, SystemTime};
@@ -338,7 +320,7 @@ mod tests {
             }"#,
         )
         .expect("fixture parses");
-        let mut resource = ResourceIndex::new(LshConfig { bits: 2, tables: 1 }, 1);
+        let mut resource = ResourceIndex::default();
         for (key, model) in &ctx.models {
             resource.insert(key.clone(), ResourceProfile::of(model));
         }
@@ -412,70 +394,38 @@ mod tests {
     }
 
     #[test]
-    fn lsh_bucket_pointing_past_the_slots_is_reported() {
-        let mut ctx = ctx_with_models(&["m-a"]);
-        ctx.resource = Some(
-            serde_json::from_str(
-                r#"{
-                    "entries": [["m-a", {"memory_mb": 1.0, "gflops": 1.0, "latency_ms": 1.0}]],
-                    "removed": [false],
-                    "lsh": {
-                        "dim": 3,
-                        "config": {"bits": 2, "tables": 1},
-                        "planes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                        "buckets": [{"3": [0, 7]}],
-                        "len": 2
-                    },
-                    "exhaustive": false
-                }"#,
-            )
-            .expect("fixture parses"),
+    fn non_finite_profile_in_a_json_image_is_reported_with_its_key() {
+        let mut ctx = ctx_with_models(&["m-a", "m-b", "m-c"]);
+        // What the JSON text can spell: a number that overflows to +inf.
+        let mut resource: ResourceIndex = serde_json::from_str(
+            r#"{"entries": [
+                ["m-a", {"memory_mb": 1.0, "gflops": 1.0, "latency_ms": 1.0}],
+                ["m-b", {"memory_mb": 2.0, "gflops": 2.0, "latency_ms": 1e999}]
+            ]}"#,
+        )
+        .expect("fixture parses");
+        // What only a profiling bug can put there.
+        resource.insert(
+            "m-c",
+            ResourceProfile {
+                memory_mb: 3.0,
+                gflops: 3.0,
+                latency_ms: f64::NAN,
+            },
         );
+        ctx.resource = Some(resource);
         let diags = run(&IndexIntegrityPass, &ctx);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == codes::LSH_DANGLING_ID && d.message.contains("slot 7")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn lsh_bucket_pointing_at_a_tombstoned_slot_is_reported() {
-        let mut ctx = ctx_with_models(&["m-a", "m-b"]);
-        // Slot 1 is tombstoned but an LSH bucket still lists id 1: the
-        // removal path failed to purge the bucket (SOM057).
-        ctx.resource = Some(
-            serde_json::from_str(
-                r#"{
-                    "entries": [
-                        ["m-a", {"memory_mb": 1.0, "gflops": 1.0, "latency_ms": 1.0}],
-                        ["m-b", {"memory_mb": 2.0, "gflops": 2.0, "latency_ms": 2.0}]
-                    ],
-                    "removed": [false, true],
-                    "lsh": {
-                        "dim": 3,
-                        "config": {"bits": 2, "tables": 1},
-                        "planes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                        "buckets": [{"3": [0, 1]}],
-                        "len": 2
-                    },
-                    "exhaustive": false
-                }"#,
-            )
-            .expect("fixture parses"),
-        );
-        let diags = run(&IndexIntegrityPass, &ctx);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == codes::LSH_TOMBSTONED_ID && d.message.contains("slot 1")),
-            "{diags:?}"
-        );
-        assert!(
-            !diags.iter().any(|d| d.code == codes::LSH_DANGLING_ID),
-            "both ids point at existing slots: {diags:?}"
-        );
+        let named: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.code == codes::NON_FINITE_PROFILE && d.severity == Severity::Error)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(named.len(), 2, "{diags:?}");
+        assert!(named[0].contains("'m-b'") && named[1].contains("'m-c'"), "{named:?}");
+        // The same index behind a `.somb` image is the binary pass's to
+        // report, from the rows as stored.
+        ctx.binary_snapshot = Some(Vec::new());
+        assert!(run(&IndexIntegrityPass, &ctx).is_empty());
     }
 
     #[test]
@@ -493,7 +443,7 @@ mod tests {
             )
             .expect("fixture parses"),
         );
-        ctx.resource = Some(ResourceIndex::new(LshConfig { bits: 2, tables: 1 }, 1));
+        ctx.resource = Some(ResourceIndex::default());
         let diags = run(&IndexIntegrityPass, &ctx);
         assert!(
             diags

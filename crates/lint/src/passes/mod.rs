@@ -6,7 +6,7 @@
 //! * [`plan`] — static analyses of parsed query ASTs (`SOM04x`);
 //! * [`stats`] — snapshot stats-header validation (`SOM050`–`SOM053`);
 //! * [`binary`] — binary (`.somb`) snapshot-image validation: header
-//!   and section CRCs, slab shape, non-finite lanes (`SOM054`–`SOM056`);
+//!   and section CRCs, non-finite resource rows (`SOM054`, `SOM056`);
 //! * [`epoch`] — snapshot publication-epoch validation (`SOM06x`);
 //! * [`store`] — store-directory hygiene: quarantined artifacts,
 //!   orphaned temp files, non-canonical file names (`SOM07x`);

@@ -124,7 +124,6 @@ mod tests {
     use crate::Severity;
     use sommelier_index::persist::SnapshotStats;
     use sommelier_index::semantic::SemanticIndexConfig;
-    use sommelier_index::lsh::LshConfig;
     use sommelier_index::{ResourceIndex, SemanticIndex};
 
     fn run(ctx: &LintContext) -> Vec<Diagnostic> {
@@ -136,7 +135,7 @@ mod tests {
     fn ctx_with_indices() -> LintContext {
         let mut ctx = LintContext::new();
         ctx.semantic = Some(SemanticIndex::new(SemanticIndexConfig::default(), 1));
-        ctx.resource = Some(ResourceIndex::new(LshConfig::default(), 1));
+        ctx.resource = Some(ResourceIndex::default());
         ctx
     }
 

@@ -27,7 +27,6 @@ use sommelier_equiv::genbound::architecture_factor;
 use sommelier_equiv::whole::{AssessError, GenBoundMode};
 use sommelier_equiv::{assess_whole, EquivConfig, PairKey, PairKind, PairwiseCache};
 use sommelier_graph::{Fingerprint, Model, TaskKind};
-use sommelier_index::lsh::LshConfig;
 use sommelier_index::semantic::SemanticIndexConfig;
 use sommelier_index::{CandidateKind, PairAnalyzer, ResourceIndex, SemanticIndex};
 use sommelier_parallel::{RcuCell, ThreadPool};
@@ -58,8 +57,6 @@ pub struct SommelierConfig {
     pub segment_epsilon: f64,
     /// Semantic index knobs (sampling, segment analysis on/off).
     pub index: SemanticIndexConfig,
-    /// Resource index LSH knobs.
-    pub lsh: LshConfig,
     /// Rows in the seeded validation probe used for pairwise analysis.
     pub validation_rows: usize,
     /// Execution setting under which resource profiles are taken.
@@ -85,7 +82,6 @@ impl Default for SommelierConfig {
             equiv: EquivConfig::default(),
             segment_epsilon: 0.10,
             index: SemanticIndexConfig::default(),
-            lsh: LshConfig::default(),
             validation_rows: 256,
             exec_setting: ExecSetting::default_cpu(),
             seed: 0x50_4d_4d_31,
@@ -835,7 +831,7 @@ impl Sommelier {
     /// [`Sommelier::index_existing`].
     pub fn connect(repo: Arc<dyn ModelRepository>, config: SommelierConfig) -> Self {
         let semantic = SemanticIndex::new(config.index, config.seed);
-        let resource = ResourceIndex::new(config.lsh, config.seed);
+        let resource = ResourceIndex::default();
         Self::assemble(
             repo,
             config,
@@ -1237,8 +1233,7 @@ impl Sommelier {
 
     /// [`Sommelier::connect_with_indices`] over a snapshot already in
     /// memory: decoded from a file, or put together from live index
-    /// structures as they stand, tombstones and all (a saved image is
-    /// canonical and has none).
+    /// structures as they stand.
     pub fn assemble_from_snapshot(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
@@ -2028,6 +2023,51 @@ mod tests {
         assert_eq!(restored.reader().epoch(), 4);
     }
 
+    /// Recovery of a damaged snapshot at `path`, as both recovery tests
+    /// assert it: the evidence is quarantined, the rebuild is counted
+    /// (at least once: the counter is process-wide and the sibling tests
+    /// rebuild too), the engine answers like `engine`, and the file left at
+    /// `path` is a current-version image that loads without a rebuild.
+    fn assert_recovers(engine: &Sommelier, names: &[String], path: &std::path::Path, case: &str) {
+        let config = SommelierConfig {
+            validation_rows: 128,
+            ..SommelierConfig::default()
+        };
+        let before = counters::get("recovery.rebuilds");
+        let (restored, outcome) =
+            Sommelier::connect_or_recover(engine.repo.clone(), config.clone(), path).unwrap();
+        match &outcome {
+            SnapshotRecovery::RebuiltQuarantined(q) => {
+                assert!(q.exists(), "{case}: evidence file preserved")
+            }
+            other => panic!("{case}: expected quarantine, got {other:?}"),
+        }
+        assert!(counters::get("recovery.rebuilds") > before, "{case}");
+        assert_eq!(restored.len(), engine.len(), "{case}");
+        assert_eq!(
+            restored.snapshot_format(),
+            Some(sommelier_index::SnapshotFormat::for_path(path)),
+            "{case}: resave keeps the format"
+        );
+        let q = format!("SELECT models 3 CORR {} WITHIN 0.2", names[0]);
+        let answer = restored.query(&q).unwrap();
+        assert!(!answer.is_empty(), "{case}");
+        assert_eq!(answer, engine.query(&q).unwrap(), "{case}: same answer as a fresh build");
+        let resaved = sommelier_index::persist::read_snapshot(path).expect("resaved image reads");
+        assert_eq!(resaved.version, sommelier_index::persist::SNAPSHOT_VERSION, "{case}");
+        let (_again, outcome) =
+            Sommelier::connect_or_recover(engine.repo.clone(), config, path).unwrap();
+        assert!(matches!(outcome, SnapshotRecovery::Loaded), "{case}");
+    }
+
+    fn assert_refused_as_version_2(path: &std::path::Path) {
+        use sommelier_index::persist::{read_snapshot_with, PersistError};
+        assert!(matches!(
+            read_snapshot_with(&sommelier_fault::StdStorage, path),
+            Err(PersistError::Version { found: 2, expected: 3 })
+        ));
+    }
+
     #[test]
     fn corrupt_snapshot_recovers_by_quarantine_and_rebuild() {
         let (engine, names) = engine_with_variants();
@@ -2035,47 +2075,29 @@ mod tests {
             "somm-recover-{}",
             std::process::id()
         ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sommelier.index.json");
-        engine.save_indices(&path).unwrap();
-        // Tear the snapshot the way a mid-write crash would.
-        let whole = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &whole[..whole.len() / 2]).unwrap();
-
-        let before = counters::get("recovery.rebuilds");
-        let (restored, outcome) = Sommelier::connect_or_recover(
-            engine.repo.clone(),
-            SommelierConfig {
-                validation_rows: 128,
-                ..SommelierConfig::default()
-            },
-            &path,
-        )
-        .unwrap();
-        assert!(outcome.rebuilt());
-        let quarantined = match &outcome {
-            SnapshotRecovery::RebuiltQuarantined(q) => q.clone(),
-            other => panic!("expected quarantine, got {other:?}"),
-        };
-        assert!(quarantined.exists(), "evidence file preserved");
-        assert_eq!(counters::get("recovery.rebuilds"), before + 1);
-        // The rebuilt engine serves queries, and re-persisted a clean
-        // snapshot in the torn one's place.
-        assert_eq!(restored.len(), engine.len());
-        let q = format!("SELECT models 3 CORR {} WITHIN 0.2", names[0]);
-        assert!(!restored.query(&q).unwrap().is_empty());
-        assert!(sommelier_index::persist::read_snapshot(&path).is_ok());
-        // A clean snapshot loads without another rebuild.
-        let rebuilds = counters::get("recovery.rebuilds");
-        let (_again, outcome) = Sommelier::connect_or_recover(
-            engine.repo.clone(),
-            SommelierConfig::default(),
-            &path,
-        )
-        .unwrap();
-        assert!(matches!(outcome, SnapshotRecovery::Loaded));
-        assert_eq!(counters::get("recovery.rebuilds"), rebuilds);
+        for case in ["torn", "version 2"] {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            engine.save_indices(&path).unwrap();
+            let whole = std::fs::read_to_string(&path).unwrap();
+            if case == "torn" {
+                // Tear the snapshot the way a mid-write crash would.
+                std::fs::write(&path, &whole[..whole.len() / 2]).unwrap();
+            } else {
+                // The image the previous format version wrote: its
+                // version number and its resource members.
+                let old = whole.replacen("\"version\":3", "\"version\":2", 1).replacen(
+                    "\"resource\":{",
+                    "\"resource\":{\"removed\":[],\"lsh\":{\"dim\":3},\"exhaustive\":false,",
+                    1,
+                );
+                assert_ne!(old, whole);
+                std::fs::write(&path, old).unwrap();
+                assert_refused_as_version_2(&path);
+            }
+            assert_recovers(&engine, &names, &path, case);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2122,48 +2144,29 @@ mod tests {
     fn torn_binary_snapshot_recovers_by_quarantine_and_rebuild() {
         let (engine, names) = engine_with_variants();
         let dir = std::env::temp_dir().join(format!("somm-binrec-{}", std::process::id()));
-        for kind in sommelier_fault::BinaryTearKind::ALL {
+        let path = dir.join("sommelier.index.somb");
+        let damaged = |damage: &dyn Fn(&[u8]) -> Vec<u8>| {
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("sommelier.index.somb");
             engine.save_indices(&path).unwrap();
             let whole = std::fs::read(&path).unwrap();
-            std::fs::write(&path, sommelier_fault::tear_binary(&whole, 31, kind)).unwrap();
-
-            let before = counters::get("recovery.rebuilds");
-            let (restored, outcome) = Sommelier::connect_or_recover(
-                engine.repo.clone(),
-                SommelierConfig {
-                    validation_rows: 128,
-                    ..SommelierConfig::default()
-                },
-                &path,
-            )
-            .unwrap();
-            assert!(outcome.rebuilt(), "{}: torn binary must rebuild", kind.name());
-            assert!(
-                matches!(outcome, SnapshotRecovery::RebuiltQuarantined(_)),
-                "{}: evidence quarantined",
-                kind.name()
-            );
-            assert_eq!(counters::get("recovery.rebuilds"), before + 1);
-            assert_eq!(restored.len(), engine.len());
-            assert_eq!(
-                restored.snapshot_format(),
-                Some(sommelier_index::SnapshotFormat::Binary),
-                "{}: resave keeps the binary format",
-                kind.name()
-            );
-            let q = format!("SELECT models 3 CORR {} WITHIN 0.2", names[0]);
-            assert!(!restored.query(&q).unwrap().is_empty());
-            // The resaved snapshot is clean binary.
-            let (_, fmt) = sommelier_index::persist::read_snapshot_sniffed_with(
-                &sommelier_fault::StdStorage,
-                &path,
-            )
-            .unwrap();
-            assert_eq!(fmt, sommelier_index::SnapshotFormat::Binary);
+            std::fs::write(&path, damage(&whole)).unwrap();
+        };
+        for kind in sommelier_fault::BinaryTearKind::ALL {
+            damaged(&|whole| sommelier_fault::tear_binary(whole, 31, kind));
+            assert_recovers(&engine, &names, &path, kind.name());
         }
+        // The header the previous format version wrote: 204 bytes, six
+        // sections. Refused on the version word alone — nothing after it
+        // is laid out the way this build reads.
+        damaged(&|whole| {
+            let mut old = whole.to_vec();
+            old[4..8].copy_from_slice(&2u32.to_le_bytes());
+            old[8..12].copy_from_slice(&204u32.to_le_bytes());
+            old
+        });
+        assert_refused_as_version_2(&path);
+        assert_recovers(&engine, &names, &path, "version 2");
         std::fs::remove_dir_all(&dir).ok();
     }
 

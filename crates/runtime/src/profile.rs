@@ -87,10 +87,15 @@ impl ResourceProfile {
         }
     }
 
-    /// The profile as a vector for LSH indexing: `(memory, gflops,
-    /// latency)`.
+    /// The profile as a vector: `(memory, gflops, latency)`.
     pub fn as_vector(&self) -> Vec<f64> {
         vec![self.memory_mb, self.gflops, self.latency_ms]
+    }
+
+    /// Whether every dimension is a finite number (a stored profile that
+    /// is not would poison every bound comparison made against it).
+    pub fn is_finite(&self) -> bool {
+        self.memory_mb.is_finite() && self.gflops.is_finite() && self.latency_ms.is_finite()
     }
 
     /// This profile expressed as fractions of a reference profile, the

@@ -112,8 +112,7 @@ fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 /// Chunked dot product over `f32` slices: eight independent `f64`
 /// accumulators over the 8-wide body, the exact tail folded into the
 /// low lanes, pairwise lane reduction. The loop body is branch-free and
-/// auto-vectorizes; this is the scoring kernel the resource index runs
-/// over its profile slab.
+/// auto-vectorizes.
 pub fn dot_chunked(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let mut acc = [0.0f64; LANES];
@@ -126,45 +125,6 @@ pub fn dot_chunked(a: &[f32], b: &[f32]) -> f64 {
     }
     for (lane, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
         acc[lane] += f64::from(x) * f64::from(y);
-    }
-    reduce_lanes(acc)
-}
-
-/// [`dot_chunked`] over `f64` slices — the variant the LSH hyperplane
-/// signatures use (planes and probe vectors are `f64`).
-pub fn dot_chunked_f64(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let mut acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for lane in 0..LANES {
-            acc[lane] += xa[lane] * xb[lane];
-        }
-    }
-    for (lane, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        acc[lane] += x * y;
-    }
-    reduce_lanes(acc)
-}
-
-/// Chunked squared Euclidean distance `Σ (a_i − b_i)²` over `f32` slices,
-/// same 8-wide accumulation scheme as [`dot_chunked`] — the nearest-profile
-/// scan kernel.
-pub fn dist2_chunked(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dist2 length mismatch");
-    let mut acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for lane in 0..LANES {
-            let d = f64::from(xa[lane]) - f64::from(xb[lane]);
-            acc[lane] += d * d;
-        }
-    }
-    for (lane, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        let d = f64::from(x) - f64::from(y);
-        acc[lane] += d * d;
     }
     reduce_lanes(acc)
 }
@@ -299,8 +259,6 @@ mod tests {
     fn chunked_dot_handles_degenerate_lengths() {
         assert_eq!(dot_chunked(&[], &[]), 0.0);
         assert_eq!(dot_chunked(&[2.0], &[3.0]), 6.0);
-        assert_eq!(dot_chunked_f64(&[], &[]), 0.0);
-        assert_eq!(dist2_chunked(&[1.0, 2.0], &[1.0, 4.0]), 4.0);
         assert_eq!(cosine_chunked(&[], &[]), 0.0);
         assert_eq!(cosine_chunked(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
     }
@@ -309,8 +267,8 @@ mod tests {
     fn short_vector_dot_is_bitwise_sequential() {
         // With fewer than eight elements every product lands in its own
         // lane and the pairwise reduction associates exactly like the
-        // sequential sum — bit-for-bit, which is what keeps dim-3
-        // profile and LSH dots unchanged by the kernel switch.
+        // sequential sum — bit-for-bit, which is what keeps short dots
+        // unchanged by the kernel switch.
         for len in 0..8 {
             let (a, b) = gaussian_pair(len, 11 + len as u64);
             assert_eq!(dot_chunked(&a, &b).to_bits(), dot_ref(&a, &b).to_bits());
@@ -359,21 +317,6 @@ mod tests {
                 let tol = 1e-10 * magnitude;
 
                 prop_assert!((dot_chunked(&a, &b) - dot_ref(&a, &b)).abs() <= tol);
-
-                let a64: Vec<f64> = a.iter().map(|&x| x as f64).collect();
-                let b64: Vec<f64> = b.iter().map(|&x| x as f64).collect();
-                let ref64: f64 = a64.iter().zip(&b64).map(|(x, y)| x * y).sum();
-                prop_assert!((dot_chunked_f64(&a64, &b64) - ref64).abs() <= tol);
-
-                let d2_ref: f64 = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| {
-                        let d = (x as f64) - (y as f64);
-                        d * d
-                    })
-                    .sum();
-                prop_assert!((dist2_chunked(&a, &b) - d2_ref).abs() <= 1e-10 * d2_ref.max(1.0));
             }
         }
     }

@@ -40,20 +40,15 @@ pub enum Defect {
     /// record whose bound falls outside the triangle interval spanned
     /// by its measured `Whole` legs.
     BrokenTriangle,
-    /// One byte of the binary (`.somb`) snapshot's resource slab is
+    /// One byte of the binary (`.somb`) snapshot's resource rows is
     /// flipped on disk, breaking the section CRC the way a silent media
     /// tear would. A JSON-only zoo is compacted to binary first.
     BinarySnapshotTear,
-    /// A live resource slot is tombstoned in the persisted index
-    /// without purging the LSH buckets that reference it — the bucket
-    /// id now dangles from the resource slab, the exact inconsistency a
-    /// removal path that skips the LSH purge would leave behind.
-    LshDanglingIds,
 }
 
 impl Defect {
     /// Every plantable defect, in a fixed order (the detection matrix).
-    pub const ALL: [Defect; 8] = [
+    pub const ALL: [Defect; 7] = [
         Defect::ShapeBreak,
         Defect::NonFiniteWeights,
         Defect::DeadSubgraph,
@@ -61,7 +56,6 @@ impl Defect {
         Defect::StaleIndexEntry,
         Defect::BrokenTriangle,
         Defect::BinarySnapshotTear,
-        Defect::LshDanglingIds,
     ];
 
     /// Stable snake-case name (test labels, bench output).
@@ -74,7 +68,6 @@ impl Defect {
             Defect::StaleIndexEntry => "stale_index_entry",
             Defect::BrokenTriangle => "broken_triangle",
             Defect::BinarySnapshotTear => "binary_snapshot_tear",
-            Defect::LshDanglingIds => "lsh_dangling_ids",
         }
     }
 
@@ -91,7 +84,6 @@ impl Defect {
             Defect::StaleIndexEntry => "SOM020",
             Defect::BrokenTriangle => "SOM092",
             Defect::BinarySnapshotTear => "SOM054",
-            Defect::LshDanglingIds => "SOM057",
         }
     }
 }
@@ -107,7 +99,6 @@ pub fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
         Defect::StaleIndexEntry => plant_stale_index_entry(dir),
         Defect::BrokenTriangle => plant_broken_triangle(dir),
         Defect::BinarySnapshotTear => plant_binary_snapshot_tear(dir),
-        Defect::LshDanglingIds => plant_lsh_dangling_ids(dir),
     }
 }
 
@@ -321,12 +312,12 @@ fn plant_broken_triangle(dir: &Path) -> Result<String, String> {
     Ok(description)
 }
 
-/// Flip one byte of the binary snapshot's resource slab on disk. A
+/// Flip one byte of the binary snapshot's resource rows on disk. A
 /// JSON-only zoo is compacted to `.somb` first (re-encoding the
 /// snapshot verbatim, the way `sommelier compact` does), so the defect
 /// always lands on a real binary image. The flip happens behind the
 /// library's back with a plain `std::fs::write` — no CRC re-stamping —
-/// so the slab section's stored CRC no longer matches its bytes.
+/// so the section's stored CRC no longer matches its bytes.
 fn plant_binary_snapshot_tear(dir: &Path) -> Result<String, String> {
     use sommelier_index::{persist, somb};
     model_files(dir)?; // only an existing zoo can be sabotaged
@@ -347,60 +338,19 @@ fn plant_binary_snapshot_tear(dir: &Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read '{}': {e}", bin.display()))?;
     let header = somb::validate_header(&bytes)
         .map_err(|e| format!("'{}' is not an intact binary snapshot: {e}", bin.display()))?;
-    let slab = somb::SECTION_NAMES
+    let rows = somb::SECTION_NAMES
         .iter()
-        .position(|n| *n == "slab")
-        .expect("slab section is part of the format");
-    let (off, len) = header.sections[slab];
-    // An empty slab (no resource rows) leaves nothing thematic to hit;
-    // flip the image's last byte instead — still a section tear.
-    let target = if len > 0 { off + len / 2 } else { bytes.len() - 1 };
+        .position(|n| *n == "resource-rows")
+        .expect("the resource rows are part of the format");
+    // The section is never empty: it opens with its row count.
+    let (off, len) = header.sections[rows];
+    let target = off + len / 2;
     bytes[target] ^= 0x40;
     write_bytes(&bin, &bytes)?;
     Ok(format!(
-        "flipped byte {target} of '{}' inside the {} section",
-        bin.display(),
-        if len > 0 { "slab" } else { "final" }
+        "flipped byte {target} of '{}' inside the resource-rows section",
+        bin.display()
     ))
-}
-
-/// Tombstone the first resource slot in the persisted index without
-/// purging the LSH buckets that still reference it. Incremental
-/// maintenance purges bucket ids eagerly at removal time, so a
-/// surviving id over a tombstoned slot is exactly what a buggy (or
-/// interrupted) removal path leaves behind — `SOM057`.
-fn plant_lsh_dangling_ids(dir: &Path) -> Result<String, String> {
-    let path = dir.join(INDEX_FILE);
-    if !path.exists() {
-        return Err(format!("'{}' has no persisted index to sabotage", dir.display()));
-    }
-    let mut root: Value = serde_json::from_str(&read(&path)?)
-        .map_err(|e| format!("cannot parse '{}': {e}", path.display()))?;
-    let description = {
-        let resource =
-            field_mut(&mut root, "resource").ok_or("index has no resource section")?;
-        let key = match resource.get_field("entries") {
-            Some(Value::Seq(entries)) if !entries.is_empty() => match &entries[0] {
-                Value::Seq(pair) => match pair.first() {
-                    Some(Value::Str(k)) => k.clone(),
-                    _ => return Err("resource entry 0 has no key".into()),
-                },
-                _ => return Err("resource entries are not key/profile pairs".into()),
-            },
-            _ => return Err("resource index has no entries".into()),
-        };
-        let Some(Value::Seq(removed)) = field_mut(resource, "removed") else {
-            return Err("resource index has no removed flags".into());
-        };
-        if removed.is_empty() {
-            return Err("resource index has no slots to tombstone".into());
-        }
-        removed[0] = Value::Bool(true);
-        format!("tombstoned resource slot 0 ('{key}') while LSH buckets still reference it")
-    };
-    let text = serde_json::to_string(&root).map_err(|e| e.to_string())?;
-    write(&path, &text)?;
-    Ok(description)
 }
 
 fn write_bytes(path: &Path, bytes: &[u8]) -> Result<(), String> {

@@ -379,8 +379,7 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
 
 /// The binary format is a pure re-encoding: a JSON snapshot and its
 /// `.somb` compaction must serve byte-identical query results at any
-/// job count — the f64 payloads survive both round-trips exactly, and
-/// the slab is re-derived the same way on both load paths.
+/// job count — the f64 payloads survive both round-trips exactly.
 #[test]
 fn json_and_binary_snapshots_serve_byte_identical_results() {
     let models = build_models();

@@ -96,8 +96,8 @@ fn resource_index_agrees_with_exhaustive_oracle() {
     let (engine, names) = engine(8);
     let index = engine.resource_index();
     let base = index.profile_of(&names[0]).unwrap().memory_mb;
-    // The oracle is the definition: every live slot whose profile the
-    // constraint admits, in slot order.
+    // The oracle is the definition: every key whose profile the
+    // constraint admits, in key order.
     for &frac in &[0.25f64, 0.5, 1.0, 2.0] {
         let c = sommelier::index::ResourceConstraint {
             max_memory_mb: Some(base * frac),
@@ -107,8 +107,8 @@ fn resource_index_agrees_with_exhaustive_oracle() {
         let want: Vec<&str> = index
             .entries_audit()
             .into_iter()
-            .filter(|(_, profile, removed)| !removed && c.admits(profile))
-            .map(|(key, _, _)| key)
+            .filter(|(_, profile)| c.admits(profile))
+            .map(|(key, _)| key)
             .collect();
         assert_eq!(index.query(&c), want, "divergence at frac {frac}");
     }

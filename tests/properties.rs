@@ -227,13 +227,6 @@ proptest! {
     }
 
     #[test]
-    fn lsh_self_collision_is_certain(v in proptest::collection::vec(-10.0f64..10.0, 4), seed in any::<u64>()) {
-        let mut lsh = sommelier::index::CosineLsh::new(4, Default::default(), seed);
-        lsh.insert(&v, 42);
-        prop_assert_eq!(lsh.candidates(&v), vec![42]);
-    }
-
-    #[test]
     fn parser_never_panics_on_arbitrary_input(text in "\\PC{0,80}") {
         // Arbitrary printable strings may fail to parse, but must never
         // panic the parser or lexer.

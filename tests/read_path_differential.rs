@@ -1,20 +1,22 @@
 //! Differential test of the read path: `query_ast` against a naive
 //! oracle written here, over a synthetic index whose resource side has
-//! been through everything a live one goes through — tombstones, a
-//! removed key reinserted into a reused slot, a key held by two live
-//! slots with different profiles — and whose candidate lists point at
-//! all of them, at keys with no profile at all, and at synthesized
-//! models.
+//! been through everything a live one goes through — seeded churn over
+//! the whole key universe, a key inserted twice, a removed key added
+//! back, keys removed for good — and whose candidate lists point at all
+//! of them, at keys with no profile at all, and at synthesized models.
+//! The resource index is held against a plain list of `(key, profile)`
+//! pairs after every one of those steps, and its bytes at the end
+//! against a fresh build of the survivors.
 //!
 //! The engine's resource stage probes each semantic candidate's profile
 //! and never asks the resource index a range query; this is the check
 //! that doing so answers every query exactly as the definition does.
 
-use sommelier::index::lsh::LshConfig;
 use sommelier::index::persist::SNAPSHOT_VERSION;
 use sommelier::index::semantic::SemanticIndexConfig;
 use sommelier::index::{
-    CandidateKind, CandidateRecord, IndexSnapshot, ResourceIndex, SemanticIndex,
+    somb, CandidateKind, CandidateRecord, IndexSnapshot, ResourceConstraint, ResourceIndex,
+    SemanticIndex,
 };
 use sommelier::prelude::*;
 use sommelier::query::ast::BoundValue::{self, Absolute, RelativePercent};
@@ -31,7 +33,7 @@ const CANDIDATES: usize = 16;
 const MAIN: usize = 100;
 /// Inserted twice, the second time much cheaper (`MAIN`'s candidate 0).
 const TWICE: usize = MAIN + 1;
-/// Removed, then reinserted with a new profile (`MAIN`'s candidate 1).
+/// Removed, then added back with a new profile (`MAIN`'s candidate 1).
 const REINSERTED: usize = MAIN + 1 + 127;
 /// Removed for good (`MAIN`'s candidate 2); so is every `i % 5 == 3`.
 const GONE: usize = MAIN + 1 + 2 * 127;
@@ -44,18 +46,89 @@ fn removed(i: usize) -> bool {
     i % 5 == 3 || i == GONE
 }
 
-fn resource_index() -> ResourceIndex {
-    let mut rng = Prng::seed_from_u64(17);
-    let mut profile = || ResourceProfile {
-        memory_mb: 32.0 + rng.uniform() * 4096.0,
-        gflops: 0.5 + rng.uniform() * 40.0,
-        latency_ms: 1.0 + rng.uniform() * 90.0,
-    };
-    let mut idx = ResourceIndex::new(LshConfig::default(), 1);
-    for i in 0..KEYS {
-        idx.insert(key(i), profile());
+/// The resource index next to what it has to equal: a list of pairs,
+/// scanned. Every mutation goes to both and is followed by a comparison.
+struct Mirrored {
+    index: ResourceIndex,
+    naive: Vec<(String, ResourceProfile)>,
+    rng: Prng,
+}
+
+impl Mirrored {
+    fn profile(&mut self) -> ResourceProfile {
+        ResourceProfile {
+            memory_mb: 32.0 + self.rng.uniform() * 4096.0,
+            gflops: 0.5 + self.rng.uniform() * 40.0,
+            latency_ms: 1.0 + self.rng.uniform() * 90.0,
+        }
     }
-    idx.insert(
+
+    fn insert(&mut self, key: String, profile: ResourceProfile) {
+        self.index.insert(key.clone(), profile);
+        match self.naive.iter_mut().find(|(k, _)| *k == key) {
+            Some(entry) => entry.1 = profile,
+            None => self.naive.push((key.clone(), profile)),
+        }
+        self.check(&key);
+    }
+
+    fn remove(&mut self, key: &str) {
+        let held = self.naive.iter().any(|(k, _)| k == key);
+        self.naive.retain(|(k, _)| k != key);
+        assert_eq!(self.index.remove(key), held, "remove({key})");
+        self.check(key);
+    }
+
+    /// `profile_of` on the key just touched and on a random one, and a
+    /// range query under random bounds, against scans of the list.
+    fn check(&mut self, touched: &str) {
+        assert_eq!(self.index.len(), self.naive.len());
+        for key in [touched.to_string(), key(self.rng.index(KEYS))] {
+            let want = self.naive.iter().find(|(k, _)| *k == key).map(|(_, p)| p);
+            assert_eq!(self.index.profile_of(&key), want, "profile_of({key})");
+        }
+        let bounds = self.profile();
+        let constraint = ResourceConstraint {
+            max_memory_mb: Some(bounds.memory_mb),
+            max_gflops: (self.rng.uniform() < 0.5).then_some(bounds.gflops),
+            max_latency_ms: (self.rng.uniform() < 0.5).then_some(bounds.latency_ms),
+        };
+        let mut want: Vec<&str> = self
+            .naive
+            .iter()
+            .filter(|(_, p)| constraint.admits(p))
+            .map(|(k, _)| k.as_str())
+            .collect();
+        want.sort_unstable();
+        assert_eq!(self.index.query(&constraint), want, "{constraint:?}");
+    }
+}
+
+/// The index the query grid runs over, with the list it mirrors.
+fn resource_index() -> (ResourceIndex, Vec<(String, ResourceProfile)>) {
+    let mut m = Mirrored {
+        index: ResourceIndex::default(),
+        naive: Vec::new(),
+        rng: Prng::seed_from_u64(17),
+    };
+    // Seeded churn over the whole universe: an insert lands on an absent
+    // key (an insert, or the re-adding of a removed one) or on a present
+    // one (a duplicate insert, which replaces); a remove on either.
+    for _ in 0..2 * KEYS {
+        let k = key(m.rng.index(KEYS));
+        if m.rng.uniform() < 0.4 {
+            m.remove(&k);
+        } else {
+            let p = m.profile();
+            m.insert(k, p);
+        }
+    }
+    // Then the shape the candidate lists are wired to.
+    for i in 0..KEYS {
+        let p = m.profile();
+        m.insert(key(i), p);
+    }
+    m.insert(
         key(TWICE),
         ResourceProfile {
             memory_mb: 0.1,
@@ -64,18 +137,28 @@ fn resource_index() -> ResourceIndex {
         },
     );
     for i in (0..KEYS).filter(|i| removed(*i)) {
-        assert!(idx.remove(&key(i)));
+        m.remove(&key(i));
     }
-    idx.insert(key(REINSERTED), profile());
-    assert_eq!(idx.slot_count(), KEYS + 1, "no compaction, no growth");
-    let audit = idx.entries_audit();
+    let p = m.profile();
+    m.insert(key(REINSERTED), p);
     assert_eq!(
-        (audit[3].0, audit[3].2),
-        (key(REINSERTED).as_str(), false),
-        "the reinserted key took the lowest freed slot"
+        m.index.len(),
+        KEYS - (0..KEYS).filter(|i| removed(*i)).count() + 1
     );
-    assert!(audit.iter().filter(|(_, _, dead)| *dead).count() > 400);
-    idx
+
+    // The bytes are those of a fresh build of the survivors, in both
+    // encodings, whatever order the survivors arrive in.
+    let fresh: ResourceIndex = m.naive.iter().rev().cloned().collect();
+    assert_eq!(
+        serde_json::to_string(&m.index).unwrap(),
+        serde_json::to_string(&fresh).unwrap()
+    );
+    let no_models = SemanticIndex::new(SemanticIndexConfig::default(), 1);
+    assert_eq!(
+        somb::encode(&no_models, &m.index, None),
+        somb::encode(&no_models, &fresh, None)
+    );
+    (m.index, m.naive)
 }
 
 fn semantic_index() -> SemanticIndex {
@@ -121,19 +204,19 @@ fn dim_of(p: &ResourceProfile, dim: ResourceDim) -> f64 {
 }
 
 /// The definition of a query's answer: the reference's candidates at or
-/// above the threshold, each with the profile of the first live slot
-/// holding its key (the reference's own for a synthesized model), kept
-/// if that profile is within every bound, stably sorted, truncated.
-/// `None` when the reference has no live profile.
+/// above the threshold, each with the profile its key holds (the
+/// reference's own for a synthesized model), kept if that profile is
+/// within every bound, stably sorted, truncated. `None` when the
+/// reference has no profile.
 fn oracle(
     semantic: &SemanticIndex,
-    first_live: &HashMap<&str, ResourceProfile>,
+    profiles: &HashMap<&str, ResourceProfile>,
     query: &Query,
 ) -> Option<Vec<QueryResult>> {
     let RefSpec::Named(reference) = &query.reference else {
         unreachable!("the grid names its references")
     };
-    let ref_profile = *first_live.get(reference.as_str())?;
+    let ref_profile = *profiles.get(reference.as_str())?;
     let bounds: Vec<(ResourceDim, f64)> = query
         .predicates
         .iter()
@@ -152,7 +235,7 @@ fn oracle(
         .filter_map(|c| {
             let profile = match c.kind {
                 CandidateKind::Synthesized { .. } => ref_profile,
-                _ => *first_live.get(c.key.as_str())?,
+                _ => *profiles.get(c.key.as_str())?,
             };
             bounds
                 .iter()
@@ -184,7 +267,8 @@ fn oracle(
 
 #[test]
 fn query_results_equal_the_naive_oracle_on_a_churned_index() {
-    let (semantic, resource) = (semantic_index(), resource_index());
+    let (resource, naive) = resource_index();
+    let semantic = semantic_index();
     let engine = Sommelier::assemble_from_snapshot(
         Arc::new(InMemoryRepository::new()),
         SommelierConfig::default(),
@@ -197,15 +281,14 @@ fn query_results_equal_the_naive_oracle_on_a_churned_index() {
     );
     let readers = [engine.reader().with_pool(1), engine.reader().with_pool(4)];
     let semantic = engine.semantic_index();
-    let audit = engine.resource_index().entries_audit();
-    let mut first_live: HashMap<&str, ResourceProfile> = HashMap::new();
-    for (key, profile, dead) in &audit {
-        if !dead {
-            first_live.entry(*key).or_insert(**profile);
-        }
-    }
-    assert!(first_live[key(TWICE).as_str()].memory_mb >= 32.0);
-    assert!(!first_live.contains_key(key(GONE).as_str()));
+    let profiles: HashMap<&str, ResourceProfile> =
+        naive.iter().map(|(k, p)| (k.as_str(), *p)).collect();
+    assert_eq!(
+        profiles[key(TWICE).as_str()].memory_mb,
+        0.1,
+        "the second insert replaced"
+    );
+    assert!(!profiles.contains_key(key(GONE).as_str()));
 
     let on = |dim, value: BoundValue| ResourcePredicate { dim, value };
     let bound_sets: Vec<Vec<ResourcePredicate>> = vec![
@@ -243,7 +326,7 @@ fn query_results_equal_the_naive_oracle_on_a_churned_index() {
                             selection,
                             exec_spec: BTreeMap::new(),
                         };
-                        let want = oracle(semantic, &first_live, &query);
+                        let want = oracle(semantic, &profiles, &query);
                         for reader in &readers {
                             let got = reader.query_ast(&query);
                             match (&want, got) {
@@ -278,7 +361,7 @@ fn query_results_equal_the_naive_oracle_on_a_churned_index() {
     assert!(non_empty * 5 > queries, "{non_empty} of {queries} non-empty");
     let all = oracle(
         semantic,
-        &first_live,
+        &profiles,
         &Query::corr(key(MAIN)).top(64).within(0.0),
     )
     .expect("the main reference is live");
