@@ -89,11 +89,6 @@ fn engine_config(flags: &[(&str, &str)]) -> Result<SommelierConfig, String> {
                     .parse()
                     .map_err(|_| format!("--jobs needs an integer, got '{value}'"))?;
             }
-            "cache-cap" => {
-                cfg.cache_cap = value
-                    .parse()
-                    .map_err(|_| format!("--cache-cap needs an integer, got '{value}'"))?;
-            }
             _ => return Err(format!("unknown flag --{name}")),
         }
     }
@@ -186,6 +181,21 @@ pub fn add(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// `sommelier export <dir> <key> <file>`
+///
+/// The inverse of `add`: loads `key` and writes it to `file` as the
+/// standalone model JSON `add` and `apply --add` read.
+pub fn export(args: &[String]) -> CmdResult {
+    let (positional, _) = split_flags(args)?;
+    let dir = repo_dir(&positional)?;
+    let key = positional.get(1).ok_or("missing model key argument")?;
+    let file = positional.get(2).ok_or("missing output file argument")?;
+    let model = open_repo(&dir)?.load(key).map_err(fail)?;
+    serde_model::save(&model, Path::new(file)).map_err(fail)?;
+    println!("exported '{key}' to {file}");
+    Ok(())
+}
+
 /// `sommelier list <dir>`
 pub fn list(args: &[String]) -> CmdResult {
     let (positional, _) = split_flags(args)?;
@@ -230,8 +240,7 @@ pub fn show(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// `sommelier index <dir> [--sample N] [--no-segments] [--jobs N]
-/// [--cache-cap N]`
+/// `sommelier index <dir> [--sample N] [--no-segments] [--jobs N]`
 pub fn index(args: &[String]) -> CmdResult {
     let (positional, flags) = split_flags(args)?;
     let dir = repo_dir(&positional)?;
@@ -247,15 +256,10 @@ pub fn index(args: &[String]) -> CmdResult {
         engine.jobs(),
         snapshot_path(&dir).display()
     );
-    let stats = engine.cache_stats();
-    println!(
-        "pairwise cache: {} hit(s), {} miss(es), {} entrie(s) (cap {})",
-        stats.hits, stats.misses, stats.entries, stats.capacity
-    );
     Ok(())
 }
 
-/// `sommelier apply <dir> [--add FILE]... [--remove KEY]... [--jobs N] [--cache-cap N]`
+/// `sommelier apply <dir> [--add FILE]... [--remove KEY]... [--jobs N]`
 ///
 /// Batched mutation against an existing index: every `--add` and
 /// `--remove` coalesces into one [`MutationBatch`] applied as a single
@@ -396,7 +400,7 @@ fn print_result_table(results: &[sommelier_query::QueryResult]) {
     }
 }
 
-/// `sommelier query <dir> <query-text> [--jobs N] [--cache-cap N]
+/// `sommelier query <dir> <query-text> [--jobs N]
 /// [--threads N] [--repeat K] [--format text|json]`
 ///
 /// `--repeat K` runs the query K times through the batched lock-free
@@ -781,14 +785,14 @@ pub fn fsck(args: &[String]) -> CmdResult {
 
 /// `sommelier dedup <dir>`
 ///
-/// Migrates a flat store to chunked delta storage in place. Every model
-/// becomes a manifest over content-addressed tensor chunks; models that
-/// carry a `base` metadata hint naming another stored model become
-/// sparse deltas against that base (dangling or cyclic hints degrade to
-/// full manifests). Each key cuts over atomically — the flat file is
-/// removed only after its manifest and chunks are durable, and a crash
-/// mid-migration leaves every model loadable from one format or the
-/// other. Running it again is a no-op for already-chunked keys.
+/// Migrates a legacy store's flat `*.model.json` files to what publish
+/// writes today: a manifest over content-addressed tensor chunks, a
+/// sparse delta when the model's `base` metadata hint names another
+/// stored model (dangling or cyclic hints degrade to full manifests).
+/// Each key cuts over atomically — the flat file is removed only after
+/// its manifest and chunks are durable, and a crash mid-migration
+/// leaves every model loadable from one format or the other. A store
+/// with no flat file is left untouched.
 pub fn dedup(args: &[String]) -> CmdResult {
     let (positional, flags) = split_flags(args)?;
     if let Some((name, _)) = flags.first() {
@@ -805,17 +809,19 @@ pub fn dedup(args: &[String]) -> CmdResult {
         stats.delta,
         stats.skipped
     );
-    println!(
-        "model storage {} → {} bytes ({:.2}x size cut)",
-        stats.bytes_before,
-        stats.bytes_after,
-        stats.size_cut()
-    );
+    if stats.full + stats.delta > 0 {
+        println!(
+            "model storage {} → {} bytes ({:.2}x size cut)",
+            stats.bytes_before,
+            stats.bytes_after,
+            stats.size_cut()
+        );
+    }
     Ok(())
 }
 
 /// `sommelier serve <dir> [--addr A] [--workers N] [--queue-depth D]
-/// [--tenants FILE] [--jobs N] [--cache-cap N] [--sample N]
+/// [--tenants FILE] [--jobs N] [--sample N]
 /// [--no-segments]`
 ///
 /// Opens the repository's engine once and serves it over TCP until a

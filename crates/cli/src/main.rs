@@ -1,8 +1,8 @@
 //! `sommelier` — command-line interface to the Sommelier query engine.
 //!
-//! A repository is a directory of `*.model.json` files (the bare-bone
-//! filesystem of paper Section 2.1); the indices live next to them in
-//! `sommelier.index.json`. Typical session:
+//! A repository is a directory of per-key manifests over shared tensor
+//! chunks (the bare-bone publish/load store of paper Section 2.1); the
+//! indices live next to them in `sommelier.index.json`. Typical session:
 //!
 //! ```sh
 //! sommelier init hub/
@@ -29,11 +29,12 @@ COMMANDS:
     seed   <dir> [--series N] [--seed S]
                                         populate with synthetic zoo series
     add    <dir> <model.json> [--key K] publish a model file
+    export <dir> <key> <model.json>     write a stored model to a file
     list   <dir>                        list stored model keys
     show   <dir> <key>                  metadata + resource profile
-    index  <dir> [--sample N] [--no-segments] [--jobs N] [--cache-cap N]
+    index  <dir> [--sample N] [--no-segments] [--jobs N]
                                         build and persist the indices
-    apply  <dir> [--add FILE]... [--remove KEY]... [--jobs N] [--cache-cap N]
+    apply  <dir> [--add FILE]... [--remove KEY]... [--jobs N]
                                         batched mutation of an existing
                                         index: all adds and removes
                                         coalesce into one analysis
@@ -82,14 +83,14 @@ COMMANDS:
                                         (works on its own: without
                                         --repair it only prunes an
                                         earlier run's quarantines)
-    dedup  <dir>                        migrate a flat store to chunked
-                                        delta storage in place: models
-                                        become manifests over content-
-                                        addressed chunks, fine-tunes
-                                        (metadata key 'base') become
+    dedup  <dir>                        migrate a legacy store's flat
+                                        *.model.json files to what
+                                        publish writes: manifests over
+                                        content-addressed chunks, fine-
+                                        tunes (metadata key 'base') as
                                         sparse deltas against their base
     serve  <dir> [--addr A] [--workers N] [--queue-depth D]
-           [--tenants FILE] [--jobs N] [--cache-cap N]
+           [--tenants FILE] [--jobs N]
                                         long-running TCP query daemon
                                         (line-delimited JSON protocol):
                                         one engine, per-connection
@@ -121,6 +122,7 @@ fn main() -> ExitCode {
         "init" => commands::init(rest),
         "seed" => commands::seed(rest),
         "add" => commands::add(rest),
+        "export" => commands::export(rest),
         "list" => commands::list(rest),
         "show" => commands::show(rest),
         "index" => commands::index(rest),

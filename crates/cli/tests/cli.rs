@@ -263,16 +263,8 @@ fn apply_coalesces_mutations_into_one_epoch_bump() {
 
     // Replace one key in place and drop another: one batch, one epoch.
     let export = dir.join("replacement.json");
-    let stored = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .find(|e| {
-            e.file_name()
-                .to_string_lossy()
-                .starts_with(&format!("{}.", keys[0]))
-        })
-        .expect("stored model file for first key");
-    std::fs::copy(stored.path(), &export).unwrap();
+    let out = run(&["export", d, &keys[0], export.to_str().unwrap()]);
+    assert!(out.status.success(), "export failed: {}", stderr(&out));
     let out = run(&[
         "apply",
         d,
@@ -319,19 +311,20 @@ fn add_rejects_missing_file_and_duplicate_keys() {
     assert!(out.status.success());
     let listing = stdout(&run(&["list", d]));
     let first = listing.lines().next().expect("seeded").to_string();
-    // Export by copying the stored file, then re-add under a new key.
-    let src = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .find(|e| e.file_name().to_string_lossy().ends_with(".model.json"))
-        .expect("stored model file");
+    // `export` a stored model, then re-add it under a new key: the two
+    // keys hold the same content.
     let copy = dir.join("export.json");
-    std::fs::copy(src.path(), &copy).unwrap();
+    let out = run(&["export", d, &first, copy.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!run(&["export", d, "no-such-model", copy.to_str().unwrap()]).status.success());
     let out = run(&["add", d, copy.to_str().unwrap(), "--key", "reimported"]);
     assert!(out.status.success(), "{}", stderr(&out));
+    use sommelier_repo::{ModelRepository, OnDiskRepository};
+    let repo = OnDiskRepository::open(&dir).unwrap();
+    let fingerprint = |key: &str| sommelier_graph::Fingerprint::of_model(&repo.load(key).unwrap());
+    assert_eq!(fingerprint(&first), fingerprint("reimported"));
     let out = run(&["add", d, copy.to_str().unwrap(), "--key", "reimported"]);
     assert!(!out.status.success(), "duplicate key must fail");
-    let _ = first;
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -346,12 +339,16 @@ fn dedup_migrates_in_place_and_fsck_checks_chunks() {
     assert!(!keys.is_empty());
     let shown_before = stdout(&run(&["show", d, &keys[0]]));
 
-    // Migrate to chunked storage: flat files disappear, chunks appear,
-    // and the store still fscks clean and serves the same models.
+    // A seeded hub is chunked already; a legacy one holds flat files.
+    // Plant one (an exported model under its stored name wins on load)
+    // and migrate: the flat file disappears, and the store still fscks
+    // clean and serves the same models.
+    assert!(dir.join("chunks").is_dir());
+    let flat = dir.join(format!("{}.model.json", keys[0]));
+    assert!(run(&["export", d, &keys[0], flat.to_str().unwrap()]).status.success());
     let out = run(&["dedup", d]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("size cut"), "{}", stdout(&out));
-    assert!(dir.join("chunks").is_dir());
     let flat_left = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(Result::ok)

@@ -24,23 +24,18 @@
 //!   (Section 4.2, steps i–iii), plus actual segment replacement surgery;
 //! * [`modeldiff`] — the ModelDiff baseline (testing-based cosine
 //!   similarity over decision distance vectors) compared against in
-//!   Section 7.2 / Figure 11;
-//! * [`paircache`] — a concurrency-safe memoized cache of pairwise
-//!   analysis results, so reindexing and repeated queries never recompute
-//!   an equivalence bound.
+//!   Section 7.2 / Figure 11.
 
 pub mod assessment;
 pub mod explain;
 pub mod genbound;
 pub mod iocheck;
 pub mod modeldiff;
-pub mod paircache;
 pub mod propagation;
 pub mod segment;
 pub mod whole;
 
 pub use explain::{explain, Explanation};
-pub use paircache::{CacheStats, PairKey, PairKind, PairwiseCache};
 pub use genbound::GenBoundConfig;
 pub use iocheck::{check_io, IoCompat};
 pub use segment::MatchedSegment;

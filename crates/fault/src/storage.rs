@@ -62,6 +62,13 @@ pub trait Storage: Send + Sync {
     /// File names (not paths) of a directory's entries.
     fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
 
+    /// Size of a file in bytes. Provided as the length of a full
+    /// [`Storage::read`], so a backend of primitives alone answers it;
+    /// the filesystem backend asks for the metadata instead.
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        self.read(path).map(|bytes| bytes.len() as u64)
+    }
+
     /// Durably replace `path` with `bytes`: write a temp sibling,
     /// fsync it, rename it over the destination. A crash at any
     /// primitive leaves either the old file or the new file at `path`
@@ -152,6 +159,10 @@ impl Storage for StdStorage {
 
     fn exists(&self, path: &Path) -> bool {
         path.exists()
+    }
+
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        fs::metadata(path).map(|m| m.len())
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {

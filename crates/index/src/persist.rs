@@ -97,13 +97,10 @@ pub const STATS_VERSION: u32 = 2;
 
 /// Content-derived metrics header written alongside the indices.
 ///
-/// Every field is a pure function of the index *contents* — deliberately
-/// excluding live pairwise-cache hit/miss counters, whose values depend
-/// on the build schedule (a racing parallel build may compute a pair
-/// twice where a sequential one hits the cache). Keeping the header
-/// schedule-independent preserves the invariant that the snapshot file
-/// is byte-identical at any `--jobs` / `--cache-cap` setting. Counters
-/// are `i64` so audit tooling can detect hand-edited negative values.
+/// Every field is a pure function of the index *contents*, never of
+/// the build schedule: that keeps the snapshot file byte-identical at
+/// any `--jobs` setting. Counters are `i64` so audit tooling can detect
+/// hand-edited negative values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotStats {
     /// Version of this header's schema.

@@ -126,32 +126,6 @@ pub trait PairAnalyzer: Sync {
         let _ = (host, donor);
         None
     }
-
-    /// Optimistic memoized lookup of [`PairAnalyzer::whole_diff`], keyed
-    /// by content fingerprints alone. `Some(result)` means the analyzer
-    /// can answer without either model being materialized — the
-    /// inner `Option<f64>` carries the same meaning as `whole_diff`'s
-    /// return. `None` means "not memoized: resolve the models and run the
-    /// full analysis". The default (no memoization) always falls through.
-    ///
-    /// Index construction consults this before resolving pair models, so
-    /// a warm memo turns a reindex sweep over an unchanged repository
-    /// into pure fingerprint lookups.
-    fn cached_whole_diff(
-        &self,
-        reference: Fingerprint,
-        candidate: Fingerprint,
-    ) -> Option<Option<f64>> {
-        let _ = (reference, candidate);
-        None
-    }
-
-    /// Memoized counterpart of [`PairAnalyzer::segment_diff`]; same
-    /// contract as [`PairAnalyzer::cached_whole_diff`].
-    fn cached_segment_diff(&self, host: Fingerprint, donor: Fingerprint) -> Option<Option<f64>> {
-        let _ = (host, donor);
-        None
-    }
 }
 
 /// A key-resolving closure handed to insertion. `Sync` because resolution
@@ -196,7 +170,7 @@ struct Entry {
 /// `lo → hi` direction (reference `lo`), `seg_fwd` is host `lo` / donor
 /// `hi`. An all-`None` measurement still marks the pair *attempted*,
 /// which blocks transitive derivation through it.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct EdgeMeasurement {
     fwd: Option<f64>,
     rev: Option<f64>,
@@ -853,60 +827,28 @@ impl SemanticIndex {
             drops.sort_unstable();
             drops.dedup();
             // Analyze newly-attempted pairs — the only expensive step —
-            // one task per pair. The memo fast path answers warm sweeps
-            // without materializing either model; an unresolvable pair
-            // is still recorded as attempted (all-`None`).
+            // one task per pair. An unresolvable pair is still recorded
+            // as attempted (all-`None`).
             let batch_models: HashMap<u64, &Model> = models
                 .iter()
                 .zip(&add_fps)
                 .map(|(m, fp)| (*fp, m))
                 .collect();
             let segments = self.config.segments;
-            measured = pool.par_map(&adds, |&(lo, hi)| {
-                let c_fwd = analyzer.cached_whole_diff(Fingerprint(lo), Fingerprint(hi));
-                let c_rev = analyzer.cached_whole_diff(Fingerprint(hi), Fingerprint(lo));
-                let c_sf = if segments {
-                    analyzer.cached_segment_diff(Fingerprint(lo), Fingerprint(hi))
-                } else {
-                    Some(None)
-                };
-                let c_sr = if segments {
-                    analyzer.cached_segment_diff(Fingerprint(hi), Fingerprint(lo))
-                } else {
-                    Some(None)
-                };
-                if let (Some(fwd), Some(rev), Some(seg_fwd), Some(seg_rev)) =
-                    (c_fwd, c_rev, c_sf, c_sr)
-                {
-                    return EdgeMeasurement {
-                        fwd,
-                        rev,
-                        seg_fwd,
-                        seg_rev,
-                    };
-                }
-                let lo_m: Option<Cow<'_, Model>> = batch_models
-                    .get(&lo)
+            let model_of = |fp: u64| -> Option<Cow<'_, Model>> {
+                batch_models
+                    .get(&fp)
                     .map(|m| Cow::Borrowed(*m))
-                    .or_else(|| resolve(ranking.key(lo)).map(Cow::Owned));
-                let hi_m: Option<Cow<'_, Model>> = batch_models
-                    .get(&hi)
-                    .map(|m| Cow::Borrowed(*m))
-                    .or_else(|| resolve(ranking.key(hi)).map(Cow::Owned));
-                match (lo_m, hi_m) {
-                    (Some(a), Some(b)) => EdgeMeasurement {
-                        fwd: c_fwd.unwrap_or_else(|| analyzer.whole_diff(&a, &b)),
-                        rev: c_rev.unwrap_or_else(|| analyzer.whole_diff(&b, &a)),
-                        seg_fwd: c_sf.unwrap_or_else(|| analyzer.segment_diff(&a, &b)),
-                        seg_rev: c_sr.unwrap_or_else(|| analyzer.segment_diff(&b, &a)),
-                    },
-                    _ => EdgeMeasurement {
-                        fwd: c_fwd.flatten(),
-                        rev: c_rev.flatten(),
-                        seg_fwd: c_sf.flatten(),
-                        seg_rev: c_sr.flatten(),
-                    },
-                }
+                    .or_else(|| resolve(ranking.key(fp)).map(Cow::Owned))
+            };
+            measured = pool.par_map(&adds, |&(lo, hi)| match (model_of(lo), model_of(hi)) {
+                (Some(a), Some(b)) => EdgeMeasurement {
+                    fwd: analyzer.whole_diff(&a, &b),
+                    rev: analyzer.whole_diff(&b, &a),
+                    seg_fwd: segments.then(|| analyzer.segment_diff(&a, &b)).flatten(),
+                    seg_rev: segments.then(|| analyzer.segment_diff(&b, &a)).flatten(),
+                },
+                _ => EdgeMeasurement::default(),
             });
         }
         counters::add("index.models_indexed", models.len() as u64);

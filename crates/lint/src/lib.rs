@@ -110,7 +110,7 @@ impl LintContext {
     }
 
     /// Load a context from an on-disk repository directory: every
-    /// readable `*.model.json`, the index snapshot (if present), and
+    /// model that loads, the index snapshot (if present), and
     /// file modification times. Unreadable artifacts become
     /// `load_diagnostics` instead of hard failures — a corrupt snapshot
     /// is precisely what the lint layer exists to report.

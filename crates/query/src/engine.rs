@@ -13,10 +13,8 @@
 //! (with the per-model architecture factor of the generalization bound
 //! cached by fingerprint), and segment analysis via `assess_replacement`.
 //! The analyzer is thread-safe: analyses run concurrently during index
-//! construction, results are memoized in a shared
-//! [`PairwiseCache`](sommelier_equiv::PairwiseCache) keyed by model
-//! fingerprints and a configuration hash, and any randomness is seeded
-//! per pair so results never depend on call order.
+//! construction, and any randomness is seeded per pair so results never
+//! depend on call order.
 
 use crate::ast::{FinalSelection, Query, RefSpec};
 use crate::parser::{parse, ParseError};
@@ -25,7 +23,7 @@ use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
 use serde::Value;
 use sommelier_equiv::genbound::architecture_factor;
 use sommelier_equiv::whole::{AssessError, GenBoundMode};
-use sommelier_equiv::{assess_whole, EquivConfig, PairKey, PairKind, PairwiseCache};
+use sommelier_equiv::{assess_whole, EquivConfig};
 use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::semantic::SemanticIndexConfig;
 use sommelier_index::{CandidateKind, PairAnalyzer, ResourceIndex, SemanticIndex};
@@ -67,9 +65,6 @@ pub struct SommelierConfig {
     /// `1` = fully sequential (bit-for-bit reference behavior), `0` =
     /// auto-detect available parallelism.
     pub jobs: usize,
-    /// Pairwise-analysis cache capacity in entries; `0` disables
-    /// memoization entirely.
-    pub cache_cap: usize,
     /// Plan/result cache capacity in entries (the read path's memo of
     /// resolved plans and result sets, keyed by normalized query text
     /// and snapshot epoch); `0` disables query caching.
@@ -86,7 +81,6 @@ impl Default for SommelierConfig {
             exec_setting: ExecSetting::default_cpu(),
             seed: 0x50_4d_4d_31,
             jobs: 1,
-            cache_cap: 4096,
             query_cache_cap: 1024,
         }
     }
@@ -202,69 +196,34 @@ impl SnapshotRecovery {
 /// The production pairwise analyzer.
 ///
 /// Thread-safe ([`Sync`]): probe batches and architecture factors are
-/// memoized behind mutexes, expensive analysis results go through a
-/// shared [`PairwiseCache`] keyed by `(fingerprint_a, fingerprint_b,
-/// kind, config_hash)`, and segment-replacement randomness is seeded per
-/// pair from the model fingerprints — so the analyzer returns the same
-/// answer for a pair no matter which worker asks, or in what order.
+/// memoized behind mutexes, and segment-replacement randomness is
+/// seeded per pair from the model fingerprints — so the analyzer
+/// returns the same answer for a pair no matter which worker asks, or
+/// in what order.
 pub struct EquivAnalyzer {
     equiv: EquivConfig,
     segment_epsilon: f64,
     validation_rows: usize,
     probes: Mutex<HashMap<usize, Tensor>>,
     arch_factors: Mutex<HashMap<Fingerprint, f64>>,
-    cache: Arc<PairwiseCache>,
-    /// Hash of every knob that influences analysis results; part of the
-    /// cache key so entries can never leak across configurations.
-    config_hash: u64,
     seed: u64,
 }
 
 impl EquivAnalyzer {
-    /// Create an analyzer with the given settings and no memoization
-    /// (a disabled cache). Use [`EquivAnalyzer::with_cache`] to share a
-    /// cache with the engine.
     pub fn new(
         equiv: EquivConfig,
         segment_epsilon: f64,
         validation_rows: usize,
         seed: u64,
     ) -> Self {
-        let gb = match equiv.genbound {
-            GenBoundMode::Off => [0u64; 4],
-            GenBoundMode::On(c) => [
-                1,
-                c.constant.to_bits(),
-                c.gamma.to_bits(),
-                c.concentration.to_bits(),
-            ],
-        };
-        let config_hash = mix64(&[
-            equiv.epsilon.to_bits(),
-            gb[0],
-            gb[1],
-            gb[2],
-            gb[3],
-            segment_epsilon.to_bits(),
-            validation_rows as u64,
-            seed,
-        ]);
         EquivAnalyzer {
             equiv,
             segment_epsilon,
             validation_rows,
             probes: Mutex::new(HashMap::new()),
             arch_factors: Mutex::new(HashMap::new()),
-            cache: Arc::new(PairwiseCache::new(0)),
-            config_hash,
             seed,
         }
-    }
-
-    /// Attach a (shared) pairwise-analysis cache.
-    pub fn with_cache(mut self, cache: Arc<PairwiseCache>) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// The seeded probe batch for a given input width (cached).
@@ -306,27 +265,10 @@ impl EquivAnalyzer {
             .insert(fp, f);
         f
     }
-
-    fn pair_key_fp(&self, kind: PairKind, a: Fingerprint, b: Fingerprint) -> PairKey {
-        PairKey {
-            a: a.0,
-            b: b.0,
-            kind,
-            config_hash: self.config_hash,
-        }
-    }
-
-    fn pair_key(&self, kind: PairKind, a: &Model, b: &Model) -> PairKey {
-        self.pair_key_fp(kind, Fingerprint::of_model(a), Fingerprint::of_model(b))
-    }
 }
 
 impl PairAnalyzer for EquivAnalyzer {
     fn whole_diff(&self, reference: &Model, candidate: &Model) -> Option<f64> {
-        let key = self.pair_key(PairKind::Whole, reference, candidate);
-        if let Some(cached) = self.cache.get(&key) {
-            return cached;
-        }
         let probe = self.probe(reference.input_width());
         // Empirical difference without the (expensive, uncached) built-in
         // bound path; the bound term is recomposed from cached factors.
@@ -334,7 +276,7 @@ impl PairAnalyzer for EquivAnalyzer {
             epsilon: self.equiv.epsilon,
             genbound: GenBoundMode::Off,
         };
-        let result = match assess_whole(reference, candidate, &probe, &empirical_cfg) {
+        match assess_whole(reference, candidate, &probe, &empirical_cfg) {
             Ok(report) => {
                 let term = match self.equiv.genbound {
                     GenBoundMode::Off => 0.0,
@@ -348,16 +290,10 @@ impl PairAnalyzer for EquivAnalyzer {
                 Some(report.empirical_diff + term)
             }
             Err(AssessError::Incompatible(_)) | Err(AssessError::Exec(_)) => None,
-        };
-        self.cache.insert(key, result);
-        result
+        }
     }
 
     fn segment_diff(&self, host: &Model, donor: &Model) -> Option<f64> {
-        let key = self.pair_key(PairKind::Segment, host, donor);
-        if let Some(cached) = self.cache.get(&key) {
-            return cached;
-        }
         let probe = self.probe(host.input_width());
         // A small slice suffices for noise-injection estimation.
         let rows = probe.rows().min(16);
@@ -369,8 +305,9 @@ impl PairAnalyzer for EquivAnalyzer {
         };
         // Per-pair seeding: the noise draws are a pure function of
         // (analyzer seed, host, donor), never of analysis order.
-        let mut rng = Prng::seed_from_u64(mix64(&[self.seed, key.a, key.b, 0x5e6]));
-        let result = sommelier_equiv::assessment::assess_replacement(
+        let (host_fp, donor_fp) = (Fingerprint::of_model(host), Fingerprint::of_model(donor));
+        let mut rng = Prng::seed_from_u64(mix64(&[self.seed, host_fp.0, donor_fp.0, 0x5e6]));
+        sommelier_equiv::assessment::assess_replacement(
             host,
             donor,
             &small,
@@ -378,27 +315,15 @@ impl PairAnalyzer for EquivAnalyzer {
             &mut rng,
         )
         .ok()
-        .and_then(|assessment| assessment.equivalent.then_some(assessment.qor_diff));
-        self.cache.insert(key, result);
-        result
+        .and_then(|assessment| assessment.equivalent.then_some(assessment.qor_diff))
     }
+}
 
-    fn cached_whole_diff(
-        &self,
-        reference: Fingerprint,
-        candidate: Fingerprint,
-    ) -> Option<Option<f64>> {
-        // `peek` (not `get`): a memo miss falls through to the full
-        // `whole_diff` path, whose own `get` books the miss — peek
-        // counting too would double-book it.
-        self.cache
-            .peek(&self.pair_key_fp(PairKind::Whole, reference, candidate))
-    }
-
-    fn cached_segment_diff(&self, host: Fingerprint, donor: Fingerprint) -> Option<Option<f64>> {
-        self.cache
-            .peek(&self.pair_key_fp(PairKind::Segment, host, donor))
-    }
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CacheStatsShim {
+    pub hits: u64,
+    pub misses: u64,
 }
 
 /// An immutable, atomically published view of the engine's queryable
@@ -814,8 +739,6 @@ pub struct Sommelier {
     /// Worker pool for index construction and query execution
     /// (`config.jobs` lanes; one lane ⇒ everything runs inline).
     pool: Arc<ThreadPool>,
-    /// Memoized pairwise-analysis results, shared with the analyzer.
-    cache: Arc<PairwiseCache>,
     /// Publication epoch of the last published snapshot (a
     /// deterministic count of mutations, not a wall-clock artifact).
     epoch: u64,
@@ -858,7 +781,6 @@ impl Sommelier {
         let pool = Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
             config.jobs,
         )));
-        let cache = Arc::new(PairwiseCache::new(config.cache_cap));
         let published = Arc::new(RcuCell::new(Arc::new(EngineSnapshot {
             semantic: semantic.clone(),
             resource: resource.clone(),
@@ -880,14 +802,12 @@ impl Sommelier {
                 config.segment_epsilon,
                 config.validation_rows,
                 config.seed,
-            )
-            .with_cache(Arc::clone(&cache)),
+            ),
             default_refs,
             tasks,
             repo,
             config,
             pool,
-            cache,
             epoch,
             snapshot_format: None,
             reader,
@@ -959,11 +879,11 @@ impl Sommelier {
         self.reader.plan_cache_stats()
     }
 
-    /// Counters of the pairwise-analysis cache. Also publishes them to
-    /// the process-wide metrics registry (`pairwise_cache.*`).
-    pub fn cache_stats(&self) -> sommelier_equiv::CacheStats {
-        self.cache.publish_metrics();
-        self.cache.stats()
+    // Kept for `benchmark/src/curate.rs:491`, which no product PR may
+    // edit; delete with ROADMAP item 1.
+    #[doc(hidden)]
+    pub fn cache_stats(&self) -> CacheStatsShim {
+        CacheStatsShim::default()
     }
 
     /// Publish a model to the repository and index it.
@@ -1343,9 +1263,12 @@ mod tests {
     use sommelier_zoo::teacher::{DatasetBias, Teacher};
 
     fn engine_with_variants() -> (Sommelier, Vec<String>) {
+        variants_on(Arc::new(InMemoryRepository::new()))
+    }
+
+    fn variants_on(repo: Arc<dyn ModelRepository>) -> (Sommelier, Vec<String>) {
         let teacher = Teacher::for_task(TaskKind::ImageRecognition, 51);
         let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
-        let repo = Arc::new(InMemoryRepository::new());
         let mut cfg = SommelierConfig {
             validation_rows: 128,
             ..SommelierConfig::default()
@@ -1656,60 +1579,10 @@ mod tests {
         assert!(no_default.to_string().contains("no default reference"));
     }
 
-    #[test]
-    fn reindexing_is_incremental_and_publishes_once() {
-        let (mut engine, names) = engine_with_variants();
-        let before = engine.cache_stats();
-        assert_eq!(before.hits, 0, "first build analyzes only fresh pairs");
-        assert!(before.misses > 0, "analyses must register cache misses");
-        assert!(before.entries > 0);
-        let epoch_before = engine.epoch();
-        // Re-register an unchanged model: the remove and the re-insert
-        // coalesce into one batch, the edge table retains every
-        // measurement for the unchanged fingerprints, so the rebuild
-        // runs zero fresh analyses — and the whole logical mutation is
-        // exactly one snapshot publication (one epoch bump), not the
-        // historical remove-publish + insert-publish pair.
-        let model = engine.repo.load(&names[2]).unwrap();
-        engine.reregister(&model).unwrap();
-        let after = engine.cache_stats();
-        assert_eq!(after.misses, before.misses, "no new analyses were needed");
-        assert_eq!(
-            engine.epoch(),
-            epoch_before + 1,
-            "reregister is one logical mutation: exactly one publish"
-        );
-    }
-
-    #[test]
-    fn dropped_then_readded_model_is_served_from_the_pairwise_cache() {
-        // The one job the edge table cannot do for the pairwise cache:
-        // a drop as its own mutation kills the model's edges, so the
-        // later re-add re-attempts those pairs — and must find every
-        // one of them memoized, landing on the pre-drop state.
-        let (mut engine, names) = engine_with_variants();
-        let image = |engine: &Sommelier| {
-            let snap = engine.reader().snapshot();
-            let stats =
-                sommelier_index::persist::SnapshotStats::of(&snap.semantic, &snap.resource, 0);
-            sommelier_index::somb::encode(&snap.semantic, &snap.resource, Some(&stats))
-        };
-        for name in &names {
-            let model = engine.repo.load(name).unwrap();
-            let before = image(&engine);
-            assert!(engine.unregister(name));
-            let dropped = engine.cache_stats();
-            engine.reregister(&model).unwrap();
-            let readded = engine.cache_stats();
-            assert!(readded.hits > dropped.hits, "{name}: re-add must hit the cache");
-            assert_eq!(readded.misses, dropped.misses, "{name}: re-add re-analyzed a pair");
-            assert!(image(&engine) == before, "{name}: re-add drifted from the pre-drop state");
-        }
-    }
-
     /// A repository wrapper that counts `load` calls, so tests can
     /// assert a mutation path touched storage exactly as often as
     /// claimed (for unregister: never).
+    #[derive(Default)]
     struct CountingRepository {
         inner: InMemoryRepository,
         loads: std::sync::atomic::AtomicUsize,
@@ -1736,13 +1609,60 @@ mod tests {
     }
 
     #[test]
+    fn reindexing_is_incremental_and_publishes_once() {
+        let repo = Arc::new(CountingRepository::default());
+        let (mut engine, names) = variants_on(Arc::clone(&repo) as Arc<dyn ModelRepository>);
+        let model = repo.inner.load(&names[2]).unwrap();
+        let (loads_before, epoch_before) = (repo.loads(), engine.epoch());
+        // Re-register an unchanged model: the remove and the re-insert
+        // coalesce into one batch, the edge table retains every
+        // measurement for the unchanged fingerprints, so no partner is
+        // loaded, let alone analyzed — and the whole logical mutation
+        // is exactly one snapshot publication (one epoch bump), not the
+        // historical remove-publish + insert-publish pair.
+        engine.reregister(&model).unwrap();
+        assert_eq!(repo.loads(), loads_before, "no new analyses were needed");
+        assert_eq!(
+            engine.epoch(),
+            epoch_before + 1,
+            "reregister is one logical mutation: exactly one publish"
+        );
+    }
+
+    #[test]
+    fn dropped_then_readded_model_lands_on_the_pre_drop_image() {
+        // A drop as its own mutation kills the model's edges, so the
+        // later re-add re-attempts those pairs: at most its sample's
+        // worth of partners are loaded, and the measurements land on
+        // the pre-drop state byte for byte.
+        let repo = Arc::new(CountingRepository::default());
+        let (mut engine, names) = variants_on(Arc::clone(&repo) as Arc<dyn ModelRepository>);
+        let image = |engine: &Sommelier| {
+            let snap = engine.reader().snapshot();
+            let stats =
+                sommelier_index::persist::SnapshotStats::of(&snap.semantic, &snap.resource, 0);
+            sommelier_index::somb::encode(&snap.semantic, &snap.resource, Some(&stats))
+        };
+        for name in &names {
+            let model = repo.inner.load(name).unwrap();
+            let before = image(&engine);
+            assert!(engine.unregister(name));
+            let loads_before = repo.loads();
+            engine.reregister(&model).unwrap();
+            let loaded = repo.loads() - loads_before;
+            assert!(
+                loaded <= engine.config.index.sample_size,
+                "{name}: re-add loaded {loaded} partners"
+            );
+            assert!(image(&engine) == before, "{name}: re-add drifted from the pre-drop state");
+        }
+    }
+
+    #[test]
     fn unregister_rederives_defaults_without_storage_reads() {
         let teacher = Teacher::for_task(TaskKind::ImageRecognition, 51);
         let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
-        let repo = Arc::new(CountingRepository {
-            inner: InMemoryRepository::new(),
-            loads: std::sync::atomic::AtomicUsize::new(0),
-        });
+        let repo = Arc::new(CountingRepository::default());
         let mut cfg = SommelierConfig {
             validation_rows: 128,
             ..SommelierConfig::default()
@@ -1806,41 +1726,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_cache_cap_disables_memoization_without_changing_results() {
-        let repo = Arc::new(InMemoryRepository::new());
-        let teacher = Teacher::for_task(TaskKind::ImageRecognition, 51);
-        let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
-        let mut rng = Prng::seed_from_u64(5);
-        for i in 0..3 {
-            let mut frng = rng.fork();
-            let m = Family::Resnetish.build_scaled(
-                format!("m{i}"),
-                &teacher,
-                &bias,
-                &FamilyScale::new(1.0 - 0.2 * i as f64, 3, 0.01),
-                &mut frng,
-            );
-            repo.publish(&m.name, &m, false).unwrap();
-        }
-        let mut engine = Sommelier::connect(
-            Arc::clone(&repo) as Arc<dyn ModelRepository>,
-            SommelierConfig {
-                validation_rows: 64,
-                cache_cap: 0,
-                ..SommelierConfig::default()
-            },
-        );
-        engine.index_existing().unwrap();
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-        assert_eq!(engine.len(), 3);
-    }
-
-    #[test]
     fn index_build_is_byte_identical_across_job_counts() {
         let teacher = Teacher::for_task(TaskKind::ImageRecognition, 51);
         let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
-        let build = |jobs: usize, cache_cap: usize| -> String {
+        let build = |jobs: usize| -> String {
             let repo = Arc::new(InMemoryRepository::new());
             let mut rng = Prng::seed_from_u64(1);
             for (i, wf) in [1.25, 1.0, 0.75, 0.5, 0.6].into_iter().enumerate() {
@@ -1857,24 +1746,22 @@ mod tests {
             let mut cfg = SommelierConfig {
                 validation_rows: 64,
                 jobs,
-                cache_cap,
                 ..SommelierConfig::default()
             };
             cfg.index.sample_size = 3;
             let mut engine = Sommelier::connect(repo, cfg);
             engine.index_existing().unwrap();
-            let path = std::env::temp_dir().join(format!(
-                "somm-jobs-{jobs}-{cache_cap}-{}.json",
-                std::process::id()
-            ));
+            let path =
+                std::env::temp_dir().join(format!("somm-jobs-{jobs}-{}.json", std::process::id()));
             engine.save_indices(&path).unwrap();
             let bytes = std::fs::read_to_string(&path).unwrap();
             std::fs::remove_file(&path).ok();
             bytes
         };
-        let baseline = build(1, 0);
-        assert_eq!(build(4, 4096), baseline, "jobs=4 with cache diverged");
-        assert_eq!(build(8, 0), baseline, "jobs=8 without cache diverged");
+        let baseline = build(1);
+        for jobs in [4, 8] {
+            assert_eq!(build(jobs), baseline, "jobs={jobs} diverged");
+        }
     }
 
     #[test]

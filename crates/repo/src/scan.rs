@@ -647,9 +647,8 @@ mod tests {
     fn scan_reports_unreadable_files_and_corrupt_chunks() {
         use FindingKind::*;
         let (dir, repo) = temp_store("io");
-        repo.publish("flat", &model("flat"), false).unwrap();
-        repo.publish_chunked("chunked", &model("chunked"), false)
-            .unwrap();
+        repo.plant_flat("flat", &model("flat"));
+        repo.publish("chunked", &model("chunked"), false).unwrap();
         let clean = scan_store(&StdStorage, &dir).unwrap();
         assert!(clean.findings.is_empty(), "{:?}", clean.findings);
         assert_eq!(
@@ -690,7 +689,7 @@ mod tests {
         repo.publish_chunked("base", &base, false).unwrap();
         repo.publish_delta("v1", &base.renamed("v1"), "base", false)
             .unwrap();
-        repo.publish("keep", &model("keep"), false).unwrap();
+        repo.plant_flat("keep", &model("keep"));
         // Losing one of base's chunks loses base and, through the
         // chain, v1: fsck used to call the store clean right after
         // quarantining base.

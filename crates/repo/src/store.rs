@@ -177,12 +177,15 @@ pub fn decode_key(stem: &str) -> Option<String> {
     (encode_key(&key) == stem).then_some(key)
 }
 
-/// On-disk repository: one JSON model file per key under a root
-/// directory. Keys map to file names through the injective
-/// [`encode_key`] / [`decode_key`] pair, every publish goes through the
-/// crash-safe [`Storage`] composites (atomic rename for overwrites, an
-/// `O_EXCL`-style link for first publishes), and listing failures
-/// surface as [`RepoError::Storage`] instead of truncating silently.
+/// On-disk repository: one manifest per key under a root directory,
+/// over content-addressed chunks ([`crate::chunks`]). Keys map to file
+/// names through the injective [`encode_key`] / [`decode_key`] pair,
+/// every publish goes through the crash-safe [`Storage`] composites
+/// (atomic rename for overwrites, an `O_EXCL`-style link for first
+/// publishes), and listing failures surface as [`RepoError::Storage`]
+/// instead of truncating silently. A legacy store's flat
+/// `<key>.model.json` files stay readable ([`dedup_store`] migrates
+/// them); nothing here writes one.
 pub struct OnDiskRepository {
     root: PathBuf,
     storage: Arc<dyn Storage>,
@@ -255,18 +258,94 @@ impl OnDiskRepository {
             .map_err(|e| RepoError::Storage(format!("manifest for '{key}': {e}")))
     }
 
-    /// Publish a manifest under `key` and, for overwrites, retire the
+    /// What every publish does before it writes a chunk. Without
+    /// `overwrite`, a stored key is refused here (advisory: the link in
+    /// [`Self::cut_over`] arbitrates races) so the loser leaves no
+    /// orphaned chunks. With it, the deltas stored against `key` are
+    /// detached first — unless `model` is what `key` already loads to,
+    /// when they reconstruct as before.
+    fn make_way(&self, key: &str, model: &Model, overwrite: bool) -> Result<(), RepoError> {
+        if !overwrite {
+            return match self.stored_format(key) {
+                Some(_) => Err(RepoError::AlreadyExists { key: key.into() }),
+                None => Ok(()),
+            };
+        }
+        match self.load(key) {
+            Ok(stored) if stored == *model => Ok(()),
+            Err(RepoError::NotFound { .. }) => Ok(()),
+            _ => self.detach_dependents(key),
+        }
+    }
+
+    /// Republish every delta manifest whose base is `key` as a full
+    /// manifest of the model it loads to now: a delta carries no check
+    /// of its base's content, so replacing the base under it would
+    /// silently change what it reconstructs. Unchanged layers keep
+    /// sharing the base's chunks by content, and a crash between any two
+    /// ops leaves each dependent as its old delta on the old base or as
+    /// the full manifest — the same model. A dependent that does not
+    /// load fails the overwrite; a manifest that does not parse names no
+    /// base and is passed over. One listing plus one read per manifest.
+    fn detach_dependents(&self, key: &str) -> Result<(), RepoError> {
+        let names = self
+            .storage
+            .list(&self.root)
+            .map_err(|e| Self::storage_err(None, e))?;
+        for name in names {
+            let StoreEntry::Manifest(dependent) = classify(&name) else {
+                continue;
+            };
+            let on_key = |m: Manifest| m.base.as_deref() == Some(key);
+            if dependent != key && self.read_manifest(&dependent).is_ok_and(on_key) {
+                let model = self.load(&dependent)?;
+                let manifest = self.full_manifest(&dependent, &model)?;
+                self.cut_over(&dependent, &manifest, true)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn full_manifest(&self, key: &str, model: &Model) -> Result<Manifest, RepoError> {
+        chunks::encode_full(model, &self.chunk_store()).map_err(|e| Self::storage_err(Some(key), e))
+    }
+
+    /// A delta manifest of `model` against the stored `base_key`
+    /// (full when the two are not structurally aligned). Fails if the
+    /// base is absent or if the link would close a base-chain cycle
+    /// through `key`, which would make `key` unloadable.
+    fn delta_manifest(
+        &self,
+        key: &str,
+        model: &Model,
+        base_key: &str,
+    ) -> Result<Manifest, RepoError> {
+        let acyclic = base_chain_terminates(key, |cur| {
+            if cur == key {
+                Ok(Some(base_key.to_string())) // the link about to be written
+            } else if self.storage.exists(&self.path_for(cur)) {
+                Ok(None) // flat models never have a base
+            } else {
+                self.read_manifest(cur).map(|m| m.base)
+            }
+        })?;
+        if !acyclic {
+            return Err(RepoError::Storage(format!(
+                "publishing '{key}' with base '{base_key}' would create a delta cycle"
+            )));
+        }
+        let base = self.load(base_key)?;
+        chunks::encode_delta(model, base_key, &base, &self.chunk_store())
+            .map_err(|e| Self::storage_err(Some(key), e))
+    }
+
+    /// Land a manifest under `key` and, for overwrites, retire a legacy
     /// flat file. The ordering is the crash-safety argument: chunks
     /// are immutable and already durable, the manifest lands via one
     /// atomic rename/link, and — because [`ModelRepository::load`]
     /// prefers the flat file — removing it is the single atomic
     /// visibility flip from the old representation to the new one.
-    fn publish_manifest(
-        &self,
-        key: &str,
-        manifest: &Manifest,
-        overwrite: bool,
-    ) -> Result<(), RepoError> {
+    fn cut_over(&self, key: &str, manifest: &Manifest, overwrite: bool) -> Result<(), RepoError> {
         let path = self.manifest_path_for(key);
         let json = manifest.to_json();
         if overwrite {
@@ -288,19 +367,17 @@ impl OnDiskRepository {
         }
     }
 
-    /// Store a model as a full manifest over content-addressed chunks.
-    /// Load-back is byte-exact; callers of [`ModelRepository::load`]
-    /// cannot tell the difference.
+    /// Store a model as a full manifest over content-addressed chunks,
+    /// whatever its `base` hint says.
     pub fn publish_chunked(
         &self,
         key: &str,
         model: &Model,
         overwrite: bool,
     ) -> Result<(), RepoError> {
-        let store = self.chunk_store();
-        let manifest = chunks::encode_full(model, &store)
-            .map_err(|e| Self::storage_err(Some(key), e))?;
-        self.publish_manifest(key, &manifest, overwrite)
+        self.make_way(key, model, overwrite)?;
+        let manifest = self.full_manifest(key, model)?;
+        self.cut_over(key, &manifest, overwrite)
     }
 
     /// Store a model as a delta manifest against the already-stored
@@ -316,28 +393,9 @@ impl OnDiskRepository {
         base_key: &str,
         overwrite: bool,
     ) -> Result<(), RepoError> {
-        // Walk the base chain before writing anything: a manifest
-        // whose chain loops through `key` would make `key`
-        // unloadable.
-        let acyclic = base_chain_terminates(key, |cur| {
-            if cur == key {
-                Ok(Some(base_key.to_string())) // the link about to be written
-            } else if self.storage.exists(&self.path_for(cur)) {
-                Ok(None) // flat models never have a base
-            } else {
-                self.read_manifest(cur).map(|m| m.base)
-            }
-        })?;
-        if !acyclic {
-            return Err(RepoError::Storage(format!(
-                "publishing '{key}' with base '{base_key}' would create a delta cycle"
-            )));
-        }
-        let base = self.load(base_key)?;
-        let store = self.chunk_store();
-        let manifest = chunks::encode_delta(model, base_key, &base, &store)
-            .map_err(|e| Self::storage_err(Some(key), e))?;
-        self.publish_manifest(key, &manifest, overwrite)
+        self.make_way(key, model, overwrite)?;
+        let manifest = self.delta_manifest(key, model, base_key)?;
+        self.cut_over(key, &manifest, overwrite)
     }
 
     fn load_chain(&self, key: &str, visiting: &mut BTreeSet<String>) -> Result<Model, RepoError> {
@@ -373,6 +431,13 @@ impl OnDiskRepository {
             .map_err(|e| RepoError::Storage(format!("reconstructing '{key}': {e}")))
     }
 
+    /// Plant `model` under `key` as a legacy flat file, which nothing
+    /// outside tests writes any more.
+    #[cfg(test)]
+    pub(crate) fn plant_flat(&self, key: &str, model: &Model) {
+        std::fs::write(self.path_for(key), serde_model::to_json(model)).unwrap();
+    }
+
     /// Total bytes of model storage: flat files, manifests, and
     /// chunks. Index snapshots and stray files don't count — this is
     /// the quantity family-aware dedup is meant to shrink.
@@ -383,12 +448,12 @@ impl OnDiskRepository {
                 classify(&name),
                 StoreEntry::Model(_) | StoreEntry::Manifest(_) | StoreEntry::NonCanonical
             ) {
-                total += std::fs::metadata(self.root.join(&name))?.len();
+                total += self.storage.file_len(&self.root.join(&name))?;
             }
         }
         let chunk_dir = self.root.join(CHUNK_DIR);
         for name in chunks::list_chunk_dir(&*self.storage, &chunk_dir)? {
-            total += std::fs::metadata(chunk_dir.join(&name))?.len();
+            total += self.storage.file_len(&chunk_dir.join(&name))?;
         }
         Ok(total)
     }
@@ -398,7 +463,7 @@ impl OnDiskRepository {
 /// [`OnDiskRepository::stored_format`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoredFormat {
-    /// Standalone `.model.json` file.
+    /// Standalone `.model.json` file (legacy stores only).
     Flat,
     /// `.manifest.json` over content-addressed chunks.
     Chunked,
@@ -415,7 +480,8 @@ pub struct DedupStats {
     pub delta: usize,
     /// Keys that were already chunked (left untouched).
     pub skipped: usize,
-    /// Model-storage bytes before and after migration.
+    /// Model-storage bytes before and after migration (both zero when
+    /// there was nothing to migrate).
     pub bytes_before: u64,
     pub bytes_after: u64,
 }
@@ -431,95 +497,67 @@ impl DedupStats {
     }
 }
 
-/// Migrate a flat store to chunked/delta storage in place (the
-/// `sommelier dedup` engine). Models carrying a `base` metadata hint
-/// that names another stored key become delta manifests against it;
-/// everything else becomes a full manifest. Hints that dangle or form
-/// cycles degrade to full manifests rather than failing the migration.
-/// Each key cuts over atomically (manifest published, then the flat
-/// file removed), so a crash mid-migration leaves every key loadable.
+/// Migrate a legacy store's flat files to chunked/delta storage in
+/// place (the `sommelier dedup` engine): every flat key is loaded and
+/// published again, so [`ModelRepository::publish`] picks its
+/// representation as it would for a new model. Each key cuts over
+/// atomically (manifest published, then the flat file removed), so a
+/// crash mid-migration leaves every key loadable. A store with no flat
+/// file costs one directory listing.
 pub fn dedup_store(repo: &OnDiskRepository) -> Result<DedupStats, RepoError> {
-    let keys = repo.try_keys()?;
+    let names = repo
+        .storage
+        .list(&repo.root)
+        .map_err(|e| OnDiskRepository::storage_err(None, e))?;
+    let (mut flat, mut keys) = (BTreeSet::new(), BTreeSet::new());
+    for name in names {
+        match classify(&name) {
+            StoreEntry::Model(key) => {
+                flat.insert(key.clone());
+                keys.insert(key);
+            }
+            StoreEntry::Manifest(key) => {
+                keys.insert(key);
+            }
+            _ => {}
+        }
+    }
     let mut stats = DedupStats {
         models: keys.len(),
-        bytes_before: repo.model_bytes().map_err(|e| RepoError::Storage(e.to_string()))?,
+        skipped: keys.len() - flat.len(),
         ..DedupStats::default()
     };
-    let key_set: BTreeSet<&String> = keys.iter().collect();
-    // Resolve base hints up front, degrading dangling or cyclic hints
-    // to "no base" (full manifest).
-    let mut hints: BTreeMap<String, Option<String>> = BTreeMap::new();
-    for key in &keys {
-        let hint = repo
-            .load(key)
-            .ok()
-            .and_then(|m| m.metadata.get("base").cloned())
-            .filter(|b| b != key && key_set.contains(b));
-        hints.insert(key.clone(), hint);
+    if flat.is_empty() {
+        return Ok(stats);
     }
-    let hint_of = |cur: &str| Ok::<_, std::convert::Infallible>(hints.get(cur).cloned().flatten());
-    let cyclic: Vec<&String> = keys
-        .iter()
-        .filter(|key| base_chain_terminates(key, hint_of) == Ok(false))
-        .collect();
-    for key in cyclic {
-        hints.insert(key.clone(), None);
-    }
-    for key in &keys {
-        if repo.stored_format(key) == Some(StoredFormat::Chunked) {
-            stats.skipped += 1;
-            continue;
-        }
+    let sized = || repo.model_bytes().map_err(|e| RepoError::Storage(e.to_string()));
+    stats.bytes_before = sized()?;
+    for key in &flat {
         let model = repo.load(key)?;
-        match hints.get(key).and_then(Clone::clone) {
-            Some(base) => {
-                repo.publish_delta(key, &model, &base, true)?;
-                stats.delta += 1;
-            }
-            None => {
-                repo.publish_chunked(key, &model, true)?;
-                stats.full += 1;
-            }
+        repo.publish(key, &model, true)?;
+        match repo.read_manifest(key)?.base {
+            Some(_) => stats.delta += 1,
+            None => stats.full += 1,
         }
     }
-    stats.bytes_after = repo
-        .model_bytes()
-        .map_err(|e| RepoError::Storage(e.to_string()))?;
+    stats.bytes_after = sized()?;
     Ok(stats)
 }
 
 impl ModelRepository for OnDiskRepository {
+    /// Writes a delta manifest when `metadata["base"]` names another
+    /// stored key that `key` can delta against (see
+    /// [`OnDiskRepository::publish_delta`]), a full manifest otherwise:
+    /// a hint that dangles, names `key` itself, would close a cycle or
+    /// whose base cannot be read is no reason to refuse the model.
     fn publish(&self, key: &str, model: &Model, overwrite: bool) -> Result<(), RepoError> {
-        let path = self.path_for(key);
-        let json = serde_model::to_json(model);
-        // Both paths commit through a single atomic filesystem op
-        // (rename / hard link), so a crash leaves the old state or the
-        // new state — never torn JSON — and two racing non-overwrite
-        // publishes of one key cannot both succeed: the link is the
-        // arbiter, not an `exists()` probe.
-        let result = if overwrite {
-            self.storage.write_atomic(&path, json.as_bytes())
-        } else {
-            // Advisory cross-format probe: an existing manifest also
-            // means "this key is taken". Same-format races are still
-            // arbitrated by the link below.
-            if self.storage.exists(&self.manifest_path_for(key)) {
-                return Err(RepoError::AlreadyExists { key: key.into() });
-            }
-            self.storage.create_exclusive(&path, json.as_bytes())
+        self.make_way(key, model, overwrite)?;
+        let hint = model.metadata.get("base").filter(|base| *base != key);
+        let manifest = match hint.map(|base| self.delta_manifest(key, model, base)) {
+            Some(Ok(delta)) => delta,
+            _ => self.full_manifest(key, model)?,
         };
-        result.map_err(|e| Self::storage_err(Some(key), e))?;
-        if overwrite {
-            // The flat file now wins on load; a stale manifest from a
-            // prior chunked representation is retired as cleanup (its
-            // chunks become prunable orphans).
-            match self.storage.remove(&self.manifest_path_for(key)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(Self::storage_err(Some(key), e)),
-            }
-        }
-        Ok(())
+        self.cut_over(key, &manifest, overwrite)
     }
 
     fn load(&self, key: &str) -> Result<Model, RepoError> {
@@ -638,6 +676,7 @@ mod tests {
         let repo = OnDiskRepository::open(&dir).unwrap();
         let m = model("disk/one:v1");
         repo.publish("disk/one:v1", &m, false).unwrap();
+        assert_eq!(repo.stored_format("disk/one:v1"), Some(StoredFormat::Chunked));
         assert_eq!(repo.load("disk/one:v1").unwrap(), m);
         assert_eq!(repo.try_keys().unwrap(), vec!["disk/one:v1"]);
         std::fs::remove_dir_all(&dir).ok();
@@ -789,7 +828,7 @@ mod tests {
         let repo = OnDiskRepository::open(&dir).unwrap();
         let old = model("old");
         let new = perturbed(&old, "new", 1.0);
-        repo.publish("k", &old, false).unwrap();
+        repo.plant_flat("k", &old);
         // Simulate a crash after the manifest landed but before the
         // flat file was removed: write the manifest out-of-band.
         let cs = repo.chunk_store();
@@ -808,22 +847,106 @@ mod tests {
     }
 
     #[test]
-    fn flat_overwrite_retires_stale_manifest() {
+    fn overwrite_of_a_flat_key_leaves_a_manifest_and_no_flat_file() {
         let dir = temp_dir("retire");
         let repo = OnDiskRepository::open(&dir).unwrap();
         let m1 = model("m1");
         let m2 = perturbed(&m1, "m2", 2.0);
-        repo.publish_chunked("k", &m1, false).unwrap();
-        repo.publish("k", &m2, true).unwrap();
+        repo.plant_flat("k", &m1);
         assert_eq!(repo.stored_format("k"), Some(StoredFormat::Flat));
-        assert_eq!(repo.load("k").unwrap(), m2);
-        assert!(!dir.join("k.manifest.json").exists());
-        // And the exclusive flat publish refuses a chunked key.
-        repo.publish_chunked("other", &m1, false).unwrap();
+        // A flat key is taken, whatever would be written next to it.
         assert!(matches!(
-            repo.publish("other", &m1, false),
+            repo.publish("k", &m2, false),
             Err(RepoError::AlreadyExists { .. })
         ));
+        assert_eq!(repo.load("k").unwrap(), m1);
+        repo.publish("k", &m2, true).unwrap();
+        assert_eq!(repo.stored_format("k"), Some(StoredFormat::Chunked));
+        assert_eq!(repo.load("k").unwrap(), m2);
+        assert!(!dir.join(format!("k{MODEL_SUFFIX}")).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn hinted(mut m: Model, base: &str) -> Model {
+        m.metadata.insert("base".into(), base.into());
+        m
+    }
+
+    fn base_of(repo: &OnDiskRepository, key: &str) -> Option<String> {
+        repo.read_manifest(key).unwrap().base
+    }
+
+    #[test]
+    fn publish_deltas_by_the_base_hint_and_degrades_to_full() {
+        let dir = temp_dir("hint");
+        let repo = OnDiskRepository::open(&dir).unwrap();
+        // `a` hints at a key that is not stored yet: full.
+        let a = hinted(model("a"), "b");
+        repo.publish("a", &a, false).unwrap();
+        assert_eq!(base_of(&repo, "a"), None);
+        // `b` hints at the stored `a`: a delta against it.
+        let b = hinted(perturbed(&a, "b", 0.5), "a");
+        repo.publish("b", &b, false).unwrap();
+        assert_eq!(base_of(&repo, "b").as_deref(), Some("a"));
+        // Publishing `a` again now finds its hint stored, but `b`
+        // loads through `a`: the link would close a cycle, so full.
+        repo.publish("a", &a, true).unwrap();
+        assert_eq!(base_of(&repo, "a"), None);
+        // A hint at oneself is no base either.
+        let own = hinted(model("own"), "own");
+        repo.publish("own", &own, false).unwrap();
+        assert_eq!(base_of(&repo, "own"), None);
+        for (key, want) in [("a", &a), ("b", &b), ("own", &own)] {
+            assert_eq!(&repo.load(key).unwrap(), want, "{key}");
+        }
+        // The hint decides the representation, never whether the key
+        // is taken.
+        assert!(matches!(
+            repo.publish("b", &b, false),
+            Err(RepoError::AlreadyExists { .. })
+        ));
+        let scan = crate::scan_store(&StdStorage, &dir).unwrap();
+        assert!(scan.findings.is_empty(), "{:?}", scan.findings);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Change the first bias element, which a `perturbed` fine-tune
+    /// (first weight element) inherits from its base.
+    fn rebiased(base: &Model, name: &str, delta: f32) -> Model {
+        let mut m = base.renamed(name);
+        let id = m.linear_layers()[0];
+        let mut p = m.layer(id).params.clone();
+        let b = p.bias.as_ref().unwrap();
+        let mut data = b.as_slice().to_vec();
+        data[0] += delta;
+        p.bias = Some(sommelier_tensor::Tensor::from_vec(b.rows(), b.cols(), data));
+        m.set_params(id, p).unwrap();
+        m
+    }
+
+    #[test]
+    fn overwriting_a_delta_base_keeps_its_dependents() {
+        let dir = temp_dir("rebase");
+        let repo = OnDiskRepository::open(&dir).unwrap();
+        let base = model("fam-base");
+        let v1 = perturbed(&base, "fam-v1", 0.5);
+        let v2 = perturbed(&v1, "fam-v2", -0.25);
+        repo.publish_chunked("fam-base", &base, false).unwrap();
+        repo.publish_delta("fam-v1", &v1, "fam-base", false).unwrap();
+        repo.publish_delta("fam-v2", &v2, "fam-v1", false).unwrap();
+        // Unchanged content: nothing under the base moves.
+        repo.publish("fam-base", &base, true).unwrap();
+        assert_eq!(base_of(&repo, "fam-v1").as_deref(), Some("fam-base"));
+        // The new base differs where neither fine-tune overrides it.
+        let rebased = rebiased(&base, "fam-base", 4.0);
+        repo.publish("fam-base", &rebased, true).unwrap();
+        assert_eq!(repo.load("fam-base").unwrap(), rebased);
+        assert_eq!(repo.load("fam-v1").unwrap(), v1);
+        assert_eq!(repo.load("fam-v2").unwrap(), v2);
+        // Only the direct dependent was rewritten; the chain above it
+        // still deltas against the model it always did.
+        assert_eq!(base_of(&repo, "fam-v1"), None);
+        assert_eq!(base_of(&repo, "fam-v2").as_deref(), Some("fam-v1"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -833,28 +956,35 @@ mod tests {
         let repo = OnDiskRepository::open(&dir).unwrap();
         let mut base = model("family-base");
         base.metadata.insert("self".into(), "noise".into());
-        let mut v1 = perturbed(&base, "family-v1", 0.5);
-        v1.metadata.insert("base".into(), "family-base".into());
-        let mut loner = model("loner");
-        loner.metadata.insert("base".into(), "nonexistent".into());
-        repo.publish("family-base", &base, false).unwrap();
-        repo.publish("family-v1", &v1, false).unwrap();
-        repo.publish("loner", &loner, false).unwrap();
+        let v1 = hinted(perturbed(&base, "family-v1", 0.5), "family-base");
+        let loner = hinted(model("loner"), "nonexistent");
+        let kept = model("kept");
+        repo.plant_flat("family-base", &base);
+        repo.plant_flat("family-v1", &v1);
+        repo.plant_flat("loner", &loner);
+        repo.publish("kept", &kept, false).unwrap();
 
         let stats = dedup_store(&repo).unwrap();
-        assert_eq!(stats.models, 3);
+        assert_eq!(stats.models, 4);
         assert_eq!(stats.delta, 1);
         assert_eq!(stats.full, 2); // base + dangling-hint loner
-        assert_eq!(stats.skipped, 0);
+        assert_eq!(stats.skipped, 1);
         assert!(stats.bytes_after < stats.bytes_before);
-        for (key, want) in [("family-base", &base), ("family-v1", &v1), ("loner", &loner)] {
+        for (key, want) in [
+            ("family-base", &base),
+            ("family-v1", &v1),
+            ("loner", &loner),
+            ("kept", &kept),
+        ] {
             assert_eq!(repo.stored_format(key), Some(StoredFormat::Chunked));
             assert_eq!(&repo.load(key).unwrap(), want);
         }
-        // Idempotent: a second run skips everything.
+        // Idempotent: a second run finds nothing flat, so it sizes and
+        // loads nothing.
         let again = dedup_store(&repo).unwrap();
-        assert_eq!(again.skipped, 3);
-        assert_eq!(again.bytes_before, again.bytes_after);
+        assert_eq!((again.models, again.skipped), (4, 4));
+        assert_eq!((again.full, again.delta), (0, 0));
+        assert_eq!((again.bytes_before, again.bytes_after), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -862,15 +992,15 @@ mod tests {
     fn dedup_store_degrades_hint_cycles_to_full() {
         let dir = temp_dir("dedupcycle");
         let repo = OnDiskRepository::open(&dir).unwrap();
-        let mut a = model("a");
-        a.metadata.insert("base".into(), "b".into());
-        let mut b = perturbed(&a, "b", 0.5);
-        b.metadata.insert("base".into(), "a".into());
-        repo.publish("a", &a, false).unwrap();
-        repo.publish("b", &b, false).unwrap();
+        let a = hinted(model("a"), "b");
+        let b = hinted(perturbed(&a, "b", 0.5), "a");
+        repo.plant_flat("a", &a);
+        repo.plant_flat("b", &b);
         let stats = dedup_store(&repo).unwrap();
-        assert_eq!(stats.full, 2);
-        assert_eq!(stats.delta, 0);
+        // `a` migrates first and deltas against the still-flat `b`;
+        // `b` would then close the cycle and is stored full.
+        assert_eq!((stats.delta, stats.full), (1, 1));
+        assert_eq!(base_of(&repo, "b"), None);
         assert_eq!(repo.load("a").unwrap(), a);
         assert_eq!(repo.load("b").unwrap(), b);
         std::fs::remove_dir_all(&dir).ok();

@@ -14,8 +14,8 @@ use sommelier_tensor::{ops, Tensor};
 
 /// Process-wide named monotonic counters.
 ///
-/// The reproduction's subsystems (the pairwise-analysis cache, the
-/// parallel index build, the query engine) publish operational counters
+/// The reproduction's subsystems (the parallel index build, the query
+/// engine, the durability layer) publish operational counters
 /// here so tooling — the CLI, the benchmark harness, tests — can read
 /// them without threading handles through every layer. Counters are
 /// *observability*, not state: nothing in the system reads a counter to
@@ -23,8 +23,6 @@ use sommelier_tensor::{ops, Tensor};
 /// results.
 ///
 /// Well-known names (kept in sync with README's metrics table):
-/// `pairwise_cache.hits`, `pairwise_cache.misses`,
-/// `pairwise_cache.evictions`, `pairwise_cache.entries`,
 /// `index.pair_analyses`, `index.models_indexed`,
 /// `query.candidates_scored`, `index.resource.range_scans` (raised by
 /// the range API, never by a served query); from the durability layer:

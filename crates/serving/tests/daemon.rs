@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use sommelier_graph::TaskKind;
-use sommelier_query::{MutationBatch, Sommelier, SommelierConfig};
+use sommelier_query::{Sommelier, SommelierConfig};
 use sommelier_repo::{InMemoryRepository, ModelRepository};
 use sommelier_serving::daemon::client::Client;
 use sommelier_serving::{Daemon, DaemonConfig};
@@ -150,18 +150,14 @@ fn batch_pins_one_epoch_under_republish_storm() {
         let handle = Arc::clone(&handle);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            // Republish as fast as possible: unregistering the victim
-            // bumps the epoch, and re-indexing it back from the
-            // repository bumps it again — each cycle swaps the
-            // snapshot twice under live readers.
+            // Republish as fast as possible: re-registering the
+            // unchanged victim analyses nothing (its edges are kept)
+            // and swaps the snapshot once under live readers.
+            let model = handle.with_engine(|engine| engine.materialize(&victim).expect("stored"));
             let mut republishes = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                handle.with_engine(|engine| {
-                    let batch = MutationBatch::new().unregister(victim.clone());
-                    engine.apply(batch).expect("unregister applies");
-                    engine.index_existing().expect("reindex applies")
-                });
-                republishes += 2;
+                handle.with_engine(|engine| engine.reregister(&model).expect("reregister applies"));
+                republishes += 1;
             }
             republishes
         })

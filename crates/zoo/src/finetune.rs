@@ -87,8 +87,8 @@ pub fn perturb_sparse(
 
 /// Build a fine-tune family: the base model followed by `variants`
 /// sparse fine-tunes of it, named `<base>-ft1…`, each carrying its
-/// provenance in `metadata["base"]` — the hint `sommelier dedup` uses
-/// to pick delta bases when migrating a flat store.
+/// provenance in `metadata["base"]` — the hint the on-disk repository's
+/// `publish` uses to pick the delta base.
 pub fn finetune_family(
     base: &Model,
     variants: usize,

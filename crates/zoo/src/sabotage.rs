@@ -8,12 +8,18 @@
 //! ([`Defect::expected_code`]).
 //!
 //! Defects are planted the way real corruption arrives: by rewriting
-//! the artifacts *behind the library's back* — text surgery on
-//! `*.model.json` files, value surgery on `sommelier.index.json`,
+//! the artifacts *behind the library's back* — text surgery on a flat
+//! `*.model.json` file, value surgery on `sommelier.index.json`,
 //! deleting a store file — never through an API that would revalidate
-//! or reindex. Victim selection is deterministic (first key in sorted
-//! order), so a given `(seed, defect)` pair always produces the same
-//! sabotaged repository.
+//! or reindex. Victim selection is deterministic (first stored file
+//! stem in sorted order), so a given `(seed, defect)` pair always
+//! produces the same sabotaged repository.
+//!
+//! A store keeps its models as manifests over chunks, which this crate
+//! cannot read. The text-surgery defects therefore edit a flat copy of
+//! the victim that the caller exports next to its manifest beforehand
+//! (model JSON under `<stem>.model.json`): the flat file wins on load,
+//! so the edited copy *is* the stored model.
 
 use serde::Value;
 use sommelier_index::persist::{INDEX_FILE, INDEX_FILE_BIN};
@@ -34,7 +40,8 @@ pub enum Defect {
     /// A stored weight is perturbed (finite, shape-preserving) without
     /// reindexing, so the semantic index carries a stale fingerprint.
     FingerprintDrift,
-    /// A model file referenced by the persisted index is deleted.
+    /// The store files of a model the persisted index references are
+    /// deleted.
     StaleIndexEntry,
     /// A semantic-index candidate is rewritten into a `Transitive`
     /// record whose bound falls outside the triangle interval spanned
@@ -102,28 +109,35 @@ pub fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
     }
 }
 
-/// Sorted `*.model.json` paths in `dir`.
-fn model_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+const FLAT_SUFFIX: &str = ".model.json";
+const MANIFEST_SUFFIX: &str = ".manifest.json";
+
+/// The deterministic sabotage victim: the first file stem, in sorted
+/// order, that `dir` stores a model under (flat or as a manifest).
+fn victim_stem(dir: &Path) -> Result<String, String> {
+    std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read '{}': {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".model.json"))
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter_map(|name| {
+            let stem = name
+                .strip_suffix(FLAT_SUFFIX)
+                .or_else(|| name.strip_suffix(MANIFEST_SUFFIX))?;
+            Some(stem.to_string())
         })
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no model files in '{}'", dir.display()));
-    }
-    Ok(files)
+        .min()
+        .ok_or_else(|| format!("no stored models in '{}'", dir.display()))
 }
 
-/// The deterministic sabotage victim: the first model file in sorted
-/// order.
+/// The victim's flat copy, for text surgery.
 fn victim(dir: &Path) -> Result<PathBuf, String> {
-    Ok(model_files(dir)?.remove(0))
+    let path = dir.join(format!("{}{FLAT_SUFFIX}", victim_stem(dir)?));
+    if !path.exists() {
+        return Err(format!(
+            "'{}' is missing: export the victim as a flat file first",
+            path.display()
+        ));
+    }
+    Ok(path)
 }
 
 fn read(path: &Path) -> Result<String, String> {
@@ -211,7 +225,7 @@ fn plant_fingerprint_drift(dir: &Path) -> Result<String, String> {
 fn plant_dead_subgraph(dir: &Path) -> Result<String, String> {
     use sommelier_graph::{serde_model, ModelBuilder, TaskKind};
     use sommelier_tensor::{Prng, Shape};
-    model_files(dir)?; // only an existing zoo can be sabotaged
+    victim_stem(dir)?; // only an existing zoo can be sabotaged
     let mut rng = Prng::seed_from_u64(0xdead);
     let mut b = ModelBuilder::new("sabotage-dead", TaskKind::Other, Shape::vector(8));
     b.dense(8, &mut rng);
@@ -225,7 +239,7 @@ fn plant_dead_subgraph(dir: &Path) -> Result<String, String> {
     b.dense(3, &mut rng);
     b.softmax();
     let model = b.build().map_err(|e| e.to_string())?;
-    let path = dir.join("sabotage-dead.model.json");
+    let path = dir.join(format!("sabotage-dead{FLAT_SUFFIX}"));
     serde_model::save(&model, &path).map_err(|e| e.to_string())?;
     Ok(format!(
         "published '{}' with an unreachable two-layer chain",
@@ -234,14 +248,22 @@ fn plant_dead_subgraph(dir: &Path) -> Result<String, String> {
 }
 
 fn plant_stale_index_entry(dir: &Path) -> Result<String, String> {
-    let path = victim(dir)?;
+    let stem = victim_stem(dir)?;
     if !dir.join(INDEX_FILE).exists() {
         return Err(format!("'{}' has no persisted index to go stale", dir.display()));
     }
-    std::fs::remove_file(&path).map_err(|e| format!("cannot delete '{}': {e}", path.display()))?;
+    for suffix in [FLAT_SUFFIX, MANIFEST_SUFFIX] {
+        let path = dir.join(format!("{stem}{suffix}"));
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(format!("cannot delete '{}': {e}", path.display()));
+            }
+            _ => {}
+        }
+    }
     Ok(format!(
-        "deleted '{}' out from under the persisted index",
-        path.display()
+        "deleted '{stem}' out from under the persisted index of '{}'",
+        dir.display()
     ))
 }
 
@@ -320,7 +342,7 @@ fn plant_broken_triangle(dir: &Path) -> Result<String, String> {
 /// so the section's stored CRC no longer matches its bytes.
 fn plant_binary_snapshot_tear(dir: &Path) -> Result<String, String> {
     use sommelier_index::{persist, somb};
-    model_files(dir)?; // only an existing zoo can be sabotaged
+    victim_stem(dir)?; // only an existing zoo can be sabotaged
     let bin = dir.join(INDEX_FILE_BIN);
     if !bin.exists() {
         let json = dir.join(INDEX_FILE);

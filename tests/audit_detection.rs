@@ -14,6 +14,7 @@
 //! `build_series` parameters, same default `SommelierConfig`, indices
 //! persisted to `sommelier.index.json`.
 
+use sommelier::graph::serde_model;
 use sommelier::index::persist::INDEX_FILE;
 use sommelier::lint::{Auditor, LintContext};
 use sommelier::prelude::*;
@@ -69,16 +70,41 @@ fn seed_zoo(dir: &Path, n_series: usize, seed: u64) {
     engine.save_indices(&dir.join(INDEX_FILE)).unwrap();
 }
 
-/// Flat-copy `src` into a fresh scratch dir named `label`.
+/// Copy the store at `src` (its files and its `chunks/`) into a fresh
+/// scratch dir named `label`.
 fn copy_zoo(src: &Path, label: &str) -> PathBuf {
     let dst = scratch(label);
+    copy_files(src, &dst);
+    let chunks = Path::new(sommelier::repo::CHUNK_DIR);
+    std::fs::create_dir_all(dst.join(chunks)).unwrap();
+    copy_files(&src.join(chunks), &dst.join(chunks));
+    dst
+}
+
+fn copy_files(src: &Path, dst: &Path) {
     for entry in std::fs::read_dir(src).unwrap() {
         let path = entry.unwrap().path();
         if path.is_file() {
             std::fs::copy(&path, dst.join(path.file_name().unwrap())).unwrap();
         }
     }
-    dst
+}
+
+/// Sabotage `dir`, first exporting its first key as the flat file the
+/// text-surgery defects edit (the zoo crate cannot read chunks).
+fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
+    let repo = OnDiskRepository::open(dir).unwrap();
+    let key = repo.try_keys().unwrap().remove(0);
+    let flat = dir.join(format!(
+        "{}{}",
+        sommelier::repo::encode_key(&key),
+        sommelier::repo::MODEL_SUFFIX
+    ));
+    // Once: a second defect must find the first one's edit in place.
+    if !flat.exists() {
+        serde_model::save(&repo.load(&key).unwrap(), &flat).unwrap();
+    }
+    sabotage::plant(dir, defect)
 }
 
 fn audit_codes(dir: &Path, jobs: usize) -> Vec<String> {
@@ -104,7 +130,7 @@ fn sabotage_detection_matrix() {
     // 2. Every planted defect is found under its expected code.
     for defect in Defect::ALL {
         let copy = copy_zoo(&golden, defect.name());
-        let what = sabotage::plant(&copy, defect)
+        let what = plant(&copy, defect)
             .unwrap_or_else(|e| panic!("planting {defect:?} failed: {e}"));
         let codes = audit_codes(&copy, 2);
         assert!(
@@ -121,8 +147,8 @@ fn audit_reports_are_byte_identical_across_job_counts() {
     let dir = scratch("determinism");
     seed_zoo(&dir, 1, 7);
     // A sabotaged zoo gives the report actual content to keep stable.
-    sabotage::plant(&dir, Defect::NonFiniteWeights).unwrap();
-    sabotage::plant(&dir, Defect::DeadSubgraph).unwrap();
+    plant(&dir, Defect::NonFiniteWeights).unwrap();
+    plant(&dir, Defect::DeadSubgraph).unwrap();
 
     let json: Vec<String> = [1usize, 4, 8]
         .iter()
@@ -169,7 +195,7 @@ proptest! {
         prop_assert!(clean.is_empty(), "seed {} raised {:?}", seed, clean);
 
         let defect = Defect::ALL[(seed % Defect::ALL.len() as u64) as usize];
-        sabotage::plant(&dir, defect).map_err(TestCaseError::fail)?;
+        plant(&dir, defect).map_err(TestCaseError::fail)?;
         let codes = audit_codes(&dir, 2);
         prop_assert!(
             codes.iter().any(|c| c == defect.expected_code()),

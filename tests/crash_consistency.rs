@@ -9,9 +9,11 @@
 
 use sommelier::fault::storage::{is_quarantine_name, is_temp_name};
 use sommelier::fault::{FaultPlan, FaultyStorage, StdStorage, Storage};
+use sommelier::graph::serde_model;
 use sommelier::index::persist::{self, INDEX_FILE, INDEX_FILE_BIN};
 use sommelier::prelude::*;
 use sommelier::query::SnapshotRecovery;
+use sommelier::repo::{dedup_store, encode_key, Manifest, MODEL_SUFFIX};
 use sommelier::runtime::metrics::counters;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -68,47 +70,81 @@ fn small_config() -> SommelierConfig {
     cfg
 }
 
-/// Publish alpha + beta and persist an index snapshot: the "old" state.
+/// Store `model` under `key` as a legacy flat file, which no publish
+/// writes any more but every reader still honours.
+fn plant_flat(dir: &Path, key: &str, model: &Model) {
+    let name = format!("{}{MODEL_SUFFIX}", encode_key(key));
+    serde_model::save(model, &dir.join(name)).unwrap();
+}
+
+/// Alpha (a legacy flat file) + beta (published) and a persisted index
+/// snapshot: the "old" state.
 fn setup_base(dir: &Path, models: &[Model]) {
     let repo = Arc::new(OnDiskRepository::open(dir).unwrap());
-    repo.publish("series/alpha", &models[0], false).unwrap();
+    plant_flat(dir, "series/alpha", &models[0]);
     repo.publish("beta", &models[1], false).unwrap();
     let mut engine = Sommelier::connect(repo as Arc<dyn ModelRepository>, small_config());
     engine.index_existing().unwrap();
     engine.save_indices(&dir.join(INDEX_FILE)).unwrap();
 }
 
+/// A tiny model, so the op count of the sweep stays sane.
+fn tiny(name: &str, rng_seed: u64) -> Model {
+    ModelBuilder::new(name, TaskKind::Other, Shape::vector(4))
+        .dense(2, &mut Prng::seed_from_u64(rng_seed))
+        .build()
+        .unwrap()
+}
+
+/// `base` under another name with one element of its first layer's
+/// `weight` (or else `bias`) moved, and a `base` hint at `hint`.
+fn fine_tune(base: &Model, name: &str, hint: Option<&str>, weight: bool) -> Model {
+    let mut m = base.renamed(name);
+    let id = m.linear_layers()[0];
+    let mut p = m.layer(id).params.clone();
+    let slot = if weight { &mut p.weight } else { &mut p.bias };
+    let t = slot.as_ref().unwrap();
+    let mut data = t.as_slice().to_vec();
+    data[0] += 0.5;
+    *slot = Some(Tensor::from_vec(t.rows(), t.cols(), data));
+    m.set_params(id, p).unwrap();
+    if let Some(hint) = hint {
+        m.metadata.insert("base".into(), hint.into());
+    }
+    m
+}
+
+/// A fine-tune family on top of [`setup_base`]: a base, a delta stored
+/// against it, and a legacy flat fine-tune that hints at it.
+fn setup_family(dir: &Path) {
+    let repo = OnDiskRepository::open(dir).unwrap();
+    let base = tiny("fam/base", 41);
+    repo.publish("fam/base", &base, false).unwrap();
+    let ft = fine_tune(&base, "fam/ft", Some("fam/base"), true);
+    repo.publish("fam/ft", &ft, false).unwrap();
+    plant_flat(dir, "fam/legacy", &fine_tune(&base, "fam/legacy", Some("fam/base"), true));
+}
+
 /// The mutation whose every crash point the sweep exercises: an
-/// overwriting publish, an exclusive publish, a chunked publish plus a
-/// delta publish through the content-addressed chunk store, a JSON
-/// snapshot save, and a binary (`.somb`) snapshot publish — every write
-/// path goes through the same atomic-write protocol, so all must
-/// survive a crash at any primitive op. Errors are swallowed —
-/// mid-sequence crashes are the whole point.
+/// overwrite of a legacy flat key, an unhinted publish, an overwrite of
+/// a base under its stored delta (the bias moves, which the delta
+/// inherits), a hinted publish, the migration of the remaining flat
+/// key, a JSON snapshot save, and a binary (`.somb`) snapshot publish —
+/// every write path goes through the same atomic-write protocol, so all
+/// must survive a crash at any primitive op. Every key is written at
+/// most once, so it has one old and one new model. Errors are
+/// swallowed — mid-sequence crashes are the whole point.
 fn mutate(dir: &Path, storage: Arc<dyn Storage>, alpha_v2: &Model, gamma: &Model) {
     let Ok(repo) = OnDiskRepository::open_with(dir, Arc::clone(&storage)) else {
         return;
     };
     let _ = repo.publish("series/alpha", alpha_v2, true);
     let _ = repo.publish("gamma", gamma, false);
-    // Chunked-path coverage: a tiny fine-tune pair lands through the
-    // chunk store — a full manifest, then a sparse delta against it.
-    // Both under new keys, so the "old files never disappear"
-    // invariant is unaffected; tiny tensors keep the op count sane.
-    let fam_base = ModelBuilder::new("fam/base", TaskKind::Other, Shape::vector(4))
-        .dense(2, &mut Prng::seed_from_u64(41))
-        .build()
-        .unwrap();
-    let mut fam_ft = fam_base.renamed("fam/ft");
-    let id = fam_ft.linear_layers()[0];
-    let mut p = fam_ft.layer(id).params.clone();
-    let w = p.weight.as_ref().unwrap();
-    let mut data = w.as_slice().to_vec();
-    data[0] += 0.5;
-    p.weight = Some(Tensor::from_vec(w.rows(), w.cols(), data));
-    fam_ft.set_params(id, p).unwrap();
-    let _ = repo.publish_chunked("fam/base", &fam_base, false);
-    let _ = repo.publish_delta("fam/ft", &fam_ft, "fam/base", false);
+    let rebased = fine_tune(&tiny("fam/base", 41), "fam/base", None, false);
+    let _ = repo.publish("fam/base", &rebased, true);
+    let ft2 = fine_tune(&rebased, "fam/ft2", Some("fam/base"), true);
+    let _ = repo.publish("fam/ft2", &ft2, false);
+    let _ = dedup_store(&repo);
     // Re-persist the snapshot (same indices, bumped epoch): content is
     // irrelevant here, the write protocol under the crash is.
     let Ok(snapshot) = persist::read_snapshot(&dir.join(INDEX_FILE)) else {
@@ -165,6 +201,23 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
+/// Every key of the store at `dir` with the model it loads to.
+fn models_of(dir: &Path, when: &str) -> BTreeMap<String, Model> {
+    let repo = OnDiskRepository::open(dir).unwrap();
+    let load = |key: String| {
+        let model = repo
+            .load(&key)
+            .unwrap_or_else(|e| panic!("{when}: load '{key}': {e}"));
+        (key, model)
+    };
+    repo.try_keys().unwrap().into_iter().map(load).collect()
+}
+
+fn manifest_base(state: &BTreeMap<String, Vec<u8>>, file: &str) -> Option<String> {
+    let json = String::from_utf8(state[file].clone()).unwrap();
+    Manifest::from_json(&json).unwrap().base
+}
+
 #[test]
 fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
     let seed = fault_seed();
@@ -178,7 +231,9 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
 
     let base = scratch("base");
     setup_base(&base, &models);
+    setup_family(&base);
     let old_state = capture(&base);
+    let old_models = models_of(&base, "old state");
 
     // Fault-free run: the "new" state and the sweep's op count.
     let committed = scratch("committed");
@@ -193,21 +248,29 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
     let total_ops = counting.ops();
     assert!(total_ops >= 10, "mutation sequence spans {total_ops} ops");
     let new_state = capture(&committed);
-    assert_ne!(
-        old_state.get("series%2Falpha.model.json"),
-        new_state.get("series%2Falpha.model.json"),
-        "overwrite must change the stored bytes"
+    let new_models = models_of(&committed, "new state");
+    // The sequence did what the sweep is meant to cover.
+    assert_ne!(old_models["series/alpha"], new_models["series/alpha"]);
+    assert_ne!(old_models["fam/base"], new_models["fam/base"]);
+    assert_eq!(old_models["fam/ft"], new_models["fam/ft"]);
+    assert_eq!(old_models["fam/legacy"], new_models["fam/legacy"]);
+    assert!(
+        !new_state.keys().any(|k| k.ends_with(MODEL_SUFFIX)),
+        "the overwrite and the migration must retire both flat files"
     );
-    assert!(new_state.contains_key("gamma.model.json"));
+    assert_eq!(manifest_base(&new_state, "gamma.manifest.json"), None);
+    for (file, old, new) in [
+        ("fam%2Fft.manifest.json", Some("fam/base"), None),
+        ("fam%2Fft2.manifest.json", None, Some("fam/base")),
+        ("fam%2Flegacy.manifest.json", None, Some("fam/base")),
+    ] {
+        let was = old_state.contains_key(file).then(|| manifest_base(&old_state, file));
+        assert_eq!(was.flatten().as_deref(), old, "{file} before");
+        assert_eq!(manifest_base(&new_state, file).as_deref(), new, "{file} after");
+    }
     assert!(
         new_state.contains_key(INDEX_FILE_BIN),
         "fault-free run must publish the binary snapshot"
-    );
-    assert!(new_state.contains_key("fam%2Fbase.manifest.json"));
-    assert!(new_state.contains_key("fam%2Fft.manifest.json"));
-    assert!(
-        new_state.keys().any(|k| k.starts_with("chunks/")),
-        "chunked publish must write content-addressed chunks"
     );
 
     let work = scratch("work");
@@ -246,19 +309,26 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
                 new.map(Vec::len),
             );
         }
+        // Only what the sequence retires (the two flat files) may go.
         for name in old_state.keys() {
             assert!(
-                after.contains_key(name),
+                after.contains_key(name) || !new_state.contains_key(name),
                 "crash at op {crash_op}: '{name}' disappeared"
             );
         }
 
-        // The repository reopens and serves every listed key whole, and
-        // the snapshot (old or new) still parses.
-        let repo = OnDiskRepository::open(&work).unwrap();
-        for key in repo.try_keys().unwrap() {
-            repo.load(&key)
-                .unwrap_or_else(|e| panic!("crash at op {crash_op}: load '{key}': {e}"));
+        // The repository reopens and serves every listed key whole, to
+        // its old or its new model; no key that loaded before is lost;
+        // and the snapshot (old or new) still parses.
+        let now = models_of(&work, &format!("crash at op {crash_op}"));
+        for (key, model) in &now {
+            assert!(
+                old_models.get(key) == Some(model) || new_models.get(key) == Some(model),
+                "crash at op {crash_op}: '{key}' loads to neither its old nor its new model"
+            );
+        }
+        for key in old_models.keys() {
+            assert!(now.contains_key(key), "crash at op {crash_op}: '{key}' is lost");
         }
         persist::read_snapshot(&work.join(INDEX_FILE))
             .unwrap_or_else(|e| panic!("crash at op {crash_op}: snapshot unreadable: {e}"));
@@ -284,16 +354,9 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
 /// report.
 #[test]
 fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
-    use sommelier::graph::serde_model;
-    use sommelier::repo::{repair_store, scan_store, Manifest, CHUNK_DIR};
+    use sommelier::repo::{repair_store, scan_store, CHUNK_DIR};
 
     let seed = fault_seed();
-    let tiny = |name: &str, rng_seed: u64| {
-        ModelBuilder::new(name, TaskKind::Other, Shape::vector(4))
-            .dense(2, &mut Prng::seed_from_u64(rng_seed))
-            .build()
-            .unwrap()
-    };
     let base = scratch("repair-base");
     let repo = OnDiskRepository::open(&base).unwrap();
     // Two chunked families (a full manifest and a delta each) and a
@@ -303,7 +366,7 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
     repo.publish_delta("keep/ft", &keep.renamed("keep/ft"), "keep/base", false).unwrap();
     repo.publish_chunked("lost/base", &lost, false).unwrap();
     repo.publish_delta("lost/ft", &lost.renamed("lost/ft"), "lost/base", false).unwrap();
-    repo.publish("flat", &tiny("flat", 47), false).unwrap();
+    plant_flat(&base, "flat", &tiny("flat", 47));
 
     // Damage: a deleted chunk (dangling ref, and through it a broken
     // delta base), an orphaned chunk, a temp and a quarantine.

@@ -4,7 +4,7 @@
 //! across the thread pool, and applies the results in plan order; every
 //! per-pair RNG is seeded from a stable hash of the pair. The persisted
 //! `sommelier.index.json` must therefore be byte-identical at any
-//! `--jobs` level, and with the pairwise cache enabled or disabled.
+//! `--jobs` level.
 
 use sommelier::prelude::*;
 use std::sync::Arc;
@@ -38,14 +38,13 @@ fn populate(repo: &InMemoryRepository) {
     }
 }
 
-/// Build all indices with the given knobs and return the snapshot bytes.
-fn snapshot(jobs: usize, cache_cap: usize) -> Vec<u8> {
+/// Build all indices on `jobs` lanes and return the snapshot bytes.
+fn snapshot(jobs: usize) -> Vec<u8> {
     let repo = Arc::new(InMemoryRepository::new());
     populate(&repo);
     let mut cfg = SommelierConfig {
         validation_rows: 64,
         jobs,
-        cache_cap,
         ..SommelierConfig::default()
     };
     cfg.index.sample_size = 3;
@@ -54,7 +53,7 @@ fn snapshot(jobs: usize, cache_cap: usize) -> Vec<u8> {
     let indexed = engine.index_existing().unwrap();
     assert_eq!(indexed, 8, "all published models should be indexed");
     let path = std::env::temp_dir().join(format!(
-        "sommelier-determinism-{}-j{jobs}-c{cache_cap}.index.json",
+        "sommelier-determinism-{}-j{jobs}.index.json",
         std::process::id()
     ));
     engine.save_indices(&path).unwrap();
@@ -65,18 +64,12 @@ fn snapshot(jobs: usize, cache_cap: usize) -> Vec<u8> {
 
 #[test]
 fn snapshots_are_byte_identical_across_job_counts_and_cache_modes() {
-    // jobs=1 + cache off is the sequential reference implementation.
-    let reference = snapshot(1, 0);
+    // jobs=1 is the sequential reference implementation.
+    let reference = snapshot(1);
     assert!(!reference.is_empty());
-    // Parallel build, cache off.
-    assert_eq!(reference, snapshot(8, 0), "jobs=8 diverged from jobs=1");
-    // Parallel build, cache on (first build: all misses, but insertion
-    // through the cache must not perturb results).
-    assert_eq!(
-        reference,
-        snapshot(4, 4096),
-        "cache-enabled build diverged from the sequential reference"
-    );
+    for jobs in [4, 8] {
+        assert_eq!(reference, snapshot(jobs), "jobs={jobs} diverged from jobs=1");
+    }
 }
 
 #[test]
