@@ -400,28 +400,22 @@ fn print_result_table(results: &[sommelier_query::QueryResult]) {
     }
 }
 
-/// `sommelier query <dir> <query-text> [--jobs N]
-/// [--threads N] [--repeat K] [--format text|json]`
+/// `sommelier query <dir> <query-text> [--jobs N] [--repeat K]
+/// [--format text|json]`
 ///
-/// `--repeat K` runs the query K times through the batched lock-free
-/// path (`query_batch`), spread over `--threads N` lanes; every batched
-/// answer reports its per-query latency and the index epoch it was
-/// served from. Repeats after the first hit the engine's plan/result
+/// `--repeat K` runs the query K times through the batched path
+/// (`query_batch`), spread over the engine's `--jobs N` lanes; every
+/// batched answer reports its per-query latency and the index epoch it
+/// was served from. Repeats after the first hit the engine's plan/result
 /// cache, so the per-query latencies directly expose the cache win.
 pub fn query(args: &[String]) -> CmdResult {
     let (positional, flags) = split_flags(args)?;
     let dir = repo_dir(&positional)?;
-    let mut threads = 0usize;
     let mut repeat = 1usize;
     let mut format = "text";
     let mut engine_flags = Vec::new();
     for (name, value) in &flags {
         match *name {
-            "threads" => {
-                threads = value
-                    .parse()
-                    .map_err(|_| format!("--threads needs an integer, got '{value}'"))?;
-            }
             "repeat" => {
                 repeat = value
                     .parse()
@@ -443,13 +437,9 @@ pub fn query(args: &[String]) -> CmdResult {
         .map(|rest| rest.join(" "))
         .ok_or("missing query text")?;
     let engine = load_engine(&dir, cfg)?;
-    // The batched lock-free path: a reader pins one published snapshot
-    // and fans the repeats across its thread pool.
-    let reader = if threads > 0 {
-        engine.reader().with_pool(threads)
-    } else {
-        engine.reader().clone()
-    };
+    // The batched path: the reader pins one published snapshot and fans
+    // the repeats across the engine's pool.
+    let reader = engine.reader();
     let texts: Vec<String> = std::iter::repeat_with(|| text.clone()).take(repeat).collect();
     let items = reader.query_batch(&texts);
     if format == "json" {

@@ -49,11 +49,11 @@ COMMANDS:
                                         much faster cold opens; the JSON
                                         original is removed. JSON
                                         repositories keep working unchanged
-    query  <dir> <query-text> [--jobs N] [--threads N] [--repeat K]
+    query  <dir> <query-text> [--jobs N] [--repeat K]
            [--format text|json]
                                         run a SELECT … CORR … query;
                                         --repeat batches K runs over
-                                        --threads lanes, reporting
+                                        --jobs lanes, reporting
                                         per-query latency and epoch
     diff   <dir> <reference> <candidate>
                                         full equivalence explanation
@@ -94,7 +94,7 @@ COMMANDS:
                                         long-running TCP query daemon
                                         (line-delimited JSON protocol):
                                         one engine, per-connection
-                                        lock-free readers, bounded
+                                        snapshot readers, bounded
                                         admission with typed load-shed,
                                         optional per-tenant token-bucket
                                         quotas; prints `listening on

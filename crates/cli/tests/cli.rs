@@ -462,13 +462,17 @@ fn query_json_reports_aggregate_latency_quantiles() {
     let listing = stdout(&run(&["list", d]));
     let reference = listing.lines().next().expect("seeded").to_string();
     let q = format!("SELECT models 3 CORR {reference} WITHIN 0.2");
-    let out = run(&["query", d, &q, "--repeat", "5", "--format", "json"]);
+    let out = run(&["query", d, &q, "--repeat", "5", "--jobs", "2", "--format", "json"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let json = stdout(&out);
     // `kind`: results go through the encoder the daemon frames use.
     for key in ["\"latency\"", "\"p50_ms\"", "\"p90_ms\"", "\"p99_ms\"", "\"kind\""] {
         assert!(json.contains(key), "json missing {key}: {json}");
     }
+    // `--jobs` is the one lane knob.
+    let out = run(&["query", d, &q, "--repeat", "5", "--threads", "2"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("unknown flag --threads"), "{}", stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -613,24 +613,22 @@ impl SemanticIndex {
     }
 
     /// Insert a model, running the sampled pairwise analysis through
-    /// `resolve` (key → model resolver) and `analyzer` on the process
-    /// [global pool](sommelier_parallel::global).
+    /// `resolve` (key → model resolver) and `analyzer` sequentially.
     ///
     /// `resolve` must be able to resolve every previously indexed key.
     pub fn insert(&mut self, model: &Model, resolve: Resolver<'_>, analyzer: &dyn PairAnalyzer) {
         self.bulk_insert(std::slice::from_ref(model), resolve, analyzer);
     }
 
-    /// Insert a batch of models on the process
-    /// [global pool](sommelier_parallel::global). See
-    /// [`SemanticIndex::bulk_insert_with`].
+    /// Insert a batch of models sequentially (a one-lane pool spawns no
+    /// thread). See [`SemanticIndex::bulk_insert_with`].
     pub fn bulk_insert(
         &mut self,
         models: &[Model],
         resolve: Resolver<'_>,
         analyzer: &dyn PairAnalyzer,
     ) {
-        self.bulk_insert_with(&sommelier_parallel::global(), models, resolve, analyzer);
+        self.bulk_insert_with(&ThreadPool::new(1), models, resolve, analyzer);
     }
 
     /// Insert a batch of models, fanning the expensive pairwise analyses
@@ -645,12 +643,12 @@ impl SemanticIndex {
         self.apply_batch_with(pool, &[], models, resolve, analyzer);
     }
 
-    /// Remove a model on the process global pool. Returns whether the key
-    /// was indexed. Survivors whose rendezvous sample contained the
-    /// removed model re-sample, which can select pairs never measured
-    /// before — hence the resolver and analyzer.
+    /// Remove a model, sequentially. Returns whether the key was
+    /// indexed. Survivors whose rendezvous sample contained the removed
+    /// model re-sample, which can select pairs never measured before —
+    /// hence the resolver and analyzer.
     pub fn remove(&mut self, key: &str, resolve: Resolver<'_>, analyzer: &dyn PairAnalyzer) -> bool {
-        self.remove_with(&sommelier_parallel::global(), key, resolve, analyzer)
+        self.remove_with(&ThreadPool::new(1), key, resolve, analyzer)
     }
 
     /// [`SemanticIndex::remove`] on an explicit pool.

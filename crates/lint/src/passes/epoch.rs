@@ -1,6 +1,6 @@
 //! `SOM06x` — snapshot publication-epoch lints.
 //!
-//! PR 4's lock-free query path publishes every index mutation as an
+//! PR 4's snapshot query path publishes every index mutation as an
 //! immutable snapshot stamped with a monotonically increasing epoch; the
 //! epoch is persisted in the stats header so a restarted engine resumes
 //! the sequence instead of restarting it (which would let a stale plan
@@ -20,7 +20,7 @@
 //!   `SOM020` (which checks candidates against the *repository*): a
 //!   model can be stored on disk yet absent from the published
 //!   snapshot — serving it would leak an unpublished model through the
-//!   lock-free read path.
+//!   snapshot read path.
 //!
 //! As in the stats pass, an unknown (newer) `stats_version` suppresses
 //! the header checks — its field semantics are unknowable here.

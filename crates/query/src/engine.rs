@@ -27,7 +27,7 @@ use sommelier_equiv::{assess_whole, EquivConfig};
 use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::semantic::SemanticIndexConfig;
 use sommelier_index::{CandidateKind, PairAnalyzer, ResourceIndex, SemanticIndex};
-use sommelier_parallel::{RcuCell, ThreadPool};
+use sommelier_parallel::ThreadPool;
 use sommelier_repo::{ModelRepository, RepoError};
 use sommelier_runtime::metrics::counters::{self, CachedCounter};
 use sommelier_runtime::metrics::{latency, qor_difference};
@@ -35,7 +35,7 @@ use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
 use sommelier_tensor::{mix64, Prng, Tensor};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 // The read path's metrics, resolved once: a served query takes no
@@ -331,9 +331,9 @@ pub struct CacheStatsShim {
 /// epoch that stamps them as one consistent generation.
 ///
 /// Mutations never touch a published snapshot — the engine's builder
-/// side constructs the *next* snapshot and swaps it in through an
-/// [`RcuCell`], so a query pins exactly one epoch for its whole
-/// lifetime and can never observe a half-applied registration.
+/// side constructs the *next* snapshot and swaps it into the reader's
+/// slot, so a query pins exactly one epoch for its whole lifetime and
+/// can never observe a half-applied registration.
 pub struct EngineSnapshot {
     /// The semantic index at this epoch.
     pub semantic: SemanticIndex,
@@ -379,18 +379,19 @@ impl BatchQueryItem {
     }
 }
 
-/// The lock-free read side of the engine.
+/// The read side of the engine.
 ///
-/// A reader holds the published-snapshot cell, the worker pool, and the
+/// A reader holds the published-snapshot slot, the worker pool, and the
 /// plan/result cache — all behind `Arc`s — so it is `Clone + Send +
 /// Sync` and can be handed to any number of serving threads. Queries
-/// pin the current [`EngineSnapshot`] and execute against it with zero
-/// locking: a concurrent reindex publishes a *new* snapshot and never
-/// blocks (or is blocked by) in-flight queries.
+/// pin the current [`EngineSnapshot`] and execute against it without
+/// holding any lock: the slot's mutex is held for one `Arc` clone (a
+/// pin) or one `Arc` swap (a publish), so a concurrent reindex never
+/// waits on an in-flight query, nor a query on a reindex.
 #[derive(Clone)]
 pub struct SommelierReader {
     repo: Arc<dyn ModelRepository>,
-    published: Arc<RcuCell<EngineSnapshot>>,
+    published: Arc<Mutex<Arc<EngineSnapshot>>>,
     pool: Arc<ThreadPool>,
     plan_cache: Arc<PlanCache>,
     config: SommelierConfig,
@@ -401,12 +402,18 @@ impl SommelierReader {
     /// valid (and internally consistent) for as long as the caller
     /// holds it, regardless of concurrent publications.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        self.published.pin()
+        Arc::clone(&self.slot())
+    }
+
+    /// The published-snapshot slot. Every update is one whole-`Arc` swap,
+    /// so a guard recovered from a poisoned lock still holds a snapshot.
+    fn slot(&self) -> MutexGuard<'_, Arc<EngineSnapshot>> {
+        self.published.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.published.pin().epoch
+        self.snapshot().epoch
     }
 
     /// A reader driving the same engine through its own pool of `jobs`
@@ -432,7 +439,7 @@ impl SommelierReader {
 
     /// Execute a textual query against the current snapshot.
     pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {
-        let snap = self.published.pin();
+        let snap = self.snapshot();
         SNAPSHOT_EPOCH.set(snap.epoch);
         self.query_on(&snap, text)
     }
@@ -440,7 +447,7 @@ impl SommelierReader {
     /// Execute a programmatically built query against the current
     /// snapshot (bypasses the text-keyed plan cache).
     pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
-        let snap = self.published.pin();
+        let snap = self.snapshot();
         SNAPSHOT_EPOCH.set(snap.epoch);
         self.query_ast_on(&snap, query)
     }
@@ -454,7 +461,7 @@ impl SommelierReader {
     /// Items come back in input order, and the result sets are
     /// identical at any lane count.
     pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
-        let snap = self.published.pin();
+        let snap = self.snapshot();
         SNAPSHOT_EPOCH.set(snap.epoch);
         let items = self.pool.par_map(texts, |text| {
             let start = Instant::now();
@@ -723,7 +730,7 @@ impl MutationBatch {
 ///
 /// The engine is split along the read/write axis: mutators build the
 /// next [`EngineSnapshot`] from this builder-side state and publish it
-/// atomically (RCU), while all query execution lives on the
+/// with one `Arc` swap, while all query execution lives on the
 /// [`SommelierReader`] — clone it via [`Sommelier::reader`] to serve
 /// queries from other threads while this handle keeps registering.
 pub struct Sommelier {
@@ -781,7 +788,7 @@ impl Sommelier {
         let pool = Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
             config.jobs,
         )));
-        let published = Arc::new(RcuCell::new(Arc::new(EngineSnapshot {
+        let published = Arc::new(Mutex::new(Arc::new(EngineSnapshot {
             semantic: semantic.clone(),
             resource: resource.clone(),
             default_refs: default_refs.clone(),
@@ -816,7 +823,9 @@ impl Sommelier {
 
     /// Publish the builder state as the next immutable snapshot. Every
     /// mutator ends here; in-flight queries keep their pinned epoch and
-    /// new queries pick this one up — nobody ever blocks on the swap.
+    /// new queries pick this one up. The slot's lock covers the swap
+    /// alone: the retired snapshot is released after the unlock, so a
+    /// pin never waits on its drop.
     /// Both indices share their `Arc`-backed members with the snapshot,
     /// so no candidate list is copied; what a publish still pays per
     /// repository key is the clone of the semantic entry map (one `Arc`
@@ -824,12 +833,16 @@ impl Sommelier {
     /// at 5 000 keys (ROADMAP item 4b).
     fn publish_snapshot(&mut self) {
         self.epoch += 1;
-        self.reader.published.publish(Arc::new(EngineSnapshot {
+        let next = Arc::new(EngineSnapshot {
             semantic: self.semantic.clone(),
             resource: self.resource.clone(),
             default_refs: self.default_refs.clone(),
             epoch: self.epoch,
-        }));
+        });
+        // The slot's guard is a temporary: it unlocks at the end of this
+        // statement, before `retired` drops.
+        let retired = std::mem::replace(&mut *self.reader.slot(), next);
+        drop(retired);
     }
 
     /// Connect with default configuration.
@@ -866,7 +879,7 @@ impl Sommelier {
         self.epoch
     }
 
-    /// A handle to the lock-free read side. Clone freely across
+    /// A handle to the read side. Clone freely across
     /// threads; every clone serves from whatever snapshot is current
     /// when it queries, and keeps working while this engine mutates.
     pub fn reader(&self) -> SommelierReader {
@@ -1838,6 +1851,24 @@ mod tests {
         assert_eq!(reader.epoch(), before_epoch + 1);
         let live = reader.query(&q).unwrap();
         assert!(live.iter().all(|r| r.key != names[3]));
+    }
+
+    #[test]
+    fn retired_snapshot_is_freed_when_its_last_pin_drops() {
+        let (mut engine, names) = engine_with_variants();
+        let reader = engine.reader();
+        let pinned = reader.snapshot();
+        let retired = Arc::downgrade(&pinned);
+        let applied = engine.apply(MutationBatch::new().unregister(&names[3])).unwrap();
+        assert_eq!(applied, 1);
+        // The engine has published past it, yet the pin keeps it alive.
+        assert!(retired.upgrade().is_some(), "a pinned snapshot was freed");
+        assert_eq!(reader.epoch(), pinned.epoch + 1);
+        let second_pin = Arc::clone(&pinned);
+        drop(pinned);
+        assert!(retired.upgrade().is_some(), "freed with a pin outstanding");
+        drop(second_pin);
+        assert!(retired.upgrade().is_none(), "the last pin dropped; nothing else holds it");
     }
 
     #[test]

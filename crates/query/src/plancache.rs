@@ -1,4 +1,4 @@
-//! The epoch-keyed plan/result cache of the lock-free query path.
+//! The epoch-keyed plan/result cache of the snapshot query path.
 //!
 //! A query against a *published engine snapshot* is a pure function of
 //! `(normalized query text, snapshot epoch)`: the snapshot is immutable,

@@ -1,13 +1,14 @@
 //! The `sommelier serve` daemon: a long-lived multi-tenant query
-//! server over the RCU snapshot path.
+//! server over the engine's published snapshot.
 //!
 //! One process owns ONE engine. The mutator side
 //! ([`sommelier_query::Sommelier`]) sits behind a mutex and is touched
 //! only by `reload`; every connection gets its own cheap
-//! [`SommelierReader`] clone, which reads the current published
-//! snapshot wait-free — queries keep flowing while a reload holds the
-//! engine lock, and a `query_batch` pins one snapshot epoch end to end
-//! even when the index republishes mid-batch.
+//! [`SommelierReader`] clone, which pins the current published
+//! snapshot with one `Arc` clone under the reader's slot lock (a
+//! publish holds it for one swap) — queries keep flowing while a reload
+//! holds the engine lock, and a `query_batch` pins one snapshot epoch
+//! end to end even when the index republishes mid-batch.
 //!
 //! Threading is deliberately boring: one accept thread, one thread per
 //! connection, and a bounded [`admission::AdmissionGate`] in front of

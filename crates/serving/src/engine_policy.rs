@@ -8,9 +8,9 @@
 //! accurate one whose service time fits the SLA budget left after the
 //! observed backlog.
 //!
-//! The switcher holds a [`SommelierReader`], the lock-free query handle:
+//! The switcher holds a [`SommelierReader`], the engine's query handle:
 //! every `choose` pins the currently published snapshot, so serving
-//! never blocks on a concurrent reindex and each decision is made
+//! never waits out a concurrent reindex and each decision is made
 //! against exactly one index epoch. The query text is fixed per
 //! switcher, so on a quiescent snapshot every per-request query after
 //! the first is answered by the engine's plan/result cache — the
@@ -23,7 +23,7 @@
 //! reference itself was unregistered), the switcher degrades to plain
 //! budget-based switching over the full table: serving keeps draining.
 
-use crate::policies::ModelChoice;
+use crate::policies::{switch_within_budget, ModelChoice};
 use sommelier_query::SommelierReader;
 
 /// A model-selection policy that consults the live engine per request.
@@ -99,33 +99,7 @@ impl EngineSwitcher {
             // deploy — keep serving on budget alone.
             eligible = (0..variants.len()).collect();
         }
-        let budget = self.sla_s - backlog_s;
-        // Most accurate eligible variant that fits the remaining budget.
-        let mut best: Option<usize> = None;
-        for &i in &eligible {
-            if variants[i].service_time_s <= budget {
-                let better = match best {
-                    None => true,
-                    Some(b) => variants[i].accuracy > variants[b].accuracy,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        best.unwrap_or_else(|| {
-            // Overloaded: fastest eligible variant to drain the queue.
-            eligible
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    variants[a]
-                        .service_time_s
-                        .partial_cmp(&variants[b].service_time_s)
-                        .expect("finite")
-                })
-                .expect("eligible is non-empty")
-        })
+        switch_within_budget(variants, &eligible, self.sla_s - backlog_s)
     }
 }
 

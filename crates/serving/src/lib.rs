@@ -21,7 +21,8 @@
 //! * [`daemon`] — the real thing, not a simulation: the
 //!   `sommelier serve` TCP daemon (line-delimited JSON protocol,
 //!   bounded admission, tenant quotas) serving concurrent readers off
-//!   the RCU snapshot path.
+//!   the engine's published snapshot (a mutex around one `Arc`, held
+//!   only to clone or swap it).
 
 pub mod daemon;
 pub mod engine_policy;

@@ -46,75 +46,56 @@ impl Policy {
         assert!(!variants.is_empty(), "no variants to choose from");
         match self {
             Policy::Fixed { index } => (*index).min(variants.len() - 1),
+            Policy::Switching { sla_s } => {
+                let all: Vec<usize> = (0..variants.len()).collect();
+                switch_within_budget(variants, &all, sla_s - backlog_s)
+            }
             Policy::SwitchingFloor {
                 sla_s,
                 min_accuracy,
             } => {
-                let eligible: Vec<usize> = (0..variants.len())
+                let mut eligible: Vec<usize> = (0..variants.len())
                     .filter(|&i| variants[i].accuracy >= *min_accuracy)
                     .collect();
                 if eligible.is_empty() {
-                    return Policy::Switching { sla_s: *sla_s }.choose(backlog_s, variants);
+                    // Nothing meets the floor: plain switching.
+                    eligible = (0..variants.len()).collect();
                 }
-                let budget = sla_s - backlog_s;
-                let mut best: Option<usize> = None;
-                for &i in &eligible {
-                    if variants[i].service_time_s <= budget {
-                        let better = match best {
-                            None => true,
-                            Some(b) => variants[i].accuracy > variants[b].accuracy,
-                        };
-                        if better {
-                            best = Some(i);
-                        }
-                    }
-                }
-                best.unwrap_or_else(|| {
-                    // Overloaded: fastest variant that still meets the
-                    // floor.
-                    eligible
-                        .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            variants[a]
-                                .service_time_s
-                                .partial_cmp(&variants[b].service_time_s)
-                                .expect("finite")
-                        })
-                        .expect("eligible is non-empty")
-                })
-            }
-            Policy::Switching { sla_s } => {
-                let budget = sla_s - backlog_s;
-                // Most accurate variant that fits the remaining budget.
-                let mut best: Option<usize> = None;
-                for (i, v) in variants.iter().enumerate() {
-                    if v.service_time_s <= budget {
-                        let better = match best {
-                            None => true,
-                            Some(b) => v.accuracy > variants[b].accuracy,
-                        };
-                        if better {
-                            best = Some(i);
-                        }
-                    }
-                }
-                best.unwrap_or_else(|| {
-                    // Overloaded: serve the fastest variant to drain.
-                    variants
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| {
-                            a.1.service_time_s
-                                .partial_cmp(&b.1.service_time_s)
-                                .expect("finite")
-                        })
-                        .map(|(i, _)| i)
-                        .expect("non-empty")
-                })
+                switch_within_budget(variants, &eligible, sla_s - backlog_s)
             }
         }
     }
+}
+
+/// The switching rule every budget-aware policy shares: the most accurate
+/// variant of `eligible` whose service time fits `budget_s`; when none
+/// fits (overload), the fastest of `eligible`, to drain the queue. Ties go
+/// to the earlier entry of `eligible`, which must be non-empty.
+pub(crate) fn switch_within_budget(
+    variants: &[ModelChoice],
+    eligible: &[usize],
+    budget_s: f64,
+) -> usize {
+    let mut best: Option<usize> = None;
+    for &i in eligible {
+        if variants[i].service_time_s <= budget_s
+            && best.is_none_or(|b| variants[i].accuracy > variants[b].accuracy)
+        {
+            best = Some(i);
+        }
+    }
+    best.unwrap_or_else(|| {
+        eligible
+            .iter()
+            .copied()
+            .min_by(|&a, &b| {
+                variants[a]
+                    .service_time_s
+                    .partial_cmp(&variants[b].service_time_s)
+                    .expect("finite")
+            })
+            .expect("eligible is non-empty")
+    })
 }
 
 #[cfg(test)]

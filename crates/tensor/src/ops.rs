@@ -7,46 +7,8 @@
 
 use crate::tensor::Tensor;
 
-/// Minimum number of multiply-adds before a kernel fans out to the
-/// process-wide thread pool. Below this, task-submission overhead beats
-/// any parallel win; above it, rows are split across workers. Results
-/// are bit-identical either way (each output row is computed by exactly
-/// one worker with an unchanged inner-loop order).
-const PAR_FLOP_THRESHOLD: usize = 1 << 16;
-
-/// Batched row parallelism: run `per_row(i, row)` for every row of
-/// `out`, splitting rows across the global pool when the kernel is big
-/// enough, inline otherwise. `per_row` must depend only on `i` and the
-/// row contents (bit-identical results regardless of schedule).
-fn for_each_row_parallel(
-    out: &mut Tensor,
-    flops: usize,
-    per_row: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    let n = out.cols().max(1);
-    let m = out.rows();
-    let pool = sommelier_parallel::global();
-    if pool.jobs() <= 1 || flops < PAR_FLOP_THRESHOLD || m <= 1 {
-        for i in 0..m {
-            per_row(i, out.row_mut(i));
-        }
-        return;
-    }
-    let rows_per_chunk = m.div_ceil(pool.jobs() * 4).max(1);
-    pool.par_chunks_mut(out.as_mut_slice(), rows_per_chunk * n, |chunk_idx, chunk| {
-        for (local, row) in chunk.chunks_mut(n).enumerate() {
-            per_row(chunk_idx * rows_per_chunk + local, row);
-        }
-    });
-}
-
 /// `a @ b` for `a: [m, k]`, `b: [k, n]`. Panics on an inner-dimension
 /// mismatch.
-///
-/// Large products (`2·m·k·n` above an internal threshold) are split
-/// row-wise across the process-wide [`sommelier_parallel::global`] pool;
-/// each output row keeps the sequential inner-loop order, so the result
-/// is bit-identical at any job count.
 ///
 /// ```
 /// use sommelier_tensor::{ops, Tensor};
@@ -68,11 +30,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(m, n);
     // i-k-j loop order keeps the inner loop sequential over both `b` and
     // `out` rows (cache-friendly; see the perf-book guidance on access
-    // patterns). Rows are independent, so they parallelize without
-    // changing any per-row arithmetic order.
-    for_each_row_parallel(&mut out, 2 * m * k * n, |i, out_row| {
-        let a_row = a.row(i);
-        for (kk, &a_ik) in a_row.iter().enumerate().take(k) {
+    // patterns).
+    for i in 0..m {
+        let out_row = out.row_mut(i);
+        for (kk, &a_ik) in a.row(i).iter().enumerate().take(k) {
             if a_ik == 0.0 {
                 continue;
             }
@@ -81,7 +42,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
                 out_row[j] += a_ik * b_row[j];
             }
         }
-    });
+    }
     out
 }
 
@@ -119,11 +80,9 @@ pub fn conv1d(x: &Tensor, kernel: &Tensor, stride: usize) -> Tensor {
     let windows = (x.cols() - ksize) / stride + 1;
     let out_ch = kernel.rows();
     let mut out = Tensor::zeros(x.rows(), out_ch * windows);
-    // Batch rows are independent; parallelize across them (same
-    // bit-identical-per-row argument as `matmul`).
-    let flops = 2 * x.rows() * out_ch * windows * ksize;
-    for_each_row_parallel(&mut out, flops, |b, out_row| {
+    for b in 0..x.rows() {
         let xin = x.row(b);
+        let out_row = out.row_mut(b);
         for o in 0..out_ch {
             let krow = kernel.row(o);
             for j in 0..windows {
@@ -135,7 +94,7 @@ pub fn conv1d(x: &Tensor, kernel: &Tensor, stride: usize) -> Tensor {
                 out_row[o * windows + j] = acc;
             }
         }
-    });
+    }
     out
 }
 
@@ -313,26 +272,6 @@ mod tests {
         let b = t(3, 2, vec![7., 8., 9., 10., 11., 12.]);
         let c = matmul(&a, &b);
         assert_eq!(c.as_slice(), &[58., 64., 139., 154.]);
-    }
-
-    #[test]
-    fn kernels_bit_identical_across_job_counts() {
-        use crate::rng::Prng;
-        let mut rng = Prng::seed_from_u64(99);
-        // Big enough to cross PAR_FLOP_THRESHOLD.
-        let a = Tensor::gaussian(64, 48, 1.0, &mut rng);
-        let b = Tensor::gaussian(48, 40, 1.0, &mut rng);
-        let x = Tensor::gaussian(64, 128, 1.0, &mut rng);
-        let k = Tensor::gaussian(4, 5, 1.0, &mut rng);
-        sommelier_parallel::set_global_jobs(1);
-        let mm_seq = matmul(&a, &b);
-        let cv_seq = conv1d(&x, &k, 2);
-        sommelier_parallel::set_global_jobs(4);
-        let mm_par = matmul(&a, &b);
-        let cv_par = conv1d(&x, &k, 2);
-        sommelier_parallel::set_global_jobs(1);
-        assert_eq!(mm_seq.as_slice(), mm_par.as_slice());
-        assert_eq!(cv_seq.as_slice(), cv_par.as_slice());
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable raw data slice, row-major.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Iterate over rows.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
