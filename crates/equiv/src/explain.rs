@@ -8,7 +8,7 @@
 //! bounds — and renders it as a report.
 
 use crate::assessment::assess_replacement;
-use crate::iocheck::{check_io, IoCompat};
+use crate::iocheck::{check_io, IoCompat, IoDescriptor};
 use crate::segment::MatchedSegment;
 use crate::whole::{assess_whole, AssessError, EquivConfig, WholeModelReport};
 use sommelier_graph::Model;
@@ -110,7 +110,7 @@ pub fn explain(
     segment_epsilon: f64,
     rng: &mut Prng,
 ) -> Explanation {
-    let io = check_io(reference, candidate);
+    let io = check_io(&IoDescriptor::of(reference), &IoDescriptor::of(candidate));
     let whole = match assess_whole(reference, candidate, validation, config) {
         Ok(report) => Some(report),
         Err(AssessError::Incompatible(_)) | Err(AssessError::Exec(_)) => None,

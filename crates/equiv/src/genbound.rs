@@ -71,6 +71,11 @@ pub struct Cushions {
 /// model is "less compressible" and earns a larger bound.
 pub fn estimate_cushions(model: &Model, probe: &Tensor) -> Cushions {
     let trace = execute_traced(model, probe).expect("probe must match the model input width");
+    traced_cushions(model, &trace, usize::MAX)
+}
+
+/// [`estimate_cushions`] over the first `rows` rows of a trace.
+fn traced_cushions(model: &Model, trace: &[Tensor], rows: usize) -> Cushions {
     let mut per_layer = Vec::new();
     for id in model.linear_layers() {
         let w = model
@@ -80,17 +85,17 @@ pub fn estimate_cushions(model: &Model, probe: &Tensor) -> Cushions {
         let x_in = &trace[model.layer(id).inputs[0].index()];
         let x_out = &trace[id.index()];
         let mut ratio_sum = 0.0;
-        let mut rows = 0usize;
-        for r in 0..x_in.rows() {
+        let mut counted = 0usize;
+        for r in 0..x_in.rows().min(rows) {
             let nin = linalg::l2_norm(x_in.row(r));
             let nout = linalg::l2_norm(x_out.row(r));
             if nin > 1e-9 {
                 ratio_sum += nout / (frob * nin);
-                rows += 1;
+                counted += 1;
             }
         }
-        let mu = if rows > 0 {
-            (ratio_sum / rows as f64).clamp(1e-4, 1.0)
+        let mu = if counted > 0 {
+            (ratio_sum / counted as f64).clamp(1e-4, 1.0)
         } else {
             1e-4
         };
@@ -102,15 +107,32 @@ pub fn estimate_cushions(model: &Model, probe: &Tensor) -> Cushions {
 }
 
 /// The architecture-dependent factor `√(d² · max‖f(x)‖ · Σ 1/(μ²μ→²))` of
-/// the bound. It depends only on the model (and mildly on the probe), so
-/// callers indexing many models cache it per fingerprint and rescale by
-/// `1/(γ√n)` per query — see `sommelier-query::engine::EquivAnalyzer`.
+/// the bound, estimated on the probe's first
+/// [`GenBoundConfig::probe_rows`] rows. It depends only on the model and
+/// those rows, so an indexer keeps one per model and rescales it by
+/// `1/(γ√n)` per pair; `sommelier-query`'s `EquivAnalyzer` reads it off
+/// the same pass that gives the model's probe outputs
+/// ([`crate::whole::probe_model`]).
 pub fn architecture_factor(model: &Model, probe: &Tensor, config: &GenBoundConfig) -> f64 {
     let probe = clamp_rows(probe, config.probe_rows);
-    let cushions = estimate_cushions(model, &probe);
+    let trace = execute_traced(model, &probe).expect("probe must match the model input width");
+    traced_factor(model, &trace, config)
+}
+
+/// [`architecture_factor`] read off a trace of the probe: its first
+/// `probe_rows` rows give the cushions and the largest output norm. Every
+/// operator runs row by row, so those rows of a longer probe's trace are
+/// bit-identical to a trace of the clamped probe
+/// (`tests::a_longer_trace_gives_the_same_factor`), and one pass serves
+/// both the outputs and the factor.
+pub(crate) fn traced_factor(model: &Model, trace: &[Tensor], config: &GenBoundConfig) -> f64 {
+    let rows = config.probe_rows;
+    let cushions = traced_cushions(model, trace, rows);
     let d = model.depth() as f64;
-    let outputs = sommelier_runtime::execute(model, &probe).expect("probe executes");
-    let max_out = (0..outputs.rows())
+    let outputs = trace
+        .last()
+        .expect("a trace holds one activation per layer");
+    let max_out = (0..outputs.rows().min(rows))
         .map(|r| linalg::l2_norm(outputs.row(r)))
         .fold(0.0f64, f64::max)
         .max(1e-9);
@@ -132,8 +154,13 @@ pub fn generalization_term(
     n: usize,
     config: &GenBoundConfig,
 ) -> f64 {
+    factor_term(architecture_factor(model, probe, config), n, config)
+}
+
+/// [`generalization_term`] of a model whose architecture factor is
+/// `factor`.
+pub(crate) fn factor_term(factor: f64, n: usize, config: &GenBoundConfig) -> f64 {
     assert!(n > 0, "validation size must be positive");
-    let factor = architecture_factor(model, probe, config);
     let sqrt_n = (n as f64).sqrt();
     config.constant * factor / (config.gamma * sqrt_n) + config.concentration / sqrt_n
 }
@@ -237,6 +264,78 @@ mod tests {
         // Must not blow up on huge probes: runs on a capped subset.
         let b = generalization_term(&m, &big_probe, 1000, &GenBoundConfig::default());
         assert!(b.is_finite() && b > 0.0);
+    }
+
+    /// One model of every family, for the row-independence checks.
+    fn family_models() -> Vec<Model> {
+        use sommelier_zoo::families::Family;
+        use sommelier_zoo::teacher::{DatasetBias, Teacher};
+        let teacher = Teacher::for_task(TaskKind::ImageRecognition, 9);
+        let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
+        let mut rng = Prng::seed_from_u64(10);
+        Family::ALL
+            .iter()
+            .map(|f| f.build(f.slug(), &teacher, &bias, &mut rng))
+            .collect()
+    }
+
+    #[test]
+    fn one_trace_matches_the_two_pass_factor() {
+        // The factor as it was computed before it read one trace: the
+        // cushions from a traced pass, the output norm from a second.
+        let cfg = GenBoundConfig::default();
+        for m in family_models() {
+            let mut rng = Prng::seed_from_u64(11);
+            let p = Tensor::gaussian(cfg.probe_rows, m.input_width(), 1.0, &mut rng);
+            let cushion_sum: f64 = estimate_cushions(&m, &p)
+                .per_layer
+                .iter()
+                .map(|(_, mu, mu_fwd)| 1.0 / (mu * mu * mu_fwd * mu_fwd))
+                .sum::<f64>()
+                .max(1.0);
+            let out = sommelier_runtime::execute(&m, &p).unwrap();
+            let max_out = (0..out.rows())
+                .map(|r| linalg::l2_norm(out.row(r)))
+                .fold(0.0f64, f64::max)
+                .max(1e-9);
+            let d = m.depth() as f64;
+            let two_pass = (d * d * max_out * cushion_sum).sqrt();
+            assert_eq!(
+                architecture_factor(&m, &p, &cfg).to_bits(),
+                two_pass.to_bits(),
+                "{}",
+                m.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_longer_trace_gives_the_same_factor() {
+        let cfg = GenBoundConfig::default();
+        for m in family_models() {
+            let mut rng = Prng::seed_from_u64(12);
+            let long = Tensor::gaussian(4 * cfg.probe_rows + 3, m.input_width(), 1.0, &mut rng);
+            let full = execute_traced(&m, &long).unwrap();
+            let clamped = execute_traced(&m, &clamp_rows(&long, cfg.probe_rows)).unwrap();
+            for (a, b) in full.iter().zip(&clamped) {
+                for r in 0..cfg.probe_rows {
+                    assert!(
+                        a.row(r)
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .eq(b.row(r).iter().map(|v| v.to_bits())),
+                        "{}: row {r} of the long trace differs",
+                        m.name
+                    );
+                }
+            }
+            assert_eq!(
+                traced_factor(&m, &full, &cfg).to_bits(),
+                architecture_factor(&m, &long, &cfg).to_bits(),
+                "{}",
+                m.name
+            );
+        }
     }
 
     #[test]

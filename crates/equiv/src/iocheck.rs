@@ -8,7 +8,8 @@
 //! labels for classification tasks when both models publish them.
 
 use sommelier_graph::task::OutputStyle;
-use sommelier_graph::Model;
+use sommelier_graph::{Model, TaskKind};
+use sommelier_tensor::Shape;
 
 /// Metadata key under which a model may declare its input preprocessor.
 /// When both models declare one, strict input-shape comparison is skipped
@@ -30,12 +31,41 @@ impl IoCompat {
     }
 }
 
+/// Everything the I/O check reads of one model, and nothing of its
+/// weights: an indexer can keep one per model and check a pair without
+/// loading either.
+#[derive(Clone, Debug, PartialEq)]
+pub struct IoDescriptor {
+    /// Logical input shape.
+    pub input_shape: Shape,
+    /// Whether the model declares an input preprocessor
+    /// ([`PREPROCESSOR_KEY`]).
+    pub preprocessor: bool,
+    /// Flattened input width: the width of a probe the model runs on.
+    pub input_width: usize,
+    pub output_width: usize,
+    pub task: TaskKind,
+    pub output_syntax: Option<Vec<String>>,
+}
+
+impl IoDescriptor {
+    pub fn of(model: &Model) -> Self {
+        IoDescriptor {
+            input_shape: model.input_shape.clone(),
+            preprocessor: model.metadata.contains_key(PREPROCESSOR_KEY),
+            input_width: model.input_width(),
+            output_width: model.output_width(),
+            task: model.task,
+            output_syntax: model.output_syntax.clone(),
+        }
+    }
+}
+
 /// Run the input and output layer check between two models.
-pub fn check_io(a: &Model, b: &Model) -> IoCompat {
+pub fn check_io(a: &IoDescriptor, b: &IoDescriptor) -> IoCompat {
     // Input check: strict shape comparison, waived if both models declare
     // preprocessing of the raw source.
-    let both_preprocess = a.metadata.contains_key(PREPROCESSOR_KEY)
-        && b.metadata.contains_key(PREPROCESSOR_KEY);
+    let both_preprocess = a.preprocessor && b.preprocessor;
     if !both_preprocess && !a.input_shape.strictly_matches(&b.input_shape) {
         return IoCompat::Incompatible(format!(
             "input shapes differ: {} vs {}",
@@ -44,11 +74,10 @@ pub fn check_io(a: &Model, b: &Model) -> IoCompat {
     }
 
     // Output check: shapes must agree for either style.
-    if a.output_width() != b.output_width() {
+    if a.output_width != b.output_width {
         return IoCompat::Incompatible(format!(
             "output widths differ: {} vs {}",
-            a.output_width(),
-            b.output_width()
+            a.output_width, b.output_width
         ));
     }
 
@@ -72,7 +101,11 @@ pub fn check_io(a: &Model, b: &Model) -> IoCompat {
 mod tests {
     use super::*;
     use sommelier_graph::{ModelBuilder, TaskKind};
-    use sommelier_tensor::{Prng, Shape};
+    use sommelier_tensor::Prng;
+
+    fn check_io(a: &Model, b: &Model) -> IoCompat {
+        super::check_io(&IoDescriptor::of(a), &IoDescriptor::of(b))
+    }
 
     fn model(input: usize, output: usize, task: TaskKind, seed: u64) -> Model {
         let mut rng = Prng::seed_from_u64(seed);

@@ -37,6 +37,6 @@ pub mod whole;
 
 pub use explain::{explain, Explanation};
 pub use genbound::GenBoundConfig;
-pub use iocheck::{check_io, IoCompat};
+pub use iocheck::{check_io, IoCompat, IoDescriptor};
 pub use segment::MatchedSegment;
-pub use whole::{assess_whole, EquivConfig, WholeModelReport};
+pub use whole::{assess_whole, EquivConfig, ProbeOutput, WholeModelReport};

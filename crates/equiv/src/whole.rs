@@ -10,12 +10,12 @@
 //! regression-style QoR difference normalizes by the *reference* model's
 //! output scale, so swapping reference and candidate can change the score.
 
-use crate::genbound::{generalization_term, GenBoundConfig};
-use crate::iocheck::{check_io, IoCompat};
+use crate::genbound::{factor_term, traced_factor, GenBoundConfig};
+use crate::iocheck::{check_io, IoCompat, IoDescriptor};
 use sommelier_graph::task::OutputStyle;
 use sommelier_graph::Model;
 use sommelier_runtime::metrics::qor_difference;
-use sommelier_runtime::{execute, ExecError};
+use sommelier_runtime::{execute_traced, ExecError};
 use sommelier_tensor::Tensor;
 
 /// Whether and how to run the generalization-bound refinement — the
@@ -92,6 +92,68 @@ impl From<ExecError> for AssessError {
     }
 }
 
+/// One model's side of whole-model assessment, from one traced pass over
+/// the validation batch: its outputs and, with the bound on, its
+/// architecture factor. A pure function of the model and the batch, so an
+/// indexer can keep one per model and [`compose`] any two of them.
+#[derive(Clone, Debug)]
+pub struct ProbeOutput {
+    /// The model's outputs on the validation batch.
+    pub outputs: Tensor,
+    /// The bound's architecture factor
+    /// ([`crate::genbound::architecture_factor`]); `None` with the bound
+    /// off.
+    pub factor: Option<f64>,
+}
+
+/// Run `model` once over `validation`: the outputs, and the architecture
+/// factor read off the same trace.
+pub fn probe_model(
+    model: &Model,
+    validation: &Tensor,
+    genbound: &GenBoundMode,
+) -> Result<ProbeOutput, ExecError> {
+    let mut trace = execute_traced(model, validation)?;
+    let factor = match genbound {
+        GenBoundMode::Off => None,
+        GenBoundMode::On(gb) => Some(traced_factor(model, &trace, gb)),
+    };
+    let outputs = trace.pop().expect("a trace holds one activation per layer");
+    Ok(ProbeOutput { outputs, factor })
+}
+
+/// The report of `candidate` with respect to `reference` from their probe
+/// outputs on one validation batch. `style` is the reference's QoR style;
+/// the batch's row count is the `n` of the bound.
+pub fn compose(
+    style: OutputStyle,
+    reference: &ProbeOutput,
+    candidate: &ProbeOutput,
+    config: &EquivConfig,
+) -> WholeModelReport {
+    let empirical_diff = qor_difference(style, &reference.outputs, &candidate.outputs);
+    let gen_term = match &config.genbound {
+        GenBoundMode::Off => 0.0,
+        GenBoundMode::On(gb) => {
+            let n = reference.outputs.rows().max(1);
+            // The estimation error of the empirical difference has a
+            // contribution from each model's generalization gap; we charge
+            // the average of the two architectural terms.
+            let term =
+                |p: &ProbeOutput| factor_term(p.factor.expect("probed with the bound on"), n, gb);
+            0.5 * (term(reference) + term(candidate))
+        }
+    };
+    let diff_bound = empirical_diff + gen_term;
+    WholeModelReport {
+        empirical_diff,
+        gen_term,
+        diff_bound,
+        score: (1.0 - diff_bound).max(0.0),
+        equivalent: diff_bound <= config.epsilon,
+    }
+}
+
 /// Assess the functional equivalence of `candidate` with respect to
 /// `reference` on a validation set.
 ///
@@ -104,35 +166,19 @@ pub fn assess_whole(
     validation: &Tensor,
     config: &EquivConfig,
 ) -> Result<WholeModelReport, AssessError> {
-    match check_io(reference, candidate) {
-        IoCompat::Compatible => {}
-        IoCompat::Incompatible(reason) => return Err(AssessError::Incompatible(reason)),
+    if let IoCompat::Incompatible(reason) =
+        check_io(&IoDescriptor::of(reference), &IoDescriptor::of(candidate))
+    {
+        return Err(AssessError::Incompatible(reason));
     }
-    let style = reference.task.output_style();
-    let ref_out = execute(reference, validation)?;
-    let cand_out = execute(candidate, validation)?;
-    let empirical_diff = qor_difference(style, &ref_out, &cand_out);
-
-    let gen_term = match &config.genbound {
-        GenBoundMode::Off => 0.0,
-        GenBoundMode::On(gb) => {
-            let n = validation.rows().max(1);
-            // The estimation error of the empirical difference has a
-            // contribution from each model's generalization gap; we charge
-            // the average of the two architectural terms.
-            let t_ref = generalization_term(reference, validation, n, gb);
-            let t_cand = generalization_term(candidate, validation, n, gb);
-            0.5 * (t_ref + t_cand)
-        }
-    };
-    let diff_bound = empirical_diff + gen_term;
-    Ok(WholeModelReport {
-        empirical_diff,
-        gen_term,
-        diff_bound,
-        score: (1.0 - diff_bound).max(0.0),
-        equivalent: diff_bound <= config.epsilon,
-    })
+    let ref_probe = probe_model(reference, validation, &config.genbound)?;
+    let cand_probe = probe_model(candidate, validation, &config.genbound)?;
+    Ok(compose(
+        reference.task.output_style(),
+        &ref_probe,
+        &cand_probe,
+        config,
+    ))
 }
 
 /// The QoR style used when two models are compared (reference's task).

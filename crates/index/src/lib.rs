@@ -27,7 +27,7 @@ pub mod somb;
 
 pub use persist::{IndexSnapshot, PersistError, SnapshotFormat};
 pub use resource::{ResourceConstraint, ResourceIndex};
-pub use semantic::{CandidateKind, CandidateRecord, PairAnalyzer, SemanticIndex};
+pub use semantic::{CandidateKind, CandidateRecord, EdgeMeasurement, PairAnalyzer, SemanticIndex};
 
 // Kept for `benchmark/src/fixture.rs:79`, which no product PR may edit;
 // delete with ROADMAP item 1.

@@ -53,7 +53,7 @@
 use serde::{Deserialize, Serialize};
 use sommelier_graph::{Fingerprint, Model};
 use sommelier_parallel::ThreadPool;
-use sommelier_runtime::metrics::counters;
+use sommelier_runtime::metrics::counters::{self, CachedCounter};
 use sommelier_tensor::Mix64;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
@@ -108,12 +108,17 @@ impl CandidateRecord {
 /// Pluggable pairwise analysis. Returns `None` when the pair is
 /// incomparable (failed I/O check).
 ///
+/// The index calls [`PairAnalyzer::analyze_pair`], once per attempted
+/// pair; the directed methods are what its default runs.
+///
 /// Analyses run concurrently during index construction, so implementors
 /// take `&self` and must be [`Sync`]; any internal caching belongs behind
 /// interior mutability. Determinism contract: the result for a pair must
 /// be a pure function of the two models (plus the analyzer's fixed
 /// configuration), never of call order — analyzers that need randomness
-/// should derive per-pair seeds from the model fingerprints.
+/// should derive per-pair seeds from the model fingerprints. The index
+/// takes a fingerprint to name one model (aliases share an entry), so an
+/// analyzer may keep per-model state keyed by fingerprint.
 pub trait PairAnalyzer: Sync {
     /// Dataset-independent QoR difference bound of `candidate` w.r.t.
     /// `reference` (whole-model analysis, Section 4.1).
@@ -125,6 +130,32 @@ pub trait PairAnalyzer: Sync {
     fn segment_diff(&self, host: &Model, donor: &Model) -> Option<f64> {
         let _ = (host, donor);
         None
+    }
+
+    /// Everything the index records of one attempted pair `(a, b)`.
+    /// `load` resolves a fingerprint to its model, or `None` when it
+    /// cannot; for a model outside the batch each call is a repository
+    /// read (`index.partner_loads`). The segment directions are measured
+    /// only when `segments` is set. The default loads both models and
+    /// runs the four directed analyses. An analyzer that keeps per-model
+    /// state by fingerprint can skip loading a model it has already
+    /// seen.
+    fn analyze_pair<'m>(
+        &self,
+        a: Fingerprint,
+        b: Fingerprint,
+        load: &dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>,
+        segments: bool,
+    ) -> EdgeMeasurement {
+        match (load(a), load(b)) {
+            (Some(a), Some(b)) => EdgeMeasurement {
+                fwd: self.whole_diff(&a, &b),
+                rev: self.whole_diff(&b, &a),
+                seg_fwd: segments.then(|| self.segment_diff(&a, &b)).flatten(),
+                seg_rev: segments.then(|| self.segment_diff(&b, &a)).flatten(),
+            },
+            _ => EdgeMeasurement::default(),
+        }
     }
 }
 
@@ -166,16 +197,16 @@ struct Entry {
 }
 
 /// Both directed whole-model diffs and both segment-surgery diffs of one
-/// attempted pair, keyed by `(lo, hi)` fingerprints. `fwd` is the
-/// `lo → hi` direction (reference `lo`), `seg_fwd` is host `lo` / donor
-/// `hi`. An all-`None` measurement still marks the pair *attempted*,
-/// which blocks transitive derivation through it.
+/// attempted pair `(a, b)`: `fwd` is `a → b` (reference `a`), `seg_fwd`
+/// is host `a` / donor `b`. The edge table keys it by `(lo, hi)`
+/// fingerprints, `a` being `lo`. An all-`None` measurement still marks the
+/// pair *attempted*, which blocks transitive derivation through it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-struct EdgeMeasurement {
-    fwd: Option<f64>,
-    rev: Option<f64>,
-    seg_fwd: Option<f64>,
-    seg_rev: Option<f64>,
+pub struct EdgeMeasurement {
+    pub fwd: Option<f64>,
+    pub rev: Option<f64>,
+    pub seg_fwd: Option<f64>,
+    pub seg_rev: Option<f64>,
 }
 
 /// Serialized form of one edge-table row.
@@ -325,6 +356,10 @@ impl Deserialize for SemanticIndex {
         })
     }
 }
+
+/// Models the analyze phase asked the repository for: every pair
+/// partner outside the batch whose analysis needed it loaded.
+static PARTNER_LOADS: CachedCounter = CachedCounter::new("index.partner_loads");
 
 /// Survivors per task of a batch's membership pass.
 const SURVIVOR_CHUNK: usize = 1024;
@@ -596,6 +631,11 @@ impl SemanticIndex {
         self.by_key.contains_key(key)
     }
 
+    /// Whether any key is indexed under `fp`.
+    pub fn contains_fingerprint(&self, fp: Fingerprint) -> bool {
+        self.entries.contains_key(&fp)
+    }
+
     /// All indexed keys, sorted.
     pub fn keys(&self) -> &[String] {
         &self.order
@@ -825,28 +865,26 @@ impl SemanticIndex {
             drops.sort_unstable();
             drops.dedup();
             // Analyze newly-attempted pairs — the only expensive step —
-            // one task per pair. An unresolvable pair is still recorded
-            // as attempted (all-`None`).
+            // one task per pair. The analyzer gets fingerprints and loads
+            // only the models it needs: the batch's own are at hand, and
+            // any other is a partner load from the repository. An
+            // unresolvable pair is still recorded as attempted
+            // (all-`None`).
             let batch_models: HashMap<u64, &Model> = models
                 .iter()
                 .zip(&add_fps)
                 .map(|(m, fp)| (*fp, m))
                 .collect();
             let segments = self.config.segments;
-            let model_of = |fp: u64| -> Option<Cow<'_, Model>> {
-                batch_models
-                    .get(&fp)
-                    .map(|m| Cow::Borrowed(*m))
-                    .or_else(|| resolve(ranking.key(fp)).map(Cow::Owned))
+            let load = |fp: Fingerprint| -> Option<Cow<'_, Model>> {
+                if let Some(m) = batch_models.get(&fp.0) {
+                    return Some(Cow::Borrowed(*m));
+                }
+                PARTNER_LOADS.add(1);
+                resolve(ranking.key(fp.0)).map(Cow::Owned)
             };
-            measured = pool.par_map(&adds, |&(lo, hi)| match (model_of(lo), model_of(hi)) {
-                (Some(a), Some(b)) => EdgeMeasurement {
-                    fwd: analyzer.whole_diff(&a, &b),
-                    rev: analyzer.whole_diff(&b, &a),
-                    seg_fwd: segments.then(|| analyzer.segment_diff(&a, &b)).flatten(),
-                    seg_rev: segments.then(|| analyzer.segment_diff(&b, &a)).flatten(),
-                },
-                _ => EdgeMeasurement::default(),
+            measured = pool.par_map(&adds, |&(lo, hi)| {
+                analyzer.analyze_pair(Fingerprint(lo), Fingerprint(hi), &load, segments)
             });
         }
         counters::add("index.models_indexed", models.len() as u64);

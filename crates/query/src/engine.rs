@@ -8,31 +8,36 @@
 //! indices; queries are parsed, planned, and executed as the Section 5.4
 //! filter pipeline.
 //!
-//! [`EquivAnalyzer`] is the production [`PairAnalyzer`]: whole-model
-//! analysis via `sommelier-equiv::assess_whole` on seeded probe batches
-//! (with the per-model architecture factor of the generalization bound
-//! cached by fingerprint), and segment analysis via `assess_replacement`.
-//! The analyzer is thread-safe: analyses run concurrently during index
-//! construction, and any randomness is seeded per pair so results never
-//! depend on call order.
+//! [`EquivAnalyzer`] is the production [`PairAnalyzer`]. It keeps one
+//! probe record per model fingerprint: the model's I/O descriptor, and
+//! its outputs on a seeded probe batch with the generalization bound's
+//! architecture factor, both from one traced pass. Whole-model analysis
+//! compares two records (`sommelier-equiv`'s `check_io` and `compose`),
+//! so the index hands it fingerprints and loads a model only to describe
+//! or probe it the first time. Segment analysis runs
+//! `assess_replacement` on the models themselves. The analyzer is
+//! thread-safe: analyses run concurrently during index construction, and
+//! any randomness is seeded per pair so results never depend on call
+//! order.
 
 use crate::ast::{FinalSelection, Query, RefSpec};
 use crate::parser::{parse, ParseError};
 use crate::plan::{plan, QueryPlan};
 use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
 use serde::Value;
-use sommelier_equiv::genbound::architecture_factor;
-use sommelier_equiv::whole::{AssessError, GenBoundMode};
-use sommelier_equiv::{assess_whole, EquivConfig};
+use sommelier_equiv::whole::{compose, probe_model, GenBoundMode};
+use sommelier_equiv::{check_io, EquivConfig, IoCompat, IoDescriptor, ProbeOutput};
 use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::semantic::SemanticIndexConfig;
-use sommelier_index::{CandidateKind, PairAnalyzer, ResourceIndex, SemanticIndex};
+use sommelier_index::{CandidateKind, EdgeMeasurement, PairAnalyzer, ResourceIndex, SemanticIndex};
 use sommelier_parallel::ThreadPool;
 use sommelier_repo::{ModelRepository, RepoError};
 use sommelier_runtime::metrics::counters::{self, CachedCounter};
-use sommelier_runtime::metrics::{latency, qor_difference};
+use sommelier_runtime::metrics::latency;
 use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
 use sommelier_tensor::{mix64, Prng, Tensor};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -193,19 +198,87 @@ impl SnapshotRecovery {
     }
 }
 
+/// Models the analyzer ran over its probe: one traced pass each, at the
+/// model's first I/O-compatible pair.
+static PROBE_PASSES: CachedCounter = CachedCounter::new("equiv.probe_passes");
+
+/// What the analyzer keeps of one model, keyed by fingerprint: everything
+/// whole-model analysis reads of it, and never the model or its trace.
+struct ProbeRecord {
+    /// What the I/O check reads, from the first time the analyzer sees
+    /// the model.
+    io: IoDescriptor,
+    /// Outputs on the seeded probe of the model's input width, and the
+    /// architecture factor, from one traced pass at the model's first
+    /// I/O-compatible pair.
+    probe: OnceLock<ProbeOutput>,
+}
+
+/// A model named by fingerprint, loaded on first need and at most once.
+struct Subject<'l, 'm> {
+    fp: Fingerprint,
+    load: &'l dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>,
+    model: OnceCell<Option<Cow<'m, Model>>>,
+}
+
+impl<'l, 'm> Subject<'l, 'm> {
+    fn named(fp: Fingerprint, load: &'l dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>) -> Self {
+        Subject {
+            fp,
+            load,
+            model: OnceCell::new(),
+        }
+    }
+
+    /// A model already at hand.
+    fn held(model: &'m Model) -> Self {
+        Subject {
+            fp: Fingerprint::of_model(model),
+            load: &|_| None,
+            model: OnceCell::from(Some(Cow::Borrowed(model))),
+        }
+    }
+
+    fn model(&self) -> Option<&Model> {
+        self.model.get_or_init(|| (self.load)(self.fp)).as_deref()
+    }
+}
+
+/// The I/O check, and what per-model probes add to it: each model runs on
+/// the probe of its own input width, so two models that waive the shape
+/// check by declaring preprocessors but differ in width share no probe
+/// (running one on the other's fails to execute).
+fn comparable(a: &IoDescriptor, b: &IoDescriptor) -> Result<(), String> {
+    if let IoCompat::Incompatible(why) = check_io(a, b) {
+        return Err(why);
+    }
+    if a.input_width != b.input_width {
+        return Err(format!(
+            "input widths differ: {} vs {}",
+            a.input_width, b.input_width
+        ));
+    }
+    Ok(())
+}
+
 /// The production pairwise analyzer.
 ///
-/// Thread-safe ([`Sync`]): probe batches and architecture factors are
-/// memoized behind mutexes, and segment-replacement randomness is
-/// seeded per pair from the model fingerprints — so the analyzer
-/// returns the same answer for a pair no matter which worker asks, or
-/// in what order.
+/// It keeps one probe record per fingerprint, so a model is loaded to be
+/// described once, runs over its probe once, and a pair is two records
+/// compared. Like the index, it takes a fingerprint to name one model:
+/// aliases share a record. The engine drops a record when its
+/// fingerprint's last key leaves the index.
+///
+/// Thread-safe ([`Sync`]): probe batches and records are memoized behind
+/// mutexes, and segment-replacement randomness is seeded per pair from
+/// the model fingerprints — so the analyzer returns the same answer for a
+/// pair no matter which worker asks, or in what order.
 pub struct EquivAnalyzer {
     equiv: EquivConfig,
     segment_epsilon: f64,
     validation_rows: usize,
     probes: Mutex<HashMap<usize, Tensor>>,
-    arch_factors: Mutex<HashMap<Fingerprint, f64>>,
+    records: Mutex<HashMap<Fingerprint, Arc<ProbeRecord>>>,
     seed: u64,
 }
 
@@ -221,7 +294,7 @@ impl EquivAnalyzer {
             segment_epsilon,
             validation_rows,
             probes: Mutex::new(HashMap::new()),
-            arch_factors: Mutex::new(HashMap::new()),
+            records: Mutex::new(HashMap::new()),
             seed,
         }
     }
@@ -241,59 +314,104 @@ impl EquivAnalyzer {
             .clone()
     }
 
-    fn cached_factor(&self, model: &Model, probe: &Tensor) -> f64 {
-        let fp = Fingerprint::of_model(model);
-        if let Some(f) = self
-            .arch_factors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&fp)
-        {
-            return *f;
-        }
-        let cfg = match self.equiv.genbound {
-            GenBoundMode::On(c) => c,
-            GenBoundMode::Off => return 0.0,
-        };
-        // Computed outside the lock — the factor is a pure function of
-        // the model, so concurrent duplicate computation is merely
-        // wasted work, never divergence.
-        let f = architecture_factor(model, probe, &cfg);
-        self.arch_factors
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(fp, f);
-        f
+    /// The records, each inserted or removed whole: a guard recovered
+    /// from a poisoned lock still holds whole records.
+    fn records(&self) -> MutexGuard<'_, HashMap<Fingerprint, Arc<ProbeRecord>>> {
+        self.records.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-impl PairAnalyzer for EquivAnalyzer {
-    fn whole_diff(&self, reference: &Model, candidate: &Model) -> Option<f64> {
-        let probe = self.probe(reference.input_width());
-        // Empirical difference without the (expensive, uncached) built-in
-        // bound path; the bound term is recomposed from cached factors.
+    /// Drop the records of `gone`.
+    fn forget(&self, gone: impl IntoIterator<Item = Fingerprint>) {
+        let mut records = self.records();
+        for fp in gone {
+            records.remove(&fp);
+        }
+    }
+
+    /// `subject`'s record, described from its model on first sight.
+    fn record(&self, subject: &Subject<'_, '_>) -> Option<Arc<ProbeRecord>> {
+        if let Some(record) = self.records().get(&subject.fp) {
+            return Some(Arc::clone(record));
+        }
+        let fresh = ProbeRecord {
+            io: IoDescriptor::of(subject.model()?),
+            probe: OnceLock::new(),
+        };
+        Some(Arc::clone(
+            self.records()
+                .entry(subject.fp)
+                .or_insert_with(|| Arc::new(fresh)),
+        ))
+    }
+
+    /// The record's probe output, from one pass over the model the first
+    /// time it is asked for.
+    fn probed<'r>(
+        &self,
+        record: &'r ProbeRecord,
+        subject: &Subject<'_, '_>,
+    ) -> Option<&'r ProbeOutput> {
+        if let Some(probe) = record.probe.get() {
+            return Some(probe);
+        }
+        let model = subject.model()?;
+        Some(record.probe.get_or_init(|| {
+            PROBE_PASSES.add(1);
+            probe_model(
+                model,
+                &self.probe(model.input_width()),
+                &self.equiv.genbound,
+            )
+            .expect("a model runs on the probe of its own input width")
+        }))
+    }
+
+    /// Both directed whole-model diffs of a pair, `[a → b, b → a]`, each
+    /// as (empirical QoR difference, bound term); why the pair cannot be
+    /// compared otherwise.
+    fn whole_pair(
+        &self,
+        a: &Subject<'_, '_>,
+        b: &Subject<'_, '_>,
+    ) -> Result<[(f64, f64); 2], String> {
+        let unloadable = |s: &Subject<'_, '_>| format!("model {:016x} cannot be loaded", s.fp.0);
+        let ra = self.record(a).ok_or_else(|| unloadable(a))?;
+        let rb = self.record(b).ok_or_else(|| unloadable(b))?;
+        comparable(&ra.io, &rb.io)?;
+        let pa = self.probed(&ra, a).ok_or_else(|| unloadable(a))?;
+        let pb = self.probed(&rb, b).ok_or_else(|| unloadable(b))?;
+        Ok([self.directed(&ra.io, pa, pb), self.directed(&rb.io, pb, pa)])
+    }
+
+    /// `candidate`'s difference w.r.t. `reference` as (empirical QoR
+    /// difference, bound term). The term is recomposed from the two
+    /// architecture factors at `n` = probe rows, in the form every
+    /// snapshot was built with.
+    fn directed(&self, reference: &IoDescriptor, r: &ProbeOutput, c: &ProbeOutput) -> (f64, f64) {
         let empirical_cfg = EquivConfig {
             epsilon: self.equiv.epsilon,
             genbound: GenBoundMode::Off,
         };
-        match assess_whole(reference, candidate, &probe, &empirical_cfg) {
-            Ok(report) => {
-                let term = match self.equiv.genbound {
-                    GenBoundMode::Off => 0.0,
-                    GenBoundMode::On(gb) => {
-                        let fa = self.cached_factor(reference, &probe);
-                        let fb = self.cached_factor(candidate, &probe);
-                        let n = (probe.rows().max(1) as f64).sqrt();
-                        gb.constant * 0.5 * (fa + fb) / (gb.gamma * n) + gb.concentration / n
-                    }
-                };
-                Some(report.empirical_diff + term)
+        let report = compose(reference.task.output_style(), r, c, &empirical_cfg);
+        let term = match self.equiv.genbound {
+            GenBoundMode::Off => 0.0,
+            GenBoundMode::On(gb) => {
+                let factor =
+                    |p: &ProbeOutput| p.factor.expect("records are probed with the bound on");
+                let n = (r.outputs.rows().max(1) as f64).sqrt();
+                gb.constant * 0.5 * (factor(r) + factor(c)) / (gb.gamma * n) + gb.concentration / n
             }
-            Err(AssessError::Incompatible(_)) | Err(AssessError::Exec(_)) => None,
-        }
+        };
+        (report.empirical_diff, term)
     }
 
-    fn segment_diff(&self, host: &Model, donor: &Model) -> Option<f64> {
+    fn segment(
+        &self,
+        host: &Model,
+        host_fp: Fingerprint,
+        donor: &Model,
+        donor_fp: Fingerprint,
+    ) -> Option<f64> {
         let probe = self.probe(host.input_width());
         // A small slice suffices for noise-injection estimation.
         let rows = probe.rows().min(16);
@@ -305,7 +423,6 @@ impl PairAnalyzer for EquivAnalyzer {
         };
         // Per-pair seeding: the noise draws are a pure function of
         // (analyzer seed, host, donor), never of analysis order.
-        let (host_fp, donor_fp) = (Fingerprint::of_model(host), Fingerprint::of_model(donor));
         let mut rng = Prng::seed_from_u64(mix64(&[self.seed, host_fp.0, donor_fp.0, 0x5e6]));
         sommelier_equiv::assessment::assess_replacement(
             host,
@@ -316,6 +433,57 @@ impl PairAnalyzer for EquivAnalyzer {
         )
         .ok()
         .and_then(|assessment| assessment.equivalent.then_some(assessment.qor_diff))
+    }
+}
+
+impl PairAnalyzer for EquivAnalyzer {
+    fn whole_diff(&self, reference: &Model, candidate: &Model) -> Option<f64> {
+        // The descriptors first: an incomparable pair costs no hashing.
+        comparable(&IoDescriptor::of(reference), &IoDescriptor::of(candidate)).ok()?;
+        let [(empirical, term), _] = self
+            .whole_pair(&Subject::held(reference), &Subject::held(candidate))
+            .ok()?;
+        Some(empirical + term)
+    }
+
+    fn segment_diff(&self, host: &Model, donor: &Model) -> Option<f64> {
+        self.segment(
+            host,
+            Fingerprint::of_model(host),
+            donor,
+            Fingerprint::of_model(donor),
+        )
+    }
+
+    fn analyze_pair<'m>(
+        &self,
+        a: Fingerprint,
+        b: Fingerprint,
+        load: &dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>,
+        segments: bool,
+    ) -> EdgeMeasurement {
+        let (a, b) = (Subject::named(a, load), Subject::named(b, load));
+        // Segment analysis reads both models: a pair either of which
+        // cannot be loaded is all-`None`, as in the default.
+        let (seg_fwd, seg_rev) = if segments {
+            let (Some(ma), Some(mb)) = (a.model(), b.model()) else {
+                return EdgeMeasurement::default();
+            };
+            (
+                self.segment(ma, a.fp, mb, b.fp),
+                self.segment(mb, b.fp, ma, a.fp),
+            )
+        } else {
+            (None, None)
+        };
+        let whole = self.whole_pair(&a, &b).ok();
+        let total = |i: usize| whole.map(|d: [(f64, f64); 2]| d[i].0 + d[i].1);
+        EdgeMeasurement {
+            fwd: total(0),
+            rev: total(1),
+            seg_fwd,
+            seg_rev,
+        }
     }
 }
 
@@ -1025,8 +1193,19 @@ impl Sommelier {
         }
         let repo = Arc::clone(&self.repo);
         let resolve = move |k: &str| repo.load(k).ok();
+        let removed: Vec<Fingerprint> = removes
+            .iter()
+            .filter_map(|k| self.semantic.fingerprint_of(k))
+            .collect();
         self.semantic
             .apply_batch_with(&self.pool, removes, models, &resolve, &self.analyzer);
+        // A record leaves with its fingerprint's last key; an alias
+        // keeps it.
+        self.analyzer.forget(
+            removed
+                .into_iter()
+                .filter(|fp| !self.semantic.contains_fingerprint(*fp)),
+        );
         for key in removes {
             self.resource.remove(key);
             self.tasks.remove(key);
@@ -1255,24 +1434,39 @@ impl Sommelier {
 
     /// Directly measure the empirical QoR difference between two
     /// registered models on the engine's probe — a convenience for
-    /// experiments and the serving integration.
+    /// experiments and the serving integration. A pair the I/O check
+    /// rejects has no difference to measure: `QueryError::Analysis`.
     pub fn measure_diff(&self, reference: &str, candidate: &str) -> Result<f64, QueryError> {
         let a = self.repo.load(reference)?;
         let b = self.repo.load(candidate)?;
-        let probe = self.analyzer.probe(a.input_width());
-        let oa = sommelier_runtime::execute(&a, &probe)
-            .map_err(|e| QueryError::Analysis(e.to_string()))?;
-        let ob = sommelier_runtime::execute(&b, &probe)
-            .map_err(|e| QueryError::Analysis(e.to_string()))?;
-        Ok(qor_difference(a.task.output_style(), &oa, &ob))
+        let (a, b) = (Subject::held(&a), Subject::held(&b));
+        let measured = self.analyzer.whole_pair(&a, &b);
+        // Records are kept for indexed models only.
+        self.analyzer.forget(
+            [a.fp, b.fp]
+                .into_iter()
+                .filter(|fp| !self.semantic.contains_fingerprint(*fp)),
+        );
+        let [(empirical, _), _] = measured.map_err(|why| {
+            QueryError::Analysis(format!(
+                "'{reference}' and '{candidate}' are incomparable: {why}"
+            ))
+        })?;
+        Ok(empirical)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sommelier_equiv::genbound::architecture_factor;
+    use sommelier_equiv::iocheck::PREPROCESSOR_KEY;
+    use sommelier_graph::task::OutputStyle;
+    use sommelier_graph::ModelBuilder;
     use sommelier_repo::InMemoryRepository;
+    use sommelier_tensor::Shape;
     use sommelier_zoo::families::{Family, FamilyScale};
+    use sommelier_zoo::finetune::perturb_all;
     use sommelier_zoo::teacher::{DatasetBias, Teacher};
 
     fn engine_with_variants() -> (Sommelier, Vec<String>) {
@@ -2117,5 +2311,199 @@ mod tests {
         assert_eq!(d, 0.0);
         let d2 = engine.measure_diff(&names[0], &names[3]).unwrap();
         assert!(d2 > 0.0);
+    }
+
+    /// A two-layer net; `softmax` makes it a classifier's head.
+    fn net(name: &str, task: TaskKind, input: usize, output: usize, seed: u64) -> Model {
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut b = ModelBuilder::new(name, task, Shape::vector(input));
+        b.dense(24, &mut rng).relu().dense(output, &mut rng);
+        if task.output_style() == OutputStyle::Classification {
+            b.softmax();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn measure_diff_refuses_pairs_of_different_output_widths() {
+        // Regression outputs of different widths used to panic in the
+        // row distance; classification ones got back a top-1 agreement
+        // of unrelated label spaces.
+        for task in [TaskKind::ObjectDetection, TaskKind::ImageRecognition] {
+            let mut engine = Sommelier::connect(
+                Arc::new(InMemoryRepository::new()),
+                SommelierConfig::default(),
+            );
+            let (a, b) = (net("wide", task, 16, 8, 1), net("narrow", task, 16, 6, 2));
+            engine.register(&a).unwrap();
+            engine.register(&b).unwrap();
+            let err = engine.measure_diff("wide", "narrow").unwrap_err();
+            assert!(
+                matches!(&err, QueryError::Analysis(why) if why.contains("output widths differ")),
+                "{task}: {err}"
+            );
+        }
+    }
+
+    /// Whole-model analysis as `EquivAnalyzer` computed it before probe
+    /// records: `assess_whole` with the bound off over the reference's
+    /// probe, plus the bound term recomposed from the two models'
+    /// architecture factors.
+    fn whole_diff_before_records(
+        analyzer: &EquivAnalyzer,
+        equiv: EquivConfig,
+        reference: &Model,
+        candidate: &Model,
+    ) -> Option<f64> {
+        let probe = analyzer.probe(reference.input_width());
+        let empirical_cfg = EquivConfig {
+            epsilon: equiv.epsilon,
+            genbound: GenBoundMode::Off,
+        };
+        let report =
+            sommelier_equiv::assess_whole(reference, candidate, &probe, &empirical_cfg).ok()?;
+        let term = match equiv.genbound {
+            GenBoundMode::Off => 0.0,
+            GenBoundMode::On(gb) => {
+                let fa = architecture_factor(reference, &probe, &gb);
+                let fb = architecture_factor(candidate, &probe, &gb);
+                let n = (probe.rows().max(1) as f64).sqrt();
+                gb.constant * 0.5 * (fa + fb) / (gb.gamma * n) + gb.concentration / n
+            }
+        };
+        Some(report.empirical_diff + term)
+    }
+
+    #[test]
+    fn probe_records_reproduce_the_pairwise_analysis_bit_for_bit() {
+        let image = TaskKind::ImageRecognition;
+        let base = net("base", image, 32, 8, 1);
+        let mut rng = Prng::seed_from_u64(2);
+        let mut near = perturb_all(&base, 0.05, &mut rng);
+        near.name = "near".into();
+        let mut far = perturb_all(&base, 0.5, &mut rng);
+        far.name = "far".into();
+        let [cats, dogs] = [("cats", 3), ("dogs", 4)].map(|(label, seed)| {
+            let mut m = net(label, image, 32, 8, seed);
+            m.output_syntax = Some((0..8).map(|i| format!("{label}-{i}")).collect());
+            m
+        });
+        let [narrow, wide] = [(32, 5), (40, 6)].map(|(width, seed)| {
+            let mut m = net(&format!("pre-{width}"), image, width, 8, seed);
+            m.metadata
+                .insert(PREPROCESSOR_KEY.into(), format!("resize-{width}"));
+            m
+        });
+        let teacher = Teacher::for_task(image, 51);
+        let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
+        let family = [1.0, 0.75].map(|wf| {
+            let mut frng = rng.fork();
+            Family::Resnetish.build_scaled(
+                format!("resnetish-{wf}"),
+                &teacher,
+                &bias,
+                &FamilyScale::new(wf, 3, 0.01),
+                &mut frng,
+            )
+        });
+        let mut zoo = vec![
+            base,
+            near,
+            far,
+            // Same I/O, the other output style: compared in both
+            // directions, each in its reference's style.
+            net("boxes", TaskKind::ObjectDetection, 32, 8, 7),
+            net("boxes-2", TaskKind::ObjectDetection, 32, 8, 8),
+            // Another task, other input shape.
+            net("sentiment", TaskKind::SentimentAnalysis, 24, 8, 9),
+            narrow,
+            wide,
+            // Both labelled, differently.
+            cats,
+            dogs,
+        ];
+        zoo.extend(family);
+        let fps: Vec<Fingerprint> = zoo.iter().map(Fingerprint::of_model).collect();
+        let load = |fp: Fingerprint| {
+            zoo.iter()
+                .zip(&fps)
+                .find(|(_, f)| **f == fp)
+                .map(|(m, _)| Cow::Borrowed(m))
+        };
+        let at = |name: &str| zoo.iter().position(|m| m.name == name).unwrap();
+        let bits = |d: Option<f64>| d.map(f64::to_bits);
+        for genbound in [GenBoundMode::On(Default::default()), GenBoundMode::Off] {
+            for rows in [64, 256] {
+                let equiv = EquivConfig {
+                    epsilon: 0.05,
+                    genbound,
+                };
+                let case = format!("{genbound:?} at {rows} rows");
+                let analyzer = EquivAnalyzer::new(equiv, 0.1, rows, 7);
+                let expected = |i: usize, j: usize| {
+                    bits(whole_diff_before_records(
+                        &analyzer, equiv, &zoo[i], &zoo[j],
+                    ))
+                };
+                // The index's path: fingerprints and a loader, each
+                // pair once.
+                for i in 0..zoo.len() {
+                    for j in i + 1..zoo.len() {
+                        let m = analyzer.analyze_pair(fps[i], fps[j], &load, true);
+                        assert_eq!(
+                            bits(m.fwd),
+                            expected(i, j),
+                            "{case}: {} -> {}",
+                            zoo[i].name,
+                            zoo[j].name
+                        );
+                        assert_eq!(
+                            bits(m.rev),
+                            expected(j, i),
+                            "{case}: {} -> {}",
+                            zoo[j].name,
+                            zoo[i].name
+                        );
+                        assert_eq!(m.seg_fwd, analyzer.segment_diff(&zoo[i], &zoo[j]), "{case}");
+                        assert_eq!(m.seg_rev, analyzer.segment_diff(&zoo[j], &zoo[i]), "{case}");
+                    }
+                }
+                // The benchmark's path: two models, every ordered pair.
+                for i in 0..zoo.len() {
+                    for j in 0..zoo.len() {
+                        let got = bits(analyzer.whole_diff(&zoo[i], &zoo[j]));
+                        assert_eq!(
+                            got,
+                            expected(i, j),
+                            "{case}: {} -> {}",
+                            zoo[i].name,
+                            zoo[j].name
+                        );
+                    }
+                }
+                // The zoo holds what the comparison must tell apart.
+                let whole = |a: &str, b: &str| analyzer.whole_diff(&zoo[at(a)], &zoo[at(b)]);
+                assert!(whole("base", "near").is_some(), "{case}");
+                assert!(whole("resnetish-1", "resnetish-0.75").is_some(), "{case}");
+                assert!(whole("base", "sentiment").is_none(), "{case}");
+                assert!(whole("cats", "dogs").is_none(), "{case}: output syntax");
+                assert!(
+                    whole("cats", "base").is_some(),
+                    "{case}: one side unlabelled"
+                );
+                assert!(
+                    whole("pre-32", "pre-40").is_none(),
+                    "{case}: no probe in common"
+                );
+                let (there, back) = (
+                    whole("base", "boxes").unwrap(),
+                    whole("boxes", "base").unwrap(),
+                );
+                assert_ne!(
+                    there, back,
+                    "{case}: each direction in its reference's style"
+                );
+            }
+        }
     }
 }
