@@ -27,6 +27,24 @@ fn bench_spectral_norm(c: &mut Criterion) {
             bch.iter(|| linalg::spectral_norm_default(&m))
         });
     }
+    // The shapes a register hands the kernel: a dense layer, a 3-tap
+    // convolution's Toeplitz matrix (width 96 → 94), and the zoo's
+    // largest matrix, the 192 → 96 stem (18 432 cells).
+    let mut rng = Prng::seed_from_u64(2);
+    let taps = [1.0f32, 0.3, -0.2];
+    let zoo = [
+        ("dense_96x64", Tensor::gaussian(96, 64, 0.1, &mut rng)),
+        (
+            "conv_toeplitz_96x94",
+            Tensor::from_fn(96, 94, |r, c| {
+                taps.get(r.wrapping_sub(c)).copied().unwrap_or(0.0)
+            }),
+        ),
+        ("dense_192x96", Tensor::gaussian(192, 96, 0.1, &mut rng)),
+    ];
+    for (name, m) in &zoo {
+        group.bench_function(*name, |bch| bch.iter(|| linalg::spectral_norm_default(m)));
+    }
     group.finish();
 }
 

@@ -1,107 +1,32 @@
 //! Table 1: accuracy lower bound vs actual accuracy when interchanging
-//! whole models, across validation dataset sizes.
-//!
-//! With resnet50ish as the reference model, three same-task models
-//! (inceptionish, vgg19ish, mobilenetish) are assessed at dataset sizes
-//! 100 / 1k / 10k. Each cell reports `bound / min / average` where the
-//! *bound* is the accuracy lower bound derived from one validation draw
-//! minus the generalization term, and min/average are over 20 independent
-//! draws of the same size. The paper's claims: the bound is always safe
-//! (≤ min) and approaches the actual accuracy as the dataset grows — the
-//! ×10 size step tightens it by ~√10.
+//! whole models, across validation dataset sizes, at the paper's 20 draws
+//! per size. The experiment is [`sommelier_bench::table1`].
 //!
 //! ```sh
 //! cargo run --release -p sommelier-bench --bin table1_bounds
 //! ```
 
-use serde::Serialize;
+use sommelier_bench::table1::{cells, MODELS, SIZES};
 use sommelier_bench::{print_table, write_json};
-use sommelier_equiv::genbound::{generalization_term, GenBoundConfig};
-use sommelier_graph::TaskKind;
-use sommelier_runtime::execute;
-use sommelier_runtime::metrics::top1_accuracy;
-use sommelier_tensor::{Prng, Tensor};
-use sommelier_zoo::families::Family;
-use sommelier_zoo::teacher::{DatasetBias, Teacher};
-
-#[derive(Serialize)]
-struct Cell {
-    model: String,
-    dataset_size: usize,
-    bound: f64,
-    min_actual: f64,
-    avg_actual: f64,
-    safe: bool,
-}
 
 fn main() {
-    let teacher = Teacher::for_task(TaskKind::ImageRecognition, 42);
-    let bias = DatasetBias::new(&teacher, "imagenet", 0.22);
-    let mut rng = Prng::seed_from_u64(7);
-
-    let candidates = [
-        ("inceptionish", Family::Inceptionish),
-        ("vgg19ish", Family::Vggish),
-        ("mobilenetish", Family::Mobilenetish),
-    ];
-    let models: Vec<_> = candidates
+    let cells = cells(20);
+    let rows: Vec<Vec<String>> = SIZES
         .iter()
-        .map(|(name, family)| {
-            let mut frng = rng.fork();
-            family.build(*name, &teacher, &bias, &mut frng)
+        .zip(cells.chunks(MODELS.len()))
+        .map(|(n, row)| {
+            let mut out = vec![format!("{n}")];
+            out.extend(row.iter().map(|c| {
+                format!(
+                    "{:.0} / {:.0} / {:.0}",
+                    c.bound * 100.0,
+                    c.min_actual * 100.0,
+                    c.avg_actual * 100.0
+                )
+            }));
+            out
         })
         .collect();
-
-    let sizes = [100usize, 1_000, 10_000];
-    let repeats = 20;
-    let gb = GenBoundConfig::default();
-
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut rows = Vec::new();
-    for &n in &sizes {
-        let mut row = vec![format!("{n}")];
-        for (ci, (name, _)) in candidates.iter().enumerate() {
-            let model = &models[ci];
-            // Actual accuracy while interchanging the model for the task,
-            // measured over `repeats` independent same-size draws.
-            let mut accs = Vec::with_capacity(repeats);
-            for rep in 0..repeats {
-                let mut drng = Prng::seed_from_u64(1000 * (rep as u64 + 1) + n as u64);
-                let x = Tensor::gaussian(n, teacher.spec.input_width, 1.0, &mut drng);
-                let labels = teacher.labels(&x);
-                let out = execute(model, &x).expect("model executes");
-                accs.push(top1_accuracy(&out, &labels));
-            }
-            let min_actual = accs.iter().cloned().fold(1.0f64, f64::min);
-            let avg_actual = accs.iter().sum::<f64>() / accs.len() as f64;
-
-            // Bound: one (held-out) validation draw → empirical accuracy
-            // minus the dataset-independent generalization term.
-            let mut brng = Prng::seed_from_u64(99_991 + n as u64);
-            let probe = Tensor::gaussian(n, teacher.spec.input_width, 1.0, &mut brng);
-            let labels = teacher.labels(&probe);
-            let out = execute(model, &probe).expect("model executes");
-            let empirical = top1_accuracy(&out, &labels);
-            let term = generalization_term(model, &probe, n, &gb);
-            let bound = (empirical - term).max(0.0);
-
-            row.push(format!(
-                "{:.0} / {:.0} / {:.0}",
-                bound * 100.0,
-                min_actual * 100.0,
-                avg_actual * 100.0
-            ));
-            cells.push(Cell {
-                model: name.to_string(),
-                dataset_size: n,
-                bound,
-                min_actual,
-                avg_actual,
-                safe: bound <= min_actual,
-            });
-        }
-        rows.push(row);
-    }
 
     print_table(
         "Table 1: accuracy lower bound vs actual (%), cell = bound/min/avg",
@@ -112,11 +37,11 @@ fn main() {
     let all_safe = cells.iter().all(|c| c.safe);
     println!("\nall bounds safe (bound <= min actual): {all_safe}");
     // The bound must close in on the actual accuracy as n grows.
-    for (name, _) in &candidates {
+    for (name, _) in &MODELS {
         let gap = |n: usize| {
             let c = cells
                 .iter()
-                .find(|c| &c.model == name && c.dataset_size == n)
+                .find(|c| c.model == *name && c.dataset_size == n)
                 .expect("cell exists");
             c.avg_actual - c.bound
         };

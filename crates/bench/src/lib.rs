@@ -4,7 +4,11 @@
 //! binary in this crate (`src/bin/`) that regenerates it: same rows, same
 //! series, printed as aligned text and written as JSON under
 //! `target/experiments/`. This library holds the pieces the binaries
-//! share: output locations, table rendering, and simple timing.
+//! share: output locations, table rendering, and simple timing. An
+//! experiment whose claim is a tier-1 test lives here as a function with
+//! a scale parameter, and its binary calls it at full scale.
+
+pub mod table1;
 
 use serde::Serialize;
 use std::path::PathBuf;

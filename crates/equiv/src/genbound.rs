@@ -339,6 +339,37 @@ mod tests {
     }
 
     #[test]
+    fn architecture_factors_keep_their_golden_bits() {
+        // Computed before the spectral-norm kernel was rewritten. The
+        // other factor tests compare two paths through the same kernel,
+        // so only pinned bits catch a change to the kernel itself.
+        let golden: [u64; 9] = [
+            0x40a2_7e46_4dd6_0587, // resnetish
+            0x40b0_5b96_538f_e79f, // vggish
+            0x4090_7aad_bc8b_28a8, // mobilenetish
+            0x40ad_e86c_a3e3_6c2f, // inceptionish
+            0x40c0_ed12_00f3_d928, // resnextish
+            0x409e_2cc9_a3e9_9809, // efficientnetish
+            0x40b6_bfa7_37e7_d320, // bitish
+            0x409a_0944_dd79_35db, // alexnetish
+            0x40ab_aed2_48d9_46dd, // bertish
+        ];
+        let cfg = GenBoundConfig::default();
+        let models = family_models();
+        assert_eq!(models.len(), golden.len());
+        for (m, want) in models.iter().zip(golden) {
+            let mut rng = Prng::seed_from_u64(11);
+            let p = Tensor::gaussian(cfg.probe_rows, m.input_width(), 1.0, &mut rng);
+            assert_eq!(
+                architecture_factor(m, &p, &cfg).to_bits(),
+                want,
+                "{}",
+                m.name
+            );
+        }
+    }
+
+    #[test]
     fn bound_is_deterministic() {
         let m = model(3, 5);
         let p = probe(6);

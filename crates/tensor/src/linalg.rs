@@ -4,6 +4,11 @@
 //! error vectors by the largest singular value `λ_max(W)` of each linear
 //! layer's weight matrix. We compute `λ_max` with power iteration on
 //! `WᵀW` — accurate to a relative tolerance, cheap, and dependency-free.
+//!
+//! [`matvec`] and [`matvec_t`] define the summation order of the power
+//! iteration. [`spectral_norm`] runs its own vectorizable kernel, but each
+//! output element is summed in the same order as `matvec` / `matvec_t`,
+//! so results are bit-identical to them.
 
 use crate::rng::Prng;
 use crate::tensor::Tensor;
@@ -52,34 +57,125 @@ fn normalize(v: &mut [f32]) -> f64 {
 ///
 /// Converges to relative tolerance `tol` or after `max_iters` iterations,
 /// whichever comes first. Deterministic for a fixed `seed`. Returns 0 for a
-/// zero or empty matrix.
+/// zero or empty matrix, and NaN at once for a matrix with a non-finite
+/// entry.
+///
+/// Each output element of `m v` and `mᵀ (m v)` is summed in the same order
+/// as [`matvec`] / [`matvec_t`], so results are bit-identical to a loop
+/// over them. If an iterate overflows `f32`, the iteration reruns on `m`
+/// scaled by a power of two (exact) and scales σ back.
 pub fn spectral_norm(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> f64 {
     if m.rows() == 0 || m.cols() == 0 {
         return 0.0;
     }
+    if !m.as_slice().iter().all(|x| x.is_finite()) {
+        return f64::NAN;
+    }
+    if let Some(sigma) = power_iteration(m, tol, max_iters, seed) {
+        return sigma;
+    }
+    // Bring the largest entry into [1, 2). The exponent is clamped so the
+    // factor 2⁻ᵏ stays finite in f32.
+    let k = (m.max_abs() as f64).log2().floor().max(-126.0) as i32;
+    let scaled = m.map(|x| x * 2f64.powi(-k) as f32);
+    power_iteration(&scaled, tol, max_iters, seed).map_or(f64::NAN, |s| s * 2f64.powi(k))
+}
+
+/// The power iteration of [`spectral_norm`] on a finite, non-empty `m`;
+/// `None` once `‖m v‖` is not finite.
+fn power_iteration(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> Option<f64> {
+    let mt = m.transpose();
     let mut rng = Prng::seed_from_u64(seed);
     let mut v: Vec<f32> = (0..m.cols()).map(|_| rng.gaussian() as f32).collect();
     if normalize(&mut v) == 0.0 {
         v[0] = 1.0;
     }
+    let mut mv = vec![0.0f32; m.rows()];
+    let mut next = vec![0.0f32; m.cols()];
     let mut sigma = 0.0f64;
     for _ in 0..max_iters {
         // v ← normalize(mᵀ (m v)); σ ← ‖m v‖
-        let mv = matvec(m, &v);
+        matvec_by_columns(&mt, &v, &mut mv);
         let new_sigma = l2_norm(&mv);
-        if new_sigma == 0.0 {
-            return 0.0;
+        if !new_sigma.is_finite() {
+            return None;
         }
-        let mut next = matvec_t(m, &mv);
+        if new_sigma == 0.0 {
+            return Some(0.0);
+        }
+        matvec_t_into(m, &mv, &mut next);
         normalize(&mut next);
-        v = next;
+        std::mem::swap(&mut v, &mut next);
         let rel = (new_sigma - sigma).abs() / new_sigma.max(1e-30);
         sigma = new_sigma;
         if rel < tol {
             break;
         }
     }
-    sigma
+    Some(sigma)
+}
+
+/// `out ← m v`, given `mt = mᵀ`. Every row's sum folds from `-0.0` (as
+/// `f32::sum` does) over the columns in order, exactly as [`matvec`];
+/// the rows are independent lanes.
+fn matvec_by_columns(mt: &Tensor, v: &[f32], out: &mut [f32]) {
+    let rows = out.len();
+    out.fill(-0.0);
+    let mut columns = mt.as_slice().chunks_exact(4 * rows);
+    let mut xs = v.chunks_exact(4);
+    for (quad, x) in columns.by_ref().zip(xs.by_ref()) {
+        add_four_rows(out, quad, x);
+    }
+    for (a, &x) in columns.remainder().chunks_exact(rows).zip(xs.remainder()) {
+        add_row(out, a, x);
+    }
+}
+
+/// `out ← mᵀ y`, exactly as [`matvec_t`]: rows with `y[r] == 0` are
+/// skipped, and four rows go per pass when none of them is.
+fn matvec_t_into(m: &Tensor, y: &[f32], out: &mut [f32]) {
+    let cols = out.len();
+    out.fill(0.0);
+    let mut rows = m.as_slice().chunks_exact(4 * cols);
+    let mut ys = y.chunks_exact(4);
+    for (quad, w) in rows.by_ref().zip(ys.by_ref()) {
+        if w.contains(&0.0) {
+            for (a, &wr) in quad.chunks_exact(cols).zip(w) {
+                if wr != 0.0 {
+                    add_row(out, a, wr);
+                }
+            }
+        } else {
+            add_four_rows(out, quad, w);
+        }
+    }
+    for (a, &wr) in rows.remainder().chunks_exact(cols).zip(ys.remainder()) {
+        if wr != 0.0 {
+            add_row(out, a, wr);
+        }
+    }
+}
+
+/// `out += a₀·w₀ + a₁·w₁ + a₂·w₂ + a₃·w₃` for the four rows `aᵢ` of
+/// `quad`, added one row after another per element — the same additions
+/// as four [`add_row`] calls, with one load and store of `out`.
+fn add_four_rows(out: &mut [f32], quad: &[f32], w: &[f32]) {
+    let n = out.len();
+    let (a0, rest) = quad.split_at(n);
+    let (a1, rest) = rest.split_at(n);
+    let (a2, a3) = rest.split_at(n);
+    let (w0, w1, w2, w3) = (w[0], w[1], w[2], w[3]);
+    let iter = out.iter_mut().zip(a0).zip(a1).zip(a2).zip(a3);
+    for ((((o, &p0), &p1), &p2), &p3) in iter {
+        *o = (((*o + p0 * w0) + p1 * w1) + p2 * w2) + p3 * w3;
+    }
+}
+
+/// `out += a · w`.
+fn add_row(out: &mut [f32], a: &[f32], w: f32) {
+    for (o, &p) in out.iter_mut().zip(a) {
+        *o += p * w;
+    }
 }
 
 /// Largest singular value with default tolerances (1e-6, 200 iterations).
@@ -331,6 +427,187 @@ mod tests {
             let v: Vec<f32> = (0..9).map(|_| rng.gaussian() as f32).collect();
             let amplified = l2_norm(&matvec(&m, &v));
             assert!(amplified <= sigma * l2_norm(&v) * (1.0 + 1e-3));
+        }
+    }
+
+    mod spectral_kernel {
+        use super::*;
+        use crate::rng::Prng;
+        use proptest::prelude::*;
+
+        /// The power iteration as it was written before the kernel:
+        /// allocating `matvec` → `matvec_t` per iteration. It is the
+        /// oracle the kernel must match bit for bit.
+        fn spectral_norm_reference(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> f64 {
+            if m.rows() == 0 || m.cols() == 0 {
+                return 0.0;
+            }
+            let mut rng = Prng::seed_from_u64(seed);
+            let mut v: Vec<f32> = (0..m.cols()).map(|_| rng.gaussian() as f32).collect();
+            if normalize(&mut v) == 0.0 {
+                v[0] = 1.0;
+            }
+            let mut sigma = 0.0f64;
+            for _ in 0..max_iters {
+                let mv = matvec(m, &v);
+                let new_sigma = l2_norm(&mv);
+                if new_sigma == 0.0 {
+                    return 0.0;
+                }
+                let mut next = matvec_t(m, &mv);
+                normalize(&mut next);
+                v = next;
+                let rel = (new_sigma - sigma).abs() / new_sigma.max(1e-30);
+                sigma = new_sigma;
+                if rel < tol {
+                    break;
+                }
+            }
+            sigma
+        }
+
+        /// A `rows × cols` matrix of gaussians times `scale`. `flags` bit 0
+        /// zeroes about a quarter of the rows, bit 1 a quarter of the
+        /// columns, bit 2 keeps about one entry in eight, and bit 3 turns
+        /// about a third of the zeros it makes into `-0.0`.
+        fn matrix(rows: usize, cols: usize, scale: f32, flags: u8, seed: u64) -> Tensor {
+            let mut rng = Prng::seed_from_u64(seed);
+            let zero_row: Vec<bool> = (0..rows)
+                .map(|_| flags & 1 != 0 && rng.flip(0.25))
+                .collect();
+            let zero_col: Vec<bool> = (0..cols)
+                .map(|_| flags & 2 != 0 && rng.flip(0.25))
+                .collect();
+            Tensor::from_fn(rows, cols, |r, c| {
+                let x = rng.gaussian() as f32 * scale;
+                let zero = zero_row[r] || zero_col[c] || (flags & 4 != 0 && rng.flip(0.875));
+                match (zero, flags & 8 != 0 && rng.flip(1.0 / 3.0)) {
+                    (false, _) => x,
+                    (true, true) => -0.0,
+                    (true, false) => 0.0,
+                }
+            })
+        }
+
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            /// The kernel returns the reference's bits wherever the
+            /// reference's iterates stay finite. Where they do not (tiny
+            /// scales whose normalization overflows), it rescales and
+            /// returns a finite σ.
+            #[test]
+            fn kernel_matches_the_reference_bit_for_bit(
+                rows in 1usize..=300,
+                cols in 1usize..=300,
+                exp in -20i32..=15,
+                flags in 0u8..16,
+                (tol, max_iters) in (sample::select(vec![0.0, 1e-6]), sample::select(vec![1usize, 17, 200])),
+                seed in any::<u64>(),
+            ) {
+                let m = matrix(rows, cols, 10f32.powi(exp), flags, seed);
+                let want = spectral_norm_reference(&m, tol, max_iters, seed);
+                let got = spectral_norm(&m, tol, max_iters, seed);
+                if want.is_finite() {
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{}x{} 1e{} flags {}: {} vs {}", rows, cols, exp, flags, got, want
+                    );
+                } else {
+                    prop_assert!(got.is_finite(), "{}x{} 1e{} flags {}: {}", rows, cols, exp, flags, got);
+                }
+            }
+
+            /// One product of each kind, against `matvec` / `matvec_t`
+            /// element by element, signed zeros included.
+            #[test]
+            fn products_match_matvec_bit_for_bit(
+                rows in 1usize..=41,
+                cols in 1usize..=41,
+                flags in 0u8..16,
+                seed in any::<u64>(),
+            ) {
+                let m = matrix(rows, cols, 1.0, flags, seed);
+                let v: Vec<f32> = matrix(1, cols, 1.0, flags, !seed).as_slice().to_vec();
+                let mut mv = vec![f32::NAN; rows];
+                matvec_by_columns(&m.transpose(), &v, &mut mv);
+                prop_assert_eq!(bits(&mv), bits(&matvec(&m, &v)));
+                let y: Vec<f32> = matrix(1, rows, 1.0, flags, seed ^ 1).as_slice().to_vec();
+                let mut mty = vec![f32::NAN; cols];
+                matvec_t_into(&m, &y, &mut mty);
+                prop_assert_eq!(bits(&mty), bits(&matvec_t(&m, &y)));
+            }
+        }
+
+        #[test]
+        fn a_zero_inside_a_run_of_four_is_skipped_like_the_reference() {
+            // Rows 1 and 6 are zero, so `m v` is zero there and the runs
+            // 0..4 and 4..8 of `mᵀ (m v)` each hold one skipped row.
+            let m = Tensor::from_fn(9, 7, |r, c| {
+                if r == 1 || r == 6 {
+                    0.0
+                } else {
+                    ((r * 7 + c) as f32 * 0.37).sin()
+                }
+            });
+            for max_iters in [1, 17, 200] {
+                assert_eq!(
+                    spectral_norm(&m, 0.0, max_iters, 3).to_bits(),
+                    spectral_norm_reference(&m, 0.0, max_iters, 3).to_bits()
+                );
+            }
+        }
+
+        #[test]
+        fn golden_bits_are_pinned() {
+            // Computed by the allocating loop before the kernel replaced
+            // it. Every in-tree oracle shares this kernel; these do not.
+            for (seed, rows, cols, want) in [
+                (1u64, 64usize, 64usize, 0x402e_a758_9941_0d23u64),
+                (2, 96, 32, 0x4030_1a4c_6271_a9ca),
+                (3, 1, 300, 0x4031_0e69_0000_0000),
+            ] {
+                let mut rng = Prng::seed_from_u64(seed);
+                let m = Tensor::gaussian(rows, cols, 1.0, &mut rng);
+                assert_eq!(spectral_norm_default(&m).to_bits(), want, "{rows}x{cols}");
+            }
+        }
+
+        /// A 16×12 gaussian matrix with one entry of `1e30`.
+        fn with_large_entry() -> Tensor {
+            let mut rng = Prng::seed_from_u64(16);
+            let mut m = Tensor::gaussian(16, 12, 1.0, &mut rng);
+            m.set(5, 7, 1e30);
+            m
+        }
+
+        #[test]
+        fn a_large_finite_entry_gives_a_finite_sigma() {
+            let m = with_large_entry();
+            // `mᵀ (m v)` overflows f32, and every later iterate is NaN.
+            assert!(spectral_norm_reference(&m, 1e-6, 200, 0x5eed).is_nan());
+            let sigma = spectral_norm_default(&m);
+            let rescaled = spectral_norm_default(&m.map(|x| x * 1e-25)) * 1e25;
+            assert!(sigma.is_finite() && sigma >= 1e30 * (1.0 - 1e-6), "{sigma}");
+            assert!(
+                (sigma - rescaled).abs() <= 1e-3 * rescaled,
+                "{sigma} vs {rescaled}"
+            );
+        }
+
+        #[test]
+        fn a_non_finite_entry_gives_nan_without_iterating() {
+            // Unbounded iterations with no tolerance: only the up-front
+            // check returns.
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let mut m = with_large_entry();
+                m.set(2, 3, bad);
+                assert!(spectral_norm(&m, 0.0, usize::MAX, 1).is_nan(), "{bad}");
+            }
         }
     }
 }
