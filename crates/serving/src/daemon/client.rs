@@ -1,13 +1,17 @@
 //! Blocking client for the daemon's wire protocol.
 //!
 //! One TCP connection, synchronous request/response: [`Client::call`]
-//! writes one frame and reads one response line. The CLI's `client`
-//! subcommand, the daemon tests and `benchmark/` are built on this.
+//! writes one frame (in one write, like the daemon's replies) and reads
+//! one response line. The CLI's `client` subcommand, the daemon tests
+//! and `benchmark/` are built on this.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use serde::Value;
+
+use super::protocol::{push_members, write_frame};
 
 /// A decoded response frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,10 +49,14 @@ impl Reply {
     }
 }
 
-/// A blocking protocol client over one TCP connection.
-pub struct Client {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+/// A blocking protocol client over one connection: a TCP stream, or
+/// any byte stream in the tests.
+pub struct Client<S = TcpStream> {
+    /// Replies are read through the buffer; requests are written to the
+    /// stream beneath it.
+    stream: BufReader<S>,
+    /// The last reply line, kept for its capacity.
+    line: String,
     auth: Option<String>,
     next_id: u64,
 }
@@ -57,13 +65,18 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
-            writer: stream,
-            reader,
+        Ok(Client::over(stream))
+    }
+}
+
+impl<S: Read + Write> Client<S> {
+    fn over(stream: S) -> Self {
+        Client {
+            stream: BufReader::new(stream),
+            line: String::new(),
             auth: None,
             next_id: 1,
-        })
+        }
     }
 
     /// Attach a tenant API key sent with every subsequent request.
@@ -76,39 +89,18 @@ impl Client {
     pub fn call(&mut self, op: &str, fields: Vec<(String, Value)>) -> io::Result<Reply> {
         let id = self.next_id;
         self.next_id += 1;
-        let mut map = vec![
-            ("id".to_string(), Value::UInt(id)),
-            ("op".to_string(), Value::Str(op.to_string())),
-        ];
-        if let Some(key) = &self.auth {
-            map.push(("auth".to_string(), Value::Str(key.clone())));
-        }
-        map.extend(fields);
-        let frame = serde_json::to_string(&Value::Map(map))
+        let frame = request_frame(id, op, self.auth.as_deref(), &fields)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.writer.write_all(frame.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        write_frame(self.stream.get_mut(), frame)?;
+        self.line.clear();
+        let n = self.stream.read_line(&mut self.line)?;
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection",
             ));
         }
-        let body: Value = serde_json::from_str(line.trim_end())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let ok = matches!(body.get_field("ok"), Some(Value::Bool(true)));
-        let reply_id = match body.get_field("id") {
-            Some(Value::UInt(n)) => *n,
-            Some(Value::Int(n)) if *n >= 0 => *n as u64,
-            _ => 0,
-        };
-        Ok(Reply {
-            id: reply_id,
-            ok,
-            body,
-        })
+        decode_reply(&self.line)
     }
 
     pub fn ping(&mut self) -> io::Result<Reply> {
@@ -149,21 +141,101 @@ impl Client {
     }
 }
 
+/// `{"id":..,"op":..,"auth":..?, <fields>...}`: the bytes of that one
+/// map, written around `fields`.
+fn request_frame(
+    id: u64,
+    op: &str,
+    auth: Option<&str>,
+    fields: &[(String, Value)],
+) -> Result<String, serde_json::Error> {
+    let mut out = String::with_capacity(256);
+    let _ = write!(out, "{{\"id\":{id},\"op\":");
+    serde_json::str_into(&mut out, op);
+    if let Some(key) = auth {
+        out.push_str(",\"auth\":");
+        serde_json::str_into(&mut out, key);
+    }
+    push_members(&mut out, fields)?;
+    out.push('}');
+    Ok(out)
+}
+
+/// Decode one response line.
+fn decode_reply(line: &str) -> io::Result<Reply> {
+    let body: Value = serde_json::from_str(line.trim_end())
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let ok = matches!(body.get_field("ok"), Some(Value::Bool(true)));
+    let id = match body.get_field("id") {
+        Some(Value::UInt(n)) => *n,
+        Some(Value::Int(n)) if *n >= 0 => *n as u64,
+        _ => 0,
+    };
+    Ok(Reply { id, ok, body })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::protocol::{error_frame, ErrorCode};
+    use crate::daemon::protocol::{error_frame, CountingWriter, ErrorCode};
 
-    /// Decode one response line exactly the way [`Client::call`] does.
     fn decode(line: &str) -> Reply {
-        let body: Value = serde_json::from_str(line.trim_end()).expect("frame parses");
-        let ok = matches!(body.get_field("ok"), Some(Value::Bool(true)));
-        let id = match body.get_field("id") {
-            Some(Value::UInt(n)) => *n,
-            Some(Value::Int(n)) if *n >= 0 => *n as u64,
-            _ => 0,
-        };
-        Reply { id, ok, body }
+        decode_reply(line).expect("frame parses")
+    }
+
+    /// A peer with canned reply lines that records what it is sent.
+    struct CannedPeer {
+        replies: io::Cursor<Vec<u8>>,
+        sent: CountingWriter,
+    }
+
+    impl Read for CannedPeer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.replies.read(buf)
+        }
+    }
+
+    impl Write for CannedPeer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.sent.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_request_is_one_write_with_its_golden_bytes() {
+        let replies = (1..=3)
+            .map(|id| format!("{{\"id\":{id},\"ok\":true}}\n"))
+            .collect::<String>();
+        let mut client = Client::over(CannedPeer {
+            replies: io::Cursor::new(replies.into_bytes()),
+            sent: CountingWriter::default(),
+        })
+        .with_auth("k\"1");
+        let reply = client.query("SELECT models 3 CORR x WITHIN 0.9").unwrap();
+        assert_eq!((reply.id, reply.ok), (1, true));
+        assert_eq!(client.stream.get_ref().sent.writes, 1);
+        client
+            .query_batch(&["a".to_string(), "b\n".to_string()])
+            .unwrap();
+        assert_eq!(client.stream.get_ref().sent.writes, 2);
+        assert_eq!(client.ping().unwrap().id, 3);
+        let sent = &client.stream.get_ref().sent;
+        assert_eq!(sent.writes, 3, "one write per request frame");
+        // Captured from the client that built a `Value::Map` per request
+        // and wrote the frame and its newline separately.
+        assert_eq!(
+            String::from_utf8(sent.bytes.clone()).unwrap(),
+            "{\"id\":1,\"op\":\"query\",\"auth\":\"k\\\"1\",\"text\":\"SELECT models 3 CORR x WITHIN 0.9\"}\n\
+             {\"id\":2,\"op\":\"query_batch\",\"auth\":\"k\\\"1\",\"texts\":[\"a\",\"b\\n\"]}\n\
+             {\"id\":3,\"op\":\"ping\",\"auth\":\"k\\\"1\"}\n"
+        );
+        // The peer hangs up: a typed EOF, not a hang or a panic.
+        let err = client.ping().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod client;
 pub mod protocol;
 pub mod tenants;
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,7 +45,7 @@ use sommelier_query::{Sommelier, SommelierReader};
 use sommelier_runtime::metrics::{counters, latency};
 
 use admission::{AdmissionGate, Decision};
-use protocol::{error_frame, ok_frame, ErrorCode, Op, Request};
+use protocol::{error_frame, ok_frame, write_frame, ErrorCode, Op, Request, MAX_FRAME_BYTES};
 use tenants::{TenantBook, TenantDecision};
 
 /// Requests between local-histogram merges on a connection.
@@ -97,6 +97,27 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(
+        engine: Sommelier,
+        config: &DaemonConfig,
+        tenants: TenantBook,
+        addr: SocketAddr,
+    ) -> Self {
+        let reader = engine.reader().clone();
+        Shared {
+            engine: Mutex::new(engine),
+            reader,
+            gate: AdmissionGate::new(config.workers, config.queue_depth),
+            tenants,
+            stopping: AtomicBool::new(false),
+            addr,
+            conns: Mutex::new(Vec::new()),
+            conn_threads: Mutex::new(Vec::new()),
+            active: AtomicU64::new(0),
+            hist: latency::histogram(REQUEST_HISTOGRAM),
+        }
+    }
+
     fn begin_shutdown(&self) {
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
@@ -186,19 +207,7 @@ impl Daemon {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot resolve listen address: {e}"))?;
-        let reader = engine.reader().clone();
-        let shared = Arc::new(Shared {
-            engine: Mutex::new(engine),
-            reader,
-            gate: AdmissionGate::new(config.workers, config.queue_depth),
-            tenants,
-            stopping: AtomicBool::new(false),
-            addr,
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
-            active: AtomicU64::new(0),
-            hist: latency::histogram(REQUEST_HISTOGRAM),
-        });
+        let shared = Arc::new(Shared::new(engine, &config, tenants, addr));
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok(DaemonHandle {
@@ -245,31 +254,57 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     counters::set("serve.active_connections", active);
     counters::add("serve.connections", 1);
 
+    serve_frames(&shared, BufReader::new(read_half), stream);
+    {
+        let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
+        conns.retain(|c| c.peer_addr().ok() != peer || peer.is_none());
+    }
+    let active = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
+    counters::set("serve.active_connections", active);
+}
+
+/// Answer the request frames read from `input` on `output`, each reply
+/// in one write, until EOF, a failed write or a frame longer than
+/// [`MAX_FRAME_BYTES`] (refused with `frame_too_large`, then the
+/// connection closes: the rest of that frame is never read).
+fn serve_frames(shared: &Shared, mut input: impl BufRead, mut output: impl Write) {
     let reader = shared.reader.clone();
     let mut local = latency::LocalRecorder::new();
-    let mut writer = stream;
-    let mut lines = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        line.clear();
-        match lines.read_line(&mut line) {
+        frame.clear();
+        let limit = MAX_FRAME_BYTES as u64 + 1;
+        match (&mut input).take(limit).read_until(b'\n', &mut frame) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        if frame.len() > MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+            counters::add("serve.frame_too_large", 1);
+            let message = format!("request frame exceeds {MAX_FRAME_BYTES} bytes");
+            let refusal = error_frame(None, ErrorCode::FrameTooLarge, &message, None);
+            let _ = write_frame(&mut output, refusal);
+            break;
         }
         let started = std::time::Instant::now();
-        let (response, stop_after) = serve_line(&shared, &reader, trimmed);
+        let (response, stop_after) = match std::str::from_utf8(&frame).map(str::trim) {
+            Ok("") => continue,
+            Ok(line) => serve_line(shared, &reader, line),
+            Err(_) => (
+                error_frame(
+                    None,
+                    ErrorCode::BadRequest,
+                    "request frame is not UTF-8",
+                    None,
+                ),
+                false,
+            ),
+        };
         local.record(started.elapsed().as_secs_f64() * 1e3);
         REQUESTS.add(1);
         if local.len() >= FLUSH_EVERY {
             local.flush_into(&shared.hist);
         }
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-        {
+        if write_frame(&mut output, response).is_err() {
             break;
         }
         if stop_after {
@@ -277,12 +312,6 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
         }
     }
     local.flush_into(&shared.hist);
-    {
-        let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns.retain(|c| c.peer_addr().ok() != peer || peer.is_none());
-    }
-    let active = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-    counters::set("serve.active_connections", active);
 }
 
 /// Dispatch one request line to one response frame. The bool asks the
@@ -559,4 +588,76 @@ fn metrics_frame(shared: &Shared, id: u64, reader: &SommelierReader) -> String {
             ("latency".to_string(), latency_map),
         ],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use protocol::CountingWriter;
+    use sommelier_query::SommelierConfig;
+    use sommelier_repo::{InMemoryRepository, ModelRepository};
+
+    /// A daemon's shared state over an empty engine, never bound: the
+    /// frames here arrive from memory, not from a socket.
+    fn shared() -> Shared {
+        let repo: Arc<dyn ModelRepository> = Arc::new(InMemoryRepository::new());
+        let engine = Sommelier::connect(repo, SommelierConfig::default());
+        let addr = SocketAddr::from(([127, 0, 0, 1], 0));
+        Shared::new(engine, &DaemonConfig::default(), TenantBook::unrestricted(), addr)
+    }
+
+    /// Serve `input` to completion; the reply lines and the writes spent.
+    fn serve(input: &[u8]) -> (Vec<Value>, usize) {
+        let mut out = CountingWriter::default();
+        serve_frames(&shared(), input, &mut out);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(text.is_empty() || text.ends_with('\n'), "{text:?}");
+        let replies = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        (replies, out.writes)
+    }
+
+    fn code(reply: &Value) -> Option<&Value> {
+        reply.get_field("error")?.get_field("code")
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let (replies, writes) = serve(
+            b"{\"id\":1,\"op\":\"ping\"}\n\n  \n{\"id\":2,\"op\":\"nope\"}\n\xff\xfe\n{\"id\":3,\"op\":\"ping\"}",
+        );
+        assert_eq!(replies.len(), 4, "blank lines are skipped: {replies:?}");
+        assert_eq!(writes, 4, "one write per reply frame");
+        assert_eq!(replies[0].get_field("pong"), Some(&Value::Bool(true)));
+        assert_eq!(code(&replies[1]), Some(&Value::Str("bad_request".into())));
+        // A frame that is not UTF-8 is a bad request, not a hang-up.
+        assert_eq!(code(&replies[2]), Some(&Value::Str("bad_request".into())));
+        // The last frame lacks its newline: EOF ends it, as before.
+        assert_eq!(replies[3].get_field("id"), Some(&Value::UInt(3)));
+    }
+
+    #[test]
+    fn a_frame_past_the_cap_is_refused_and_ends_the_connection() {
+        let mut input = b"{\"id\":1,\"op\":\"ping\"}\n".to_vec();
+        input.resize(input.len() + MAX_FRAME_BYTES + 1, b'x');
+        input.extend_from_slice(b"\n{\"id\":2,\"op\":\"ping\"}\n");
+        let (replies, writes) = serve(&input);
+        assert_eq!(writes, 2);
+        assert_eq!(replies.len(), 2, "nothing after the refusal: {replies:?}");
+        assert_eq!(replies[0].get_field("pong"), Some(&Value::Bool(true)));
+        assert_eq!(code(&replies[1]), Some(&Value::Str("frame_too_large".into())));
+        assert_eq!(replies[1].get_field("id"), Some(&Value::UInt(0)));
+    }
+
+    #[test]
+    fn a_frame_at_the_cap_is_read() {
+        let mut input = vec![b' '; MAX_FRAME_BYTES - 20];
+        input.extend_from_slice(b"{\"id\":5,\"op\":\"ping\"}\n");
+        assert_eq!(input.len(), MAX_FRAME_BYTES + 1);
+        let (replies, _) = serve(&input);
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].get_field("pong"), Some(&Value::Bool(true)));
+    }
 }

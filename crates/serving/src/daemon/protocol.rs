@@ -31,14 +31,34 @@
 //! on failure. `retry_after_ms` appears only on the retryable codes
 //! (`overloaded`, `quota_exhausted`); all other codes are terminal for
 //! the request. The error taxonomy is [`ErrorCode`].
+//!
+//! One frame is one line and leaves in one write: [`write_frame`] sends
+//! the frame and its `\n` in a single `write_all`, at both ends. Both
+//! sockets set `TCP_NODELAY`, so a second write would be a second TCP
+//! segment, and a second wake-up of a peer that then reads a line
+//! without its newline.
+//!
+//! A request frame is at most [`MAX_FRAME_BYTES`] bytes before its
+//! newline. A longer one is answered with `frame_too_large` (id 0) and
+//! the connection is closed, so a peer that never sends `\n` cannot grow
+//! the daemon's memory.
+
+use std::fmt::Write as _;
+use std::io::{self, Write};
 
 use serde::Value;
+
+/// The longest request frame the daemon reads, newline excluded.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Machine-readable failure classes of the wire protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The frame was not valid JSON, not a map, or missing fields.
     BadRequest,
+    /// The frame ran past [`MAX_FRAME_BYTES`] without a newline; the
+    /// connection closes after this reply.
+    FrameTooLarge,
     /// The query text parsed but the engine rejected it.
     QueryFailed,
     /// Tenant auth required and the key is missing or unknown.
@@ -57,6 +77,7 @@ impl ErrorCode {
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadRequest => "bad_request",
+            ErrorCode::FrameTooLarge => "frame_too_large",
             ErrorCode::QueryFailed => "query_failed",
             ErrorCode::Unauthorized => "unauthorized",
             ErrorCode::QuotaExhausted => "quota_exhausted",
@@ -176,14 +197,37 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, String)> {
     Ok(Request { id, auth, op })
 }
 
-/// Render a success frame: `{"id":.., "ok":true, <fields>...}`.
+/// Render a success frame: `{"id":.., "ok":true, <fields>...}`, the
+/// bytes of that one map, written around `fields` rather than built
+/// into a second map.
 pub fn ok_frame(id: u64, fields: Vec<(String, Value)>) -> String {
-    let mut map = vec![
-        ("id".to_string(), Value::UInt(id)),
-        ("ok".to_string(), Value::Bool(true)),
-    ];
-    map.extend(fields);
-    serde_json::to_string(&Value::Map(map)).expect("value trees always serialize")
+    let mut out = String::with_capacity(1024);
+    let _ = write!(out, "{{\"id\":{id},\"ok\":true");
+    push_members(&mut out, &fields).expect("value trees always serialize");
+    out.push('}');
+    out
+}
+
+/// Append `,"key":value` per field to an object `out` has opened and
+/// not yet closed.
+pub(crate) fn push_members(
+    out: &mut String,
+    fields: &[(String, Value)],
+) -> Result<(), serde_json::Error> {
+    for (key, value) in fields {
+        out.push(',');
+        serde_json::str_into(out, key);
+        out.push(':');
+        serde_json::to_string_into(out, value)?;
+    }
+    Ok(())
+}
+
+/// Send one frame: its bytes and the `\n` that ends it, in one
+/// `write_all`.
+pub fn write_frame(out: &mut impl Write, mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    out.write_all(frame.as_bytes())
 }
 
 /// Render an error frame. `id` 0 is used when the frame was too broken
@@ -207,6 +251,28 @@ pub fn error_frame(
         ("error".to_string(), Value::Map(error)),
     ];
     serde_json::to_string(&Value::Map(map)).expect("value trees always serialize")
+}
+
+/// A sink that counts the `write` calls a frame costs: the daemon's and
+/// the client's tests send through it.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) writes: usize,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -259,6 +325,78 @@ mod tests {
         assert!(f.contains(r#""code": "overloaded""#) || f.contains(r#""code":"overloaded""#));
         assert!(f.contains("retry_after_ms"));
         assert!(f.contains(r#""ok": false"#) || f.contains(r#""ok":false"#));
+    }
+
+    fn s(x: &str) -> String {
+        x.to_string()
+    }
+
+    /// Frames captured from the encoder that built a `Value::Map` per
+    /// frame and cloned it to write it: the wire bytes must not move.
+    #[test]
+    fn frames_keep_their_golden_bytes() {
+        let awkward = vec![
+            (s("tiny"), Value::Float(1e-7)),
+            (s("neg_zero"), Value::Float(-0.0)),
+            (s("big"), Value::Float(1e16)),
+            (s("e15"), Value::Float(1e15)),
+            (s("max_f"), Value::Float(f64::MAX)),
+            (s("min_pos"), Value::Float(f64::MIN_POSITIVE)),
+            (s("denorm"), Value::Float(5e-324)),
+            (s("third"), Value::Float(1.0 / 3.0)),
+            (s("one"), Value::Float(1.0)),
+            (s("u_max"), Value::UInt(u64::MAX)),
+            (s("i_min"), Value::Int(i64::MIN)),
+            (s("neg"), Value::Int(-42)),
+            (
+                s("k\"e\\y\n\u{1}"),
+                Value::Str(s("a\"b\\c\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f}é😀/")),
+            ),
+            (
+                s("nest"),
+                Value::Seq(vec![
+                    Value::Null,
+                    Value::Bool(false),
+                    Value::Seq(vec![]),
+                    Value::Map(vec![]),
+                    Value::Map(vec![(s(""), Value::Str(s("")))]),
+                ]),
+            ),
+        ];
+        assert_eq!(
+            ok_frame(7, awkward),
+            "{\"id\":7,\"ok\":true,\"tiny\":1e-7,\"neg_zero\":-0.0,\"big\":1e16,\
+             \"e15\":1000000000000000.0,\"max_f\":1.7976931348623157e308,\
+             \"min_pos\":2.2250738585072014e-308,\"denorm\":5e-324,\
+             \"third\":0.3333333333333333,\"one\":1.0,\"u_max\":18446744073709551615,\
+             \"i_min\":-9223372036854775808,\"neg\":-42,\
+             \"k\\\"e\\\\y\\n\\u0001\":\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0000\\u001f\u{7f}é😀/\",\
+             \"nest\":[null,false,[],{},{\"\":\"\"}]}"
+        );
+        assert_eq!(ok_frame(0, vec![]), "{\"id\":0,\"ok\":true}");
+        assert_eq!(
+            error_frame(Some(4), ErrorCode::Overloaded, "queue \"full\"\n", Some(12)),
+            "{\"id\":4,\"ok\":false,\"error\":{\"code\":\"overloaded\",\
+             \"message\":\"queue \\\"full\\\"\\n\",\"retry_after_ms\":12}}"
+        );
+        assert_eq!(
+            error_frame(
+                None,
+                ErrorCode::BadRequest,
+                "invalid JSON frame: x\\y",
+                None
+            ),
+            "{\"id\":0,\"ok\":false,\"error\":{\"code\":\"bad_request\",\
+             \"message\":\"invalid JSON frame: x\\\\y\"}}"
+        );
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut out = CountingWriter::default();
+        write_frame(&mut out, ok_frame(1, vec![(s("pong"), Value::Bool(true))])).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"{\"id\":1,\"ok\":true,\"pong\":true}\n");
     }
 
     #[test]

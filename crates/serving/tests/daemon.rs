@@ -2,6 +2,8 @@
 //! protocol round trips, epoch pinning under republish, tenant
 //! auth/quota, typed load-shed, connection churn, and graceful shutdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -315,6 +317,68 @@ fn over_admission_sheds_with_typed_retry_after() {
     // workers + queue_depth = 1.
     assert!(scraped_counter(&mut probe, "serve.shed") >= 1);
     assert!(scraped_counter(&mut probe, "serve.max_inflight") <= 1);
+    handle.shutdown();
+    handle.wait();
+}
+
+/// Send raw bytes on a fresh connection and read one reply line.
+fn raw_exchange(addr: &str, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The daemon stops reading an oversized frame part-way and hangs up,
+    // so the tail of this write may be refused; the reply is still read.
+    let _ = stream.write_all(request);
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    line
+}
+
+#[test]
+fn query_reply_keeps_its_golden_bytes() {
+    let (handle, addr, reference, _victim) = start(DaemonConfig::default());
+    let request = format!(
+        "{{\"id\":1,\"op\":\"query\",\"text\":\"{}\"}}\n",
+        query_text(&reference)
+    );
+    let reply = raw_exchange(&addr, request.as_bytes());
+    // The top-level `latency_ms` is measured per request; the rest was
+    // captured from the daemon that cloned each reply tree to write it.
+    let (head, rest) = reply.split_once(",\"latency_ms\":").expect("latency field");
+    let tail = &rest[rest.find(',').expect("fields follow")..];
+    assert_eq!(
+        format!("{head},\"latency_ms\":_{tail}"),
+        "{\"id\":1,\"ok\":true,\"epoch\":4,\"latency_ms\":_,\"results\":[\
+         {\"key\":\"daemonnet-s0+daemonnet-s2\",\"score\":1.0,\"diff_bound\":0.0,\
+         \"memory_mb\":0.180856,\"gflops\":8.7972e-5,\"latency_ms\":0.10375944000000002,\
+         \"kind\":{\"synthesized\":true,\"donor\":\"daemonnet-s2\"}},\
+         {\"key\":\"daemonnet-s0+daemonnet-s1\",\"score\":0.9375,\"diff_bound\":0.0625,\
+         \"memory_mb\":0.180856,\"gflops\":8.7972e-5,\"latency_ms\":0.10375944000000002,\
+         \"kind\":{\"synthesized\":true,\"donor\":\"daemonnet-s1\"}},\
+         {\"key\":\"daemonnet-s0+daemonnet-s3\",\"score\":0.9375,\"diff_bound\":0.0625,\
+         \"memory_mb\":0.180856,\"gflops\":8.7972e-5,\"latency_ms\":0.10375944000000002,\
+         \"kind\":{\"synthesized\":true,\"donor\":\"daemonnet-s3\"}}]}\n"
+    );
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn oversized_frame_is_refused_and_the_daemon_keeps_serving() {
+    let (handle, addr, _reference, _victim) = start(DaemonConfig::default());
+    // 2 MiB and no newline: a peer that would grow an unbounded line
+    // buffer for as long as it keeps sending.
+    let reply = raw_exchange(&addr, &vec![b'x'; 2 << 20]);
+    let reply: Value = serde_json::from_str(&reply).expect("a whole reply frame");
+    assert_eq!(reply.get_field("ok"), Some(&Value::Bool(false)));
+    assert_eq!(
+        reply.get_field("error").and_then(|e| e.get_field("code")),
+        Some(&Value::Str("frame_too_large".into()))
+    );
+    let mut client = Client::connect(&addr).unwrap();
+    assert!(client.ping().unwrap().ok, "the next connection is served");
+    assert!(scraped_counter(&mut client, "serve.frame_too_large") >= 1);
     handle.shutdown();
     handle.wait();
 }
