@@ -8,9 +8,15 @@
 //!   and its client do; `two_writes` sends the newline separately. Run
 //!   under `taskset -c 0`, `one_write` is the floor a round trip can
 //!   reach when the client and the daemon share one CPU.
-//! - `codec/*`: the JSON a `query` round trip carries: building and
-//!   rendering a 4-result reply, parsing the request frame, and decoding
-//!   the reply as the client does.
+//! - `codec/*`: the JSON a `query` round trip carries.
+//!   `query_frame_4_results` is how the daemon writes a 4-result reply,
+//!   straight from the item; `ok_frame_4_results` builds the
+//!   `BatchQueryItem::fields` tree first and renders that (the same
+//!   bytes: the path control ops and the CLI still take).
+//!   `f64_debug_x16` formats the 16 floats of a 3-result reply, the
+//!   share of the writer that float text alone costs. `parse_request`
+//!   and `reply_decode` are the request and reply as their readers
+//!   parse them.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -20,7 +26,7 @@ use serde::Value;
 use sommelier_index::CandidateKind;
 use sommelier_query::{BatchQueryItem, QueryResult};
 use sommelier_runtime::ResourceProfile;
-use sommelier_serving::daemon::protocol::{ok_frame, parse_request, write_frame};
+use sommelier_serving::daemon::protocol::{ok_frame, parse_request, query_frame, write_frame};
 
 /// A `query` request the size of the benchmark's (≈ 130 B).
 const REQUEST: &str = "{\"id\":1,\"op\":\"query\",\"text\":\"SELECT models 4 CORR \
@@ -94,7 +100,7 @@ fn echo_pair(reply: String, how: Framing) -> (TcpStream, BufReader<TcpStream>) {
 }
 
 fn bench_echo(c: &mut Criterion) {
-    let reply = ok_frame(1, reply_item().fields());
+    let reply = query_frame(1, &reply_item()).expect("finite floats");
     let mut group = c.benchmark_group("echo");
     group.sample_size(20_000);
     for (name, how) in [
@@ -117,11 +123,38 @@ fn bench_echo(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     let item = reply_item();
-    let reply = ok_frame(1, item.fields());
+    let reply = query_frame(1, &item).expect("finite floats");
     let mut group = c.benchmark_group("codec");
     group.sample_size(20_000);
     group.bench_function("ok_frame_4_results", |b| {
         b.iter(|| ok_frame(1, item.fields()))
+    });
+    group.bench_function("query_frame_4_results", |b| {
+        b.iter(|| query_frame(1, &item).expect("finite floats"))
+    });
+    let Ok(results) = &item.results else {
+        unreachable!("the reply item is an answer")
+    };
+    let floats: Vec<f64> = std::iter::once(item.latency_ms)
+        .chain(results[..3].iter().flat_map(|r| {
+            [
+                r.score,
+                r.diff_bound,
+                r.profile.memory_mb,
+                r.profile.gflops,
+                r.profile.latency_ms,
+            ]
+        }))
+        .collect();
+    let mut text = String::with_capacity(512);
+    group.bench_function("f64_debug_x16", |b| {
+        b.iter(|| {
+            text.clear();
+            for &f in &floats {
+                serde_json::f64_into(&mut text, f).expect("finite floats");
+            }
+            text.len()
+        })
     });
     group.bench_function("parse_request", |b| b.iter(|| parse_request(REQUEST)));
     group.bench_function("reply_decode", |b| {

@@ -529,8 +529,9 @@ pub struct BatchQueryItem {
 
 impl BatchQueryItem {
     /// The JSON fields of one answered lane — epoch, latency, and the
-    /// results or the error text: the body of a daemon `query` frame,
-    /// of each `query_batch` item and of `query --format json`.
+    /// results or the error text: each item of `query --format json`.
+    /// The daemon writes the same members straight from the item,
+    /// without this tree; a proptest there holds the two byte for byte.
     pub fn fields(&self) -> Vec<(String, Value)> {
         let mut fields = vec![
             ("epoch".to_string(), Value::UInt(self.epoch)),
@@ -658,7 +659,7 @@ impl SommelierReader {
         text: &str,
     ) -> Result<Vec<QueryResult>, QueryError> {
         let normalized = normalize_query(text);
-        if let Some((_, results)) = self.plan_cache.get(snap.epoch, &normalized) {
+        if let Some(results) = self.plan_cache.get(snap.epoch, &normalized) {
             return Ok(results);
         }
         let ast = parse(&normalized)?;
@@ -711,8 +712,7 @@ impl SommelierReader {
         let plan = plan(query, &reference_key, &ref_profile);
         let results = self.execute_plan(snap, &plan, &ref_profile, None);
         if let Some(text) = cache_text {
-            self.plan_cache
-                .insert(snap.epoch, text, plan, results.clone());
+            self.plan_cache.insert(snap.epoch, text, results.clone());
         }
         Ok(results)
     }

@@ -3,12 +3,13 @@
 //! A query against a *published engine snapshot* is a pure function of
 //! `(normalized query text, snapshot epoch)`: the snapshot is immutable,
 //! planning is deterministic, and execution orders with `total_cmp` — so
-//! the resolved [`QueryPlan`] *and* the final result set can be memoized
-//! outright. Entries are keyed by the epoch, which makes invalidation
-//! free: a registration publishes a new snapshot with a bumped epoch,
-//! new queries probe under the new key, and stale entries age out of the
-//! LRU without any explicit flush (the paper's Section 5.5 observation
-//! that indices are cheap to keep around applies to plans a fortiori).
+//! the final result set can be memoized outright. A hit skips parsing and
+//! planning too, so the plan itself is not kept: nothing would read it.
+//! Entries are keyed by the epoch, which makes invalidation free: a
+//! registration publishes a new snapshot with a bumped epoch, new queries
+//! probe under the new key, and stale entries age out of the LRU without
+//! any explicit flush (the paper's Section 5.5 observation that indices
+//! are cheap to keep around applies to result sets a fortiori).
 //!
 //! Queries carrying an `EXEC` clause are *never* cached: they re-profile
 //! models live from the repository, which sits outside the snapshot and
@@ -20,7 +21,6 @@
 //! registry on demand (`plan_cache.*`).
 
 use crate::engine::QueryResult;
-use crate::plan::QueryPlan;
 use sommelier_runtime::metrics::counters;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -34,13 +34,19 @@ const SHARDS: usize = 16;
 /// query share a cache entry ("SELECT  model …" ≡ "SELECT model …").
 /// The query language has no whitespace-significant tokens.
 pub fn normalize_query(text: &str) -> String {
-    text.split_whitespace().collect::<Vec<_>>().join(" ")
+    let mut out = String::with_capacity(text.len());
+    for word in text.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    out
 }
 
 struct Entry {
     epoch: u64,
     text: String,
-    plan: QueryPlan,
     results: Vec<QueryResult>,
     stamp: u64,
 }
@@ -62,7 +68,7 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-/// A sharded, epoch-keyed LRU over resolved plans and result sets.
+/// A sharded, epoch-keyed LRU over result sets.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     per_shard: usize,
@@ -102,9 +108,9 @@ impl PlanCache {
         &self.shards[(key % SHARDS as u64) as usize]
     }
 
-    /// Look up the plan and result set cached for `(epoch, text)`.
-    /// `text` must already be normalized.
-    pub fn get(&self, epoch: u64, text: &str) -> Option<(QueryPlan, Vec<QueryResult>)> {
+    /// Look up the result set cached for `(epoch, text)`. `text` must
+    /// already be normalized.
+    pub fn get(&self, epoch: u64, text: &str) -> Option<Vec<QueryResult>> {
         if self.is_disabled() {
             return None;
         }
@@ -119,7 +125,7 @@ impl PlanCache {
             Some(e) if e.epoch == epoch && e.text == text => {
                 e.stamp = stamp;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.plan.clone(), e.results.clone()))
+                Some(e.results.clone())
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -128,14 +134,8 @@ impl PlanCache {
         }
     }
 
-    /// Store the plan and results computed for `(epoch, text)`.
-    pub fn insert(
-        &self,
-        epoch: u64,
-        text: &str,
-        plan: QueryPlan,
-        results: Vec<QueryResult>,
-    ) {
+    /// Store the results computed for `(epoch, text)`.
+    pub fn insert(&self, epoch: u64, text: &str, results: Vec<QueryResult>) {
         if self.is_disabled() {
             return;
         }
@@ -159,7 +159,6 @@ impl PlanCache {
             Entry {
                 epoch,
                 text: text.to_string(),
-                plan,
                 results,
                 stamp,
             },
@@ -192,17 +191,24 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::FinalSelection;
-    use sommelier_index::ResourceConstraint;
+    use sommelier_index::CandidateKind;
+    use sommelier_runtime::ResourceProfile;
 
-    fn plan_fixture(limit: usize) -> QueryPlan {
-        QueryPlan {
-            reference_key: "ref".into(),
-            min_score: 0.5,
-            constraint: ResourceConstraint::default(),
-            selection: FinalSelection::Similarity,
-            limit,
-        }
+    /// `n` results, told apart by their count.
+    fn results(n: usize) -> Vec<QueryResult> {
+        (0..n)
+            .map(|i| QueryResult {
+                key: format!("m{i}"),
+                score: 1.0,
+                diff_bound: 0.0,
+                profile: ResourceProfile {
+                    memory_mb: 1.0,
+                    gflops: 1.0,
+                    latency_ms: 1.0,
+                },
+                kind: CandidateKind::Whole,
+            })
+            .collect()
     }
 
     #[test]
@@ -212,16 +218,15 @@ mod tests {
             "SELECT model CORR x WITHIN 0.5"
         );
         assert_eq!(normalize_query("SELECT model"), "SELECT model");
+        assert_eq!(normalize_query(" \t\n"), "");
     }
 
     #[test]
-    fn hit_returns_stored_plan_and_results() {
+    fn hit_returns_stored_results() {
         let cache = PlanCache::new(64);
         assert!(cache.get(1, "q").is_none());
-        cache.insert(1, "q", plan_fixture(3), Vec::new());
-        let (plan, results) = cache.get(1, "q").expect("hit after insert");
-        assert_eq!(plan.limit, 3);
-        assert!(results.is_empty());
+        cache.insert(1, "q", results(3));
+        assert_eq!(cache.get(1, "q").expect("hit after insert"), results(3));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
@@ -229,17 +234,17 @@ mod tests {
     #[test]
     fn epochs_partition_the_key_space() {
         let cache = PlanCache::new(64);
-        cache.insert(1, "q", plan_fixture(1), Vec::new());
+        cache.insert(1, "q", results(1));
         assert!(cache.get(2, "q").is_none(), "new epoch must miss");
-        cache.insert(2, "q", plan_fixture(2), Vec::new());
-        assert_eq!(cache.get(1, "q").unwrap().0.limit, 1);
-        assert_eq!(cache.get(2, "q").unwrap().0.limit, 2);
+        cache.insert(2, "q", results(2));
+        assert_eq!(cache.get(1, "q").unwrap().len(), 1);
+        assert_eq!(cache.get(2, "q").unwrap().len(), 2);
     }
 
     #[test]
     fn zero_capacity_disables_everything() {
         let cache = PlanCache::new(0);
-        cache.insert(1, "q", plan_fixture(1), Vec::new());
+        cache.insert(1, "q", results(1));
         assert!(cache.get(1, "q").is_none());
         assert_eq!(cache.stats(), PlanCacheStats::default());
     }
@@ -250,7 +255,7 @@ mod tests {
         // stalest entry of its shard.
         let cache = PlanCache::new(SHARDS);
         for i in 0..(SHARDS as u64 * 4) {
-            cache.insert(1, &format!("q{i}"), plan_fixture(1), Vec::new());
+            cache.insert(1, &format!("q{i}"), results(1));
         }
         let stats = cache.stats();
         assert!(stats.entries <= SHARDS as u64, "capacity respected");
@@ -277,7 +282,7 @@ mod tests {
                     cache.get(epoch, q).is_none(),
                     "entry from a dead epoch must not answer epoch {epoch}"
                 );
-                cache.insert(epoch, q, plan_fixture(1), Vec::new());
+                cache.insert(epoch, q, results(1));
             }
         }
         let stats = cache.stats();
@@ -292,7 +297,7 @@ mod tests {
         );
         assert_eq!(stats.hits, 0, "every probe crossed an epoch boundary");
         // Current-epoch entries still serve hits after all that churn.
-        cache.insert(500, "fresh", plan_fixture(7), Vec::new());
-        assert_eq!(cache.get(500, "fresh").unwrap().0.limit, 7);
+        cache.insert(500, "fresh", results(7));
+        assert_eq!(cache.get(500, "fresh").unwrap().len(), 7);
     }
 }

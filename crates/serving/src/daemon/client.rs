@@ -1,9 +1,11 @@
 //! Blocking client for the daemon's wire protocol.
 //!
-//! One TCP connection, synchronous request/response: [`Client::call`]
-//! writes one frame (in one write, like the daemon's replies) and reads
-//! one response line. The CLI's `client` subcommand, the daemon tests
-//! and `benchmark/` are built on this.
+//! One TCP connection, synchronous request/response: each call writes
+//! one frame (in one write, like the daemon's replies) and reads one
+//! response line. [`Client::query`] writes its text straight into the
+//! frame; [`Client::call`] writes the fields it is given. The CLI's
+//! `client` subcommand, the daemon tests and `benchmark/` are built on
+//! this.
 
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -87,10 +89,29 @@ impl<S: Read + Write> Client<S> {
 
     /// Send one op with extra payload fields; block for the response.
     pub fn call(&mut self, op: &str, fields: Vec<(String, Value)>) -> io::Result<Reply> {
+        self.round_trip(op, |out| push_members(out, &fields))
+    }
+
+    /// Write the frame `{"id":..,"op":..,"auth":..?, <members>}`, where
+    /// `members` appends `,"key":value` pairs to the open object, in one
+    /// write; block for the reply line and decode it.
+    fn round_trip(
+        &mut self,
+        op: &str,
+        members: impl FnOnce(&mut String) -> Result<(), serde_json::Error>,
+    ) -> io::Result<Reply> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = request_frame(id, op, self.auth.as_deref(), &fields)
+        let mut frame = String::with_capacity(256);
+        let _ = write!(frame, "{{\"id\":{id},\"op\":");
+        serde_json::str_into(&mut frame, op);
+        if let Some(key) = &self.auth {
+            frame.push_str(",\"auth\":");
+            serde_json::str_into(&mut frame, key);
+        }
+        members(&mut frame)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        frame.push('}');
         write_frame(self.stream.get_mut(), frame)?;
         self.line.clear();
         let n = self.stream.read_line(&mut self.line)?;
@@ -108,20 +129,25 @@ impl<S: Read + Write> Client<S> {
     }
 
     pub fn query(&mut self, text: &str) -> io::Result<Reply> {
-        self.call(
-            "query",
-            vec![("text".to_string(), Value::Str(text.to_string()))],
-        )
+        self.round_trip("query", |out| {
+            out.push_str(",\"text\":");
+            serde_json::str_into(out, text);
+            Ok(())
+        })
     }
 
     pub fn query_batch(&mut self, texts: &[String]) -> io::Result<Reply> {
-        self.call(
-            "query_batch",
-            vec![(
-                "texts".to_string(),
-                Value::Seq(texts.iter().map(|t| Value::Str(t.clone())).collect()),
-            )],
-        )
+        self.round_trip("query_batch", |out| {
+            out.push_str(",\"texts\":[");
+            for (i, text) in texts.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                serde_json::str_into(out, text);
+            }
+            out.push(']');
+            Ok(())
+        })
     }
 
     pub fn fsck(&mut self) -> io::Result<Reply> {
@@ -139,26 +165,6 @@ impl<S: Read + Write> Client<S> {
     pub fn shutdown(&mut self) -> io::Result<Reply> {
         self.call("shutdown", Vec::new())
     }
-}
-
-/// `{"id":..,"op":..,"auth":..?, <fields>...}`: the bytes of that one
-/// map, written around `fields`.
-fn request_frame(
-    id: u64,
-    op: &str,
-    auth: Option<&str>,
-    fields: &[(String, Value)],
-) -> Result<String, serde_json::Error> {
-    let mut out = String::with_capacity(256);
-    let _ = write!(out, "{{\"id\":{id},\"op\":");
-    serde_json::str_into(&mut out, op);
-    if let Some(key) = auth {
-        out.push_str(",\"auth\":");
-        serde_json::str_into(&mut out, key);
-    }
-    push_members(&mut out, fields)?;
-    out.push('}');
-    Ok(out)
 }
 
 /// Decode one response line.

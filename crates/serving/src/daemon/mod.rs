@@ -241,26 +241,54 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    // Register for read-side shutdown; remember the peer to unregister.
-    let peer = stream.peer_addr().ok();
-    if let Ok(clone) = stream.try_clone() {
-        shared
+    let conn = Connection::register(&shared, stream);
+    serve_frames(&shared, BufReader::new(read_half), &conn.stream);
+}
+
+/// A live connection: registered for read-side shutdown and counted in
+/// `serve.active_connections`. Dropping it — on return, or while a panic
+/// unwinds its handler — unregisters the stream, shuts it down and
+/// uncounts it, so the peer sees EOF instead of a socket no thread reads.
+struct Connection<'a> {
+    shared: &'a Shared,
+    stream: TcpStream,
+    peer: Option<SocketAddr>,
+}
+
+impl<'a> Connection<'a> {
+    fn register(shared: &'a Shared, stream: TcpStream) -> Self {
+        let peer = stream.peer_addr().ok();
+        if let Ok(clone) = stream.try_clone() {
+            shared
+                .conns
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(clone);
+        }
+        let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
+        counters::set("serve.active_connections", active);
+        counters::add("serve.connections", 1);
+        Connection {
+            shared,
+            stream,
+            peer,
+        }
+    }
+}
+
+impl Drop for Connection<'_> {
+    fn drop(&mut self) {
+        // Unregister first: a shut-down socket may no longer report its
+        // peer, and the peer is what finds this stream's clone.
+        self.shared
             .conns
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(clone);
+            .retain(|c| c.peer_addr().ok() != self.peer || self.peer.is_none());
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let active = self.shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
+        counters::set("serve.active_connections", active);
     }
-    let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-    counters::set("serve.active_connections", active);
-    counters::add("serve.connections", 1);
-
-    serve_frames(&shared, BufReader::new(read_half), stream);
-    {
-        let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns.retain(|c| c.peer_addr().ok() != peer || peer.is_none());
-    }
-    let active = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-    counters::set("serve.active_connections", active);
 }
 
 /// Answer the request frames read from `input` on `output`, each reply
@@ -400,46 +428,40 @@ fn serve_line(shared: &Shared, reader: &SommelierReader, line: &str) -> (String,
 }
 
 fn run_query_op(request: &Request, reader: &SommelierReader) -> String {
-    match &request.op {
+    let reply = match &request.op {
         Op::Query { text } => {
             // Through the batch path so the answer carries its pinned
             // epoch and measured latency like every other query.
             let items = reader.query_batch(std::slice::from_ref(text));
             let item = &items[0];
             match &item.results {
-                Ok(_) => ok_frame(request.id, item.fields()),
-                Err(e) => error_frame(
+                Ok(_) => protocol::query_frame(request.id, item),
+                Err(e) => Ok(error_frame(
                     Some(request.id),
                     ErrorCode::QueryFailed,
                     &e.to_string(),
                     None,
-                ),
+                )),
             }
         }
-        Op::QueryBatch { texts } => {
-            let items = reader.query_batch(texts);
-            // One snapshot is pinned for the whole batch, so every
-            // item reports the same epoch; the top-level `epoch`
-            // restates it for clients that only look there.
-            let epoch = items.first().map(|i| i.epoch).unwrap_or(0);
-            ok_frame(
-                request.id,
-                vec![
-                    ("epoch".to_string(), Value::UInt(epoch)),
-                    (
-                        "items".to_string(),
-                        Value::Seq(items.iter().map(|item| Value::Map(item.fields())).collect()),
-                    ),
-                ],
-            )
-        }
-        _ => error_frame(
+        Op::QueryBatch { texts } => protocol::batch_frame(request.id, &reader.query_batch(texts)),
+        _ => Ok(error_frame(
             Some(request.id),
             ErrorCode::Internal,
             "non-query op routed through admission",
             None,
-        ),
-    }
+        )),
+    };
+    // A snapshot can hold a non-finite profile row (only lint reports
+    // one); the answer it produces cannot be written as JSON.
+    reply.unwrap_or_else(|e| {
+        error_frame(
+            Some(request.id),
+            ErrorCode::Internal,
+            &format!("the answer cannot be encoded: {e}"),
+            None,
+        )
+    })
 }
 
 fn run_control_op(shared: &Shared, request: &Request, reader: &SommelierReader) -> (String, bool) {

@@ -38,6 +38,13 @@
 //! segment, and a second wake-up of a peer that then reads a line
 //! without its newline.
 //!
+//! A `query` or `query_batch` reply is written straight from the
+//! engine's [`BatchQueryItem`]s by [`query_frame`] and [`batch_frame`],
+//! with no `Value` tree built first; its bytes are those of
+//! `ok_frame(id, item.fields())` (a proptest holds them equal). A result
+//! with a non-finite float has no JSON spelling, so the writer returns
+//! `Err` and the daemon answers `internal` on the same connection.
+//!
 //! A request frame is at most [`MAX_FRAME_BYTES`] bytes before its
 //! newline. A longer one is answered with `frame_too_large` (id 0) and
 //! the connection is closed, so a peer that never sends `\n` cannot grow
@@ -47,6 +54,8 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use serde::Value;
+use sommelier_index::CandidateKind;
+use sommelier_query::{BatchQueryItem, QueryResult};
 
 /// The longest request frame the daemon reads, newline excluded.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
@@ -219,6 +228,101 @@ pub(crate) fn push_members(
         serde_json::str_into(out, key);
         out.push(':');
         serde_json::to_string_into(out, value)?;
+    }
+    Ok(())
+}
+
+/// Room reserved per result in a reply frame: five floats of up to 24
+/// chars, the member names, a key and a donor.
+const RESULT_BYTES: usize = 320;
+
+/// Render the success frame of a `query`: the bytes of
+/// `ok_frame(id, item.fields())`, written from the item itself. `Err`
+/// when a float in it is not finite.
+pub fn query_frame(id: u64, item: &BatchQueryItem) -> Result<String, serde_json::Error> {
+    let results = item.results.as_ref().map_or(0, Vec::len);
+    let mut out = String::with_capacity(256 + RESULT_BYTES * results);
+    let _ = write!(out, "{{\"id\":{id},\"ok\":true,");
+    push_item(&mut out, item)?;
+    out.push('}');
+    Ok(out)
+}
+
+/// Render the success frame of a `query_batch`:
+/// `{"id":..,"ok":true,"epoch":..,"items":[{<item>},...]}`. One snapshot
+/// is pinned for the whole batch, so every item reports the same epoch;
+/// the top-level `epoch` restates it for clients that only look there.
+/// `Err` when a float in any item is not finite.
+pub(crate) fn batch_frame(id: u64, items: &[BatchQueryItem]) -> Result<String, serde_json::Error> {
+    let epoch = items.first().map_or(0, |i| i.epoch);
+    let results: usize = items
+        .iter()
+        .map(|i| i.results.as_ref().map_or(1, Vec::len))
+        .sum();
+    let mut out = String::with_capacity(256 + RESULT_BYTES * results);
+    let _ = write!(
+        out,
+        "{{\"id\":{id},\"ok\":true,\"epoch\":{epoch},\"items\":["
+    );
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "{" } else { ",{" });
+        push_item(&mut out, item)?;
+        out.push('}');
+    }
+    out.push_str("]}");
+    Ok(out)
+}
+
+/// Append the members of [`BatchQueryItem::fields`], in its order and
+/// spelling, to an object `out` has opened.
+fn push_item(out: &mut String, item: &BatchQueryItem) -> Result<(), serde_json::Error> {
+    let _ = write!(out, "\"epoch\":{},\"latency_ms\":", item.epoch);
+    serde_json::f64_into(out, item.latency_ms)?;
+    match &item.results {
+        Ok(results) => {
+            out.push_str(",\"results\":[");
+            for (i, result) in results.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_result(out, result)?;
+            }
+            out.push(']');
+        }
+        Err(e) => {
+            out.push_str(",\"error\":");
+            serde_json::str_into(out, &e.to_string());
+        }
+    }
+    Ok(())
+}
+
+/// Append one result as the map [`BatchQueryItem::fields`] gives it.
+fn push_result(out: &mut String, r: &QueryResult) -> Result<(), serde_json::Error> {
+    out.push_str("{\"key\":");
+    serde_json::str_into(out, &r.key);
+    for (name, value) in [
+        (",\"score\":", r.score),
+        (",\"diff_bound\":", r.diff_bound),
+        (",\"memory_mb\":", r.profile.memory_mb),
+        (",\"gflops\":", r.profile.gflops),
+        (",\"latency_ms\":", r.profile.latency_ms),
+    ] {
+        out.push_str(name);
+        serde_json::f64_into(out, value)?;
+    }
+    match &r.kind {
+        CandidateKind::Whole => out.push_str(",\"kind\":\"whole\"}"),
+        CandidateKind::Transitive { via } => {
+            out.push_str(",\"kind\":{\"transitive\":true,\"via\":");
+            serde_json::str_into(out, via);
+            out.push_str("}}");
+        }
+        CandidateKind::Synthesized { donor } => {
+            out.push_str(",\"kind\":{\"synthesized\":true,\"donor\":");
+            serde_json::str_into(out, donor);
+            out.push_str("}}");
+        }
     }
     Ok(())
 }
@@ -408,5 +512,151 @@ mod tests {
         let v: Value = serde_json::from_str(&f).unwrap();
         assert_eq!(v.get_field("ok"), Some(&Value::Bool(true)));
         assert_eq!(v.get_field("epoch"), Some(&Value::UInt(5)));
+    }
+
+    /// The reply writer against the tree the daemon built before it:
+    /// `ok_frame` over `BatchQueryItem::fields`, byte for byte.
+    mod writer {
+        use super::*;
+        use proptest::prelude::*;
+        use sommelier_query::QueryError;
+        use sommelier_runtime::ResourceProfile;
+
+        /// The float set the vendored codec's own equivalence proptest
+        /// draws from.
+        const FLOATS: [f64; 12] = [
+            0.0,
+            -0.0,
+            1e-7,
+            1e15,
+            1e16,
+            1e17,
+            0.1,
+            1.0,
+            -2.5,
+            5e-324,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        const CHARS: [char; 12] = [
+            'a',
+            '-',
+            '+',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\t',
+            '\u{0}',
+            '\u{1f}',
+            'é',
+            '\u{1F600}',
+        ];
+
+        fn float(rng: &mut TestRng) -> f64 {
+            match rng.below(2) {
+                0 => FLOATS[rng.below(FLOATS.len() as u64) as usize],
+                _ => {
+                    let f = f64::from_bits(rng.next_u64());
+                    if f.is_finite() {
+                        f
+                    } else {
+                        rng.unit_f64()
+                    }
+                }
+            }
+        }
+
+        fn text(rng: &mut TestRng) -> String {
+            (0..rng.below(10))
+                .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+                .collect()
+        }
+
+        fn result(rng: &mut TestRng) -> QueryResult {
+            QueryResult {
+                key: text(rng),
+                score: float(rng),
+                diff_bound: float(rng),
+                profile: ResourceProfile {
+                    memory_mb: float(rng),
+                    gflops: float(rng),
+                    latency_ms: float(rng),
+                },
+                kind: match rng.below(3) {
+                    0 => CandidateKind::Whole,
+                    1 => CandidateKind::Transitive { via: text(rng) },
+                    _ => CandidateKind::Synthesized { donor: text(rng) },
+                },
+            }
+        }
+
+        /// Items with 0–8 results, one in four of them an engine error.
+        struct Items;
+
+        fn item(rng: &mut TestRng, epoch: u64) -> BatchQueryItem {
+            BatchQueryItem {
+                results: match rng.below(4) {
+                    0 => Err(QueryError::UnknownReference(text(rng))),
+                    _ => Ok((0..rng.below(9)).map(|_| result(rng)).collect()),
+                },
+                latency_ms: float(rng),
+                epoch,
+            }
+        }
+
+        impl Strategy for Items {
+            type Value = (u64, Vec<BatchQueryItem>);
+            fn generate(&self, rng: &mut TestRng) -> Self::Value {
+                let epoch = rng.next_u64() >> rng.below(64);
+                let items = (0..=rng.below(4)).map(|_| item(rng, epoch)).collect();
+                (rng.next_u64() >> rng.below(64), items)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn writer_matches_ok_frame_over_fields((id, items) in Items) {
+                for item in &items {
+                    prop_assert_eq!(query_frame(id, item).unwrap(), ok_frame(id, item.fields()));
+                }
+                let tree = vec![
+                    ("epoch".to_string(), Value::UInt(items[0].epoch)),
+                    (
+                        "items".to_string(),
+                        Value::Seq(items.iter().map(|item| Value::Map(item.fields())).collect()),
+                    ),
+                ];
+                prop_assert_eq!(batch_frame(id, &items).unwrap(), ok_frame(id, tree));
+            }
+        }
+
+        #[test]
+        fn a_non_finite_float_anywhere_is_an_error_not_a_panic() {
+            let mut rng = TestRng::deterministic("non-finite");
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for slot in 0..6 {
+                    let mut r = result(&mut rng);
+                    let mut latency_ms = 1.0;
+                    match slot {
+                        0 => r.score = bad,
+                        1 => r.diff_bound = bad,
+                        2 => r.profile.memory_mb = bad,
+                        3 => r.profile.gflops = bad,
+                        4 => r.profile.latency_ms = bad,
+                        _ => latency_ms = bad,
+                    }
+                    let item = BatchQueryItem {
+                        results: Ok(vec![r]),
+                        latency_ms,
+                        epoch: 1,
+                    };
+                    assert!(query_frame(1, &item).is_err(), "slot {slot}: {bad}");
+                    assert!(batch_frame(1, std::slice::from_ref(&item)).is_err());
+                }
+            }
+        }
     }
 }

@@ -11,23 +11,27 @@ use std::time::{Duration, Instant};
 use serde::Value;
 use sommelier_graph::TaskKind;
 use sommelier_query::{Sommelier, SommelierConfig};
-use sommelier_repo::{InMemoryRepository, ModelRepository};
+use sommelier_repo::InMemoryRepository;
 use sommelier_serving::daemon::client::Client;
 use sommelier_serving::{Daemon, DaemonConfig};
 use sommelier_tensor::Prng;
 use sommelier_zoo::families::Family;
 use sommelier_zoo::series::build_series;
 
-/// A small indexed engine plus the names of a valid reference model
-/// and a "victim" sibling the republish storm can churn.
-fn fixture() -> (Sommelier, String, String) {
-    let repo = Arc::new(InMemoryRepository::new());
+fn config() -> SommelierConfig {
     let mut cfg = SommelierConfig {
         validation_rows: 64,
         ..SommelierConfig::default()
     };
     cfg.index.sample_size = 8;
-    let mut engine = Sommelier::connect(Arc::clone(&repo) as Arc<dyn ModelRepository>, cfg);
+    cfg
+}
+
+/// A small indexed engine plus the names of a valid reference model
+/// and a "victim" sibling the republish storm can churn.
+fn fixture() -> (Sommelier, String, String) {
+    let repo = Arc::new(InMemoryRepository::new());
+    let mut engine = Sommelier::connect(repo, config());
     let mut rng = Prng::seed_from_u64(33);
     let series = build_series(
         "daemonnet",
@@ -360,6 +364,69 @@ fn query_reply_keeps_its_golden_bytes() {
          \"memory_mb\":0.180856,\"gflops\":8.7972e-5,\"latency_ms\":0.10375944000000002,\
          \"kind\":{\"synthesized\":true,\"donor\":\"daemonnet-s3\"}}]}\n"
     );
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn a_non_finite_result_is_refused_typed_and_the_connection_serves_on() {
+    // A `.somb` image whose reference row has a NaN `memory_mb` decodes
+    // (only lint reports the row), and every synthesized result the
+    // query returns carries its host's, the reference's, profile.
+    let (engine, reference, _victim) = fixture();
+    let dir = std::env::temp_dir().join(format!("sommelier-daemon-nan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = dir.join("index.somb");
+    let mut resource = engine.resource_index().clone();
+    let mut row = *resource
+        .profile_of(&reference)
+        .expect("reference is indexed");
+    row.memory_mb = f64::NAN;
+    resource.insert(reference.clone(), row);
+    sommelier_index::persist::save_binary(
+        engine.semantic_index(),
+        &resource,
+        engine.epoch(),
+        &image,
+    )
+    .unwrap();
+    // A named reference is answered from the image alone.
+    let repo = Arc::new(InMemoryRepository::new());
+    let engine = Sommelier::connect_with_indices(repo, config(), &image).expect("image decodes");
+    std::fs::remove_dir_all(&dir).ok();
+    let handle = Daemon::serve(engine, DaemonConfig::default()).expect("daemon starts");
+
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    // Bounded, so a daemon that stops answering fails the test instead
+    // of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut lines = BufReader::new(stream.try_clone().unwrap());
+    let mut exchange = |frame: String| -> Value {
+        (&stream).write_all(frame.as_bytes()).unwrap();
+        let mut line = String::new();
+        lines
+            .read_line(&mut line)
+            .expect("a reply within the timeout");
+        serde_json::from_str(&line).expect("a whole reply frame")
+    };
+    let reply = exchange(format!(
+        "{{\"id\":5,\"op\":\"query\",\"text\":\"{}\"}}\n",
+        query_text(&reference)
+    ));
+    assert_eq!(reply.get_field("id"), Some(&Value::UInt(5)), "{reply:?}");
+    assert_eq!(
+        reply.get_field("ok"),
+        Some(&Value::Bool(false)),
+        "{reply:?}"
+    );
+    assert_eq!(
+        reply.get_field("error").and_then(|e| e.get_field("code")),
+        Some(&Value::Str("internal".into()))
+    );
+    let pong = exchange("{\"id\":6,\"op\":\"ping\"}\n".to_string());
+    assert_eq!(pong.get_field("pong"), Some(&Value::Bool(true)), "{pong:?}");
     handle.shutdown();
     handle.wait();
 }
