@@ -169,14 +169,14 @@ pub fn add(args: &[String]) -> CmdResult {
     let file = positional
         .get(1)
         .ok_or("missing model file argument")?;
-    let model = serde_model::load(Path::new(file)).map_err(fail)?;
-    let key = flags
-        .iter()
-        .find(|(n, _)| *n == "key")
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| model.name.clone());
+    let mut model = serde_model::load(Path::new(file)).map_err(fail)?;
+    // A stored model is named after its key.
+    if let Some((_, key)) = flags.iter().find(|(n, _)| *n == "key") {
+        model.name = key.to_string();
+    }
+    let key = &model.name;
     let repo = open_repo(&dir)?;
-    repo.publish(&key, &model, false).map_err(fail)?;
+    repo.publish(key, &model, false).map_err(fail)?;
     println!("published '{key}' ({} parameters)", model.param_count());
     Ok(())
 }
@@ -563,41 +563,67 @@ pub fn dot(args: &[String]) -> CmdResult {
 /// (`error`/`warn`/`info`), an exact code (`SOM081`), or a range
 /// (`SOM09x`). Default: `error`. Unknown codes are an error.
 pub fn lint(args: &[String]) -> CmdResult {
+    check(args, false)
+}
+
+/// `sommelier audit <dir> [--jobs N] [--format text|json]
+/// [--deny SPEC]... [--baseline FILE] [--query "<text>"]`
+///
+/// The deep audit: every shallow lint pass plus the
+/// abstract-interpretation dataflow family (`SOM08x`) and the
+/// repository ↔ index ↔ snapshot consistency join (`SOM09x`). Per-model
+/// analyses fan out over `--jobs` lanes (default: one per core); output
+/// is identical at any lane count. `--baseline` subtracts previously
+/// accepted findings (CI ratcheting): generate one with
+/// `--format json > baseline.json`.
+pub fn audit(args: &[String]) -> CmdResult {
+    check(args, true)
+}
+
+/// The body `lint` and `audit` share; `deep` adds the deep families and
+/// the `--jobs` and `--baseline` flags.
+fn check(args: &[String], deep: bool) -> CmdResult {
+    let what = if deep { "audit" } else { "lint" };
     let (positional, flags) = split_flags(args)?;
     let dir = repo_dir(&positional)?;
     let mut format = "text";
+    let mut jobs = 0usize;
     let mut deny_specs: Vec<&str> = Vec::new();
+    let mut baseline: Option<PathBuf> = None;
     let mut ctx = sommelier_lint::LintContext::from_repo_dir(&dir)?;
     for (name, value) in &flags {
-        match *name {
-            "format" => match *value {
+        match (*name, deep) {
+            ("format", _) => match *value {
                 "text" | "json" => format = value,
                 other => return Err(format!("unknown format '{other}' (text|json)")),
             },
-            "deny" => deny_specs.push(value),
-            "query" => {
+            ("deny", _) => deny_specs.push(value),
+            ("query", _) => {
                 let query = sommelier_query::parse(value).map_err(fail)?;
                 ctx.queries.push(query);
             }
-            other => return Err(format!("unknown flag --{other}")),
+            ("jobs", true) => {
+                jobs = value
+                    .parse()
+                    .map_err(|_| format!("--jobs needs an integer, got '{value}'"))?;
+            }
+            ("baseline", true) => baseline = Some(PathBuf::from(value)),
+            (other, _) => return Err(format!("unknown flag --{other}")),
         }
     }
     let deny = DenySpec::parse(&deny_specs)?;
-    let runner = sommelier_lint::LintRunner::with_default_passes();
-    let report = runner.run(&ctx);
+    let mut report = sommelier_lint::run(&ctx, deep, jobs);
+    if let Some(path) = baseline {
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("baseline '{}' is unreadable: {e}", path.display()))?;
+        let known: Vec<sommelier_lint::Diagnostic> = serde_json::from_str(&text)
+            .map_err(|e| format!("baseline '{}' does not parse: {e}", path.display()))?;
+        report.subtract(&known);
+    }
     match format {
         "json" => println!("{}", report.to_json()),
         _ => print!("{}", report.render_text()),
     }
-    fail_on_denied(&report, &deny, "lint")
-}
-
-/// Shared exit-status policy of `lint` and `audit`.
-fn fail_on_denied(
-    report: &sommelier_lint::LintReport,
-    deny: &DenySpec,
-    what: &str,
-) -> CmdResult {
     let denied = deny.count_denied(&report.diagnostics);
     if denied > 0 {
         Err(format!(
@@ -607,69 +633,6 @@ fn fail_on_denied(
     } else {
         Ok(())
     }
-}
-
-/// `sommelier audit <dir> [--jobs N] [--format text|json]
-/// [--deny SPEC]... [--baseline FILE] [--query "<text>"]`
-///
-/// The deep audit: every shallow lint pass plus the
-/// abstract-interpretation dataflow family (`SOM08x`) and the
-/// repository ↔ index ↔ snapshot consistency join (`SOM09x`). Per-model
-/// analyses fan out over `--jobs` workers and are memoized by
-/// fingerprint; output ordering is deterministic regardless of the job
-/// count. `--baseline` subtracts previously accepted findings (CI
-/// ratcheting): generate one with `--format json > baseline.json`.
-pub fn audit(args: &[String]) -> CmdResult {
-    let (positional, flags) = split_flags(args)?;
-    let dir = repo_dir(&positional)?;
-    let mut format = "text";
-    let mut jobs = 0usize;
-    let mut deny_specs: Vec<&str> = Vec::new();
-    let mut baseline: Option<PathBuf> = None;
-    let mut ctx = sommelier_lint::LintContext::from_repo_dir(&dir)?;
-    for (name, value) in &flags {
-        match *name {
-            "format" => match *value {
-                "text" | "json" => format = value,
-                other => return Err(format!("unknown format '{other}' (text|json)")),
-            },
-            "jobs" => {
-                jobs = value
-                    .parse()
-                    .map_err(|_| format!("--jobs needs an integer, got '{value}'"))?;
-            }
-            "deny" => deny_specs.push(value),
-            "baseline" => baseline = Some(PathBuf::from(value)),
-            "query" => {
-                let query = sommelier_query::parse(value).map_err(fail)?;
-                ctx.queries.push(query);
-            }
-            other => return Err(format!("unknown flag --{other}")),
-        }
-    }
-    let deny = DenySpec::parse(&deny_specs)?;
-    let auditor = sommelier_lint::Auditor::new(jobs);
-    let mut outcome = auditor.audit(&ctx);
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("baseline '{}' is unreadable: {e}", path.display()))?;
-        let known: Vec<sommelier_lint::Diagnostic> = serde_json::from_str(&text)
-            .map_err(|e| format!("baseline '{}' does not parse: {e}", path.display()))?;
-        outcome.report.subtract(&known);
-    }
-    match format {
-        "json" => println!("{}", outcome.report.to_json()),
-        _ => {
-            print!("{}", outcome.report.render_text());
-            println!(
-                "audited {} model(s): {} analyzed, {} answered from the fingerprint memo",
-                ctx.models.len(),
-                outcome.models_analyzed,
-                outcome.memo_hits
-            );
-        }
-    }
-    fail_on_denied(&outcome.report, &deny, "audit")
 }
 
 /// `sommelier fsck <dir> [--repair] [--prune]`

@@ -69,7 +69,7 @@ COMMANDS:
                                         per model (SOM08x) plus the
                                         cross-artifact consistency join
                                         (SOM09x), parallel over --jobs
-                                        and memoized by fingerprint;
+                                        (default: one lane per core);
                                         --baseline subtracts accepted
                                         findings from a prior JSON run
     fsck   <dir> [--repair] [--prune]   check store integrity: torn or

@@ -325,6 +325,14 @@ fn add_rejects_missing_file_and_duplicate_keys() {
     assert_eq!(fingerprint(&first), fingerprint("reimported"));
     let out = run(&["add", d, copy.to_str().unwrap(), "--key", "reimported"]);
     assert!(!out.status.success(), "duplicate key must fail");
+    // The key is the model's identity: the copy indexes, answers
+    // queries and lints under the key it was added as.
+    let out = run(&["index", d]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["query", d, "SELECT models 3 CORR reimported WITHIN 0.5"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["lint", d, "--deny", "warn"]);
+    assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -52,11 +52,6 @@ impl MatchedSegment {
     pub fn host_tail(&self) -> LayerId {
         *self.host_layers.last().expect("segments are non-empty")
     }
-
-    /// The first layer of the host-side segment.
-    pub fn host_head(&self) -> LayerId {
-        *self.host_layers.first().expect("segments are non-empty")
-    }
 }
 
 /// Whether two layers are structurally identical in their model contexts:

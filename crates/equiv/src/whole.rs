@@ -181,11 +181,6 @@ pub fn assess_whole(
     ))
 }
 
-/// The QoR style used when two models are compared (reference's task).
-pub fn comparison_style(reference: &Model) -> OutputStyle {
-    reference.task.output_style()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

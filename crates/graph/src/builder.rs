@@ -257,13 +257,6 @@ impl ModelBuilder {
         self
     }
 
-    /// Merge several branches element-wise (`Multiply`).
-    pub fn multiply_from(&mut self, inputs: &[LayerId]) -> &mut Self {
-        let name = format!("multiply_{}", self.layers.len());
-        self.push(name, Op::Multiply, inputs.to_vec(), Params::none());
-        self
-    }
-
     /// Concatenate several branches along the feature axis.
     pub fn concat_from(&mut self, inputs: &[LayerId]) -> &mut Self {
         let name = format!("concat_{}", self.layers.len());

@@ -46,11 +46,6 @@ impl ResourceConstraint {
     pub fn admits(&self, p: &ResourceProfile) -> bool {
         p.within(self.max_memory_mb, self.max_gflops, self.max_latency_ms)
     }
-
-    /// True when no dimension is constrained.
-    pub fn is_unconstrained(&self) -> bool {
-        self.max_memory_mb.is_none() && self.max_gflops.is_none() && self.max_latency_ms.is_none()
-    }
 }
 
 /// Full passes over the map ([`ResourceIndex::query`]). The query engine

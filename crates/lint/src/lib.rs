@@ -2,14 +2,14 @@
 //!
 //! The paper's pitch is *curation*: a repository operator should learn
 //! about broken or suspicious artifacts before queries trip over them.
-//! This crate is the curation gate. It runs a configurable set of
-//! [`Pass`]es over a [`LintContext`] — the stored models, the persisted
+//! This crate is the curation gate. [`run`] applies one fixed list of
+//! analyses to a [`LintContext`] — the stored models, the persisted
 //! indices, and (optionally) query ASTs — and aggregates structured
 //! [`Diagnostic`]s into a [`LintReport`]. Nothing is executed: every
 //! check is static, so linting an entire repository is cheap enough to
 //! gate CI on.
 //!
-//! Three pass families ship by default:
+//! Seven pass families always run:
 //!
 //! * **model graph** ([`passes::model`]) — dead layers, width
 //!   bottlenecks that zero error propagation, suspicious activation
@@ -38,33 +38,28 @@
 //!   delta manifests on a missing or cyclic base chain
 //!   (`SOM070`–`SOM076`).
 //!
-//! On top of the shallow families sits the *deep audit*: an
+//! On request [`run`] adds the *deep* families: an
 //! abstract-interpretation [`dataflow`] engine feeding the
 //! [`passes::deep`] family (`SOM080`–`SOM092`) — shape-incompatible
 //! edges, non-finite weights, unreachable subgraphs, saturated
 //! activations, constant outputs, rank-collapsed matmuls, declared-cost
-//! drift, and the repository ↔ index ↔ snapshot consistency join. The
-//! [`audit::Auditor`] runs everything in parallel with per-model
-//! results memoized by fingerprint, so re-auditing an unchanged
-//! repository is nearly free.
+//! drift, and the repository ↔ index ↔ snapshot consistency join.
 //!
-//! The CLI exposes all of this as `sommelier lint <dir>` (shallow,
-//! sequential) and `sommelier audit <dir>` (everything, parallel,
-//! incremental).
+//! The CLI exposes all of this as `sommelier lint <dir>` (the seven
+//! families) and `sommelier audit <dir>` (the deep families too).
 
-pub mod audit;
 pub mod dataflow;
 pub mod deny;
 pub mod diagnostics;
 pub mod passes;
 
-pub use audit::{AuditOutcome, Auditor};
 pub use deny::DenySpec;
 pub use diagnostics::{codes, Diagnostic, LintReport, Severity};
 
 use sommelier_fault::StdStorage;
 use sommelier_graph::Model;
 use sommelier_index::{persist, ResourceIndex, SemanticIndex};
+use sommelier_parallel::ThreadPool;
 use sommelier_query::Query;
 use sommelier_repo::{classify, scan_store, ModelRepository, OnDiskRepository, StoreEntry};
 use std::path::Path;
@@ -190,106 +185,80 @@ impl LintContext {
         }
         Ok(ctx)
     }
-
-    /// Whether a repository key exists among the loaded models.
-    pub fn has_model(&self, key: &str) -> bool {
-        self.models.iter().any(|(k, _)| k == key)
-    }
 }
 
-/// One static analysis. Passes are independent: each walks the context
-/// and appends findings; they never mutate what they analyze.
+/// One analysis over the whole context, run once per lint: it looks
+/// across models or at the persisted artifacts. It appends findings and
+/// never mutates what it analyzes.
 pub trait Pass {
-    /// Stable pass name (for reporting and selection).
-    fn name(&self) -> &'static str;
     /// Run the analysis, appending findings to `out`.
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>);
 }
 
-/// Aggregates passes and produces a [`LintReport`].
-#[derive(Default)]
-pub struct LintRunner {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl LintRunner {
-    /// An empty runner (register passes manually).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A runner with every built-in pass registered.
-    pub fn with_default_passes() -> Self {
-        let mut runner = LintRunner::new();
-        runner.register(Box::new(passes::model::ModelGraphPass));
-        runner.register(Box::new(passes::model::ModelCostPass));
-        runner.register(Box::new(passes::model::ModelRoundTripPass));
-        runner.register(Box::new(passes::index::IndexIntegrityPass));
-        runner.register(Box::new(passes::index::TrianglePass));
-        runner.register(Box::new(passes::index::FreshnessPass));
-        runner.register(Box::new(passes::plan::QueryPlanPass));
-        runner.register(Box::new(passes::stats::SnapshotStatsPass));
-        runner.register(Box::new(passes::binary::BinarySnapshotPass));
-        runner.register(Box::new(passes::epoch::SnapshotEpochPass));
-        runner.register(Box::new(passes::store::StoreHygienePass));
-        runner
-    }
-
-    /// A runner with every built-in pass *plus* the deep pass family —
-    /// the sequential equivalent of one [`audit::Auditor`] run.
-    pub fn with_deep_passes() -> Self {
-        let mut runner = LintRunner::with_default_passes();
-        runner.register(Box::new(passes::deep::DeepModelPass));
-        runner.register(Box::new(passes::deep::CrossArtifactPass));
-        runner
-    }
-
-    /// Add a pass.
-    pub fn register(&mut self, pass: Box<dyn Pass>) {
-        self.passes.push(pass);
-    }
-
-    /// Names of the registered passes, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Run every pass over the context.
-    pub fn run(&self, ctx: &LintContext) -> LintReport {
-        let mut diagnostics = ctx.load_diagnostics.clone();
-        for pass in &self.passes {
-            pass.run(ctx, &mut diagnostics);
+/// Lint everything in the context. The per-model analyses (graph
+/// structure and serde round trip, plus the dataflow family when `deep`)
+/// fan out over `jobs` lanes (`0` = one per core, `1` = inline); the
+/// whole-context passes, plus the cross-artifact join when `deep`, then
+/// run once. The report is sorted and deduplicated, so it is identical
+/// at any lane count.
+pub fn run(ctx: &LintContext, deep: bool, jobs: usize) -> LintReport {
+    let pool = ThreadPool::new(sommelier_parallel::effective_jobs(jobs));
+    let per_model = pool.par_map(&ctx.models, |(key, model)| {
+        let mut found = Vec::new();
+        passes::model::model_graph_findings(key, model, &mut found);
+        passes::model::round_trip_findings(key, model, &mut found);
+        if deep {
+            passes::deep::deep_model_findings(key, model, &mut found);
         }
-        LintReport::from_diagnostics(diagnostics)
+        found
+    });
+    let mut diagnostics = ctx.load_diagnostics.clone();
+    diagnostics.extend(per_model.into_iter().flatten());
+    let global: [&dyn Pass; 9] = [
+        &passes::model::ModelCostPass,
+        &passes::index::IndexIntegrityPass,
+        &passes::index::TrianglePass,
+        &passes::index::FreshnessPass,
+        &passes::plan::QueryPlanPass,
+        &passes::stats::SnapshotStatsPass,
+        &passes::binary::BinarySnapshotPass,
+        &passes::epoch::SnapshotEpochPass,
+        &passes::store::StoreHygienePass,
+    ];
+    for pass in global {
+        pass.run(ctx, &mut diagnostics);
     }
+    if deep {
+        passes::deep::cross_artifact_findings(ctx, &mut diagnostics);
+    }
+    LintReport::from_diagnostics(diagnostics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sommelier_graph::{ModelBuilder, TaskKind};
+    use sommelier_tensor::{Prng, Shape};
 
-    #[test]
-    fn default_runner_registers_all_families() {
-        let runner = LintRunner::with_default_passes();
-        let names = runner.pass_names();
-        assert!(names.contains(&"model-graph"));
-        assert!(names.contains(&"index-integrity"));
-        assert!(names.contains(&"query-plan"));
-        assert!(names.contains(&"snapshot-stats"));
-        assert!(names.contains(&"binary-snapshot"));
-        assert!(names.contains(&"snapshot-epoch"));
-        assert!(names.contains(&"store-hygiene"));
-        assert_eq!(names.len(), 11);
-        let deep = LintRunner::with_deep_passes();
-        let names = deep.pass_names();
-        assert!(names.contains(&"deep-dataflow"));
-        assert!(names.contains(&"cross-artifact"));
-        assert_eq!(names.len(), 13);
+    fn ctx(n: usize) -> LintContext {
+        let mut ctx = LintContext::new();
+        for i in 0..n {
+            let mut rng = Prng::seed_from_u64(i as u64);
+            let m = ModelBuilder::new(format!("m{i}"), TaskKind::Other, Shape::vector(4))
+                .dense(8, &mut rng)
+                .relu()
+                .dense(3, &mut rng)
+                .softmax()
+                .build()
+                .unwrap();
+            ctx.models.push((format!("m{i}"), m));
+        }
+        ctx
     }
 
     #[test]
     fn empty_context_lints_clean() {
-        let report = LintRunner::with_default_passes().run(&LintContext::new());
+        let report = run(&LintContext::new(), false, 1);
         assert!(report.is_clean(), "{}", report.render_text());
     }
 
@@ -301,7 +270,63 @@ mod tests {
             "index-snapshot",
             "boom",
         ));
-        let report = LintRunner::with_default_passes().run(&ctx);
+        let report = run(&ctx, false, 1);
         assert_eq!(report.max_severity(), Some(Severity::Error));
+    }
+
+    #[test]
+    fn deep_families_run_only_when_asked() {
+        // An all-zero dense layer: SOM006 from the graph family, and a
+        // provably constant output (SOM084) from the dataflow family.
+        let mut ctx = LintContext::new();
+        let model = ModelBuilder::new("flat", TaskKind::Other, Shape::vector(4))
+            .dense_with(sommelier_tensor::Tensor::zeros(4, 3), None)
+            .softmax()
+            .build()
+            .unwrap();
+        ctx.models.push(("flat".into(), model));
+        let codes_of = |deep| -> Vec<String> {
+            run(&ctx, deep, 1).diagnostics.into_iter().map(|d| d.code).collect()
+        };
+        assert_eq!(codes_of(false), [codes::ZERO_WEIGHTS]);
+        let deep = codes_of(true);
+        assert!(deep.iter().any(|c| c == codes::ZERO_WEIGHTS), "{deep:?}");
+        assert!(deep.iter().any(|c| c == codes::CONSTANT_OUTPUT), "{deep:?}");
+    }
+
+    #[test]
+    fn duplicate_content_under_two_keys_reports_both_keys() {
+        let mut ctx = LintContext::new();
+        // The same degenerate model stored under two keys: each key gets
+        // its own findings.
+        let build = || {
+            ModelBuilder::new("dup", TaskKind::Other, Shape::vector(4))
+                .dense_with(sommelier_tensor::Tensor::zeros(4, 3), None)
+                .softmax()
+                .build()
+                .unwrap()
+        };
+        ctx.models.push(("first".into(), build()));
+        ctx.models.push(("second".into(), build()));
+        let report = run(&ctx, true, 1);
+        let targets: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .map(|d| d.target.as_str())
+            .collect();
+        assert!(targets.contains(&"model 'first'"), "{targets:?}");
+        assert!(targets.contains(&"model 'second'"), "{targets:?}");
+    }
+
+    #[test]
+    fn reports_are_identical_across_job_counts() {
+        let ctx = ctx(6);
+        for deep in [false, true] {
+            let r1 = run(&ctx, deep, 1);
+            let r4 = run(&ctx, deep, 4);
+            let r8 = run(&ctx, deep, 8);
+            assert_eq!(r1.to_json(), r4.to_json());
+            assert_eq!(r4.to_json(), r8.to_json());
+        }
     }
 }

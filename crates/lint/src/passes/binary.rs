@@ -22,10 +22,6 @@ use sommelier_index::somb::{self, IntegrityIssue};
 pub struct BinarySnapshotPass;
 
 impl Pass for BinarySnapshotPass {
-    fn name(&self) -> &'static str {
-        "binary-snapshot"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         let Some(bytes) = &ctx.binary_snapshot else {
             return;

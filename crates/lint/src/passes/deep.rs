@@ -1,25 +1,21 @@
 //! Deep analyses (`SOM080`–`SOM092`): the dataflow pass family and the
 //! cross-artifact consistency join.
 //!
-//! Two passes live here. [`DeepModelPass`] runs the forward abstract
-//! interpreter ([`crate::dataflow`]) over every stored model and turns
-//! its facts into findings: shape-incompatible edges, non-finite
+//! Two analyses live here. [`deep_model_findings`] runs the forward
+//! abstract interpreter ([`crate::dataflow`]) over one stored model and
+//! turns its facts into findings: shape-incompatible edges, non-finite
 //! weights, unreachable subgraphs, saturated activations, constant
 //! outputs, rank-collapsed matmuls, and declared-vs-recomputed cost
-//! drift. [`CrossArtifactPass`] joins the repository against the
-//! persisted indices: recomputed fingerprints must match the semantic
-//! index, recomputed resource vectors must match the resource index,
-//! and transitive equivalence bounds must stay inside the triangle
-//! interval spanned by their measured `Whole` legs.
-//!
-//! The per-model half is exposed as the free function
-//! [`deep_model_findings`] so the [`crate::audit::Auditor`] can fan it
-//! out over a thread pool and memoize results by fingerprint; the pass
-//! structs exist for the sequential [`crate::LintRunner`] path.
+//! drift; [`crate::run`] fans it out over the models.
+//! [`cross_artifact_findings`] joins the repository against the
+//! persisted indices once per lint: recomputed fingerprints must match
+//! the semantic index, recomputed resource vectors must match the
+//! resource index, and transitive equivalence bounds must stay inside
+//! the triangle interval spanned by their measured `Whole` legs.
 
 use crate::dataflow::{self, ShapeFact};
 use crate::diagnostics::{codes, Diagnostic};
-use crate::{LintContext, Pass};
+use crate::LintContext;
 use sommelier_graph::cost::model_cost;
 use sommelier_graph::{Fingerprint, Model, Op};
 use std::collections::BTreeMap;
@@ -43,24 +39,8 @@ const RESOURCE_REL_TOL: f64 = 1e-6;
 /// bound is called inconsistent.
 const LEG_SLACK: f64 = 1.5;
 
-/// The deep per-model dataflow lints (`SOM080`–`SOM086`).
-pub struct DeepModelPass;
-
-impl Pass for DeepModelPass {
-    fn name(&self) -> &'static str {
-        "deep-dataflow"
-    }
-
-    fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        for (key, model) in &ctx.models {
-            deep_model_findings(key, model, out);
-        }
-    }
-}
-
-/// Run every per-model deep check on one model, appending findings.
-/// Findings target `model '<key>'`; the audit engine memoizes the
-/// result per fingerprint and rewrites targets on memo hits.
+/// The deep per-model dataflow lints (`SOM080`–`SOM086`) on one model,
+/// appending findings that target `model '<key>'`.
 pub fn deep_model_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
     let target = format!("model '{key}'");
     let analysis = dataflow::analyze(model, dataflow::DEFAULT_INPUT);
@@ -422,32 +402,13 @@ fn check_declared_cost(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
 
 /// The repository ↔ semantic index ↔ resource index consistency join
 /// (`SOM090`–`SOM092`).
-pub struct CrossArtifactPass;
-
-impl Pass for CrossArtifactPass {
-    fn name(&self) -> &'static str {
-        "cross-artifact"
-    }
-
-    fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        let fps: BTreeMap<&str, Fingerprint> = ctx
+pub fn cross_artifact_findings(ctx: &LintContext, out: &mut Vec<Diagnostic>) {
+    if let Some(semantic) = &ctx.semantic {
+        let fingerprints: BTreeMap<&str, Fingerprint> = ctx
             .models
             .iter()
             .map(|(k, m)| (k.as_str(), Fingerprint::of_model(m)))
             .collect();
-        cross_artifact_findings(ctx, &fps, out);
-    }
-}
-
-/// Run the cross-artifact join with the stored models' fingerprints
-/// precomputed (the audit engine already has them for its memo; the
-/// sequential pass computes them on the spot).
-pub fn cross_artifact_findings(
-    ctx: &LintContext,
-    fingerprints: &BTreeMap<&str, Fingerprint>,
-    out: &mut Vec<Diagnostic>,
-) {
-    if let Some(semantic) = &ctx.semantic {
         // SOM090 — every index registration that resolves to a stored
         // model must carry that model's recomputed fingerprint. A
         // mismatch means the store was rewritten after indexing (or the
@@ -570,9 +531,11 @@ mod tests {
         ctx
     }
 
-    fn run(pass: &dyn Pass, ctx: &LintContext) -> Vec<Diagnostic> {
+    fn deep(ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        pass.run(ctx, &mut out);
+        for (key, model) in &ctx.models {
+            deep_model_findings(key, model, &mut out);
+        }
         out
     }
 
@@ -590,7 +553,7 @@ mod tests {
     #[test]
     fn clean_model_is_deep_clean() {
         let ctx = ctx_with(vec![("ok", mlp("ok", 1))]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -604,7 +567,7 @@ mod tests {
         assert_ne!(json, patched, "fixture must actually patch the widths");
         let tampered: Model = serde_json::from_str(&patched).unwrap();
         let ctx = ctx_with(vec![("tampered", tampered)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         assert!(
             diags
                 .iter()
@@ -625,7 +588,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("nan", model)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         let hit = diags
             .iter()
             .find(|d| d.code == codes::NONFINITE_WEIGHTS)
@@ -649,7 +612,7 @@ mod tests {
         b.softmax();
         let model = b.build().unwrap();
         let ctx = ctx_with(vec![("dead", model)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         let unreachable: Vec<_> = diags
             .iter()
             .filter(|d| d.code == codes::UNREACHABLE_SUBGRAPH)
@@ -669,7 +632,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("sat", model)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         assert!(
             diags
                 .iter()
@@ -686,7 +649,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("const", model)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         assert!(
             diags.iter().any(|d| d.code == codes::CONSTANT_OUTPUT),
             "{diags:?}"
@@ -707,14 +670,14 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("rank1", model)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         assert!(
             diags.iter().any(|d| d.code == codes::RANK_COLLAPSED),
             "{diags:?}"
         );
         // A healthy random dense must not trip the check.
         let clean = ctx_with(vec![("ok", mlp("ok", 7))]);
-        assert!(run(&DeepModelPass, &clean)
+        assert!(deep(&clean)
             .iter()
             .all(|d| d.code != codes::RANK_COLLAPSED));
     }
@@ -730,7 +693,7 @@ mod tests {
             .metadata
             .insert("cost.param_bytes".into(), "not-a-number".into());
         let ctx = ctx_with(vec![("declared", model)]);
-        let diags = run(&DeepModelPass, &ctx);
+        let diags = deep(&ctx);
         let drift: Vec<_> = diags
             .iter()
             .filter(|d| d.code == codes::DECLARED_COST_DRIFT)
@@ -741,7 +704,7 @@ mod tests {
         let cost = model_cost(&honest);
         honest.metadata.insert("cost.flops".into(), cost.flops.to_string());
         let ctx = ctx_with(vec![("honest", honest)]);
-        assert!(run(&DeepModelPass, &ctx).is_empty());
+        assert!(deep(&ctx).is_empty());
     }
 
     #[test]
@@ -760,7 +723,8 @@ mod tests {
         semantic.insert(&indexed, &|_| None, &NoPairs);
         let mut ctx = ctx_with(vec![("drifted", stored)]);
         ctx.semantic = Some(semantic);
-        let diags = run(&CrossArtifactPass, &ctx);
+        let mut diags = Vec::new();
+        cross_artifact_findings(&ctx, &mut diags);
         assert!(
             diags
                 .iter()

@@ -27,17 +27,12 @@
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
-use sommelier_index::CandidateKind;
 use sommelier_index::persist::STATS_VERSION;
 
 /// Validates the snapshot's publication epoch and epoch-stamped contents.
 pub struct SnapshotEpochPass;
 
 impl Pass for SnapshotEpochPass {
-    fn name(&self) -> &'static str {
-        "snapshot-epoch"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         if let Some(stats) = &ctx.snapshot_stats {
             // Unknown versions are the stats pass's SOM051; field checks
@@ -84,16 +79,7 @@ impl Pass for SnapshotEpochPass {
         if let Some(semantic) = &ctx.semantic {
             for (_, key, candidates) in semantic.entries_audit() {
                 for c in candidates {
-                    let mut referenced = vec![];
-                    match &c.kind {
-                        CandidateKind::Whole => referenced.push(c.key.as_str()),
-                        CandidateKind::Transitive { via } => {
-                            referenced.push(c.key.as_str());
-                            referenced.push(via.as_str());
-                        }
-                        CandidateKind::Synthesized { donor } => referenced.push(donor.as_str()),
-                    }
-                    for name in referenced {
+                    for name in super::index::referenced_models(c) {
                         if !semantic.contains(name) {
                             out.push(Diagnostic::error(
                                 codes::UNREGISTERED_CANDIDATE,

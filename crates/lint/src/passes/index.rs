@@ -10,7 +10,7 @@
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
-use sommelier_index::CandidateKind;
+use sommelier_index::{CandidateKind, CandidateRecord};
 use std::collections::{HashMap, HashSet};
 
 const SEMANTIC: &str = "semantic-index";
@@ -20,6 +20,17 @@ const RESOURCE: &str = "resource-index";
 /// `score = max(0, 1 − diff_bound)` invariant. Floats round-trip the
 /// snapshot exactly, so anything beyond rounding noise is corruption.
 const SCORE_EPS: f64 = 1e-9;
+
+/// The models a candidate depends on: the candidate itself and, for a
+/// transitive one, its intermediary. A synthesized candidate's key names
+/// the variant, not a stored model, so only its donor counts.
+pub(crate) fn referenced_models(c: &CandidateRecord) -> Vec<&str> {
+    match &c.kind {
+        CandidateKind::Whole => vec![c.key.as_str()],
+        CandidateKind::Transitive { via } => vec![c.key.as_str(), via],
+        CandidateKind::Synthesized { donor } => vec![donor],
+    }
+}
 
 /// Referential and ordering invariants of both indices: dangling keys
 /// (`SOM020`), unsorted candidate lists (`SOM021`), score/bound
@@ -39,10 +50,6 @@ pub(crate) fn non_finite_profile(location: &str, subject: &str) -> Diagnostic {
 }
 
 impl Pass for IndexIntegrityPass {
-    fn name(&self) -> &'static str {
-        "index-integrity"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         let stored: HashSet<&str> = ctx.models.iter().map(|(k, _)| k.as_str()).collect();
         if let Some(semantic) = &ctx.semantic {
@@ -82,18 +89,7 @@ impl Pass for IndexIntegrityPass {
                             ),
                         ));
                     }
-                    let mut referenced: Vec<&str> = Vec::new();
-                    match &c.kind {
-                        // A synthesized candidate's key names the variant,
-                        // not a stored model; only the donor must exist.
-                        CandidateKind::Synthesized { donor } => referenced.push(donor),
-                        CandidateKind::Transitive { via } => {
-                            referenced.push(c.key.as_str());
-                            referenced.push(via);
-                        }
-                        CandidateKind::Whole => referenced.push(c.key.as_str()),
-                    }
-                    for name in referenced {
+                    for name in referenced_models(c) {
                         if !stored.contains(name) {
                             out.push(Diagnostic::error(
                                 codes::DANGLING_KEY,
@@ -160,10 +156,6 @@ impl TrianglePass {
 }
 
 impl Pass for TrianglePass {
-    fn name(&self) -> &'static str {
-        "index-triangle"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         let Some(semantic) = &ctx.semantic else { return };
         // All directly measured edges, keyed both ways.
@@ -216,10 +208,6 @@ impl Pass for TrianglePass {
 pub struct FreshnessPass;
 
 impl Pass for FreshnessPass {
-    fn name(&self) -> &'static str {
-        "index-freshness"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         let Some(index_mtime) = ctx.index_mtime else { return };
         let newer: Vec<&str> = ctx

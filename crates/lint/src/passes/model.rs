@@ -13,26 +13,10 @@ use crate::{LintContext, Pass};
 use sommelier_graph::cost::model_cost;
 use sommelier_graph::{Fingerprint, Model, Op, OpKind};
 
-/// Structural lints over each model's layer DAG: dead layers
+/// Structural lints over one model's layer DAG: dead layers
 /// (`SOM001`), interior width-1 bottlenecks (`SOM002`), suspicious
 /// activation/normalization orderings (`SOM003`), and all-zero linear
 /// weights (`SOM006`).
-pub struct ModelGraphPass;
-
-impl Pass for ModelGraphPass {
-    fn name(&self) -> &'static str {
-        "model-graph"
-    }
-
-    fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        for (key, model) in &ctx.models {
-            model_graph_findings(key, model, out);
-        }
-    }
-}
-
-/// All structural graph lints for one model, as a free function so the
-/// audit engine can run (and memoize) them per model.
 pub fn model_graph_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
     let target = format!("model '{key}'");
     check_dead_layers(model, &target, out);
@@ -171,10 +155,6 @@ impl ModelCostPass {
 }
 
 impl Pass for ModelCostPass {
-    fn name(&self) -> &'static str {
-        "model-cost"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         use std::collections::BTreeMap;
         let mut families: BTreeMap<&str, Vec<(&str, f64)>> = BTreeMap::new();
@@ -220,22 +200,6 @@ impl Pass for ModelCostPass {
 /// encoding. A model that fails to serialize (e.g. a non-finite weight),
 /// fails to parse back, or comes back with a different fingerprint would
 /// silently corrupt on its next republish.
-pub struct ModelRoundTripPass;
-
-impl Pass for ModelRoundTripPass {
-    fn name(&self) -> &'static str {
-        "model-round-trip"
-    }
-
-    fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        for (key, model) in &ctx.models {
-            round_trip_findings(key, model, out);
-        }
-    }
-}
-
-/// The serde round-trip lint for one model, exposed for the audit
-/// engine's memoized per-model fan-out.
 pub fn round_trip_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
     let target = format!("model '{key}'");
     let json = match serde_json::to_string(model) {
@@ -293,6 +257,17 @@ mod tests {
         out
     }
 
+    fn each_model(
+        check: fn(&str, &Model, &mut Vec<Diagnostic>),
+        ctx: &LintContext,
+    ) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        for (key, model) in &ctx.models {
+            check(key, model, &mut out);
+        }
+        out
+    }
+
     fn mlp(name: &str, hidden: usize, seed: u64) -> Model {
         let mut rng = Prng::seed_from_u64(seed);
         ModelBuilder::new(name, TaskKind::Other, Shape::vector(4))
@@ -307,7 +282,7 @@ mod tests {
     #[test]
     fn clean_model_produces_no_graph_findings() {
         let ctx = ctx_with(vec![("clean", mlp("clean", 8, 1))]);
-        assert!(run(&ModelGraphPass, &ctx).is_empty());
+        assert!(each_model(model_graph_findings, &ctx).is_empty());
     }
 
     #[test]
@@ -325,7 +300,7 @@ mod tests {
         b.softmax();
         let model = b.build().unwrap();
         let ctx = ctx_with(vec![("dead", model)]);
-        let diags = run(&ModelGraphPass, &ctx);
+        let diags = each_model(model_graph_findings, &ctx);
         assert!(
             diags
                 .iter()
@@ -345,7 +320,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("pinch", model)]);
-        let diags = run(&ModelGraphPass, &ctx);
+        let diags = each_model(model_graph_findings, &ctx);
         assert!(
             diags.iter().any(|d| d.code == codes::WIDTH_BOTTLENECK && d.layer == Some(1)),
             "{diags:?}"
@@ -363,7 +338,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("scalar", model)]);
-        let diags = run(&ModelGraphPass, &ctx);
+        let diags = each_model(model_graph_findings, &ctx);
         assert!(!diags.iter().any(|d| d.code == codes::WIDTH_BOTTLENECK), "{diags:?}");
     }
 
@@ -379,7 +354,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("twice", model)]);
-        let diags = run(&ModelGraphPass, &ctx);
+        let diags = each_model(model_graph_findings, &ctx);
         assert!(
             diags
                 .iter()
@@ -398,7 +373,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("noop", model)]);
-        let diags = run(&ModelGraphPass, &ctx);
+        let diags = each_model(model_graph_findings, &ctx);
         assert!(
             diags
                 .iter()
@@ -415,7 +390,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("zeroed", model)]);
-        let diags = run(&ModelGraphPass, &ctx);
+        let diags = each_model(model_graph_findings, &ctx);
         assert!(
             diags.iter().any(|d| d.code == codes::ZERO_WEIGHTS && d.layer == Some(1)),
             "{diags:?}"
@@ -459,7 +434,7 @@ mod tests {
     #[test]
     fn healthy_model_round_trips_clean() {
         let ctx = ctx_with(vec![("ok", mlp("ok", 8, 15))]);
-        assert!(run(&ModelRoundTripPass, &ctx).is_empty());
+        assert!(each_model(round_trip_findings, &ctx).is_empty());
     }
 
     #[test]
@@ -472,7 +447,7 @@ mod tests {
             .build()
             .unwrap();
         let ctx = ctx_with(vec![("nan", model)]);
-        let diags = run(&ModelRoundTripPass, &ctx);
+        let diags = each_model(round_trip_findings, &ctx);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, codes::ROUND_TRIP_MISMATCH);
         assert_eq!(diags[0].severity, Severity::Error);

@@ -39,10 +39,6 @@ impl QueryPlanPass {
 }
 
 impl Pass for QueryPlanPass {
-    fn name(&self) -> &'static str {
-        "query-plan"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         for (i, query) in ctx.queries.iter().enumerate() {
             let target = format!("query #{}", i + 1);

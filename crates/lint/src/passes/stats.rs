@@ -26,10 +26,6 @@ use sommelier_index::persist::STATS_VERSION;
 pub struct SnapshotStatsPass;
 
 impl Pass for SnapshotStatsPass {
-    fn name(&self) -> &'static str {
-        "snapshot-stats"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         // No snapshot at all → nothing to check.
         if ctx.semantic.is_none() && ctx.resource.is_none() {

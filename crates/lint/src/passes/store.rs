@@ -35,10 +35,6 @@ use sommelier_repo::FindingKind;
 pub struct StoreHygienePass;
 
 impl Pass for StoreHygienePass {
-    fn name(&self) -> &'static str {
-        "store-hygiene"
-    }
-
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         use FindingKind::*;
         use Severity::{Error, Warn};

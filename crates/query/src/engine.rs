@@ -1120,7 +1120,13 @@ impl Sommelier {
             if self.semantic.contains(&key) {
                 continue;
             }
-            models.push(self.repo.load(&key)?);
+            // The key is the identity: a model stored under another
+            // name is indexed under its key.
+            let mut model = self.repo.load(&key)?;
+            if model.name != key {
+                model.name = key;
+            }
+            models.push(model);
         }
         if models.is_empty() {
             return Ok(0);
@@ -1242,12 +1248,6 @@ impl Sommelier {
                 .or_insert_with(|| m.name.clone());
         }
         true
-    }
-
-    /// Override the default reference model for a task.
-    pub fn set_default_reference(&mut self, task: TaskKind, key: impl Into<String>) {
-        self.default_refs.insert(task, key.into());
-        self.publish_snapshot();
     }
 
     /// Execute a textual query (paper Figure 7 syntax) against the

@@ -27,10 +27,7 @@ use sommelier_tensor::{ops, Tensor};
 /// `query.candidates_scored`, `index.resource.range_scans` (raised by
 /// the range API, never by a served query); from the durability layer:
 /// `recovery.loads`, `recovery.rebuilds`, `recovery.quarantined`,
-/// `recovery.resave_failures`, `recovery.retries`; and from the deep
-/// audit: `audit.runs`, `audit.models_analyzed` (fingerprint-memo
-/// misses), `audit.memo_hits`, `audit.findings_error`,
-/// `audit.findings_warn`, `audit.findings_info`.
+/// `recovery.resave_failures`, `recovery.retries`.
 pub mod counters {
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -142,13 +142,6 @@ impl Tensor {
         }
     }
 
-    /// Apply a function element-wise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise combination of two same-shaped tensors.
     pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(

@@ -6,8 +6,8 @@
 //! 2. every [`sabotage::Defect`] planted into a copy of that zoo is
 //!    detected — the audit reports the defect's expected code;
 //! 3. the JSON report is byte-identical at `--jobs 1/4/8`;
-//! 4. a warm re-audit answers every unchanged model from the
-//!    fingerprint memo.
+//! 4. two keys with the same weights are each judged on their own
+//!    content, metadata included.
 //!
 //! The zoo is built exactly the way the CLI builds one (`sommelier
 //! seed` + `sommelier index`): same family rotation, same
@@ -16,7 +16,7 @@
 
 use sommelier::graph::serde_model;
 use sommelier::index::persist::INDEX_FILE;
-use sommelier::lint::{Auditor, LintContext};
+use sommelier::lint::LintContext;
 use sommelier::prelude::*;
 use sommelier::zoo::sabotage::{self, Defect};
 use sommelier::zoo::series::build_series;
@@ -109,9 +109,7 @@ fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
 
 fn audit_codes(dir: &Path, jobs: usize) -> Vec<String> {
     let ctx = LintContext::from_repo_dir(dir).unwrap();
-    let outcome = Auditor::new(jobs).audit(&ctx);
-    outcome
-        .report
+    sommelier::lint::run(&ctx, true, jobs)
         .diagnostics
         .iter()
         .map(|d| d.code.clone())
@@ -154,7 +152,7 @@ fn audit_reports_are_byte_identical_across_job_counts() {
         .iter()
         .map(|&jobs| {
             let ctx = LintContext::from_repo_dir(&dir).unwrap();
-            Auditor::new(jobs).audit(&ctx).report.to_json()
+            sommelier::lint::run(&ctx, true, jobs).to_json()
         })
         .collect();
     assert!(!json[0].is_empty() && json[0] != "[]", "report unexpectedly empty");
@@ -163,20 +161,34 @@ fn audit_reports_are_byte_identical_across_job_counts() {
 }
 
 #[test]
-fn warm_reaudit_hits_the_fingerprint_memo() {
-    let dir = scratch("warm");
-    seed_zoo(&dir, 1, 11);
+fn same_weights_under_two_keys_are_judged_apart() {
+    // `zz-copy` holds the first key's weights, so the two models share a
+    // fingerprint; only `zz-copy` declares a wrong cost, and it sorts
+    // after its twin.
+    let dir = scratch("twins");
+    seed_zoo(&dir, 1, 7);
+    let repo = Arc::new(OnDiskRepository::open(&dir).unwrap());
+    let first = repo.try_keys().unwrap().remove(0);
+    let mut copy = repo.load(&first).unwrap();
+    copy.name = "zz-copy".into();
+    copy.metadata.insert("cost.flops".into(), "1".into());
+    repo.publish("zz-copy", &copy, false).unwrap();
+    let mut engine =
+        Sommelier::connect(repo as Arc<dyn ModelRepository>, SommelierConfig::default());
+    engine.index_existing().unwrap();
+    engine.save_indices(&dir.join(INDEX_FILE)).unwrap();
+
     let ctx = LintContext::from_repo_dir(&dir).unwrap();
-    let auditor = Auditor::new(4);
-
-    let cold = auditor.audit(&ctx);
-    assert_eq!(cold.models_analyzed, ctx.models.len());
-    assert_eq!(cold.memo_hits, 0);
-
-    let warm = auditor.audit(&ctx);
-    assert_eq!(warm.models_analyzed, 0, "warm audit re-analyzed models");
-    assert_eq!(warm.memo_hits, ctx.models.len());
-    assert_eq!(cold.report, warm.report, "memoized report drifted");
+    for jobs in [1, 4] {
+        let report = sommelier::lint::run(&ctx, true, jobs);
+        let flagged: Vec<&str> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "SOM086")
+            .map(|d| d.target.as_str())
+            .collect();
+        assert_eq!(flagged, ["model 'zz-copy'"], "jobs {jobs}: {}", report.render_text());
+    }
 }
 
 proptest! {
