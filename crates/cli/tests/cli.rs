@@ -333,7 +333,46 @@ fn add_rejects_missing_file_and_duplicate_keys() {
     assert!(out.status.success(), "{}", stderr(&out));
     let out = run(&["lint", d, "--deny", "warn"]);
     assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
+
+    // A file whose first Dense weight lost a row (data cut to match)
+    // parses, but no model can be built from it: both write paths
+    // refuse it, name the layer, and store nothing.
+    let json = std::fs::read_to_string(&copy).unwrap();
+    let broken = dir.join("broken.json");
+    std::fs::write(&broken, drop_first_dense_row(&json, &first, "broken-x")).unwrap();
+    let listing = stdout(&run(&["list", d]));
+    for args in [
+        &["apply", d, "--add", broken.to_str().unwrap()][..],
+        &["add", d, broken.to_str().unwrap()],
+    ] {
+        let out = run(args);
+        assert!(!out.status.success(), "{args:?} accepted a broken model");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("layer 1:"), "{args:?}: {}", stderr(&out));
+    }
+    assert_eq!(stdout(&run(&["list", d])), listing);
+    let out = run(&["lint", d, "--deny", "warn"]);
+    assert!(out.status.success(), "{}{}", stdout(&out), stderr(&out));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `json`, an exported model named `name`, renamed to `rename` and with
+/// its first Dense weight one row short, data cut to match.
+fn drop_first_dense_row(json: &str, name: &str, rename: &str) -> String {
+    let json = json.replacen(&format!("\"name\":\"{name}\""), &format!("\"name\":\"{rename}\""), 1);
+    let dense = json.find("\"Dense\"").expect("a Dense layer");
+    let int_after = |key: &str| {
+        let at = dense + json[dense..].find(key).unwrap() + key.len();
+        let end = at + json[at..].bytes().take_while(u8::is_ascii_digit).count();
+        (at..end, json[at..end].parse::<usize>().unwrap())
+    };
+    let (rows_at, rows) = int_after("\"rows\":");
+    let (_, cols) = int_after("\"cols\":");
+    let (data_at, _) = int_after("\"data\":[");
+    let kept = (rows - 1) * cols;
+    let cut = data_at.start + json[data_at.start..].match_indices(',').nth(kept - 1).unwrap().0;
+    let end = data_at.start + json[data_at.start..].find(']').unwrap();
+    format!("{}{}{}{}", &json[..rows_at.start], rows - 1, &json[rows_at.end..cut], &json[end..])
 }
 
 #[test]

@@ -39,13 +39,6 @@ pub struct ReplacementAssessment {
     pub equivalent: bool,
 }
 
-impl ReplacementAssessment {
-    /// The kept segments themselves.
-    pub fn kept_segments(&self) -> Vec<&MatchedSegment> {
-        self.kept.iter().map(|&i| &self.segments[i]).collect()
-    }
-}
-
 /// Assess how interchangeable `donor`'s common segments are inside `host`.
 ///
 /// `inputs` is a probe batch (a modest sample suffices; noise injection is
@@ -132,27 +125,12 @@ pub fn assess_replacement(
     })
 }
 
-/// The estimated end-to-end QoR difference of replacing *all* matched
-/// segments (steps i–ii of Section 4.2 without the progressive-removal
-/// refinement). Returns `None` when no segments match. This is the raw
-/// quantity behind the Figure 10 "bound" curve: `1 − diff` lower-bounds
-/// the relative QoR of the fully segment-replaced model.
-pub fn estimate_replacement_diff(
-    host: &Model,
-    donor: &Model,
-    inputs: &Tensor,
-    rng: &mut Prng,
-) -> Result<Option<f64>, ExecError> {
-    let segments = find_matched_segments(host, donor, 2);
-    if segments.is_empty() {
-        return Ok(None);
-    }
-    estimate_replacement_diff_for(host, donor, &segments, inputs, rng).map(Some)
-}
-
-/// As [`estimate_replacement_diff`], but over an explicit set of aligned
-/// segments (e.g. a transfer's known shared base, rather than whatever
-/// the structural matcher finds).
+/// The estimated end-to-end QoR difference of replacing the given
+/// aligned segments (steps i–ii of Section 4.2 without the
+/// progressive-removal refinement) — e.g. a transfer's known shared
+/// base, rather than whatever the structural matcher finds. This is the
+/// raw quantity behind the Figure 10 "bound" curve: `1 − diff`
+/// lower-bounds the relative QoR of the segment-replaced model.
 pub fn estimate_replacement_diff_for(
     host: &Model,
     donor: &Model,
@@ -295,7 +273,8 @@ mod tests {
         let x = probe(200);
         let labels = teacher.labels(&x);
         let r = assess_replacement(&host, &donor, &probe(16), 0.3, &mut rng).unwrap();
-        let spliced = replace_segments(&host, &donor, &r.kept_segments());
+        let kept: Vec<&MatchedSegment> = r.kept.iter().map(|&i| &r.segments[i]).collect();
+        let spliced = replace_segments(&host, &donor, &kept);
         let acc_host = top1_accuracy(&execute(&host, &x).unwrap(), &labels);
         let acc_spliced = top1_accuracy(&execute(&spliced, &x).unwrap(), &labels);
         assert!(

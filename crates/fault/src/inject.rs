@@ -1,30 +1,24 @@
 //! Deterministic fault injection over any [`Storage`] backend.
 //!
-//! Two failure models, both fully determined by a [`FaultPlan`]:
-//!
-//! * **Crash** — `crash_at = Some(n)` arms the n-th primitive
-//!   operation (0-based, counted across the storage's lifetime). The
-//!   armed op takes a *torn* effect — a seeded prefix of a write lands,
-//!   a rename/link is dropped, a read returns EIO — then errors, and
-//!   every subsequent op fails too: the process is dead. Reopening the
-//!   directory with a fresh backend models the post-crash restart.
-//! * **Transient** — per-[`OpKind`] budgets of
-//!   [`io::ErrorKind::Interrupted`] failures that burn down and then
-//!   let the op through untouched, for exercising the retry layer.
+//! One failure model, fully determined by a [`FaultPlan`]: a *crash*.
+//! `crash_at = Some(n)` arms the n-th primitive operation (0-based,
+//! counted across the storage's lifetime). The armed op takes a *torn*
+//! effect — a seeded prefix of a write lands, a rename/link is dropped,
+//! a read returns EIO — then errors, and every subsequent op fails too:
+//! the process is dead. Reopening the directory with a fresh backend
+//! models the post-crash restart.
 //!
 //! The op counter spans primitives only; the composite operations
 //! ([`Storage::write_atomic`], [`Storage::create_exclusive`]) inherit
 //! injection at every constituent step.
 
 use crate::storage::Storage;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Primitive operation kinds, for budgeted transient faults and crash
-/// reporting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Primitive operation kinds, for crash reporting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
     Read,
     Write,
@@ -67,8 +61,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Crash at this primitive-op index (0-based); `None` = never.
     pub crash_at: Option<u64>,
-    /// Per-kind budgets of transient (`Interrupted`) failures.
-    pub transient: Vec<(OpKind, u32)>,
 }
 
 impl FaultPlan {
@@ -83,7 +75,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             crash_at: Some(n),
-            ..FaultPlan::default()
         }
     }
 }
@@ -163,7 +154,6 @@ pub fn tear_binary(bytes: &[u8], seed: u64, kind: BinaryTearKind) -> Vec<u8> {
 struct InjectState {
     op: u64,
     dead: bool,
-    transient_left: HashMap<OpKind, u32>,
     injected: Vec<(u64, OpKind, FaultKind)>,
 }
 
@@ -186,7 +176,6 @@ fn mix(seed: u64, op: u64) -> u64 {
 
 impl<S: Storage> FaultyStorage<S> {
     pub fn new(inner: S, plan: FaultPlan) -> Self {
-        let transient_left = plan.transient.iter().copied().collect();
         FaultyStorage {
             inner,
             seed: plan.seed,
@@ -194,7 +183,6 @@ impl<S: Storage> FaultyStorage<S> {
             state: Mutex::new(InjectState {
                 op: 0,
                 dead: false,
-                transient_left,
                 injected: Vec::new(),
             }),
         }
@@ -231,15 +219,6 @@ impl<S: Storage> FaultyStorage<S> {
         }
         let op = st.op;
         st.op += 1;
-        if let Some(budget) = st.transient_left.get_mut(&kind) {
-            if *budget > 0 {
-                *budget -= 1;
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    format!("injected: transient {} failure", kind.name()),
-                ));
-            }
-        }
         if self.crash_at == Some(op) {
             st.dead = true;
             let effect = match kind {
@@ -382,25 +361,6 @@ mod tests {
             StdStorage.read(&path).unwrap_or_default()
         };
         assert_eq!(run(1), run(1), "same seed, same tear");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn transient_budget_burns_down_then_succeeds() {
-        let dir = scratch("trans");
-        let path = dir.join("f.json");
-        let plan = FaultPlan {
-            seed: 1,
-            crash_at: None,
-            transient: vec![(OpKind::Write, 2)],
-        };
-        let s = FaultyStorage::new(StdStorage, plan);
-        for _ in 0..2 {
-            let err = s.write_file(&path, b"x").unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        }
-        s.write_file(&path, b"x").unwrap();
-        assert!(!s.is_dead());
         std::fs::remove_dir_all(&dir).ok();
     }
 

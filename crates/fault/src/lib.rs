@@ -23,22 +23,16 @@
 //! * [`FaultyStorage`] — a deterministic, seeded fault injector that
 //!   wraps any backend: it can crash the process model at an exact
 //!   primitive-op index (partial write, dropped rename, EIO on read —
-//!   everything after the crash fails, like a dead process), or burn a
-//!   per-op-kind budget of *transient* errors for exercising retries.
-//! * [`retry`] — bounded retry-with-backoff for transient storage
-//!   errors, and [`RetryingStorage`] which applies it to every
-//!   primitive.
+//!   everything after the crash fails, like a dead process).
 //! * [`quarantine`] — move an unreadable artifact aside as
 //!   `<name>.corrupt-<epoch>` so recovery can rebuild without
 //!   destroying the evidence.
 //!
-//! Observability: retry and quarantine bump the process-wide
-//! `recovery.*` counters in `sommelier_runtime::metrics`.
+//! Observability: quarantine bumps the process-wide
+//! `recovery.quarantined` counter in `sommelier_runtime::metrics`.
 
 pub mod inject;
-pub mod retry;
 pub mod storage;
 
 pub use inject::{tear_binary, BinaryTearKind, FaultKind, FaultPlan, FaultyStorage, OpKind};
-pub use retry::{RetryPolicy, RetryingStorage};
 pub use storage::{quarantine, temp_sibling, StdStorage, Storage};

@@ -40,6 +40,9 @@ pub enum ModelError {
     BadWidths { layer: usize },
     /// Parameter tensors have the wrong shape for the operator.
     BadParams { layer: usize, detail: String },
+    /// A deserialized model caches an output width its layers do not
+    /// produce.
+    StaleWidth { layer: usize },
 }
 
 impl fmt::Display for ModelError {
@@ -70,6 +73,9 @@ impl fmt::Display for ModelError {
             }
             ModelError::BadParams { layer, detail } => {
                 write!(f, "layer {layer}: bad parameters: {detail}")
+            }
+            ModelError::StaleWidth { layer } => {
+                write!(f, "layer {layer}: stored output width disagrees with its operator")
             }
         }
     }
@@ -106,6 +112,34 @@ impl Model {
         input_shape: Shape,
         layers: Vec<Layer>,
     ) -> Result<Model, ModelError> {
+        let widths = Self::checked_widths(&input_shape, &layers)?;
+        Ok(Model {
+            name: name.into(),
+            version: "1".into(),
+            task,
+            input_shape,
+            output_syntax: None,
+            metadata: BTreeMap::new(),
+            layers,
+            widths,
+        })
+    }
+
+    /// Re-run [`Model::new`]'s checks, and check the cached widths
+    /// against them. A model from `new` always passes; one deserialized
+    /// from a file is taken as written and may not.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        let widths = Self::checked_widths(&self.input_shape, &self.layers)?;
+        if widths != self.widths {
+            let layer = widths.iter().zip(&self.widths).take_while(|(a, b)| a == b).count();
+            return Err(ModelError::StaleWidth { layer });
+        }
+        Ok(())
+    }
+
+    /// The checks behind [`Model::new`]: each layer's output width, or
+    /// the first layer that fails.
+    fn checked_widths(input_shape: &Shape, layers: &[Layer]) -> Result<Vec<usize>, ModelError> {
         if layers.is_empty() {
             return Err(ModelError::Empty);
         }
@@ -155,16 +189,7 @@ impl Model {
             Self::check_params(i, layer, &in_widths)?;
             widths.push(out);
         }
-        Ok(Model {
-            name: name.into(),
-            version: "1".into(),
-            task,
-            input_shape,
-            output_syntax: None,
-            metadata: BTreeMap::new(),
-            layers,
-            widths,
-        })
+        Ok(widths)
     }
 
     fn check_params(i: usize, layer: &Layer, in_widths: &[usize]) -> Result<(), ModelError> {

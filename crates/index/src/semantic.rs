@@ -641,17 +641,6 @@ impl SemanticIndex {
         &self.order
     }
 
-    /// The recorded diff bound between two keys, if a candidate record
-    /// links them (in the `key → other` direction).
-    pub fn recorded_diff(&self, key: &str, other: &str) -> Option<f64> {
-        let fp = self.by_key.get(key)?;
-        self.entries[fp]
-            .candidates
-            .iter()
-            .find(|c| c.key == other)
-            .map(|c| c.diff_bound)
-    }
-
     /// Insert a model, running the sampled pairwise analysis through
     /// `resolve` (key → model resolver) and `analyzer` sequentially.
     ///
@@ -1408,11 +1397,15 @@ mod tests {
             .iter()
             .find(|c| c.key == "a" && matches!(c.kind, CandidateKind::Transitive { .. }))
         {
+            let recorded = |key: &str, other: &str| {
+                idx.candidates_of(key)
+                    .iter()
+                    .find(|c| c.key == other)
+                    .map(|c| c.diff_bound)
+            };
             let mut best = f64::INFINITY;
             for via in ["b", "c"] {
-                if let (Some(d_dv), Some(d_va)) =
-                    (idx.recorded_diff("d", via), idx.recorded_diff(via, "a"))
-                {
+                if let (Some(d_dv), Some(d_va)) = (recorded("d", via), recorded(via, "a")) {
                     best = best.min(d_dv + d_va);
                 }
             }

@@ -31,7 +31,7 @@ use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::semantic::SemanticIndexConfig;
 use sommelier_index::{CandidateKind, EdgeMeasurement, PairAnalyzer, ResourceIndex, SemanticIndex};
 use sommelier_parallel::ThreadPool;
-use sommelier_repo::{ModelRepository, RepoError};
+use sommelier_repo::{check_publishable, ModelRepository, RepoError};
 use sommelier_runtime::metrics::counters::{self, CachedCounter};
 use sommelier_runtime::metrics::latency;
 use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
@@ -719,7 +719,7 @@ impl SommelierReader {
 
     /// Parse the query's `EXEC` clause into an execution setting.
     /// Recognized keys: `device` (`cpu` / `gpu` / `edge`), `batch`
-    /// (positive integer), `workspace` (float multiplier ≥ 1).
+    /// (positive integer), `workspace` (finite float multiplier ≥ 1).
     fn exec_setting_of(&self, query: &Query) -> Result<Option<ExecSetting>, QueryError> {
         if query.exec_spec.is_empty() {
             return Ok(None);
@@ -740,7 +740,7 @@ impl SommelierReader {
                     }
                 }
                 "batch" => {
-                    setting.batch_size = value.parse::<f64>().ok().map(|v| v as usize).filter(|&b| b >= 1).ok_or_else(
+                    setting.batch_size = value.parse::<usize>().ok().filter(|&b| b >= 1).ok_or_else(
                         || {
                             QueryError::Analysis(format!(
                                 "EXEC batch must be a positive integer, got '{value}'"
@@ -749,9 +749,9 @@ impl SommelierReader {
                     )?;
                 }
                 "workspace" => {
-                    setting.workspace_factor = value.parse::<f64>().ok().filter(|w| *w >= 1.0).ok_or_else(|| {
+                    setting.workspace_factor = value.parse::<f64>().ok().filter(|w| w.is_finite() && *w >= 1.0).ok_or_else(|| {
                         QueryError::Analysis(format!(
-                            "EXEC workspace must be a multiplier >= 1, got '{value}'"
+                            "EXEC workspace must be a finite multiplier >= 1, got '{value}'"
                         ))
                     })?;
                 }
@@ -1079,9 +1079,13 @@ impl Sommelier {
     /// to the repository (overwriting when the same key is also queued
     /// for removal — a replacement); removals leave the repository file
     /// in place. A batch that changes nothing publishes nothing and
-    /// leaves the epoch untouched. Returns the number of effective
-    /// mutations applied.
+    /// leaves the epoch untouched. A batch with a model that
+    /// [`check_publishable`] refuses writes nothing. Returns the number
+    /// of effective mutations applied.
     pub fn apply(&mut self, batch: MutationBatch) -> Result<usize, QueryError> {
+        for model in &batch.adds {
+            check_publishable(&model.name, model)?;
+        }
         for model in &batch.adds {
             let overwrite = batch.removes.iter().any(|k| k == &model.name);
             self.repo.publish(&model.name, model, overwrite)?;
@@ -1625,10 +1629,12 @@ mod tests {
             .query(&format!("SELECT model CORR {} EXEC turbo = yes", names[0]))
             .unwrap_err();
         assert!(matches!(err, QueryError::Analysis(_)));
-        let err = engine
-            .query(&format!("SELECT model CORR {} EXEC batch = 0", names[0]))
-            .unwrap_err();
-        assert!(matches!(err, QueryError::Analysis(_)));
+        for setting in ["batch = 0", "batch = 2.7", "batch = inf", "workspace = inf"] {
+            let err = engine
+                .query(&format!("SELECT model CORR {} EXEC {setting}", names[0]))
+                .unwrap_err();
+            assert!(matches!(err, QueryError::Analysis(_)), "{setting}: {err:?}");
+        }
     }
 
     #[test]

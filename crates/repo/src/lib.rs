@@ -25,6 +25,6 @@ pub use scan::{
     classify, repair_store, scan_store, Finding, FindingKind, Fix, Outcome, StoreEntry, StoreScan,
 };
 pub use store::{
-    decode_key, dedup_store, encode_key, DedupStats, InMemoryRepository, ModelRepository,
+    check_publishable, decode_key, dedup_store, encode_key, DedupStats, InMemoryRepository, ModelRepository,
     OnDiskRepository, RepoError, StoredFormat, MODEL_SUFFIX,
 };

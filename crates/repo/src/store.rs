@@ -5,7 +5,7 @@ use crate::scan::{base_chain_terminates, classify, StoreEntry};
 use parking_lot::RwLock;
 use sommelier_fault::{StdStorage, Storage};
 use sommelier_graph::serde_model;
-use sommelier_graph::Model;
+use sommelier_graph::{Model, ModelError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
@@ -22,6 +22,9 @@ pub enum RepoError {
     AlreadyExists { key: String },
     /// Storage-layer failure (I/O, serialization).
     Storage(String),
+    /// The model fails [`Model::new`]'s checks (it was read unchecked
+    /// from a file), so it could not be loaded back once stored.
+    Invalid { key: String, error: ModelError },
 }
 
 impl fmt::Display for RepoError {
@@ -32,11 +35,21 @@ impl fmt::Display for RepoError {
                 write!(f, "a model is already stored under '{key}'")
             }
             RepoError::Storage(e) => write!(f, "storage failure: {e}"),
+            RepoError::Invalid { key, error } => write!(f, "model '{key}' is invalid: {error}"),
         }
     }
 }
 
 impl std::error::Error for RepoError {}
+
+/// Refuse a model that [`Model::new`] would not build. Every `publish`
+/// runs this before it writes anything.
+pub fn check_publishable(key: &str, model: &Model) -> Result<(), RepoError> {
+    model.validate().map_err(|error| RepoError::Invalid {
+        key: key.into(),
+        error,
+    })
+}
 
 /// The primitive repository interface: exactly publish, load, and list.
 /// This is the entire API surface a pre-Sommelier repository offers
@@ -81,21 +94,11 @@ impl InMemoryRepository {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bulk-publish a collection of models keyed by their names.
-    pub fn publish_all<'a>(
-        &self,
-        models: impl IntoIterator<Item = &'a Model>,
-    ) -> Result<(), RepoError> {
-        for m in models {
-            self.publish(&m.name, m, false)?;
-        }
-        Ok(())
-    }
 }
 
 impl ModelRepository for InMemoryRepository {
     fn publish(&self, key: &str, model: &Model, overwrite: bool) -> Result<(), RepoError> {
+        check_publishable(key, model)?;
         let mut map = self.models.write();
         if !overwrite && map.contains_key(key) {
             return Err(RepoError::AlreadyExists { key: key.into() });
@@ -265,6 +268,7 @@ impl OnDiskRepository {
     /// detached first — unless `model` is what `key` already loads to,
     /// when they reconstruct as before.
     fn make_way(&self, key: &str, model: &Model, overwrite: bool) -> Result<(), RepoError> {
+        check_publishable(key, model)?;
         if !overwrite {
             return match self.stored_format(key) {
                 Some(_) => Err(RepoError::AlreadyExists { key: key.into() }),
@@ -645,14 +649,6 @@ mod tests {
         }
         assert_eq!(repo.keys(), vec!["alpha", "mid", "zeta"]);
         assert_eq!(repo.len(), 3);
-    }
-
-    #[test]
-    fn publish_all_uses_model_names() {
-        let repo = InMemoryRepository::new();
-        let models = vec![model("x"), model("y")];
-        repo.publish_all(&models).unwrap();
-        assert_eq!(repo.keys(), vec!["x", "y"]);
     }
 
     #[test]

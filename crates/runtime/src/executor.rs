@@ -90,12 +90,6 @@ pub fn execute_with_overrides(
     Ok(acts.into_iter().next_back().expect("non-empty"))
 }
 
-/// Execute a single layer against already-computed activations. Exposed
-/// for the wall-clock profiler in [`crate::measure`].
-pub fn execute_layer_public(model: &Model, i: usize, input: &Tensor, acts: &[Tensor]) -> Tensor {
-    execute_layer(model, i, input, acts)
-}
-
 fn execute_layer(model: &Model, i: usize, input: &Tensor, acts: &[Tensor]) -> Tensor {
     let layer = &model.layers()[i];
     match &layer.op {

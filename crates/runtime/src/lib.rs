@@ -9,8 +9,6 @@
 //! * [`latency`] — the Paleo-style per-operator latency table and
 //!   longest-path estimator the paper describes for platform-aware metrics
 //!   (Section 5.3);
-//! * [`measure`] — wall-clock per-layer profiling and device calibration
-//!   (the paper's locally-measured platform metrics, Section 5.5);
 //! * [`profile`] — hardware-independent resource vectors (memory, FLOPs)
 //!   plus execution-setting-dependent variation (device, batch size),
 //!   feeding the resource index;
@@ -20,7 +18,6 @@
 
 pub mod executor;
 pub mod latency;
-pub mod measure;
 pub mod metrics;
 pub mod profile;
 

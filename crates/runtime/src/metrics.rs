@@ -27,7 +27,7 @@ use sommelier_tensor::{ops, Tensor};
 /// `query.candidates_scored`, `index.resource.range_scans` (raised by
 /// the range API, never by a served query); from the durability layer:
 /// `recovery.loads`, `recovery.rebuilds`, `recovery.quarantined`,
-/// `recovery.resave_failures`, `recovery.retries`.
+/// `recovery.resave_failures`.
 pub mod counters {
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};

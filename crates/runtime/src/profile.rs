@@ -98,18 +98,6 @@ impl ResourceProfile {
         self.memory_mb.is_finite() && self.gflops.is_finite() && self.latency_ms.is_finite()
     }
 
-    /// This profile expressed as fractions of a reference profile, the
-    /// normalization the paper applies for relative resource constraints
-    /// ("20% of ResNet memory consumption").
-    pub fn relative_to(&self, reference: &ResourceProfile) -> ResourceProfile {
-        let safe = |x: f64, r: f64| if r > 0.0 { x / r } else { f64::INFINITY };
-        ResourceProfile {
-            memory_mb: safe(self.memory_mb, reference.memory_mb),
-            gflops: safe(self.gflops, reference.gflops),
-            latency_ms: safe(self.latency_ms, reference.latency_ms),
-        }
-    }
-
     /// Whether every dimension is within the given (possibly partial)
     /// bounds. `None` bounds are unconstrained.
     pub fn within(
@@ -182,15 +170,6 @@ mod tests {
         let min = mems.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = mems.iter().cloned().fold(0.0, f64::max);
         assert!(max > min, "execution settings must vary memory");
-    }
-
-    #[test]
-    fn relative_to_self_is_unity() {
-        let p = ResourceProfile::of(&model(64));
-        let rel = p.relative_to(&p);
-        assert!((rel.memory_mb - 1.0).abs() < 1e-12);
-        assert!((rel.gflops - 1.0).abs() < 1e-12);
-        assert!((rel.latency_ms - 1.0).abs() < 1e-12);
     }
 
     #[test]

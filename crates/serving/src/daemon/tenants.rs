@@ -136,11 +136,6 @@ impl TenantBook {
         Ok(Self::from_specs(specs))
     }
 
-    /// Whether requests need an API key at all.
-    pub fn requires_auth(&self) -> bool {
-        self.buckets.is_some()
-    }
-
     /// Authenticate `auth` and spend `cost` tokens.
     pub fn check(&self, auth: Option<&str>, cost: f64) -> TenantDecision {
         let Some(buckets) = &self.buckets else {
@@ -206,14 +201,13 @@ mod tests {
     #[test]
     fn open_book_admits_everyone() {
         let book = TenantBook::unrestricted();
-        assert!(!book.requires_auth());
         assert_eq!(book.check(None, 100.0), TenantDecision::Ok(None));
+        assert_eq!(book.check(Some("any"), 100.0), TenantDecision::Ok(None));
     }
 
     #[test]
     fn unknown_or_missing_key_is_unauthorized() {
         let book = TenantBook::from_specs(vec![spec("a", "ka", 10.0, 10.0)]);
-        assert!(book.requires_auth());
         assert_eq!(book.check(None, 1.0), TenantDecision::Unauthorized);
         assert_eq!(book.check(Some("nope"), 1.0), TenantDecision::Unauthorized);
     }
@@ -293,7 +287,7 @@ mod tests {
         )
         .unwrap();
         let book = TenantBook::load(&path).unwrap();
-        assert!(book.requires_auth());
+        assert_eq!(book.check(None, 0.0), TenantDecision::Unauthorized);
         assert_eq!(book.check(Some("k1"), 7.0), TenantDecision::Ok(Some("t1".into())));
         assert_eq!(book.check(Some("k2"), 2.0), TenantDecision::Ok(Some("t2".into())));
         std::fs::remove_dir_all(&dir).ok();

@@ -38,16 +38,6 @@ impl SimResult {
     pub fn stats(&self) -> LatencyStats {
         LatencyStats::from(&self.latencies)
     }
-
-    /// Fraction of requests served by each variant.
-    pub fn choice_fractions(&self, variants: usize) -> Vec<f64> {
-        let mut counts = vec![0usize; variants];
-        for &c in &self.choices {
-            counts[c] += 1;
-        }
-        let n = self.choices.len().max(1) as f64;
-        counts.into_iter().map(|c| c as f64 / n).collect()
-    }
 }
 
 /// Run the queueing simulation for the given arrivals and variants.
@@ -204,22 +194,10 @@ mod tests {
         // Accuracy cost stays modest: the big model still serves the
         // light-load phases.
         assert!(switching.mean_accuracy > 0.75);
-    }
-
-    #[test]
-    fn choice_fractions_sum_to_one() {
-        let arrivals = bursty_arrivals(3);
-        let r = simulate(
-            &ClusterConfig {
-                servers: 1,
-                policy: Policy::Switching { sla_s: 0.3 },
-            },
-            &arrivals,
-            &variants(),
+        assert!(
+            switching.choices.contains(&0) && switching.choices.contains(&1),
+            "both variants should serve"
         );
-        let f = r.choice_fractions(2);
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(f[0] > 0.0 && f[1] > 0.0, "both variants should serve: {f:?}");
     }
 
     #[test]

@@ -225,36 +225,6 @@ pub fn dot_chunked(a: &[f32], b: &[f32]) -> f64 {
     reduce_lanes(acc)
 }
 
-/// Fused chunked cosine similarity: one pass computes `a·b`, `‖a‖²`, and
-/// `‖b‖²` together (eight lanes each); 0 when either vector is all-zero.
-pub fn cosine_chunked(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "cosine length mismatch");
-    let mut dot_acc = [0.0f64; LANES];
-    let mut na_acc = [0.0f64; LANES];
-    let mut nb_acc = [0.0f64; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-        for lane in 0..LANES {
-            let (x, y) = (f64::from(xa[lane]), f64::from(xb[lane]));
-            dot_acc[lane] += x * y;
-            na_acc[lane] += x * x;
-            nb_acc[lane] += y * y;
-        }
-    }
-    for (lane, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        let (x, y) = (f64::from(x), f64::from(y));
-        dot_acc[lane] += x * y;
-        na_acc[lane] += x * x;
-        nb_acc[lane] += y * y;
-    }
-    let (na, nb) = (reduce_lanes(na_acc).sqrt(), reduce_lanes(nb_acc).sqrt());
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    reduce_lanes(dot_acc) / (na * nb)
-}
-
 /// Dot product of two equal-length slices (chunked/pairwise accumulation —
 /// agrees with [`dot_chunked`] bit-for-bit).
 pub fn dot(a: &[f32], b: &[f32]) -> f64 {
@@ -355,8 +325,8 @@ mod tests {
     fn chunked_dot_handles_degenerate_lengths() {
         assert_eq!(dot_chunked(&[], &[]), 0.0);
         assert_eq!(dot_chunked(&[2.0], &[3.0]), 6.0);
-        assert_eq!(cosine_chunked(&[], &[]), 0.0);
-        assert_eq!(cosine_chunked(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
+        assert_eq!(cosine_similarity(&[], &[]), 0.0);
+        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
     }
 
     #[test]
@@ -375,17 +345,6 @@ mod tests {
     fn dot_delegates_to_the_chunked_kernel() {
         let (a, b) = gaussian_pair(123, 5);
         assert_eq!(dot(&a, &b).to_bits(), dot_chunked(&a, &b).to_bits());
-    }
-
-    #[test]
-    fn cosine_chunked_matches_cosine_similarity() {
-        for len in [1, 3, 8, 65, 1024] {
-            let (a, b) = gaussian_pair(len, 77 + len as u64);
-            let fused = cosine_chunked(&a, &b);
-            let plain = cosine_similarity(&a, &b);
-            assert!((fused - plain).abs() < 1e-12, "len={len}");
-            assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&fused));
-        }
     }
 
     mod kernel_equivalence {

@@ -98,13 +98,6 @@ pub fn conv1d(x: &Tensor, kernel: &Tensor, stride: usize) -> Tensor {
     out
 }
 
-/// Number of output features `conv1d` produces for the given geometry.
-pub fn conv1d_output_width(input: usize, kernel_size: usize, stride: usize, out_channels: usize) -> usize {
-    assert!(stride > 0 && kernel_size <= input);
-    let windows = (input - kernel_size) / stride + 1;
-    out_channels * windows
-}
-
 /// Rectified linear unit.
 pub fn relu(x: &Tensor) -> Tensor {
     x.map(|v| v.max(0.0))
@@ -170,12 +163,6 @@ fn pool(x: &Tensor, window: usize, f: impl Fn(&[f32]) -> f32) -> Tensor {
         }
     }
     out
-}
-
-/// Number of output features pooling produces.
-pub fn pool_output_width(input: usize, window: usize) -> usize {
-    assert!(window > 0);
-    input.div_ceil(window)
 }
 
 /// Row-wise l2 normalization: each row is scaled to unit norm (rows with
@@ -300,7 +287,6 @@ mod tests {
         let k = t(1, 2, vec![1., -1.]);
         let y = conv1d(&x, &k, 1);
         assert_eq!(y.as_slice(), &[-1., -1., -1.]);
-        assert_eq!(y.cols(), conv1d_output_width(4, 2, 1, 1));
     }
 
     #[test]
@@ -350,7 +336,6 @@ mod tests {
         let x = t(1, 5, vec![1., 5., 2., 2., 9.]);
         assert_eq!(max_pool(&x, 2).as_slice(), &[5., 2., 9.]);
         assert_eq!(mean_pool(&x, 2).as_slice(), &[3., 2., 9.]);
-        assert_eq!(pool_output_width(5, 2), 3);
     }
 
     #[test]

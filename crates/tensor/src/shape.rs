@@ -60,12 +60,6 @@ impl Shape {
         self == other
     }
 
-    /// Whether two shapes carry the same number of elements, i.e. one could
-    /// be a reshape/preprocessing of the other.
-    pub fn matches_up_to_reshape(&self, other: &Shape) -> bool {
-        self.num_elements() == other.num_elements()
-    }
-
     /// Iterate over dimension extents.
     pub fn dims(&self) -> &[usize] {
         &self.0
@@ -132,7 +126,6 @@ mod tests {
         let a = Shape::from(vec![2, 6]);
         let b = Shape::from(vec![3, 4]);
         assert!(!a.strictly_matches(&b));
-        assert!(a.matches_up_to_reshape(&b));
         assert!(a.strictly_matches(&a.clone()));
     }
 

@@ -128,11 +128,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Iterate over rows.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Apply a function element-wise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
@@ -327,13 +322,5 @@ mod tests {
         let a = Tensor::gaussian(4, 4, 1.0, &mut r1);
         let b = Tensor::gaussian(4, 4, 1.0, &mut r2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rows_iter_yields_each_row() {
-        let t = Tensor::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
-        let rows: Vec<&[f32]> = t.rows_iter().collect();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[1], &[2.0, 3.0]);
     }
 }

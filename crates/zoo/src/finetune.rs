@@ -39,18 +39,6 @@ pub fn perturb_all(model: &Model, level: f64, rng: &mut Prng) -> Model {
     perturb_layers(model, &model.linear_layers(), level, rng)
 }
 
-/// Perturb only the last `fraction` of linear layers (e.g. `0.25` retunes
-/// the top quarter and keeps the base frozen), mimicking "freezing
-/// different numbers of base layers" in the paper's Figure 10 setup.
-/// `fraction` is clamped to `[0, 1]`.
-pub fn perturb_suffix(model: &Model, fraction: f64, level: f64, rng: &mut Prng) -> Model {
-    let linear = model.linear_layers();
-    let f = fraction.clamp(0.0, 1.0);
-    let tuned = ((linear.len() as f64) * f).round() as usize;
-    let start = linear.len() - tuned;
-    perturb_layers(model, &linear[start..], level, rng)
-}
-
 /// Sparse fine-tune: perturb only a `density` fraction of the elements
 /// of the last `fraction` of linear layers, leaving every other element
 /// (and the whole frozen prefix) bit-identical to the base. This is the
@@ -176,7 +164,7 @@ mod tests {
     fn frozen_prefix_is_untouched() {
         let m = base_model();
         let mut rng = Prng::seed_from_u64(3);
-        let tuned = perturb_suffix(&m, 0.5, 0.2, &mut rng);
+        let tuned = perturb_sparse(&m, 0.5, 0.2, 1.0, &mut rng);
         let linear = m.linear_layers();
         let boundary = linear.len() - linear.len() / 2;
         for (i, &id) in linear.iter().enumerate() {
@@ -270,9 +258,9 @@ mod tests {
         let m = base_model();
         let mut rng = Prng::seed_from_u64(6);
         // Out-of-range fractions behave as 0 / 1 rather than panicking.
-        let all = perturb_suffix(&m, 5.0, 0.1, &mut rng);
+        let all = perturb_sparse(&m, 5.0, 0.1, 1.0, &mut rng);
         assert_ne!(m, all);
-        let none = perturb_suffix(&m, -1.0, 0.1, &mut rng);
+        let none = perturb_sparse(&m, -1.0, 0.1, 1.0, &mut rng);
         assert_eq!(m, none);
     }
 }

@@ -264,3 +264,68 @@ proptest! {
         prop_assert!((q.threshold - expected).abs() < 1e-12);
     }
 }
+
+/// Byte ranges of the integers in a model file that a hostile or
+/// careless editor could change: each weight's `rows` and `cols`, each
+/// layer's input indices, Dense `units` and the `Input` width.
+fn integer_sites(json: &str) -> Vec<std::ops::Range<usize>> {
+    let digits_at =
+        |start: usize| start..start + json[start..].bytes().take_while(u8::is_ascii_digit).count();
+    let mut sites = Vec::new();
+    for key in ["\"rows\":", "\"cols\":", "\"units\":", "\"width\":"] {
+        sites.extend(json.match_indices(key).map(|(at, _)| digits_at(at + key.len())));
+    }
+    for (at, _) in json.match_indices("\"inputs\":[") {
+        let mut pos = at + "\"inputs\":[".len();
+        while json.as_bytes()[pos] != b']' {
+            let site = digits_at(pos);
+            pos = site.end + usize::from(json.as_bytes()[site.end] == b',');
+            sites.push(site);
+        }
+    }
+    sites
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A model file with one integer changed goes through decode →
+    /// publish → apply and ends in a typed error or success, never a
+    /// panic; a model the store refuses, the engine refuses too, and
+    /// writes nothing.
+    #[test]
+    fn hostile_model_files_never_panic_the_write_path(
+        base in model_strategy(),
+        site in any::<usize>(),
+        change in 0u8..4,
+        small in 0usize..32,
+    ) {
+        use sommelier::prelude::{InMemoryRepository, ModelRepository, Sommelier, SommelierConfig};
+        use std::sync::Arc;
+
+        let json = serde_model::to_json(&base);
+        let sites = integer_sites(&json);
+        let site = sites[site % sites.len()].clone();
+        let old: usize = json[site.clone()].parse().unwrap();
+        let new = match change {
+            0 => old + 1,
+            1 => old.saturating_sub(1),
+            2 => small,
+            _ => u32::MAX as usize,
+        };
+        let hostile = format!("{}{new}{}", &json[..site.start], &json[site.end..]);
+        let Ok(model) = serde_model::from_json(&hostile) else {
+            return Ok(());
+        };
+        let model = model.renamed("hostile");
+        let published = InMemoryRepository::new().publish("hostile", &model, false);
+
+        let repo = Arc::new(InMemoryRepository::new());
+        let config = SommelierConfig { validation_rows: 16, ..SommelierConfig::default() };
+        let mut engine = Sommelier::connect(repo.clone() as Arc<dyn ModelRepository>, config);
+        engine.register(&base).unwrap();
+        let applied = engine.apply(sommelier::query::MutationBatch::new().register(model));
+        prop_assert_eq!(published.is_ok(), applied.is_ok());
+        prop_assert_eq!(repo.keys().len(), if applied.is_ok() { 2 } else { 1 });
+    }
+}
