@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sommelier_graph::{Model, ModelBuilder, TaskKind};
 use sommelier_index::semantic::{PairAnalyzer, SemanticIndexConfig};
 use sommelier_index::{ResourceConstraint, ResourceIndex, SemanticIndex};
+use sommelier_parallel::ThreadPool;
 use sommelier_runtime::ResourceProfile;
 use sommelier_tensor::{mix64, stable_hash64, Prng, Shape, Tensor};
 
@@ -49,9 +50,9 @@ fn populate(n: usize) -> (SemanticIndex, ResourceIndex) {
         let i: usize = k.trim_start_matches('m').parse().ok()?;
         Some(record_model(i))
     };
-    for i in 0..n {
-        let m = record_model(i);
-        semantic.insert(&m, &resolve, &analyzer);
+    let models: Vec<Model> = (0..n).map(record_model).collect();
+    semantic.apply(&ThreadPool::new(1), &[], &models, &resolve, &analyzer);
+    for m in &models {
         resource.insert(
             &m.name,
             ResourceProfile {

@@ -16,6 +16,7 @@ use sommelier_graph::{Model, ModelBuilder, TaskKind};
 use sommelier_index::footprint::{resource_footprint_bytes, semantic_footprint_bytes, to_mb};
 use sommelier_index::semantic::{PairAnalyzer, SemanticIndexConfig};
 use sommelier_index::{ResourceIndex, SemanticIndex};
+use sommelier_parallel::ThreadPool;
 use sommelier_runtime::ResourceProfile;
 use sommelier_tensor::{mix64, stable_hash64, Prng, Shape, Tensor};
 
@@ -72,9 +73,9 @@ fn main() {
             let i: usize = k.trim_start_matches('m').parse().ok()?;
             Some(record_model(i))
         };
-        for i in 0..n {
-            let m = record_model(i);
-            semantic.insert(&m, &resolve, &analyzer);
+        let models: Vec<Model> = (0..n).map(record_model).collect();
+        semantic.apply(&ThreadPool::new(1), &[], &models, &resolve, &analyzer);
+        for m in &models {
             resource.insert(
                 &m.name,
                 ResourceProfile {

@@ -356,6 +356,70 @@ fn add_rejects_missing_file_and_duplicate_keys() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn apply_refuses_a_conflicting_batch_and_writes_nothing() {
+    let dir = temp_repo("apply-conflict");
+    let d = dir.to_str().unwrap();
+    assert!(run(&["init", d]).status.success());
+    assert!(run(&["seed", d, "--series", "1", "--seed", "7"])
+        .status
+        .success());
+    assert!(run(&["index", d, "--sample", "16", "--no-segments"])
+        .status
+        .success());
+    let listing = stdout(&run(&["list", d]));
+    let key = listing.lines().next().expect("seeded").to_string();
+    let indexed = dir.join("indexed.json");
+    assert!(run(&["export", d, &key, indexed.to_str().unwrap()])
+        .status
+        .success());
+    let json = std::fs::read_to_string(&indexed).unwrap();
+    let fresh = dir.join("fresh.json");
+    let renamed = json.replacen(&format!("\"name\":\"{key}\""), "\"name\":\"fresh\"", 1);
+    std::fs::write(&fresh, renamed).unwrap();
+    let (indexed, fresh) = (indexed.to_str().unwrap(), fresh.to_str().unwrap());
+    let snapshot = std::fs::read(dir.join("sommelier.index.json")).unwrap();
+
+    // A replace that adds its key twice, a new key added twice, and a
+    // new key beside an indexed key the batch does not remove.
+    for (args, named) in [
+        (
+            &[
+                "apply", d, "--remove", &key, "--add", indexed, "--add", indexed,
+            ][..],
+            key.as_str(),
+        ),
+        (&["apply", d, "--add", fresh, "--add", fresh], "fresh"),
+        (
+            &["apply", d, "--add", fresh, "--add", indexed],
+            key.as_str(),
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("'{named}'")),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert_eq!(
+            stdout(&run(&["list", d])),
+            listing,
+            "{args:?} stored a model"
+        );
+        let snapshot_now = std::fs::read(dir.join("sommelier.index.json")).unwrap();
+        assert!(snapshot_now == snapshot, "{args:?} rewrote the snapshot");
+        let out = run(&["lint", d, "--deny", "warn"]);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}{}",
+            stdout(&out),
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `json`, an exported model named `name`, renamed to `rename` and with
 /// its first Dense weight one row short, data cut to match.
 fn drop_first_dense_row(json: &str, name: &str, rename: &str) -> String {

@@ -13,8 +13,8 @@ use crate::semantic::{CandidateKind, SemanticIndex};
 pub fn semantic_footprint_bytes(index: &SemanticIndex) -> usize {
     let mut total = 0usize;
     for key in index.keys() {
-        // fingerprint key + reverse map entry + order slot
-        total += 8 + key.len() * 2 + std::mem::size_of::<usize>();
+        // fingerprint + the key in its entry and in the reverse map
+        total += 8 + key.len() * 2;
         for c in index.candidates_of(key) {
             total += c.key.len()
                 + 2 * std::mem::size_of::<f64>()
@@ -43,6 +43,7 @@ mod tests {
     use super::*;
     use crate::semantic::{PairAnalyzer, SemanticIndexConfig};
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
+    use sommelier_parallel::ThreadPool;
     use sommelier_runtime::ResourceProfile;
     use sommelier_tensor::{Prng, Shape};
 
@@ -70,9 +71,7 @@ mod tests {
             let models: Vec<Model> = (0..n).map(model).collect();
             let pool = models.clone();
             let resolve = move |k: &str| pool.iter().find(|m| m.name == k).cloned();
-            for m in &models {
-                idx.insert(m, &resolve, &ConstAnalyzer);
-            }
+            idx.apply(&ThreadPool::new(1), &[], &models, &resolve, &ConstAnalyzer);
             footprints.push(semantic_footprint_bytes(&idx));
         }
         assert!(footprints[1] > footprints[0]);

@@ -317,6 +317,7 @@ mod tests {
     use crate::resource::ResourceConstraint;
     use crate::semantic::{PairAnalyzer, SemanticIndexConfig};
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
+    use sommelier_parallel::ThreadPool;
     use sommelier_runtime::ResourceProfile;
     use sommelier_tensor::{Prng, Shape};
 
@@ -342,8 +343,8 @@ mod tests {
             .collect();
         let pool = models.clone();
         let resolve = move |k: &str| pool.iter().find(|m| m.name == k).cloned();
+        sem.apply(&ThreadPool::new(1), &[], &models, &resolve, &ConstAnalyzer);
         for (i, m) in models.iter().enumerate() {
-            sem.insert(m, &resolve, &ConstAnalyzer);
             res.insert(
                 &m.name,
                 ResourceProfile {
@@ -392,8 +393,8 @@ mod tests {
             .collect();
         let pool = models.clone();
         let resolve = move |k: &str| pool.iter().find(|m| m.name == k).cloned();
+        sem.apply(&ThreadPool::new(1), &[], &models, &resolve, &ConstAnalyzer);
         for m in &models {
-            sem.insert(m, &resolve, &ConstAnalyzer);
             res.insert(
                 &m.name,
                 ResourceProfile {
@@ -524,8 +525,8 @@ mod tests {
             .collect();
         let pool = models.clone();
         let resolve = move |k: &str| pool.iter().find(|m| m.name == k).cloned();
+        sem.apply(&ThreadPool::new(1), &[], &models, &resolve, &ConstAnalyzer);
         for (i, m) in models.iter().enumerate() {
-            sem.insert(m, &resolve, &ConstAnalyzer);
             res.insert(
                 &m.name,
                 ResourceProfile {

@@ -37,7 +37,7 @@
 //!
 //! Because rendezvous sampling makes each model's partner set a pure
 //! function of the fingerprint universe, a mutation batch
-//! ([`SemanticIndex::apply_batch_with`]) can compute exactly which samples
+//! ([`SemanticIndex::apply`]) can compute exactly which samples
 //! change — no sample is stored; one stateless membership test per
 //! surviving model finds them — patch the edge table by the delta
 //! (analyzing only newly-attempted pairs, in parallel over the pool), and
@@ -295,8 +295,6 @@ pub struct SemanticIndex {
     entries: HashMap<Fingerprint, Arc<Entry>>,
     /// Key → fingerprint (reverse lookup for by-name references).
     by_key: Arc<HashMap<String, Fingerprint>>,
-    /// Sorted key list (derived from `by_key`, maintained incrementally).
-    order: Arc<Vec<String>>,
     /// Base seed for rendezvous partner selection. Despite the
     /// historical name (kept for snapshot compatibility) this never
     /// advances: partners are ranked by
@@ -309,8 +307,8 @@ pub struct SemanticIndex {
 }
 
 // The edge table serializes as a sorted row list appended after the
-// legacy fields (snapshots without it still parse); `order` is emitted
-// for layout continuity but rebuilt from `by_key` on input, and the
+// legacy fields (snapshots without it still parse); `order`, the sorted
+// keys, is emitted for layout continuity and ignored on input, and the
 // per-entry `Arc`s are invisible to the wire format.
 impl Serialize for SemanticIndex {
     fn to_value(&self) -> serde::Value {
@@ -320,7 +318,7 @@ impl Serialize for SemanticIndex {
             ("config".to_string(), self.config.to_value()),
             ("entries".to_string(), entries.to_value()),
             ("by_key".to_string(), (*self.by_key).to_value()),
-            ("order".to_string(), (*self.order).to_value()),
+            ("order".to_string(), self.keys().to_value()),
             ("seed_state".to_string(), self.seed_state.to_value()),
             ("edges".to_string(), self.edge_rows().to_value()),
         ])
@@ -341,8 +339,6 @@ impl Deserialize for SemanticIndex {
             None | Some(serde::Value::Null) => Vec::new(),
             Some(x) => Deserialize::from_value(x)?,
         };
-        let mut order: Vec<String> = by_key.keys().cloned().collect();
-        order.sort_unstable();
         Ok(SemanticIndex {
             config,
             entries: entries
@@ -350,7 +346,6 @@ impl Deserialize for SemanticIndex {
                 .map(|(fp, e)| (fp, Arc::new(e)))
                 .collect(),
             by_key: Arc::new(by_key),
-            order: Arc::new(order),
             seed_state,
             edges: Arc::new(EdgeTable::from_rows(rows)),
         })
@@ -534,7 +529,6 @@ impl SemanticIndex {
             config,
             entries: HashMap::new(),
             by_key: Arc::new(HashMap::new()),
-            order: Arc::new(Vec::new()),
             seed_state: seed,
             edges: Arc::new(EdgeTable::default()),
         }
@@ -544,8 +538,7 @@ impl SemanticIndex {
     /// loader and synthetic-index builders). `entries` carries one
     /// `(fingerprint, key, candidates)` triple per model; the reverse
     /// lookup table is re-derived from it. `order` is accepted for
-    /// call-site compatibility but derived (sorted keys) since the
-    /// edge-table rework.
+    /// call-site compatibility and ignored: the sorted keys are derived.
     pub fn from_parts(
         config: SemanticIndexConfig,
         seed: u64,
@@ -570,13 +563,10 @@ impl SemanticIndex {
             by_key.insert(key.clone(), fp);
             map.insert(fp, Arc::new(Entry { key, candidates }));
         }
-        let mut order: Vec<String> = by_key.keys().cloned().collect();
-        order.sort_unstable();
         SemanticIndex {
             config,
             entries: map,
             by_key: Arc::new(by_key),
-            order: Arc::new(order),
             seed_state: seed,
             edges: Arc::new(EdgeTable::from_rows(rows)),
         }
@@ -614,11 +604,11 @@ impl SemanticIndex {
 
     /// Number of indexed models.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.by_key.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.by_key.is_empty()
     }
 
     /// Fingerprint registered for a key, if present.
@@ -636,81 +626,32 @@ impl SemanticIndex {
         self.entries.contains_key(&fp)
     }
 
-    /// All indexed keys, sorted.
-    pub fn keys(&self) -> &[String] {
-        &self.order
-    }
-
-    /// Insert a model, running the sampled pairwise analysis through
-    /// `resolve` (key → model resolver) and `analyzer` sequentially.
-    ///
-    /// `resolve` must be able to resolve every previously indexed key.
-    pub fn insert(&mut self, model: &Model, resolve: Resolver<'_>, analyzer: &dyn PairAnalyzer) {
-        self.bulk_insert(std::slice::from_ref(model), resolve, analyzer);
-    }
-
-    /// Insert a batch of models sequentially (a one-lane pool spawns no
-    /// thread). See [`SemanticIndex::bulk_insert_with`].
-    pub fn bulk_insert(
-        &mut self,
-        models: &[Model],
-        resolve: Resolver<'_>,
-        analyzer: &dyn PairAnalyzer,
-    ) {
-        self.bulk_insert_with(&ThreadPool::new(1), models, resolve, analyzer);
-    }
-
-    /// Insert a batch of models, fanning the expensive pairwise analyses
-    /// out across `pool` with one task per attempted pair.
-    pub fn bulk_insert_with(
-        &mut self,
-        pool: &ThreadPool,
-        models: &[Model],
-        resolve: Resolver<'_>,
-        analyzer: &dyn PairAnalyzer,
-    ) {
-        self.apply_batch_with(pool, &[], models, resolve, analyzer);
-    }
-
-    /// Remove a model, sequentially. Returns whether the key was
-    /// indexed. Survivors whose rendezvous sample contained the removed
-    /// model re-sample, which can select pairs never measured before —
-    /// hence the resolver and analyzer.
-    pub fn remove(&mut self, key: &str, resolve: Resolver<'_>, analyzer: &dyn PairAnalyzer) -> bool {
-        self.remove_with(&ThreadPool::new(1), key, resolve, analyzer)
-    }
-
-    /// [`SemanticIndex::remove`] on an explicit pool.
-    pub fn remove_with(
-        &mut self,
-        pool: &ThreadPool,
-        key: &str,
-        resolve: Resolver<'_>,
-        analyzer: &dyn PairAnalyzer,
-    ) -> bool {
-        if !self.by_key.contains_key(key) {
-            return false;
-        }
-        self.apply_batch_with(pool, &[key.to_string()], &[], resolve, analyzer);
-        true
+    /// All indexed keys, sorted (one sort per call: the callers are
+    /// persistence, cold open and audits, never a mutation or a query).
+    pub fn keys(&self) -> Vec<&str> {
+        let mut keys: Vec<&str> = self.by_key.keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Apply one mutation batch — any mix of removals (by key) and
     /// insertions — with a single pairwise-analysis fan-out over `pool`.
+    /// This is the index's only mutator: a build is a batch with no
+    /// removals, a removal one with no insertions.
     ///
     /// Proportional to the change: allocation (one flat `Vec` of
     /// fingerprints aside), the samples drawn in full, the pairs
     /// analyzed and the entries recomputed. Proportional to the
     /// repository, measured replacing 1 of 5 000 keys: one early-exit
     /// membership test per surviving model (1.1 ms) and, while a
-    /// published snapshot shares them, the copy-on-write clones of
-    /// `by_key` and `order` (0.45 ms). Since the canonical state is a pure
+    /// published snapshot shares it, the copy-on-write clone of
+    /// `by_key`. Since the canonical state is a pure
     /// function of the final key universe, the result is byte-identical
     /// to a from-scratch build of that universe at any job count.
     ///
     /// Panics if an inserted name is already indexed and not also in
     /// `removes` (replace = remove + add in one batch).
-    pub fn apply_batch_with(
+    pub fn apply(
         &mut self,
         pool: &ThreadPool,
         removes: &[String],
@@ -905,18 +846,11 @@ impl SemanticIndex {
         }
         {
             let by_key = Arc::make_mut(&mut self.by_key);
-            let order = Arc::make_mut(&mut self.order);
             for k in &remove_keys {
                 by_key.remove(*k);
-                if let Ok(i) = order.binary_search_by(|o| o.as_str().cmp(k)) {
-                    order.remove(i);
-                }
             }
             for (m, fp) in models.iter().zip(&add_fps) {
                 by_key.insert(m.name.clone(), Fingerprint(*fp));
-                if let Err(i) = order.binary_search(&m.name) {
-                    order.insert(i, m.name.clone());
-                }
             }
         }
         if !drops.is_empty() || !adds.is_empty() {
@@ -1008,10 +942,7 @@ impl SemanticIndex {
 
     /// Audit view of the reverse-lookup table: every `(key, fingerprint)`
     /// registration, sorted by key. Integrity tooling (`sommelier-lint`)
-    /// walks this to find index keys that dangle from the repository —
-    /// the accessor deliberately reads the raw table rather than the
-    /// derived key list so corrupted snapshots with disagreeing views are
-    /// still fully visible.
+    /// walks this to find index keys that dangle from the repository.
     pub fn by_key_audit(&self) -> Vec<(&str, Fingerprint)> {
         let mut out: Vec<(&str, Fingerprint)> = self
             .by_key
@@ -1092,11 +1023,34 @@ mod tests {
         move |k: &str| models.iter().find(|m| m.name == k).cloned()
     }
 
+    /// Index `models` in one batch on a one-lane pool.
+    fn add(idx: &mut SemanticIndex, models: &[Model], res: Resolver<'_>, an: &dyn PairAnalyzer) {
+        idx.apply(&ThreadPool::new(1), &[], models, res, an);
+    }
+
+    /// Remove `key` in a batch of its own; whether it was indexed.
+    fn remove(
+        idx: &mut SemanticIndex,
+        pool: &ThreadPool,
+        key: &str,
+        res: Resolver<'_>,
+        an: &dyn PairAnalyzer,
+    ) -> bool {
+        let indexed = idx.contains(key);
+        idx.apply(pool, &[key.to_string()], &[], res, an);
+        indexed
+    }
+
     #[test]
     fn first_insert_has_no_candidates() {
         let mut idx = SemanticIndex::new(SemanticIndexConfig::default(), 1);
         let a = model("a");
-        idx.insert(&a, &resolver(vec![]), &TableAnalyzer::new(&[]));
+        add(
+            &mut idx,
+            std::slice::from_ref(&a),
+            &resolver(vec![]),
+            &TableAnalyzer::new(&[]),
+        );
         assert_eq!(idx.len(), 1);
         assert!(idx.candidates_of("a").is_empty());
     }
@@ -1108,8 +1062,13 @@ mod tests {
         let b = model("b");
         let an = TableAnalyzer::new(&[("a", "b", 0.1)]);
         let all = vec![a.clone(), b.clone()];
-        idx.insert(&a, &resolver(all.clone()), &an);
-        idx.insert(&b, &resolver(all), &an);
+        add(
+            &mut idx,
+            std::slice::from_ref(&a),
+            &resolver(all.clone()),
+            &an,
+        );
+        add(&mut idx, std::slice::from_ref(&b), &resolver(all), &an);
         assert_eq!(idx.candidates_of("a").len(), 1);
         assert_eq!(idx.candidates_of("b").len(), 1);
         assert!((idx.candidates_of("b")[0].score - 0.9).abs() < 1e-12);
@@ -1137,7 +1096,7 @@ mod tests {
         ]);
         let res = resolver(models.clone());
         for m in &models {
-            idx.insert(m, &res, &an);
+            add(&mut idx, std::slice::from_ref(m), &res, &an);
         }
         let cands = idx.candidates_of("a");
         let scores: Vec<f64> = cands.iter().map(|c| c.score).collect();
@@ -1159,7 +1118,7 @@ mod tests {
         let an = TableAnalyzer::new(&[("a", "b", 0.02), ("a", "c", 0.5), ("b", "c", 0.5)]);
         let res = resolver(models.clone());
         for m in &models {
-            idx.insert(m, &res, &an);
+            add(&mut idx, std::slice::from_ref(m), &res, &an);
         }
         let strict = idx.lookup_key("a", 0.95);
         assert_eq!(strict.len(), 1);
@@ -1197,8 +1156,9 @@ mod tests {
         let res = resolver(models.clone());
 
         let mut sequential = SemanticIndex::new(cfg, 9);
-        sequential.bulk_insert_with(
-            &sommelier_parallel::ThreadPool::new(1),
+        sequential.apply(
+            &ThreadPool::new(1),
+            &[],
             &models,
             &res,
             &TableAnalyzer::new(&pairs),
@@ -1206,9 +1166,9 @@ mod tests {
         let baseline = serde_json::to_string(&sequential).unwrap();
 
         for jobs in [2, 4, 8] {
-            let pool = sommelier_parallel::ThreadPool::new(jobs);
+            let pool = ThreadPool::new(jobs);
             let mut idx = SemanticIndex::new(cfg, 9);
-            idx.bulk_insert_with(&pool, &models, &res, &TableAnalyzer::new(&pairs));
+            idx.apply(&pool, &[], &models, &res, &TableAnalyzer::new(&pairs));
             let got = serde_json::to_string(&idx).unwrap();
             assert_eq!(got, baseline, "jobs={jobs} diverged from sequential");
         }
@@ -1230,12 +1190,12 @@ mod tests {
         let res = resolver(models.clone());
         let an = TableAnalyzer::new(&pairs);
         let mut idx = SemanticIndex::new(cfg, 9);
-        idx.bulk_insert(&models, &res, &an);
+        add(&mut idx, &models, &res, &an);
 
         let before = serde_json::to_string(&idx).unwrap();
-        assert!(idx.remove("c", &res, &an));
+        assert!(remove(&mut idx, &ThreadPool::new(1), "c", &res, &an));
         assert!(!idx.contains("c"));
-        idx.insert(&models[2], &res, &an);
+        add(&mut idx, &models[2..3], &res, &an);
         let after = serde_json::to_string(&idx).unwrap();
         assert_eq!(after, before, "remove + re-insert did not round-trip");
     }
@@ -1255,11 +1215,11 @@ mod tests {
         let res = resolver(models.clone());
 
         let mut fwd = SemanticIndex::new(cfg, 9);
-        fwd.bulk_insert(&models, &res, &TableAnalyzer::new(&pairs));
+        add(&mut fwd, &models, &res, &TableAnalyzer::new(&pairs));
         let mut reversed: Vec<Model> = models.clone();
         reversed.reverse();
         let mut rev = SemanticIndex::new(cfg, 9);
-        rev.bulk_insert(&reversed, &res, &TableAnalyzer::new(&pairs));
+        add(&mut rev, &reversed, &res, &TableAnalyzer::new(&pairs));
 
         assert_eq!(
             serde_json::to_string(&fwd).unwrap(),
@@ -1290,17 +1250,17 @@ mod tests {
             .collect();
         let mut baseline: Option<String> = None;
         for jobs in [1, 4, 8] {
-            let pool = sommelier_parallel::ThreadPool::new(jobs);
+            let pool = ThreadPool::new(jobs);
             let mut idx = SemanticIndex::new(cfg, 9);
-            idx.bulk_insert_with(&pool, &models, &res, &an);
-            assert!(idx.remove_with(&pool, "c", &res, &an));
-            assert!(idx.remove_with(&pool, "f", &res, &an));
+            idx.apply(&pool, &[], &models, &res, &an);
+            assert!(remove(&mut idx, &pool, "c", &res, &an));
+            assert!(remove(&mut idx, &pool, "f", &res, &an));
             // Replace via a single batch: remove + add in one apply.
-            idx.apply_batch_with(&pool, &["a".to_string()], &models[0..1], &res, &an);
-            idx.apply_batch_with(&pool, &[], std::slice::from_ref(&models[2]), &res, &an);
+            idx.apply(&pool, &["a".to_string()], &models[0..1], &res, &an);
+            idx.apply(&pool, &[], std::slice::from_ref(&models[2]), &res, &an);
 
             let mut scratch = SemanticIndex::new(cfg, 9);
-            scratch.bulk_insert_with(&pool, &survivors, &res, &an);
+            scratch.apply(&pool, &[], &survivors, &res, &an);
 
             let got = serde_json::to_string(&idx).unwrap();
             assert_eq!(
@@ -1332,12 +1292,12 @@ mod tests {
         let res = resolver(models.clone());
         let an = TableAnalyzer::new(&pairs);
         let mut original = SemanticIndex::new(cfg, 9);
-        original.bulk_insert(&models, &res, &an);
+        add(&mut original, &models, &res, &an);
         let mut revived: SemanticIndex =
             serde_json::from_str(&serde_json::to_string(&original).unwrap()).unwrap();
 
-        original.remove("d", &res, &an);
-        revived.remove("d", &res, &an);
+        remove(&mut original, &ThreadPool::new(1), "d", &res, &an);
+        remove(&mut revived, &ThreadPool::new(1), "d", &res, &an);
         assert_eq!(
             serde_json::to_string(&original).unwrap(),
             serde_json::to_string(&revived).unwrap(),
@@ -1388,7 +1348,7 @@ mod tests {
         ]);
         let res = resolver(models.clone());
         for m in &models {
-            idx.insert(m, &res, &an);
+            add(&mut idx, std::slice::from_ref(m), &res, &an);
         }
         // Whatever d sampled, any transitive d→a record must carry the
         // tightest derivable bound among its measured intermediaries.
@@ -1440,7 +1400,7 @@ mod tests {
         let an = TableAnalyzer::new(&pairs);
         let res = resolver(models.clone());
         for m in &models {
-            idx.insert(m, &res, &an);
+            add(&mut idx, std::slice::from_ref(m), &res, &an);
         }
         // With sampling 2, each model's attempted pairs stay far below
         // full pairwise; candidate lists still cover the 2-hop
@@ -1464,9 +1424,19 @@ mod tests {
     fn duplicate_keys_rejected() {
         let mut idx = SemanticIndex::new(SemanticIndexConfig::default(), 1);
         let a = model("a");
-        idx.insert(&a, &resolver(vec![]), &TableAnalyzer::new(&[]));
+        add(
+            &mut idx,
+            std::slice::from_ref(&a),
+            &resolver(vec![]),
+            &TableAnalyzer::new(&[]),
+        );
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            idx.insert(&a, &resolver(vec![]), &TableAnalyzer::new(&[]));
+            add(
+                &mut idx,
+                std::slice::from_ref(&a),
+                &resolver(vec![]),
+                &TableAnalyzer::new(&[]),
+            );
         }));
         assert!(result.is_err());
     }
@@ -1494,16 +1464,19 @@ mod tests {
         let an = TableAnalyzer::new(&[("a", "b", 0.1), ("a", "c", 0.2), ("b", "c", 0.1)]);
         let res = resolver(models.clone());
         for m in &models {
-            idx.insert(m, &res, &an);
+            add(&mut idx, std::slice::from_ref(m), &res, &an);
         }
         assert!(idx.contains("b"));
-        assert!(idx.remove("b", &res, &an));
+        assert!(remove(&mut idx, &ThreadPool::new(1), "b", &res, &an));
         assert!(!idx.contains("b"));
         assert_eq!(idx.len(), 2);
         for key in ["a", "c"] {
             assert!(idx.candidates_of(key).iter().all(|c| c.key != "b"));
         }
-        assert!(!idx.remove("b", &res, &an), "double removal is a no-op");
+        assert!(
+            !remove(&mut idx, &ThreadPool::new(1), "b", &res, &an),
+            "double removal is a no-op"
+        );
     }
 
     #[test]
@@ -1522,9 +1495,9 @@ mod tests {
         let res = resolver(models.clone());
         let an = TableAnalyzer::new(&pairs);
         let mut idx = SemanticIndex::new(cfg, 9);
-        idx.bulk_insert(&models, &res, &an);
+        add(&mut idx, &models, &res, &an);
         let before = an.calls.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(idx.remove("c", &res, &an));
+        assert!(remove(&mut idx, &ThreadPool::new(1), "c", &res, &an));
         let after = an.calls.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(after, before, "removal re-ran pairwise analyses");
     }
@@ -1545,7 +1518,7 @@ mod tests {
         let an = TableAnalyzer::new(&[("a", "b", 0.05), ("a", "c", 0.05), ("b", "c", 0.01)]);
         let res = resolver(models.clone());
         for m in &models {
-            idx.insert(m, &res, &an);
+            add(&mut idx, std::slice::from_ref(m), &res, &an);
         }
         // Whatever the sampling chose, all records must carry the tightest
         // known bound ≤ transitive worst case 0.10.

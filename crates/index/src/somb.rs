@@ -290,6 +290,7 @@ pub fn encode(
     sem_entries.sort_by_key(|(fp, _, _)| fp.0);
     let res_entries = resource.entries_audit();
     let edge_rows = semantic.edge_rows();
+    let keys = semantic.keys();
 
     let interner = Interner::build(
         res_entries
@@ -304,7 +305,7 @@ pub fn encode(
                     })
                 }))
             }))
-            .chain(semantic.keys().iter().map(String::as_str)),
+            .chain(keys.iter().copied()),
     );
 
     // Section payloads.
@@ -354,8 +355,8 @@ pub fn encode(
             put_f64(&mut sem, c.score);
         }
     }
-    put_u32(&mut sem, semantic.keys().len() as u32);
-    for key in semantic.keys() {
+    put_u32(&mut sem, keys.len() as u32);
+    for key in keys {
         put_u32(&mut sem, interner.id(key));
     }
 

@@ -63,7 +63,7 @@ fn one_mutation_ranks_a_bounded_number_of_pairs() {
     let mut images = Vec::new();
     for (removes, adds) in &mutations {
         let before = counters::get("index.semantic.rank_evals");
-        idx.apply_batch_with(&pool, removes, adds, &resolve, &Constant);
+        idx.apply(&pool, removes, adds, &resolve, &Constant);
         let evals = counters::get("index.semantic.rank_evals") - before;
         // Sized: one early-exit test per survivor at ≈ 40 ranks each
         // and ≈ 20 full draws. Materialising every sample is N².
@@ -80,7 +80,7 @@ fn one_mutation_ranks_a_bounded_number_of_pairs() {
     let mut revived = base;
     for ((removes, adds), image) in mutations.iter().zip(&images) {
         revived = serde_json::from_str(&serde_json::to_string(&revived).unwrap()).unwrap();
-        revived.apply_batch_with(&pool, removes, adds, &resolve, &Constant);
+        revived.apply(&pool, removes, adds, &resolve, &Constant);
         assert_eq!(&serde_json::to_string(&revived).unwrap(), image);
     }
 }

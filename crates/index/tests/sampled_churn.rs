@@ -7,8 +7,8 @@
 //! pairs of keys sharing a fingerprint so the alias / canonical-key
 //! path runs. After any sequence of inserts, removes, replaces and
 //! multi-key batches — with a serde round trip at a random point — the
-//! index must equal a from-scratch `bulk_insert` of the survivors byte
-//! for byte, at jobs 1 and 4.
+//! index must equal a from-scratch build of the survivors (one `apply`
+//! with no removals) byte for byte, at jobs 1 and 4.
 
 use proptest::prelude::*;
 use sommelier_graph::{Fingerprint, Model, ModelBuilder, TaskKind};
@@ -89,7 +89,7 @@ const SEED: u64 = 9;
 fn churn(steps: &[Vec<(u8, u8)>], revive_at: usize, jobs: usize) -> (String, String) {
     let pool = ThreadPool::new(jobs);
     // The repository the resolver reads: a key's latest content, kept
-    // after removal as `unregister` keeps the file.
+    // after removal as the engine's removal keeps the file.
     let repo: std::sync::Mutex<BTreeMap<String, Model>> = Default::default();
     let resolve = |k: &str| repo.lock().unwrap().get(k).cloned();
     let mut live: BTreeMap<usize, usize> = BTreeMap::new();
@@ -119,11 +119,11 @@ fn churn(steps: &[Vec<(u8, u8)>], revive_at: usize, jobs: usize) -> (String, Str
         for m in &adds {
             repo.lock().unwrap().insert(m.name.clone(), m.clone());
         }
-        idx.apply_batch_with(&pool, &removes, &adds, &resolve, &TableAnalyzer);
+        idx.apply(&pool, &removes, &adds, &resolve, &TableAnalyzer);
     }
     let survivors: Vec<Model> = live.iter().map(|(&k, &g)| model(k, g)).collect();
     let mut scratch = SemanticIndex::new(CONFIG, SEED);
-    scratch.bulk_insert_with(&pool, &survivors, &resolve, &TableAnalyzer);
+    scratch.apply(&pool, &[], &survivors, &resolve, &TableAnalyzer);
     (
         serde_json::to_string(&idx).unwrap(),
         serde_json::to_string(&scratch).unwrap(),

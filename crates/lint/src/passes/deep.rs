@@ -720,7 +720,8 @@ mod tests {
         let stored = mlp("drifted", 11);
         let indexed = mlp("drifted", 12); // same key, different weights
         let mut semantic = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        semantic.insert(&indexed, &|_| None, &NoPairs);
+        let pool = sommelier_parallel::ThreadPool::new(1);
+        semantic.apply(&pool, &[], &[indexed], &|_| None, &NoPairs);
         let mut ctx = ctx_with(vec![("drifted", stored)]);
         ctx.semantic = Some(semantic);
         let mut diags = Vec::new();

@@ -125,7 +125,7 @@ impl Pass for IndexIntegrityPass {
         }
         if let (Some(semantic), Some(resource)) = (&ctx.semantic, &ctx.resource) {
             for key in semantic.keys() {
-                if stored.contains(key.as_str()) && resource.profile_of(key).is_none() {
+                if stored.contains(key) && resource.profile_of(key).is_none() {
                     out.push(
                         Diagnostic::warn(
                             codes::MISSING_PROFILE,

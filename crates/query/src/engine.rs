@@ -146,6 +146,10 @@ pub enum QueryError {
     Repo(RepoError),
     /// The model could not be analyzed (e.g. failed execution).
     Analysis(String),
+    /// A mutation batch adds the same key twice.
+    DuplicateAdd(String),
+    /// A mutation batch adds an indexed key without removing it.
+    AlreadyIndexed(String),
 }
 
 impl fmt::Display for QueryError {
@@ -160,6 +164,13 @@ impl fmt::Display for QueryError {
             }
             QueryError::Repo(e) => write!(f, "{e}"),
             QueryError::Analysis(e) => write!(f, "analysis failed: {e}"),
+            QueryError::DuplicateAdd(k) => write!(f, "the batch adds '{k}' twice"),
+            QueryError::AlreadyIndexed(k) => {
+                write!(
+                    f,
+                    "'{k}' is already indexed and the batch does not remove it"
+                )
+            }
         }
     }
 }
@@ -175,6 +186,18 @@ impl From<ParseError> for QueryError {
 impl From<RepoError> for QueryError {
     fn from(e: RepoError) -> Self {
         QueryError::Repo(e)
+    }
+}
+
+/// Make `key` the default reference of `task` unless a smaller key
+/// already is: a task's default reference is its smallest indexed key.
+fn keep_smallest(refs: &mut HashMap<TaskKind, String>, task: TaskKind, key: &str) {
+    match refs.get_mut(&task) {
+        Some(current) if current.as_str() <= key => {}
+        Some(current) => *current = key.to_string(),
+        None => {
+            refs.insert(task, key.to_string());
+        }
     }
 }
 
@@ -875,8 +898,8 @@ impl MutationBatch {
         Self::default()
     }
 
-    /// Queue a key for unregistration (the repository file stays in
-    /// place, exactly like [`Sommelier::unregister`]).
+    /// Queue a key for unregistration. The repository file stays in
+    /// place, so a later batch can register it again.
     pub fn unregister(mut self, key: impl Into<String>) -> Self {
         self.removes.push(key.into());
         self
@@ -1067,10 +1090,11 @@ impl Sommelier {
         CacheStatsShim::default()
     }
 
-    /// Publish a model to the repository and index it.
+    /// Publish a model to the repository and index it: a one-model
+    /// [`Sommelier::apply`].
     pub fn register(&mut self, model: &Model) -> Result<(), QueryError> {
-        self.repo.publish(&model.name, model, false)?;
-        self.index_model(model)
+        self.apply(MutationBatch::new().register(model.clone()))
+            .map(drop)
     }
 
     /// Apply a coalesced mutation batch: one pairwise-analysis fan-out,
@@ -1079,35 +1103,29 @@ impl Sommelier {
     /// to the repository (overwriting when the same key is also queued
     /// for removal — a replacement); removals leave the repository file
     /// in place. A batch that changes nothing publishes nothing and
-    /// leaves the epoch untouched. A batch with a model that
+    /// leaves the epoch untouched. A batch is checked whole before
+    /// anything is written: one that adds a key twice, adds an indexed
+    /// key it does not remove, or holds a model that
     /// [`check_publishable`] refuses writes nothing. Returns the number
     /// of effective mutations applied.
     pub fn apply(&mut self, batch: MutationBatch) -> Result<usize, QueryError> {
+        let mut names: Vec<&str> = batch.adds.iter().map(|m| m.name.as_str()).collect();
+        names.sort_unstable();
+        if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
+            return Err(QueryError::DuplicateAdd(w[0].to_string()));
+        }
         for model in &batch.adds {
+            let replaced = batch.removes.contains(&model.name);
+            if self.semantic.contains(&model.name) && !replaced {
+                return Err(QueryError::AlreadyIndexed(model.name.clone()));
+            }
             check_publishable(&model.name, model)?;
         }
         for model in &batch.adds {
-            let overwrite = batch.removes.iter().any(|k| k == &model.name);
+            let overwrite = batch.removes.contains(&model.name);
             self.repo.publish(&model.name, model, overwrite)?;
         }
-        let setting = self.config.exec_setting.clone();
-        let profiles = self
-            .pool
-            .par_map(&batch.adds, |m| ResourceProfile::under(m, &setting));
-        let mut effective_removes: Vec<&str> = batch
-            .removes
-            .iter()
-            .map(String::as_str)
-            .filter(|k| self.semantic.contains(k))
-            .collect();
-        effective_removes.sort_unstable();
-        effective_removes.dedup();
-        let count = batch.adds.len() + effective_removes.len();
-        if self.apply_indexed(&batch.removes, &batch.adds, &profiles) {
-            self.publish_snapshot();
-            return Ok(count);
-        }
-        Ok(0)
+        Ok(self.apply_indexed(&batch.removes, &batch.adds))
     }
 
     /// Index every repository model that is not yet indexed — the bulk
@@ -1132,75 +1150,36 @@ impl Sommelier {
             }
             models.push(model);
         }
-        if models.is_empty() {
-            return Ok(0);
-        }
-        let setting = self.config.exec_setting.clone();
-        let profiles = self
-            .pool
-            .par_map(&models, |m| ResourceProfile::under(m, &setting));
-        if self.apply_indexed(&[], &models, &profiles) {
-            self.publish_snapshot();
-        }
-        Ok(models.len())
+        Ok(self.apply_indexed(&[], &models))
     }
 
-    fn index_model(&mut self, model: &Model) -> Result<(), QueryError> {
-        let profile = ResourceProfile::under(model, &self.config.exec_setting);
-        if self.apply_indexed(&[], std::slice::from_ref(model), &[profile]) {
-            self.publish_snapshot();
-        }
-        Ok(())
-    }
-
-    /// Replace a model under an existing key: the old index entries are
-    /// purged, the repository copy is overwritten, and the new version is
-    /// re-analyzed and re-indexed (a published model update, e.g. a new
-    /// fine-tune under the same name). One logical mutation: exactly one
-    /// snapshot publication and epoch bump — not the remove-then-insert
-    /// pair of publishes this path historically produced.
-    pub fn reregister(&mut self, model: &Model) -> Result<(), QueryError> {
-        self.repo.publish(&model.name, model, true)?;
-        let profile = ResourceProfile::under(model, &self.config.exec_setting);
-        let removes = [model.name.clone()];
-        if self.apply_indexed(&removes, std::slice::from_ref(model), &[profile]) {
-            self.publish_snapshot();
-        }
-        Ok(())
-    }
-
-    /// Remove a model from both indices (the repository file is left in
-    /// place; `publish` can re-register it later). Returns whether the key
-    /// was indexed.
-    pub fn unregister(&mut self, key: &str) -> bool {
-        let removes = [key.to_string()];
-        let removed = self.apply_indexed(&removes, &[], &[]);
-        if removed {
-            self.publish_snapshot();
-        }
-        removed
-    }
-
-    /// Apply an already-profiled batch to the builder-side indices:
-    /// removals and insertions land in one semantic-index update (a
-    /// single analysis fan-out over the pool), default references are
-    /// maintained from indexed metadata with **zero repository reads**,
-    /// and nothing is published — callers publish exactly once per
-    /// logical mutation. Returns whether anything changed.
-    fn apply_indexed(
-        &mut self,
-        removes: &[String],
-        models: &[Model],
-        profiles: &[ResourceProfile],
-    ) -> bool {
-        debug_assert_eq!(models.len(), profiles.len());
-        let mutated = !models.is_empty()
+    /// Apply a checked batch to the builder-side indices and publish it:
+    /// the models are profiled on the pool, removals and insertions land
+    /// in one semantic-index update (a single analysis fan-out), default
+    /// references are maintained from indexed metadata with **zero
+    /// repository reads**, and one snapshot is published. Returns the
+    /// number of effective mutations; 0 means nothing changed and
+    /// nothing was published.
+    fn apply_indexed(&mut self, removes: &[String], models: &[Model]) -> usize {
+        let mut indexed: Vec<&str> = removes
+            .iter()
+            .map(String::as_str)
+            .filter(|k| self.semantic.contains(k))
+            .collect();
+        indexed.sort_unstable();
+        indexed.dedup();
+        let count = models.len() + indexed.len();
+        let mutated = count > 0
             || removes
                 .iter()
-                .any(|k| self.semantic.contains(k) || self.resource.profile_of(k).is_some());
+                .any(|k| self.resource.profile_of(k).is_some());
         if !mutated {
-            return false;
+            return 0;
         }
+        let setting = &self.config.exec_setting;
+        let profiles = self
+            .pool
+            .par_map(models, |m| ResourceProfile::under(m, setting));
         let repo = Arc::clone(&self.repo);
         let resolve = move |k: &str| repo.load(k).ok();
         let removed: Vec<Fingerprint> = removes
@@ -1208,7 +1187,7 @@ impl Sommelier {
             .filter_map(|k| self.semantic.fingerprint_of(k))
             .collect();
         self.semantic
-            .apply_batch_with(&self.pool, removes, models, &resolve, &self.analyzer);
+            .apply(&self.pool, removes, models, &resolve, &self.analyzer);
         // A record leaves with its fingerprint's last key; an alias
         // keeps it.
         self.analyzer.forget(
@@ -1216,42 +1195,33 @@ impl Sommelier {
                 .into_iter()
                 .filter(|fp| !self.semantic.contains_fingerprint(*fp)),
         );
+        // A task's default reference is its smallest indexed key. A
+        // removal that takes it re-derives it from the engine's own task
+        // map, without reloading a single model.
+        let mut orphaned = Vec::new();
         for key in removes {
             self.resource.remove(key);
-            self.tasks.remove(key);
+            if let Some(task) = self.tasks.remove(key) {
+                if self.default_refs.get(&task) == Some(key) {
+                    self.default_refs.remove(&task);
+                    orphaned.push(task);
+                }
+            }
         }
-        // Default references orphaned by the removals are re-derived
-        // from the engine's own task map (lexicographically smallest
-        // surviving key per task — the same choice a repository sweep
-        // used to make, without reloading a single model).
-        let broken: Vec<TaskKind> = self
-            .default_refs
-            .iter()
-            .filter(|(_, key)| !self.tasks.contains_key(*key))
-            .map(|(task, _)| *task)
-            .collect();
-        if !broken.is_empty() {
-            self.default_refs
-                .retain(|_, key| self.tasks.contains_key(key));
-            let mut survivors: Vec<&String> = self.tasks.keys().collect();
-            survivors.sort();
-            for key in survivors {
-                let task = self.tasks[key];
-                if broken.contains(&task) {
-                    self.default_refs
-                        .entry(task)
-                        .or_insert_with(|| key.clone());
+        if !orphaned.is_empty() {
+            for (key, task) in &self.tasks {
+                if orphaned.contains(task) {
+                    keep_smallest(&mut self.default_refs, *task, key);
                 }
             }
         }
         for (m, p) in models.iter().zip(profiles) {
-            self.resource.insert(&m.name, *p);
+            self.resource.insert(&m.name, p);
             self.tasks.insert(m.name.clone(), m.task);
-            self.default_refs
-                .entry(m.task)
-                .or_insert_with(|| m.name.clone());
+            keep_smallest(&mut self.default_refs, m.task, &m.name);
         }
-        true
+        self.publish_snapshot();
+        count
     }
 
     /// Execute a textual query (paper Figure 7 syntax) against the
@@ -1365,8 +1335,8 @@ impl Sommelier {
         let mut tasks = HashMap::new();
         for key in semantic.keys() {
             if let Ok(model) = repo.load(key) {
-                default_refs.entry(model.task).or_insert_with(|| key.clone());
-                tasks.insert(key.clone(), model.task);
+                keep_smallest(&mut default_refs, model.task, key);
+                tasks.insert(key.to_string(), model.task);
             }
         }
         Self::assemble(repo, config, semantic, resource, default_refs, tasks, epoch)
@@ -1505,6 +1475,20 @@ mod tests {
         (engine, names)
     }
 
+    /// Remove `key` in a batch of its own; the mutations applied.
+    fn unregister(engine: &mut Sommelier, key: &str) -> usize {
+        engine.apply(MutationBatch::new().unregister(key)).unwrap()
+    }
+
+    /// Replace the model stored under `model.name`: remove and add in
+    /// one batch. The mutations applied.
+    fn replace(engine: &mut Sommelier, model: &Model) -> usize {
+        let batch = MutationBatch::new()
+            .unregister(&model.name)
+            .register(model.clone());
+        engine.apply(batch).unwrap()
+    }
+
     #[test]
     fn register_and_lookup_round_trip() {
         let (engine, names) = engine_with_variants();
@@ -1563,9 +1547,96 @@ mod tests {
             .query("SELECT models 2 CORR TASK image-recognition WITHIN 0.3")
             .unwrap();
         assert!(!results.is_empty());
-        // Default reference is the first registered model; it must not be
+        // Default reference is the task's smallest key; it must not be
         // returned as its own equivalent.
         assert!(results.iter().all(|r| r.key != names[0]));
+    }
+
+    #[test]
+    fn default_reference_is_the_smallest_key_live_and_restored() {
+        // Registered out of key order: the live engine and one restored
+        // from its snapshot must answer `CORR TASK` from the same model.
+        let teacher = Teacher::for_task(TaskKind::ImageRecognition, 51);
+        let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
+        let mut cfg = SommelierConfig {
+            validation_rows: 128,
+            ..SommelierConfig::default()
+        };
+        cfg.index.sample_size = 16;
+        let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), cfg.clone());
+        let mut rng = Prng::seed_from_u64(5);
+        for (name, width) in [("zeta", 1.0), ("alpha", 0.75)] {
+            let mut frng = rng.fork();
+            let scale = FamilyScale::new(width, 3, 0.01);
+            let m = Family::Resnetish.build_scaled(name, &teacher, &bias, &scale, &mut frng);
+            engine.register(&m).unwrap();
+        }
+        let q = "SELECT models 10 CORR TASK image-recognition WITHIN 0.0";
+        let live = engine.query(q).unwrap();
+        assert_eq!(
+            live,
+            engine
+                .query("SELECT models 10 CORR alpha WITHIN 0.0")
+                .unwrap()
+        );
+        let path = std::env::temp_dir().join(format!(
+            "somm-engine-default-ref-{}.json",
+            std::process::id()
+        ));
+        engine.save_indices(&path).unwrap();
+        let restored = Sommelier::connect_with_indices(engine.repo.clone(), cfg, &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(restored.query(q).unwrap(), live);
+    }
+
+    #[test]
+    fn apply_refuses_a_conflicting_batch_before_writing() {
+        let (mut engine, names) = engine_with_variants();
+        let epoch = engine.epoch();
+        let stored = |engine: &Sommelier| {
+            let keys = engine.repo.keys();
+            let models: Vec<Model> = keys.iter().map(|k| engine.repo.load(k).unwrap()).collect();
+            (keys, models)
+        };
+        let before = stored(&engine);
+        let original = engine.repo.load(&names[0]).unwrap();
+        let mut other = engine.repo.load(&names[1]).unwrap();
+        other.name = names[0].clone();
+        let mut fresh = original.clone();
+        fresh.name = "fresh".into();
+
+        // A replace that adds its key twice.
+        let batch = MutationBatch::new()
+            .unregister(&names[0])
+            .register(other.clone())
+            .register(other);
+        let err = engine.apply(batch).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::DuplicateAdd(k) if k == &names[0]),
+            "{err}"
+        );
+        // A new key added twice.
+        let batch = MutationBatch::new()
+            .register(fresh.clone())
+            .register(fresh.clone());
+        let err = engine.apply(batch).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::DuplicateAdd(k) if k == "fresh"),
+            "{err}"
+        );
+        // A new key beside an indexed key the batch does not remove.
+        let batch = MutationBatch::new().register(fresh).register(original);
+        let err = engine.apply(batch).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::AlreadyIndexed(k) if k == &names[0]),
+            "{err}"
+        );
+        assert!(err.to_string().contains(&names[0]));
+
+        // Nothing was written, indexed or published.
+        assert!(stored(&engine) == before);
+        assert_eq!(engine.epoch(), epoch);
+        assert_eq!(engine.len(), names.len());
     }
 
     #[test]
@@ -1685,7 +1756,7 @@ mod tests {
             &mut rng,
         );
         let before = *engine.resource_index().profile_of(&names[2]).unwrap();
-        engine.reregister(&replacement).unwrap();
+        assert_eq!(replace(&mut engine, &replacement), 2);
         let after = *engine.resource_index().profile_of(&names[2]).unwrap();
         assert_ne!(before.memory_mb, after.memory_mb);
         assert_eq!(engine.len(), 4, "model count unchanged after update");
@@ -1724,14 +1795,14 @@ mod tests {
         let q = format!("SELECT models 10 CORR {} WITHIN 0.0", names[0]);
         let before = engine.query(&q).unwrap();
         assert!(before.iter().any(|r| r.key == names[2]));
-        assert!(engine.unregister(&names[2]));
+        assert_eq!(unregister(&mut engine, &names[2]), 1);
         let after = engine.query(&q).unwrap();
         assert!(after.iter().all(|r| r.key != names[2]));
         // Synthesized entries built from the removed donor vanish too.
         assert!(after
             .iter()
             .all(|r| !matches!(&r.kind, CandidateKind::Synthesized { donor } if donor == &names[2])));
-        assert!(!engine.unregister(&names[2]), "second removal is a no-op");
+        assert_eq!(unregister(&mut engine, &names[2]), 0, "second removal is a no-op");
         assert!(engine.resource_index().profile_of(&names[2]).is_none());
     }
 
@@ -1833,12 +1904,12 @@ mod tests {
         // loaded, let alone analyzed — and the whole logical mutation
         // is exactly one snapshot publication (one epoch bump), not the
         // historical remove-publish + insert-publish pair.
-        engine.reregister(&model).unwrap();
+        assert_eq!(replace(&mut engine, &model), 2);
         assert_eq!(repo.loads(), loads_before, "no new analyses were needed");
         assert_eq!(
             engine.epoch(),
             epoch_before + 1,
-            "reregister is one logical mutation: exactly one publish"
+            "a replace is one logical mutation: exactly one publish"
         );
     }
 
@@ -1859,9 +1930,9 @@ mod tests {
         for name in &names {
             let model = repo.inner.load(name).unwrap();
             let before = image(&engine);
-            assert!(engine.unregister(name));
+            assert_eq!(unregister(&mut engine, name), 1);
             let loads_before = repo.loads();
-            engine.reregister(&model).unwrap();
+            assert_eq!(replace(&mut engine, &model), 1);
             let loaded = repo.loads() - loads_before;
             assert!(
                 loaded <= engine.config.index.sample_size,
@@ -1896,9 +1967,10 @@ mod tests {
             names.push(model.name.clone());
             engine.register(&model).unwrap();
         }
-        // "def-0" registered first, so it is the default reference.
+        // "def-0" is the task's smallest key, so it is the default
+        // reference.
         let reads_before = repo.loads();
-        assert!(engine.unregister(&names[0]));
+        assert_eq!(unregister(&mut engine, &names[0]), 1);
         assert_eq!(
             repo.loads(),
             reads_before,
@@ -1910,7 +1982,11 @@ mod tests {
             .query("SELECT models 10 CORR TASK image-recognition WITHIN 0.0")
             .unwrap();
         assert!(results.iter().all(|r| r.key != names[0]));
-        assert!(!engine.unregister(&names[0]), "second removal is a no-op");
+        assert_eq!(
+            unregister(&mut engine, &names[0]),
+            0,
+            "second removal is a no-op"
+        );
     }
 
     #[test]
@@ -2029,7 +2105,7 @@ mod tests {
         // A mutation publishes a new epoch: the same text re-executes
         // and reflects the new index state.
         let epoch_before = engine.epoch();
-        assert!(engine.unregister(&names[2]));
+        assert_eq!(unregister(&mut engine, &names[2]), 1);
         assert!(engine.epoch() > epoch_before);
         let after = engine.query(&q).unwrap();
         assert!(after.iter().all(|r| r.key != names[2]));
@@ -2044,7 +2120,7 @@ mod tests {
         let q = format!("SELECT models 10 CORR {} WITHIN 0.0", names[0]);
         let pinned = reader.snapshot();
         let before_epoch = pinned.epoch;
-        assert!(engine.unregister(&names[3]));
+        assert_eq!(unregister(&mut engine, &names[3]), 1);
         // The pinned snapshot still holds the unregistered model; the
         // live read path already serves the new epoch.
         assert!(pinned.semantic.contains(&names[3]));

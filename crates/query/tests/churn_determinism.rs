@@ -2,7 +2,7 @@
 //! function of the final key universe.
 //!
 //! The contract under test (PR 8's acceptance bar): after an arbitrary
-//! sequence of `register` / `unregister` / `reregister` mutations, the
+//! sequence of register, remove and replace batches, the
 //! engine's indices serialize — JSON *and* `.somb` — byte-identically
 //! to a from-scratch `index_existing` build over just the surviving
 //! models, at `jobs` 1, 4, and 8. No drift from removal order, slot
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sommelier_graph::{Model, TaskKind};
 use sommelier_index::persist::{IndexSnapshot, SnapshotStats, SNAPSHOT_VERSION};
 use sommelier_index::somb;
-use sommelier_query::{Sommelier, SommelierConfig};
+use sommelier_query::{MutationBatch, Sommelier, SommelierConfig};
 use sommelier_repo::{InMemoryRepository, ModelRepository};
 use sommelier_tensor::Prng;
 use sommelier_zoo::families::{Family, FamilyScale};
@@ -23,7 +23,7 @@ use std::sync::Arc;
 const POOL: usize = 5;
 
 /// Deterministic model pool: `m-<idx>` in two content generations, so
-/// `reregister` can swap a key's weights without touching its name.
+/// a replace can swap a key's weights without touching its name.
 fn build_model(idx: usize, generation: usize) -> Model {
     let teacher = Teacher::for_task(TaskKind::ImageRecognition, 51);
     let bias = DatasetBias::new(&teacher, "imagenet", 0.05);
@@ -80,24 +80,29 @@ fn churn(ops: &[(u8, u8)], jobs: usize) -> ((String, Vec<u8>), (String, Vec<u8>)
     for &(op, idx) in ops {
         let idx = idx as usize % POOL;
         if !live.contains(&idx) {
-            // `unregister` leaves the repository file behind, so a
-            // re-add of a previously published key is a `reregister`.
+            // A removal leaves the repository file behind, so a re-add
+            // of a previously published key overwrites it: the batch
+            // names the key as a removal too.
             let model = build_model(idx, generation[idx]);
             if published.insert(idx) {
                 engine.register(&model).unwrap();
             } else {
-                engine.reregister(&model).unwrap();
+                let batch = MutationBatch::new().unregister(&model.name).register(model);
+                assert_eq!(engine.apply(batch).unwrap(), 1);
             }
             live.insert(idx);
         } else {
             match op % 3 {
                 0 | 1 => {
-                    assert!(engine.unregister(&format!("m-{idx}")));
+                    let batch = MutationBatch::new().unregister(format!("m-{idx}"));
+                    assert_eq!(engine.apply(batch).unwrap(), 1);
                     live.remove(&idx);
                 }
                 _ => {
                     generation[idx] ^= 1;
-                    engine.reregister(&build_model(idx, generation[idx])).unwrap();
+                    let model = build_model(idx, generation[idx]);
+                    let batch = MutationBatch::new().unregister(&model.name).register(model);
+                    assert_eq!(engine.apply(batch).unwrap(), 2);
                 }
             }
         }

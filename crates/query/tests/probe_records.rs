@@ -60,6 +60,11 @@ fn register(engine: &mut Sommelier, model: &Model) {
     assert_eq!(applied.unwrap(), 1, "{}", model.name);
 }
 
+fn unregister(engine: &mut Sommelier, key: &str) {
+    let applied = engine.apply(MutationBatch::new().unregister(key));
+    assert_eq!(applied.unwrap(), 1, "{key}");
+}
+
 #[test]
 fn a_register_probes_each_model_once_and_loads_few_partners() {
     let _turn = serial();
@@ -111,9 +116,10 @@ fn records_leave_with_their_fingerprints_last_key() {
 
     // With no alias, an unregister drops the record: the same weights
     // back run over the probe again, and the partner's record serves.
-    assert!(engine.unregister("ft"));
+    unregister(&mut engine, "ft");
     let (probes, loads) = (probe_passes(), partner_loads());
-    engine.reregister(&ft).unwrap();
+    let batch = MutationBatch::new().unregister("ft").register(ft.clone());
+    assert_eq!(engine.apply(batch).unwrap(), 1);
     assert_eq!(probe_passes() - probes, 1, "the dropped record is rebuilt");
     assert_eq!(partner_loads() - loads, 0);
 
@@ -123,7 +129,7 @@ fn records_leave_with_their_fingerprints_last_key() {
     let mut alias = ft.clone();
     alias.name = "ft-alias".into();
     register(&mut engine, &alias);
-    assert!(engine.unregister("ft"));
+    unregister(&mut engine, "ft");
     let (probes, loads) = (probe_passes(), partner_loads());
     register(&mut engine, &finetune(&b, "ft-2", 3));
     assert_eq!(probe_passes() - probes, 1);
@@ -131,7 +137,10 @@ fn records_leave_with_their_fingerprints_last_key() {
 
     // New weights under a live key are one new record, probed once.
     let (probes, loads) = (probe_passes(), partner_loads());
-    engine.reregister(&finetune(&b, "ft-2", 4)).unwrap();
+    let batch = MutationBatch::new()
+        .unregister("ft-2")
+        .register(finetune(&b, "ft-2", 4));
+    assert_eq!(engine.apply(batch).unwrap(), 2);
     assert_eq!(probe_passes() - probes, 1);
     assert_eq!(partner_loads() - loads, 0);
 }

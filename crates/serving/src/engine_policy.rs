@@ -106,7 +106,7 @@ impl EngineSwitcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sommelier_query::{Sommelier, SommelierConfig};
+    use sommelier_query::{MutationBatch, Sommelier, SommelierConfig};
     use sommelier_repo::{InMemoryRepository, ModelRepository};
     use sommelier_zoo::families::Family;
     use sommelier_zoo::series::build_series;
@@ -220,7 +220,8 @@ mod tests {
         // Unregister the second-best variant; the switcher must stop
         // serving it without any reconfiguration.
         let victim = reference - 1;
-        assert!(engine.unregister(&variants[victim].name));
+        let batch = MutationBatch::new().unregister(&variants[victim].name);
+        assert_eq!(engine.apply(batch).unwrap(), 1);
         assert!(sw.served_epoch() > before, "epoch advances on unregister");
         for backlog in [0.0, 0.5, 10.0] {
             assert_ne!(sw.choose(backlog, &variants), victim);

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use sommelier_graph::TaskKind;
-use sommelier_query::{Sommelier, SommelierConfig};
+use sommelier_query::{MutationBatch, Sommelier, SommelierConfig};
 use sommelier_repo::InMemoryRepository;
 use sommelier_serving::daemon::client::Client;
 use sommelier_serving::{Daemon, DaemonConfig};
@@ -156,13 +156,17 @@ fn batch_pins_one_epoch_under_republish_storm() {
         let handle = Arc::clone(&handle);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            // Republish as fast as possible: re-registering the
-            // unchanged victim analyses nothing (its edges are kept)
-            // and swaps the snapshot once under live readers.
+            // Republish as fast as possible: replacing the victim with
+            // itself analyses nothing (its edges are kept) and swaps
+            // the snapshot once under live readers.
             let model = handle.with_engine(|engine| engine.materialize(&victim).expect("stored"));
             let mut republishes = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                handle.with_engine(|engine| engine.reregister(&model).expect("reregister applies"));
+                let batch = MutationBatch::new()
+                    .unregister(&victim)
+                    .register(model.clone());
+                let applied = handle.with_engine(|engine| engine.apply(batch));
+                assert_eq!(applied.expect("replace applies"), 2);
                 republishes += 1;
             }
             republishes

@@ -4,12 +4,12 @@
 //! internally consistent with exactly one publication epoch.
 
 use sommelier::prelude::*;
-use sommelier::query::SommelierReader;
+use sommelier::query::{MutationBatch, SommelierReader};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Five same-family variants; `toggle` (the last) is the model the
-/// mutator will repeatedly unregister and reregister.
+/// mutator will repeatedly remove and add back.
 fn fleet_engine() -> (Sommelier, Vec<String>, Model) {
     let repo = Arc::new(InMemoryRepository::new());
     let teacher = Teacher::for_task(TaskKind::ImageRecognition, 404);
@@ -41,6 +41,17 @@ fn fleet_engine() -> (Sommelier, Vec<String>, Model) {
         }
     }
     (engine, names, toggle_model.expect("five models built"))
+}
+
+/// Remove `model` from the index, then add it back over its stored
+/// copy: two publications.
+fn toggle_off_and_on(engine: &mut Sommelier, model: &Model) {
+    let off = MutationBatch::new().unregister(&model.name);
+    assert_eq!(engine.apply(off).unwrap(), 1);
+    let on = MutationBatch::new()
+        .unregister(&model.name)
+        .register(model.clone());
+    assert_eq!(engine.apply(on).unwrap(), 1);
 }
 
 #[test]
@@ -103,8 +114,7 @@ fn concurrent_queries_never_block_on_reindex_or_mix_epochs() {
 
         // Mutator: churn the published snapshot while readers run.
         for _ in 0..15 {
-            assert!(engine.unregister(&toggle));
-            engine.reregister(&toggle_model).unwrap();
+            toggle_off_and_on(&mut engine, &toggle_model);
             std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
@@ -146,8 +156,7 @@ fn pinned_snapshots_survive_mutations_without_blocking() {
     let pinned = reader.snapshot();
     assert!(pinned.semantic.contains(toggle));
     for _ in 0..5 {
-        assert!(engine.unregister(toggle));
-        engine.reregister(&toggle_model).unwrap();
+        toggle_off_and_on(&mut engine, &toggle_model);
     }
     // The pinned snapshot is untouched by ten publications since.
     assert!(pinned.semantic.contains(toggle));
