@@ -378,23 +378,11 @@ fn apply_refuses_a_conflicting_batch_and_writes_nothing() {
     let renamed = json.replacen(&format!("\"name\":\"{key}\""), "\"name\":\"fresh\"", 1);
     std::fs::write(&fresh, renamed).unwrap();
     let (indexed, fresh) = (indexed.to_str().unwrap(), fresh.to_str().unwrap());
-    let snapshot = std::fs::read(dir.join("sommelier.index.json")).unwrap();
-
-    // A replace that adds its key twice, a new key added twice, and a
-    // new key beside an indexed key the batch does not remove.
-    for (args, named) in [
-        (
-            &[
-                "apply", d, "--remove", &key, "--add", indexed, "--add", indexed,
-            ][..],
-            key.as_str(),
-        ),
-        (&["apply", d, "--add", fresh, "--add", fresh], "fresh"),
-        (
-            &["apply", d, "--add", fresh, "--add", indexed],
-            key.as_str(),
-        ),
-    ] {
+    let snapshot_of = || std::fs::read(dir.join("sommelier.index.json")).unwrap();
+    // Exit 1 naming `named`, and the store, the snapshot and lint as
+    // they were.
+    let refused = |args: &[&str], named: &str| {
+        let snapshot = snapshot_of();
         let out = run(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
         assert!(
@@ -407,8 +395,7 @@ fn apply_refuses_a_conflicting_batch_and_writes_nothing() {
             listing,
             "{args:?} stored a model"
         );
-        let snapshot_now = std::fs::read(dir.join("sommelier.index.json")).unwrap();
-        assert!(snapshot_now == snapshot, "{args:?} rewrote the snapshot");
+        assert!(snapshot_of() == snapshot, "{args:?} rewrote the snapshot");
         let out = run(&["lint", d, "--deny", "warn"]);
         assert!(
             out.status.success(),
@@ -416,7 +403,25 @@ fn apply_refuses_a_conflicting_batch_and_writes_nothing() {
             stdout(&out),
             stderr(&out)
         );
-    }
+    };
+
+    // A replace that adds its key twice, a new key added twice, and a
+    // new key beside an indexed key the batch does not remove.
+    refused(
+        &[
+            "apply", d, "--remove", &key, "--add", indexed, "--add", indexed,
+        ],
+        &key,
+    );
+    refused(&["apply", d, "--add", fresh, "--add", fresh], "fresh");
+    refused(&["apply", d, "--add", fresh, "--add", indexed], &key);
+    // A new key beside a key that a removal left stored but unindexed.
+    assert!(run(&["apply", d, "--remove", &key]).status.success());
+    refused(&["apply", d, "--add", fresh, "--add", indexed], &key);
+    // A replace still overwrites it.
+    assert!(run(&["apply", d, "--remove", &key, "--add", indexed])
+        .status
+        .success());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -521,10 +521,11 @@ pub struct CacheStatsShim {
 /// state: both indices, the default references, and the publication
 /// epoch that stamps them as one consistent generation.
 ///
-/// Mutations never touch a published snapshot — the engine's builder
-/// side constructs the *next* snapshot and swaps it into the reader's
-/// slot, so a query pins exactly one epoch for its whole lifetime and
-/// can never observe a half-applied registration.
+/// Mutations never touch a published snapshot: the engine clones the
+/// one it last published, applies the batch to the clone and swaps that
+/// into the reader's slot, so a query pins exactly one epoch for its
+/// whole lifetime and can never observe a half-applied registration.
+#[derive(Clone)]
 pub struct EngineSnapshot {
     /// The semantic index at this epoch.
     pub semantic: SemanticIndex,
@@ -919,27 +920,21 @@ impl MutationBatch {
 
 /// The Sommelier query engine.
 ///
-/// The engine is split along the read/write axis: mutators build the
-/// next [`EngineSnapshot`] from this builder-side state and publish it
-/// with one `Arc` swap, while all query execution lives on the
-/// [`SommelierReader`] — clone it via [`Sommelier::reader`] to serve
-/// queries from other threads while this handle keeps registering.
+/// The engine is split along the read/write axis: a mutation clones the
+/// [`EngineSnapshot`] this engine last published, applies the batch to
+/// the clone and publishes it with one `Arc` swap, while all query
+/// execution lives on the [`SommelierReader`] — clone it via
+/// [`Sommelier::reader`] to serve queries from other threads while this
+/// handle keeps registering. The repository, pool and config are the
+/// reader's.
 pub struct Sommelier {
-    repo: Arc<dyn ModelRepository>,
-    semantic: SemanticIndex,
-    resource: ResourceIndex,
+    /// The snapshot this engine last published: its only copy of the
+    /// indices, the default references and the epoch.
+    current: Arc<EngineSnapshot>,
     analyzer: EquivAnalyzer,
-    default_refs: HashMap<TaskKind, String>,
     /// Task kind per indexed key — the metadata mutations need (default
     /// reference re-derivation) without touching the repository.
     tasks: HashMap<String, TaskKind>,
-    config: SommelierConfig,
-    /// Worker pool for index construction and query execution
-    /// (`config.jobs` lanes; one lane ⇒ everything runs inline).
-    pool: Arc<ThreadPool>,
-    /// Publication epoch of the last published snapshot (a
-    /// deterministic count of mutations, not a wall-clock artifact).
-    epoch: u64,
     /// On-disk encoding that served the restored indices (`None` when
     /// the engine was built fresh rather than loaded from a snapshot).
     snapshot_format: Option<sommelier_index::SnapshotFormat>,
@@ -951,88 +946,59 @@ impl Sommelier {
     /// Connect to a repository. Models already present can be indexed with
     /// [`Sommelier::index_existing`].
     pub fn connect(repo: Arc<dyn ModelRepository>, config: SommelierConfig) -> Self {
-        let semantic = SemanticIndex::new(config.index, config.seed);
-        let resource = ResourceIndex::default();
-        Self::assemble(
-            repo,
-            config,
-            semantic,
-            resource,
-            HashMap::new(),
-            HashMap::new(),
-            0,
-        )
+        let snapshot = EngineSnapshot {
+            semantic: SemanticIndex::new(config.index, config.seed),
+            resource: ResourceIndex::default(),
+            default_refs: HashMap::new(),
+            epoch: 0,
+        };
+        Self::assemble(repo, config, snapshot, HashMap::new())
     }
 
-    /// Build the engine around prepared indices at a given epoch,
-    /// publishing them as the initial snapshot.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the engine around a prepared snapshot, publishing it as the
+    /// initial one.
     fn assemble(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
-        semantic: SemanticIndex,
-        resource: ResourceIndex,
-        default_refs: HashMap<TaskKind, String>,
+        snapshot: EngineSnapshot,
         tasks: HashMap<String, TaskKind>,
-        epoch: u64,
     ) -> Self {
-        let pool = Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
-            config.jobs,
-        )));
-        let published = Arc::new(Mutex::new(Arc::new(EngineSnapshot {
-            semantic: semantic.clone(),
-            resource: resource.clone(),
-            default_refs: default_refs.clone(),
-            epoch,
-        })));
+        let current = Arc::new(snapshot);
+        let analyzer = EquivAnalyzer::new(
+            config.equiv,
+            config.segment_epsilon,
+            config.validation_rows,
+            config.seed,
+        );
         let reader = SommelierReader {
-            repo: Arc::clone(&repo),
-            published,
-            pool: Arc::clone(&pool),
+            repo,
+            published: Arc::new(Mutex::new(Arc::clone(&current))),
+            pool: Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
+                config.jobs,
+            ))),
             plan_cache: Arc::new(PlanCache::new(config.query_cache_cap)),
-            config: config.clone(),
+            config,
         };
         Sommelier {
-            semantic,
-            resource,
-            analyzer: EquivAnalyzer::new(
-                config.equiv,
-                config.segment_epsilon,
-                config.validation_rows,
-                config.seed,
-            ),
-            default_refs,
+            current,
+            analyzer,
             tasks,
-            repo,
-            config,
-            pool,
-            epoch,
             snapshot_format: None,
             reader,
         }
     }
 
-    /// Publish the builder state as the next immutable snapshot. Every
-    /// mutator ends here; in-flight queries keep their pinned epoch and
-    /// new queries pick this one up. The slot's lock covers the swap
-    /// alone: the retired snapshot is released after the unlock, so a
-    /// pin never waits on its drop.
-    /// Both indices share their `Arc`-backed members with the snapshot,
-    /// so no candidate list is copied; what a publish still pays per
-    /// repository key is the clone of the semantic entry map (one `Arc`
-    /// bump each) and the release of the previous snapshot's: ≈ 0.55 ms
-    /// at 5 000 keys (ROADMAP item 4b).
-    fn publish_snapshot(&mut self) {
-        self.epoch += 1;
-        let next = Arc::new(EngineSnapshot {
-            semantic: self.semantic.clone(),
-            resource: self.resource.clone(),
-            default_refs: self.default_refs.clone(),
-            epoch: self.epoch,
-        });
+    /// Publish `next` as the following epoch. Every mutator ends here;
+    /// in-flight queries keep their pinned epoch and new queries pick
+    /// this one up. The slot's lock covers the swap alone: the retired
+    /// snapshot is released after the unlock, so a pin never waits on
+    /// its drop.
+    fn publish_snapshot(&mut self, mut next: EngineSnapshot) {
+        next.epoch += 1;
+        self.current = Arc::new(next);
         // The slot's guard is a temporary: it unlocks at the end of this
         // statement, before `retired` drops.
-        let retired = std::mem::replace(&mut *self.reader.slot(), next);
+        let retired = std::mem::replace(&mut *self.reader.slot(), Arc::clone(&self.current));
         drop(retired);
     }
 
@@ -1043,31 +1009,31 @@ impl Sommelier {
 
     /// Number of indexed models.
     pub fn len(&self) -> usize {
-        self.semantic.len()
+        self.current.semantic.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.semantic.is_empty()
+        self.current.semantic.is_empty()
     }
 
     /// Immutable access to the semantic index (for inspection/experiments).
     pub fn semantic_index(&self) -> &SemanticIndex {
-        &self.semantic
+        &self.current.semantic
     }
 
     /// Immutable access to the resource index.
     pub fn resource_index(&self) -> &ResourceIndex {
-        &self.resource
+        &self.current.resource
     }
 
     /// Worker lanes this engine runs on.
     pub fn jobs(&self) -> usize {
-        self.pool.jobs()
+        self.reader.jobs()
     }
 
     /// The current publication epoch (bumped by every mutation).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.current.epoch
     }
 
     /// A handle to the read side. Clone freely across
@@ -1104,10 +1070,10 @@ impl Sommelier {
     /// for removal — a replacement); removals leave the repository file
     /// in place. A batch that changes nothing publishes nothing and
     /// leaves the epoch untouched. A batch is checked whole before
-    /// anything is written: one that adds a key twice, adds an indexed
-    /// key it does not remove, or holds a model that
-    /// [`check_publishable`] refuses writes nothing. Returns the number
-    /// of effective mutations applied.
+    /// anything is written: one that adds a key twice, adds a key it
+    /// does not remove that is indexed or still stored, or holds a model
+    /// that [`check_publishable`] refuses writes nothing. Returns the
+    /// number of effective mutations applied.
     pub fn apply(&mut self, batch: MutationBatch) -> Result<usize, QueryError> {
         let mut names: Vec<&str> = batch.adds.iter().map(|m| m.name.as_str()).collect();
         names.sort_unstable();
@@ -1115,15 +1081,22 @@ impl Sommelier {
             return Err(QueryError::DuplicateAdd(w[0].to_string()));
         }
         for model in &batch.adds {
-            let replaced = batch.removes.contains(&model.name);
-            if self.semantic.contains(&model.name) && !replaced {
-                return Err(QueryError::AlreadyIndexed(model.name.clone()));
+            let key = &model.name;
+            if !batch.removes.contains(key) {
+                if self.current.semantic.contains(key) {
+                    return Err(QueryError::AlreadyIndexed(key.clone()));
+                }
+                // A removal leaves the stored file, which only a replace
+                // may overwrite: refuse here what the publish would.
+                if !matches!(self.reader.repo.load(key), Err(RepoError::NotFound { .. })) {
+                    return Err(RepoError::AlreadyExists { key: key.clone() }.into());
+                }
             }
-            check_publishable(&model.name, model)?;
+            check_publishable(key, model)?;
         }
         for model in &batch.adds {
             let overwrite = batch.removes.contains(&model.name);
-            self.repo.publish(&model.name, model, overwrite)?;
+            self.reader.repo.publish(&model.name, model, overwrite)?;
         }
         Ok(self.apply_indexed(&batch.removes, &batch.adds))
     }
@@ -1138,13 +1111,13 @@ impl Sommelier {
         // `try_keys`, not `keys`: a backend that cannot produce a
         // complete listing must fail the build, not silently index a
         // truncated repository.
-        for key in self.repo.try_keys()? {
-            if self.semantic.contains(&key) {
+        for key in self.reader.repo.try_keys()? {
+            if self.current.semantic.contains(&key) {
                 continue;
             }
             // The key is the identity: a model stored under another
             // name is indexed under its key.
-            let mut model = self.repo.load(&key)?;
+            let mut model = self.reader.repo.load(&key)?;
             if model.name != key {
                 model.name = key;
             }
@@ -1153,18 +1126,19 @@ impl Sommelier {
         Ok(self.apply_indexed(&[], &models))
     }
 
-    /// Apply a checked batch to the builder-side indices and publish it:
-    /// the models are profiled on the pool, removals and insertions land
-    /// in one semantic-index update (a single analysis fan-out), default
-    /// references are maintained from indexed metadata with **zero
-    /// repository reads**, and one snapshot is published. Returns the
-    /// number of effective mutations; 0 means nothing changed and
-    /// nothing was published.
+    /// Apply a checked batch to a clone of the current snapshot and
+    /// publish it: the models are profiled on the pool, removals and
+    /// insertions land in one semantic-index update (a single analysis
+    /// fan-out), default references are maintained from indexed
+    /// metadata with **zero repository reads**, and one snapshot is
+    /// published. Returns the number of effective mutations; 0 means
+    /// nothing changed and nothing was cloned or published.
     fn apply_indexed(&mut self, removes: &[String], models: &[Model]) -> usize {
+        let current = &self.current;
         let mut indexed: Vec<&str> = removes
             .iter()
             .map(String::as_str)
-            .filter(|k| self.semantic.contains(k))
+            .filter(|k| current.semantic.contains(k))
             .collect();
         indexed.sort_unstable();
         indexed.dedup();
@@ -1172,38 +1146,39 @@ impl Sommelier {
         let mutated = count > 0
             || removes
                 .iter()
-                .any(|k| self.resource.profile_of(k).is_some());
+                .any(|k| current.resource.profile_of(k).is_some());
         if !mutated {
             return 0;
         }
-        let setting = &self.config.exec_setting;
-        let profiles = self
-            .pool
-            .par_map(models, |m| ResourceProfile::under(m, setting));
-        let repo = Arc::clone(&self.repo);
+        // An apply's one O(N) copy: the semantic entry map, one `Arc` bump
+        // per entry. `by_key`, the edges and the profiles copy on write.
+        let mut next = EngineSnapshot::clone(current);
+        let (repo, pool) = (Arc::clone(&self.reader.repo), &self.reader.pool);
+        let setting = &self.reader.config.exec_setting;
+        let profiles = pool.par_map(models, |m| ResourceProfile::under(m, setting));
         let resolve = move |k: &str| repo.load(k).ok();
         let removed: Vec<Fingerprint> = removes
             .iter()
-            .filter_map(|k| self.semantic.fingerprint_of(k))
+            .filter_map(|k| next.semantic.fingerprint_of(k))
             .collect();
-        self.semantic
-            .apply(&self.pool, removes, models, &resolve, &self.analyzer);
+        next.semantic
+            .apply(pool, removes, models, &resolve, &self.analyzer);
         // A record leaves with its fingerprint's last key; an alias
         // keeps it.
         self.analyzer.forget(
             removed
                 .into_iter()
-                .filter(|fp| !self.semantic.contains_fingerprint(*fp)),
+                .filter(|fp| !next.semantic.contains_fingerprint(*fp)),
         );
         // A task's default reference is its smallest indexed key. A
         // removal that takes it re-derives it from the engine's own task
         // map, without reloading a single model.
         let mut orphaned = Vec::new();
         for key in removes {
-            self.resource.remove(key);
+            next.resource.remove(key);
             if let Some(task) = self.tasks.remove(key) {
-                if self.default_refs.get(&task) == Some(key) {
-                    self.default_refs.remove(&task);
+                if next.default_refs.get(&task) == Some(key) {
+                    next.default_refs.remove(&task);
                     orphaned.push(task);
                 }
             }
@@ -1211,16 +1186,16 @@ impl Sommelier {
         if !orphaned.is_empty() {
             for (key, task) in &self.tasks {
                 if orphaned.contains(task) {
-                    keep_smallest(&mut self.default_refs, *task, key);
+                    keep_smallest(&mut next.default_refs, *task, key);
                 }
             }
         }
         for (m, p) in models.iter().zip(profiles) {
-            self.resource.insert(&m.name, p);
+            next.resource.insert(&m.name, p);
             self.tasks.insert(m.name.clone(), m.task);
-            keep_smallest(&mut self.default_refs, m.task, &m.name);
+            keep_smallest(&mut next.default_refs, m.task, &m.name);
         }
-        self.publish_snapshot();
+        self.publish_snapshot(next);
         count
     }
 
@@ -1247,14 +1222,14 @@ impl Sommelier {
     /// (`host+donor`, paper Section 5.2 case ii) are built on demand:
     /// the donor's matched segments are spliced into the host.
     pub fn materialize(&self, key: &str) -> Result<Model, QueryError> {
-        if let Ok(model) = self.repo.load(key) {
+        if let Ok(model) = self.reader.repo.load(key) {
             return Ok(model);
         }
         let Some((host_key, donor_key)) = key.split_once('+') else {
             return Err(QueryError::UnknownReference(key.to_string()));
         };
-        let host = self.repo.load(host_key)?;
-        let donor = self.repo.load(donor_key)?;
+        let host = self.reader.repo.load(host_key)?;
+        let donor = self.reader.repo.load(donor_key)?;
         // The index certified the replacement when it recorded the
         // candidate; materialization just re-derives the structural match
         // and splices every matched segment.
@@ -1278,12 +1253,16 @@ impl Sommelier {
     /// the path extension: `.somb` writes the binary snapshot format,
     /// anything else writes JSON.
     pub fn save_indices(&self, path: &std::path::Path) -> Result<(), QueryError> {
+        let snap = &self.current;
         match sommelier_index::SnapshotFormat::for_path(path) {
-            sommelier_index::SnapshotFormat::Binary => {
-                sommelier_index::persist::save_binary(&self.semantic, &self.resource, self.epoch, path)
-            }
+            sommelier_index::SnapshotFormat::Binary => sommelier_index::persist::save_binary(
+                &snap.semantic,
+                &snap.resource,
+                snap.epoch,
+                path,
+            ),
             sommelier_index::SnapshotFormat::Json => {
-                sommelier_index::persist::save(&self.semantic, &self.resource, self.epoch, path)
+                sommelier_index::persist::save(&snap.semantic, &snap.resource, snap.epoch, path)
             }
         }
         .map_err(|e| QueryError::Analysis(e.to_string()))
@@ -1307,12 +1286,21 @@ impl Sommelier {
         config: SommelierConfig,
         path: &std::path::Path,
     ) -> Result<Self, QueryError> {
+        Self::open_snapshot(&repo, &config, path).map_err(|e| QueryError::Analysis(e.to_string()))
+    }
+
+    /// Read the snapshot at `path` (either format), assemble the engine
+    /// around it and record the format it was read in.
+    fn open_snapshot(
+        repo: &Arc<dyn ModelRepository>,
+        config: &SommelierConfig,
+        path: &std::path::Path,
+    ) -> Result<Self, sommelier_index::persist::PersistError> {
         let (snapshot, format) = sommelier_index::persist::read_snapshot_sniffed_with(
             &sommelier_fault::StdStorage,
             path,
-        )
-        .map_err(|e| QueryError::Analysis(e.to_string()))?;
-        let mut engine = Self::assemble_from_snapshot(repo, config, snapshot);
+        )?;
+        let mut engine = Self::assemble_from_snapshot(Arc::clone(repo), config.clone(), snapshot);
         engine.snapshot_format = Some(format);
         Ok(engine)
     }
@@ -1330,16 +1318,21 @@ impl Sommelier {
             .and_then(|s| s.epoch)
             .map(|e| e.max(0) as u64)
             .unwrap_or(0);
-        let (semantic, resource) = (snapshot.semantic, snapshot.resource);
         let mut default_refs = HashMap::new();
         let mut tasks = HashMap::new();
-        for key in semantic.keys() {
+        for key in snapshot.semantic.keys() {
             if let Ok(model) = repo.load(key) {
                 keep_smallest(&mut default_refs, model.task, key);
                 tasks.insert(key.to_string(), model.task);
             }
         }
-        Self::assemble(repo, config, semantic, resource, default_refs, tasks, epoch)
+        let snapshot = EngineSnapshot {
+            semantic: snapshot.semantic,
+            resource: snapshot.resource,
+            default_refs,
+            epoch,
+        };
+        Self::assemble(repo, config, snapshot, tasks)
     }
 
     /// Connect restoring persisted indices, degrading gracefully when
@@ -1357,12 +1350,9 @@ impl Sommelier {
         path: &std::path::Path,
     ) -> Result<(Self, SnapshotRecovery), QueryError> {
         use sommelier_index::persist::PersistError;
-        match sommelier_index::persist::read_snapshot_sniffed_with(&sommelier_fault::StdStorage, path)
-        {
-            Ok((snapshot, format)) => {
+        match Self::open_snapshot(&repo, &config, path) {
+            Ok(engine) => {
                 counters::add("recovery.loads", 1);
-                let mut engine = Self::assemble_from_snapshot(repo, config, snapshot);
-                engine.snapshot_format = Some(format);
                 Ok((engine, SnapshotRecovery::Loaded))
             }
             Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1411,15 +1401,15 @@ impl Sommelier {
     /// experiments and the serving integration. A pair the I/O check
     /// rejects has no difference to measure: `QueryError::Analysis`.
     pub fn measure_diff(&self, reference: &str, candidate: &str) -> Result<f64, QueryError> {
-        let a = self.repo.load(reference)?;
-        let b = self.repo.load(candidate)?;
+        let a = self.reader.repo.load(reference)?;
+        let b = self.reader.repo.load(candidate)?;
         let (a, b) = (Subject::held(&a), Subject::held(&b));
         let measured = self.analyzer.whole_pair(&a, &b);
         // Records are kept for indexed models only.
         self.analyzer.forget(
             [a.fp, b.fp]
                 .into_iter()
-                .filter(|fp| !self.semantic.contains_fingerprint(*fp)),
+                .filter(|fp| !self.current.semantic.contains_fingerprint(*fp)),
         );
         let [(empirical, _), _] = measured.map_err(|why| {
             QueryError::Analysis(format!(
@@ -1584,7 +1574,8 @@ mod tests {
             std::process::id()
         ));
         engine.save_indices(&path).unwrap();
-        let restored = Sommelier::connect_with_indices(engine.repo.clone(), cfg, &path).unwrap();
+        let restored =
+            Sommelier::connect_with_indices(engine.reader.repo.clone(), cfg, &path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(restored.query(q).unwrap(), live);
     }
@@ -1594,13 +1585,14 @@ mod tests {
         let (mut engine, names) = engine_with_variants();
         let epoch = engine.epoch();
         let stored = |engine: &Sommelier| {
-            let keys = engine.repo.keys();
-            let models: Vec<Model> = keys.iter().map(|k| engine.repo.load(k).unwrap()).collect();
+            let keys = engine.reader.repo.keys();
+            let load = |k: &String| engine.reader.repo.load(k).unwrap();
+            let models: Vec<Model> = keys.iter().map(load).collect();
             (keys, models)
         };
         let before = stored(&engine);
-        let original = engine.repo.load(&names[0]).unwrap();
-        let mut other = engine.repo.load(&names[1]).unwrap();
+        let original = engine.reader.repo.load(&names[0]).unwrap();
+        let mut other = engine.reader.repo.load(&names[1]).unwrap();
         other.name = names[0].clone();
         let mut fresh = original.clone();
         fresh.name = "fresh".into();
@@ -1625,7 +1617,9 @@ mod tests {
             "{err}"
         );
         // A new key beside an indexed key the batch does not remove.
-        let batch = MutationBatch::new().register(fresh).register(original);
+        let batch = MutationBatch::new()
+            .register(fresh.clone())
+            .register(original.clone());
         let err = engine.apply(batch).unwrap_err();
         assert!(
             matches!(&err, QueryError::AlreadyIndexed(k) if k == &names[0]),
@@ -1637,6 +1631,67 @@ mod tests {
         assert!(stored(&engine) == before);
         assert_eq!(engine.epoch(), epoch);
         assert_eq!(engine.len(), names.len());
+
+        // A new key beside a key that is stored but no longer indexed:
+        // a removal leaves the file, and only a replace overwrites it.
+        assert_eq!(unregister(&mut engine, &names[0]), 1);
+        let (before, epoch) = (stored(&engine), engine.epoch());
+        let batch = MutationBatch::new()
+            .register(fresh)
+            .register(original.clone());
+        let err = engine.apply(batch).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Repo(RepoError::AlreadyExists { key }) if key == &names[0]),
+            "{err}"
+        );
+        assert!(stored(&engine) == before, "an add was stored");
+        assert_eq!(engine.epoch(), epoch);
+        assert_eq!(engine.len(), names.len() - 1);
+        assert_eq!(replace(&mut engine, &original), 1);
+    }
+
+    #[test]
+    fn the_published_snapshot_is_the_engines_only_state() {
+        let held_once = |engine: &Sommelier, step: &str| {
+            let published = engine.reader().snapshot();
+            assert!(
+                std::ptr::eq(engine.semantic_index(), &published.semantic),
+                "{step}: a second semantic index"
+            );
+            assert!(
+                std::ptr::eq(engine.resource_index(), &published.resource),
+                "{step}: a second resource index"
+            );
+            assert_eq!(engine.epoch(), published.epoch, "{step}");
+        };
+        let image = TaskKind::ImageRecognition;
+        let repo: Arc<dyn ModelRepository> = Arc::new(InMemoryRepository::new());
+        let mut engine = Sommelier::connect(Arc::clone(&repo), SommelierConfig::default());
+        held_once(&engine, "connect");
+        engine.register(&net("a", image, 16, 4, 1)).unwrap();
+        held_once(&engine, "register");
+        repo.publish("b", &net("b", image, 16, 4, 2), false)
+            .unwrap();
+        assert_eq!(engine.index_existing().unwrap(), 1);
+        held_once(&engine, "index_existing");
+        assert_eq!(replace(&mut engine, &net("a", image, 16, 4, 3)), 2);
+        held_once(&engine, "replace");
+
+        // A batch that changes nothing keeps the published `Arc`.
+        let (pinned, epoch) = (engine.reader().snapshot(), engine.epoch());
+        assert_eq!(unregister(&mut engine, "ghost"), 0);
+        assert!(Arc::ptr_eq(&pinned, &engine.reader().snapshot()));
+        assert_eq!(engine.epoch(), epoch);
+        held_once(&engine, "no-op batch");
+
+        let path =
+            std::env::temp_dir().join(format!("somm-engine-state-{}.json", std::process::id()));
+        engine.save_indices(&path).unwrap();
+        let restored =
+            Sommelier::connect_with_indices(repo, SommelierConfig::default(), &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        held_once(&restored, "connect_with_indices");
+        assert_eq!(restored.epoch(), epoch);
     }
 
     #[test]
@@ -1719,7 +1774,7 @@ mod tests {
 
         // A fresh engine restored from the snapshot answers identically
         // without re-analysis. The repository must be shared.
-        let repo = engine.repo.clone();
+        let repo = engine.reader.repo.clone();
         let restored = Sommelier::connect_with_indices(
             repo,
             SommelierConfig::default(),
@@ -1761,7 +1816,7 @@ mod tests {
         assert_ne!(before.memory_mb, after.memory_mb);
         assert_eq!(engine.len(), 4, "model count unchanged after update");
         // The repository holds the new version.
-        let stored = engine.repo.load(&names[2]).unwrap();
+        let stored = engine.reader.repo.load(&names[2]).unwrap();
         assert_eq!(stored.metadata["family"], "vggish");
     }
 
@@ -1935,7 +1990,7 @@ mod tests {
             assert_eq!(replace(&mut engine, &model), 1);
             let loaded = repo.loads() - loads_before;
             assert!(
-                loaded <= engine.config.index.sample_size,
+                loaded <= engine.reader.config.index.sample_size,
                 "{name}: re-add loaded {loaded} partners"
             );
             assert!(image(&engine) == before, "{name}: re-add drifted from the pre-drop state");
@@ -1993,7 +2048,7 @@ mod tests {
     fn mutation_batch_coalesces_into_one_publish() {
         let (mut engine, names) = engine_with_variants();
         let epoch_before = engine.epoch();
-        let replacement = engine.repo.load(&names[1]).unwrap();
+        let replacement = engine.reader.repo.load(&names[1]).unwrap();
         let batch = MutationBatch::new()
             .unregister(&names[0])
             .unregister(&names[1])
@@ -2207,7 +2262,7 @@ mod tests {
         ));
         engine.save_indices(&path).unwrap();
         let restored = Sommelier::connect_with_indices(
-            engine.repo.clone(),
+            engine.reader.repo.clone(),
             SommelierConfig::default(),
             &path,
         )
@@ -2229,7 +2284,7 @@ mod tests {
         };
         let before = counters::get("recovery.rebuilds");
         let (restored, outcome) =
-            Sommelier::connect_or_recover(engine.repo.clone(), config.clone(), path).unwrap();
+            Sommelier::connect_or_recover(engine.reader.repo.clone(), config.clone(), path).unwrap();
         match &outcome {
             SnapshotRecovery::RebuiltQuarantined(q) => {
                 assert!(q.exists(), "{case}: evidence file preserved")
@@ -2250,7 +2305,7 @@ mod tests {
         let resaved = sommelier_index::persist::read_snapshot(path).expect("resaved image reads");
         assert_eq!(resaved.version, sommelier_index::persist::SNAPSHOT_VERSION, "{case}");
         let (_again, outcome) =
-            Sommelier::connect_or_recover(engine.repo.clone(), config, path).unwrap();
+            Sommelier::connect_or_recover(engine.reader.repo.clone(), config, path).unwrap();
         assert!(matches!(outcome, SnapshotRecovery::Loaded), "{case}");
     }
 
@@ -2308,13 +2363,13 @@ mod tests {
         assert!(engine.snapshot_format().is_none(), "fresh engine, no load");
 
         let from_json = Sommelier::connect_with_indices(
-            engine.repo.clone(),
+            engine.reader.repo.clone(),
             SommelierConfig::default(),
             &jpath,
         )
         .unwrap();
         let from_bin = Sommelier::connect_with_indices(
-            engine.repo.clone(),
+            engine.reader.repo.clone(),
             SommelierConfig::default(),
             &bpath,
         )
@@ -2373,7 +2428,7 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
         let (restored, outcome) = Sommelier::connect_or_recover(
-            engine.repo.clone(),
+            engine.reader.repo.clone(),
             SommelierConfig {
                 validation_rows: 128,
                 ..SommelierConfig::default()

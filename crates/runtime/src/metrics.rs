@@ -216,39 +216,24 @@ pub mod counters {
     }
 }
 
-/// Latency histograms: named series of per-operation timings with
-/// nearest-rank quantiles (p50/p90/p99).
+/// Latency histograms: named, mergeable bucket counts of per-operation
+/// timings with p50/p90/p99 reads.
 ///
-/// The batched query path records one sample per lane here so tooling can
+/// The batched query path and the daemon record here so tooling can
 /// report tail latency without threading timers through the engine. Like
 /// [`counters`], the registry is process-global observability state.
 ///
-/// Two recording surfaces coexist:
-///
-/// * exact series ([`record`]/[`quantiles`]) — every sample is kept, the
-///   quantiles are exact, and every `record` takes the registry lock.
-///   Wrong for a server's per-request path, and nothing in the
-///   workspace records into it any more; it stays only until
-///   `benchmark/` stops reading [`quantiles`].
-/// * mergeable histograms ([`Histogram`]/[`LocalRecorder`]) — each
-///   serving thread accumulates into a private fixed-size bucket array
-///   (no lock, no allocation) and periodically merges it into a shared
-///   [`Histogram`] with one relaxed atomic add per non-empty bucket.
-///   Quantiles are read from the merged buckets at bounded relative
-///   error (bucket bounds grow by √2). This is what the query daemon
-///   records per-connection latency through.
+/// Each serving thread accumulates into a private fixed-size bucket array
+/// ([`LocalRecorder`]: no lock, no allocation) and periodically merges it
+/// into a shared [`Histogram`] with one relaxed atomic add per non-empty
+/// bucket. Quantiles are read from the merged buckets at bounded relative
+/// error (bucket bounds grow by √2).
 pub mod latency {
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
 
-    static SERIES: OnceLock<Mutex<BTreeMap<String, Vec<f64>>>> = OnceLock::new();
-
-    fn series() -> &'static Mutex<BTreeMap<String, Vec<f64>>> {
-        SERIES.get_or_init(|| Mutex::new(BTreeMap::new()))
-    }
-
-    /// Quantile summary of one named series.
+    /// Quantile summary of one histogram.
     #[derive(Clone, Copy, Debug, PartialEq)]
     pub struct LatencyQuantiles {
         /// Recorded samples.
@@ -261,43 +246,9 @@ pub mod latency {
         pub p99: f64,
     }
 
-    /// Record one sample (any unit; the engine records milliseconds).
-    pub fn record(name: &str, sample: f64) {
-        series()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_default()
-            .push(sample);
-    }
-
-    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    }
-
-    /// Quantiles of the named series (`None` if nothing was recorded).
-    pub fn quantiles(name: &str) -> Option<LatencyQuantiles> {
-        let map = series().lock().unwrap_or_else(|e| e.into_inner());
-        let samples = map.get(name).filter(|s| !s.is_empty())?;
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        Some(LatencyQuantiles {
-            count: sorted.len(),
-            p50: nearest_rank(&sorted, 0.50),
-            p90: nearest_rank(&sorted, 0.90),
-            p99: nearest_rank(&sorted, 0.99),
-        })
-    }
-
-    /// Drop every recorded sample and zero every merged histogram.
-    /// Histogram handles stay valid (buckets are zeroed in place, not
-    /// replaced), mirroring [`super::counters::reset`].
+    /// Zero every merged histogram. Handles stay valid (buckets are
+    /// zeroed in place, not replaced), mirroring [`super::counters::reset`].
     pub fn reset() {
-        series()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
         let map = histograms().lock().unwrap_or_else(|e| e.into_inner());
         for h in map.values() {
             h.reset();
@@ -486,7 +437,7 @@ pub mod latency {
 
     /// Quantiles of the named merged histogram (`None` if empty or
     /// never registered).
-    pub fn histogram_quantiles(name: &str) -> Option<LatencyQuantiles> {
+    pub fn quantiles(name: &str) -> Option<LatencyQuantiles> {
         let map = histograms().lock().unwrap_or_else(|e| e.into_inner());
         map.get(name).and_then(|h| h.quantiles())
     }
@@ -509,36 +460,10 @@ pub mod latency {
         use super::*;
         use std::sync::MutexGuard;
 
-        /// `reset()` clears every series, so latency tests serialize.
+        /// `reset()` zeroes every histogram, so latency tests serialize.
         fn serialize() -> MutexGuard<'static, ()> {
             static LOCK: Mutex<()> = Mutex::new(());
             LOCK.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        #[test]
-        fn quantiles_use_nearest_rank() {
-            let _guard = serialize();
-            let name = "test.latency.series_a";
-            for v in 1..=100 {
-                record(name, v as f64);
-            }
-            let q = quantiles(name).unwrap();
-            assert_eq!(q.count, 100);
-            assert_eq!(q.p50, 50.0);
-            assert_eq!(q.p90, 90.0);
-            assert_eq!(q.p99, 99.0);
-            reset();
-            assert!(quantiles(name).is_none());
-        }
-
-        #[test]
-        fn single_sample_is_every_quantile() {
-            let _guard = serialize();
-            let name = "test.latency.series_b";
-            record(name, 7.5);
-            let q = quantiles(name).unwrap();
-            assert_eq!((q.p50, q.p90, q.p99), (7.5, 7.5, 7.5));
-            reset();
         }
 
         #[test]
@@ -583,7 +508,7 @@ pub mod latency {
             for t in threads {
                 t.join().unwrap();
             }
-            let q = histogram_quantiles("test.hist.merge").unwrap();
+            let q = quantiles("test.hist.merge").unwrap();
             assert_eq!(q.count, 1000);
             assert!(q.p50 <= q.p90 && q.p90 <= q.p99);
             reset();
@@ -597,10 +522,10 @@ pub mod latency {
             assert_eq!(h.count(), 1);
             reset();
             assert_eq!(h.count(), 0);
-            assert!(histogram_quantiles("test.hist.reset").is_none());
+            assert!(quantiles("test.hist.reset").is_none());
             // The pre-reset handle still feeds the registered histogram.
             h.record(2.0);
-            assert_eq!(histogram_quantiles("test.hist.reset").unwrap().count, 1);
+            assert_eq!(quantiles("test.hist.reset").unwrap().count, 1);
             reset();
         }
 
@@ -618,8 +543,8 @@ pub mod latency {
     }
 }
 
-/// Reset every metrics surface (counters and latency series) to empty,
-/// so a measured phase starts from a clean slate.
+/// Reset every metrics surface (counters and latency histograms) to
+/// zero, so a measured phase starts from a clean slate.
 pub fn reset() {
     counters::reset();
     latency::reset();
