@@ -20,6 +20,8 @@ fn bench_matmul(c: &mut Criterion) {
 
 fn bench_spectral_norm(c: &mut Criterion) {
     let mut group = c.benchmark_group("spectral_norm");
+    // A call is 10-600 us; fifty samples would time a few milliseconds.
+    group.sample_size(400);
     for &n in &[64usize, 128, 256] {
         let mut rng = Prng::seed_from_u64(2);
         let m = Tensor::gaussian(n, n, 1.0, &mut rng);
@@ -27,12 +29,19 @@ fn bench_spectral_norm(c: &mut Criterion) {
             bch.iter(|| linalg::spectral_norm_default(&m))
         });
     }
-    // The shapes a register hands the kernel: a dense layer, a 3-tap
-    // convolution's Toeplitz matrix (width 96 → 94), and the zoo's
-    // largest matrix, the 192 → 96 stem (18 432 cells).
+    // The shapes a register hands the kernel. On `curate`'s zoo nearly
+    // every call is a square Dense layer: per register about five at
+    // 96x96, three at 64x64 and two at 80x80. `dense_192x96` is the
+    // zoo's largest matrix, the 192 -> 96 stem (18 432 cells), and
+    // `dense_96x64` a narrowing layer. The 3-tap convolution's Toeplitz
+    // matrix (width 96 -> 94) is the conv shape.
     let mut rng = Prng::seed_from_u64(2);
+    let mut square = Prng::seed_from_u64(3);
     let taps = [1.0f32, 0.3, -0.2];
     let zoo = [
+        ("dense_96x96", Tensor::gaussian(96, 96, 0.1, &mut square)),
+        ("dense_80x80", Tensor::gaussian(80, 80, 0.1, &mut square)),
+        ("dense_64x64", Tensor::gaussian(64, 64, 0.1, &mut square)),
         ("dense_96x64", Tensor::gaussian(96, 64, 0.1, &mut rng)),
         (
             "conv_toeplitz_96x94",

@@ -101,7 +101,7 @@ pub fn init(args: &[String]) -> CmdResult {
     let dir = repo_dir(&positional)?;
     std::fs::create_dir_all(&dir).map_err(fail)?;
     OnDiskRepository::open(&dir).map_err(fail)?;
-    println!("initialized empty repository at {}", dir.display());
+    outln!("initialized empty repository at {}", dir.display());
     Ok(())
 }
 
@@ -154,11 +154,11 @@ pub fn seed(args: &[String]) -> CmdResult {
             published += 1;
         }
     }
-    println!(
+    outln!(
         "seeded {} with {published} models across {n_series} series",
         dir.display()
     );
-    println!("(run `sommelier index {}` to build the indices)", dir.display());
+    outln!("(run `sommelier index {}` to build the indices)", dir.display());
     Ok(())
 }
 
@@ -177,7 +177,7 @@ pub fn add(args: &[String]) -> CmdResult {
     let key = &model.name;
     let repo = open_repo(&dir)?;
     repo.publish(key, &model, false).map_err(fail)?;
-    println!("published '{key}' ({} parameters)", model.param_count());
+    outln!("published '{key}' ({} parameters)", model.param_count());
     Ok(())
 }
 
@@ -192,7 +192,7 @@ pub fn export(args: &[String]) -> CmdResult {
     let file = positional.get(2).ok_or("missing output file argument")?;
     let model = open_repo(&dir)?.load(key).map_err(fail)?;
     serde_model::save(&model, Path::new(file)).map_err(fail)?;
-    println!("exported '{key}' to {file}");
+    outln!("exported '{key}' to {file}");
     Ok(())
 }
 
@@ -203,11 +203,11 @@ pub fn list(args: &[String]) -> CmdResult {
     let repo = open_repo(&dir)?;
     let keys = repo.keys();
     if keys.is_empty() {
-        println!("(repository is empty)");
+        outln!("(repository is empty)");
         return Ok(());
     }
     for key in keys {
-        println!("{key}");
+        outln!("{key}");
     }
     Ok(())
 }
@@ -220,21 +220,21 @@ pub fn show(args: &[String]) -> CmdResult {
     let repo = open_repo(&dir)?;
     let model = repo.load(key).map_err(fail)?;
     let profile = ResourceProfile::of(&model);
-    println!("key:        {key}");
-    println!("name:       {}", model.name);
-    println!("version:    {}", model.version);
-    println!("task:       {}", model.task);
-    println!("input:      {}", model.input_shape);
-    println!("output:     {} dims", model.output_width());
-    println!("layers:     {}", model.num_layers());
-    println!("parameters: {}", model.param_count());
-    println!("memory:     {:.3} MB", profile.memory_mb);
-    println!("compute:    {:.6} GFLOPs", profile.gflops);
-    println!("latency:    {:.3} ms (cpu, batch 1)", profile.latency_ms);
+    outln!("key:        {key}");
+    outln!("name:       {}", model.name);
+    outln!("version:    {}", model.version);
+    outln!("task:       {}", model.task);
+    outln!("input:      {}", model.input_shape);
+    outln!("output:     {} dims", model.output_width());
+    outln!("layers:     {}", model.num_layers());
+    outln!("parameters: {}", model.param_count());
+    outln!("memory:     {:.3} MB", profile.memory_mb);
+    outln!("compute:    {:.6} GFLOPs", profile.gflops);
+    outln!("latency:    {:.3} ms (cpu, batch 1)", profile.latency_ms);
     if !model.metadata.is_empty() {
-        println!("metadata:");
+        outln!("metadata:");
         for (k, v) in &model.metadata {
-            println!("  {k} = {v}");
+            outln!("  {k} = {v}");
         }
     }
     Ok(())
@@ -251,7 +251,7 @@ pub fn index(args: &[String]) -> CmdResult {
     let added = engine.index_existing().map_err(fail)?;
     let secs = start.elapsed().as_secs_f64();
     engine.save_indices(&snapshot_path(&dir)).map_err(fail)?;
-    println!(
+    outln!(
         "indexed {added} models in {secs:.1}s with {} job(s) → {}",
         engine.jobs(),
         snapshot_path(&dir).display()
@@ -284,7 +284,7 @@ pub fn apply(args: &[String]) -> CmdResult {
         }
     }
     if batch.is_empty() {
-        println!("nothing to apply (pass --add FILE and/or --remove KEY)");
+        outln!("nothing to apply (pass --add FILE and/or --remove KEY)");
         return Ok(());
     }
     let cfg = engine_config(&engine_flags)?;
@@ -294,7 +294,7 @@ pub fn apply(args: &[String]) -> CmdResult {
     let applied = engine.apply(batch).map_err(fail)?;
     let secs = start.elapsed().as_secs_f64();
     engine.save_indices(&path).map_err(fail)?;
-    println!(
+    outln!(
         "applied {applied} mutation(s) in {secs:.2}s (epoch {}) → {}",
         engine.epoch(),
         path.display()
@@ -347,7 +347,7 @@ pub fn compact(args: &[String]) -> CmdResult {
     if format == sommelier_index::SnapshotFormat::Json && json.exists() {
         storage.remove(&json).map_err(fail)?;
     }
-    println!(
+    outln!(
         "compacted {} snapshot ({from_bytes} bytes) → {} ({to_bytes} bytes)",
         format,
         target.display()
@@ -387,17 +387,18 @@ fn load_engine(dir: &Path, cfg: SommelierConfig) -> Result<Sommelier, String> {
     Ok(engine)
 }
 
-fn print_result_table(results: &[sommelier_query::QueryResult]) {
-    println!(
+fn print_result_table(results: &[sommelier_query::QueryResult]) -> CmdResult {
+    outln!(
         "{:<28} {:>7} {:>10} {:>12} {:>10}",
         "key", "score", "mem (MB)", "GFLOPs", "lat (ms)"
     );
     for r in results {
-        println!(
+        outln!(
             "{:<28} {:>7.3} {:>10.3} {:>12.6} {:>10.3}",
             r.key, r.score, r.profile.memory_mb, r.profile.gflops, r.profile.latency_ms
         );
     }
+    Ok(())
 }
 
 /// `sommelier query <dir> <query-text> [--jobs N] [--repeat K]
@@ -476,7 +477,7 @@ pub fn query(args: &[String]) -> CmdResult {
             ("latency".to_string(), latency),
             ("queries".to_string(), queries),
         ]);
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&rendered).map_err(fail)?
         );
@@ -489,15 +490,15 @@ pub fn query(args: &[String]) -> CmdResult {
     let first = items.first().expect("repeat >= 1");
     let results = first.results.as_ref().map_err(|e| e.to_string())?;
     if results.is_empty() {
-        println!("(no model satisfies all predicates)");
+        outln!("(no model satisfies all predicates)");
     } else {
-        print_result_table(results);
+        print_result_table(results)?;
     }
     if repeat > 1 {
-        println!();
+        outln!();
         for (i, item) in items.iter().enumerate() {
             let n = item.results.as_ref().map(Vec::len).unwrap_or(0);
-            println!(
+            outln!(
                 "query #{:<3} {} result(s) in {:>8.3} ms  (epoch {})",
                 i + 1,
                 n,
@@ -506,14 +507,14 @@ pub fn query(args: &[String]) -> CmdResult {
             );
         }
         let stats = reader.plan_cache_stats();
-        println!(
+        outln!(
             "{} lane(s); plan cache: {} hit(s), {} miss(es)",
             reader.jobs(),
             stats.hits,
             stats.misses
         );
     } else {
-        println!("served from epoch {} in {:.3} ms", first.epoch, first.latency_ms);
+        outln!("served from epoch {} in {:.3} ms", first.epoch, first.latency_ms);
     }
     Ok(())
 }
@@ -538,7 +539,7 @@ pub fn diff(args: &[String]) -> CmdResult {
         ..EquivConfig::default()
     };
     let explanation = explain(&reference, &candidate, &probe, &cfg, 0.15, &mut rng);
-    print!("{explanation}");
+    out!("{explanation}");
     Ok(())
 }
 
@@ -549,7 +550,7 @@ pub fn dot(args: &[String]) -> CmdResult {
     let key = positional.get(1).ok_or("missing model key argument")?;
     let repo = open_repo(&dir)?;
     let model = repo.load(key).map_err(fail)?;
-    print!("{}", sommelier_graph::dot::to_dot(&model, &[]));
+    out!("{}", sommelier_graph::dot::to_dot(&model, &[]));
     Ok(())
 }
 
@@ -621,8 +622,8 @@ fn check(args: &[String], deep: bool) -> CmdResult {
         report.subtract(&known);
     }
     match format {
-        "json" => println!("{}", report.to_json()),
-        _ => print!("{}", report.render_text()),
+        "json" => outln!("{}", report.to_json()),
+        _ => out!("{}", report.render_text()),
     }
     let denied = deny.count_denied(&report.diagnostics);
     if denied > 0 {
@@ -674,12 +675,12 @@ pub fn fsck(args: &[String]) -> CmdResult {
     for (finding, outcome) in scan.findings.iter().zip(&outcomes) {
         let (kind, file) = (finding.kind, &finding.file);
         match outcome {
-            Outcome::Left => println!("{file}: {} ({})", finding.message, kind.fix().hint()),
-            Outcome::Removed => println!("removed {} {file}", kind.label()),
+            Outcome::Left => outln!("{file}: {} ({})", finding.message, kind.fix().hint()),
+            Outcome::Removed => outln!("removed {} {file}", kind.label()),
             Outcome::Quarantined(to) => {
-                println!("quarantined {file} ({}) → {to}", kind.label());
+                outln!("quarantined {file} ({}) → {to}", kind.label());
                 if prune {
-                    println!("pruned quarantined file {to}");
+                    outln!("pruned quarantined file {to}");
                 }
             }
         }
@@ -708,25 +709,25 @@ pub fn fsck(args: &[String]) -> CmdResult {
             match outcome {
                 SnapshotRecovery::RebuiltQuarantined(q) => {
                     let to = q.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-                    println!("quarantined unreadable index snapshot → {to}; rebuilt and re-saved");
+                    outln!("quarantined unreadable index snapshot → {to}; rebuilt and re-saved");
                     // The quarantine postdates the scan; honor --prune
                     // in the same invocation.
                     if prune {
                         storage.remove(&q).map_err(fail)?;
-                        println!("pruned quarantined file {to}");
+                        outln!("pruned quarantined file {to}");
                     }
                 }
-                _ => println!("rebuilt and re-saved the index snapshot"),
+                _ => outln!("rebuilt and re-saved the index snapshot"),
             }
         } else {
-            println!("unreadable index snapshot: {}: {e}", index.display());
+            outln!("unreadable index snapshot: {}: {e}", index.display());
         }
     }
     if findings == 0 {
-        println!("{}: clean ({} file(s) checked)", dir.display(), scan.files_checked);
+        outln!("{}: clean ({} file(s) checked)", dir.display(), scan.files_checked);
         return Ok(());
     }
-    println!("{}: {findings} finding(s), {fixed} fixed", dir.display());
+    outln!("{}: {findings} finding(s), {fixed} fixed", dir.display());
     if fixed < findings {
         return Err(format!(
             "fsck found {} unresolved issue(s)",
@@ -754,7 +755,7 @@ pub fn dedup(args: &[String]) -> CmdResult {
     let dir = repo_dir(&positional)?;
     let repo = open_repo(&dir)?;
     let stats = dedup_store(&repo).map_err(fail)?;
-    println!(
+    outln!(
         "{}: {} model(s) — {} full manifest(s), {} delta(s), {} already chunked",
         dir.display(),
         stats.models,
@@ -763,7 +764,7 @@ pub fn dedup(args: &[String]) -> CmdResult {
         stats.skipped
     );
     if stats.full + stats.delta > 0 {
-        println!(
+        outln!(
             "model storage {} → {} bytes ({:.2}x size cut)",
             stats.bytes_before,
             stats.bytes_after,
@@ -810,19 +811,19 @@ pub fn serve(args: &[String]) -> CmdResult {
     }
     let cfg = engine_config(&engine_flags)?;
     let engine = load_engine(&dir, cfg)?;
-    println!(
+    outln!(
         "serving {} model(s) from {} (epoch {})",
         engine.len(),
         dir.display(),
         engine.epoch()
     );
     let handle = sommelier_serving::Daemon::serve(engine, daemon_cfg)?;
-    println!("listening on {}", handle.addr());
+    outln!("listening on {}", handle.addr());
     // Flush eagerly: daemon smoke scripts poll stdout for the line.
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     handle.wait();
-    println!("daemon stopped");
+    outln!("daemon stopped");
     Ok(())
 }
 
@@ -875,7 +876,7 @@ pub fn client(args: &[String]) -> CmdResult {
         other => return Err(format!("unknown op '{other}'")),
     }
     .map_err(|e| format!("request failed: {e}"))?;
-    println!(
+    outln!(
         "{}",
         serde_json::to_string_pretty(&reply.body).map_err(fail)?
     );

@@ -14,7 +14,38 @@
 //! sommelier diff hub/ bitish-r152x4 efficientnetish-b5
 //! ```
 
+/// `print!` for the commands: see [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` for the commands: see [`emit`].
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod commands;
+
+/// Write to stdout. A reader that went away (`sommelier list hub | head
+/// -1`) is not an error: the rest of the output is dropped, and the
+/// command runs to its end and exits with its own status. Any other
+/// write error fails the command.
+fn emit(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write as _;
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
 
 use std::process::ExitCode;
 
@@ -137,10 +168,7 @@ fn main() -> ExitCode {
         "dedup" => commands::dedup(rest),
         "serve" => commands::serve(rest),
         "client" => commands::client(rest),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => emit(format_args!("{USAGE}")),
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
     };
     match result {

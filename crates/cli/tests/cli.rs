@@ -1,7 +1,7 @@
 //! End-to-end tests driving the `sommelier` binary as a subprocess.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_sommelier")
@@ -47,6 +47,32 @@ fn unknown_command_is_an_error() {
     let out = run(&["frobnicate"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown command"));
+}
+
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    // The reader of the pipe is gone before the first line is written,
+    // as when `sommelier list hub | head -1` has its line, or a pager
+    // quits: every write fails with EPIPE.
+    let dir = temp_repo("closed-stdout");
+    let d = dir.to_str().unwrap();
+    assert!(run(&["init", d]).status.success());
+    assert!(run(&["seed", d, "--series", "1", "--seed", "3"]).status.success());
+    let listing = stdout(&run(&["list", d]));
+    let key = listing.lines().next().expect("a seeded key");
+    for args in [vec!["list", d], vec!["show", d, key], vec!["help"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin())
+            .args(&args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).is_empty(), "{args:?}: {}", stderr(&out));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -9,6 +9,28 @@
 //! iteration. [`spectral_norm`] runs its own vectorizable kernel, but each
 //! output element is summed in the same order as `matvec` / `matvec_t`,
 //! so results are bit-identical to them.
+//!
+//! # One kernel, dispatched on the CPU's SIMD width
+//!
+//! The power iteration and [`crate::ops::matmul`] share one four-row
+//! kernel (`matvec_t_into`; row `i` of `a · b` is `bᵀ`'s product with
+//! row `i` of `a`). The kernel and everything the power iteration calls
+//! are `#[inline(always)]`, so each entry point is compiled twice on
+//! x86-64: for the baseline (SSE2, four `f32` lanes) and under `avx2`
+//! (eight). Each call runs the AVX2 copy when the CPU reports AVX2,
+//! picked with `is_x86_feature_detected!` as
+//! `sommelier_index::somb::crc32` picks its SSE4.2 path. Other targets
+//! compile only the baseline copy. An `avx512f` copy ran the kernel
+//! faster still, but the queries served after each apply read slower
+//! (the core's AVX-512 clock license outlives the kernel), so it is
+//! not built.
+//!
+//! The copies return the same bits. Every output element is one lane,
+//! and every lane does the same IEEE-754 multiply, then the same add,
+//! in the same order as the scalar loop. Rust never contracts `a * b + c`
+//! into a fused multiply-add, so no FMA instruction is emitted. The
+//! `f64` norms are sequential sums in every copy. The tests hold each
+//! tier the host detects to the baseline bit for bit.
 
 use crate::rng::Prng;
 use crate::tensor::Tensor;
@@ -37,11 +59,13 @@ pub fn matvec_t(m: &Tensor, v: &[f32]) -> Vec<f32> {
 }
 
 /// Euclidean norm of a vector.
+#[inline(always)]
 pub fn l2_norm(v: &[f32]) -> f64 {
     v.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
 }
 
 /// Scale a vector to unit norm in place; returns the pre-scaling norm.
+#[inline(always)]
 fn normalize(v: &mut [f32]) -> f64 {
     let n = l2_norm(v);
     if n > 0.0 {
@@ -62,28 +86,118 @@ fn normalize(v: &mut [f32]) -> f64 {
 ///
 /// Each output element of `m v` and `mᵀ (m v)` is summed in the same order
 /// as [`matvec`] / [`matvec_t`], so results are bit-identical to a loop
-/// over them. If an iterate overflows `f32`, the iteration reruns on `m`
-/// scaled by a power of two (exact) and scales σ back.
+/// over them, on every instruction set the kernel is dispatched to (see
+/// the module docs). If an iterate overflows `f32`, the iteration reruns
+/// on `m` scaled by a power of two (exact) and scales σ back.
 pub fn spectral_norm(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> f64 {
+    spectral_norm_on(Isa::widest(), m, tol, max_iters, seed)
+}
+
+/// [`spectral_norm`] with its power iteration compiled for `isa`.
+fn spectral_norm_on(isa: Isa, m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> f64 {
     if m.rows() == 0 || m.cols() == 0 {
         return 0.0;
     }
     if !m.as_slice().iter().all(|x| x.is_finite()) {
         return f64::NAN;
     }
-    if let Some(sigma) = power_iteration(m, tol, max_iters, seed) {
+    if let Some(sigma) = power_iteration(isa, m, tol, max_iters, seed) {
         return sigma;
     }
     // Bring the largest entry into [1, 2). The exponent is clamped so the
     // factor 2⁻ᵏ stays finite in f32.
     let k = (m.max_abs() as f64).log2().floor().max(-126.0) as i32;
     let scaled = m.map(|x| x * 2f64.powi(-k) as f32);
-    power_iteration(&scaled, tol, max_iters, seed).map_or(f64::NAN, |s| s * 2f64.powi(k))
+    power_iteration(isa, &scaled, tol, max_iters, seed).map_or(f64::NAN, |s| s * 2f64.powi(k))
+}
+
+/// An instruction set the kernel is compiled for. `Baseline` is what
+/// the target builds for by default (SSE2 on x86-64); `Avx2` exists on
+/// x86-64 only, and runs only where the CPU reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    Baseline,
+    Avx2,
+}
+
+impl Isa {
+    /// The widest instruction set this CPU reports.
+    pub(crate) fn widest() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Baseline
+    }
+
+    /// Every instruction set this CPU can run, narrowest first.
+    #[cfg(test)]
+    pub(crate) fn detected() -> Vec<Isa> {
+        let mut isas = vec![Isa::Baseline];
+        if Isa::widest() == Isa::Avx2 {
+            isas.push(Isa::Avx2);
+        }
+        isas
+    }
+}
+
+/// Defines `fn $name(isa: Isa, args…)`, which runs the `#[inline(always)]`
+/// `$body` compiled for `isa`: the wide copy under `#[target_feature]`,
+/// entered only after the CPU is seen to have the feature. An `isa` the
+/// CPU lacks runs the baseline copy.
+macro_rules! per_isa {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $body:ident) => {
+        $(#[$doc])*
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        $vis fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if isa == Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+                /// `$body` compiled for AVX2.
+                ///
+                /// # Safety
+                ///
+                /// The CPU must support AVX2.
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                // SAFETY: the CPU reports AVX2.
+                return unsafe { avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+per_isa! {
+    /// The power iteration of [`spectral_norm`], compiled for `isa`.
+    fn power_iteration(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> Option<f64>
+        = power_iteration_body
+}
+
+per_isa! {
+    /// `out ← a · b` for `a: [m, k]`, `b: [k, n]` and `out: [m, n]`,
+    /// compiled for `isa`. Row `i` is `matvec_t_into(b, a.row(i))`: the
+    /// products `a_ik · b_kj` added in `k` order from `0.0`, a zero
+    /// `a_ik` skipped.
+    pub(crate) fn matmul_on(a: &Tensor, b: &Tensor, out: &mut Tensor) = matmul_body
+}
+
+#[inline(always)]
+fn matmul_body(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    // The kernel walks `b` in runs of whole rows, which needs `n > 0`.
+    if out.cols() == 0 {
+        return;
+    }
+    for i in 0..a.rows() {
+        let _ = matvec_t_into(b, a.row(i), out.row_mut(i));
+    }
 }
 
 /// The power iteration of [`spectral_norm`] on a finite, non-empty `m`;
 /// `None` once `‖m v‖` is not finite.
-fn power_iteration(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> Option<f64> {
+#[inline(always)]
+fn power_iteration_body(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> Option<f64> {
     let mt = m.transpose();
     let mut rng = Prng::seed_from_u64(seed);
     let mut v: Vec<f32> = (0..m.cols()).map(|_| rng.gaussian() as f32).collect();
@@ -94,16 +208,16 @@ fn power_iteration(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> Option<
     let mut next = vec![0.0f32; m.cols()];
     let mut sigma = 0.0f64;
     for _ in 0..max_iters {
-        // v ← normalize(mᵀ (m v)); σ ← ‖m v‖
+        // v ← normalize(mᵀ (m v)); σ ← ‖m v‖, summed in the mᵀ pass so
+        // that its serial adds overlap the pass's vector work.
         matvec_by_columns(&mt, &v, &mut mv);
-        let new_sigma = l2_norm(&mv);
+        let new_sigma = matvec_t_into(m, &mv, &mut next).sqrt();
         if !new_sigma.is_finite() {
             return None;
         }
         if new_sigma == 0.0 {
             return Some(0.0);
         }
-        matvec_t_into(m, &mv, &mut next);
         normalize(&mut next);
         std::mem::swap(&mut v, &mut next);
         let rel = (new_sigma - sigma).abs() / new_sigma.max(1e-30);
@@ -118,6 +232,7 @@ fn power_iteration(m: &Tensor, tol: f64, max_iters: usize, seed: u64) -> Option<
 /// `out ← m v`, given `mt = mᵀ`. Every row's sum folds from `-0.0` (as
 /// `f32::sum` does) over the columns in order, exactly as [`matvec`];
 /// the rows are independent lanes.
+#[inline(always)]
 fn matvec_by_columns(mt: &Tensor, v: &[f32], out: &mut [f32]) {
     let rows = out.len();
     out.fill(-0.0);
@@ -132,13 +247,19 @@ fn matvec_by_columns(mt: &Tensor, v: &[f32], out: &mut [f32]) {
 }
 
 /// `out ← mᵀ y`, exactly as [`matvec_t`]: rows with `y[r] == 0` are
-/// skipped, and four rows go per pass when none of them is.
-fn matvec_t_into(m: &Tensor, y: &[f32], out: &mut [f32]) {
+/// skipped, and four rows go per pass when none of them is. Returns
+/// `‖y‖²` summed in row order from `-0.0`, as [`l2_norm`] sums it.
+#[inline(always)]
+fn matvec_t_into(m: &Tensor, y: &[f32], out: &mut [f32]) -> f64 {
     let cols = out.len();
     out.fill(0.0);
+    let mut squares = -0.0f64;
     let mut rows = m.as_slice().chunks_exact(4 * cols);
     let mut ys = y.chunks_exact(4);
     for (quad, w) in rows.by_ref().zip(ys.by_ref()) {
+        for &wr in w {
+            squares += f64::from(wr) * f64::from(wr);
+        }
         if w.contains(&0.0) {
             for (a, &wr) in quad.chunks_exact(cols).zip(w) {
                 if wr != 0.0 {
@@ -150,15 +271,18 @@ fn matvec_t_into(m: &Tensor, y: &[f32], out: &mut [f32]) {
         }
     }
     for (a, &wr) in rows.remainder().chunks_exact(cols).zip(ys.remainder()) {
+        squares += f64::from(wr) * f64::from(wr);
         if wr != 0.0 {
             add_row(out, a, wr);
         }
     }
+    squares
 }
 
 /// `out += a₀·w₀ + a₁·w₁ + a₂·w₂ + a₃·w₃` for the four rows `aᵢ` of
 /// `quad`, added one row after another per element — the same additions
 /// as four [`add_row`] calls, with one load and store of `out`.
+#[inline(always)]
 fn add_four_rows(out: &mut [f32], quad: &[f32], w: &[f32]) {
     let n = out.len();
     let (a0, rest) = quad.split_at(n);
@@ -172,6 +296,7 @@ fn add_four_rows(out: &mut [f32], quad: &[f32], w: &[f32]) {
 }
 
 /// `out += a · w`.
+#[inline(always)]
 fn add_row(out: &mut [f32], a: &[f32], w: f32) {
     for (o, &p) in out.iter_mut().zip(a) {
         *o += p * w;
@@ -497,8 +622,42 @@ mod tests {
                 prop_assert_eq!(bits(&mv), bits(&matvec(&m, &v)));
                 let y: Vec<f32> = matrix(1, rows, 1.0, flags, seed ^ 1).as_slice().to_vec();
                 let mut mty = vec![f32::NAN; cols];
-                matvec_t_into(&m, &y, &mut mty);
+                let squares = matvec_t_into(&m, &y, &mut mty);
                 prop_assert_eq!(bits(&mty), bits(&matvec_t(&m, &y)));
+                prop_assert_eq!(squares.sqrt().to_bits(), l2_norm(&y).to_bits());
+            }
+
+            /// The dispatched `spectral_norm`, and the power iteration
+            /// compiled for every tier the host detects, return the baseline
+            /// copy's bits. `large` plants one entry of `1e30`, whose
+            /// iterates overflow `f32` and take the rescale path, as tiny
+            /// scales do.
+            #[test]
+            fn every_tier_gives_the_baseline_bits(
+                rows in 1usize..=200,
+                cols in 1usize..=200,
+                exp in -20i32..=15,
+                flags in 0u8..16,
+                large in any::<bool>(),
+                (tol, max_iters) in (sample::select(vec![0.0, 1e-6]), sample::select(vec![1usize, 17, 200])),
+                seed in any::<u64>(),
+            ) {
+                let mut m = matrix(rows, cols, 10f32.powi(exp), flags, seed);
+                if large {
+                    m.set(rows / 2, cols / 2, 1e30);
+                }
+                let want = spectral_norm_on(Isa::Baseline, &m, tol, max_iters, seed).to_bits();
+                prop_assert!(
+                    spectral_norm(&m, tol, max_iters, seed).to_bits() == want,
+                    "dispatched, {}x{} 1e{} flags {} large {}", rows, cols, exp, flags, large
+                );
+                for isa in Isa::detected() {
+                    let got = spectral_norm_on(isa, &m, tol, max_iters, seed).to_bits();
+                    prop_assert!(
+                        got == want,
+                        "{:?}, {}x{} 1e{} flags {} large {}", isa, rows, cols, exp, flags, large
+                    );
+                }
             }
         }
 

@@ -5,10 +5,19 @@
 //! convolution), *non-linear* operators (activations, pooling,
 //! normalization), and *multi-source combinations* (add, multiply, concat).
 
+use crate::linalg;
 use crate::tensor::Tensor;
 
 /// `a @ b` for `a: [m, k]`, `b: [k, n]`. Panics on an inner-dimension
 /// mismatch.
+///
+/// Row `i` of the product is `bᵀ · a.row(i)` on the four-row kernel the
+/// power iteration runs ([`crate::linalg`]): each `out_ij` adds the
+/// products `a_ik · b_kj` in `k` order, starting from `0.0` and skipping
+/// a zero `a_ik`. That kernel runs on AVX2 where the CPU has it and on
+/// SSE2 elsewhere. Both do the same IEEE multiply, then the same add,
+/// per element and never fuse them, so the product has the same bits on
+/// every CPU.
 ///
 /// ```
 /// use sommelier_tensor::{ops, Tensor};
@@ -26,23 +35,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Tensor::zeros(m, n);
-    // i-k-j loop order keeps the inner loop sequential over both `b` and
-    // `out` rows (cache-friendly; see the perf-book guidance on access
-    // patterns).
-    for i in 0..m {
-        let out_row = out.row_mut(i);
-        for (kk, &a_ik) in a.row(i).iter().enumerate().take(k) {
-            if a_ik == 0.0 {
-                continue;
-            }
-            let b_row = b.row(kk);
-            for j in 0..n {
-                out_row[j] += a_ik * b_row[j];
-            }
-        }
-    }
+    let mut out = Tensor::zeros(a.rows(), b.cols());
+    linalg::matmul_on(linalg::Isa::widest(), a, b, &mut out);
     out
 }
 
@@ -371,5 +365,84 @@ mod tests {
     fn distance_to_self_is_zero() {
         let a = t(3, 4, (0..12).map(|i| i as f32).collect());
         assert_eq!(mean_row_l2_distance(&a, &a), 0.0);
+    }
+
+    mod tiers {
+        use super::*;
+        use crate::linalg::{matmul_on, Isa};
+        use crate::rng::Prng;
+        use proptest::prelude::*;
+
+        /// The i-k-j loop `matmul` ran before it moved onto the linalg
+        /// kernel. It is the oracle every tier must match.
+        fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
+            let (m, k, n) = (a.rows(), a.cols(), b.cols());
+            let mut out = Tensor::zeros(m, n);
+            for i in 0..m {
+                let out_row = out.row_mut(i);
+                for (kk, &a_ik) in a.row(i).iter().enumerate().take(k) {
+                    if a_ik == 0.0 {
+                        continue;
+                    }
+                    let b_row = b.row(kk);
+                    for j in 0..n {
+                        out_row[j] += a_ik * b_row[j];
+                    }
+                }
+            }
+            out
+        }
+
+        /// A gaussian `rows × cols` matrix in which about `specials`
+        /// entries in eight are `0.0`, `-0.0`, NaN, `∞` or `-∞`.
+        fn operand(rows: usize, cols: usize, specials: u8, seed: u64) -> Tensor {
+            const SPECIAL: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            let mut rng = Prng::seed_from_u64(seed);
+            Tensor::from_fn(rows, cols, |_, _| {
+                if rng.flip(f64::from(specials) / 8.0) {
+                    SPECIAL[rng.index(SPECIAL.len())]
+                } else {
+                    rng.gaussian() as f32
+                }
+            })
+        }
+
+        /// Each element's bits, every NaN as one: Rust leaves a NaN's
+        /// sign and payload unspecified, so a sum of two different NaNs
+        /// may keep either one.
+        fn bits(t: &Tensor) -> Vec<u32> {
+            let nan = f32::NAN.to_bits();
+            t.as_slice()
+                .iter()
+                .map(|x| if x.is_nan() { nan } else { x.to_bits() })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `matmul`, and its kernel compiled for every tier the host
+            /// detects, give the i-k-j loop's bits, with zeros, `-0.0`,
+            /// NaN and infinities in either operand.
+            #[test]
+            fn every_tier_matches_the_ikj_loop(
+                m in 0usize..=9,
+                k in 0usize..=41,
+                n in 0usize..=41,
+                specials_a in 0u8..=8,
+                specials_b in 0u8..=8,
+                seed in any::<u64>(),
+            ) {
+                let a = operand(m, k, specials_a, seed);
+                let b = operand(k, n, specials_b, !seed);
+                let want = bits(&matmul_reference(&a, &b));
+                prop_assert!(bits(&matmul(&a, &b)) == want, "dispatched, {}x{}x{}", m, k, n);
+                for isa in Isa::detected() {
+                    let mut out = Tensor::from_fn(m, n, |_, _| f32::NAN);
+                    matmul_on(isa, &a, &b, &mut out);
+                    prop_assert!(bits(&out) == want, "{:?}, {}x{}x{}", isa, m, k, n);
+                }
+            }
+        }
     }
 }
