@@ -8,46 +8,31 @@
 //! indices; queries are parsed, planned, and executed as the Section 5.4
 //! filter pipeline.
 //!
-//! [`EquivAnalyzer`] is the production [`PairAnalyzer`]. It keeps one
-//! probe record per model fingerprint: the model's I/O descriptor, and
-//! its outputs on a seeded probe batch with the generalization bound's
-//! architecture factor, both from one traced pass. Whole-model analysis
-//! compares two records (`sommelier-equiv`'s `check_io` and `compose`),
-//! so the index hands it fingerprints and loads a model only to describe
-//! or probe it the first time. Segment analysis runs
-//! `assess_replacement` on the models themselves. The analyzer is
-//! thread-safe: analyses run concurrently during index construction, and
-//! any randomness is seeded per pair so results never depend on call
-//! order.
+//! The engine is four files, one job each. `analyzer.rs` holds the
+//! pairwise analysis behind registration, `reader.rs` the query path,
+//! `writer.rs` the mutations, and `open.rs` connect, restore, recovery
+//! and save. Only the writer publishes a snapshot: its swap and the
+//! reader's pin are the only touches of the published slot.
 
-use crate::ast::{FinalSelection, Query, RefSpec};
-use crate::parser::{parse, ParseError};
-use crate::plan::{plan, QueryPlan};
-use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
+mod analyzer;
+mod open;
+mod reader;
+mod writer;
+
+pub use analyzer::EquivAnalyzer;
+pub use reader::SommelierReader;
+pub use writer::{MutationBatch, Sommelier};
+
+use crate::parser::ParseError;
 use serde::Value;
-use sommelier_equiv::whole::{compose, probe_model, GenBoundMode};
-use sommelier_equiv::{check_io, EquivConfig, IoCompat, IoDescriptor, ProbeOutput};
-use sommelier_graph::{Fingerprint, Model, TaskKind};
+use sommelier_equiv::EquivConfig;
+use sommelier_graph::TaskKind;
 use sommelier_index::semantic::SemanticIndexConfig;
-use sommelier_index::{CandidateKind, EdgeMeasurement, PairAnalyzer, ResourceIndex, SemanticIndex};
-use sommelier_parallel::ThreadPool;
-use sommelier_repo::{check_publishable, ModelRepository, RepoError};
-use sommelier_runtime::metrics::counters::{self, CachedCounter};
-use sommelier_runtime::metrics::latency;
-use sommelier_runtime::{DeviceProfile, ExecSetting, ResourceProfile};
-use sommelier_tensor::{mix64, Prng, Tensor};
-use std::borrow::Cow;
-use std::cell::OnceCell;
+use sommelier_index::{CandidateKind, ResourceIndex, SemanticIndex};
+use sommelier_repo::RepoError;
+use sommelier_runtime::{ExecSetting, ResourceProfile};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
-
-// The read path's metrics, resolved once: a served query takes no
-// registry lock and allocates no name.
-static SNAPSHOT_EPOCH: CachedCounter = CachedCounter::new("query.snapshot_epoch");
-static CANDIDATES_SCORED: CachedCounter = CachedCounter::new("query.candidates_scored");
-static BATCH_MS: OnceLock<Arc<latency::Histogram>> = OnceLock::new();
 
 /// Engine configuration (the knob surface of paper Section 5.5).
 #[derive(Clone, Debug)]
@@ -189,18 +174,6 @@ impl From<RepoError> for QueryError {
     }
 }
 
-/// Make `key` the default reference of `task` unless a smaller key
-/// already is: a task's default reference is its smallest indexed key.
-fn keep_smallest(refs: &mut HashMap<TaskKind, String>, task: TaskKind, key: &str) {
-    match refs.get_mut(&task) {
-        Some(current) if current.as_str() <= key => {}
-        Some(current) => *current = key.to_string(),
-        None => {
-            refs.insert(task, key.to_string());
-        }
-    }
-}
-
 /// How [`Sommelier::connect_or_recover`] brought the engine up.
 #[derive(Debug)]
 pub enum SnapshotRecovery {
@@ -218,295 +191,6 @@ impl SnapshotRecovery {
     /// Whether the indices had to be rebuilt.
     pub fn rebuilt(&self) -> bool {
         !matches!(self, SnapshotRecovery::Loaded)
-    }
-}
-
-/// Models the analyzer ran over its probe: one traced pass each, at the
-/// model's first I/O-compatible pair.
-static PROBE_PASSES: CachedCounter = CachedCounter::new("equiv.probe_passes");
-
-/// What the analyzer keeps of one model, keyed by fingerprint: everything
-/// whole-model analysis reads of it, and never the model or its trace.
-struct ProbeRecord {
-    /// What the I/O check reads, from the first time the analyzer sees
-    /// the model.
-    io: IoDescriptor,
-    /// Outputs on the seeded probe of the model's input width, and the
-    /// architecture factor, from one traced pass at the model's first
-    /// I/O-compatible pair.
-    probe: OnceLock<ProbeOutput>,
-}
-
-/// A model named by fingerprint, loaded on first need and at most once.
-struct Subject<'l, 'm> {
-    fp: Fingerprint,
-    load: &'l dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>,
-    model: OnceCell<Option<Cow<'m, Model>>>,
-}
-
-impl<'l, 'm> Subject<'l, 'm> {
-    fn named(fp: Fingerprint, load: &'l dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>) -> Self {
-        Subject {
-            fp,
-            load,
-            model: OnceCell::new(),
-        }
-    }
-
-    /// A model already at hand.
-    fn held(model: &'m Model) -> Self {
-        Subject {
-            fp: Fingerprint::of_model(model),
-            load: &|_| None,
-            model: OnceCell::from(Some(Cow::Borrowed(model))),
-        }
-    }
-
-    fn model(&self) -> Option<&Model> {
-        self.model.get_or_init(|| (self.load)(self.fp)).as_deref()
-    }
-}
-
-/// The I/O check, and what per-model probes add to it: each model runs on
-/// the probe of its own input width, so two models that waive the shape
-/// check by declaring preprocessors but differ in width share no probe
-/// (running one on the other's fails to execute).
-fn comparable(a: &IoDescriptor, b: &IoDescriptor) -> Result<(), String> {
-    if let IoCompat::Incompatible(why) = check_io(a, b) {
-        return Err(why);
-    }
-    if a.input_width != b.input_width {
-        return Err(format!(
-            "input widths differ: {} vs {}",
-            a.input_width, b.input_width
-        ));
-    }
-    Ok(())
-}
-
-/// The production pairwise analyzer.
-///
-/// It keeps one probe record per fingerprint, so a model is loaded to be
-/// described once, runs over its probe once, and a pair is two records
-/// compared. Like the index, it takes a fingerprint to name one model:
-/// aliases share a record. The engine drops a record when its
-/// fingerprint's last key leaves the index.
-///
-/// Thread-safe ([`Sync`]): probe batches and records are memoized behind
-/// mutexes, and segment-replacement randomness is seeded per pair from
-/// the model fingerprints — so the analyzer returns the same answer for a
-/// pair no matter which worker asks, or in what order.
-pub struct EquivAnalyzer {
-    equiv: EquivConfig,
-    segment_epsilon: f64,
-    validation_rows: usize,
-    probes: Mutex<HashMap<usize, Tensor>>,
-    records: Mutex<HashMap<Fingerprint, Arc<ProbeRecord>>>,
-    seed: u64,
-}
-
-impl EquivAnalyzer {
-    pub fn new(
-        equiv: EquivConfig,
-        segment_epsilon: f64,
-        validation_rows: usize,
-        seed: u64,
-    ) -> Self {
-        EquivAnalyzer {
-            equiv,
-            segment_epsilon,
-            validation_rows,
-            probes: Mutex::new(HashMap::new()),
-            records: Mutex::new(HashMap::new()),
-            seed,
-        }
-    }
-
-    /// The seeded probe batch for a given input width (cached).
-    pub fn probe(&self, input_width: usize) -> Tensor {
-        let rows = self.validation_rows;
-        let seed = self.seed;
-        self.probes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(input_width)
-            .or_insert_with(|| {
-                let mut rng = Prng::seed_from_u64(seed ^ (input_width as u64).rotate_left(17));
-                Tensor::gaussian(rows, input_width, 1.0, &mut rng)
-            })
-            .clone()
-    }
-
-    /// The records, each inserted or removed whole: a guard recovered
-    /// from a poisoned lock still holds whole records.
-    fn records(&self) -> MutexGuard<'_, HashMap<Fingerprint, Arc<ProbeRecord>>> {
-        self.records.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Drop the records of `gone`.
-    fn forget(&self, gone: impl IntoIterator<Item = Fingerprint>) {
-        let mut records = self.records();
-        for fp in gone {
-            records.remove(&fp);
-        }
-    }
-
-    /// `subject`'s record, described from its model on first sight.
-    fn record(&self, subject: &Subject<'_, '_>) -> Option<Arc<ProbeRecord>> {
-        if let Some(record) = self.records().get(&subject.fp) {
-            return Some(Arc::clone(record));
-        }
-        let fresh = ProbeRecord {
-            io: IoDescriptor::of(subject.model()?),
-            probe: OnceLock::new(),
-        };
-        Some(Arc::clone(
-            self.records()
-                .entry(subject.fp)
-                .or_insert_with(|| Arc::new(fresh)),
-        ))
-    }
-
-    /// The record's probe output, from one pass over the model the first
-    /// time it is asked for.
-    fn probed<'r>(
-        &self,
-        record: &'r ProbeRecord,
-        subject: &Subject<'_, '_>,
-    ) -> Option<&'r ProbeOutput> {
-        if let Some(probe) = record.probe.get() {
-            return Some(probe);
-        }
-        let model = subject.model()?;
-        Some(record.probe.get_or_init(|| {
-            PROBE_PASSES.add(1);
-            probe_model(
-                model,
-                &self.probe(model.input_width()),
-                &self.equiv.genbound,
-            )
-            .expect("a model runs on the probe of its own input width")
-        }))
-    }
-
-    /// Both directed whole-model diffs of a pair, `[a → b, b → a]`, each
-    /// as (empirical QoR difference, bound term); why the pair cannot be
-    /// compared otherwise.
-    fn whole_pair(
-        &self,
-        a: &Subject<'_, '_>,
-        b: &Subject<'_, '_>,
-    ) -> Result<[(f64, f64); 2], String> {
-        let unloadable = |s: &Subject<'_, '_>| format!("model {:016x} cannot be loaded", s.fp.0);
-        let ra = self.record(a).ok_or_else(|| unloadable(a))?;
-        let rb = self.record(b).ok_or_else(|| unloadable(b))?;
-        comparable(&ra.io, &rb.io)?;
-        let pa = self.probed(&ra, a).ok_or_else(|| unloadable(a))?;
-        let pb = self.probed(&rb, b).ok_or_else(|| unloadable(b))?;
-        Ok([self.directed(&ra.io, pa, pb), self.directed(&rb.io, pb, pa)])
-    }
-
-    /// `candidate`'s difference w.r.t. `reference` as (empirical QoR
-    /// difference, bound term). The term is recomposed from the two
-    /// architecture factors at `n` = probe rows, in the form every
-    /// snapshot was built with.
-    fn directed(&self, reference: &IoDescriptor, r: &ProbeOutput, c: &ProbeOutput) -> (f64, f64) {
-        let empirical_cfg = EquivConfig {
-            epsilon: self.equiv.epsilon,
-            genbound: GenBoundMode::Off,
-        };
-        let report = compose(reference.task.output_style(), r, c, &empirical_cfg);
-        let term = match self.equiv.genbound {
-            GenBoundMode::Off => 0.0,
-            GenBoundMode::On(gb) => {
-                let factor =
-                    |p: &ProbeOutput| p.factor.expect("records are probed with the bound on");
-                let n = (r.outputs.rows().max(1) as f64).sqrt();
-                gb.constant * 0.5 * (factor(r) + factor(c)) / (gb.gamma * n) + gb.concentration / n
-            }
-        };
-        (report.empirical_diff, term)
-    }
-
-    fn segment(
-        &self,
-        host: &Model,
-        host_fp: Fingerprint,
-        donor: &Model,
-        donor_fp: Fingerprint,
-    ) -> Option<f64> {
-        let probe = self.probe(host.input_width());
-        // A small slice suffices for noise-injection estimation.
-        let rows = probe.rows().min(16);
-        let small = if probe.rows() > rows {
-            let slice: Vec<Tensor> = (0..rows).map(|r| probe.row_tensor(r)).collect();
-            Tensor::stack_rows(&slice)
-        } else {
-            probe
-        };
-        // Per-pair seeding: the noise draws are a pure function of
-        // (analyzer seed, host, donor), never of analysis order.
-        let mut rng = Prng::seed_from_u64(mix64(&[self.seed, host_fp.0, donor_fp.0, 0x5e6]));
-        sommelier_equiv::assessment::assess_replacement(
-            host,
-            donor,
-            &small,
-            self.segment_epsilon,
-            &mut rng,
-        )
-        .ok()
-        .and_then(|assessment| assessment.equivalent.then_some(assessment.qor_diff))
-    }
-}
-
-impl PairAnalyzer for EquivAnalyzer {
-    fn whole_diff(&self, reference: &Model, candidate: &Model) -> Option<f64> {
-        // The descriptors first: an incomparable pair costs no hashing.
-        comparable(&IoDescriptor::of(reference), &IoDescriptor::of(candidate)).ok()?;
-        let [(empirical, term), _] = self
-            .whole_pair(&Subject::held(reference), &Subject::held(candidate))
-            .ok()?;
-        Some(empirical + term)
-    }
-
-    fn segment_diff(&self, host: &Model, donor: &Model) -> Option<f64> {
-        self.segment(
-            host,
-            Fingerprint::of_model(host),
-            donor,
-            Fingerprint::of_model(donor),
-        )
-    }
-
-    fn analyze_pair<'m>(
-        &self,
-        a: Fingerprint,
-        b: Fingerprint,
-        load: &dyn Fn(Fingerprint) -> Option<Cow<'m, Model>>,
-        segments: bool,
-    ) -> EdgeMeasurement {
-        let (a, b) = (Subject::named(a, load), Subject::named(b, load));
-        // Segment analysis reads both models: a pair either of which
-        // cannot be loaded is all-`None`, as in the default.
-        let (seg_fwd, seg_rev) = if segments {
-            let (Some(ma), Some(mb)) = (a.model(), b.model()) else {
-                return EdgeMeasurement::default();
-            };
-            (
-                self.segment(ma, a.fp, mb, b.fp),
-                self.segment(mb, b.fp, ma, a.fp),
-            )
-        } else {
-            (None, None)
-        };
-        let whole = self.whole_pair(&a, &b).ok();
-        let total = |i: usize| whole.map(|d: [(f64, f64); 2]| d[i].0 + d[i].1);
-        EdgeMeasurement {
-            fwd: total(0),
-            rev: total(1),
-            seg_fwd,
-            seg_rev,
-        }
     }
 }
 
@@ -572,863 +256,21 @@ impl BatchQueryItem {
     }
 }
 
-/// The read side of the engine.
-///
-/// A reader holds the published-snapshot slot, the worker pool, and the
-/// plan/result cache — all behind `Arc`s — so it is `Clone + Send +
-/// Sync` and can be handed to any number of serving threads. Queries
-/// pin the current [`EngineSnapshot`] and execute against it without
-/// holding any lock: the slot's mutex is held for one `Arc` clone (a
-/// pin) or one `Arc` swap (a publish), so a concurrent reindex never
-/// waits on an in-flight query, nor a query on a reindex.
-#[derive(Clone)]
-pub struct SommelierReader {
-    repo: Arc<dyn ModelRepository>,
-    published: Arc<Mutex<Arc<EngineSnapshot>>>,
-    pool: Arc<ThreadPool>,
-    plan_cache: Arc<PlanCache>,
-    config: SommelierConfig,
-}
-
-impl SommelierReader {
-    /// Pin the currently published snapshot. The returned `Arc` stays
-    /// valid (and internally consistent) for as long as the caller
-    /// holds it, regardless of concurrent publications.
-    pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        Arc::clone(&self.slot())
-    }
-
-    /// The published-snapshot slot. Every update is one whole-`Arc` swap,
-    /// so a guard recovered from a poisoned lock still holds a snapshot.
-    fn slot(&self) -> MutexGuard<'_, Arc<EngineSnapshot>> {
-        self.published.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The epoch of the currently published snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
-    }
-
-    /// A reader driving the same engine through its own pool of `jobs`
-    /// lanes (`0` = auto) — the snapshot cell and plan cache stay
-    /// shared, so results are identical at any lane count.
-    pub fn with_pool(&self, jobs: usize) -> Self {
-        let mut reader = self.clone();
-        reader.pool = Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(jobs)));
-        reader
-    }
-
-    /// Worker lanes this reader fans batches across.
-    pub fn jobs(&self) -> usize {
-        self.pool.jobs()
-    }
-
-    /// Counters of the plan/result cache; also publishes them to the
-    /// process-wide metrics registry (`plan_cache.*`).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.publish_metrics();
-        self.plan_cache.stats()
-    }
-
-    /// Execute a textual query against the current snapshot.
-    pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {
-        let snap = self.snapshot();
-        SNAPSHOT_EPOCH.set(snap.epoch);
-        self.query_on(&snap, text)
-    }
-
-    /// Execute a programmatically built query against the current
-    /// snapshot (bypasses the text-keyed plan cache).
-    pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
-        let snap = self.snapshot();
-        SNAPSHOT_EPOCH.set(snap.epoch);
-        self.query_ast_on(&snap, query)
-    }
-
-    /// Execute a batch of textual queries, fanned across the reader's
-    /// pool. The whole batch pins *one* snapshot, so every item is
-    /// served from the same epoch; per-lane latency is merged into the
-    /// mergeable `query.batch_ms` histogram — one batched merge, not
-    /// one registry-lock acquisition per item — so concurrent readers
-    /// (the serving daemon) aggregate tail latency without contending.
-    /// Items come back in input order, and the result sets are
-    /// identical at any lane count.
-    pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
-        let snap = self.snapshot();
-        SNAPSHOT_EPOCH.set(snap.epoch);
-        let items = self.pool.par_map(texts, |text| {
-            let start = Instant::now();
-            let results = self.query_on(&snap, text);
-            BatchQueryItem {
-                results,
-                latency_ms: start.elapsed().as_secs_f64() * 1e3,
-                epoch: snap.epoch,
-            }
-        });
-        let mut local = latency::LocalRecorder::new();
-        for item in &items {
-            local.record(item.latency_ms);
-        }
-        local.flush_into(BATCH_MS.get_or_init(|| latency::histogram("query.batch_ms")));
-        items
-    }
-
-    /// The text-keyed hot path: probe the plan/result cache before
-    /// even parsing — a hit skips the parser, planner, and both index
-    /// filters outright (the memoized result is exact: the snapshot is
-    /// immutable and execution is deterministic).
-    fn query_on(
-        &self,
-        snap: &EngineSnapshot,
-        text: &str,
-    ) -> Result<Vec<QueryResult>, QueryError> {
-        let normalized = normalize_query(text);
-        if let Some(results) = self.plan_cache.get(snap.epoch, &normalized) {
-            return Ok(results);
-        }
-        let ast = parse(&normalized)?;
-        self.query_ast_cached(snap, &ast, Some(&normalized))
-    }
-
-    fn query_ast_on(
-        &self,
-        snap: &EngineSnapshot,
-        query: &Query,
-    ) -> Result<Vec<QueryResult>, QueryError> {
-        self.query_ast_cached(snap, query, None)
-    }
-
-    fn query_ast_cached(
-        &self,
-        snap: &EngineSnapshot,
-        query: &Query,
-        cache_text: Option<&str>,
-    ) -> Result<Vec<QueryResult>, QueryError> {
-        let reference_key = match &query.reference {
-            RefSpec::Named(k) => {
-                if !snap.semantic.contains(k) {
-                    return Err(QueryError::UnknownReference(k.clone()));
-                }
-                k.clone()
-            }
-            RefSpec::Task(t) => snap
-                .default_refs
-                .get(t)
-                .cloned()
-                .ok_or(QueryError::NoDefaultReference(*t))?,
-        };
-        // An EXEC clause overrides the indexed profiles: models are
-        // re-profiled under the requested execution setting (paper
-        // Section 5.3: hardware-dependent metrics are collected per
-        // platform; Figure 7's exec-spec). Live re-profiling reads the
-        // repository — which sits outside the snapshot — so EXEC
-        // queries are never cached.
-        if let Some(setting) = self.exec_setting_of(query)? {
-            let ref_model = self.repo.load(&reference_key)?;
-            let ref_profile = ResourceProfile::under(&ref_model, &setting);
-            let plan = plan(query, &reference_key, &ref_profile);
-            return Ok(self.execute_plan(snap, &plan, &ref_profile, Some(&setting)));
-        }
-        let ref_profile = *snap
-            .resource
-            .profile_of(&reference_key)
-            .ok_or_else(|| QueryError::UnknownReference(reference_key.clone()))?;
-        let plan = plan(query, &reference_key, &ref_profile);
-        let results = self.execute_plan(snap, &plan, &ref_profile, None);
-        if let Some(text) = cache_text {
-            self.plan_cache.insert(snap.epoch, text, results.clone());
-        }
-        Ok(results)
-    }
-
-    /// Parse the query's `EXEC` clause into an execution setting.
-    /// Recognized keys: `device` (`cpu` / `gpu` / `edge`), `batch`
-    /// (positive integer), `workspace` (finite float multiplier ≥ 1).
-    fn exec_setting_of(&self, query: &Query) -> Result<Option<ExecSetting>, QueryError> {
-        if query.exec_spec.is_empty() {
-            return Ok(None);
-        }
-        let mut setting = self.config.exec_setting.clone();
-        for (key, value) in &query.exec_spec {
-            match key.as_str() {
-                "device" => {
-                    setting.device = match value.as_str() {
-                        "cpu" => DeviceProfile::cpu(),
-                        "gpu" => DeviceProfile::gpu(),
-                        "edge" => DeviceProfile::edge(),
-                        other => {
-                            return Err(QueryError::Analysis(format!(
-                                "unknown EXEC device '{other}' (expected cpu/gpu/edge)"
-                            )))
-                        }
-                    }
-                }
-                "batch" => {
-                    setting.batch_size = value.parse::<usize>().ok().filter(|&b| b >= 1).ok_or_else(
-                        || {
-                            QueryError::Analysis(format!(
-                                "EXEC batch must be a positive integer, got '{value}'"
-                            ))
-                        },
-                    )?;
-                }
-                "workspace" => {
-                    setting.workspace_factor = value.parse::<f64>().ok().filter(|w| w.is_finite() && *w >= 1.0).ok_or_else(|| {
-                        QueryError::Analysis(format!(
-                            "EXEC workspace must be a finite multiplier >= 1, got '{value}'"
-                        ))
-                    })?;
-                }
-                other => {
-                    return Err(QueryError::Analysis(format!(
-                        "unknown EXEC setting '{other}' (expected device/batch/workspace)"
-                    )))
-                }
-            }
-        }
-        Ok(Some(setting))
-    }
-
-    fn execute_plan(
-        &self,
-        snap: &EngineSnapshot,
-        plan: &QueryPlan,
-        ref_profile: &ResourceProfile,
-        setting: Option<&ExecSetting>,
-    ) -> Vec<QueryResult> {
-        // Statically empty plans short-circuit before touching either
-        // index: a zero limit returns nothing by definition, and scores
-        // live in [0, 1] so a threshold above 1 admits nothing.
-        if plan.limit == 0 || plan.min_score > 1.0 {
-            return Vec::new();
-        }
-        // Stage 1: semantic filter — an early-exit threshold scan over
-        // the entry's score-sorted candidate list.
-        let candidates: Vec<_> = snap
-            .semantic
-            .lookup_key(&plan.reference_key, plan.min_score)
-            .into_iter()
-            .filter(|c| c.key != plan.reference_key)
-            .collect();
-        CANDIDATES_SCORED.add(candidates.len() as u64);
-        // No semantic candidates ⇒ no results; skip the resource probe.
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-
-        // Stage 2: resource filter — work proportional to the candidate
-        // list, never to the repository: one O(1) `profile_of` probe per
-        // candidate, tested against the bounds. The range index is not
-        // consulted (`index.resource.range_scans` stays flat). With an
-        // explicit execution setting each candidate is instead loaded
-        // and re-profiled — an independent task worth fanning out;
-        // `par_map` keeps candidate order, so results are identical to
-        // the sequential pipeline.
-        let profile_of = |key: &str| -> Option<ResourceProfile> {
-            match setting {
-                Some(s) => {
-                    let model = self.repo.load(key).ok()?;
-                    Some(ResourceProfile::under(&model, s))
-                }
-                None => snap.resource.profile_of(key).copied(),
-            }
-        };
-        let score_one = |c: &&sommelier_index::CandidateRecord| -> Option<QueryResult> {
-            let profile = match &c.kind {
-                // Synthesized models share the host's (= reference's)
-                // structure, hence its resource profile.
-                CandidateKind::Synthesized { .. } => *ref_profile,
-                _ => profile_of(&c.key)?,
-            };
-            plan.constraint.admits(&profile).then(|| QueryResult {
-                key: c.key.clone(),
-                score: c.score,
-                diff_bound: c.diff_bound,
-                profile,
-                kind: c.kind.clone(),
-            })
-        };
-        let mut results: Vec<QueryResult> = match setting {
-            Some(_) => self
-                .pool
-                .par_map(&candidates, score_one)
-                .into_iter()
-                .flatten()
-                .collect(),
-            None => candidates.iter().filter_map(score_one).collect(),
-        };
-
-        // Stage 3: final selection. Sorting uses `total_cmp` so the
-        // pipeline never panics on non-finite scores or profiles (a
-        // corrupted snapshot is the lint layer's problem to report, not
-        // a reason to abort query execution).
-        match plan.selection {
-            FinalSelection::Similarity => {
-                results.sort_by(|a, b| b.score.total_cmp(&a.score))
-            }
-            FinalSelection::Memory => {
-                results.sort_by(|a, b| a.profile.memory_mb.total_cmp(&b.profile.memory_mb))
-            }
-            FinalSelection::Flops => {
-                results.sort_by(|a, b| a.profile.gflops.total_cmp(&b.profile.gflops))
-            }
-            FinalSelection::Latency => {
-                results.sort_by(|a, b| a.profile.latency_ms.total_cmp(&b.profile.latency_ms))
-            }
-        }
-        results.truncate(plan.limit);
-        results
-    }
-}
-
-/// A coalesced set of registrations and unregistrations, applied by
-/// [`Sommelier::apply`] as *one* logical mutation: one pairwise-analysis
-/// fan-out over the pool, one snapshot publication, one epoch bump —
-/// however many models it touches.
-///
-/// A key appearing in both lists is a replacement (remove + add in the
-/// same batch); the repository copy is overwritten.
-#[derive(Clone, Debug, Default)]
-pub struct MutationBatch {
-    removes: Vec<String>,
-    adds: Vec<Model>,
-}
-
-impl MutationBatch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Queue a key for unregistration. The repository file stays in
-    /// place, so a later batch can register it again.
-    pub fn unregister(mut self, key: impl Into<String>) -> Self {
-        self.removes.push(key.into());
-        self
-    }
-
-    /// Queue a model for registration — or replacement, when its name is
-    /// also queued for unregistration.
-    pub fn register(mut self, model: Model) -> Self {
-        self.adds.push(model);
-        self
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.removes.is_empty() && self.adds.is_empty()
-    }
-}
-
-/// The Sommelier query engine.
-///
-/// The engine is split along the read/write axis: a mutation clones the
-/// [`EngineSnapshot`] this engine last published, applies the batch to
-/// the clone and publishes it with one `Arc` swap, while all query
-/// execution lives on the [`SommelierReader`] — clone it via
-/// [`Sommelier::reader`] to serve queries from other threads while this
-/// handle keeps registering. The repository, pool and config are the
-/// reader's.
-pub struct Sommelier {
-    /// The snapshot this engine last published: its only copy of the
-    /// indices, the default references and the epoch.
-    current: Arc<EngineSnapshot>,
-    analyzer: EquivAnalyzer,
-    /// Task kind per indexed key — the metadata mutations need (default
-    /// reference re-derivation) without touching the repository.
-    tasks: HashMap<String, TaskKind>,
-    /// On-disk encoding that served the restored indices (`None` when
-    /// the engine was built fresh rather than loaded from a snapshot).
-    snapshot_format: Option<sommelier_index::SnapshotFormat>,
-    /// The read side; holds the published-snapshot cell.
-    reader: SommelierReader,
-}
-
-impl Sommelier {
-    /// Connect to a repository. Models already present can be indexed with
-    /// [`Sommelier::index_existing`].
-    pub fn connect(repo: Arc<dyn ModelRepository>, config: SommelierConfig) -> Self {
-        let snapshot = EngineSnapshot {
-            semantic: SemanticIndex::new(config.index, config.seed),
-            resource: ResourceIndex::default(),
-            default_refs: HashMap::new(),
-            epoch: 0,
-        };
-        Self::assemble(repo, config, snapshot, HashMap::new())
-    }
-
-    /// Build the engine around a prepared snapshot, publishing it as the
-    /// initial one.
-    fn assemble(
-        repo: Arc<dyn ModelRepository>,
-        config: SommelierConfig,
-        snapshot: EngineSnapshot,
-        tasks: HashMap<String, TaskKind>,
-    ) -> Self {
-        let current = Arc::new(snapshot);
-        let analyzer = EquivAnalyzer::new(
-            config.equiv,
-            config.segment_epsilon,
-            config.validation_rows,
-            config.seed,
-        );
-        let reader = SommelierReader {
-            repo,
-            published: Arc::new(Mutex::new(Arc::clone(&current))),
-            pool: Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
-                config.jobs,
-            ))),
-            plan_cache: Arc::new(PlanCache::new(config.query_cache_cap)),
-            config,
-        };
-        Sommelier {
-            current,
-            analyzer,
-            tasks,
-            snapshot_format: None,
-            reader,
-        }
-    }
-
-    /// Publish `next` as the following epoch. Every mutator ends here;
-    /// in-flight queries keep their pinned epoch and new queries pick
-    /// this one up. The slot's lock covers the swap alone: the retired
-    /// snapshot is released after the unlock, so a pin never waits on
-    /// its drop.
-    fn publish_snapshot(&mut self, mut next: EngineSnapshot) {
-        next.epoch += 1;
-        self.current = Arc::new(next);
-        // The slot's guard is a temporary: it unlocks at the end of this
-        // statement, before `retired` drops.
-        let retired = std::mem::replace(&mut *self.reader.slot(), Arc::clone(&self.current));
-        drop(retired);
-    }
-
-    /// Connect with default configuration.
-    pub fn connect_default(repo: Arc<dyn ModelRepository>) -> Self {
-        Self::connect(repo, SommelierConfig::default())
-    }
-
-    /// Number of indexed models.
-    pub fn len(&self) -> usize {
-        self.current.semantic.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.current.semantic.is_empty()
-    }
-
-    /// Immutable access to the semantic index (for inspection/experiments).
-    pub fn semantic_index(&self) -> &SemanticIndex {
-        &self.current.semantic
-    }
-
-    /// Immutable access to the resource index.
-    pub fn resource_index(&self) -> &ResourceIndex {
-        &self.current.resource
-    }
-
-    /// Worker lanes this engine runs on.
-    pub fn jobs(&self) -> usize {
-        self.reader.jobs()
-    }
-
-    /// The current publication epoch (bumped by every mutation).
-    pub fn epoch(&self) -> u64 {
-        self.current.epoch
-    }
-
-    /// A handle to the read side. Clone freely across
-    /// threads; every clone serves from whatever snapshot is current
-    /// when it queries, and keeps working while this engine mutates.
-    pub fn reader(&self) -> SommelierReader {
-        self.reader.clone()
-    }
-
-    /// Counters of the plan/result cache (also published as
-    /// `plan_cache.*` metrics).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.reader.plan_cache_stats()
-    }
-
-    // Kept for `benchmark/src/curate.rs:491`, which no product PR may
-    // edit; delete with ROADMAP item 1.
-    #[doc(hidden)]
-    pub fn cache_stats(&self) -> CacheStatsShim {
-        CacheStatsShim::default()
-    }
-
-    /// Publish a model to the repository and index it: a one-model
-    /// [`Sommelier::apply`].
-    pub fn register(&mut self, model: &Model) -> Result<(), QueryError> {
-        self.apply(MutationBatch::new().register(model.clone()))
-            .map(drop)
-    }
-
-    /// Apply a coalesced mutation batch: one pairwise-analysis fan-out,
-    /// one snapshot publication, one epoch bump — no matter how many
-    /// models it registers, replaces, or unregisters. Additions publish
-    /// to the repository (overwriting when the same key is also queued
-    /// for removal — a replacement); removals leave the repository file
-    /// in place. A batch that changes nothing publishes nothing and
-    /// leaves the epoch untouched. A batch is checked whole before
-    /// anything is written: one that adds a key twice, adds a key it
-    /// does not remove that is indexed or still stored, or holds a model
-    /// that [`check_publishable`] refuses writes nothing. Returns the
-    /// number of effective mutations applied.
-    pub fn apply(&mut self, batch: MutationBatch) -> Result<usize, QueryError> {
-        let mut names: Vec<&str> = batch.adds.iter().map(|m| m.name.as_str()).collect();
-        names.sort_unstable();
-        if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
-            return Err(QueryError::DuplicateAdd(w[0].to_string()));
-        }
-        for model in &batch.adds {
-            let key = &model.name;
-            if !batch.removes.contains(key) {
-                if self.current.semantic.contains(key) {
-                    return Err(QueryError::AlreadyIndexed(key.clone()));
-                }
-                // A removal leaves the stored file, which only a replace
-                // may overwrite: refuse here what the publish would.
-                if !matches!(self.reader.repo.load(key), Err(RepoError::NotFound { .. })) {
-                    return Err(RepoError::AlreadyExists { key: key.clone() }.into());
-                }
-            }
-            check_publishable(key, model)?;
-        }
-        for model in &batch.adds {
-            let overwrite = batch.removes.contains(&model.name);
-            self.reader.repo.publish(&model.name, model, overwrite)?;
-        }
-        Ok(self.apply_indexed(&batch.removes, &batch.adds))
-    }
-
-    /// Index every repository model that is not yet indexed — the bulk
-    /// build path: resource profiling and all sampled pairwise analyses
-    /// fan out across the engine's pool with per-model task granularity,
-    /// while index bookkeeping stays sequential in repository key order
-    /// (so the result is byte-identical at any `jobs` setting).
-    pub fn index_existing(&mut self) -> Result<usize, QueryError> {
-        let mut models = Vec::new();
-        // `try_keys`, not `keys`: a backend that cannot produce a
-        // complete listing must fail the build, not silently index a
-        // truncated repository.
-        for key in self.reader.repo.try_keys()? {
-            if self.current.semantic.contains(&key) {
-                continue;
-            }
-            // The key is the identity: a model stored under another
-            // name is indexed under its key.
-            let mut model = self.reader.repo.load(&key)?;
-            if model.name != key {
-                model.name = key;
-            }
-            models.push(model);
-        }
-        Ok(self.apply_indexed(&[], &models))
-    }
-
-    /// Apply a checked batch to a clone of the current snapshot and
-    /// publish it: the models are profiled on the pool, removals and
-    /// insertions land in one semantic-index update (a single analysis
-    /// fan-out), default references are maintained from indexed
-    /// metadata with **zero repository reads**, and one snapshot is
-    /// published. Returns the number of effective mutations; 0 means
-    /// nothing changed and nothing was cloned or published.
-    fn apply_indexed(&mut self, removes: &[String], models: &[Model]) -> usize {
-        let current = &self.current;
-        let mut indexed: Vec<&str> = removes
-            .iter()
-            .map(String::as_str)
-            .filter(|k| current.semantic.contains(k))
-            .collect();
-        indexed.sort_unstable();
-        indexed.dedup();
-        let count = models.len() + indexed.len();
-        let mutated = count > 0
-            || removes
-                .iter()
-                .any(|k| current.resource.profile_of(k).is_some());
-        if !mutated {
-            return 0;
-        }
-        // An apply's one O(N) copy: the semantic entry map, one `Arc` bump
-        // per entry. `by_key`, the edges and the profiles copy on write.
-        let mut next = EngineSnapshot::clone(current);
-        let (repo, pool) = (Arc::clone(&self.reader.repo), &self.reader.pool);
-        let setting = &self.reader.config.exec_setting;
-        let profiles = pool.par_map(models, |m| ResourceProfile::under(m, setting));
-        let resolve = move |k: &str| repo.load(k).ok();
-        let removed: Vec<Fingerprint> = removes
-            .iter()
-            .filter_map(|k| next.semantic.fingerprint_of(k))
-            .collect();
-        next.semantic
-            .apply(pool, removes, models, &resolve, &self.analyzer);
-        // A record leaves with its fingerprint's last key; an alias
-        // keeps it.
-        self.analyzer.forget(
-            removed
-                .into_iter()
-                .filter(|fp| !next.semantic.contains_fingerprint(*fp)),
-        );
-        // A task's default reference is its smallest indexed key. A
-        // removal that takes it re-derives it from the engine's own task
-        // map, without reloading a single model.
-        let mut orphaned = Vec::new();
-        for key in removes {
-            next.resource.remove(key);
-            if let Some(task) = self.tasks.remove(key) {
-                if next.default_refs.get(&task) == Some(key) {
-                    next.default_refs.remove(&task);
-                    orphaned.push(task);
-                }
-            }
-        }
-        if !orphaned.is_empty() {
-            for (key, task) in &self.tasks {
-                if orphaned.contains(task) {
-                    keep_smallest(&mut next.default_refs, *task, key);
-                }
-            }
-        }
-        for (m, p) in models.iter().zip(profiles) {
-            next.resource.insert(&m.name, p);
-            self.tasks.insert(m.name.clone(), m.task);
-            keep_smallest(&mut next.default_refs, m.task, &m.name);
-        }
-        self.publish_snapshot(next);
-        count
-    }
-
-    /// Execute a textual query (paper Figure 7 syntax) against the
-    /// current published snapshot.
-    pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {
-        self.reader.query(text)
-    }
-
-    /// Execute a programmatically built query.
-    pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
-        self.reader.query_ast(query)
-    }
-
-    /// Execute a batch of textual queries fanned across the engine's
-    /// pool; see [`SommelierReader::query_batch`].
-    pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
-        self.reader.query_batch(texts)
-    }
-
-    /// Materialize a query result into a runnable model.
-    ///
-    /// Plain keys load from the repository. Synthesized keys
-    /// (`host+donor`, paper Section 5.2 case ii) are built on demand:
-    /// the donor's matched segments are spliced into the host.
-    pub fn materialize(&self, key: &str) -> Result<Model, QueryError> {
-        if let Ok(model) = self.reader.repo.load(key) {
-            return Ok(model);
-        }
-        let Some((host_key, donor_key)) = key.split_once('+') else {
-            return Err(QueryError::UnknownReference(key.to_string()));
-        };
-        let host = self.reader.repo.load(host_key)?;
-        let donor = self.reader.repo.load(donor_key)?;
-        // The index certified the replacement when it recorded the
-        // candidate; materialization just re-derives the structural match
-        // and splices every matched segment.
-        let segments =
-            sommelier_equiv::segment::find_matched_segments(&host, &donor, 2);
-        if segments.is_empty() {
-            return Err(QueryError::Analysis(format!(
-                "no structurally matched segments between '{host_key}' and '{donor_key}'"
-            )));
-        }
-        let seg_refs: Vec<&sommelier_equiv::MatchedSegment> = segments.iter().collect();
-        let mut model =
-            sommelier_equiv::assessment::replace_segments(&host, &donor, &seg_refs);
-        model.name = key.to_string();
-        Ok(model)
-    }
-
-    /// Persist both indices to a snapshot file (paper Section 5.5:
-    /// indices are lightweight and can be populated to disk), stamped
-    /// with the current publication epoch. The on-disk encoding follows
-    /// the path extension: `.somb` writes the binary snapshot format,
-    /// anything else writes JSON.
-    pub fn save_indices(&self, path: &std::path::Path) -> Result<(), QueryError> {
-        let snap = &self.current;
-        match sommelier_index::SnapshotFormat::for_path(path) {
-            sommelier_index::SnapshotFormat::Binary => sommelier_index::persist::save_binary(
-                &snap.semantic,
-                &snap.resource,
-                snap.epoch,
-                path,
-            ),
-            sommelier_index::SnapshotFormat::Json => {
-                sommelier_index::persist::save(&snap.semantic, &snap.resource, snap.epoch, path)
-            }
-        }
-        .map_err(|e| QueryError::Analysis(e.to_string()))
-    }
-
-    /// The on-disk encoding the restored indices were served from:
-    /// `Some` after a snapshot load (or post-rebuild resave), `None` on
-    /// an engine built fresh in memory.
-    pub fn snapshot_format(&self) -> Option<sommelier_index::SnapshotFormat> {
-        self.snapshot_format
-    }
-
-    /// Connect to a repository restoring previously persisted indices —
-    /// registration analysis does not have to be repeated after a
-    /// restart. The snapshot format (JSON or binary) is sniffed from the
-    /// file contents. Default reference models are re-derived from the
-    /// indexed order; the publication epoch resumes from the snapshot's
-    /// stats header (pre-epoch snapshots resume from 0).
-    pub fn connect_with_indices(
-        repo: Arc<dyn ModelRepository>,
-        config: SommelierConfig,
-        path: &std::path::Path,
-    ) -> Result<Self, QueryError> {
-        Self::open_snapshot(&repo, &config, path).map_err(|e| QueryError::Analysis(e.to_string()))
-    }
-
-    /// Read the snapshot at `path` (either format), assemble the engine
-    /// around it and record the format it was read in.
-    fn open_snapshot(
-        repo: &Arc<dyn ModelRepository>,
-        config: &SommelierConfig,
-        path: &std::path::Path,
-    ) -> Result<Self, sommelier_index::persist::PersistError> {
-        let (snapshot, format) = sommelier_index::persist::read_snapshot_sniffed_with(
-            &sommelier_fault::StdStorage,
-            path,
-        )?;
-        let mut engine = Self::assemble_from_snapshot(Arc::clone(repo), config.clone(), snapshot);
-        engine.snapshot_format = Some(format);
-        Ok(engine)
-    }
-
-    /// [`Sommelier::connect_with_indices`] over a snapshot already in
-    /// memory: decoded from a file, or put together from live index
-    /// structures as they stand.
-    pub fn assemble_from_snapshot(
-        repo: Arc<dyn ModelRepository>,
-        config: SommelierConfig,
-        snapshot: sommelier_index::persist::IndexSnapshot,
-    ) -> Self {
-        let epoch = snapshot
-            .stats
-            .and_then(|s| s.epoch)
-            .map(|e| e.max(0) as u64)
-            .unwrap_or(0);
-        let mut default_refs = HashMap::new();
-        let mut tasks = HashMap::new();
-        for key in snapshot.semantic.keys() {
-            if let Ok(model) = repo.load(key) {
-                keep_smallest(&mut default_refs, model.task, key);
-                tasks.insert(key.to_string(), model.task);
-            }
-        }
-        let snapshot = EngineSnapshot {
-            semantic: snapshot.semantic,
-            resource: snapshot.resource,
-            default_refs,
-            epoch,
-        };
-        Self::assemble(repo, config, snapshot, tasks)
-    }
-
-    /// Connect restoring persisted indices, degrading gracefully when
-    /// the snapshot is missing or unreadable: a corrupt snapshot is
-    /// quarantined (`<name>.corrupt-<epoch>`) and the indices are
-    /// transparently rebuilt from the repository — the query path comes
-    /// up either way, it never errors on a bad snapshot file. Counters:
-    /// `recovery.loads` on a clean load, `recovery.rebuilds` per
-    /// rebuild, `recovery.quarantined` per file moved aside (bumped by
-    /// the quarantine itself), `recovery.resave_failures` when the
-    /// rebuilt snapshot could not be re-persisted.
-    pub fn connect_or_recover(
-        repo: Arc<dyn ModelRepository>,
-        config: SommelierConfig,
-        path: &std::path::Path,
-    ) -> Result<(Self, SnapshotRecovery), QueryError> {
-        use sommelier_index::persist::PersistError;
-        match Self::open_snapshot(&repo, &config, path) {
-            Ok(engine) => {
-                counters::add("recovery.loads", 1);
-                Ok((engine, SnapshotRecovery::Loaded))
-            }
-            Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                let engine = Self::rebuild_from_repository(repo, config, path)?;
-                Ok((engine, SnapshotRecovery::RebuiltMissing))
-            }
-            Err(_) => {
-                // Torn/garbage/unsupported snapshot: move the evidence
-                // aside (best effort — an unmovable file must not block
-                // recovery) and rebuild from the source of truth.
-                let quarantined =
-                    sommelier_fault::quarantine(&sommelier_fault::StdStorage, path).ok();
-                let engine = Self::rebuild_from_repository(repo, config, path)?;
-                Ok((
-                    engine,
-                    match quarantined {
-                        Some(q) => SnapshotRecovery::RebuiltQuarantined(q),
-                        None => SnapshotRecovery::RebuiltMissing,
-                    },
-                ))
-            }
-        }
-    }
-
-    fn rebuild_from_repository(
-        repo: Arc<dyn ModelRepository>,
-        config: SommelierConfig,
-        path: &std::path::Path,
-    ) -> Result<Self, QueryError> {
-        counters::add("recovery.rebuilds", 1);
-        let mut engine = Self::connect(repo, config);
-        engine.index_existing()?;
-        // Re-persist so the next start loads instead of re-analyzing;
-        // failing to write the fresh snapshot must not fail recovery —
-        // the engine is already serving from memory.
-        if engine.save_indices(path).is_err() {
-            counters::add("recovery.resave_failures", 1);
-        } else {
-            engine.snapshot_format = Some(sommelier_index::SnapshotFormat::for_path(path));
-        }
-        Ok(engine)
-    }
-
-    /// Directly measure the empirical QoR difference between two
-    /// registered models on the engine's probe — a convenience for
-    /// experiments and the serving integration. A pair the I/O check
-    /// rejects has no difference to measure: `QueryError::Analysis`.
-    pub fn measure_diff(&self, reference: &str, candidate: &str) -> Result<f64, QueryError> {
-        let a = self.reader.repo.load(reference)?;
-        let b = self.reader.repo.load(candidate)?;
-        let (a, b) = (Subject::held(&a), Subject::held(&b));
-        let measured = self.analyzer.whole_pair(&a, &b);
-        // Records are kept for indexed models only.
-        self.analyzer.forget(
-            [a.fp, b.fp]
-                .into_iter()
-                .filter(|fp| !self.current.semantic.contains_fingerprint(*fp)),
-        );
-        let [(empirical, _), _] = measured.map_err(|why| {
-            QueryError::Analysis(format!(
-                "'{reference}' and '{candidate}' are incomparable: {why}"
-            ))
-        })?;
-        Ok(empirical)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Query;
     use sommelier_equiv::genbound::architecture_factor;
     use sommelier_equiv::iocheck::PREPROCESSOR_KEY;
+    use sommelier_equiv::whole::GenBoundMode;
     use sommelier_graph::task::OutputStyle;
-    use sommelier_graph::ModelBuilder;
-    use sommelier_repo::InMemoryRepository;
-    use sommelier_tensor::Shape;
+    use sommelier_graph::{Fingerprint, Model, ModelBuilder};
+    use sommelier_index::PairAnalyzer;
+    use sommelier_repo::{InMemoryRepository, ModelRepository};
+    use sommelier_runtime::metrics::counters;
+    use sommelier_tensor::{Prng, Shape, Tensor};
+    use std::borrow::Cow;
+    use std::sync::Arc;
     use sommelier_zoo::families::{Family, FamilyScale};
     use sommelier_zoo::finetune::perturb_all;
     use sommelier_zoo::teacher::{DatasetBias, Teacher};
