@@ -417,7 +417,7 @@ mod tests {
         ));
         engine.save_indices(&path).unwrap();
         let restored =
-            Sommelier::connect_with_indices(engine.reader.repo.clone(), cfg, &path).unwrap();
+            Sommelier::connect_with_indices(engine.reader().repo.clone(), cfg, &path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(restored.query(q).unwrap(), live);
     }
@@ -427,14 +427,14 @@ mod tests {
         let (mut engine, names) = engine_with_variants();
         let epoch = engine.epoch();
         let stored = |engine: &Sommelier| {
-            let keys = engine.reader.repo.keys();
-            let load = |k: &String| engine.reader.repo.load(k).unwrap();
+            let keys = engine.reader().repo.keys();
+            let load = |k: &String| engine.reader().repo.load(k).unwrap();
             let models: Vec<Model> = keys.iter().map(load).collect();
             (keys, models)
         };
         let before = stored(&engine);
-        let original = engine.reader.repo.load(&names[0]).unwrap();
-        let mut other = engine.reader.repo.load(&names[1]).unwrap();
+        let original = engine.reader().repo.load(&names[0]).unwrap();
+        let mut other = engine.reader().repo.load(&names[1]).unwrap();
         other.name = names[0].clone();
         let mut fresh = original.clone();
         fresh.name = "fresh".into();
@@ -616,7 +616,7 @@ mod tests {
 
         // A fresh engine restored from the snapshot answers identically
         // without re-analysis. The repository must be shared.
-        let repo = engine.reader.repo.clone();
+        let repo = engine.reader().repo.clone();
         let restored = Sommelier::connect_with_indices(
             repo,
             SommelierConfig::default(),
@@ -658,7 +658,7 @@ mod tests {
         assert_ne!(before.memory_mb, after.memory_mb);
         assert_eq!(engine.len(), 4, "model count unchanged after update");
         // The repository holds the new version.
-        let stored = engine.reader.repo.load(&names[2]).unwrap();
+        let stored = engine.reader().repo.load(&names[2]).unwrap();
         assert_eq!(stored.metadata["family"], "vggish");
     }
 
@@ -832,7 +832,7 @@ mod tests {
             assert_eq!(replace(&mut engine, &model), 1);
             let loaded = repo.loads() - loads_before;
             assert!(
-                loaded <= engine.reader.config.index.sample_size,
+                loaded <= engine.reader().config.index.sample_size,
                 "{name}: re-add loaded {loaded} partners"
             );
             assert!(image(&engine) == before, "{name}: re-add drifted from the pre-drop state");
@@ -890,7 +890,7 @@ mod tests {
     fn mutation_batch_coalesces_into_one_publish() {
         let (mut engine, names) = engine_with_variants();
         let epoch_before = engine.epoch();
-        let replacement = engine.reader.repo.load(&names[1]).unwrap();
+        let replacement = engine.reader().repo.load(&names[1]).unwrap();
         let batch = MutationBatch::new()
             .unregister(&names[0])
             .unregister(&names[1])
@@ -1104,7 +1104,7 @@ mod tests {
         ));
         engine.save_indices(&path).unwrap();
         let restored = Sommelier::connect_with_indices(
-            engine.reader.repo.clone(),
+            engine.reader().repo.clone(),
             SommelierConfig::default(),
             &path,
         )
@@ -1126,7 +1126,7 @@ mod tests {
         };
         let before = counters::get("recovery.rebuilds");
         let (restored, outcome) =
-            Sommelier::connect_or_recover(engine.reader.repo.clone(), config.clone(), path).unwrap();
+            Sommelier::connect_or_recover(engine.reader().repo.clone(), config.clone(), path).unwrap();
         match &outcome {
             SnapshotRecovery::RebuiltQuarantined(q) => {
                 assert!(q.exists(), "{case}: evidence file preserved")
@@ -1147,7 +1147,7 @@ mod tests {
         let resaved = sommelier_index::persist::read_snapshot(path).expect("resaved image reads");
         assert_eq!(resaved.version, sommelier_index::persist::SNAPSHOT_VERSION, "{case}");
         let (_again, outcome) =
-            Sommelier::connect_or_recover(engine.reader.repo.clone(), config, path).unwrap();
+            Sommelier::connect_or_recover(engine.reader().repo.clone(), config, path).unwrap();
         assert!(matches!(outcome, SnapshotRecovery::Loaded), "{case}");
     }
 
@@ -1205,13 +1205,13 @@ mod tests {
         assert!(engine.snapshot_format().is_none(), "fresh engine, no load");
 
         let from_json = Sommelier::connect_with_indices(
-            engine.reader.repo.clone(),
+            engine.reader().repo.clone(),
             SommelierConfig::default(),
             &jpath,
         )
         .unwrap();
         let from_bin = Sommelier::connect_with_indices(
-            engine.reader.repo.clone(),
+            engine.reader().repo.clone(),
             SommelierConfig::default(),
             &bpath,
         )
@@ -1270,7 +1270,7 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
         let (restored, outcome) = Sommelier::connect_or_recover(
-            engine.reader.repo.clone(),
+            engine.reader().repo.clone(),
             SommelierConfig {
                 validation_rows: 128,
                 ..SommelierConfig::default()

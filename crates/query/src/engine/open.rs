@@ -35,26 +35,17 @@ impl Sommelier {
     /// the path extension: `.somb` writes the binary snapshot format,
     /// anything else writes JSON.
     pub fn save_indices(&self, path: &std::path::Path) -> Result<(), QueryError> {
-        let snap = &self.current;
+        let (semantic, resource) = (self.semantic_index(), self.resource_index());
+        let epoch = self.epoch();
         match sommelier_index::SnapshotFormat::for_path(path) {
-            sommelier_index::SnapshotFormat::Binary => sommelier_index::persist::save_binary(
-                &snap.semantic,
-                &snap.resource,
-                snap.epoch,
-                path,
-            ),
+            sommelier_index::SnapshotFormat::Binary => {
+                sommelier_index::persist::save_binary(semantic, resource, epoch, path)
+            }
             sommelier_index::SnapshotFormat::Json => {
-                sommelier_index::persist::save(&snap.semantic, &snap.resource, snap.epoch, path)
+                sommelier_index::persist::save(semantic, resource, epoch, path)
             }
         }
         .map_err(|e| QueryError::Analysis(e.to_string()))
-    }
-
-    /// The on-disk encoding the restored indices were served from:
-    /// `Some` after a snapshot load (or post-rebuild resave), `None` on
-    /// an engine built fresh in memory.
-    pub fn snapshot_format(&self) -> Option<sommelier_index::SnapshotFormat> {
-        self.snapshot_format
     }
 
     /// Connect to a repository restoring previously persisted indices —
@@ -83,7 +74,7 @@ impl Sommelier {
             path,
         )?;
         let mut engine = Self::assemble_from_snapshot(Arc::clone(repo), config.clone(), snapshot);
-        engine.snapshot_format = Some(format);
+        engine.set_snapshot_format(format);
         Ok(engine)
     }
 
@@ -173,7 +164,7 @@ impl Sommelier {
         if engine.save_indices(path).is_err() {
             counters::add("recovery.resave_failures", 1);
         } else {
-            engine.snapshot_format = Some(sommelier_index::SnapshotFormat::for_path(path));
+            engine.set_snapshot_format(sommelier_index::SnapshotFormat::for_path(path));
         }
         Ok(engine)
     }

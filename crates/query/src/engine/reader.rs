@@ -35,13 +35,30 @@ static BATCH_MS: OnceLock<Arc<latency::Histogram>> = OnceLock::new();
 #[derive(Clone)]
 pub struct SommelierReader {
     pub(super) repo: Arc<dyn ModelRepository>,
-    pub(super) published: Arc<Mutex<Arc<EngineSnapshot>>>,
+    published: Arc<Mutex<Arc<EngineSnapshot>>>,
     pub(super) pool: Arc<ThreadPool>,
-    pub(super) plan_cache: Arc<PlanCache>,
+    plan_cache: Arc<PlanCache>,
     pub(super) config: SommelierConfig,
 }
 
 impl SommelierReader {
+    /// A reader whose slot publishes `current` first.
+    pub(super) fn new(
+        repo: Arc<dyn ModelRepository>,
+        current: &Arc<EngineSnapshot>,
+        config: SommelierConfig,
+    ) -> Self {
+        SommelierReader {
+            repo,
+            published: Arc::new(Mutex::new(Arc::clone(current))),
+            pool: Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
+                config.jobs,
+            ))),
+            plan_cache: Arc::new(PlanCache::new(config.query_cache_cap)),
+            config,
+        }
+    }
+
     /// Pin the currently published snapshot. The returned `Arc` stays
     /// valid (and internally consistent) for as long as the caller
     /// holds it, regardless of concurrent publications.

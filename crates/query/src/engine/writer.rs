@@ -9,14 +9,13 @@ use super::{
     BatchQueryItem, CacheStatsShim, EngineSnapshot, QueryError, QueryResult, SommelierConfig,
 };
 use crate::ast::Query;
-use crate::plancache::{PlanCache, PlanCacheStats};
+use crate::plancache::PlanCacheStats;
 use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::{ResourceIndex, SemanticIndex};
-use sommelier_parallel::ThreadPool;
 use sommelier_repo::{check_publishable, ModelRepository, RepoError};
 use sommelier_runtime::ResourceProfile;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Make `key` the default reference of `task` unless a smaller key
 /// already is: a task's default reference is its smallest indexed key.
@@ -79,16 +78,16 @@ impl MutationBatch {
 pub struct Sommelier {
     /// The snapshot this engine last published: its only copy of the
     /// indices, the default references and the epoch.
-    pub(super) current: Arc<EngineSnapshot>,
+    current: Arc<EngineSnapshot>,
     analyzer: EquivAnalyzer,
     /// Task kind per indexed key — the metadata mutations need (default
     /// reference re-derivation) without touching the repository.
     tasks: HashMap<String, TaskKind>,
     /// On-disk encoding that served the restored indices (`None` when
     /// the engine was built fresh rather than loaded from a snapshot).
-    pub(super) snapshot_format: Option<sommelier_index::SnapshotFormat>,
+    snapshot_format: Option<sommelier_index::SnapshotFormat>,
     /// The read side; holds the published-snapshot cell.
-    pub(super) reader: SommelierReader,
+    reader: SommelierReader,
 }
 
 impl Sommelier {
@@ -107,15 +106,7 @@ impl Sommelier {
             config.validation_rows,
             config.seed,
         );
-        let reader = SommelierReader {
-            repo,
-            published: Arc::new(Mutex::new(Arc::clone(&current))),
-            pool: Arc::new(ThreadPool::new(sommelier_parallel::effective_jobs(
-                config.jobs,
-            ))),
-            plan_cache: Arc::new(PlanCache::new(config.query_cache_cap)),
-            config,
-        };
+        let reader = SommelierReader::new(repo, &current, config);
         Sommelier {
             current,
             analyzer,
@@ -166,6 +157,18 @@ impl Sommelier {
     /// The current publication epoch (bumped by every mutation).
     pub fn epoch(&self) -> u64 {
         self.current.epoch
+    }
+
+    /// The on-disk encoding the restored indices were served from:
+    /// `Some` after a snapshot load (or post-rebuild resave), `None` on
+    /// an engine built fresh in memory.
+    pub fn snapshot_format(&self) -> Option<sommelier_index::SnapshotFormat> {
+        self.snapshot_format
+    }
+
+    /// Record the encoding the indices were loaded from or resaved in.
+    pub(super) fn set_snapshot_format(&mut self, format: sommelier_index::SnapshotFormat) {
+        self.snapshot_format = Some(format);
     }
 
     /// A handle to the read side. Clone freely across
