@@ -130,12 +130,13 @@ fn main() {
         let mut qrng = Prng::seed_from_u64(repo_seed ^ 31_337);
         let mut ideal_hits = 0usize;
         let mut regret_sum = 0.0f64;
+        let reader = engine.reader();
         for _ in 0..queries_per_repo {
             let budget = mem_min + (mem_max - mem_min) * qrng.uniform();
             let q = Query::corr("reference")
                 .within(0.0)
                 .memory_at_most_frac(budget / ref_mem);
-            let got = engine.query_ast(&q).expect("query runs");
+            let got = reader.query_ast(&q).expect("query runs");
             let ideal = (0..names.len())
                 .filter(|&i| true_mem[i] <= budget + 1e-9)
                 .min_by(|&a, &b| true_diff[a].partial_cmp(&true_diff[b]).expect("finite"))

@@ -980,7 +980,7 @@ mod tests {
             assert_eq!(got, baseline, "lanes={lanes} diverged");
         }
         // Every item of one batch is served from the same epoch.
-        let items = engine.query_batch(&texts);
+        let items = engine.reader().query_batch(&texts);
         assert!(items.iter().all(|i| i.epoch == engine.epoch()));
         assert!(items.iter().all(|i| i.latency_ms >= 0.0));
     }
@@ -1050,10 +1050,12 @@ mod tests {
         // `SELECT models 0` only arises programmatically (the parser
         // rejects it); the executor must prune it without index work.
         let zero = engine
+            .reader()
             .query_ast(&Query::corr(&names[0]).top(0).within(0.0))
             .unwrap();
         assert!(zero.is_empty());
         let impossible = engine
+            .reader()
             .query_ast(&Query::corr(&names[0]).top(5).within(1.5))
             .unwrap();
         assert!(impossible.is_empty());
@@ -1087,6 +1089,7 @@ mod tests {
             );
         }
         engine
+            .reader()
             .query_ast(&Query::corr(&names[0]).top(3).within(0.2).memory_at_most_frac(0.9))
             .expect("uncached AST query executes");
         assert_eq!(scans(), before, "a served query swept the resource index");

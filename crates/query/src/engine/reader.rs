@@ -110,7 +110,7 @@ impl SommelierReader {
     pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
         let snap = self.snapshot();
         SNAPSHOT_EPOCH.set(snap.epoch);
-        self.query_ast_on(&snap, query)
+        self.query_ast_cached(&snap, query, None)
     }
 
     /// Execute a batch of textual queries, fanned across the reader's
@@ -156,14 +156,6 @@ impl SommelierReader {
         }
         let ast = parse(&normalized)?;
         self.query_ast_cached(snap, &ast, Some(&normalized))
-    }
-
-    fn query_ast_on(
-        &self,
-        snap: &EngineSnapshot,
-        query: &Query,
-    ) -> Result<Vec<QueryResult>, QueryError> {
-        self.query_ast_cached(snap, query, None)
     }
 
     fn query_ast_cached(

@@ -5,10 +5,7 @@
 
 use super::analyzer::{EquivAnalyzer, Subject};
 use super::reader::SommelierReader;
-use super::{
-    BatchQueryItem, CacheStatsShim, EngineSnapshot, QueryError, QueryResult, SommelierConfig,
-};
-use crate::ast::Query;
+use super::{CacheStatsShim, EngineSnapshot, QueryError, QueryResult, SommelierConfig};
 use crate::plancache::PlanCacheStats;
 use sommelier_graph::{Fingerprint, Model, TaskKind};
 use sommelier_index::{ResourceIndex, SemanticIndex};
@@ -338,17 +335,6 @@ impl Sommelier {
     /// current published snapshot.
     pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {
         self.reader.query(text)
-    }
-
-    /// Execute a programmatically built query.
-    pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
-        self.reader.query_ast(query)
-    }
-
-    /// Execute a batch of textual queries fanned across the engine's
-    /// pool; see [`SommelierReader::query_batch`].
-    pub fn query_batch(&self, texts: &[String]) -> Vec<BatchQueryItem> {
-        self.reader.query_batch(texts)
     }
 
     /// Materialize a query result into a runnable model.

@@ -119,13 +119,14 @@ fn resource_index_agrees_with_exhaustive_oracle() {
 #[test]
 fn query_results_never_violate_their_plan() {
     let (engine, names) = engine(8);
+    let reader = engine.reader();
     for &thr in &[0.2f64, 0.5, 0.8] {
         for &mem in &[0.3f64, 0.7, 1.0] {
             let q = Query::corr(names[0].clone())
                 .within(thr)
                 .memory_at_most_frac(mem)
                 .top(20);
-            let results = engine.query_ast(&q).unwrap();
+            let results = reader.query_ast(&q).unwrap();
             let budget = mem
                 * engine
                     .resource_index()
