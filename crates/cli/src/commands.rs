@@ -57,6 +57,28 @@ fn split_flags(args: &[String]) -> Result<ParsedArgs<'_>, String> {
     Ok((positional, flags))
 }
 
+/// [`split_flags`], refusing any flag outside `takes`.
+fn split_known_flags<'a>(args: &'a [String], takes: &[&str]) -> Result<ParsedArgs<'a>, String> {
+    let (positional, flags) = split_flags(args)?;
+    if let Some((name, _)) = flags.iter().find(|(name, _)| !takes.contains(name)) {
+        return Err(format!("unknown flag --{name}"));
+    }
+    Ok((positional, flags))
+}
+
+/// `--name`'s value as an integer; a `positive` one refuses 0 too.
+fn int_flag<T>(name: &str, value: &str, positive: bool) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let kind = if positive { "a positive integer" } else { "an integer" };
+    value
+        .parse()
+        .ok()
+        .filter(|n| !positive || *n >= T::from(1))
+        .ok_or_else(|| format!("--{name} needs {kind}, got '{value}'"))
+}
+
 fn repo_dir(positional: &[&str]) -> Result<PathBuf, String> {
     positional
         .first()
@@ -78,17 +100,9 @@ fn engine_config(flags: &[(&str, &str)]) -> Result<SommelierConfig, String> {
     let mut cfg = SommelierConfig::default();
     for (name, value) in flags {
         match *name {
-            "sample" => {
-                cfg.index.sample_size = value
-                    .parse()
-                    .map_err(|_| format!("--sample needs an integer, got '{value}'"))?;
-            }
+            "sample" => cfg.index.sample_size = int_flag(name, value, false)?,
             "no-segments" => cfg.index.segments = false,
-            "jobs" => {
-                cfg.jobs = value
-                    .parse()
-                    .map_err(|_| format!("--jobs needs an integer, got '{value}'"))?;
-            }
+            "jobs" => cfg.jobs = int_flag(name, value, false)?,
             _ => return Err(format!("unknown flag --{name}")),
         }
     }
@@ -97,7 +111,7 @@ fn engine_config(flags: &[(&str, &str)]) -> Result<SommelierConfig, String> {
 
 /// `sommelier init <dir>`
 pub fn init(args: &[String]) -> CmdResult {
-    let (positional, _) = split_flags(args)?;
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     std::fs::create_dir_all(&dir).map_err(fail)?;
     OnDiskRepository::open(&dir).map_err(fail)?;
@@ -113,16 +127,8 @@ pub fn seed(args: &[String]) -> CmdResult {
     let mut seed = 2024u64;
     for (name, value) in &flags {
         match *name {
-            "series" => {
-                n_series = value
-                    .parse()
-                    .map_err(|_| format!("--series needs an integer, got '{value}'"))?
-            }
-            "seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| format!("--seed needs an integer, got '{value}'"))?
-            }
+            "series" => n_series = int_flag(name, value, false)?,
+            "seed" => seed = int_flag(name, value, false)?,
             other => return Err(format!("unknown flag --{other}")),
         }
     }
@@ -164,7 +170,7 @@ pub fn seed(args: &[String]) -> CmdResult {
 
 /// `sommelier add <dir> <model.json> [--key K]`
 pub fn add(args: &[String]) -> CmdResult {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_known_flags(args, &["key"])?;
     let dir = repo_dir(&positional)?;
     let file = positional
         .get(1)
@@ -186,7 +192,7 @@ pub fn add(args: &[String]) -> CmdResult {
 /// The inverse of `add`: loads `key` and writes it to `file` as the
 /// standalone model JSON `add` and `apply --add` read.
 pub fn export(args: &[String]) -> CmdResult {
-    let (positional, _) = split_flags(args)?;
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     let key = positional.get(1).ok_or("missing model key argument")?;
     let file = positional.get(2).ok_or("missing output file argument")?;
@@ -198,7 +204,7 @@ pub fn export(args: &[String]) -> CmdResult {
 
 /// `sommelier list <dir>`
 pub fn list(args: &[String]) -> CmdResult {
-    let (positional, _) = split_flags(args)?;
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     let repo = open_repo(&dir)?;
     let keys = repo.keys();
@@ -214,7 +220,7 @@ pub fn list(args: &[String]) -> CmdResult {
 
 /// `sommelier show <dir> <key>`
 pub fn show(args: &[String]) -> CmdResult {
-    let (positional, _) = split_flags(args)?;
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     let key = positional.get(1).ok_or("missing model key argument")?;
     let repo = open_repo(&dir)?;
@@ -312,10 +318,7 @@ pub fn apply(args: &[String]) -> CmdResult {
 /// against JSON repositories; compacting is an optimization, not a
 /// migration requirement.
 pub fn compact(args: &[String]) -> CmdResult {
-    let (positional, flags) = split_flags(args)?;
-    if let Some((name, _)) = flags.first() {
-        return Err(format!("unknown flag --{name}"));
-    }
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     if !dir.exists() {
         return Err(format!("repository '{}' does not exist", dir.display()));
@@ -417,13 +420,7 @@ pub fn query(args: &[String]) -> CmdResult {
     let mut engine_flags = Vec::new();
     for (name, value) in &flags {
         match *name {
-            "repeat" => {
-                repeat = value
-                    .parse()
-                    .ok()
-                    .filter(|&k: &usize| k >= 1)
-                    .ok_or_else(|| format!("--repeat needs a positive integer, got '{value}'"))?;
-            }
+            "repeat" => repeat = int_flag(name, value, true)?,
             "format" => match *value {
                 "text" | "json" => format = value,
                 other => return Err(format!("unknown format '{other}' (text|json)")),
@@ -525,7 +522,7 @@ pub fn query(args: &[String]) -> CmdResult {
 /// database" view): I/O check, empirical/bounded differences, matched
 /// segments with their propagation bounds, and the verdict.
 pub fn diff(args: &[String]) -> CmdResult {
-    let (positional, _) = split_flags(args)?;
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     let reference_key = positional.get(1).ok_or("missing reference key")?;
     let candidate_key = positional.get(2).ok_or("missing candidate key")?;
@@ -545,7 +542,7 @@ pub fn diff(args: &[String]) -> CmdResult {
 
 /// `sommelier dot <dir> <key>` — Graphviz export of a model's graph.
 pub fn dot(args: &[String]) -> CmdResult {
-    let (positional, _) = split_flags(args)?;
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     let key = positional.get(1).ok_or("missing model key argument")?;
     let repo = open_repo(&dir)?;
@@ -603,11 +600,7 @@ fn check(args: &[String], deep: bool) -> CmdResult {
                 let query = sommelier_query::parse(value).map_err(fail)?;
                 ctx.queries.push(query);
             }
-            ("jobs", true) => {
-                jobs = value
-                    .parse()
-                    .map_err(|_| format!("--jobs needs an integer, got '{value}'"))?;
-            }
+            ("jobs", true) => jobs = int_flag(name, value, false)?,
             ("baseline", true) => baseline = Some(PathBuf::from(value)),
             (other, _) => return Err(format!("unknown flag --{other}")),
         }
@@ -748,10 +741,7 @@ pub fn fsck(args: &[String]) -> CmdResult {
 /// leaves every model loadable from one format or the other. A store
 /// with no flat file is left untouched.
 pub fn dedup(args: &[String]) -> CmdResult {
-    let (positional, flags) = split_flags(args)?;
-    if let Some((name, _)) = flags.first() {
-        return Err(format!("unknown flag --{name}"));
-    }
+    let (positional, _) = split_known_flags(args, &[])?;
     let dir = repo_dir(&positional)?;
     let repo = open_repo(&dir)?;
     let stats = dedup_store(&repo).map_err(fail)?;
@@ -793,18 +783,8 @@ pub fn serve(args: &[String]) -> CmdResult {
     for (name, value) in &flags {
         match *name {
             "addr" => daemon_cfg.addr = value.to_string(),
-            "workers" => {
-                daemon_cfg.workers = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| format!("--workers needs a positive integer, got '{value}'"))?;
-            }
-            "queue-depth" => {
-                daemon_cfg.queue_depth = value
-                    .parse()
-                    .map_err(|_| format!("--queue-depth needs an integer, got '{value}'"))?;
-            }
+            "workers" => daemon_cfg.workers = int_flag(name, value, true)?,
+            "queue-depth" => daemon_cfg.queue_depth = int_flag(name, value, false)?,
             "tenants" => daemon_cfg.tenants = Some(PathBuf::from(value)),
             _ => engine_flags.push((*name, *value)),
         }

@@ -86,6 +86,37 @@ fn query_without_index_explains_what_to_do() {
 }
 
 #[test]
+fn a_flag_a_command_does_not_take_is_refused() {
+    let dir = temp_repo("stray-flag");
+    let d = dir.to_str().unwrap();
+    assert!(run(&["init", d]).status.success());
+    assert!(run(&["seed", d, "--series", "1", "--seed", "7"]).status.success());
+    let listing = stdout(&run(&["list", d]));
+    let keys: Vec<&str> = listing.lines().collect();
+    let (a, b) = (keys[0], keys[1]);
+    let fresh = temp_repo("stray-flag-init");
+    let exported = dir.join("exported.model.json");
+    let (fresh_dir, file) = (fresh.to_str().unwrap(), exported.to_str().unwrap());
+    let cases: [&[&str]; 7] = [
+        &["init", fresh_dir, "--jobs", "banana"],
+        &["export", d, a, file, "--bogus", "1"],
+        &["list", d, "--format", "json"],
+        &["show", d, a, "--bogus", "1"],
+        &["diff", d, a, b, "--bogus", "1"],
+        &["dot", d, a, "--format", "png"],
+        &["add", d, file, "--bogus", "1"],
+    ];
+    for args in cases {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stdout(&out));
+        assert!(stderr(&out).contains("unknown flag --"), "{args:?}: {}", stderr(&out));
+    }
+    assert!(!fresh.exists(), "a refused init made its directory");
+    assert!(!exported.exists(), "a refused export wrote its file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn full_session_init_seed_index_query_show_diff() {
     let dir = temp_repo("session");
     let d = dir.to_str().unwrap();
