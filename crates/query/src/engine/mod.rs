@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn apply_refuses_a_conflicting_batch_before_writing() {
         let (mut engine, names) = engine_with_variants();
-        let epoch = engine.epoch();
+        let (epoch, reader) = (engine.epoch(), engine.reader());
         let stored = |engine: &Sommelier| {
             let keys = engine.reader().repo.keys();
             let load = |k: &String| engine.reader().repo.load(k).unwrap();
@@ -468,15 +468,27 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains(&names[0]));
+        // A model `check_publishable` refuses.
+        let mut broken = fresh.clone();
+        broken.input_shape = Shape::vector(broken.input_width() + 1);
+        let err = engine.apply(MutationBatch::new().register(broken)).unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Repo(RepoError::Invalid { key, .. }) if key == "fresh"),
+            "{err}"
+        );
 
-        // Nothing was written, indexed or published.
+        // Nothing was written, indexed or published: a reader cloned
+        // before the refusals still serves the old epoch.
         assert!(stored(&engine) == before);
         assert_eq!(engine.epoch(), epoch);
+        assert_eq!(reader.epoch(), epoch);
         assert_eq!(engine.len(), names.len());
 
         // A new key beside a key that is stored but no longer indexed:
         // a removal leaves the file, and only a replace overwrites it.
         assert_eq!(unregister(&mut engine, &names[0]), 1);
+        // One apply is one publish, seen by the engine and the reader.
+        assert_eq!((engine.epoch(), reader.epoch()), (epoch + 1, epoch + 1));
         let (before, epoch) = (stored(&engine), engine.epoch());
         let batch = MutationBatch::new()
             .register(fresh)
@@ -487,9 +499,10 @@ mod tests {
             "{err}"
         );
         assert!(stored(&engine) == before, "an add was stored");
-        assert_eq!(engine.epoch(), epoch);
+        assert_eq!((engine.epoch(), reader.epoch()), (epoch, epoch));
         assert_eq!(engine.len(), names.len() - 1);
         assert_eq!(replace(&mut engine, &original), 1);
+        assert_eq!((engine.epoch(), reader.epoch()), (epoch + 1, epoch + 1));
     }
 
     #[test]
