@@ -71,7 +71,11 @@ fn int_flag<T>(name: &str, value: &str, positive: bool) -> Result<T, String>
 where
     T: std::str::FromStr + PartialOrd + From<u8>,
 {
-    let kind = if positive { "a positive integer" } else { "an integer" };
+    let kind = if positive {
+        "a positive integer"
+    } else {
+        "an integer"
+    };
     value
         .parse()
         .ok()

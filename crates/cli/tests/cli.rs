@@ -109,7 +109,11 @@ fn a_flag_a_command_does_not_take_is_refused() {
     for args in cases {
         let out = run(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stdout(&out));
-        assert!(stderr(&out).contains("unknown flag --"), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("unknown flag --"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
     }
     assert!(!fresh.exists(), "a refused init made its directory");
     assert!(!exported.exists(), "a refused export wrote its file");

@@ -471,7 +471,9 @@ mod tests {
         // A model `check_publishable` refuses.
         let mut broken = fresh.clone();
         broken.input_shape = Shape::vector(broken.input_width() + 1);
-        let err = engine.apply(MutationBatch::new().register(broken)).unwrap_err();
+        let err = engine
+            .apply(MutationBatch::new().register(broken))
+            .unwrap_err();
         assert!(
             matches!(&err, QueryError::Repo(RepoError::Invalid { key, .. }) if key == "fresh"),
             "{err}"

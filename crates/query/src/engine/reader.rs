@@ -42,7 +42,7 @@ pub struct SommelierReader {
 }
 
 impl SommelierReader {
-    /// A reader whose slot publishes `current` first.
+    /// A reader whose slot holds `current` until the writer's first swap.
     pub(super) fn new(
         repo: Arc<dyn ModelRepository>,
         current: &Arc<EngineSnapshot>,

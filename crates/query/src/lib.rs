@@ -17,6 +17,12 @@
 //! executed against the two indices by the [`engine::Sommelier`] facade,
 //! which also owns model registration (repository publish + index
 //! insertion with the production [`engine::EquivAnalyzer`]).
+//!
+//! The engine is four files, one job each: `engine/analyzer.rs` holds
+//! the pairwise analysis, `engine/reader.rs` the query path
+//! ([`engine::SommelierReader`]), `engine/writer.rs` the mutations
+//! ([`engine::Sommelier::apply`]) and `engine/open.rs` connect, restore,
+//! recovery and save. Only the writer publishes a snapshot.
 
 pub mod ast;
 pub mod engine;
