@@ -22,7 +22,11 @@
 
 use sommelier_graph::{LayerId, Model};
 use sommelier_runtime::execute_traced;
+use sommelier_runtime::metrics::counters::CachedCounter;
 use sommelier_tensor::{linalg, Tensor};
+
+/// Linear layers whose norms [`layer_norms`] computed.
+static LAYER_NORMS: CachedCounter = CachedCounter::new("equiv.layer_norms");
 
 /// Configuration of the generalization bound analysis.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,17 +75,49 @@ pub struct Cushions {
 /// model is "less compressible" and earns a larger bound.
 pub fn estimate_cushions(model: &Model, probe: &Tensor) -> Cushions {
     let trace = execute_traced(model, probe).expect("probe must match the model input width");
-    traced_cushions(model, &trace, usize::MAX)
+    traced_cushions(model, &trace, usize::MAX, layer_norms)
 }
 
-/// [`estimate_cushions`] over the first `rows` rows of a trace.
-fn traced_cushions(model: &Model, trace: &[Tensor], rows: usize) -> Cushions {
+/// The two norms of a linear layer's dense-equivalent weight that the
+/// cushions read: a function of the weight alone, unlike the activations.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LayerNorms {
+    /// `‖W‖_F`.
+    pub frobenius: f64,
+    /// `σ_max(W)`, by power iteration.
+    pub spectral: f64,
+}
+
+/// Layer `id`'s [`LayerNorms`], computed from its dense equivalent. This is
+/// what every bound computation passes as its norms function unless it
+/// keeps its own memo of them, as `sommelier-query`'s `EquivAnalyzer`
+/// does; a memo must return these bits.
+pub fn layer_norms(model: &Model, id: LayerId) -> LayerNorms {
+    LAYER_NORMS.add(1);
+    let w = model
+        .dense_equivalent(id)
+        .expect("linear layers have dense equivalents");
+    LayerNorms {
+        frobenius: w.frobenius_norm(),
+        spectral: linalg::spectral_norm_default(&w),
+    }
+}
+
+/// [`estimate_cushions`] over the first `rows` rows of a trace, with each
+/// linear layer's norms from `norms`.
+fn traced_cushions(
+    model: &Model,
+    trace: &[Tensor],
+    rows: usize,
+    mut norms: impl FnMut(&Model, LayerId) -> LayerNorms,
+) -> Cushions {
     let mut per_layer = Vec::new();
     for id in model.linear_layers() {
-        let w = model
-            .dense_equivalent(id)
-            .expect("linear layers have dense equivalents");
-        let frob = w.frobenius_norm().max(1e-12);
+        let LayerNorms {
+            frobenius,
+            spectral,
+        } = norms(model, id);
+        let frob = frobenius.max(1e-12);
         let x_in = &trace[model.layer(id).inputs[0].index()];
         let x_out = &trace[id.index()];
         let mut ratio_sum = 0.0;
@@ -99,8 +135,7 @@ fn traced_cushions(model: &Model, trace: &[Tensor], rows: usize) -> Cushions {
         } else {
             1e-4
         };
-        let sigma = linalg::spectral_norm_default(&w);
-        let mu_fwd = (sigma / frob).clamp(1e-4, 1.0);
+        let mu_fwd = (spectral / frob).clamp(1e-4, 1.0);
         per_layer.push((id, mu, mu_fwd));
     }
     Cushions { per_layer }
@@ -116,7 +151,7 @@ fn traced_cushions(model: &Model, trace: &[Tensor], rows: usize) -> Cushions {
 pub fn architecture_factor(model: &Model, probe: &Tensor, config: &GenBoundConfig) -> f64 {
     let probe = clamp_rows(probe, config.probe_rows);
     let trace = execute_traced(model, &probe).expect("probe must match the model input width");
-    traced_factor(model, &trace, config)
+    traced_factor(model, &trace, config, layer_norms)
 }
 
 /// [`architecture_factor`] read off a trace of the probe: its first
@@ -124,10 +159,16 @@ pub fn architecture_factor(model: &Model, probe: &Tensor, config: &GenBoundConfi
 /// operator runs row by row, so those rows of a longer probe's trace are
 /// bit-identical to a trace of the clamped probe
 /// (`tests::a_longer_trace_gives_the_same_factor`), and one pass serves
-/// both the outputs and the factor.
-pub(crate) fn traced_factor(model: &Model, trace: &[Tensor], config: &GenBoundConfig) -> f64 {
+/// both the outputs and the factor. Each linear layer's norms come from
+/// `norms`.
+pub(crate) fn traced_factor(
+    model: &Model,
+    trace: &[Tensor],
+    config: &GenBoundConfig,
+    norms: impl FnMut(&Model, LayerId) -> LayerNorms,
+) -> f64 {
     let rows = config.probe_rows;
-    let cushions = traced_cushions(model, trace, rows);
+    let cushions = traced_cushions(model, trace, rows, norms);
     let d = model.depth() as f64;
     let outputs = trace
         .last()
@@ -330,7 +371,7 @@ mod tests {
                 }
             }
             assert_eq!(
-                traced_factor(&m, &full, &cfg).to_bits(),
+                traced_factor(&m, &full, &cfg, layer_norms).to_bits(),
                 architecture_factor(&m, &long, &cfg).to_bits(),
                 "{}",
                 m.name

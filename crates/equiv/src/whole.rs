@@ -10,10 +10,10 @@
 //! regression-style QoR difference normalizes by the *reference* model's
 //! output scale, so swapping reference and candidate can change the score.
 
-use crate::genbound::{factor_term, traced_factor, GenBoundConfig};
+use crate::genbound::{factor_term, layer_norms, traced_factor, GenBoundConfig, LayerNorms};
 use crate::iocheck::{check_io, IoCompat, IoDescriptor};
 use sommelier_graph::task::OutputStyle;
-use sommelier_graph::Model;
+use sommelier_graph::{LayerId, Model};
 use sommelier_runtime::metrics::qor_difference;
 use sommelier_runtime::{execute_traced, ExecError};
 use sommelier_tensor::Tensor;
@@ -107,16 +107,19 @@ pub struct ProbeOutput {
 }
 
 /// Run `model` once over `validation`: the outputs, and the architecture
-/// factor read off the same trace.
+/// factor read off the same trace. The factor takes each linear layer's
+/// norms from `norms`: [`layer_norms`] computes them, and a caller that
+/// probes many models can pass a memo of it instead.
 pub fn probe_model(
     model: &Model,
     validation: &Tensor,
     genbound: &GenBoundMode,
+    norms: impl FnMut(&Model, LayerId) -> LayerNorms,
 ) -> Result<ProbeOutput, ExecError> {
     let mut trace = execute_traced(model, validation)?;
     let factor = match genbound {
         GenBoundMode::Off => None,
-        GenBoundMode::On(gb) => Some(traced_factor(model, &trace, gb)),
+        GenBoundMode::On(gb) => Some(traced_factor(model, &trace, gb, norms)),
     };
     let outputs = trace.pop().expect("a trace holds one activation per layer");
     Ok(ProbeOutput { outputs, factor })
@@ -171,8 +174,8 @@ pub fn assess_whole(
     {
         return Err(AssessError::Incompatible(reason));
     }
-    let ref_probe = probe_model(reference, validation, &config.genbound)?;
-    let cand_probe = probe_model(candidate, validation, &config.genbound)?;
+    let ref_probe = probe_model(reference, validation, &config.genbound, layer_norms)?;
+    let cand_probe = probe_model(candidate, validation, &config.genbound, layer_norms)?;
     Ok(compose(
         reference.task.output_style(),
         &ref_probe,

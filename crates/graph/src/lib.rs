@@ -33,7 +33,7 @@ pub mod serde_model;
 pub mod task;
 
 pub use builder::ModelBuilder;
-pub use fingerprint::Fingerprint;
+pub use fingerprint::{Fingerprint, LayerKey};
 pub use layer::{Layer, LayerId, Params};
 pub use model::{Model, ModelError};
 pub use op::{Op, OpKind};

@@ -9,21 +9,63 @@
 //! thread-safe: analyses run concurrently during index construction, and
 //! any randomness is seeded per pair so results never depend on call
 //! order.
+//!
+//! Beside the records it keeps a memo of each distinct linear layer's
+//! `(‖W‖_F, σ_max)`, the two norms the factor's cushions read, keyed by
+//! [`LayerKey`] (operator, input width, weight shape and bits). A
+//! fine-tune shares its frozen layers with its base, so its probe pass
+//! computes norms only for the layers it changed. A hit returns the bits
+//! the same weights produce, so factors, edges and snapshots do not move.
+//! An entry lives while some record that read it lives: dropping a
+//! record releases its layers, and a layer's last release removes it.
 
+use sommelier_equiv::genbound::{layer_norms, LayerNorms};
 use sommelier_equiv::whole::{compose, probe_model, GenBoundMode};
 use sommelier_equiv::{check_io, EquivConfig, IoCompat, IoDescriptor, ProbeOutput};
-use sommelier_graph::{Fingerprint, Model};
+use sommelier_graph::{Fingerprint, LayerId, LayerKey, Model};
 use sommelier_index::{EdgeMeasurement, PairAnalyzer};
 use sommelier_runtime::metrics::counters::CachedCounter;
 use sommelier_tensor::{mix64, Prng, Tensor};
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Models the analyzer ran over its probe: one traced pass each, at the
 /// model's first I/O-compatible pair.
 static PROBE_PASSES: CachedCounter = CachedCounter::new("equiv.probe_passes");
+
+/// Each distinct linear layer's norms, with the number of record layers
+/// that read them.
+type NormMemo = Mutex<HashMap<LayerKey, (LayerNorms, usize)>>;
+
+/// Every map here is changed one whole entry at a time, so a guard
+/// recovered from a poisoned lock still holds whole entries.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The memo entries one probe pass read, one key per linear layer.
+/// Dropping it, with its record, releases them.
+struct Lease {
+    memo: Arc<NormMemo>,
+    keys: Vec<LayerKey>,
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let mut memo = lock(&self.memo);
+        for key in &self.keys {
+            if let Entry::Occupied(mut entry) = memo.entry(*key) {
+                entry.get_mut().1 -= 1;
+                if entry.get().1 == 0 {
+                    entry.remove();
+                }
+            }
+        }
+    }
+}
 
 /// What the analyzer keeps of one model, keyed by fingerprint: everything
 /// whole-model analysis reads of it, and never the model or its trace.
@@ -33,8 +75,8 @@ struct ProbeRecord {
     io: IoDescriptor,
     /// Outputs on the seeded probe of the model's input width, and the
     /// architecture factor, from one traced pass at the model's first
-    /// I/O-compatible pair.
-    probe: OnceLock<ProbeOutput>,
+    /// I/O-compatible pair; and the norm-memo entries that pass read.
+    probe: OnceLock<(ProbeOutput, Lease)>,
 }
 
 /// A model named by fingerprint, loaded on first need and at most once.
@@ -102,6 +144,7 @@ pub struct EquivAnalyzer {
     validation_rows: usize,
     probes: Mutex<HashMap<usize, Tensor>>,
     records: Mutex<HashMap<Fingerprint, Arc<ProbeRecord>>>,
+    norms: Arc<NormMemo>,
     seed: u64,
 }
 
@@ -118,6 +161,7 @@ impl EquivAnalyzer {
             validation_rows,
             probes: Mutex::new(HashMap::new()),
             records: Mutex::new(HashMap::new()),
+            norms: Arc::default(),
             seed,
         }
     }
@@ -126,9 +170,7 @@ impl EquivAnalyzer {
     pub fn probe(&self, input_width: usize) -> Tensor {
         let rows = self.validation_rows;
         let seed = self.seed;
-        self.probes
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock(&self.probes)
             .entry(input_width)
             .or_insert_with(|| {
                 let mut rng = Prng::seed_from_u64(seed ^ (input_width as u64).rotate_left(17));
@@ -137,18 +179,43 @@ impl EquivAnalyzer {
             .clone()
     }
 
-    /// The records, each inserted or removed whole: a guard recovered
-    /// from a poisoned lock still holds whole records.
     fn records(&self) -> MutexGuard<'_, HashMap<Fingerprint, Arc<ProbeRecord>>> {
-        self.records.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.records)
     }
 
-    /// Drop the records of `gone`.
+    /// Drop the records of `gone`, and with each the norms no other
+    /// record read.
     pub(super) fn forget(&self, gone: impl IntoIterator<Item = Fingerprint>) {
         let mut records = self.records();
         for fp in gone {
             records.remove(&fp);
         }
+    }
+
+    /// Distinct linear layers whose norms the memo holds.
+    pub(super) fn held_norms(&self) -> usize {
+        lock(&self.norms).len()
+    }
+
+    /// Layer `id`'s norms from the memo, computed on a miss; `keys` takes
+    /// the entry the caller now holds.
+    fn norms(&self, model: &Model, id: LayerId, keys: &mut Vec<LayerKey>) -> LayerNorms {
+        let key = LayerKey::of(model, id);
+        let held = lock(&self.norms).get_mut(&key).map(|(norms, users)| {
+            *users += 1;
+            *norms
+        });
+        let norms = held.unwrap_or_else(|| {
+            // Computed unlocked, so lanes probing other models do not wait.
+            let computed = layer_norms(model, id);
+            let mut memo = lock(&self.norms);
+            let (norms, users) = memo.entry(key).or_insert((computed, 0));
+            *users += 1;
+            *norms
+        });
+        // Taken only once counted, so a release never undercounts.
+        keys.push(key);
+        norms
     }
 
     /// `subject`'s record, described from its model on first sight.
@@ -174,19 +241,27 @@ impl EquivAnalyzer {
         record: &'r ProbeRecord,
         subject: &Subject<'_, '_>,
     ) -> Option<&'r ProbeOutput> {
-        if let Some(probe) = record.probe.get() {
+        if let Some((probe, _)) = record.probe.get() {
             return Some(probe);
         }
         let model = subject.model()?;
-        Some(record.probe.get_or_init(|| {
+        let (probe, _) = record.probe.get_or_init(|| {
             PROBE_PASSES.add(1);
-            probe_model(
+            // Made first, so a panicking pass still releases its keys.
+            let mut lease = Lease {
+                memo: Arc::clone(&self.norms),
+                keys: Vec::new(),
+            };
+            let probe = probe_model(
                 model,
                 &self.probe(model.input_width()),
                 &self.equiv.genbound,
+                |m, id| self.norms(m, id, &mut lease.keys),
             )
-            .expect("a model runs on the probe of its own input width")
-        }))
+            .expect("a model runs on the probe of its own input width");
+            (probe, lease)
+        });
+        Some(probe)
     }
 
     /// Both directed whole-model diffs of a pair, `[a → b, b → a]`, each

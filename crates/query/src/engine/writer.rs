@@ -331,6 +331,13 @@ impl Sommelier {
         count
     }
 
+    /// Distinct linear layers whose `(‖W‖_F, σ_max)` the analyzer holds
+    /// for the bound: one per layer of a probed, indexed model, however
+    /// many models share it.
+    pub fn held_layer_norms(&self) -> usize {
+        self.analyzer.held_norms()
+    }
+
     /// Execute a textual query (paper Figure 7 syntax) against the
     /// current published snapshot.
     pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {

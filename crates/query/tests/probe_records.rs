@@ -1,15 +1,22 @@
 //! The analyzer's per-fingerprint probe records, counted: a register runs
 //! each model over its probe once and loads a partner only to describe
-//! or probe it the first time.
+//! or probe it the first time, and computes the bound's norms only for
+//! the linear layers no probed model shares.
 //!
-//! Both tests read process-wide counters, so they take turns.
+//! The tests read process-wide counters, so they take turns.
 
-use sommelier_graph::{Model, ModelBuilder, TaskKind};
+use sommelier_equiv::genbound::architecture_factor;
+use sommelier_equiv::whole::GenBoundMode;
+use sommelier_equiv::{assess_whole, EquivConfig};
+use sommelier_graph::{Fingerprint, Model, ModelBuilder, TaskKind};
+use sommelier_index::PairAnalyzer;
+use sommelier_query::engine::EquivAnalyzer;
 use sommelier_query::{MutationBatch, Sommelier, SommelierConfig};
 use sommelier_repo::InMemoryRepository;
 use sommelier_runtime::metrics::counters;
 use sommelier_tensor::{Prng, Shape};
-use sommelier_zoo::finetune::perturb_all;
+use sommelier_zoo::finetune::{perturb_all, perturb_sparse};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -24,6 +31,10 @@ fn probe_passes() -> u64 {
 
 fn partner_loads() -> u64 {
     counters::get("index.partner_loads")
+}
+
+fn layer_norms() -> u64 {
+    counters::get("equiv.layer_norms")
 }
 
 fn config() -> SommelierConfig {
@@ -47,6 +58,30 @@ fn base(name: &str, input: usize, seed: u64) -> Model {
         .softmax()
         .build()
         .unwrap()
+}
+
+/// A classifier with four linear layers, so a fine-tune can freeze some.
+fn deep(name: &str, input: usize, seed: u64) -> Model {
+    let mut rng = Prng::seed_from_u64(seed);
+    ModelBuilder::new(name, TaskKind::ImageRecognition, Shape::vector(input))
+        .dense(24, &mut rng)
+        .relu()
+        .dense(24, &mut rng)
+        .relu()
+        .dense(16, &mut rng)
+        .relu()
+        .dense(8, &mut rng)
+        .softmax()
+        .build()
+        .unwrap()
+}
+
+/// A fine-tune of the last two of `of`'s four linear layers; the first
+/// two stay bit-identical to the base's.
+fn sparse(of: &Model, name: &str, seed: u64) -> Model {
+    let mut m = perturb_sparse(of, 0.5, 0.05, 0.5, &mut Prng::seed_from_u64(seed));
+    m.name = name.into();
+    m
 }
 
 fn finetune(of: &Model, name: &str, seed: u64) -> Model {
@@ -143,4 +178,134 @@ fn records_leave_with_their_fingerprints_last_key() {
     assert_eq!(engine.apply(batch).unwrap(), 2);
     assert_eq!(probe_passes() - probes, 1);
     assert_eq!(partner_loads() - loads, 0);
+}
+
+/// A base, a fine-tune of every layer, and a sparse fine-tune, in that
+/// order: 4 + 4 norms for the first pair, 2 for the sparse one.
+fn family(engine: &mut Sommelier) -> [Model; 3] {
+    let b = deep("base", 16, 1);
+    let ft = finetune(&b, "ft", 2);
+    let sp = sparse(&b, "sparse", 3);
+    let norms = layer_norms();
+    register(engine, &b);
+    register(engine, &ft);
+    assert_eq!(layer_norms() - norms, 8, "nothing shared yet");
+    [b, ft, sp]
+}
+
+#[test]
+fn a_sparse_finetune_computes_norms_only_for_the_layers_it_changed() {
+    let _turn = serial();
+    let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), config());
+    let [_, _, sp] = family(&mut engine);
+    assert_eq!(engine.held_layer_norms(), 8);
+    let (probes, norms) = (probe_passes(), layer_norms());
+    register(&mut engine, &sp);
+    assert_eq!(probe_passes() - probes, 1);
+    assert_eq!(layer_norms() - norms, 2, "its two frozen layers hit");
+    assert_eq!(engine.held_layer_norms(), 10);
+}
+
+#[test]
+fn a_reregistered_base_recomputes_only_the_layers_it_does_not_share() {
+    let _turn = serial();
+    let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), config());
+    let [b, _, sp] = family(&mut engine);
+    register(&mut engine, &sp);
+    // The base's record goes, and with it the two layers only it read;
+    // the sparse fine-tune still holds the two they share.
+    unregister(&mut engine, "base");
+    assert_eq!(engine.held_layer_norms(), 8);
+    let (probes, norms) = (probe_passes(), layer_norms());
+    // A removal leaves the stored model, so its key comes back through a
+    // batch that removes it too.
+    let batch = MutationBatch::new().unregister("base").register(b);
+    assert_eq!(engine.apply(batch).unwrap(), 1);
+    assert_eq!(probe_passes() - probes, 1);
+    assert_eq!(layer_norms() - norms, 2);
+    assert_eq!(engine.held_layer_norms(), 10);
+}
+
+#[test]
+fn unregistering_every_model_empties_the_memo() {
+    let _turn = serial();
+    let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), config());
+    let [_, _, sp] = family(&mut engine);
+    register(&mut engine, &sp);
+    let mut alias = sp.clone();
+    alias.name = "sparse-alias".into();
+    register(&mut engine, &alias);
+    for key in ["ft", "sparse", "base"] {
+        unregister(&mut engine, key);
+        assert!(engine.held_layer_norms() > 0, "the alias holds its layers");
+    }
+    unregister(&mut engine, "sparse-alias");
+    assert_eq!(engine.held_layer_norms(), 0);
+    assert!(engine.is_empty());
+}
+
+#[test]
+fn memoized_factors_match_the_direct_computation_bit_for_bit() {
+    let _turn = serial();
+    let cfg = config();
+    let GenBoundMode::On(gb) = cfg.equiv.genbound else {
+        panic!("the default config runs the bound");
+    };
+    let analyzer = EquivAnalyzer::new(
+        cfg.equiv,
+        cfg.segment_epsilon,
+        cfg.validation_rows,
+        cfg.seed,
+    );
+    // Two families in upload order, each base before its fine-tunes.
+    let mut zoo = Vec::new();
+    for (input, seed) in [(16, 1), (20, 5)] {
+        let b = deep(&format!("base-{input}"), input, seed);
+        let tunes = [
+            finetune(&b, &format!("ft-{input}"), seed + 1),
+            sparse(&b, &format!("sp1-{input}"), seed + 2),
+            sparse(&b, &format!("sp2-{input}"), seed + 3),
+        ];
+        zoo.push(b);
+        zoo.extend(tunes);
+    }
+    let fps: Vec<Fingerprint> = zoo.iter().map(Fingerprint::of_model).collect();
+    let load = |fp: Fingerprint| {
+        let at = fps.iter().position(|f| *f == fp)?;
+        Some(Cow::Borrowed(&zoo[at]))
+    };
+    // What the analyzer composed before it kept a memo: the empirical
+    // difference, plus the term from two factors computed directly.
+    let direct = |r: &Model, c: &Model| {
+        let probe = analyzer.probe(r.input_width());
+        let empirical = EquivConfig {
+            epsilon: cfg.equiv.epsilon,
+            genbound: GenBoundMode::Off,
+        };
+        let report = assess_whole(r, c, &probe, &empirical).ok()?;
+        let (fr, fc) = (
+            architecture_factor(r, &probe, &gb),
+            architecture_factor(c, &probe, &gb),
+        );
+        let n = (probe.rows().max(1) as f64).sqrt();
+        let term = gb.constant * 0.5 * (fr + fc) / (gb.gamma * n) + gb.concentration / n;
+        Some((report.empirical_diff + term).to_bits())
+    };
+    let (probes, norms) = (probe_passes(), layer_norms());
+    let mut measured = Vec::new();
+    for j in 0..zoo.len() {
+        for i in 0..j {
+            measured.push((i, j, analyzer.analyze_pair(fps[i], fps[j], &load, false)));
+        }
+    }
+    // Each family: 4 + 4 norms for the base and its full fine-tune, 2 for
+    // each sparse one.
+    assert_eq!(probe_passes() - probes, 8);
+    assert_eq!(layer_norms() - norms, 2 * (4 + 4 + 2 + 2));
+    for (i, j, m) in measured {
+        let (a, b) = (&zoo[i], &zoo[j]);
+        let pair = format!("{} and {}", a.name, b.name);
+        assert_eq!(m.fwd.map(f64::to_bits), direct(a, b), "{pair}");
+        assert_eq!(m.rev.map(f64::to_bits), direct(b, a), "{pair}");
+    }
 }

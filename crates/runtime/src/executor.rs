@@ -97,11 +97,11 @@ fn execute_layer(model: &Model, i: usize, input: &Tensor, acts: &[Tensor]) -> Te
         Op::Dense { .. } => {
             let x = &acts[layer.inputs[0].index()];
             let w = layer.params.weight.as_ref().expect("dense weight");
-            let y = ops::matmul(x, w);
-            match &layer.params.bias {
-                Some(b) => ops::add_bias(&y, b),
-                None => y,
+            let mut y = ops::matmul(x, w);
+            if let Some(b) = &layer.params.bias {
+                ops::add_bias(&mut y, b);
             }
+            y
         }
         Op::Conv1d { stride, .. } => ops::conv1d(
             &acts[layer.inputs[0].index()],
@@ -123,7 +123,7 @@ fn execute_layer(model: &Model, i: usize, input: &Tensor, acts: &[Tensor]) -> Te
                 x.get(r, c) * scale.get(0, c)
             });
             if let Some(shift) = &layer.params.bias {
-                y = ops::add_bias(&y, shift);
+                ops::add_bias(&mut y, shift);
             }
             y
         }

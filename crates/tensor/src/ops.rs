@@ -40,18 +40,16 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Add a bias row vector `[1, n]` to every row of `x: [m, n]`.
-pub fn add_bias(x: &Tensor, bias: &Tensor) -> Tensor {
+/// Add a bias row vector `[1, n]` to every row of `x: [m, n]`, in place.
+pub fn add_bias(x: &mut Tensor, bias: &Tensor) {
     assert_eq!(bias.rows(), 1, "bias must be a row vector");
     assert_eq!(bias.cols(), x.cols(), "bias width must match features");
-    let mut out = x.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+    for r in 0..x.rows() {
+        let row = x.row_mut(r);
         for (v, &b) in row.iter_mut().zip(bias.row(0)) {
             *v += b;
         }
     }
-    out
 }
 
 /// 1-D local convolution over the feature axis.
@@ -269,9 +267,10 @@ mod tests {
 
     #[test]
     fn add_bias_broadcasts_rows() {
-        let x = t(2, 2, vec![1., 2., 3., 4.]);
+        let mut x = t(2, 2, vec![1., 2., 3., 4.]);
         let b = Tensor::row_vector(vec![10., 20.]);
-        assert_eq!(add_bias(&x, &b).as_slice(), &[11., 22., 13., 24.]);
+        add_bias(&mut x, &b);
+        assert_eq!(x.as_slice(), &[11., 22., 13., 24.]);
     }
 
     #[test]
