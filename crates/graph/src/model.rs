@@ -419,16 +419,27 @@ impl Model {
     /// skeleton travels inline in the manifest while the parameter
     /// tensors travel as content-addressed chunks. The skeleton is not
     /// a valid executable model (its linear layers are bare) and exists
-    /// only to be rehydrated by [`Model::attach_params`].
-    pub fn strip_params(&self) -> (Model, Vec<(LayerId, Params)>) {
-        let mut skeleton = self.clone();
-        let mut extracted = Vec::new();
-        for (i, layer) in skeleton.layers.iter_mut().enumerate() {
-            if layer.params.count() != 0 {
-                let params = std::mem::replace(&mut layer.params, Params::none());
-                extracted.push((LayerId(i), params));
-            }
-        }
+    /// only to be rehydrated by [`Model::attach_params`]. The parameters
+    /// are borrowed, so no tensor is copied.
+    pub fn strip_params(&self) -> (Model, Vec<(LayerId, &Params)>) {
+        let bare = |l: &Layer| Layer::new(&l.name, l.op.clone(), l.inputs.clone(), Params::none());
+        let skeleton = Model {
+            name: self.name.clone(),
+            version: self.version.clone(),
+            task: self.task,
+            input_shape: self.input_shape.clone(),
+            output_syntax: self.output_syntax.clone(),
+            metadata: self.metadata.clone(),
+            layers: self.layers.iter().map(bare).collect(),
+            widths: self.widths.clone(),
+        };
+        let extracted = self
+            .layers
+            .iter()
+            .enumerate()
+            .filter(|(_, layer)| layer.params.count() != 0)
+            .map(|(i, layer)| (LayerId(i), &layer.params))
+            .collect();
         (skeleton, extracted)
     }
 
@@ -610,6 +621,10 @@ mod tests {
         assert_eq!(m.layer(id).params.weight.as_ref().unwrap().max_abs(), 0.0);
     }
 
+    fn owned(params: Vec<(LayerId, &Params)>) -> Vec<(LayerId, Params)> {
+        params.into_iter().map(|(id, p)| (id, p.clone())).collect()
+    }
+
     #[test]
     fn strip_then_attach_round_trips() {
         let m = tiny_model();
@@ -617,8 +632,18 @@ mod tests {
         assert_eq!(skeleton.param_count(), 0);
         assert_eq!(skeleton.op_tags(), m.op_tags());
         assert_eq!(params.len(), 2);
-        let back = Model::attach_params(&skeleton, params).unwrap();
+        let back = Model::attach_params(&skeleton, owned(params)).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn skeleton_is_the_model_with_bare_layers() {
+        let m = tiny_model();
+        let mut bare = m.clone();
+        for layer in &mut bare.layers {
+            layer.params = Params::none();
+        }
+        assert_eq!(m.strip_params().0, bare);
     }
 
     #[test]
@@ -626,7 +651,7 @@ mod tests {
         let m = tiny_model();
         let (skeleton, mut params) = m.strip_params();
         params.pop(); // lose the last dense layer's weights
-        let err = Model::attach_params(&skeleton, params).unwrap_err();
+        let err = Model::attach_params(&skeleton, owned(params)).unwrap_err();
         assert!(matches!(err, ModelError::BadParams { .. }));
     }
 
@@ -634,8 +659,9 @@ mod tests {
     fn attach_rejects_out_of_range_layer() {
         let m = tiny_model();
         let (skeleton, mut params) = m.strip_params();
-        params.push((LayerId(99), Params::with_weight(Tensor::zeros(1, 1))));
-        assert!(Model::attach_params(&skeleton, params).is_err());
+        let stray = Params::with_weight(Tensor::zeros(1, 1));
+        params.push((LayerId(99), &stray));
+        assert!(Model::attach_params(&skeleton, owned(params)).is_err());
     }
 
     #[test]

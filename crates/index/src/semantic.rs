@@ -616,6 +616,14 @@ impl SemanticIndex {
         self.by_key.get(key).copied()
     }
 
+    /// `key`'s fingerprint when `key` is the one its entry is indexed
+    /// under (the largest alias, which a partner load reads); `None` for
+    /// another alias or an absent key.
+    pub fn canonical_fingerprint(&self, key: &str) -> Option<Fingerprint> {
+        let fp = self.fingerprint_of(key)?;
+        (self.entries.get(&fp)?.key == key).then_some(fp)
+    }
+
     /// Whether a key is indexed.
     pub fn contains(&self, key: &str) -> bool {
         self.by_key.contains_key(key)

@@ -3,8 +3,10 @@
 //! its outputs on a seeded probe batch with the generalization bound's
 //! architecture factor, both from one traced pass. Whole-model analysis
 //! compares two records (`sommelier-equiv`'s `check_io` and `compose`),
-//! so the index hands it fingerprints and loads a model only to describe
-//! or probe it the first time. Segment analysis runs
+//! so the index hands it fingerprints. The engine describes each model
+//! while it has it in hand, at registration and at cold open, so an I/O
+//! check loads nothing and a partner is loaded only to be probed, the
+//! first time. Segment analysis runs
 //! `assess_replacement` on the models themselves. The analyzer is
 //! thread-safe: analyses run concurrently during index construction, and
 //! any randomness is seeded per pair so results never depend on call
@@ -19,6 +21,7 @@
 //! An entry lives while some record that read it lives: dropping a
 //! record releases its layers, and a layer's last release removes it.
 
+use super::SommelierConfig;
 use sommelier_equiv::genbound::{layer_norms, LayerNorms};
 use sommelier_equiv::whole::{compose, probe_model, GenBoundMode};
 use sommelier_equiv::{check_io, EquivConfig, IoCompat, IoDescriptor, ProbeOutput};
@@ -69,9 +72,9 @@ impl Drop for Lease {
 
 /// What the analyzer keeps of one model, keyed by fingerprint: everything
 /// whole-model analysis reads of it, and never the model or its trace.
-struct ProbeRecord {
-    /// What the I/O check reads, from the first time the analyzer sees
-    /// the model.
+pub(super) struct ProbeRecord {
+    /// What the I/O check reads, from the first description of the
+    /// model.
     io: IoDescriptor,
     /// Outputs on the seeded probe of the model's input width, and the
     /// architecture factor, from one traced pass at the model's first
@@ -128,10 +131,10 @@ fn comparable(a: &IoDescriptor, b: &IoDescriptor) -> Result<(), String> {
 
 /// The production pairwise analyzer.
 ///
-/// It keeps one probe record per fingerprint, so a model is loaded to be
-/// described once, runs over its probe once, and a pair is two records
-/// compared. Like the index, it takes a fingerprint to name one model:
-/// aliases share a record. The engine drops a record when its
+/// It keeps one probe record per fingerprint, so a model is described
+/// once, runs over its probe once, and a pair is two records compared.
+/// Like the index, it takes a fingerprint to name one model: aliases
+/// share a record. The engine drops a record when its
 /// fingerprint's last key leaves the index.
 ///
 /// Thread-safe ([`Sync`]): probe batches and records are memoized behind
@@ -149,6 +152,16 @@ pub struct EquivAnalyzer {
 }
 
 impl EquivAnalyzer {
+    /// The analyzer an engine with `config` runs.
+    pub(super) fn of(config: &SommelierConfig) -> Self {
+        Self::new(
+            config.equiv,
+            config.segment_epsilon,
+            config.validation_rows,
+            config.seed,
+        )
+    }
+
     pub fn new(
         equiv: EquivConfig,
         segment_epsilon: f64,
@@ -218,20 +231,23 @@ impl EquivAnalyzer {
         norms
     }
 
+    /// `fp`'s record, described from `model` unless it has one: the
+    /// first description wins.
+    pub(super) fn describe(&self, fp: Fingerprint, model: &Model) -> Arc<ProbeRecord> {
+        Arc::clone(self.records().entry(fp).or_insert_with(|| {
+            Arc::new(ProbeRecord {
+                io: IoDescriptor::of(model),
+                probe: OnceLock::new(),
+            })
+        }))
+    }
+
     /// `subject`'s record, described from its model on first sight.
     fn record(&self, subject: &Subject<'_, '_>) -> Option<Arc<ProbeRecord>> {
         if let Some(record) = self.records().get(&subject.fp) {
             return Some(Arc::clone(record));
         }
-        let fresh = ProbeRecord {
-            io: IoDescriptor::of(subject.model()?),
-            probe: OnceLock::new(),
-        };
-        Some(Arc::clone(
-            self.records()
-                .entry(subject.fp)
-                .or_insert_with(|| Arc::new(fresh)),
-        ))
+        Some(self.describe(subject.fp, subject.model()?))
     }
 
     /// The record's probe output, from one pass over the model the first

@@ -3,6 +3,7 @@
 //! unreadable; and saving one. Every engine is built by the writer's
 //! `assemble`.
 
+use super::analyzer::EquivAnalyzer;
 use super::writer::{keep_smallest, Sommelier};
 use super::{EngineSnapshot, QueryError, SnapshotRecovery, SommelierConfig};
 use sommelier_index::{ResourceIndex, SemanticIndex};
@@ -21,7 +22,8 @@ impl Sommelier {
             default_refs: HashMap::new(),
             epoch: 0,
         };
-        Self::assemble(repo, config, snapshot, HashMap::new())
+        let analyzer = EquivAnalyzer::of(&config);
+        Self::assemble(repo, config, snapshot, HashMap::new(), analyzer)
     }
 
     /// Connect with default configuration.
@@ -93,10 +95,16 @@ impl Sommelier {
             .unwrap_or(0);
         let mut default_refs = HashMap::new();
         let mut tasks = HashMap::new();
+        let analyzer = EquivAnalyzer::of(&config);
         for key in snapshot.semantic.keys() {
             if let Ok(model) = repo.load(key) {
                 keep_smallest(&mut default_refs, model.task, key);
                 tasks.insert(key.to_string(), model.task);
+                // Described while loaded, as a register does; the model
+                // is not kept.
+                if let Some(fp) = snapshot.semantic.canonical_fingerprint(key) {
+                    analyzer.describe(fp, &model);
+                }
             }
         }
         let snapshot = EngineSnapshot {
@@ -105,7 +113,7 @@ impl Sommelier {
             default_refs,
             epoch,
         };
-        Self::assemble(repo, config, snapshot, tasks)
+        Self::assemble(repo, config, snapshot, tasks, analyzer)
     }
 
     /// Connect restoring persisted indices, degrading gracefully when

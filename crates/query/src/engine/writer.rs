@@ -89,20 +89,16 @@ pub struct Sommelier {
 
 impl Sommelier {
     /// Build the engine around a prepared snapshot, publishing it as the
-    /// initial one.
+    /// initial one, with an analyzer that holds the snapshot models'
+    /// descriptions.
     pub(super) fn assemble(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
         snapshot: EngineSnapshot,
         tasks: HashMap<String, TaskKind>,
+        analyzer: EquivAnalyzer,
     ) -> Self {
         let current = Arc::new(snapshot);
-        let analyzer = EquivAnalyzer::new(
-            config.equiv,
-            config.segment_epsilon,
-            config.validation_rows,
-            config.seed,
-        );
         let reader = SommelierReader::new(repo, &current, config);
         Sommelier {
             current,
@@ -295,6 +291,14 @@ impl Sommelier {
             .collect();
         next.semantic
             .apply(pool, removes, models, &resolve, &self.analyzer);
+        // Each added model is described while it is in hand, from the
+        // key that names its fingerprint (what a partner load reads), so
+        // no later I/O check loads it.
+        for m in models {
+            if let Some(fp) = next.semantic.canonical_fingerprint(&m.name) {
+                self.analyzer.describe(fp, m);
+            }
+        }
         // A record leaves with its fingerprint's last key; an alias
         // keeps it.
         self.analyzer.forget(

@@ -1,7 +1,8 @@
 //! The analyzer's per-fingerprint probe records, counted: a register runs
-//! each model over its probe once and loads a partner only to describe
-//! or probe it the first time, and computes the bound's norms only for
-//! the linear layers no probed model shares.
+//! each model over its probe once, describes it while it is in hand (as
+//! a cold open does), loads a partner only to probe it the first time,
+//! and computes the bound's norms only for the linear layers no probed
+//! model shares.
 //!
 //! The tests read process-wide counters, so they take turns.
 
@@ -129,15 +130,49 @@ fn a_register_probes_each_model_once_and_loads_few_partners() {
     // Nine models have a compatible partner; each ran once.
     assert_eq!(probe_passes() - probes, 9);
     // Before records every register loaded every earlier model (45
-    // loads); now a partner is loaded to be described or probed, once
-    // each.
-    let loaded = partner_loads() - loads;
-    assert!(loaded <= zoo.len() as u64, "{loaded} partner loads");
+    // loads). Each model is described at its own register, so a partner
+    // is loaded only to be probed: each base once, by its first
+    // fine-tune, whose own pass ran on the model in hand.
+    assert_eq!(partner_loads() - loads, 3);
     let candidates = engine.semantic_index().candidates_of("base-20-ft1");
     assert!(
         candidates.iter().any(|c| c.key == "base-20"),
         "{candidates:?}"
     );
+}
+
+#[test]
+fn the_second_model_into_an_empty_engine_loads_no_partner() {
+    let _turn = serial();
+    let mut engine = Sommelier::connect(Arc::new(InMemoryRepository::new()), config());
+    register(&mut engine, &base("first", 16, 1));
+    let loads = partner_loads();
+    // Its one partner is the first model, described at its register; the
+    // two differ in I/O, so neither runs.
+    register(&mut engine, &base("second", 20, 2));
+    assert_eq!(partner_loads() - loads, 0);
+}
+
+#[test]
+fn a_cold_open_describes_the_models_it_loads() {
+    let _turn = serial();
+    let repo = Arc::new(InMemoryRepository::new());
+    let mut engine = Sommelier::connect(repo.clone(), config());
+    let b = base("base", 16, 1);
+    for m in [b.clone(), finetune(&b, "ft", 2), base("other", 20, 3)] {
+        register(&mut engine, &m);
+    }
+    let path = std::env::temp_dir().join(format!("probe-records-{}.json", std::process::id()));
+    engine.save_indices(&path).unwrap();
+    let mut reopened = Sommelier::connect_with_indices(repo, config(), &path).unwrap();
+    std::fs::remove_file(&path).ok();
+    // Every indexed model is a partner, and none matches the newcomer's
+    // I/O: the descriptors the open recorded answer every check.
+    let (probes, loads) = (probe_passes(), partner_loads());
+    register(&mut reopened, &base("loner", 28, 4));
+    assert_eq!(partner_loads() - loads, 0);
+    assert_eq!(probe_passes() - probes, 0);
+    assert_eq!(reopened.len(), 4);
 }
 
 #[test]

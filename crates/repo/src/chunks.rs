@@ -144,9 +144,9 @@ pub fn chunk_hash(bytes: &[u8]) -> String {
 
 /// Raw storage form of a tensor: f32 little-endian, row-major.
 pub fn tensor_bytes(t: &Tensor) -> Vec<u8> {
-    let mut out = Vec::with_capacity(t.len() * 4);
-    for v in t.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
+    let mut out = vec![0; t.len() * 4];
+    for (bytes, v) in out.chunks_exact_mut(4).zip(t.as_slice()) {
+        bytes.copy_from_slice(&v.to_le_bytes());
     }
     out
 }
@@ -275,29 +275,28 @@ fn sparse_pays_off(changed: usize, len: usize) -> bool {
 fn delta_tensor(new: &Tensor, base: Option<&Tensor>, store: &ChunkStore) -> io::Result<Option<TensorRef>> {
     if let Some(b) = base {
         if b.rows() == new.rows() && b.cols() == new.cols() {
-            let changed: Vec<(usize, f64)> = new
-                .as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .enumerate()
-                .filter(|(_, (n, o))| n.to_bits() != o.to_bits())
-                .map(|(i, (n, _))| (i, f64::from(*n)))
-                .collect();
+            let mut changed = Vec::new();
+            for (i, (n, o)) in new.as_slice().iter().zip(b.as_slice()).enumerate() {
+                if n.to_bits() == o.to_bits() {
+                    continue;
+                }
+                // Non-finite values don't survive JSON, and the count
+                // only grows: either way the tensor ships dense.
+                if !n.is_finite() || !sparse_pays_off(changed.len() + 1, new.len()) {
+                    return store.put_tensor(new).map(Some);
+                }
+                changed.push((i, f64::from(*n)));
+            }
             if changed.is_empty() {
                 // Identical to base: inherit, no entry at all.
                 return Ok(None);
             }
-            // Non-finite values don't survive JSON; ship those dense.
-            if sparse_pays_off(changed.len(), new.len())
-                && changed.iter().all(|(_, v)| v.is_finite())
-            {
-                return Ok(Some(TensorRef {
-                    rows: new.rows(),
-                    cols: new.cols(),
-                    chunks: Vec::new(),
-                    sparse: Some(changed),
-                }));
-            }
+            return Ok(Some(TensorRef {
+                rows: new.rows(),
+                cols: new.cols(),
+                chunks: Vec::new(),
+                sparse: Some(changed),
+            }));
         }
     }
     store.put_tensor(new).map(Some)
@@ -321,7 +320,7 @@ pub fn encode_delta(
     let mut layers = Vec::new();
     for (id, p) in params {
         let base_params = &base.layer(id).params;
-        if *base_params == p {
+        if base_params == p {
             continue;
         }
         // Slot-set drift (e.g. the variant dropped the base's bias)
@@ -560,6 +559,57 @@ mod tests {
         let parsed = Manifest::from_json(&manifest.to_json()).unwrap();
         let back = reconstruct(&parsed, Some(&base), &cs).unwrap();
         assert_eq!(back, variant);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tensor_bytes_match_the_per_element_form() {
+        let values = [
+            f32::from_bits(0x7fc0_1234), // quiet NaN with a payload
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffc0_0000), // negative NaN
+            -0.0,
+            0.0,
+            f32::from_bits(1), // smallest subnormal
+            -f32::from_bits(0x007f_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+        ];
+        let t = Tensor::from_vec(2, 5, values.to_vec());
+        let per_element: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let bytes = tensor_bytes(&t);
+        assert_eq!(bytes, per_element);
+        let back = tensor_from_bytes(2, 5, &bytes).unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&t));
+    }
+
+    #[test]
+    fn a_delta_goes_dense_when_its_last_element_crosses_the_threshold() {
+        let (dir, cs) = store("threshold");
+        // 60 elements: sparse pays off for at most 9 changes.
+        let base = Tensor::zeros(6, 10);
+        let mut data = vec![0.0; 60];
+        for i in 0..9 {
+            data[i * 6] = 1.0 + i as f32;
+        }
+        let nine = Tensor::from_vec(6, 10, data.clone());
+        let sparse = delta_tensor(&nine, Some(&base), &cs).unwrap().unwrap();
+        assert_eq!(sparse.sparse.map(|s| s.len()), Some(9));
+        assert!(sparse.chunks.is_empty());
+        data[59] = -2.0;
+        let ten = Tensor::from_vec(6, 10, data);
+        let dense = delta_tensor(&ten, Some(&base), &cs).unwrap().unwrap();
+        assert_eq!(dense.sparse, None);
+        assert_eq!(dense, cs.put_tensor(&ten).unwrap());
+        // A non-finite change ships dense however few there are.
+        let mut one = vec![0.0; 60];
+        one[7] = f32::NAN;
+        let nan = Tensor::from_vec(6, 10, one);
+        let dense = delta_tensor(&nan, Some(&base), &cs).unwrap().unwrap();
+        assert_eq!(dense.sparse, None);
+        assert_eq!(delta_tensor(&base, Some(&base), &cs).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Publish/load model storage.
 
 use crate::chunks::{self, ChunkStore, Manifest, CHUNK_DIR, MANIFEST_SUFFIX};
-use crate::scan::{base_chain_terminates, classify, StoreEntry};
+use crate::scan::{classify, StoreEntry};
 use parking_lot::RwLock;
 use sommelier_fault::{StdStorage, Storage};
 use sommelier_graph::serde_model;
@@ -324,21 +324,14 @@ impl OnDiskRepository {
         model: &Model,
         base_key: &str,
     ) -> Result<Manifest, RepoError> {
-        let acyclic = base_chain_terminates(key, |cur| {
-            if cur == key {
-                Ok(Some(base_key.to_string())) // the link about to be written
-            } else if self.storage.exists(&self.path_for(cur)) {
-                Ok(None) // flat models never have a base
-            } else {
-                self.read_manifest(cur).map(|m| m.base)
-            }
-        })?;
-        if !acyclic {
-            return Err(RepoError::Storage(format!(
+        // The base's chain is walked once, by its load, with `key` on it
+        // already: the link about to be written.
+        let cycle = |_: &str| {
+            RepoError::Storage(format!(
                 "publishing '{key}' with base '{base_key}' would create a delta cycle"
-            )));
-        }
-        let base = self.load(base_key)?;
+            ))
+        };
+        let base = self.load_chain(base_key, &mut BTreeSet::from([key.to_string()]), &cycle)?;
         chunks::encode_delta(model, base_key, &base, &self.chunk_store())
             .map_err(|e| Self::storage_err(Some(key), e))
     }
@@ -402,7 +395,18 @@ impl OnDiskRepository {
         self.cut_over(key, &manifest, overwrite)
     }
 
-    fn load_chain(&self, key: &str, visiting: &mut BTreeSet<String>) -> Result<Model, RepoError> {
+    /// `key`'s model, following its base chain. `visiting` holds the
+    /// keys already on the chain; reaching one of them again is a cycle,
+    /// refused with `cycle(key)` before `key` is read in any form.
+    fn load_chain(
+        &self,
+        key: &str,
+        visiting: &mut BTreeSet<String>,
+        cycle: &dyn Fn(&str) -> RepoError,
+    ) -> Result<Model, RepoError> {
+        if !visiting.insert(key.to_string()) {
+            return Err(cycle(key));
+        }
         // The flat file wins: during migration it is the still-current
         // representation, and its removal is the atomic cutover.
         match self.storage.read(&self.path_for(key)) {
@@ -415,19 +419,16 @@ impl OnDiskRepository {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(Self::storage_err(Some(key), e)),
         }
-        if !visiting.insert(key.to_string()) {
-            return Err(RepoError::Storage(format!(
-                "delta base chain cycles through '{key}'"
-            )));
-        }
         let manifest = self.read_manifest(key)?;
         let base = match &manifest.base {
-            Some(base_key) => Some(self.load_chain(base_key, visiting).map_err(|e| match e {
-                RepoError::NotFound { key: missing } => RepoError::Storage(format!(
-                    "delta base '{missing}' of '{key}' is missing"
-                )),
-                other => other,
-            })?),
+            Some(base_key) => Some(self.load_chain(base_key, visiting, cycle).map_err(
+                |e| match e {
+                    RepoError::NotFound { key: missing } => {
+                        RepoError::Storage(format!("delta base '{missing}' of '{key}' is missing"))
+                    }
+                    other => other,
+                },
+            )?),
             None => None,
         };
         let store = self.chunk_store();
@@ -565,7 +566,9 @@ impl ModelRepository for OnDiskRepository {
     }
 
     fn load(&self, key: &str) -> Result<Model, RepoError> {
-        self.load_chain(key, &mut BTreeSet::new())
+        let cycle =
+            |cur: &str| RepoError::Storage(format!("delta base chain cycles through '{cur}'"));
+        self.load_chain(key, &mut BTreeSet::new(), &cycle)
     }
 
     fn try_keys(&self) -> Result<Vec<String>, RepoError> {
@@ -981,6 +984,69 @@ mod tests {
         assert_eq!((again.models, again.skipped), (4, 4));
         assert_eq!((again.full, again.delta), (0, 0));
         assert_eq!((again.bytes_before, again.bytes_after), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The filesystem, counting the reads of each file.
+    #[derive(Default)]
+    struct CountingStorage {
+        reads: parking_lot::Mutex<BTreeMap<PathBuf, usize>>,
+    }
+
+    impl CountingStorage {
+        fn reads_of(&self, path: &Path) -> usize {
+            self.reads.lock().get(path).copied().unwrap_or(0)
+        }
+    }
+
+    impl Storage for CountingStorage {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            *self.reads.lock().entry(path.into()).or_default() += 1;
+            StdStorage.read(path)
+        }
+        fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            StdStorage.write_file(path, bytes)
+        }
+        fn fsync(&self, path: &Path) -> io::Result<()> {
+            StdStorage.fsync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            StdStorage.rename(from, to)
+        }
+        fn link(&self, existing: &Path, new: &Path) -> io::Result<()> {
+            StdStorage.link(existing, new)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            StdStorage.remove(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            StdStorage.exists(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            StdStorage.list(dir)
+        }
+    }
+
+    #[test]
+    fn a_delta_publish_reads_each_manifest_on_its_base_chain_once() {
+        let dir = temp_dir("basereads");
+        let storage = Arc::new(CountingStorage::default());
+        let repo = OnDiskRepository::open_with(&dir, Arc::clone(&storage) as _).unwrap();
+        let base = model("fam-base");
+        let v1 = hinted(perturbed(&base, "fam-v1", 0.5), "fam-base");
+        let v2 = perturbed(&v1, "fam-v2", -0.25);
+        repo.publish_chunked("fam-base", &base, false).unwrap();
+        let reads = |key: &str| storage.reads_of(&repo.manifest_path_for(key));
+        repo.publish("fam-v1", &v1, false).unwrap();
+        assert_eq!(base_of(&repo, "fam-v1").as_deref(), Some("fam-base"));
+        assert_eq!(reads("fam-base"), 1);
+        let before = (reads("fam-base"), reads("fam-v1"));
+        repo.publish_delta("fam-v2", &v2, "fam-v1", false).unwrap();
+        assert_eq!(
+            (reads("fam-base"), reads("fam-v1")),
+            (before.0 + 1, before.1 + 1)
+        );
+        assert_eq!(repo.load("fam-v2").unwrap(), v2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
