@@ -215,7 +215,8 @@ pub fn save_binary(
 }
 
 /// [`save_binary`] over an explicit storage backend (the
-/// fault-injection hook).
+/// fault-injection hook). Publishes the `snapshot.save_ns` metrics
+/// counter (encode and durable write).
 pub fn save_binary_with(
     storage: &dyn Storage,
     semantic: &SemanticIndex,
@@ -223,21 +224,27 @@ pub fn save_binary_with(
     epoch: u64,
     path: &Path,
 ) -> Result<(), PersistError> {
+    use sommelier_runtime::metrics::counters;
+    let started = std::time::Instant::now();
     let stats = SnapshotStats::of(semantic, resource, epoch);
     let bytes = crate::somb::encode(semantic, resource, Some(&stats));
     storage.write_atomic(path, &bytes)?;
+    counters::set("snapshot.save_ns", started.elapsed().as_nanos() as u64);
     Ok(())
 }
 
 /// Write an already-assembled snapshot in the given format (the
 /// `compact` conversion path — the snapshot is re-encoded verbatim, not
-/// rebuilt, so stats and epoch carry over exactly).
+/// rebuilt, so stats and epoch carry over exactly). Publishes the
+/// `snapshot.save_ns` metrics counter.
 pub fn save_snapshot_as(
     storage: &dyn Storage,
     snapshot: &IndexSnapshot,
     format: SnapshotFormat,
     path: &Path,
 ) -> Result<(), PersistError> {
+    use sommelier_runtime::metrics::counters;
+    let started = std::time::Instant::now();
     let bytes = match format {
         SnapshotFormat::Json => serde_json::to_string(snapshot)
             .map_err(|e| PersistError::Format(e.to_string()))?
@@ -247,6 +254,7 @@ pub fn save_snapshot_as(
         }
     };
     storage.write_atomic(path, &bytes)?;
+    counters::set("snapshot.save_ns", started.elapsed().as_nanos() as u64);
     Ok(())
 }
 
@@ -565,6 +573,7 @@ mod tests {
         use sommelier_runtime::metrics::counters;
         assert!(matches!(counters::get("snapshot.format"), 1 | 2));
         assert!(counters::get("snapshot.bytes_mapped") > 0);
+        assert!(counters::get("snapshot.save_ns") > 0);
     }
 
     #[test]

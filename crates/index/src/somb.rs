@@ -39,6 +39,18 @@
 //! order, so a snapshot's bytes are a pure function of the surviving key
 //! set regardless of the mutation history that produced it.
 //!
+//! The string table is built in one walk. As [`encode`] writes each
+//! row, a borrowed `&str → u32` map gives each string a provisional id
+//! in first-seen order, and the encoder notes where it wrote each id.
+//! After the walk it sorts only the distinct strings, rewrites the
+//! noted ids to their sorted positions in place, and writes the table
+//! from the sorted list: one hash probe per string reference and one
+//! sort, with ids that follow the sorted table as before.
+//!
+//! Decoding trusts no count: each `Vec` a count sizes is capped at what
+//! the bytes left in its section can hold, so a forged count runs the
+//! cursor dry and fails as [`PersistError::Format`].
+//!
 //! Versioning policy: `version` bumps on any layout change; readers
 //! reject unknown versions with a typed error (the engine then
 //! quarantines and rebuilds). New *optional* payload goes behind new
@@ -234,6 +246,13 @@ impl<'a> Cursor<'a> {
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Capacity for `count` items of at least `min_bytes` each, capped
+    /// at what the bytes left can hold: a forged count then runs the
+    /// cursor dry instead of sizing an allocation.
+    fn capacity(&self, count: usize, min_bytes: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_bytes)
+    }
 }
 
 fn truncated(what: &str) -> PersistError {
@@ -244,30 +263,54 @@ fn truncated(what: &str) -> PersistError {
 // String interning
 // ---------------------------------------------------------------------------
 
-struct Interner {
-    ids: std::collections::HashMap<String, u32>,
-    strings: Vec<String>,
+/// The string table of an image being encoded. Each distinct string
+/// gets a provisional id in first-seen order as the sections are
+/// written, and the interner notes where in its one body buffer it put
+/// each id; [`Interner::finish`] sorts the distinct strings once and
+/// rewrites every noted id to its sorted position.
+#[derive(Default)]
+struct Interner<'a> {
+    ids: std::collections::HashMap<&'a str, u32>,
+    strings: Vec<&'a str>,
+    /// Byte offsets in the body buffer of every id written.
+    sites: Vec<usize>,
 }
 
-impl Interner {
-    /// Build the table from every string the snapshot references, sorted
-    /// so the encoding is deterministic regardless of map iteration
-    /// order.
-    fn build<'a>(all: impl Iterator<Item = &'a str>) -> Self {
-        let mut strings: Vec<String> = all.map(str::to_string).collect();
-        strings.sort_unstable();
-        strings.dedup();
-        assert!(strings.len() < u32::MAX as usize, "string table overflow");
-        let ids = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        Interner { ids, strings }
+impl<'a> Interner<'a> {
+    /// Write `s`'s provisional id to `body` (always the same buffer).
+    fn put(&mut self, body: &mut Vec<u8>, s: &'a str) {
+        let next = self.strings.len() as u32;
+        let id = *self.ids.entry(s).or_insert_with(|| {
+            assert!(next < u32::MAX, "string table overflow");
+            self.strings.push(s);
+            next
+        });
+        self.sites.push(body.len());
+        put_u32(body, id);
     }
 
-    fn id(&self, s: &str) -> u32 {
-        self.ids[s]
+    /// Sort the distinct strings, rewrite each id written to `body` to
+    /// its string's sorted position, and return the strings section.
+    fn finish(self, body: &mut [u8]) -> Vec<u8> {
+        let mut order: Vec<u32> = (0..self.strings.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| self.strings[id as usize]);
+        let mut sorted_id = vec![0u32; order.len()];
+        let mut table = Vec::with_capacity(
+            4 + self.strings.iter().map(|s| 4 + s.len()).sum::<usize>(),
+        );
+        put_u32(&mut table, order.len() as u32);
+        for (pos, &id) in order.iter().enumerate() {
+            sorted_id[id as usize] = pos as u32;
+            let s = self.strings[id as usize];
+            put_u32(&mut table, s.len() as u32);
+            table.extend_from_slice(s.as_bytes());
+        }
+        for at in self.sites {
+            let slot = &mut body[at..at + 4];
+            let id = u32::from_le_bytes((&*slot).try_into().unwrap());
+            slot.copy_from_slice(&sorted_id[id as usize].to_le_bytes());
+        }
+        table
     }
 }
 
@@ -278,7 +321,7 @@ impl Interner {
 /// Serialize both indices (plus the optional stats header) into a
 /// `.somb` image. Deterministic: identical indices encode to identical
 /// bytes at any job count (all map-backed structures are emitted in
-/// sorted order).
+/// sorted order, and string ids follow the sorted string table).
 pub fn encode(
     semantic: &SemanticIndex,
     resource: &ResourceIndex,
@@ -291,77 +334,68 @@ pub fn encode(
     let res_entries = resource.entries_audit();
     let edge_rows = semantic.edge_rows();
     let keys = semantic.keys();
+    let candidate_rows: usize = sem_entries.iter().map(|(_, _, cands)| cands.len()).sum();
 
-    let interner = Interner::build(
-        res_entries
-            .iter()
-            .map(|(k, _)| *k)
-            .chain(sem_entries.iter().flat_map(|(_, key, cands)| {
-                std::iter::once(*key).chain(cands.iter().flat_map(|c| {
-                    std::iter::once(c.key.as_str()).chain(match &c.kind {
-                        CandidateKind::Whole => None,
-                        CandidateKind::Transitive { via } => Some(via.as_str()),
-                        CandidateKind::Synthesized { donor } => Some(donor.as_str()),
-                    })
-                }))
-            }))
-            .chain(keys.iter().copied()),
-    );
+    // The resource rows and the semantic section are written back to
+    // back into one body buffer, the only one holding string ids.
+    let rows_len = 8 + RESOURCE_ROW_BYTES as usize * res_entries.len();
+    let sem_len = 32 + 16 * sem_entries.len() + 32 * candidate_rows + 4 + 4 * keys.len();
+    let mut body = Vec::with_capacity(rows_len + sem_len);
+    let mut interner = Interner::default();
 
-    // Section payloads.
-    let mut strings = Vec::new();
-    put_u32(&mut strings, interner.strings.len() as u32);
-    for s in &interner.strings {
-        put_u32(&mut strings, s.len() as u32);
-        strings.extend_from_slice(s.as_bytes());
-    }
-
-    let mut rows = Vec::new();
     assert!(res_entries.len() < u32::MAX as usize, "resource row overflow");
-    put_u32(&mut rows, res_entries.len() as u32);
-    put_u32(&mut rows, RESOURCE_ROW_BYTES); // a reader sanity anchor
+    put_u32(&mut body, res_entries.len() as u32);
+    put_u32(&mut body, RESOURCE_ROW_BYTES); // a reader sanity anchor
     for (key, p) in &res_entries {
-        put_u32(&mut rows, interner.id(key));
-        put_u32(&mut rows, 0); // reserved
-        put_f64(&mut rows, p.memory_mb);
-        put_f64(&mut rows, p.gflops);
-        put_f64(&mut rows, p.latency_ms);
+        interner.put(&mut body, key);
+        put_u32(&mut body, 0); // reserved
+        put_f64(&mut body, p.memory_mb);
+        put_f64(&mut body, p.gflops);
+        put_f64(&mut body, p.latency_ms);
     }
+    debug_assert_eq!(body.len(), rows_len);
 
     let sem_cfg = semantic.config();
-    let mut sem = Vec::new();
-    put_u64(&mut sem, sem_cfg.sample_size as u64);
-    put_u64(&mut sem, sem_cfg.max_candidates as u64);
-    put_u64(&mut sem, semantic.seed());
-    put_u32(&mut sem, u32::from(sem_cfg.segments));
-    put_u32(&mut sem, sem_entries.len() as u32);
-    let mut candidate_rows = 0i64;
+    put_u64(&mut body, sem_cfg.sample_size as u64);
+    put_u64(&mut body, sem_cfg.max_candidates as u64);
+    put_u64(&mut body, semantic.seed());
+    put_u32(&mut body, u32::from(sem_cfg.segments));
+    put_u32(&mut body, sem_entries.len() as u32);
     for (fp, key, cands) in &sem_entries {
-        put_u64(&mut sem, fp.0);
-        put_u32(&mut sem, interner.id(key));
-        put_u32(&mut sem, cands.len() as u32);
-        candidate_rows += cands.len() as i64;
+        put_u64(&mut body, fp.0);
+        interner.put(&mut body, key);
+        put_u32(&mut body, cands.len() as u32);
         for c in cands.iter() {
-            let (kind, aux) = match &c.kind {
-                CandidateKind::Whole => (KIND_WHOLE, NO_AUX),
-                CandidateKind::Transitive { via } => (KIND_TRANSITIVE, interner.id(via)),
-                CandidateKind::Synthesized { donor } => (KIND_SYNTHESIZED, interner.id(donor)),
-            };
-            put_u32(&mut sem, interner.id(&c.key));
-            put_u32(&mut sem, kind);
-            put_u32(&mut sem, aux);
-            put_u32(&mut sem, 0);
-            put_f64(&mut sem, c.diff_bound);
-            put_f64(&mut sem, c.score);
+            interner.put(&mut body, &c.key);
+            match &c.kind {
+                CandidateKind::Whole => {
+                    put_u32(&mut body, KIND_WHOLE);
+                    put_u32(&mut body, NO_AUX);
+                }
+                CandidateKind::Transitive { via } => {
+                    put_u32(&mut body, KIND_TRANSITIVE);
+                    interner.put(&mut body, via);
+                }
+                CandidateKind::Synthesized { donor } => {
+                    put_u32(&mut body, KIND_SYNTHESIZED);
+                    interner.put(&mut body, donor);
+                }
+            }
+            put_u32(&mut body, 0);
+            put_f64(&mut body, c.diff_bound);
+            put_f64(&mut body, c.score);
         }
     }
-    put_u32(&mut sem, keys.len() as u32);
+    put_u32(&mut body, keys.len() as u32);
     for key in keys {
-        put_u32(&mut sem, interner.id(key));
+        interner.put(&mut body, key);
     }
+    debug_assert_eq!(body.len(), rows_len + sem_len);
+    let strings = interner.finish(&mut body);
+    let (rows, sem) = body.split_at(rows_len);
 
     // Edge table: fixed rows, already (lo, hi)-sorted.
-    let mut edges = Vec::new();
+    let mut edges = Vec::with_capacity(8 + EDGE_ROW_BYTES as usize * edge_rows.len());
     assert!(edge_rows.len() < u32::MAX as usize, "edge row overflow");
     put_u32(&mut edges, edge_rows.len() as u32);
     put_u32(&mut edges, EDGE_ROW_BYTES);
@@ -388,14 +422,17 @@ pub fn encode(
     }
 
     // Assemble: header placeholder, then the sections, each 8-aligned.
-    let mut out = vec![0u8; HEADER_LEN];
-    let mut sections = [(0usize, 0usize, 0u32); SECTION_COUNT];
     let payloads: [(usize, &[u8]); SECTION_COUNT] = [
         (SEC_STRINGS, &strings),
-        (SEC_ROWS, &rows),
-        (SEC_SEMANTIC, &sem),
+        (SEC_ROWS, rows),
+        (SEC_SEMANTIC, sem),
         (SEC_EDGES, &edges),
     ];
+    let mut out = Vec::with_capacity(
+        HEADER_LEN + payloads.iter().map(|(_, p)| p.len() + 7).sum::<usize>(),
+    );
+    out.resize(HEADER_LEN, 0);
+    let mut sections = [(0usize, 0usize, 0u32); SECTION_COUNT];
     for (idx, payload) in payloads {
         out.resize(out.len().next_multiple_of(8), 0);
         sections[idx] = (out.len(), payload.len(), crc32(payload));
@@ -419,7 +456,7 @@ pub fn encode(
     put_u32(&mut header, stats.map_or(0, |s| s.stats_version));
     put_u32(&mut header, SECTION_COUNT as u32);
     put_i64(&mut header, stats.map_or(semantic.len() as i64, |s| s.models));
-    put_i64(&mut header, stats.map_or(candidate_rows, |s| s.candidate_records));
+    put_i64(&mut header, stats.map_or(candidate_rows as i64, |s| s.candidate_records));
     put_i64(
         &mut header,
         stats.map_or(resource.len() as i64, |s| s.resource_entries),
@@ -601,7 +638,7 @@ fn resource_row(row: &[u8]) -> (u32, ResourceProfile) {
 fn decode_strings(payload: &[u8]) -> Result<Vec<String>, PersistError> {
     let mut c = Cursor::new(payload);
     let count = c.u32()? as usize;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(c.capacity(count, 4));
     for _ in 0..count {
         let len = c.u32()? as usize;
         let raw = c.take(len)?;
@@ -651,7 +688,7 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
             "unexpected resource row size {row_bytes}"
         )));
     }
-    let mut entries = Vec::with_capacity(row_count);
+    let mut entries = Vec::with_capacity(c.capacity(row_count, RESOURCE_ROW_BYTES as usize));
     for _ in 0..row_count {
         // One bounds check per fixed-size row, not one per field.
         let (key_id, profile) = resource_row(c.take(RESOURCE_ROW_BYTES as usize)?);
@@ -669,12 +706,12 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
     let seed = c.u64()?;
     let segments = c.u32()? & 1 != 0;
     let entry_count = c.u32()? as usize;
-    let mut sem_entries = Vec::with_capacity(entry_count);
+    let mut sem_entries = Vec::with_capacity(c.capacity(entry_count, 16));
     for _ in 0..entry_count {
         let fp = Fingerprint(c.u64()?);
         let key = lookup(&strings, c.u32()?, "semantic entry")?.to_string();
         let cand_count = c.u32()? as usize;
-        let mut cands = Vec::with_capacity(cand_count);
+        let mut cands = Vec::with_capacity(c.capacity(cand_count, 32));
         for _ in 0..cand_count {
             // One bounds check per fixed-size candidate row.
             let row = c.take(32)?;
@@ -708,15 +745,13 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
         }
         sem_entries.push((fp, key, cands));
     }
-    let order_len = c.u32()? as usize;
-    let mut order = Vec::with_capacity(order_len);
-    for _ in 0..order_len {
-        order.push(lookup(&strings, c.u32()?, "order table")?.to_string());
+    // The order table is checked, not kept: the index orders its keys.
+    for _ in 0..c.u32()? {
+        lookup(&strings, c.u32()?, "order table")?;
     }
     if !c.done() {
         return Err(PersistError::Format("trailing bytes in semantic section".into()));
     }
-    let _ = order;
 
     // Edge table.
     let mut c = Cursor::new(section_raw(bytes, header, SEC_EDGES));
@@ -727,7 +762,7 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
             "unexpected edge row size {edge_bytes}"
         )));
     }
-    let mut edge_rows = Vec::with_capacity(edge_count);
+    let mut edge_rows = Vec::with_capacity(c.capacity(edge_count, EDGE_ROW_BYTES as usize));
     for _ in 0..edge_count {
         // One bounds check per fixed-size row.
         let row = c.take(EDGE_ROW_BYTES as usize)?;
@@ -830,6 +865,7 @@ pub fn integrity_issues(bytes: &[u8]) -> Vec<IntegrityIssue> {
 mod tests {
     use super::*;
     use crate::persist::STATS_VERSION;
+    use proptest::prelude::*;
 
     /// A small but representative snapshot: every candidate kind, a
     /// removed key, an odd string set.
@@ -1014,6 +1050,369 @@ mod tests {
         let data: Vec<u8> = (0..1024u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
         for len in (0..=64).chain([255, 512, 1000, 1024]) {
             assert_eq!(crc32_sw(&data[..len]), crc32(&data[..len]), "len {len}");
+        }
+    }
+
+    /// The encoder as it was before it interned by reference: every
+    /// string reference copied into its own `String`, all of them sorted
+    /// and deduplicated, then one owned-key probe per reference. The
+    /// real encoder must match it byte for byte.
+    mod reference {
+        use super::*;
+
+        struct Interner {
+            ids: std::collections::HashMap<String, u32>,
+            strings: Vec<String>,
+        }
+
+        impl Interner {
+            /// Build the table from every string the snapshot references, sorted
+            /// so the encoding is deterministic regardless of map iteration
+            /// order.
+            fn build<'a>(all: impl Iterator<Item = &'a str>) -> Self {
+                let mut strings: Vec<String> = all.map(str::to_string).collect();
+                strings.sort_unstable();
+                strings.dedup();
+                assert!(strings.len() < u32::MAX as usize, "string table overflow");
+                let ids = strings
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (s.clone(), i as u32))
+                    .collect();
+                Interner { ids, strings }
+            }
+
+            fn id(&self, s: &str) -> u32 {
+                self.ids[s]
+            }
+        }
+
+        /// Serialize both indices (plus the optional stats header) into a
+        /// `.somb` image. Deterministic: identical indices encode to identical
+        /// bytes at any job count (all map-backed structures are emitted in
+        /// sorted order).
+        pub fn encode(
+            semantic: &SemanticIndex,
+            resource: &ResourceIndex,
+            stats: Option<&SnapshotStats>,
+        ) -> Vec<u8> {
+            // Deterministic entry orders up front (the resource side's is key
+            // order) so the image is a pure function of the surviving key set.
+            let mut sem_entries = semantic.entries_audit();
+            sem_entries.sort_by_key(|(fp, _, _)| fp.0);
+            let res_entries = resource.entries_audit();
+            let edge_rows = semantic.edge_rows();
+            let keys = semantic.keys();
+
+            let interner = Interner::build(
+                res_entries
+                    .iter()
+                    .map(|(k, _)| *k)
+                    .chain(sem_entries.iter().flat_map(|(_, key, cands)| {
+                        std::iter::once(*key).chain(cands.iter().flat_map(|c| {
+                            std::iter::once(c.key.as_str()).chain(match &c.kind {
+                                CandidateKind::Whole => None,
+                                CandidateKind::Transitive { via } => Some(via.as_str()),
+                                CandidateKind::Synthesized { donor } => Some(donor.as_str()),
+                            })
+                        }))
+                    }))
+                    .chain(keys.iter().copied()),
+            );
+
+            // Section payloads.
+            let mut strings = Vec::new();
+            put_u32(&mut strings, interner.strings.len() as u32);
+            for s in &interner.strings {
+                put_u32(&mut strings, s.len() as u32);
+                strings.extend_from_slice(s.as_bytes());
+            }
+
+            let mut rows = Vec::new();
+            assert!(res_entries.len() < u32::MAX as usize, "resource row overflow");
+            put_u32(&mut rows, res_entries.len() as u32);
+            put_u32(&mut rows, RESOURCE_ROW_BYTES); // a reader sanity anchor
+            for (key, p) in &res_entries {
+                put_u32(&mut rows, interner.id(key));
+                put_u32(&mut rows, 0); // reserved
+                put_f64(&mut rows, p.memory_mb);
+                put_f64(&mut rows, p.gflops);
+                put_f64(&mut rows, p.latency_ms);
+            }
+
+            let sem_cfg = semantic.config();
+            let mut sem = Vec::new();
+            put_u64(&mut sem, sem_cfg.sample_size as u64);
+            put_u64(&mut sem, sem_cfg.max_candidates as u64);
+            put_u64(&mut sem, semantic.seed());
+            put_u32(&mut sem, u32::from(sem_cfg.segments));
+            put_u32(&mut sem, sem_entries.len() as u32);
+            let mut candidate_rows = 0i64;
+            for (fp, key, cands) in &sem_entries {
+                put_u64(&mut sem, fp.0);
+                put_u32(&mut sem, interner.id(key));
+                put_u32(&mut sem, cands.len() as u32);
+                candidate_rows += cands.len() as i64;
+                for c in cands.iter() {
+                    let (kind, aux) = match &c.kind {
+                        CandidateKind::Whole => (KIND_WHOLE, NO_AUX),
+                        CandidateKind::Transitive { via } => (KIND_TRANSITIVE, interner.id(via)),
+                        CandidateKind::Synthesized { donor } => (KIND_SYNTHESIZED, interner.id(donor)),
+                    };
+                    put_u32(&mut sem, interner.id(&c.key));
+                    put_u32(&mut sem, kind);
+                    put_u32(&mut sem, aux);
+                    put_u32(&mut sem, 0);
+                    put_f64(&mut sem, c.diff_bound);
+                    put_f64(&mut sem, c.score);
+                }
+            }
+            put_u32(&mut sem, keys.len() as u32);
+            for key in keys {
+                put_u32(&mut sem, interner.id(key));
+            }
+
+            // Edge table: fixed rows, already (lo, hi)-sorted.
+            let mut edges = Vec::new();
+            assert!(edge_rows.len() < u32::MAX as usize, "edge row overflow");
+            put_u32(&mut edges, edge_rows.len() as u32);
+            put_u32(&mut edges, EDGE_ROW_BYTES);
+            for r in &edge_rows {
+                put_u64(&mut edges, r.lo);
+                put_u64(&mut edges, r.hi);
+                let mut mask = 0u32;
+                for (bit, v) in [
+                    (EDGE_FWD, r.fwd),
+                    (EDGE_REV, r.rev),
+                    (EDGE_SEG_FWD, r.seg_fwd),
+                    (EDGE_SEG_REV, r.seg_rev),
+                ] {
+                    if v.is_some() {
+                        mask |= bit;
+                    }
+                }
+                put_u32(&mut edges, mask);
+                put_u32(&mut edges, 0);
+                put_f64(&mut edges, r.fwd.unwrap_or(0.0));
+                put_f64(&mut edges, r.rev.unwrap_or(0.0));
+                put_f64(&mut edges, r.seg_fwd.unwrap_or(0.0));
+                put_f64(&mut edges, r.seg_rev.unwrap_or(0.0));
+            }
+
+            // Assemble: header placeholder, then the sections, each 8-aligned.
+            let mut out = vec![0u8; HEADER_LEN];
+            let mut sections = [(0usize, 0usize, 0u32); SECTION_COUNT];
+            let payloads: [(usize, &[u8]); SECTION_COUNT] = [
+                (SEC_STRINGS, &strings),
+                (SEC_ROWS, &rows),
+                (SEC_SEMANTIC, &sem),
+                (SEC_EDGES, &edges),
+            ];
+            for (idx, payload) in payloads {
+                out.resize(out.len().next_multiple_of(8), 0);
+                sections[idx] = (out.len(), payload.len(), crc32(payload));
+                out.extend_from_slice(payload);
+            }
+
+            // Fill the header in place.
+            let mut header = Vec::with_capacity(HEADER_LEN);
+            header.extend_from_slice(&MAGIC);
+            put_u32(&mut header, SOMB_VERSION);
+            put_u32(&mut header, HEADER_LEN as u32);
+            let mut flags = 0u32;
+            if stats.is_some() {
+                flags |= FLAG_STATS;
+            }
+            if stats.is_some_and(|s| s.epoch.is_some()) {
+                flags |= FLAG_EPOCH;
+            }
+            put_u32(&mut header, flags);
+            put_i64(&mut header, stats.and_then(|s| s.epoch).unwrap_or(0));
+            put_u32(&mut header, stats.map_or(0, |s| s.stats_version));
+            put_u32(&mut header, SECTION_COUNT as u32);
+            put_i64(&mut header, stats.map_or(semantic.len() as i64, |s| s.models));
+            put_i64(&mut header, stats.map_or(candidate_rows, |s| s.candidate_records));
+            put_i64(
+                &mut header,
+                stats.map_or(resource.len() as i64, |s| s.resource_entries),
+            );
+            for (off, len, crc) in sections {
+                put_u64(&mut header, off as u64);
+                put_u64(&mut header, len as u64);
+                put_u32(&mut header, crc);
+                put_u32(&mut header, 0);
+            }
+            debug_assert_eq!(header.len(), HEADER_LEN - 4);
+            let hcrc = crc32(&header);
+            put_u32(&mut header, hcrc);
+            out[..HEADER_LEN].copy_from_slice(&header);
+            out
+        }
+    }
+
+    /// Keys that share prefixes, leave ASCII, and order differently by
+    /// byte than by insertion.
+    const NAMES: [&str; 12] = [
+        "bitish-v1-r50",
+        "bitish-v1-r50x1",
+        "bitish-v1-r50x3",
+        "bitish",
+        "b",
+        "",
+        "é",
+        "eé",
+        "模型-1",
+        "模型-10",
+        "z😀",
+        "Z",
+    ];
+    /// Strings the generator uses only as a `via` or a `donor`.
+    const RELAYS: [&str; 2] = ["relay", "relay-ü"];
+
+    /// Indices with keys shared across entries, transitive and
+    /// synthesized (`host+donor`) candidates, strings referenced only as
+    /// a via or a donor, resource rows for some keys and not others, an
+    /// edge table, and often no entries or no candidates at all.
+    struct Indices;
+
+    impl Strategy for Indices {
+        type Value = (SemanticIndex, ResourceIndex, Option<SnapshotStats>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let name = |rng: &mut TestRng| NAMES[rng.below(NAMES.len() as u64) as usize];
+            let aux = |rng: &mut TestRng| match rng.below(3) {
+                0 => RELAYS[rng.below(RELAYS.len() as u64) as usize],
+                _ => NAMES[rng.below(NAMES.len() as u64) as usize],
+            };
+            let keys: Vec<&str> = match rng.below(8) {
+                0 => Vec::new(),
+                _ => NAMES.iter().copied().filter(|_| rng.below(2) == 0).collect(),
+            };
+            let mut entries = Vec::new();
+            for (i, key) in keys.iter().enumerate() {
+                let mut cands = Vec::new();
+                for _ in 0..rng.below(5) {
+                    let d = rng.unit_f64();
+                    let (ckey, kind) = match rng.below(3) {
+                        0 => (name(rng).to_string(), CandidateKind::Whole),
+                        1 => {
+                            let via = aux(rng).to_string();
+                            (name(rng).to_string(), CandidateKind::Transitive { via })
+                        }
+                        _ => {
+                            let donor = aux(rng).to_string();
+                            (format!("{key}+{donor}"), CandidateKind::Synthesized { donor })
+                        }
+                    };
+                    let score = (1.0 - d).max(0.0);
+                    cands.push(CandidateRecord { key: ckey, diff_bound: d, score, kind });
+                }
+                // The low byte keeps fingerprints distinct.
+                entries.push((Fingerprint(rng.next_u64() << 8 | i as u64), key.to_string(), cands));
+            }
+            let measure = |rng: &mut TestRng| (rng.below(2) == 0).then(|| rng.unit_f64() * 2.0);
+            let edges = (0..rng.below(4))
+                .map(|i| EdgeRow {
+                    lo: i,
+                    hi: i + 1 + rng.below(1 << 40),
+                    fwd: measure(rng),
+                    rev: measure(rng),
+                    seg_fwd: measure(rng),
+                    seg_rev: measure(rng),
+                })
+                .collect();
+            let config = SemanticIndexConfig {
+                sample_size: rng.below(64) as usize,
+                segments: rng.below(2) == 0,
+                max_candidates: rng.below(64) as usize,
+            };
+            let seed = rng.next_u64();
+            let semantic = SemanticIndex::from_parts_with_edges(config, seed, entries, edges);
+            let mut resource = ResourceIndex::default();
+            for key in NAMES {
+                if rng.below(3) != 0 {
+                    continue;
+                }
+                let profile = ResourceProfile {
+                    memory_mb: rng.unit_f64() * 1e4,
+                    gflops: rng.unit_f64(),
+                    latency_ms: -0.0,
+                };
+                resource.insert(key, profile);
+            }
+            let stats = (rng.below(3) != 0)
+                .then(|| SnapshotStats::of(&semantic, &resource, rng.below(100)));
+            (semantic, resource, stats)
+        }
+    }
+
+    fn json<T: serde::Serialize>(v: &T) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn encode_matches_the_sorting_reference((sem, res, stats) in Indices) {
+            let bytes = encode(&sem, &res, stats.as_ref());
+            prop_assert!(bytes == reference::encode(&sem, &res, stats.as_ref()));
+            // What was written decodes back to the same indices.
+            let snap = decode(&bytes).unwrap();
+            prop_assert_eq!(json(&snap.semantic), json(&sem));
+            prop_assert_eq!(json(&snap.resource), json(&res));
+            prop_assert_eq!(snap.stats, stats);
+        }
+    }
+
+    #[test]
+    fn empty_indices_encode_like_the_reference() {
+        let sem =
+            SemanticIndex::from_parts(SemanticIndexConfig::default(), 3, Vec::new(), Vec::new());
+        let res = ResourceIndex::default();
+        for stats in [None, Some(SnapshotStats::of(&sem, &res, 0))] {
+            let bytes = encode(&sem, &res, stats.as_ref());
+            assert_eq!(bytes, reference::encode(&sem, &res, stats.as_ref()));
+            assert_eq!(json(&decode(&bytes).unwrap().semantic), json(&sem));
+        }
+    }
+
+    /// `bytes` with `u32::MAX` planted `at` bytes into section `sec`,
+    /// and the section's and the header's CRCs recomputed to match.
+    fn forge(mut bytes: Vec<u8>, sec: usize, at: usize) -> Vec<u8> {
+        let (off, len) = validate_header(&bytes).unwrap().sections[sec];
+        bytes[off + at..off + at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes[off..off + len]).to_le_bytes();
+        let slot = 56 + sec * 24 + 16;
+        bytes[slot..slot + 4].copy_from_slice(&crc);
+        let crc = crc32(&bytes[..HEADER_LEN - 4]).to_le_bytes();
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc);
+        bytes
+    }
+
+    #[test]
+    fn a_forged_count_fails_closed() {
+        // Every count that sizes a `Vec` on decode, at its offset in its
+        // section: a CRC-valid image that says `u32::MAX` is refused as
+        // malformed, without an allocation sized by the count.
+        let bytes = sample_snapshot_bytes();
+        let sem_len = validate_header(&bytes).unwrap().sections[SEC_SEMANTIC].1;
+        for (what, sec, at) in [
+            ("strings", SEC_STRINGS, 0),
+            ("resource rows", SEC_ROWS, 0),
+            // Past sample size, max candidates, seed and the segments word.
+            ("semantic entries", SEC_SEMANTIC, 28),
+            // The first entry's, past its fingerprint and key id.
+            ("candidates", SEC_SEMANTIC, 32 + 12),
+            // The sample indexes three keys: the table is the last 16 bytes.
+            ("order table", SEC_SEMANTIC, sem_len - 4 - 4 * 3),
+            ("edges", SEC_EDGES, 0),
+        ] {
+            let forged = forge(bytes.clone(), sec, at);
+            assert!(validate_header(&forged).is_ok(), "{what}");
+            assert!(matches!(decode(&forged), Err(PersistError::Format(_))), "{what}");
+            // The lint scan reads the same string table.
+            let _ = integrity_issues(&forged);
         }
     }
 }

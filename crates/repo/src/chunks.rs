@@ -236,7 +236,16 @@ impl ChunkStore {
     }
 
     fn get_tensor(&self, r: &TensorRef) -> io::Result<Tensor> {
-        let mut bytes = Vec::with_capacity(r.rows * r.cols * 4);
+        // The shape is read from a manifest: check it before it sizes
+        // anything, and reserve no more than the chunks can hold.
+        let len = r.rows.checked_mul(r.cols).and_then(|n| n.checked_mul(4)).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("tensor shape {}x{} overflows", r.rows, r.cols),
+            )
+        })?;
+        let held = r.chunks.len().saturating_mul(MAX_CHUNK_BYTES);
+        let mut bytes = Vec::with_capacity(len.min(held));
         for hash in &r.chunks {
             bytes.extend_from_slice(&self.get(hash)?);
         }
@@ -522,6 +531,26 @@ mod tests {
         assert_eq!(parsed, manifest);
         let back = reconstruct(&parsed, None, &cs).unwrap();
         assert_eq!(back, m);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_forged_tensor_shape_fails_closed() {
+        let (dir, cs) = store("forged");
+        let m = model("forged", 13);
+        let json = encode_full(&m, &cs).unwrap().to_json();
+        // The first weight is 16x8, one chunk. A shape whose byte count
+        // wraps, and one that would reserve 32 TiB for that chunk.
+        for forged in [
+            r#""rows":4611686018427387904,"cols":8"#,
+            r#""rows":1099511627776,"cols":8"#,
+        ] {
+            let edited = json.replacen(r#""rows":16,"cols":8"#, forged, 1);
+            assert_ne!(edited, json);
+            let manifest = Manifest::from_json(&edited).unwrap();
+            let err = reconstruct(&manifest, None, &cs).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
