@@ -61,7 +61,8 @@ fn write_corrupt_snapshot(dir: &Path) {
         },
         "by_key": {"m-a": 1, "ghost": 2},
         "order": ["m-a", "ghost"],
-        "seed_state": 0
+        "seed_state": 0,
+        "edges": []
     }"#;
     let resource = r#"{"entries": []}"#;
     let snapshot = format!("{{\"version\":3,\"semantic\":{semantic},\"resource\":{resource}}}");

@@ -37,9 +37,8 @@ fn one_mutation_ranks_a_bounded_number_of_pairs() {
         segments: false,
         max_candidates: 16,
     };
-    // Edge-less, as a pre-edge-table snapshot or the benchmark's
-    // synthetic index is: nothing but the rank itself says who samples
-    // whom.
+    // Edge-less, as the benchmark's synthetic index is: nothing but the
+    // rank itself says who samples whom.
     let entries = (0..N)
         .map(|i| {
             (

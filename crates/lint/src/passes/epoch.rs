@@ -139,7 +139,8 @@ mod tests {
                 },
                 "by_key": {"m-a": 1, "m-b": 2},
                 "order": ["m-a", "m-b"],
-                "seed_state": 0
+                "seed_state": 0,
+                "edges": []
             }"#,
         )
         .expect("fixture parses")
@@ -249,7 +250,8 @@ mod tests {
                     },
                     "by_key": {"m-a": 1, "m-b": 2},
                     "order": ["m-a", "m-b"],
-                    "seed_state": 0
+                    "seed_state": 0,
+                    "edges": []
                 }"#,
             )
             .expect("fixture parses"),

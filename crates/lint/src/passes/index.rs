@@ -275,7 +275,8 @@ mod tests {
             },
             "by_key": {"m-a": 1, "ghost": 2},
             "order": ["m-a", "ghost"],
-            "seed_state": 0
+            "seed_state": 0,
+            "edges": []
         }"#
         .to_string()
     }
@@ -304,7 +305,8 @@ mod tests {
                 },
                 "by_key": {"m-a": 1, "m-b": 2},
                 "order": ["m-a", "m-b"],
-                "seed_state": 0
+                "seed_state": 0,
+                "edges": []
             }"#,
         )
         .expect("fixture parses");
@@ -363,7 +365,8 @@ mod tests {
                     },
                     "by_key": {"m-a": 1},
                     "order": ["m-a"],
-                    "seed_state": 0
+                    "seed_state": 0,
+                    "edges": []
                 }"#,
             )
             .expect("fixture parses"),
@@ -426,7 +429,8 @@ mod tests {
                     "entries": {"1": {"key": "m-a", "candidates": []}},
                     "by_key": {"m-a": 1},
                     "order": ["m-a"],
-                    "seed_state": 0
+                    "seed_state": 0,
+                    "edges": []
                 }"#,
             )
             .expect("fixture parses"),
@@ -459,7 +463,8 @@ mod tests {
                     },
                     "by_key": {"m-a": 1, "m-b": 2},
                     "order": ["m-a", "m-b"],
-                    "seed_state": 0
+                    "seed_state": 0,
+                    "edges": []
                 }"#,
             )
             .expect("fixture parses"),
@@ -488,7 +493,8 @@ mod tests {
                     },
                     "by_key": {"m-a": 1, "m-b": 2},
                     "order": ["m-a", "m-b"],
-                    "seed_state": 0
+                    "seed_state": 0,
+                    "edges": []
                 }"#,
             )
             .expect("fixture parses"),
