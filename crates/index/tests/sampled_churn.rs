@@ -8,7 +8,7 @@
 //! path runs. After any sequence of inserts, removes, replaces and
 //! multi-key batches — with a serde round trip at a random point — the
 //! index must equal a from-scratch build of the survivors (one `apply`
-//! with no removals) byte for byte, at jobs 1 and 4.
+//! with no removals) byte for byte, at jobs 1, 4 and 8.
 
 use proptest::prelude::*;
 use sommelier_graph::{Fingerprint, Model, ModelBuilder, TaskKind};
@@ -152,9 +152,11 @@ proptest! {
         let steps = with_preload(&tail);
         let (churned_1, scratch_1) = churn(&steps, revive_at, 1);
         prop_assert_eq!(&churned_1, &scratch_1);
-        let (churned_4, scratch_4) = churn(&steps, revive_at, 4);
-        prop_assert_eq!(&churned_4, &scratch_4);
-        prop_assert_eq!(&churned_1, &churned_4);
+        for jobs in [4, 8] {
+            let (churned, scratch) = churn(&steps, revive_at, jobs);
+            prop_assert_eq!(&churned, &scratch);
+            prop_assert_eq!(&churned_1, &churned);
+        }
     }
 }
 
