@@ -161,6 +161,9 @@ impl SemanticIndex {
         fps.extend_from_slice(r_fps);
         let kept = |fp: &u64| r_fps.binary_search(fp).is_err();
         fps.extend(self.entries.keys().map(|fp| fp.0).filter(kept));
+        // In fingerprint order, not the map's: the early-exit scans
+        // below then rank the same pairs in every process.
+        fps[r_fps.len()..].sort_unstable();
         fps.extend_from_slice(a_fps);
         let (before, after) = (&fps[..self.entries.len()], &fps[r_fps.len()..]);
         let survivors = &before[r_fps.len()..];
