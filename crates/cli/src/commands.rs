@@ -7,9 +7,7 @@ use sommelier_graph::{serde_model, TaskKind};
 use sommelier_index::persist::{self, snapshot_path, INDEX_FILE, INDEX_FILE_BIN};
 use sommelier_lint::DenySpec;
 use sommelier_query::{SnapshotRecovery, Sommelier, SommelierConfig};
-use sommelier_repo::{
-    dedup_store, repair_store, scan_store, ModelRepository, OnDiskRepository, Outcome,
-};
+use sommelier_repo::{repair_store, scan_store, ModelRepository, OnDiskRepository, Outcome};
 use sommelier_runtime::ResourceProfile;
 use sommelier_tensor::{Prng, Tensor};
 use sommelier_zoo::series::build_series;
@@ -730,40 +728,6 @@ pub fn fsck(args: &[String]) -> CmdResult {
             "fsck found {} unresolved issue(s)",
             findings - fixed
         ));
-    }
-    Ok(())
-}
-
-/// `sommelier dedup <dir>`
-///
-/// Migrates a legacy store's flat `*.model.json` files to what publish
-/// writes today: a manifest over content-addressed tensor chunks, a
-/// sparse delta when the model's `base` metadata hint names another
-/// stored model (dangling or cyclic hints degrade to full manifests).
-/// Each key cuts over atomically — the flat file is removed only after
-/// its manifest and chunks are durable, and a crash mid-migration
-/// leaves every model loadable from one format or the other. A store
-/// with no flat file is left untouched.
-pub fn dedup(args: &[String]) -> CmdResult {
-    let (positional, _) = split_known_flags(args, &[])?;
-    let dir = repo_dir(&positional)?;
-    let repo = open_repo(&dir)?;
-    let stats = dedup_store(&repo).map_err(fail)?;
-    outln!(
-        "{}: {} model(s) — {} full manifest(s), {} delta(s), {} already chunked",
-        dir.display(),
-        stats.models,
-        stats.full,
-        stats.delta,
-        stats.skipped
-    );
-    if stats.full + stats.delta > 0 {
-        outln!(
-            "model storage {} → {} bytes ({:.2}x size cut)",
-            stats.bytes_before,
-            stats.bytes_after,
-            stats.size_cut()
-        );
     }
     Ok(())
 }

@@ -114,12 +114,6 @@ COMMANDS:
                                         (works on its own: without
                                         --repair it only prunes an
                                         earlier run's quarantines)
-    dedup  <dir>                        migrate a legacy store's flat
-                                        *.model.json files to what
-                                        publish writes: manifests over
-                                        content-addressed chunks, fine-
-                                        tunes (metadata key 'base') as
-                                        sparse deltas against their base
     serve  <dir> [--addr A] [--workers N] [--queue-depth D]
            [--tenants FILE] [--jobs N]
                                         long-running TCP query daemon
@@ -165,7 +159,6 @@ fn main() -> ExitCode {
         "lint" => commands::lint(rest),
         "audit" => commands::audit(rest),
         "fsck" => commands::fsck(rest),
-        "dedup" => commands::dedup(rest),
         "serve" => commands::serve(rest),
         "client" => commands::client(rest),
         "help" | "--help" | "-h" => emit(format_args!("{USAGE}")),

@@ -506,40 +506,42 @@ fn drop_first_dense_row(json: &str, name: &str, rename: &str) -> String {
 }
 
 #[test]
-fn dedup_migrates_in_place_and_fsck_checks_chunks() {
-    let dir = temp_repo("dedup");
+fn a_stray_model_file_is_reported_and_fsck_repairs_chunk_damage() {
+    let dir = temp_repo("chunk-damage");
     let d = dir.to_str().unwrap();
     assert!(run(&["init", d]).status.success());
-    assert!(run(&["seed", d, "--series", "1", "--seed", "7"]).status.success());
-    let listing = stdout(&run(&["list", d]));
-    let keys: Vec<String> = listing.lines().map(String::from).collect();
-    assert!(!keys.is_empty());
-    let shown_before = stdout(&run(&["show", d, &keys[0]]));
-
-    // A seeded hub is chunked already; a legacy one holds flat files.
-    // Plant one (an exported model under its stored name wins on load)
-    // and migrate: the flat file disappears, and the store still fscks
-    // clean and serves the same models.
-    assert!(dir.join("chunks").is_dir());
-    let flat = dir.join(format!("{}.model.json", keys[0]));
-    assert!(run(&["export", d, &keys[0], flat.to_str().unwrap()]).status.success());
-    let out = run(&["dedup", d]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("size cut"), "{}", stdout(&out));
-    let flat_left = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".model.json"))
-        .count();
-    assert_eq!(flat_left, 0, "all models should be chunked");
+    assert!(run(&["seed", d, "--series", "1", "--seed", "7"])
+        .status
+        .success());
     let out = run(&["fsck", d]);
     assert!(out.status.success(), "{}", stderr(&out));
-    assert_eq!(shown_before, stdout(&run(&["show", d, &keys[0]])));
 
-    // A second pass is a no-op.
-    let out = run(&["dedup", d]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("already chunked"), "{}", stdout(&out));
+    // A whole model under a stored key's old flat name is no store
+    // layout: it is not read or listed, both scans report it, and
+    // repair leaves it for the operator.
+    let listing = stdout(&run(&["list", d]));
+    let key = listing.lines().next().expect("seeded").to_string();
+    let shown = stdout(&run(&["show", d, &key]));
+    let flat = dir.join(format!("{key}.model.json"));
+    let other = listing.lines().nth(1).expect("two keys");
+    assert!(run(&["export", d, other, flat.to_str().unwrap()])
+        .status
+        .success());
+    assert_eq!(stdout(&run(&["list", d])), listing);
+    assert_eq!(stdout(&run(&["show", d, &key])), shown);
+    let out = run(&["fsck", d, "--repair"]);
+    assert!(!out.status.success());
+    assert!(
+        stdout(&out).contains("non-canonical file name"),
+        "{}",
+        stdout(&out)
+    );
+    assert!(flat.exists());
+    let out = run(&["lint", d, "--deny", "warn"]);
+    assert!(!out.status.success());
+    assert!(stdout(&out).contains("SOM072"), "{}", stdout(&out));
+    std::fs::remove_file(&flat).unwrap();
+    assert!(run(&["fsck", d]).status.success());
 
     // Chunk damage: delete one chunk (dangling manifest ref), plant a
     // stray file. Plain fsck reports both and fails.

@@ -135,24 +135,17 @@ impl LintContext {
                 )),
             }
         }
-        // Model-file mtimes, decoded back to the repository keys they
-        // store. Both representations count as "the model file" for
-        // freshness: a republished manifest must stale the index
-        // exactly like a republished flat file.
+        // Manifest mtimes, decoded back to the repository keys they
+        // store: a republished manifest stales the index.
         if let Ok(entries) = std::fs::read_dir(dir) {
             let mut mtimes = std::collections::BTreeMap::new();
             for entry in entries.flatten() {
                 let name = entry.file_name();
-                let (StoreEntry::Model(key) | StoreEntry::Manifest(key)) =
-                    classify(&name.to_string_lossy())
-                else {
+                let StoreEntry::Manifest(key) = classify(&name.to_string_lossy()) else {
                     continue;
                 };
                 if let Ok(mtime) = entry.metadata().and_then(|m| m.modified()) {
-                    let slot = mtimes.entry(key).or_insert(mtime);
-                    if mtime > *slot {
-                        *slot = mtime;
-                    }
+                    mtimes.insert(key, mtime);
                 }
             }
             ctx.model_mtimes = mtimes.into_iter().collect();

@@ -8,13 +8,14 @@
 //! `fsck` about which file is wrong:
 //!
 //! * **quarantined artifacts** (`SOM070`, warn) — a corrupt snapshot,
-//!   model or chunk was set aside as `*.corrupt-<epoch>`; inspect, then
+//!   manifest or chunk was set aside as `*.corrupt-<epoch>`; inspect, then
 //!   prune it (`sommelier fsck --prune`);
 //! * **orphaned temps** (`SOM071`, warn) — an interrupted atomic write
 //!   left its `*.tmp-<pid>-<seq>` sibling behind;
-//! * **non-canonical file names** (`SOM072`, warn) — a model or
-//!   manifest file whose stem is not a canonical
-//!   [`sommelier_repo::encode_key`] spelling: invisible data;
+//! * **non-canonical file names** (`SOM072`, warn) — a manifest file
+//!   whose stem is not a canonical [`sommelier_repo::encode_key`]
+//!   spelling, or any standalone `*.model.json`, a layout no store
+//!   reads: invisible data, which no repair deletes;
 //! * **listing failures** (`SOM073`, error) — raised at load time: the
 //!   directory could not be enumerated, so every store check is blind;
 //! * **dangling chunk references** (`SOM074`, error) — a manifest
@@ -24,8 +25,8 @@
 //!   references, or a stray non-chunk file in `chunks/`;
 //! * **broken delta bases** (`SOM076`, error) — a delta manifest whose
 //!   base chain reaches a key that cannot be loaded, or cycles;
-//! * files that do not parse surface as `SOM007`, by file name, next
-//!   to the loader's per-key `SOM007`.
+//! * manifests that do not parse surface as `SOM007`, by file name,
+//!   next to the loader's per-key `SOM007`.
 
 use crate::diagnostics::{codes, Diagnostic, Severity};
 use crate::{LintContext, Pass};
@@ -43,7 +44,7 @@ impl Pass for StoreHygienePass {
                 Quarantined => (codes::QUARANTINED_FILE, Warn),
                 OrphanedTemp => (codes::ORPHANED_TEMP, Warn),
                 NonCanonicalName => (codes::NON_CANONICAL_MODEL_FILE, Warn),
-                UnreadableModel | UnreadableManifest => (codes::MODEL_UNREADABLE, Error),
+                UnreadableManifest => (codes::MODEL_UNREADABLE, Error),
                 CorruptChunk | DanglingChunkRef => (codes::DANGLING_CHUNK, Error),
                 StrayChunkFile | OrphanedChunk => (codes::ORPHANED_CHUNK, Warn),
                 BrokenDeltaBase => (codes::BROKEN_DELTA_BASE, Error),
@@ -80,8 +81,14 @@ mod tests {
 
     #[test]
     fn clean_store_is_silent() {
-        let files = ["alpha.model.json", "a%2Fb.model.json", "sommelier.index.json"];
-        assert!(run(&files, &[], &[]).is_empty());
+        let manifests = ["alpha.manifest.json", "a%2Fb.manifest.json"]
+            .map(|file| (file, manifest_for(None, &[])));
+        let files = [
+            "alpha.manifest.json",
+            "a%2Fb.manifest.json",
+            "sommelier.index.json",
+        ];
+        assert!(run(&files, &[], &manifests).is_empty());
     }
 
     #[test]
@@ -192,11 +199,14 @@ mod tests {
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().all(|d| d.code == codes::BROKEN_DELTA_BASE));
 
-        // A healthy delta (base stored flat) is silent.
+        // A healthy delta (base stored full) is silent.
         let out = run(
-            &["base.model.json", "v1.manifest.json"],
+            &["base.manifest.json", "v1.manifest.json"],
             &[],
-            &[("v1.manifest.json", manifest_for(Some("base"), &[]))],
+            &[
+                ("base.manifest.json", manifest_for(None, &[])),
+                ("v1.manifest.json", manifest_for(Some("base"), &[])),
+            ],
         );
         assert!(out.is_empty(), "{out:?}");
     }
@@ -204,9 +214,14 @@ mod tests {
     #[test]
     fn non_canonical_model_names_warn() {
         // `%2f` decodes but is not the canonical (uppercase) spelling,
-        // and a raw '/' could never appear; both are invisible to keys().
-        let out = run(&["a%2fb.model.json", "nul%0.model.json"], &[], &[]);
-        assert_eq!(out.len(), 2);
+        // and a raw '/' could never appear; a flat model file is no
+        // store layout at all. All three are invisible to keys().
+        let out = run(
+            &["a%2fb.manifest.json", "nul%0.manifest.json", "x.model.json"],
+            &[],
+            &[],
+        );
+        assert_eq!(out.len(), 3);
         assert!(out.iter().all(|d| d.code == codes::NON_CANONICAL_MODEL_FILE));
     }
 
@@ -218,7 +233,6 @@ mod tests {
         let chunk = format!("chunks/{}.chunk", hex('a'));
         let mut ctx = LintContext::new();
         for (kind, file) in [
-            (FindingKind::UnreadableModel, "m.model.json"),
             (FindingKind::UnreadableManifest, "m.manifest.json"),
             (FindingKind::CorruptChunk, chunk.as_str()),
         ] {
@@ -234,7 +248,6 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                (codes::MODEL_UNREADABLE, "file 'm.model.json'"),
                 (codes::MODEL_UNREADABLE, "file 'm.manifest.json'"),
                 (codes::DANGLING_CHUNK, format!("file '{chunk}'").as_str()),
             ]

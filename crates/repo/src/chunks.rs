@@ -35,7 +35,7 @@ pub const CHUNK_DIR: &str = "chunks";
 /// Suffix of chunk files inside [`CHUNK_DIR`].
 pub const CHUNK_SUFFIX: &str = ".chunk";
 
-/// Suffix of manifest files (sibling namespace to `.model.json`).
+/// Suffix of manifest files, the store's one model layout.
 pub const MANIFEST_SUFFIX: &str = ".manifest.json";
 
 /// Current manifest format version.
@@ -167,7 +167,7 @@ fn tensor_from_bytes(rows: usize, cols: usize, bytes: &[u8]) -> Result<Tensor, S
 }
 
 /// Names of the files in a chunk directory. An absent directory reads
-/// as empty — a legacy flat store.
+/// as empty: a directory no repository has opened yet.
 pub(crate) fn list_chunk_dir(storage: &dyn Storage, chunk_dir: &Path) -> io::Result<Vec<String>> {
     match storage.list(chunk_dir) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),

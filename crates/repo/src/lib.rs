@@ -9,12 +9,11 @@
 //! exactly the way a user without Sommelier would.
 //!
 //! Two backends are provided: in-memory (the default for experiments) and
-//! on-disk (models serialized through `sommelier-graph::serde_model`,
-//! mirroring TF-Hub's file downloads). The on-disk backend additionally
-//! supports family-aware delta storage ([`chunks`]): a model may be kept
-//! as a manifest over content-addressed tensor chunks — full, or a delta
-//! against a base model — and is reconstructed transparently on load, so
-//! the repository's callers never see the difference.
+//! on-disk. The on-disk backend has one layout, family-aware delta
+//! storage ([`chunks`]): each model is kept as a manifest over
+//! content-addressed tensor chunks — full, or a delta against a base
+//! model — and is reconstructed transparently on load, so the
+//! repository's callers never see the difference.
 
 pub mod chunks;
 pub mod scan;
@@ -25,6 +24,6 @@ pub use scan::{
     classify, repair_store, scan_store, Finding, FindingKind, Fix, Outcome, StoreEntry, StoreScan,
 };
 pub use store::{
-    check_publishable, decode_key, dedup_store, encode_key, DedupStats, InMemoryRepository, ModelRepository,
-    OnDiskRepository, RepoError, StoredFormat, MODEL_SUFFIX,
+    check_publishable, decode_key, dedup_store, encode_key, InMemoryRepository, ModelRepository,
+    OnDiskRepository, RepoError,
 };

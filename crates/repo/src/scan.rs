@@ -10,10 +10,9 @@
 use crate::chunks::{
     chunk_hash, list_chunk_dir, Manifest, CHUNK_DIR, CHUNK_SUFFIX, MANIFEST_SUFFIX,
 };
-use crate::store::{decode_key, MODEL_SUFFIX};
+use crate::store::decode_key;
 use sommelier_fault::storage::{is_quarantine_name, is_temp_name};
 use sommelier_fault::{quarantine, Storage};
-use sommelier_graph::serde_model;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
@@ -21,12 +20,11 @@ use std::path::Path;
 /// What a file name in the store root says the file is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreEntry {
-    /// Flat model file of this key.
-    Model(String),
     /// Chunk manifest of this key.
     Manifest(String),
-    /// Model or manifest suffix over a stem that is not the canonical
-    /// encoding of any key: never listed, never written by us.
+    /// A manifest suffix over a stem that is not the canonical encoding
+    /// of any key, or a standalone `*.model.json`, a layout no store
+    /// reads: never listed, never written by us.
     NonCanonical,
     /// Temp sibling of an atomic write.
     Temp,
@@ -40,8 +38,8 @@ pub enum StoreEntry {
 /// first: temp and quarantine names append their marker *after* the
 /// suffix, so a key that merely contains `.tmp-` stays a key.
 pub fn classify(name: &str) -> StoreEntry {
-    if let Some(stem) = name.strip_suffix(MODEL_SUFFIX) {
-        decode_key(stem).map_or(StoreEntry::NonCanonical, StoreEntry::Model)
+    if name.ends_with(".model.json") {
+        StoreEntry::NonCanonical
     } else if let Some(stem) = name.strip_suffix(MANIFEST_SUFFIX) {
         decode_key(stem).map_or(StoreEntry::NonCanonical, StoreEntry::Manifest)
     } else if is_quarantine_name(name) {
@@ -109,7 +107,6 @@ pub enum FindingKind {
     OrphanedTemp,
     /// See [`StoreEntry::NonCanonical`].
     NonCanonicalName,
-    UnreadableModel,
     UnreadableManifest,
     /// Content does not hash to the name; the chunk counts as absent.
     CorruptChunk,
@@ -156,7 +153,6 @@ impl FindingKind {
             FindingKind::Quarantined => ("quarantined file", Fix::Prune),
             FindingKind::OrphanedTemp => ("orphaned temp file", Fix::Remove),
             FindingKind::NonCanonicalName => ("non-canonical file name", Fix::Manual),
-            FindingKind::UnreadableModel => ("unreadable model file", Fix::Quarantine),
             FindingKind::UnreadableManifest => ("unreadable manifest file", Fix::Quarantine),
             FindingKind::CorruptChunk => ("corrupt chunk", Fix::Quarantine),
             FindingKind::StrayChunkFile => ("stray file in chunk dir", Fix::Remove),
@@ -220,8 +216,8 @@ fn chunk_path(name: &str) -> String {
 /// verification counts as absent and is left out of `chunk_files`.
 ///
 /// A manifest is *loadable* when every chunk it names is present and
-/// its base chain ends, through loadable manifests, at a flat file or
-/// a full manifest; every other manifest is a finding, so one repair
+/// its base chain ends, through loadable manifests, at a full
+/// manifest; every other manifest is a finding, so one repair
 /// pass sets aside a manifest that lost a chunk together with every
 /// delta that `load`s through it. A chunk is orphaned only when *no*
 /// parsed manifest names it: the chunks of a manifest just
@@ -234,13 +230,8 @@ pub fn cross_check(
 ) -> Vec<Finding> {
     use FindingKind::*;
     let mut out = Vec::new();
-    let mut flat = BTreeSet::new();
     for name in files {
         let kind = match classify(name) {
-            StoreEntry::Model(key) => {
-                flat.insert(key);
-                continue;
-            }
             StoreEntry::Quarantine => Quarantined,
             StoreEntry::Temp => OrphanedTemp,
             StoreEntry::NonCanonical => NonCanonicalName,
@@ -279,9 +270,7 @@ pub fn cross_check(
         }
     }
     for (key, (file, _)) in &whole {
-        // The flat file wins on load, so a chain ends at one.
         let chain = base_chain_terminates(key, |cur| match whole.get(cur) {
-            _ if flat.contains(cur) => Ok(None),
             Some((_, m)) => Ok(m.base.clone()),
             None => Err(format!("base chain reaches '{cur}', which is not loadable")),
         });
@@ -300,19 +289,14 @@ pub fn cross_check(
     out
 }
 
-/// Read a store file as text and parse it.
-fn read_parsed<T>(
-    storage: &dyn Storage,
-    path: &Path,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-) -> Result<T, String> {
+/// Read a manifest file and parse it.
+fn read_manifest(storage: &dyn Storage, path: &Path) -> Result<Manifest, String> {
     let bytes = storage.read(path).map_err(|e| e.to_string())?;
-    let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
-    parse(&text)
+    Manifest::from_json(&String::from_utf8(bytes).map_err(|e| e.to_string())?)
 }
 
 /// Walk the store at `dir` and report everything wrong with it: every
-/// model and manifest must parse, every chunk must hash to its name,
+/// manifest must parse, every chunk must hash to its name,
 /// and the names, chunk references and base chains must agree
 /// ([`cross_check`]). Fails only when a directory cannot be listed.
 pub fn scan_store(storage: &dyn Storage, dir: &Path) -> io::Result<StoreScan> {
@@ -325,21 +309,13 @@ pub fn scan_store(storage: &dyn Storage, dir: &Path) -> io::Result<StoreScan> {
     let mut findings = Vec::new();
     let mut manifests = BTreeMap::new();
     for name in &files {
-        let path = dir.join(name);
-        match classify(name) {
-            StoreEntry::Model(_) => {
-                let parse = |text: &str| serde_model::from_json(text).map_err(|e| e.to_string());
-                if let Err(e) = read_parsed(storage, &path, parse) {
-                    findings.push(Finding::new(UnreadableModel, name, &e));
-                }
-            }
-            StoreEntry::Manifest(_) => match read_parsed(storage, &path, Manifest::from_json) {
+        if let StoreEntry::Manifest(_) = classify(name) {
+            match read_manifest(storage, &dir.join(name)) {
                 Ok(manifest) => {
                     manifests.insert(name.clone(), manifest);
                 }
                 Err(e) => findings.push(Finding::new(UnreadableManifest, name, &e)),
-            },
-            _ => {}
+            }
         }
     }
     let files_checked = files.len() + chunk_files.len();
@@ -418,10 +394,11 @@ mod tests {
     fn names_classify_once_for_every_reader() {
         use StoreEntry::*;
         for (name, want) in [
-            ("alpha.model.json", Model("alpha".into())),
             ("a%2Fb.manifest.json", Manifest("a/b".into())),
             // A key may contain the temp marker; the suffix decides.
-            ("x.tmp-1.model.json", Model("x.tmp-1".into())),
+            ("x.tmp-1.manifest.json", Manifest("x.tmp-1".into())),
+            // A flat model file is no store layout, whatever its stem.
+            ("alpha.model.json", NonCanonical),
             ("a%2fb.model.json", NonCanonical),
             ("nul%0.manifest.json", NonCanonical),
             ("alpha.model.json.tmp-123-7", Temp),
@@ -502,9 +479,8 @@ mod tests {
         let in_chunks = |name: String| format!("chunks/{name}");
         let rows = vec![
             Row {
-                what: "healthy flat + full + delta",
+                what: "healthy full + delta",
                 files: vec![
-                    "base.model.json",
                     "full.manifest.json",
                     "v1.manifest.json",
                     "sommelier.index.json",
@@ -513,7 +489,7 @@ mod tests {
                 chunk_files: vec![chunk(&a), chunk(&b)],
                 manifests: vec![
                     ("full.manifest.json", manifest(None, &[&a])),
-                    ("v1.manifest.json", manifest(Some("base"), &[&b])),
+                    ("v1.manifest.json", manifest(Some("full"), &[&b])),
                 ],
                 want: vec![],
             },
@@ -541,13 +517,14 @@ mod tests {
                 ],
             },
             Row {
-                what: "non-canonical names",
-                files: vec!["a%2fb.model.json", "nul%0.manifest.json"],
+                what: "non-canonical names, a stray flat file among them",
+                files: vec!["a%2fb.model.json", "nul%0.manifest.json", "x.model.json"],
                 chunk_files: vec![],
                 manifests: vec![],
                 want: vec![
                     (NonCanonicalName, "a%2fb.model.json".into()),
                     (NonCanonicalName, "nul%0.manifest.json".into()),
+                    (NonCanonicalName, "x.model.json".into()),
                 ],
             },
             Row {
@@ -610,14 +587,18 @@ mod tests {
                 ],
             },
             Row {
-                what: "a flat file ends the chain: it wins on load",
+                what: "a flat file beside a manifest ends no chain",
                 files: vec!["a.manifest.json", "b.model.json", "b.manifest.json"],
                 chunk_files: vec![],
                 manifests: vec![
                     ("a.manifest.json", manifest(Some("b"), &[])),
                     ("b.manifest.json", manifest(Some("a"), &[])),
                 ],
-                want: vec![],
+                want: vec![
+                    (NonCanonicalName, "b.model.json".into()),
+                    (BrokenDeltaBase, "a.manifest.json".into()),
+                    (BrokenDeltaBase, "b.manifest.json".into()),
+                ],
             },
         ];
         for row in rows {
@@ -641,20 +622,17 @@ mod tests {
         (dir, repo)
     }
 
-    /// The kinds only a directory can show: files that do not parse and
-    /// a chunk whose bytes do not hash to its name.
+    /// The kinds only a directory can show: a manifest that does not
+    /// parse and a chunk whose bytes do not hash to its name. A flat
+    /// model file is reported by name, not read.
     #[test]
     fn scan_reports_unreadable_files_and_corrupt_chunks() {
         use FindingKind::*;
         let (dir, repo) = temp_store("io");
-        repo.plant_flat("flat", &model("flat"));
         repo.publish("chunked", &model("chunked"), false).unwrap();
         let clean = scan_store(&StdStorage, &dir).unwrap();
         assert!(clean.findings.is_empty(), "{:?}", clean.findings);
-        assert_eq!(
-            clean.files_checked, 5,
-            "flat, manifest, chunks/, weight, bias"
-        );
+        assert_eq!(clean.files_checked, 4, "manifest, chunks/, weight, bias");
 
         std::fs::write(dir.join("torn.model.json"), "{ not a model").unwrap();
         std::fs::write(dir.join("torn.manifest.json"), "{\"format_version\":99}").unwrap();
@@ -670,7 +648,7 @@ mod tests {
         assert_eq!(
             summary(&scan.findings),
             vec![
-                (UnreadableModel, "torn.model.json".to_string()),
+                (NonCanonicalName, "torn.model.json".to_string()),
                 (UnreadableManifest, "torn.manifest.json".to_string()),
                 (CorruptChunk, format!("chunks/{victim}")),
                 (DanglingChunkRef, "chunked.manifest.json".to_string()),
@@ -678,7 +656,7 @@ mod tests {
         );
         // Findings and load agree on which keys are lost.
         assert!(repo.load("chunked").is_err());
-        assert!(repo.load("flat").is_ok());
+        assert!(repo.load("torn").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -689,12 +667,18 @@ mod tests {
         repo.publish_chunked("base", &base, false).unwrap();
         repo.publish_delta("v1", &base.renamed("v1"), "base", false)
             .unwrap();
-        repo.plant_flat("keep", &model("keep"));
+        let mut chunks = list_chunk_dir(&StdStorage, &dir.join(CHUNK_DIR)).unwrap();
+        chunks.sort();
+        let (victim, survivor) = (chunks[0].clone(), chunks[1].clone());
+        // Wider than `base`, so the two share no chunk, not even a bias.
+        let keep = ModelBuilder::new("keep", TaskKind::Other, Shape::vector(4))
+            .dense(3, &mut Prng::seed_from_u64(1))
+            .build()
+            .unwrap();
+        repo.publish_chunked("keep", &keep, false).unwrap();
         // Losing one of base's chunks loses base and, through the
         // chain, v1: fsck used to call the store clean right after
         // quarantining base.
-        let chunks = list_chunk_dir(&StdStorage, &dir.join(CHUNK_DIR)).unwrap();
-        let victim = chunks.into_iter().min().unwrap();
         std::fs::remove_file(dir.join(CHUNK_DIR).join(&victim)).unwrap();
         std::fs::write(dir.join("keep.model.json.tmp-1-0"), "partial").unwrap();
         std::fs::write(dir.join("old.model.json.corrupt-17"), "evidence").unwrap();
@@ -726,9 +710,6 @@ mod tests {
         // chunk only the quarantined base named, for the follow-up
         // sweep, and the file repair never touches.
         assert_eq!(repo.try_keys().unwrap(), vec!["keep"]);
-        let survivor = list_chunk_dir(&StdStorage, &dir.join(CHUNK_DIR))
-            .unwrap()
-            .remove(0);
         let sweep = scan_store(&StdStorage, &dir).unwrap();
         assert_eq!(
             summary(&sweep.findings),

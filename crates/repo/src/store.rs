@@ -4,7 +4,6 @@ use crate::chunks::{self, ChunkStore, Manifest, CHUNK_DIR, MANIFEST_SUFFIX};
 use crate::scan::{classify, StoreEntry};
 use parking_lot::RwLock;
 use sommelier_fault::{StdStorage, Storage};
-use sommelier_graph::serde_model;
 use sommelier_graph::{Model, ModelError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -124,9 +123,6 @@ impl ModelRepository for InMemoryRepository {
     }
 }
 
-/// Suffix every flat (standalone JSON) model file carries.
-pub const MODEL_SUFFIX: &str = ".model.json";
-
 /// Bytes that survive key encoding verbatim. Everything else —
 /// crucially `%`, `/`, and whitespace — is percent-escaped, which makes
 /// the encoding injective: two distinct keys can never share a file.
@@ -186,9 +182,7 @@ pub fn decode_key(stem: &str) -> Option<String> {
 /// every publish goes through the crash-safe [`Storage`] composites
 /// (atomic rename for overwrites, an `O_EXCL`-style link for first
 /// publishes), and listing failures surface as [`RepoError::Storage`]
-/// instead of truncating silently. A legacy store's flat
-/// `<key>.model.json` files stay readable ([`dedup_store`] migrates
-/// them); nothing here writes one.
+/// instead of truncating silently.
 pub struct OnDiskRepository {
     root: PathBuf,
     storage: Arc<dyn Storage>,
@@ -212,10 +206,6 @@ impl OnDiskRepository {
         })
     }
 
-    fn path_for(&self, key: &str) -> PathBuf {
-        self.root.join(format!("{}{MODEL_SUFFIX}", encode_key(key)))
-    }
-
     fn manifest_path_for(&self, key: &str) -> PathBuf {
         self.root
             .join(format!("{}{MANIFEST_SUFFIX}", encode_key(key)))
@@ -224,21 +214,6 @@ impl OnDiskRepository {
     /// The repository's content-addressed chunk namespace.
     pub fn chunk_store(&self) -> ChunkStore {
         ChunkStore::new(&self.root, Arc::clone(&self.storage))
-    }
-
-    /// How `key` is currently stored, or `None` when absent. During a
-    /// migration window a key may briefly have both representations;
-    /// the flat file wins (it is what [`ModelRepository::load`]
-    /// serves), so that is what this reports. Advisory only — racing
-    /// publishes are arbitrated by the storage layer, not by this.
-    pub fn stored_format(&self, key: &str) -> Option<StoredFormat> {
-        if self.storage.exists(&self.path_for(key)) {
-            Some(StoredFormat::Flat)
-        } else if self.storage.exists(&self.manifest_path_for(key)) {
-            Some(StoredFormat::Chunked)
-        } else {
-            None
-        }
     }
 
     fn storage_err(key: Option<&str>, e: io::Error) -> RepoError {
@@ -270,10 +245,10 @@ impl OnDiskRepository {
     fn make_way(&self, key: &str, model: &Model, overwrite: bool) -> Result<(), RepoError> {
         check_publishable(key, model)?;
         if !overwrite {
-            return match self.stored_format(key) {
-                Some(_) => Err(RepoError::AlreadyExists { key: key.into() }),
-                None => Ok(()),
-            };
+            if self.storage.exists(&self.manifest_path_for(key)) {
+                return Err(RepoError::AlreadyExists { key: key.into() });
+            }
+            return Ok(());
         }
         match self.load(key) {
             Ok(stored) if stored == *model => Ok(()),
@@ -336,32 +311,18 @@ impl OnDiskRepository {
             .map_err(|e| Self::storage_err(Some(key), e))
     }
 
-    /// Land a manifest under `key` and, for overwrites, retire a legacy
-    /// flat file. The ordering is the crash-safety argument: chunks
-    /// are immutable and already durable, the manifest lands via one
-    /// atomic rename/link, and — because [`ModelRepository::load`]
-    /// prefers the flat file — removing it is the single atomic
-    /// visibility flip from the old representation to the new one.
+    /// Land a manifest under `key` in one atomic step: chunks are
+    /// immutable and already durable, so the rename (overwrite) or the
+    /// exclusive link (first publish) is the visibility flip.
     fn cut_over(&self, key: &str, manifest: &Manifest, overwrite: bool) -> Result<(), RepoError> {
         let path = self.manifest_path_for(key);
         let json = manifest.to_json();
-        if overwrite {
-            self.storage
-                .write_atomic(&path, json.as_bytes())
-                .map_err(|e| Self::storage_err(Some(key), e))?;
-            match self.storage.remove(&self.path_for(key)) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(Self::storage_err(Some(key), e)),
-            }
+        let landed = if overwrite {
+            self.storage.write_atomic(&path, json.as_bytes())
         } else {
-            if self.storage.exists(&self.path_for(key)) {
-                return Err(RepoError::AlreadyExists { key: key.into() });
-            }
-            self.storage
-                .create_exclusive(&path, json.as_bytes())
-                .map_err(|e| Self::storage_err(Some(key), e))
-        }
+            self.storage.create_exclusive(&path, json.as_bytes())
+        };
+        landed.map_err(|e| Self::storage_err(Some(key), e))
     }
 
     /// Store a model as a full manifest over content-addressed chunks,
@@ -407,18 +368,6 @@ impl OnDiskRepository {
         if !visiting.insert(key.to_string()) {
             return Err(cycle(key));
         }
-        // The flat file wins: during migration it is the still-current
-        // representation, and its removal is the atomic cutover.
-        match self.storage.read(&self.path_for(key)) {
-            Ok(bytes) => {
-                let json =
-                    String::from_utf8(bytes).map_err(|e| RepoError::Storage(e.to_string()))?;
-                return serde_model::from_json(&json)
-                    .map_err(|e| RepoError::Storage(e.to_string()));
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(Self::storage_err(Some(key), e)),
-        }
         let manifest = self.read_manifest(key)?;
         let base = match &manifest.base {
             Some(base_key) => Some(self.load_chain(base_key, visiting, cycle).map_err(
@@ -435,118 +384,13 @@ impl OnDiskRepository {
         chunks::reconstruct(&manifest, base.as_ref(), &store)
             .map_err(|e| RepoError::Storage(format!("reconstructing '{key}': {e}")))
     }
-
-    /// Plant `model` under `key` as a legacy flat file, which nothing
-    /// outside tests writes any more.
-    #[cfg(test)]
-    pub(crate) fn plant_flat(&self, key: &str, model: &Model) {
-        std::fs::write(self.path_for(key), serde_model::to_json(model)).unwrap();
-    }
-
-    /// Total bytes of model storage: flat files, manifests, and
-    /// chunks. Index snapshots and stray files don't count — this is
-    /// the quantity family-aware dedup is meant to shrink.
-    pub fn model_bytes(&self) -> io::Result<u64> {
-        let mut total = 0u64;
-        for name in self.storage.list(&self.root)? {
-            if matches!(
-                classify(&name),
-                StoreEntry::Model(_) | StoreEntry::Manifest(_) | StoreEntry::NonCanonical
-            ) {
-                total += self.storage.file_len(&self.root.join(&name))?;
-            }
-        }
-        let chunk_dir = self.root.join(CHUNK_DIR);
-        for name in chunks::list_chunk_dir(&*self.storage, &chunk_dir)? {
-            total += self.storage.file_len(&chunk_dir.join(&name))?;
-        }
-        Ok(total)
-    }
 }
 
-/// The on-disk representation of one key (see
-/// [`OnDiskRepository::stored_format`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoredFormat {
-    /// Standalone `.model.json` file (legacy stores only).
-    Flat,
-    /// `.manifest.json` over content-addressed chunks.
-    Chunked,
-}
-
-/// Outcome of [`dedup_store`].
-#[derive(Clone, Debug, Default)]
-pub struct DedupStats {
-    /// Keys in the repository.
-    pub models: usize,
-    /// Keys migrated to full manifests.
-    pub full: usize,
-    /// Keys migrated to delta manifests.
-    pub delta: usize,
-    /// Keys that were already chunked (left untouched).
-    pub skipped: usize,
-    /// Model-storage bytes before and after migration (both zero when
-    /// there was nothing to migrate).
-    pub bytes_before: u64,
-    pub bytes_after: u64,
-}
-
-impl DedupStats {
-    /// Size-cut ratio (≥ 1.0 when migration helped).
-    pub fn size_cut(&self) -> f64 {
-        if self.bytes_after == 0 {
-            1.0
-        } else {
-            self.bytes_before as f64 / self.bytes_after as f64
-        }
-    }
-}
-
-/// Migrate a legacy store's flat files to chunked/delta storage in
-/// place (the `sommelier dedup` engine): every flat key is loaded and
-/// published again, so [`ModelRepository::publish`] picks its
-/// representation as it would for a new model. Each key cuts over
-/// atomically (manifest published, then the flat file removed), so a
-/// crash mid-migration leaves every key loadable. A store with no flat
-/// file costs one directory listing.
-pub fn dedup_store(repo: &OnDiskRepository) -> Result<DedupStats, RepoError> {
-    let names = repo
-        .storage
-        .list(&repo.root)
-        .map_err(|e| OnDiskRepository::storage_err(None, e))?;
-    let (mut flat, mut keys) = (BTreeSet::new(), BTreeSet::new());
-    for name in names {
-        match classify(&name) {
-            StoreEntry::Model(key) => {
-                flat.insert(key.clone());
-                keys.insert(key);
-            }
-            StoreEntry::Manifest(key) => {
-                keys.insert(key);
-            }
-            _ => {}
-        }
-    }
-    let mut stats = DedupStats {
-        models: keys.len(),
-        skipped: keys.len() - flat.len(),
-        ..DedupStats::default()
-    };
-    if flat.is_empty() {
-        return Ok(stats);
-    }
-    let sized = || repo.model_bytes().map_err(|e| RepoError::Storage(e.to_string()));
-    stats.bytes_before = sized()?;
-    for key in &flat {
-        let model = repo.load(key)?;
-        repo.publish(key, &model, true)?;
-        match repo.read_manifest(key)?.base {
-            Some(_) => stats.delta += 1,
-            None => stats.full += 1,
-        }
-    }
-    stats.bytes_after = sized()?;
-    Ok(stats)
+/// One listing of the store's keys, returning how many there are. Held
+/// only for the benchmark's `curate` checkpoint, which calls it by name,
+/// until ROADMAP item 1a routes that checkpoint elsewhere.
+pub fn dedup_store(repo: &OnDiskRepository) -> Result<usize, RepoError> {
+    repo.try_keys().map(|keys| keys.len())
 }
 
 impl ModelRepository for OnDiskRepository {
@@ -576,25 +420,25 @@ impl ModelRepository for OnDiskRepository {
             .storage
             .list(&self.root)
             .map_err(|e| Self::storage_err(None, e))?;
-        let mut out = BTreeSet::new();
-        for name in names {
-            // A key stored flat *and* chunked (a migration window)
-            // must still list once — hence the set. Non-canonical
-            // stems are not repository entries (we never write them);
-            // the store scan reports them rather than keys() inventing
-            // a key.
-            if let StoreEntry::Model(key) | StoreEntry::Manifest(key) = classify(&name) {
-                out.insert(key);
-            }
-        }
-        Ok(out.into_iter().collect())
+        // Non-canonical stems are not repository entries (we never
+        // write them); the store scan reports them rather than keys()
+        // inventing a key.
+        let mut out: Vec<String> = names
+            .iter()
+            .filter_map(|name| match classify(name) {
+                StoreEntry::Manifest(key) => Some(key),
+                _ => None,
+            })
+            .collect();
+        out.sort();
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sommelier_graph::{ModelBuilder, TaskKind};
+    use sommelier_graph::{serde_model, ModelBuilder, TaskKind};
     use sommelier_tensor::{Prng, Shape};
 
     fn model(name: &str) -> Model {
@@ -675,7 +519,7 @@ mod tests {
         let repo = OnDiskRepository::open(&dir).unwrap();
         let m = model("disk/one:v1");
         repo.publish("disk/one:v1", &m, false).unwrap();
-        assert_eq!(repo.stored_format("disk/one:v1"), Some(StoredFormat::Chunked));
+        assert!(dir.join("disk%2Fone%3Av1.manifest.json").exists());
         assert_eq!(repo.load("disk/one:v1").unwrap(), m);
         assert_eq!(repo.try_keys().unwrap(), vec!["disk/one:v1"]);
         std::fs::remove_dir_all(&dir).ok();
@@ -765,7 +609,7 @@ mod tests {
         let repo = OnDiskRepository::open(&dir).unwrap();
         let m = model("chunky");
         repo.publish_chunked("chunky", &m, false).unwrap();
-        assert_eq!(repo.stored_format("chunky"), Some(StoredFormat::Chunked));
+        assert!(repo.manifest_path_for("chunky").exists());
         assert_eq!(repo.load("chunky").unwrap(), m);
         assert_eq!(repo.try_keys().unwrap(), vec!["chunky"]);
         assert_eq!(repo.len(), 1);
@@ -818,51 +662,6 @@ mod tests {
             repo.publish_delta("a", &a, "b", true),
             Err(RepoError::Storage(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flat_file_wins_during_migration_window() {
-        let dir = temp_dir("window");
-        let repo = OnDiskRepository::open(&dir).unwrap();
-        let old = model("old");
-        let new = perturbed(&old, "new", 1.0);
-        repo.plant_flat("k", &old);
-        // Simulate a crash after the manifest landed but before the
-        // flat file was removed: write the manifest out-of-band.
-        let cs = repo.chunk_store();
-        let manifest = crate::chunks::encode_full(&new, &cs).unwrap();
-        std::fs::write(dir.join("k.manifest.json"), manifest.to_json()).unwrap();
-        // The old flat representation is still what loads, and the key
-        // lists exactly once.
-        assert_eq!(repo.load("k").unwrap(), old);
-        assert_eq!(repo.try_keys().unwrap(), vec!["k"]);
-        assert_eq!(repo.len(), 1);
-        // Completing the migration (removing the flat file) flips
-        // visibility to the chunked representation.
-        std::fs::remove_file(dir.join(format!("k{MODEL_SUFFIX}"))).unwrap();
-        assert_eq!(repo.load("k").unwrap(), new);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn overwrite_of_a_flat_key_leaves_a_manifest_and_no_flat_file() {
-        let dir = temp_dir("retire");
-        let repo = OnDiskRepository::open(&dir).unwrap();
-        let m1 = model("m1");
-        let m2 = perturbed(&m1, "m2", 2.0);
-        repo.plant_flat("k", &m1);
-        assert_eq!(repo.stored_format("k"), Some(StoredFormat::Flat));
-        // A flat key is taken, whatever would be written next to it.
-        assert!(matches!(
-            repo.publish("k", &m2, false),
-            Err(RepoError::AlreadyExists { .. })
-        ));
-        assert_eq!(repo.load("k").unwrap(), m1);
-        repo.publish("k", &m2, true).unwrap();
-        assert_eq!(repo.stored_format("k"), Some(StoredFormat::Chunked));
-        assert_eq!(repo.load("k").unwrap(), m2);
-        assert!(!dir.join(format!("k{MODEL_SUFFIX}")).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -949,44 +748,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn dedup_store_migrates_in_place() {
-        let dir = temp_dir("dedup");
-        let repo = OnDiskRepository::open(&dir).unwrap();
-        let mut base = model("family-base");
-        base.metadata.insert("self".into(), "noise".into());
-        let v1 = hinted(perturbed(&base, "family-v1", 0.5), "family-base");
-        let loner = hinted(model("loner"), "nonexistent");
-        let kept = model("kept");
-        repo.plant_flat("family-base", &base);
-        repo.plant_flat("family-v1", &v1);
-        repo.plant_flat("loner", &loner);
-        repo.publish("kept", &kept, false).unwrap();
-
-        let stats = dedup_store(&repo).unwrap();
-        assert_eq!(stats.models, 4);
-        assert_eq!(stats.delta, 1);
-        assert_eq!(stats.full, 2); // base + dangling-hint loner
-        assert_eq!(stats.skipped, 1);
-        assert!(stats.bytes_after < stats.bytes_before);
-        for (key, want) in [
-            ("family-base", &base),
-            ("family-v1", &v1),
-            ("loner", &loner),
-            ("kept", &kept),
-        ] {
-            assert_eq!(repo.stored_format(key), Some(StoredFormat::Chunked));
-            assert_eq!(&repo.load(key).unwrap(), want);
-        }
-        // Idempotent: a second run finds nothing flat, so it sizes and
-        // loads nothing.
-        let again = dedup_store(&repo).unwrap();
-        assert_eq!((again.models, again.skipped), (4, 4));
-        assert_eq!((again.full, again.delta), (0, 0));
-        assert_eq!((again.bytes_before, again.bytes_after), (0, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// The filesystem, counting the reads of each file.
     #[derive(Default)]
     struct CountingStorage {
@@ -1051,24 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_store_degrades_hint_cycles_to_full() {
-        let dir = temp_dir("dedupcycle");
-        let repo = OnDiskRepository::open(&dir).unwrap();
-        let a = hinted(model("a"), "b");
-        let b = hinted(perturbed(&a, "b", 0.5), "a");
-        repo.plant_flat("a", &a);
-        repo.plant_flat("b", &b);
-        let stats = dedup_store(&repo).unwrap();
-        // `a` migrates first and deltas against the still-flat `b`;
-        // `b` would then close the cycle and is stored full.
-        assert_eq!((stats.delta, stats.full), (1, 1));
-        assert_eq!(base_of(&repo, "b"), None);
-        assert_eq!(repo.load("a").unwrap(), a);
-        assert_eq!(repo.load("b").unwrap(), b);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn try_keys_surfaces_listing_errors() {
         let dir = temp_dir("unlistable");
         let repo = OnDiskRepository::open(&dir).unwrap();
@@ -1096,6 +839,24 @@ mod tests {
         }
         assert_eq!(repo.try_keys().unwrap(), vec!["real"]);
         assert_eq!(repo.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flat_model_file_is_never_read() {
+        let dir = temp_dir("flat");
+        let repo = OnDiskRepository::open(&dir).unwrap();
+        let real = model("real");
+        repo.publish("real", &real, false).unwrap();
+        // Whole models under the old flat names: one beside a manifest,
+        // one alone. Neither is a key, and neither shadows a manifest.
+        let other = serde_model::to_json(&perturbed(&real, "other", 1.0));
+        for name in ["real.model.json", "flat.model.json"] {
+            std::fs::write(dir.join(name), &other).unwrap();
+        }
+        assert_eq!(repo.try_keys().unwrap(), vec!["real"]);
+        assert_eq!(repo.load("real").unwrap(), real);
+        assert!(matches!(repo.load("flat"), Err(RepoError::NotFound { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,21 +8,19 @@
 //! ([`Defect::expected_code`]).
 //!
 //! Defects are planted the way real corruption arrives: by rewriting
-//! the artifacts *behind the library's back* — text surgery on a flat
-//! `*.model.json` file, value surgery on `sommelier.index.json`,
-//! deleting a store file — never through an API that would revalidate
-//! or reindex. Victim selection is deterministic (first stored file
-//! stem in sorted order), so a given `(seed, defect)` pair always
-//! produces the same sabotaged repository.
-//!
-//! A store keeps its models as manifests over chunks, which this crate
-//! cannot read. The text-surgery defects therefore edit a flat copy of
-//! the victim that the caller exports next to its manifest beforehand
-//! (model JSON under `<stem>.model.json`): the flat file wins on load,
-//! so the edited copy *is* the stored model.
+//! the artifacts *behind the library's back* — text surgery on a
+//! manifest's skeleton, a weight chunk rewritten under a new content
+//! hash that the manifest is repointed at, value surgery on
+//! `sommelier.index.json`, deleting a manifest — never through an API
+//! that would revalidate or reindex. The one new model goes through
+//! [`OnDiskRepository::publish`], which checks only what a load needs
+//! and indexes nothing. Victim selection is deterministic (first
+//! manifest stem in sorted order), so a given `(seed, defect)` pair
+//! always produces the same sabotaged repository.
 
 use serde::Value;
 use sommelier_index::persist::{INDEX_FILE, INDEX_FILE_BIN};
+use sommelier_repo::{Manifest, ModelRepository, OnDiskRepository, MANIFEST_SUFFIX};
 use std::path::{Path, PathBuf};
 
 /// One plantable defect class.
@@ -31,8 +29,7 @@ pub enum Defect {
     /// A stored model's `widths` array is rewritten to disagree with
     /// the widths its operators recompute.
     ShapeBreak,
-    /// A stored weight becomes `+inf` (the JSON token `1e999`, which
-    /// parses to an infinity).
+    /// A stored weight becomes `+inf`.
     NonFiniteWeights,
     /// A new model whose graph contains a subgraph with no data path to
     /// the output is published into the store.
@@ -40,7 +37,7 @@ pub enum Defect {
     /// A stored weight is perturbed (finite, shape-preserving) without
     /// reindexing, so the semantic index carries a stale fingerprint.
     FingerprintDrift,
-    /// The store files of a model the persisted index references are
+    /// The manifest of a model the persisted index references is
     /// deleted.
     StaleIndexEntry,
     /// A semantic-index candidate is rewritten into a `Transitive`
@@ -109,35 +106,20 @@ pub fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
     }
 }
 
-const FLAT_SUFFIX: &str = ".model.json";
-const MANIFEST_SUFFIX: &str = ".manifest.json";
-
 /// The deterministic sabotage victim: the first file stem, in sorted
-/// order, that `dir` stores a model under (flat or as a manifest).
+/// order, that `dir` stores a manifest under.
 fn victim_stem(dir: &Path) -> Result<String, String> {
     std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read '{}': {e}", dir.display()))?
         .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-        .filter_map(|name| {
-            let stem = name
-                .strip_suffix(FLAT_SUFFIX)
-                .or_else(|| name.strip_suffix(MANIFEST_SUFFIX))?;
-            Some(stem.to_string())
-        })
+        .filter_map(|name| Some(name.strip_suffix(MANIFEST_SUFFIX)?.to_string()))
         .min()
         .ok_or_else(|| format!("no stored models in '{}'", dir.display()))
 }
 
-/// The victim's flat copy, for text surgery.
+/// The victim's manifest file.
 fn victim(dir: &Path) -> Result<PathBuf, String> {
-    let path = dir.join(format!("{}{FLAT_SUFFIX}", victim_stem(dir)?));
-    if !path.exists() {
-        return Err(format!(
-            "'{}' is missing: export the victim as a flat file first",
-            path.display()
-        ));
-    }
-    Ok(path)
+    Ok(dir.join(format!("{}{MANIFEST_SUFFIX}", victim_stem(dir)?)))
 }
 
 fn read(path: &Path) -> Result<String, String> {
@@ -148,14 +130,17 @@ fn write(path: &Path, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("cannot write '{}': {e}", path.display()))
 }
 
-/// Rewrite the second entry of the victim's `widths` array: the stored
-/// width no longer matches the width its producer recomputes.
+/// Rewrite the second entry of the victim skeleton's `widths` array:
+/// the stored width no longer matches the width its producer
+/// recomputes. In every seeded family layer 1 feeds only an activation,
+/// which has no parameters to check against it, so the model still
+/// loads and only the audit's shape analysis sees the break.
 fn plant_shape_break(dir: &Path) -> Result<String, String> {
     let path = victim(dir)?;
     let text = read(&path)?;
     let start = text
         .find("\"widths\":[")
-        .ok_or("victim model has no widths array")?
+        .ok_or("victim skeleton has no widths array")?
         + "\"widths\":[".len();
     let end = start + text[start..].find(']').ok_or("unterminated widths array")?;
     let mut widths: Vec<usize> = text[start..end]
@@ -176,42 +161,54 @@ fn plant_shape_break(dir: &Path) -> Result<String, String> {
     ))
 }
 
-/// Replace the first token of `"data":[` in `path` with `replacement`.
-/// `1e999` parses to `+inf`; any other token plants a finite drift.
-fn patch_first_weight(path: &Path, replacement: &str) -> Result<String, String> {
-    let text = read(path)?;
-    let start = text
-        .find("\"data\":[")
-        .ok_or("victim model has no weight data")?
-        + "\"data\":[".len();
-    let end = start
-        + text[start..]
-            .find([',', ']'])
-            .ok_or("unterminated weight data")?;
-    let old = text[start..end].to_string();
-    if old == replacement {
-        return Err(format!("weight already equals the replacement '{old}'"));
+/// Set the first `f32` of the victim's first dense weight chunk to
+/// `value`: the patched bytes land as a new chunk under their own
+/// content hash (a chunk rewritten in place would fail its hash check
+/// on read), and the manifest is repointed at it. Returns the old
+/// value and the manifest's path.
+fn patch_first_weight(dir: &Path, value: f32) -> Result<(f32, PathBuf), String> {
+    let path = victim(dir)?;
+    let mut manifest = Manifest::from_json(&read(&path)?)
+        .map_err(|e| format!("cannot parse '{}': {e}", path.display()))?;
+    let chunk = manifest
+        .layers
+        .iter_mut()
+        .find_map(|layer| layer.weight.as_mut()?.chunks.first_mut())
+        .ok_or("victim manifest has no dense weight chunk")?;
+    let store = OnDiskRepository::open(dir)
+        .map_err(|e| e.to_string())?
+        .chunk_store();
+    let mut bytes = store
+        .get(chunk)
+        .map_err(|e| format!("cannot read chunk {chunk}: {e}"))?;
+    let first: [u8; 4] = bytes
+        .get(..4)
+        .and_then(|b| b.try_into().ok())
+        .ok_or("victim weight chunk is empty")?;
+    let old = f32::from_le_bytes(first);
+    if old.to_bits() == value.to_bits() {
+        return Err(format!("weight already equals the replacement {old}"));
     }
-    let text = format!("{}{replacement}{}", &text[..start], &text[end..]);
-    write(path, &text)?;
-    Ok(old)
+    bytes[..4].copy_from_slice(&value.to_le_bytes());
+    *chunk = store
+        .put(&bytes)
+        .map_err(|e| format!("cannot write chunk: {e}"))?;
+    write(&path, &manifest.to_json())?;
+    Ok((old, path))
 }
 
 fn plant_non_finite_weights(dir: &Path) -> Result<String, String> {
-    let path = victim(dir)?;
-    patch_first_weight(&path, "1e999")?;
+    let (_, path) = patch_first_weight(dir, f32::INFINITY)?;
     Ok(format!(
-        "replaced the first stored weight of '{}' with 1e999 (+inf)",
+        "replaced the first stored weight of '{}' with +inf",
         path.display()
     ))
 }
 
 fn plant_fingerprint_drift(dir: &Path) -> Result<String, String> {
-    let path = victim(dir)?;
-    // 0.40625 is exactly representable, so the drift survives the JSON
-    // round-trip bit-for-bit; it is also far from any He-initialized
-    // weight, so the replacement cannot be a no-op.
-    let old = patch_first_weight(&path, "0.40625")?;
+    // 0.40625 is far from any He-initialized weight, so the
+    // replacement cannot be a no-op.
+    let (old, path) = patch_first_weight(dir, 0.40625)?;
     Ok(format!(
         "perturbed the first stored weight of '{}' ({old} -> 0.40625) without reindexing",
         path.display()
@@ -223,7 +220,7 @@ fn plant_fingerprint_drift(dir: &Path) -> Result<String, String> {
 /// the shape algebra is validated at build time), and the store accepts
 /// any well-formed artifact.
 fn plant_dead_subgraph(dir: &Path) -> Result<String, String> {
-    use sommelier_graph::{serde_model, ModelBuilder, TaskKind};
+    use sommelier_graph::{ModelBuilder, TaskKind};
     use sommelier_tensor::{Prng, Shape};
     victim_stem(dir)?; // only an existing zoo can be sabotaged
     let mut rng = Prng::seed_from_u64(0xdead);
@@ -239,31 +236,24 @@ fn plant_dead_subgraph(dir: &Path) -> Result<String, String> {
     b.dense(3, &mut rng);
     b.softmax();
     let model = b.build().map_err(|e| e.to_string())?;
-    let path = dir.join(format!("sabotage-dead{FLAT_SUFFIX}"));
-    serde_model::save(&model, &path).map_err(|e| e.to_string())?;
+    OnDiskRepository::open(dir)
+        .and_then(|repo| repo.publish("sabotage-dead", &model, false))
+        .map_err(|e| e.to_string())?;
     Ok(format!(
-        "published '{}' with an unreachable two-layer chain",
-        path.display()
+        "published 'sabotage-dead' into '{}' with an unreachable two-layer chain",
+        dir.display()
     ))
 }
 
 fn plant_stale_index_entry(dir: &Path) -> Result<String, String> {
-    let stem = victim_stem(dir)?;
+    let path = victim(dir)?;
     if !dir.join(INDEX_FILE).exists() {
         return Err(format!("'{}' has no persisted index to go stale", dir.display()));
     }
-    for suffix in [FLAT_SUFFIX, MANIFEST_SUFFIX] {
-        let path = dir.join(format!("{stem}{suffix}"));
-        match std::fs::remove_file(&path) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                return Err(format!("cannot delete '{}': {e}", path.display()));
-            }
-            _ => {}
-        }
-    }
+    std::fs::remove_file(&path).map_err(|e| format!("cannot delete '{}': {e}", path.display()))?;
     Ok(format!(
-        "deleted '{stem}' out from under the persisted index of '{}'",
-        dir.display()
+        "deleted '{}' out from under the persisted index",
+        path.display()
     ))
 }
 

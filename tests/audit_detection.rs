@@ -14,7 +14,6 @@
 //! `build_series` parameters, same default `SommelierConfig`, indices
 //! persisted to `sommelier.index.json`.
 
-use sommelier::graph::serde_model;
 use sommelier::index::persist::INDEX_FILE;
 use sommelier::lint::LintContext;
 use sommelier::prelude::*;
@@ -90,23 +89,6 @@ fn copy_files(src: &Path, dst: &Path) {
     }
 }
 
-/// Sabotage `dir`, first exporting its first key as the flat file the
-/// text-surgery defects edit (the zoo crate cannot read chunks).
-fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
-    let repo = OnDiskRepository::open(dir).unwrap();
-    let key = repo.try_keys().unwrap().remove(0);
-    let flat = dir.join(format!(
-        "{}{}",
-        sommelier::repo::encode_key(&key),
-        sommelier::repo::MODEL_SUFFIX
-    ));
-    // Once: a second defect must find the first one's edit in place.
-    if !flat.exists() {
-        serde_model::save(&repo.load(&key).unwrap(), &flat).unwrap();
-    }
-    sabotage::plant(dir, defect)
-}
-
 fn audit_codes(dir: &Path, jobs: usize) -> Vec<String> {
     let ctx = LintContext::from_repo_dir(dir).unwrap();
     sommelier::lint::run(&ctx, true, jobs)
@@ -128,7 +110,7 @@ fn sabotage_detection_matrix() {
     // 2. Every planted defect is found under its expected code.
     for defect in Defect::ALL {
         let copy = copy_zoo(&golden, defect.name());
-        let what = plant(&copy, defect)
+        let what = sabotage::plant(&copy, defect)
             .unwrap_or_else(|e| panic!("planting {defect:?} failed: {e}"));
         let codes = audit_codes(&copy, 2);
         assert!(
@@ -145,8 +127,8 @@ fn audit_reports_are_byte_identical_across_job_counts() {
     let dir = scratch("determinism");
     seed_zoo(&dir, 1, 7);
     // A sabotaged zoo gives the report actual content to keep stable.
-    plant(&dir, Defect::NonFiniteWeights).unwrap();
-    plant(&dir, Defect::DeadSubgraph).unwrap();
+    sabotage::plant(&dir, Defect::NonFiniteWeights).unwrap();
+    sabotage::plant(&dir, Defect::DeadSubgraph).unwrap();
 
     let json: Vec<String> = [1usize, 4, 8]
         .iter()
@@ -207,7 +189,7 @@ proptest! {
         prop_assert!(clean.is_empty(), "seed {} raised {:?}", seed, clean);
 
         let defect = Defect::ALL[(seed % Defect::ALL.len() as u64) as usize];
-        plant(&dir, defect).map_err(TestCaseError::fail)?;
+        sabotage::plant(&dir, defect).map_err(TestCaseError::fail)?;
         let codes = audit_codes(&dir, 2);
         prop_assert!(
             codes.iter().any(|c| c == defect.expected_code()),

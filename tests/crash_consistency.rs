@@ -13,7 +13,7 @@ use sommelier::graph::serde_model;
 use sommelier::index::persist::{self, INDEX_FILE, INDEX_FILE_BIN};
 use sommelier::prelude::*;
 use sommelier::query::SnapshotRecovery;
-use sommelier::repo::{dedup_store, encode_key, Manifest, MODEL_SUFFIX};
+use sommelier::repo::Manifest;
 use sommelier::runtime::metrics::counters;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -70,18 +70,10 @@ fn small_config() -> SommelierConfig {
     cfg
 }
 
-/// Store `model` under `key` as a legacy flat file, which no publish
-/// writes any more but every reader still honours.
-fn plant_flat(dir: &Path, key: &str, model: &Model) {
-    let name = format!("{}{MODEL_SUFFIX}", encode_key(key));
-    serde_model::save(model, &dir.join(name)).unwrap();
-}
-
-/// Alpha (a legacy flat file) + beta (published) and a persisted index
-/// snapshot: the "old" state.
+/// Alpha + beta and a persisted index snapshot: the "old" state.
 fn setup_base(dir: &Path, models: &[Model]) {
     let repo = Arc::new(OnDiskRepository::open(dir).unwrap());
-    plant_flat(dir, "series/alpha", &models[0]);
+    repo.publish("series/alpha", &models[0], false).unwrap();
     repo.publish("beta", &models[1], false).unwrap();
     let mut engine = Sommelier::connect(repo as Arc<dyn ModelRepository>, small_config());
     engine.index_existing().unwrap();
@@ -114,23 +106,23 @@ fn fine_tune(base: &Model, name: &str, hint: Option<&str>, weight: bool) -> Mode
     m
 }
 
-/// A fine-tune family on top of [`setup_base`]: a base, a delta stored
-/// against it, and a legacy flat fine-tune that hints at it.
+/// A fine-tune family on top of [`setup_base`]: a base and two deltas
+/// stored against it.
 fn setup_family(dir: &Path) {
     let repo = OnDiskRepository::open(dir).unwrap();
     let base = tiny("fam/base", 41);
     repo.publish("fam/base", &base, false).unwrap();
-    let ft = fine_tune(&base, "fam/ft", Some("fam/base"), true);
-    repo.publish("fam/ft", &ft, false).unwrap();
-    plant_flat(dir, "fam/legacy", &fine_tune(&base, "fam/legacy", Some("fam/base"), true));
+    for key in ["fam/ft", "fam/peer"] {
+        repo.publish(key, &fine_tune(&base, key, Some("fam/base"), true), false)
+            .unwrap();
+    }
 }
 
 /// The mutation whose every crash point the sweep exercises: an
-/// overwrite of a legacy flat key, an unhinted publish, an overwrite of
-/// a base under its stored delta (the bias moves, which the delta
-/// inherits), a hinted publish, the migration of the remaining flat
-/// key, a JSON snapshot save, and a binary (`.somb`) snapshot publish —
-/// every write path goes through the same atomic-write protocol, so all
+/// overwrite of a full manifest, an unhinted publish, an overwrite of a
+/// base under its stored deltas (the bias moves, which the deltas
+/// inherit), a hinted publish, a JSON snapshot save, and a binary
+/// (`.somb`) snapshot publish — every write path goes through the same atomic-write protocol, so all
 /// must survive a crash at any primitive op. Every key is written at
 /// most once, so it has one old and one new model. Errors are
 /// swallowed — mid-sequence crashes are the whole point.
@@ -144,7 +136,6 @@ fn mutate(dir: &Path, storage: Arc<dyn Storage>, alpha_v2: &Model, gamma: &Model
     let _ = repo.publish("fam/base", &rebased, true);
     let ft2 = fine_tune(&rebased, "fam/ft2", Some("fam/base"), true);
     let _ = repo.publish("fam/ft2", &ft2, false);
-    let _ = dedup_store(&repo);
     // Re-persist the snapshot (same indices, bumped epoch): content is
     // irrelevant here, the write protocol under the crash is.
     let Ok(snapshot) = persist::read_snapshot(&dir.join(INDEX_FILE)) else {
@@ -253,16 +244,12 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
     assert_ne!(old_models["series/alpha"], new_models["series/alpha"]);
     assert_ne!(old_models["fam/base"], new_models["fam/base"]);
     assert_eq!(old_models["fam/ft"], new_models["fam/ft"]);
-    assert_eq!(old_models["fam/legacy"], new_models["fam/legacy"]);
-    assert!(
-        !new_state.keys().any(|k| k.ends_with(MODEL_SUFFIX)),
-        "the overwrite and the migration must retire both flat files"
-    );
+    assert_eq!(old_models["fam/peer"], new_models["fam/peer"]);
     assert_eq!(manifest_base(&new_state, "gamma.manifest.json"), None);
     for (file, old, new) in [
         ("fam%2Fft.manifest.json", Some("fam/base"), None),
+        ("fam%2Fpeer.manifest.json", Some("fam/base"), None),
         ("fam%2Fft2.manifest.json", None, Some("fam/base")),
-        ("fam%2Flegacy.manifest.json", None, Some("fam/base")),
     ] {
         let was = old_state.contains_key(file).then(|| manifest_base(&old_state, file));
         assert_eq!(was.flatten().as_deref(), old, "{file} before");
@@ -309,10 +296,10 @@ fn reopen_after_crash_at_every_op_sees_old_or_new_state_never_torn() {
                 new.map(Vec::len),
             );
         }
-        // Only what the sequence retires (the two flat files) may go.
+        // Nothing in the sequence deletes a file.
         for name in old_state.keys() {
             assert!(
-                after.contains_key(name) || !new_state.contains_key(name),
+                after.contains_key(name),
                 "crash at op {crash_op}: '{name}' disappeared"
             );
         }
@@ -359,14 +346,15 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
     let seed = fault_seed();
     let base = scratch("repair-base");
     let repo = OnDiskRepository::open(&base).unwrap();
-    // Two chunked families (a full manifest and a delta each) and a
-    // flat model; `lost/*` is about to become unloadable.
+    // Two families (a full manifest and a delta each) and a lone full
+    // manifest; `lost/*` is about to become unloadable.
     let (keep, lost) = (tiny("keep/base", 41), tiny("lost/base", 43));
     repo.publish_chunked("keep/base", &keep, false).unwrap();
     repo.publish_delta("keep/ft", &keep.renamed("keep/ft"), "keep/base", false).unwrap();
     repo.publish_chunked("lost/base", &lost, false).unwrap();
     repo.publish_delta("lost/ft", &lost.renamed("lost/ft"), "lost/base", false).unwrap();
-    plant_flat(&base, "flat", &tiny("flat", 47));
+    repo.publish_chunked("lone", &tiny("lone", 47), false)
+        .unwrap();
 
     // Damage: a deleted chunk (dangling ref, and through it a broken
     // delta base), an orphaned chunk, a temp and a quarantine.
@@ -374,7 +362,7 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
     let victim = Manifest::from_json(&manifest).unwrap().chunk_refs()[0].to_string();
     std::fs::remove_file(repo.chunk_store().path_of(&victim)).unwrap();
     repo.chunk_store().put(b"referenced by nobody").unwrap();
-    std::fs::write(base.join("flat.model.json.tmp-9-0"), b"partial").unwrap();
+    std::fs::write(base.join("lone.manifest.json.tmp-9-0"), b"partial").unwrap();
     std::fs::write(base.join(CHUNK_DIR).join("old.chunk.corrupt-17"), b"evidence").unwrap();
 
     let scan = scan_store(&StdStorage, &base).unwrap();
@@ -389,7 +377,7 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
         .collect();
     assert_eq!(
         loadable.keys().collect::<Vec<_>>(),
-        ["flat", "keep/base", "keep/ft"],
+        ["keep/base", "keep/ft", "lone"],
         "the damage must cost exactly the lost/* family: {:?}",
         scan.findings
     );
