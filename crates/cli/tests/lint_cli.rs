@@ -48,8 +48,9 @@ fn seeded_repo(tag: &str) -> PathBuf {
 }
 
 fn write_corrupt_snapshot(dir: &Path) {
-    // `ghost` is indexed but never stored, and `m-a`'s candidate list is
-    // out of descending-score order — both `SOM02x` errors.
+    // `ghost` is indexed but never stored, and `m-a`'s candidate list,
+    // out of descending-score order, is none its (empty) edge table
+    // derives — both `SOM02x` errors.
     let semantic = r#"{
         "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
         "entries": {
@@ -101,7 +102,7 @@ fn corrupted_snapshot_fails_the_deny_warn_gate() {
     assert!(!out.status.success(), "corrupted snapshot must fail the gate");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("SOM020"), "dangling key finding expected:\n{text}");
-    assert!(text.contains("SOM021"), "unsorted candidates finding expected:\n{text}");
+    assert!(text.contains("SOM021"), "underived candidates finding expected:\n{text}");
 
     // The JSON report carries the same findings and stays parseable.
     let out = run(&["lint", d, "--format", "json"]);

@@ -302,6 +302,7 @@ impl SemanticIndex {
     /// only on the 1-hop edge neighbourhood plus 2-hop keys. A neighbour
     /// an endpoint gained or lost is itself an endpoint, so its
     /// neighbours after the patch reach the same entries as before it.
+    /// Their number is added to `index.semantic.entries_rederived`.
     fn rederive(&mut self, pool: &ThreadPool, batch: &Batch, delta: &EdgeDelta) {
         let mut affected: HashSet<u64> = batch.a_fps.iter().copied().collect();
         for &(u, v) in delta.drops.iter().chain(&delta.adds) {
@@ -322,6 +323,7 @@ impl SemanticIndex {
             .filter(|fp| self.entries.contains_key(&Fingerprint(*fp)))
             .collect();
         targets.sort_unstable();
+        counters::add("index.semantic.entries_rederived", targets.len() as u64);
         if !targets.is_empty() {
             let computed: Vec<Entry> = {
                 let entries = &self.entries;

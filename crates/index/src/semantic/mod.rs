@@ -75,15 +75,6 @@ mod sample;
 pub(crate) use edges::EdgeRow;
 use edges::EdgeTable;
 
-/// The transitive interval of paper Section 5.2: if models `X↔Y` differ
-/// by `a` and `Y↔Z` by `b`, the `X↔Z` difference lies in
-/// `[|a − b|, a + b]`. The index records the conservative upper end; the
-/// lower end is useful for pruning (a candidate whose lower bound already
-/// exceeds a threshold can be rejected without measurement).
-pub fn transitive_interval(a: f64, b: f64) -> (f64, f64) {
-    ((a - b).abs(), a + b)
-}
-
 /// How a candidate relates to the keyed model.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum CandidateKind {
@@ -306,6 +297,12 @@ impl SemanticIndex {
     /// `(fingerprint, key, candidates)` triple per model; the reverse
     /// lookup table is re-derived from it. `order` is accepted for
     /// call-site compatibility and ignored: the sorted keys are derived.
+    ///
+    /// The index has no edges, so every non-empty candidate list given
+    /// here fails [`SemanticIndex::underived_entries`] (lint's `SOM021`).
+    /// It stays public for indices that are queried but never linted:
+    /// the benchmark's serving fixture, the read-path differential test
+    /// and Table 3's binary.
     pub fn from_parts(
         config: SemanticIndexConfig,
         seed: u64,
@@ -446,8 +443,8 @@ impl SemanticIndex {
     /// Audit view of the entry table: every entry as
     /// `(fingerprint, key, candidate list)`, sorted by key for
     /// deterministic reporting. Candidate lists are exposed verbatim so
-    /// invariant checks (sortedness, score consistency, triangle bounds)
-    /// see exactly what a snapshot deserialized.
+    /// invariant checks (the triangle bounds among measured records) see
+    /// exactly what a snapshot deserialized.
     pub fn entries_audit(&self) -> Vec<(Fingerprint, &str, &[CandidateRecord])> {
         let mut out: Vec<(Fingerprint, &str, &[CandidateRecord])> = self
             .entries
@@ -455,6 +452,31 @@ impl SemanticIndex {
             .map(|(fp, e)| (*fp, e.key.as_str(), e.candidates.as_slice()))
             .collect();
         out.sort_by(|a, b| a.1.cmp(b.1));
+        out
+    }
+
+    /// Every entry whose stored candidate list is not the one its edge
+    /// table derives, sorted by key: the entry's key, the position of
+    /// the first record that differs (the shorter length when one list
+    /// is a prefix of the other) and the derived record there, if any.
+    /// Two records match when their keys, their kinds and the bits of
+    /// their bounds and scores are equal. An `apply`-built index returns
+    /// nothing.
+    pub fn underived_entries(&self) -> Vec<(&str, usize, Option<CandidateRecord>)> {
+        fn id(c: &CandidateRecord) -> (&str, &CandidateKind, u64, u64) {
+            (&c.key, &c.kind, c.diff_bound.to_bits(), c.score.to_bits())
+        }
+        let mut out = Vec::new();
+        for (fp, e) in &self.entries {
+            let derived =
+                entry::compute_entry(self.config, &self.entries, &self.edges, fp.0).candidates;
+            let first = e.candidates.iter().zip(&derived).position(|(s, d)| id(s) != id(d));
+            if first.is_some() || e.candidates.len() != derived.len() {
+                let at = first.unwrap_or(e.candidates.len().min(derived.len()));
+                out.push((e.key.as_str(), at, derived.into_iter().nth(at)));
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(b.0));
         out
     }
 }
@@ -563,6 +585,32 @@ mod tests {
         assert_eq!(idx.candidates_of("a").len(), 1);
         assert_eq!(idx.candidates_of("b").len(), 1);
         assert!((idx.candidates_of("b")[0].score - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn underived_entries_name_the_first_record_that_differs() {
+        let mut idx = SemanticIndex::new(SemanticIndexConfig::default(), 1);
+        let models = vec![model("a"), model("b"), model("c")];
+        let an = TableAnalyzer::new(&[("a", "b", 0.1), ("a", "c", 0.2), ("b", "c", 0.3)]);
+        add(&mut idx, &models, &resolver(models.clone()), &an);
+        assert!(idx.underived_entries().is_empty());
+        let derived = idx.candidates_of("a").to_vec();
+        let edit = |idx: &mut SemanticIndex, f: &dyn Fn(&mut Vec<CandidateRecord>)| {
+            let fp = idx.fingerprint_of("a").unwrap();
+            f(&mut Arc::make_mut(idx.entries.get_mut(&fp).unwrap()).candidates);
+        };
+        // A score one bit off, the last record dropped, a record inserted
+        // and one appended.
+        edit(&mut idx, &|c| c[1].score = f64::from_bits(c[1].score.to_bits() ^ 1));
+        assert_eq!(idx.underived_entries(), [("a", 1, Some(derived[1].clone()))]);
+        edit(&mut idx, &|c| *c = derived[..1].to_vec());
+        assert_eq!(idx.underived_entries(), [("a", 1, Some(derived[1].clone()))]);
+        edit(&mut idx, &|c| c.extend(derived.iter().cloned()));
+        assert_eq!(idx.underived_entries(), [("a", 1, Some(derived[1].clone()))]);
+        edit(&mut idx, &|c| *c = [&derived[..], &derived[..1]].concat());
+        assert_eq!(idx.underived_entries(), [("a", 2, None)]);
+        edit(&mut idx, &|c| *c = derived.clone());
+        assert!(idx.underived_entries().is_empty());
     }
 
     #[test]
@@ -914,15 +962,6 @@ mod tests {
             );
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn transitive_interval_matches_the_paper_formula() {
-        assert_eq!(transitive_interval(0.3, 0.1), (0.19999999999999998, 0.4));
-        let (lo, hi) = transitive_interval(0.1, 0.3);
-        assert!((lo - 0.2).abs() < 1e-12 && (hi - 0.4).abs() < 1e-12);
-        // Degenerate: equal diffs → the pair could be identical.
-        assert_eq!(transitive_interval(0.2, 0.2).0, 0.0);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! path runs. After any sequence of inserts, removes, replaces and
 //! multi-key batches — with a serde round trip at a random point — the
 //! index must equal a from-scratch build of the survivors (one `apply`
-//! with no removals) byte for byte, at jobs 1, 4 and 8.
+//! with no removals) byte for byte, at jobs 1, 4 and 8, and after every
+//! step each candidate list must be the one its edge table derives.
 
 use proptest::prelude::*;
 use sommelier_graph::{Fingerprint, Model, ModelBuilder, TaskKind};
@@ -120,6 +121,8 @@ fn churn(steps: &[Vec<(u8, u8)>], revive_at: usize, jobs: usize) -> (String, Str
             repo.lock().unwrap().insert(m.name.clone(), m.clone());
         }
         idx.apply(&pool, &removes, &adds, &resolve, &TableAnalyzer);
+        let underived = idx.underived_entries();
+        assert!(underived.is_empty(), "step {i} left underived entries: {underived:?}");
     }
     let survivors: Vec<Model> = live.iter().map(|(&k, &g)| model(k, g)).collect();
     let mut scratch = SemanticIndex::new(CONFIG, SEED);

@@ -167,7 +167,7 @@ mod tests {
     fn specs_accumulate_as_a_union() {
         let spec = DenySpec::parse(&["SOM081", "SOM09x"]).unwrap();
         assert!(spec.denies(&Diagnostic::error(codes::NONFINITE_WEIGHTS, "t", "m")));
-        assert!(spec.denies(&Diagnostic::error(codes::TRANSITIVE_BOUND_VIOLATION, "t", "m")));
+        assert!(spec.denies(&Diagnostic::error(codes::RESOURCE_DRIFT, "t", "m")));
         assert!(!spec.denies(&Diagnostic::error(codes::SHAPE_INCOMPATIBLE, "t", "m")));
     }
 
@@ -178,5 +178,8 @@ mod tests {
         assert!(DenySpec::parse(&["bogus"]).is_err());
         assert!(DenySpec::parse(&["SOMx81"]).is_err(), "non-trailing wildcard");
         assert!(DenySpec::parse(&["SOM08"]).is_err(), "truncated code");
+        for retired in ["SOM025", "SOM062", "SOM092"] {
+            assert!(DenySpec::parse(&[retired]).is_err(), "{retired} is retired");
+        }
     }
 }

@@ -35,14 +35,12 @@ pub mod codes {
     pub const MODEL_UNREADABLE: &str = "SOM007";
     /// An index references a model key absent from the repository.
     pub const DANGLING_KEY: &str = "SOM020";
-    /// A candidate list is not sorted by descending score.
-    pub const UNSORTED_CANDIDATES: &str = "SOM021";
+    /// A candidate list differs from the one its edge table derives.
+    pub const UNDERIVED_CANDIDATES: &str = "SOM021";
     /// Recorded bounds violate the transitive triangle relation.
     pub const TRIANGLE_VIOLATION: &str = "SOM023";
     /// The index snapshot is older than a stored model file.
     pub const STALE_INDEX: &str = "SOM024";
-    /// A candidate's score disagrees with its recorded diff bound.
-    pub const SCORE_MISMATCH: &str = "SOM025";
     /// An indexed model has no live resource profile.
     pub const MISSING_PROFILE: &str = "SOM026";
     /// The index snapshot file could not be read or parsed.
@@ -73,8 +71,6 @@ pub mod codes {
     pub const EPOCH_REGRESSION: &str = "SOM060";
     /// The header's declared version disagrees with its epoch field.
     pub const EPOCH_HEADER_MISMATCH: &str = "SOM061";
-    /// A candidate references a key the snapshot itself never registered.
-    pub const UNREGISTERED_CANDIDATE: &str = "SOM062";
     /// A quarantined (`*.corrupt-<epoch>`) artifact sits in the store.
     pub const QUARANTINED_FILE: &str = "SOM070";
     /// An orphaned temp file (`*.tmp-<pid>-<seq>`) from an interrupted write.
@@ -108,8 +104,6 @@ pub mod codes {
     pub const FINGERPRINT_DRIFT: &str = "SOM090";
     /// A resource-index vector disagrees with the recomputed profile.
     pub const RESOURCE_DRIFT: &str = "SOM091";
-    /// A transitive bound is inconsistent with its measured `Whole` legs.
-    pub const TRANSITIVE_BOUND_VIOLATION: &str = "SOM092";
 
     /// Every known code with a one-line meaning, in code order. This is
     /// the single source of truth for `--deny` validation and the README
@@ -124,10 +118,9 @@ pub mod codes {
         (ZERO_WEIGHTS, "linear layer carries an all-zero weight tensor"),
         (MODEL_UNREADABLE, "stored model file could not be read"),
         (DANGLING_KEY, "index references a key absent from the repository"),
-        (UNSORTED_CANDIDATES, "candidate list not sorted by score"),
+        (UNDERIVED_CANDIDATES, "candidate list differs from its derivation"),
         (TRIANGLE_VIOLATION, "bounds violate the triangle relation"),
         (STALE_INDEX, "index snapshot older than a stored model"),
-        (SCORE_MISMATCH, "candidate score disagrees with its diff bound"),
         (MISSING_PROFILE, "indexed model has no resource profile"),
         (SNAPSHOT_UNREADABLE, "index snapshot could not be parsed"),
         (UNSATISFIABLE_THRESHOLD, "WITHIN threshold no score can reach"),
@@ -143,7 +136,6 @@ pub mod codes {
         (NON_FINITE_PROFILE, "stored resource profile is non-finite"),
         (EPOCH_REGRESSION, "publication epoch regressed or is missing"),
         (EPOCH_HEADER_MISMATCH, "header version disagrees with its epoch"),
-        (UNREGISTERED_CANDIDATE, "candidate references an unregistered key"),
         (QUARANTINED_FILE, "quarantined artifact sits in the store"),
         (ORPHANED_TEMP, "orphaned temp file from an interrupted write"),
         (NON_CANONICAL_MODEL_FILE, "model file name is not a canonical key"),
@@ -160,7 +152,6 @@ pub mod codes {
         (DECLARED_COST_DRIFT, "declared cost disagrees with recomputed"),
         (FINGERPRINT_DRIFT, "indexed fingerprint disagrees with the store"),
         (RESOURCE_DRIFT, "resource vector disagrees with recomputation"),
-        (TRANSITIVE_BOUND_VIOLATION, "transitive bound breaks its legs' triangle"),
     ];
 }
 
@@ -459,17 +450,17 @@ mod tests {
             codes::DEAD_LAYER,
             codes::STORE_LISTING_FAILED,
             codes::SHAPE_INCOMPATIBLE,
-            codes::TRANSITIVE_BOUND_VIOLATION,
+            codes::RESOURCE_DRIFT,
         ] {
             assert!(seen.contains(known), "{known} missing from registry");
         }
-        assert_eq!(codes::ALL.len(), 45, "update the registry with new codes");
+        assert_eq!(codes::ALL.len(), 42, "update the registry with new codes");
     }
 
     #[test]
     fn json_report_round_trips_into_diagnostics() {
         let report = LintReport::from_diagnostics(vec![
-            Diagnostic::error(codes::UNSORTED_CANDIDATES, "semantic-index", "out of order")
+            Diagnostic::error(codes::UNDERIVED_CANDIDATES, "semantic-index", "underived")
                 .with_help("rebuild the index"),
             Diagnostic::warn(codes::WIDTH_BOTTLENECK, "model 'm'", "width 1").with_layer(2),
         ]);

@@ -16,8 +16,8 @@
 //!   orderings, family cost outliers, serde round-trip drift, all-zero
 //!   weights (`SOM001`–`SOM007`);
 //! * **repository & index invariants** ([`passes::index`]) — dangling
-//!   keys, unsorted candidate lists, transitive-bound triangle
-//!   violations, stale snapshots, score/bound disagreement
+//!   keys, candidate lists that differ from the ones their edge table
+//!   derives, measured-bound triangle violations, stale snapshots
 //!   (`SOM020`–`SOM027`), non-finite stored profiles (`SOM056`);
 //! * **query plans** ([`passes::plan`]) — unsatisfiable `WITHIN`
 //!   thresholds, statically empty resource budgets, shadowed
@@ -29,8 +29,7 @@
 //!   CRC mismatches and non-finite resource rows in `.somb` binary
 //!   snapshots (`SOM054`, `SOM056`);
 //! * **publication epoch** ([`passes::epoch`]) — regressed or missing
-//!   publication epochs and candidates referencing keys the snapshot
-//!   never registered (`SOM060`–`SOM062`);
+//!   publication epochs (`SOM060`–`SOM061`);
 //! * **store hygiene** ([`passes::store`]) — the findings of the store
 //!   scan `sommelier fsck` prints ([`sommelier_repo::scan_store`]):
 //!   quarantined artifacts, orphaned temps, non-canonical file names,
@@ -40,7 +39,7 @@
 //!
 //! On request [`run`] adds the *deep* families: an
 //! abstract-interpretation [`dataflow`] engine feeding the
-//! [`passes::deep`] family (`SOM080`–`SOM092`) — shape-incompatible
+//! [`passes::deep`] family (`SOM080`–`SOM091`) — shape-incompatible
 //! edges, non-finite weights, unreachable subgraphs, saturated
 //! activations, constant outputs, rank-collapsed matmuls, declared-cost
 //! drift, and the repository ↔ index ↔ snapshot consistency join.

@@ -1,4 +1,4 @@
-//! Deep analyses (`SOM080`–`SOM092`): the dataflow pass family and the
+//! Deep analyses (`SOM080`–`SOM091`): the dataflow pass family and the
 //! cross-artifact consistency join.
 //!
 //! Two analyses live here. [`deep_model_findings`] runs the forward
@@ -9,9 +9,9 @@
 //! drift; [`crate::run`] fans it out over the models.
 //! [`cross_artifact_findings`] joins the repository against the
 //! persisted indices once per lint: recomputed fingerprints must match
-//! the semantic index, recomputed resource vectors must match the
-//! resource index, and transitive equivalence bounds must stay inside
-//! the triangle interval spanned by their measured `Whole` legs.
+//! the semantic index, and recomputed resource vectors must match the
+//! resource index. (Every candidate bound, transitive ones included, is
+//! held to its exact derivation by [`crate::passes::index`].)
 
 use crate::dataflow::{self, ShapeFact};
 use crate::diagnostics::{codes, Diagnostic};
@@ -32,12 +32,6 @@ const RANK_REL_TOL: f64 = 1e-9;
 /// recomputed ones. Profiles are deterministic functions of the model,
 /// so only float round-trips through JSON separate the two.
 const RESOURCE_REL_TOL: f64 = 1e-6;
-
-/// Slack factor on the transitive-legs triangle interval, matching the
-/// shallow [`crate::passes::index::TrianglePass`]: measured diffs are
-/// only approximately symmetric, so the interval is widened before a
-/// bound is called inconsistent.
-const LEG_SLACK: f64 = 1.5;
 
 /// The deep per-model dataflow lints (`SOM080`–`SOM086`) on one model,
 /// appending findings that target `model '<key>'`.
@@ -401,7 +395,7 @@ fn check_declared_cost(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
 }
 
 /// The repository ↔ semantic index ↔ resource index consistency join
-/// (`SOM090`–`SOM092`).
+/// (`SOM090`–`SOM091`).
 pub fn cross_artifact_findings(ctx: &LintContext, out: &mut Vec<Diagnostic>) {
     if let Some(semantic) = &ctx.semantic {
         let fingerprints: BTreeMap<&str, Fingerprint> = ctx
@@ -432,7 +426,6 @@ pub fn cross_artifact_findings(ctx: &LintContext, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        check_transitive_legs(semantic, out);
     }
     if let Some(resource) = &ctx.resource {
         // SOM091 — stored resource vectors must agree with vectors
@@ -461,56 +454,6 @@ pub fn cross_artifact_findings(ctx: &LintContext, out: &mut Vec<Diagnostic>) {
                         .with_help("the resource vector no longer describes the stored model"),
                     );
                 }
-            }
-        }
-    }
-}
-
-/// `SOM092` — a `Transitive` record was derived as `d(X,Y) + d(Y,Z)`
-/// through a measured intermediary `Y`; whenever both legs are still
-/// recorded as `Whole` measurements, the bound must lie inside the
-/// (slack-widened) triangle interval `[|a-b|, a+b]` they span. A bound
-/// outside that interval cannot have come from its own derivation.
-fn check_transitive_legs(semantic: &sommelier_index::SemanticIndex, out: &mut Vec<Diagnostic>) {
-    use sommelier_index::semantic::transitive_interval;
-    use sommelier_index::CandidateKind;
-    // Directed measured edges: (from, to) -> whole diff.
-    let mut whole: BTreeMap<(&str, &str), f64> = BTreeMap::new();
-    for (_, key, candidates) in semantic.entries_audit() {
-        for c in candidates {
-            if matches!(c.kind, CandidateKind::Whole) {
-                whole.insert((key, c.key.as_str()), c.diff_bound);
-            }
-        }
-    }
-    let leg = |x: &str, y: &str| -> Option<f64> {
-        whole
-            .get(&(x, y))
-            .or_else(|| whole.get(&(y, x)))
-            .copied()
-    };
-    for (_, key, candidates) in semantic.entries_audit() {
-        for c in candidates {
-            let CandidateKind::Transitive { via } = &c.kind else {
-                continue;
-            };
-            let (Some(a), Some(b)) = (leg(key, via), leg(via, c.key.as_str())) else {
-                continue; // a leg was evicted or replaced; nothing to check
-            };
-            let (lo, hi) = transitive_interval(a, b);
-            if c.diff_bound > hi * LEG_SLACK + 1e-9 || c.diff_bound < lo / LEG_SLACK - 1e-9 {
-                out.push(
-                    Diagnostic::error(
-                        codes::TRANSITIVE_BOUND_VIOLATION,
-                        format!("model '{key}'"),
-                        format!(
-                            "transitive bound {:.6} to '{}' via '{via}' falls outside the \
-                             legs' triangle interval [{lo:.6}, {hi:.6}]",
-                            c.diff_bound, c.key
-                        ),
-                    )
-                    .with_help("the derived bound is inconsistent with its measured legs"),
-                );
             }
         }
     }

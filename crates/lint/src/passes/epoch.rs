@@ -5,8 +5,8 @@
 //! epoch is persisted in the stats header so a restarted engine resumes
 //! the sequence instead of restarting it (which would let a stale plan
 //! cache serve results from a different index under a recycled key).
-//! This pass validates the persisted epoch and the self-consistency of
-//! the snapshot it stamps:
+//! This pass validates the persisted epoch against the header that
+//! carries it:
 //!
 //! * `SOM060` — the epoch is negative, or the snapshot holds models but
 //!   claims epoch 0: every registration bumps the epoch, so a populated
@@ -14,13 +14,10 @@
 //!   sequence regressed;
 //! * `SOM061` — the header's shape disagrees with its declared version:
 //!   a version-2 header without an epoch field is an error, a version-1
-//!   header (pre-epoch format) is merely noted;
-//! * `SOM062` — a candidate list references a fingerprint key that is
-//!   not registered in the semantic index itself. Distinct from
-//!   `SOM020` (which checks candidates against the *repository*): a
-//!   model can be stored on disk yet absent from the published
-//!   snapshot — serving it would leak an unpublished model through the
-//!   snapshot read path.
+//!   header (pre-epoch format) is merely noted.
+//!
+//! A candidate naming a key the snapshot never registered is no record
+//! its edge table derives, so the index pass reports it (`SOM021`).
 //!
 //! As in the stats pass, an unknown (newer) `stats_version` suppresses
 //! the header checks — its field semantics are unknowable here.
@@ -29,7 +26,7 @@ use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
 use sommelier_index::persist::STATS_VERSION;
 
-/// Validates the snapshot's publication epoch and epoch-stamped contents.
+/// Validates the snapshot's publication epoch.
 pub struct SnapshotEpochPass;
 
 impl Pass for SnapshotEpochPass {
@@ -73,27 +70,6 @@ impl Pass for SnapshotEpochPass {
                 }
             }
         }
-        // Candidates must only reference keys the snapshot itself
-        // publishes, or a pinned reader could hand out a key no epoch
-        // ever registered.
-        if let Some(semantic) = &ctx.semantic {
-            for (_, key, candidates) in semantic.entries_audit() {
-                for c in candidates {
-                    for name in super::index::referenced_models(c) {
-                        if !semantic.contains(name) {
-                            out.push(Diagnostic::error(
-                                codes::UNREGISTERED_CANDIDATE,
-                                "semantic-index",
-                                format!(
-                                    "candidate list of '{key}' references '{name}', which is \
-                                     not registered in this snapshot"
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -121,7 +97,8 @@ mod tests {
     }
 
     /// `m-a` and `m-b` registered, `m-a`'s candidates reference `m-b`
-    /// plus three keys this snapshot never published.
+    /// plus three keys this snapshot never published; the one edge
+    /// derives only the first record.
     fn semantic_with_unregistered_refs() -> SemanticIndex {
         serde_json::from_str(
             r#"{
@@ -140,7 +117,8 @@ mod tests {
                 "by_key": {"m-a": 1, "m-b": 2},
                 "order": ["m-a", "m-b"],
                 "seed_state": 0,
-                "edges": []
+                "edges": [{"lo": 1, "hi": 2, "fwd": 0.1, "rev": null,
+                           "seg_fwd": null, "seg_rev": null}]
             }"#,
         )
         .expect("fixture parses")
@@ -205,8 +183,9 @@ mod tests {
     #[test]
     fn unregistered_candidate_references_are_errors() {
         let mut ctx = LintContext::new();
-        // `phantom` IS stored in the repository — SOM020 would stay
-        // silent about it; the snapshot still never registered it.
+        // `phantom` IS stored in the repository, so the index key check
+        // (SOM020) stays silent about it; the snapshot still never
+        // registered it, and no edge derives a record naming it.
         ctx.models.push(("phantom".into(), {
             use sommelier_graph::builder::ModelBuilder;
             use sommelier_graph::TaskKind;
@@ -219,43 +198,45 @@ mod tests {
                 .unwrap()
         }));
         ctx.semantic = Some(semantic_with_unregistered_refs());
-        let out = run(&ctx);
-        let targets: Vec<&str> = out
+        // The epoch pass reads the header only.
+        assert!(run(&ctx).is_empty());
+        let mut out = Vec::new();
+        crate::passes::index::IndexIntegrityPass.run(&ctx, &mut out);
+        let underived: Vec<&Diagnostic> = out
             .iter()
-            .filter(|d| d.code == codes::UNREGISTERED_CANDIDATE)
-            .map(|d| d.message.as_str())
+            .filter(|d| d.code == codes::UNDERIVED_CANDIDATES)
             .collect();
-        assert_eq!(targets.len(), 3, "{targets:?}");
-        for name in ["'phantom'", "'gone'", "'missing'"] {
-            assert!(
-                targets.iter().any(|m| m.contains(name)),
-                "missing {name}: {targets:?}"
-            );
-        }
-        assert!(out.iter().all(|d| d.severity == Severity::Error));
+        assert_eq!(underived.len(), 1, "{out:?}");
+        // `m-b` at 0.1 is the one record the edge table derives.
+        let message = &underived[0].message;
+        assert!(message.contains("'m-a'"), "{message}");
+        assert!(message.contains("record 1: stored Whole 'phantom'"), "{message}");
+        assert!(message.ends_with("derived none"), "{message}");
+        assert_eq!(underived[0].severity, Severity::Error);
     }
 
     #[test]
     fn registered_candidates_lint_clean() {
         let mut ctx = LintContext::new();
-        ctx.semantic = Some(
-            serde_json::from_str(
-                r#"{
-                    "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
-                    "entries": {
-                        "1": {"key": "m-a", "candidates": [
-                            {"key": "m-b", "diff_bound": 0.1, "score": 0.9, "kind": "Whole"}
-                        ]},
-                        "2": {"key": "m-b", "candidates": []}
-                    },
-                    "by_key": {"m-a": 1, "m-b": 2},
-                    "order": ["m-a", "m-b"],
-                    "seed_state": 0,
-                    "edges": []
-                }"#,
-            )
-            .expect("fixture parses"),
-        );
+        let semantic: SemanticIndex = serde_json::from_str(
+            r#"{
+                "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
+                "entries": {
+                    "1": {"key": "m-a", "candidates": [
+                        {"key": "m-b", "diff_bound": 0.1, "score": 0.9, "kind": "Whole"}
+                    ]},
+                    "2": {"key": "m-b", "candidates": []}
+                },
+                "by_key": {"m-a": 1, "m-b": 2},
+                "order": ["m-a", "m-b"],
+                "seed_state": 0,
+                "edges": [{"lo": 1, "hi": 2, "fwd": 0.1, "rev": null,
+                           "seg_fwd": null, "seg_rev": null}]
+            }"#,
+        )
+        .expect("fixture parses");
+        assert!(semantic.underived_entries().is_empty());
+        ctx.semantic = Some(semantic);
         assert!(run(&ctx).is_empty());
     }
 }

@@ -1,12 +1,11 @@
 //! Repository & index invariant lints (`SOM020`–`SOM026`).
 //!
-//! The persisted indices are derived data: every key they mention must
-//! exist in the repository, candidate lists must keep the descending
-//! score order the query engine's early-exit relies on, scores must
-//! agree with their recorded difference bounds, stored resource profiles
-//! must be finite, directly measured bounds must be mutually consistent,
-//! and the snapshot must not predate the artifacts it summarizes. Each of
-//! these is checked here without touching a single weight.
+//! The persisted indices are derived data: every key they register must
+//! exist in the repository, every candidate list must be exactly the one
+//! its edge table derives, stored resource profiles must be finite,
+//! directly measured bounds must be mutually consistent, and the
+//! snapshot must not predate the artifacts it summarizes. Each of these
+//! is checked here without touching a single weight.
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
@@ -16,27 +15,24 @@ use std::collections::{HashMap, HashSet};
 const SEMANTIC: &str = "semantic-index";
 const RESOURCE: &str = "resource-index";
 
-/// Score tolerance when comparing recorded scores against the
-/// `score = max(0, 1 − diff_bound)` invariant. Floats round-trip the
-/// snapshot exactly, so anything beyond rounding noise is corruption.
-const SCORE_EPS: f64 = 1e-9;
+/// Tolerance on top of [`TrianglePass::SLACK`]: measured bounds
+/// round-trip the snapshot exactly, so only rounding noise is forgiven.
+const TRIANGLE_EPS: f64 = 1e-9;
 
-/// The models a candidate depends on: the candidate itself and, for a
-/// transitive one, its intermediary. A synthesized candidate's key names
-/// the variant, not a stored model, so only its donor counts.
-pub(crate) fn referenced_models(c: &CandidateRecord) -> Vec<&str> {
-    match &c.kind {
-        CandidateKind::Whole => vec![c.key.as_str()],
-        CandidateKind::Transitive { via } => vec![c.key.as_str(), via],
-        CandidateKind::Synthesized { donor } => vec![donor],
-    }
-}
-
-/// Referential and ordering invariants of both indices: dangling keys
-/// (`SOM020`), unsorted candidate lists (`SOM021`), score/bound
-/// disagreement (`SOM025`), indexed models without a resource profile
-/// (`SOM026`), and non-finite profiles in a JSON image (`SOM056`).
+/// Referential and derivation invariants of both indices: dangling keys
+/// (`SOM020`), candidate lists that differ from their derivation
+/// (`SOM021`), indexed models without a resource profile (`SOM026`), and
+/// non-finite profiles in a JSON image (`SOM056`). Every derived record
+/// names an entry, so checking the entry keys against the store covers
+/// every candidate too.
 pub struct IndexIntegrityPass;
+
+/// One record as a `SOM021` finding prints it; `none` past a list's end.
+fn describe(c: Option<&CandidateRecord>) -> String {
+    c.map_or("none".into(), |c| {
+        format!("{:?} '{}' bound {:?} score {:?}", c.kind, c.key, c.diff_bound, c.score)
+    })
+}
 
 /// `SOM056` on `subject` — raised here for a JSON image and by
 /// [`crate::passes::binary`] for a `.somb` one.
@@ -65,43 +61,20 @@ impl Pass for IndexIntegrityPass {
                     );
                 }
             }
-            for (_, key, candidates) in semantic.entries_audit() {
-                if candidates
-                    .windows(2)
-                    .any(|w| w[1].score > w[0].score + SCORE_EPS)
-                {
-                    out.push(Diagnostic::error(
-                        codes::UNSORTED_CANDIDATES,
+            for (key, at, derived) in semantic.underived_entries() {
+                let stored = describe(semantic.candidates_of(key).get(at));
+                let derived = describe(derived.as_ref());
+                out.push(
+                    Diagnostic::error(
+                        codes::UNDERIVED_CANDIDATES,
                         SEMANTIC,
-                        format!("candidate list of '{key}' is not in descending score order"),
-                    ));
-                }
-                for c in candidates {
-                    let expected = (1.0 - c.diff_bound).max(0.0);
-                    if (c.score - expected).abs() > SCORE_EPS {
-                        out.push(Diagnostic::error(
-                            codes::SCORE_MISMATCH,
-                            SEMANTIC,
-                            format!(
-                                "candidate '{}' of '{key}' records score {} but its diff bound \
-                                 {} implies {expected}",
-                                c.key, c.score, c.diff_bound
-                            ),
-                        ));
-                    }
-                    for name in referenced_models(c) {
-                        if !stored.contains(name) {
-                            out.push(Diagnostic::error(
-                                codes::DANGLING_KEY,
-                                SEMANTIC,
-                                format!(
-                                    "candidate list of '{key}' references '{name}', which has \
-                                     no stored model"
-                                ),
-                            ));
-                        }
-                    }
-                }
+                        format!(
+                            "candidate list of '{key}' differs from its edge table's \
+                             derivation at record {at}: stored {stored}, derived {derived}"
+                        ),
+                    )
+                    .with_help("re-run `sommelier index` to rebuild from the repository"),
+                );
             }
         }
         if let Some(resource) = &ctx.resource {
@@ -182,7 +155,7 @@ impl Pass for TrianglePass {
                     // The longest side against the detour through the
                     // opposite vertex.
                     let (long, a, b) = if dxz >= dxy { (dxz, dxy, dyz) } else { (dxy, dxz, dyz) };
-                    if long > Self::SLACK * (a + b) + SCORE_EPS {
+                    if long > Self::SLACK * (a + b) + TRIANGLE_EPS {
                         out.push(
                             Diagnostic::error(
                                 codes::TRIANGLE_VIOLATION,
@@ -260,9 +233,9 @@ mod tests {
     }
 
     /// A handcrafted corrupt semantic index: `ghost` is indexed but not
-    /// stored, `m-a`'s candidate list is out of order, references the
-    /// missing `ghost`, and records a score that disagrees with its
-    /// diff bound.
+    /// stored, and `m-a`'s candidate list, which no edge derives, is out
+    /// of order, references the missing `ghost`, and records a score
+    /// that disagrees with its diff bound.
     fn corrupt_semantic_json() -> String {
         r#"{
             "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
@@ -306,7 +279,8 @@ mod tests {
                 "by_key": {"m-a": 1, "m-b": 2},
                 "order": ["m-a", "m-b"],
                 "seed_state": 0,
-                "edges": []
+                "edges": [{"lo": 1, "hi": 2, "fwd": 0.1, "rev": 0.1,
+                           "seg_fwd": null, "seg_rev": null}]
             }"#,
         )
         .expect("fixture parses");
@@ -326,62 +300,92 @@ mod tests {
         let mut ctx = ctx_with_models(&["m-a", "m-b"]);
         ctx.semantic = Some(serde_json::from_str(&corrupt_semantic_json()).expect("parses"));
         let diags = run(&IndexIntegrityPass, &ctx);
-        // `ghost` dangles twice: as an indexed key and as a candidate.
-        assert!(
+        // `ghost` dangles as an indexed key; the order, the score and the
+        // dangling candidate all make `m-a`'s list one no edge derives,
+        // reported once from its first record.
+        let of = |code| -> Vec<&str> {
             diags
                 .iter()
-                .filter(|d| d.code == codes::DANGLING_KEY)
-                .count()
-                >= 2,
-            "{diags:?}"
-        );
-        assert!(diags.iter().any(|d| d.code == codes::UNSORTED_CANDIDATES), "{diags:?}");
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == codes::SCORE_MISMATCH && d.message.contains("m-b")),
-            "{diags:?}"
-        );
+                .filter(|d| d.code == code)
+                .map(|d| d.message.as_str())
+                .collect()
+        };
+        assert_eq!(of(codes::DANGLING_KEY), ["indexed key 'ghost' has no stored model"]);
+        let underived = of(codes::UNDERIVED_CANDIDATES);
+        assert_eq!(underived.len(), 1, "{diags:?}");
+        assert!(underived[0].contains("'m-a'"), "{underived:?}");
+        assert!(underived[0].contains("record 0: stored Whole 'ghost'"), "{underived:?}");
+        assert!(underived[0].ends_with("derived none"), "{underived:?}");
         assert_eq!(
             diags.iter().map(|d| d.severity).max(),
             Some(Severity::Error)
         );
     }
 
+    /// Three models with exactly representable bounds: `m-a ↔ m-c` and
+    /// `m-c ↔ m-b` measured at 0.125, `m-a ↔ m-b` never attempted, and
+    /// `m-c` donating a segment to `m-a` at 0.375. `m_a` is `m-a`'s list.
+    fn derivable_semantic_json(m_a: &str) -> String {
+        format!(
+            r#"{{
+                "config": {{"sample_size": 5, "segments": true, "max_candidates": 64}},
+                "entries": {{
+                    "1": {{"key": "m-a", "candidates": [{m_a}]}},
+                    "2": {{"key": "m-b", "candidates": [
+                        {{"key": "m-c", "diff_bound": 0.125, "score": 0.875, "kind": "Whole"}},
+                        {{"key": "m-a", "diff_bound": 0.25, "score": 0.75,
+                         "kind": {{"Transitive": {{"via": "m-c"}}}}}}
+                    ]}},
+                    "3": {{"key": "m-c", "candidates": [
+                        {{"key": "m-a", "diff_bound": 0.125, "score": 0.875, "kind": "Whole"}},
+                        {{"key": "m-b", "diff_bound": 0.125, "score": 0.875, "kind": "Whole"}}
+                    ]}}
+                }},
+                "by_key": {{"m-a": 1, "m-b": 2, "m-c": 3}},
+                "order": ["m-a", "m-b", "m-c"],
+                "seed_state": 0,
+                "edges": [
+                    {{"lo": 1, "hi": 3, "fwd": 0.125, "rev": 0.125,
+                     "seg_fwd": 0.375, "seg_rev": null}},
+                    {{"lo": 2, "hi": 3, "fwd": 0.125, "rev": 0.125,
+                     "seg_fwd": null, "seg_rev": null}}
+                ]
+            }}"#
+        )
+    }
+
     #[test]
     fn transitive_via_and_synthesized_donor_must_exist() {
-        let mut ctx = ctx_with_models(&["m-a", "m-b"]);
-        ctx.semantic = Some(
-            serde_json::from_str(
-                r#"{
-                    "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
-                    "entries": {
-                        "1": {"key": "m-a", "candidates": [
-                            {"key": "m-b", "diff_bound": 0.1, "score": 0.9,
-                             "kind": {"Transitive": {"via": "gone"}}},
-                            {"key": "m-a+missing", "diff_bound": 0.3, "score": 0.7,
-                             "kind": {"Synthesized": {"donor": "missing"}}}
-                        ]}
-                    },
-                    "by_key": {"m-a": 1},
-                    "order": ["m-a"],
-                    "seed_state": 0,
-                    "edges": []
-                }"#,
+        let m_a = |via: &str, donor: &str| {
+            format!(
+                r#"{{"key": "m-c", "diff_bound": 0.125, "score": 0.875, "kind": "Whole"}},
+                   {{"key": "m-b", "diff_bound": 0.25, "score": 0.75,
+                    "kind": {{"Transitive": {{"via": "{via}"}}}}}},
+                   {{"key": "m-a+m-c", "diff_bound": 0.375, "score": 0.625,
+                    "kind": {{"Synthesized": {{"donor": "{donor}"}}}}}}"#
             )
-            .expect("fixture parses"),
-        );
-        let diags = run(&IndexIntegrityPass, &ctx);
-        let dangling: Vec<&str> = diags
-            .iter()
-            .filter(|d| d.code == codes::DANGLING_KEY)
-            .map(|d| d.message.as_str())
-            .collect();
-        assert!(dangling.iter().any(|m| m.contains("'gone'")), "{dangling:?}");
-        assert!(dangling.iter().any(|m| m.contains("'missing'")), "{dangling:?}");
-        // The synthesized candidate's own key is a variant name, not a
-        // stored model; it must NOT be reported.
-        assert!(!dangling.iter().any(|m| m.contains("m-a+missing")), "{dangling:?}");
+        };
+        let lint = |list: String| {
+            let mut ctx = ctx_with_models(&["m-a", "m-b", "m-c"]);
+            ctx.semantic = Some(
+                serde_json::from_str(&derivable_semantic_json(&list)).expect("fixture parses"),
+            );
+            run(&IndexIntegrityPass, &ctx)
+        };
+        let clean = lint(m_a("m-c", "m-c"));
+        assert!(clean.is_empty(), "{clean:?}");
+        // A via or donor that names no model is a record no edge derives;
+        // the synthesized candidate's own key is a variant name, never
+        // reported as dangling.
+        for (list, at) in [(m_a("gone", "m-c"), 1), (m_a("m-c", "missing"), 2)] {
+            let diags = lint(list);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, codes::UNDERIVED_CANDIDATES);
+            let message = &diags[0].message;
+            assert!(message.contains("'m-a'"), "{message}");
+            assert!(message.contains(&format!("at record {at}:")), "{message}");
+            assert!(message.contains("\"m-c\" }"), "derived names m-c: {message}");
+        }
     }
 
     #[test]

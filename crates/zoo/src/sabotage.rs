@@ -10,16 +10,17 @@
 //! Defects are planted the way real corruption arrives: by rewriting
 //! the artifacts *behind the library's back* — text surgery on a
 //! manifest's skeleton, a weight chunk rewritten under a new content
-//! hash that the manifest is repointed at, value surgery on
-//! `sommelier.index.json`, deleting a manifest — never through an API
+//! hash that the manifest is repointed at, value surgery on a candidate
+//! list in `sommelier.index.json`, deleting a manifest — never through an API
 //! that would revalidate or reindex. The one new model goes through
 //! [`OnDiskRepository::publish`], which checks only what a load needs
 //! and indexes nothing. Victim selection is deterministic (first
 //! manifest stem in sorted order), so a given `(seed, defect)` pair
 //! always produces the same sabotaged repository.
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use sommelier_index::persist::{INDEX_FILE, INDEX_FILE_BIN};
+use sommelier_index::{CandidateKind, CandidateRecord};
 use sommelier_repo::{Manifest, ModelRepository, OnDiskRepository, MANIFEST_SUFFIX};
 use std::path::{Path, PathBuf};
 
@@ -44,6 +45,10 @@ pub enum Defect {
     /// record whose bound falls outside the triangle interval spanned
     /// by its measured `Whole` legs.
     BrokenTriangle,
+    /// A measured `Whole` candidate gets a tighter bound than its edge
+    /// records, with its score recomputed and its list re-sorted: every
+    /// shape a list can have is kept, only the derivation is not.
+    ForgedWhole,
     /// One byte of the binary (`.somb`) snapshot's resource rows is
     /// flipped on disk, breaking the section CRC the way a silent media
     /// tear would. A JSON-only zoo is compacted to binary first.
@@ -52,13 +57,14 @@ pub enum Defect {
 
 impl Defect {
     /// Every plantable defect, in a fixed order (the detection matrix).
-    pub const ALL: [Defect; 7] = [
+    pub const ALL: [Defect; 8] = [
         Defect::ShapeBreak,
         Defect::NonFiniteWeights,
         Defect::DeadSubgraph,
         Defect::FingerprintDrift,
         Defect::StaleIndexEntry,
         Defect::BrokenTriangle,
+        Defect::ForgedWhole,
         Defect::BinarySnapshotTear,
     ];
 
@@ -71,6 +77,7 @@ impl Defect {
             Defect::FingerprintDrift => "fingerprint_drift",
             Defect::StaleIndexEntry => "stale_index_entry",
             Defect::BrokenTriangle => "broken_triangle",
+            Defect::ForgedWhole => "forged_whole",
             Defect::BinarySnapshotTear => "binary_snapshot_tear",
         }
     }
@@ -86,7 +93,7 @@ impl Defect {
             Defect::DeadSubgraph => "SOM082",
             Defect::FingerprintDrift => "SOM090",
             Defect::StaleIndexEntry => "SOM020",
-            Defect::BrokenTriangle => "SOM092",
+            Defect::BrokenTriangle | Defect::ForgedWhole => "SOM021",
             Defect::BinarySnapshotTear => "SOM054",
         }
     }
@@ -102,6 +109,7 @@ pub fn plant(dir: &Path, defect: Defect) -> Result<String, String> {
         Defect::FingerprintDrift => plant_fingerprint_drift(dir),
         Defect::StaleIndexEntry => plant_stale_index_entry(dir),
         Defect::BrokenTriangle => plant_broken_triangle(dir),
+        Defect::ForgedWhole => plant_forged_whole(dir),
         Defect::BinarySnapshotTear => plant_binary_snapshot_tear(dir),
     }
 }
@@ -257,71 +265,75 @@ fn plant_stale_index_entry(dir: &Path) -> Result<String, String> {
     ))
 }
 
-/// Rewrite one measured `Whole` candidate into a `Transitive` record
-/// whose bound (7.5) cannot lie inside any triangle interval its legs
-/// span (diffs are capped near 1, so `hi * slack` stays far below it).
-fn plant_broken_triangle(dir: &Path) -> Result<String, String> {
+/// Edit the first candidate list of the persisted semantic index that
+/// `forge` accepts: it gets each entry's key and records in file order
+/// and returns a description once it has edited them.
+fn forge_candidates(
+    dir: &Path,
+    mut forge: impl FnMut(&str, &mut Vec<CandidateRecord>) -> Option<String>,
+) -> Result<String, String> {
     let path = dir.join(INDEX_FILE);
     let mut root: Value = serde_json::from_str(&read(&path)?)
         .map_err(|e| format!("cannot parse '{}': {e}", path.display()))?;
-    let description = {
-        let entries = field_mut(&mut root, "semantic")
-            .and_then(|s| field_mut(s, "entries"))
-            .ok_or("index has no semantic entries")?;
-        let Value::Map(entries) = entries else {
-            return Err("semantic entries are not a map".into());
-        };
-        let mut planted = None;
-        'entries: for (_, entry) in entries.iter_mut() {
-            let owner = match entry.get_field("key") {
-                Some(Value::Str(k)) => k.clone(),
-                _ => continue,
-            };
-            let Some(Value::Seq(candidates)) = field_mut(entry, "candidates") else {
-                continue;
-            };
-            // Two measured Whole records: the first becomes the forged
-            // Transitive record, the second donates its key as the via.
-            let whole: Vec<usize> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    matches!(c.get_field("kind"), Some(Value::Str(k)) if k == "Whole")
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if whole.len() < 2 {
-                continue;
-            }
-            let via = match candidates[whole[1]].get_field("key") {
-                Some(Value::Str(k)) => k.clone(),
-                _ => continue,
-            };
-            let forged = &mut candidates[whole[0]];
-            let target = match forged.get_field("key") {
-                Some(Value::Str(k)) => k.clone(),
-                _ => continue,
-            };
-            set_field(forged, "diff_bound", Value::Float(7.5));
-            set_field(forged, "score", Value::Float(0.0));
-            set_field(
-                forged,
-                "kind",
-                Value::Map(vec![(
-                    "Transitive".into(),
-                    Value::Map(vec![("via".into(), Value::Str(via.clone()))]),
-                )]),
-            );
-            planted = Some(format!(
-                "forged '{owner}' -> '{target}' via '{via}' with bound 7.5"
-            ));
-            break 'entries;
-        }
-        planted.ok_or("no entry with two Whole candidates to forge")?
+    let Some(Value::Map(entries)) =
+        field_mut(&mut root, "semantic").and_then(|s| field_mut(s, "entries"))
+    else {
+        return Err("index has no semantic entries".into());
     };
-    let text = serde_json::to_string(&root).map_err(|e| e.to_string())?;
-    write(&path, &text)?;
+    let description = entries
+        .iter_mut()
+        .find_map(|(_, entry)| {
+            let Some(Value::Str(owner)) = entry.get_field("key").cloned() else {
+                return None;
+            };
+            let slot = field_mut(entry, "candidates")?;
+            let mut records: Vec<CandidateRecord> = Deserialize::from_value(slot).ok()?;
+            let description = forge(&owner, &mut records)?;
+            *slot = records.to_value();
+            Some(description)
+        })
+        .ok_or("no candidate list to forge")?;
+    write(&path, &serde_json::to_string(&root).map_err(|e| e.to_string())?)?;
     Ok(description)
+}
+
+/// Rewrite one measured `Whole` candidate into a `Transitive` record
+/// whose bound (7.5) cannot lie inside any triangle interval its legs
+/// span (diffs are capped near 1, so no derivation reaches it).
+fn plant_broken_triangle(dir: &Path) -> Result<String, String> {
+    forge_candidates(dir, |owner, records| {
+        // Two measured Whole records: the first becomes the forged
+        // Transitive record, the second donates its key as the via.
+        let mut whole = (0..records.len()).filter(|&i| records[i].kind == CandidateKind::Whole);
+        let (first, second) = (whole.next()?, whole.next()?);
+        let via = records[second].key.clone();
+        let forged = &mut records[first];
+        (forged.diff_bound, forged.score) = (7.5, 0.0);
+        forged.kind = CandidateKind::Transitive { via: via.clone() };
+        Some(format!("forged '{owner}' -> '{}' via '{via}' with bound 7.5", forged.key))
+    })
+}
+
+/// Cut the first `Whole` record with a positive bound to 0.6 of it,
+/// recompute its score as `1 − bound` and re-sort the list by score,
+/// then bound: the list stays sorted and every score matches its bound.
+fn plant_forged_whole(dir: &Path) -> Result<String, String> {
+    forge_candidates(dir, |owner, records| {
+        let forged = records
+            .iter_mut()
+            .find(|c| c.kind == CandidateKind::Whole && c.diff_bound > 0.0)?;
+        let old = forged.diff_bound;
+        forged.diff_bound = old * 0.6;
+        forged.score = (1.0 - forged.diff_bound).max(0.0);
+        let description = format!(
+            "forged '{owner}' -> '{}' Whole bound {old} down to {}",
+            forged.key, forged.diff_bound
+        );
+        records.sort_by(|a, b| {
+            b.score.total_cmp(&a.score).then(a.diff_bound.total_cmp(&b.diff_bound))
+        });
+        Some(description)
+    })
 }
 
 /// Flip one byte of the binary snapshot's resource rows on disk. A
@@ -376,14 +388,6 @@ fn field_mut<'a>(v: &'a mut Value, key: &str) -> Option<&'a mut Value> {
     }
 }
 
-fn set_field(v: &mut Value, key: &str, value: Value) {
-    if let Some(slot) = field_mut(v, key) {
-        *slot = value;
-    } else if let Value::Map(pairs) = v {
-        pairs.push((key.to_string(), value));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,7 +399,12 @@ mod tests {
         let codes: std::collections::BTreeSet<_> =
             Defect::ALL.iter().map(|d| d.expected_code()).collect();
         assert_eq!(names.len(), Defect::ALL.len());
-        assert_eq!(codes.len(), Defect::ALL.len());
+        // The two forged candidate lists share the one exact check.
+        assert_eq!(codes.len(), Defect::ALL.len() - 1);
+        assert_eq!(
+            Defect::BrokenTriangle.expected_code(),
+            Defect::ForgedWhole.expected_code()
+        );
         for code in codes {
             assert!(code.starts_with("SOM") && code.len() == 6, "{code}");
         }

@@ -7,15 +7,19 @@
 //!    detected — the audit reports the defect's expected code;
 //! 3. the JSON report is byte-identical at `--jobs 1/4/8`;
 //! 4. two keys with the same weights are each judged on their own
-//!    content, metadata included.
+//!    content, metadata included;
+//! 5. every single-field edit of a candidate list fails
+//!    `lint --deny warn` with `SOM021` naming the edited entry.
 //!
 //! The zoo is built exactly the way the CLI builds one (`sommelier
 //! seed` + `sommelier index`): same family rotation, same
 //! `build_series` parameters, same default `SommelierConfig`, indices
 //! persisted to `sommelier.index.json`.
 
+use serde::{Deserialize, Serialize, Value};
 use sommelier::index::persist::INDEX_FILE;
-use sommelier::lint::LintContext;
+use sommelier::index::{CandidateKind, CandidateRecord};
+use sommelier::lint::{DenySpec, LintContext};
 use sommelier::prelude::*;
 use sommelier::zoo::sabotage::{self, Defect};
 use sommelier::zoo::series::build_series;
@@ -171,6 +175,151 @@ fn same_weights_under_two_keys_are_judged_apart() {
             .collect();
         assert_eq!(flagged, ["model 'zz-copy'"], "jobs {jobs}: {}", report.render_text());
     }
+}
+
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Map(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        _ => panic!("no field '{key}' in {v:?}"),
+    }
+}
+
+/// A key of `keys` other than those in `avoid`.
+fn other_key(keys: &[String], avoid: &[&str]) -> String {
+    keys.iter().find(|k| !avoid.contains(&k.as_str())).unwrap().clone()
+}
+
+/// One edit of one candidate list: it gets the list's owner, the list
+/// and every indexed key, and returns how many records it added
+/// (negative: removed), or `None` when the list has nothing to edit.
+type Edit = fn(&str, &mut Vec<CandidateRecord>, &[String]) -> Option<i64>;
+
+const EDITS: [(&str, Edit); 9] = [
+    ("score one ulp up", |_, c, _| {
+        let first = c.first_mut()?;
+        first.score = f64::from_bits(first.score.to_bits() + 1);
+        Some(0)
+    }),
+    ("tighter Whole bound, score recomputed, list re-sorted", |_, c, _| {
+        let r = c.iter_mut().find(|r| r.kind == CandidateKind::Whole && r.diff_bound > 0.0)?;
+        r.diff_bound *= 0.6;
+        r.score = (1.0 - r.diff_bound).max(0.0);
+        c.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.diff_bound.total_cmp(&b.diff_bound)));
+        Some(0)
+    }),
+    ("Transitive kind made Whole", |_, c, _| {
+        let r = c.iter_mut().find(|r| matches!(r.kind, CandidateKind::Transitive { .. }))?;
+        r.kind = CandidateKind::Whole;
+        Some(0)
+    }),
+    ("Whole key renamed", |owner, c, keys| {
+        let r = c.iter_mut().find(|r| r.kind == CandidateKind::Whole)?;
+        r.key = other_key(keys, &[owner, &r.key]);
+        Some(0)
+    }),
+    ("via renamed", |_, c, keys| {
+        let via = c.iter_mut().find_map(|r| match &mut r.kind {
+            CandidateKind::Transitive { via } => Some(via),
+            _ => None,
+        })?;
+        *via = other_key(keys, &[via]);
+        Some(0)
+    }),
+    ("donor renamed", |_, c, keys| {
+        let donor = c.iter_mut().find_map(|r| match &mut r.kind {
+            CandidateKind::Synthesized { donor } => Some(donor),
+            _ => None,
+        })?;
+        *donor = other_key(keys, &[donor]);
+        Some(0)
+    }),
+    ("first two records swapped", |_, c, _| {
+        (c.len() >= 2).then(|| c.swap(0, 1)).map(|_| 0)
+    }),
+    ("first record dropped", |_, c, _| {
+        (!c.is_empty()).then(|| c.remove(0)).map(|_| -1)
+    }),
+    ("record appended, sorted last", |owner, c, keys| {
+        let diff_bound = c.last()?.diff_bound + 1.0;
+        c.push(CandidateRecord {
+            key: other_key(keys, &[owner]),
+            diff_bound,
+            score: (1.0 - diff_bound).max(0.0),
+            kind: CandidateKind::Whole,
+        });
+        Some(1)
+    }),
+];
+
+/// Apply `edit` to the first candidate list of the JSON snapshot at
+/// `dir` that it applies to, keep the stats header's record count in
+/// step, and return the edited list's owner.
+fn edit_snapshot(dir: &Path, edit: Edit) -> String {
+    let path = dir.join(INDEX_FILE);
+    let mut root: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Value::Map(entries) = field_mut(field_mut(&mut root, "semantic"), "entries") else {
+        panic!("semantic entries are not a map")
+    };
+    let owner_of = |e: &Value| String::from_value(e.get_field("key").unwrap()).unwrap();
+    let keys: Vec<String> = entries.iter().map(|(_, e)| owner_of(e)).collect();
+    let (owner, added) = entries
+        .iter_mut()
+        .find_map(|(_, e)| {
+            let owner = owner_of(e);
+            let slot = field_mut(e, "candidates");
+            let mut records = Vec::<CandidateRecord>::from_value(slot).unwrap();
+            let added = edit(&owner, &mut records, &keys)?;
+            *slot = records.to_value();
+            Some((owner, added))
+        })
+        .expect("some candidate list takes the edit");
+    let records = field_mut(field_mut(&mut root, "stats"), "candidate_records");
+    *records = (i64::from_value(records).unwrap() + added).to_value();
+    std::fs::write(&path, serde_json::to_string(&root).unwrap()).unwrap();
+    owner
+}
+
+#[test]
+fn every_single_field_edit_of_a_candidate_list_fails_lint() {
+    // Two series is the smallest seeded zoo whose index holds all three
+    // kinds of record.
+    let golden = scratch("edits-golden");
+    seed_zoo(&golden, 2, 42);
+    let deny = DenySpec::parse(&["warn"]).unwrap();
+    let lint = |dir: &Path| {
+        let ctx = LintContext::from_repo_dir(dir).unwrap();
+        let kinds: Vec<&str> = ctx
+            .semantic
+            .iter()
+            .flat_map(|s| s.entries_audit())
+            .flat_map(|(_, _, c)| c)
+            .map(|c| match c.kind {
+                CandidateKind::Whole => "Whole",
+                CandidateKind::Transitive { .. } => "Transitive",
+                CandidateKind::Synthesized { .. } => "Synthesized",
+            })
+            .collect();
+        (sommelier::lint::run(&ctx, false, 2), kinds)
+    };
+    let (clean, kinds) = lint(&golden);
+    assert_eq!(deny.count_denied(&clean.diagnostics), 0, "{}", clean.render_text());
+    for kind in ["Whole", "Transitive", "Synthesized"] {
+        assert!(kinds.contains(&kind), "the zoo holds no {kind} record");
+    }
+    let mut missed = Vec::new();
+    for (i, (what, edit)) in EDITS.iter().enumerate() {
+        let copy = copy_zoo(&golden, &format!("edit-{i}"));
+        let owner = edit_snapshot(&copy, *edit);
+        let (report, _) = lint(&copy);
+        let named = report
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "SOM021" && d.message.contains(&format!("'{owner}'")));
+        if deny.count_denied(&report.diagnostics) == 0 || !named {
+            missed.push(format!("{what} in '{owner}':\n{}", report.render_text()));
+        }
+    }
+    assert!(missed.is_empty(), "edits that lint did not refuse:\n{}", missed.join("\n"));
 }
 
 proptest! {
