@@ -122,15 +122,10 @@ pub struct SnapshotStats {
 impl SnapshotStats {
     /// Derive the header from live indices at a publication epoch.
     pub fn of(semantic: &SemanticIndex, resource: &ResourceIndex, epoch: u64) -> Self {
-        let candidate_records = semantic
-            .entries_audit()
-            .iter()
-            .map(|(_, _, records)| records.len() as i64)
-            .sum();
         SnapshotStats {
             stats_version: STATS_VERSION,
             models: semantic.len() as i64,
-            candidate_records,
+            candidate_records: semantic.candidate_records() as i64,
             resource_entries: resource.len() as i64,
             epoch: Some(epoch as i64),
         }

@@ -402,11 +402,11 @@ impl SemanticIndex {
     /// threshold").
     pub fn lookup(&self, reference: Fingerprint, min_score: f64) -> Vec<&CandidateRecord> {
         match self.entries.get(&reference) {
-            Some(entry) => entry
-                .candidates
-                .iter()
-                .take_while(|c| c.score >= min_score)
-                .collect(),
+            Some(entry) => {
+                // Counted first, so the list is allocated once at its size.
+                let above = entry.candidates.iter().take_while(|c| c.score >= min_score).count();
+                entry.candidates[..above].iter().collect()
+            }
             None => Vec::new(),
         }
     }
@@ -446,13 +446,29 @@ impl SemanticIndex {
     /// invariant checks (the triangle bounds among measured records) see
     /// exactly what a snapshot deserialized.
     pub fn entries_audit(&self) -> Vec<(Fingerprint, &str, &[CandidateRecord])> {
-        let mut out: Vec<(Fingerprint, &str, &[CandidateRecord])> = self
-            .entries
-            .iter()
-            .map(|(fp, e)| (*fp, e.key.as_str(), e.candidates.as_slice()))
-            .collect();
+        let mut out = self.entry_views();
         out.sort_by(|a, b| a.1.cmp(b.1));
         out
+    }
+
+    /// The entry table as [`Self::entries_audit`] lists it, but in
+    /// fingerprint order (the order a `.somb` image stores it in).
+    pub(crate) fn entries_by_fingerprint(&self) -> Vec<(Fingerprint, &str, &[CandidateRecord])> {
+        let mut out = self.entry_views();
+        out.sort_unstable_by_key(|(fp, _, _)| fp.0);
+        out
+    }
+
+    fn entry_views(&self) -> Vec<(Fingerprint, &str, &[CandidateRecord])> {
+        self.entries
+            .iter()
+            .map(|(fp, e)| (*fp, e.key.as_str(), e.candidates.as_slice()))
+            .collect()
+    }
+
+    /// Candidate records over every entry's list.
+    pub fn candidate_records(&self) -> usize {
+        self.entries.values().map(|e| e.candidates.len()).sum()
     }
 
     /// Every entry whose stored candidate list is not the one its edge

@@ -329,12 +329,11 @@ pub fn encode(
 ) -> Vec<u8> {
     // Deterministic entry orders up front (the resource side's is key
     // order) so the image is a pure function of the surviving key set.
-    let mut sem_entries = semantic.entries_audit();
-    sem_entries.sort_by_key(|(fp, _, _)| fp.0);
+    let sem_entries = semantic.entries_by_fingerprint();
     let res_entries = resource.entries_audit();
     let edge_rows = semantic.edge_rows();
     let keys = semantic.keys();
-    let candidate_rows: usize = sem_entries.iter().map(|(_, _, cands)| cands.len()).sum();
+    let candidate_rows = semantic.candidate_records();
 
     // The resource rows and the semantic section are written back to
     // back into one body buffer, the only one holding string ids.

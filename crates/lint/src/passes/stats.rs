@@ -80,11 +80,7 @@ impl Pass for SnapshotStatsPass {
                     ),
                 ));
             }
-            let actual_records: i64 = sem
-                .entries_audit()
-                .iter()
-                .map(|(_, _, r)| r.len() as i64)
-                .sum();
+            let actual_records = sem.candidate_records() as i64;
             if stats.candidate_records != actual_records {
                 out.push(Diagnostic::error(
                     codes::STATS_CONTENT_MISMATCH,

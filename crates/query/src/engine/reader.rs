@@ -8,7 +8,7 @@ use crate::ast::{FinalSelection, Query, RefSpec};
 use crate::parser::parse;
 use crate::plan::{plan, QueryPlan};
 use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
-use sommelier_index::CandidateKind;
+use sommelier_index::{CandidateKind, CandidateRecord};
 use sommelier_parallel::ThreadPool;
 use sommelier_repo::ModelRepository;
 use sommelier_runtime::metrics::counters::CachedCounter;
@@ -169,12 +169,11 @@ impl SommelierReader {
                 if !snap.semantic.contains(k) {
                     return Err(QueryError::UnknownReference(k.clone()));
                 }
-                k.clone()
+                k.as_str()
             }
             RefSpec::Task(t) => snap
                 .default_refs
                 .get(t)
-                .cloned()
                 .ok_or(QueryError::NoDefaultReference(*t))?,
         };
         // An EXEC clause overrides the indexed profiles: models are
@@ -184,16 +183,16 @@ impl SommelierReader {
         // repository — which sits outside the snapshot — so EXEC
         // queries are never cached.
         if let Some(setting) = self.exec_setting_of(query)? {
-            let ref_model = self.repo.load(&reference_key)?;
+            let ref_model = self.repo.load(reference_key)?;
             let ref_profile = ResourceProfile::under(&ref_model, &setting);
-            let plan = plan(query, &reference_key, &ref_profile);
+            let plan = plan(query, reference_key, &ref_profile);
             return Ok(self.execute_plan(snap, &plan, &ref_profile, Some(&setting)));
         }
         let ref_profile = *snap
             .resource
-            .profile_of(&reference_key)
-            .ok_or_else(|| QueryError::UnknownReference(reference_key.clone()))?;
-        let plan = plan(query, &reference_key, &ref_profile);
+            .profile_of(reference_key)
+            .ok_or_else(|| QueryError::UnknownReference(reference_key.to_string()))?;
+        let plan = plan(query, reference_key, &ref_profile);
         let results = self.execute_plan(snap, &plan, &ref_profile, None);
         if let Some(text) = cache_text {
             self.plan_cache.insert(snap.epoch, text, results.clone());
@@ -293,50 +292,58 @@ impl SommelierReader {
                 None => snap.resource.profile_of(key).copied(),
             }
         };
-        let score_one = |c: &&sommelier_index::CandidateRecord| -> Option<QueryResult> {
+        // Admission pairs a borrowed record with its profile; only the
+        // pairs that survive the sort and the cut become results.
+        let admit = |c: &CandidateRecord| -> Option<ResourceProfile> {
             let profile = match &c.kind {
                 // Synthesized models share the host's (= reference's)
                 // structure, hence its resource profile.
                 CandidateKind::Synthesized { .. } => *ref_profile,
                 _ => profile_of(&c.key)?,
             };
-            plan.constraint.admits(&profile).then(|| QueryResult {
+            plan.constraint.admits(&profile).then_some(profile)
+        };
+        let mut admitted = Vec::with_capacity(candidates.len());
+        match setting {
+            Some(_) => admitted.extend(
+                candidates
+                    .iter()
+                    .copied()
+                    .zip(self.pool.par_map(&candidates, |c| admit(c)))
+                    .filter_map(|(c, profile)| Some((c, profile?))),
+            ),
+            None => admitted.extend(candidates.iter().filter_map(|&c| Some((c, admit(c)?)))),
+        }
+
+        // Stage 3: final selection, a stable sort cut at the limit.
+        // Sorting uses `total_cmp` so the pipeline never panics on
+        // non-finite scores or profiles (a corrupted snapshot is the
+        // lint layer's problem to report, not a reason to abort query
+        // execution).
+        match plan.selection {
+            FinalSelection::Similarity => {
+                admitted.sort_by(|(a, _), (b, _)| b.score.total_cmp(&a.score))
+            }
+            FinalSelection::Memory => {
+                admitted.sort_by(|(_, a), (_, b)| a.memory_mb.total_cmp(&b.memory_mb))
+            }
+            FinalSelection::Flops => {
+                admitted.sort_by(|(_, a), (_, b)| a.gflops.total_cmp(&b.gflops))
+            }
+            FinalSelection::Latency => {
+                admitted.sort_by(|(_, a), (_, b)| a.latency_ms.total_cmp(&b.latency_ms))
+            }
+        }
+        admitted.truncate(plan.limit);
+        admitted
+            .into_iter()
+            .map(|(c, profile)| QueryResult {
                 key: c.key.clone(),
                 score: c.score,
                 diff_bound: c.diff_bound,
                 profile,
                 kind: c.kind.clone(),
             })
-        };
-        let mut results: Vec<QueryResult> = match setting {
-            Some(_) => self
-                .pool
-                .par_map(&candidates, score_one)
-                .into_iter()
-                .flatten()
-                .collect(),
-            None => candidates.iter().filter_map(score_one).collect(),
-        };
-
-        // Stage 3: final selection. Sorting uses `total_cmp` so the
-        // pipeline never panics on non-finite scores or profiles (a
-        // corrupted snapshot is the lint layer's problem to report, not
-        // a reason to abort query execution).
-        match plan.selection {
-            FinalSelection::Similarity => {
-                results.sort_by(|a, b| b.score.total_cmp(&a.score))
-            }
-            FinalSelection::Memory => {
-                results.sort_by(|a, b| a.profile.memory_mb.total_cmp(&b.profile.memory_mb))
-            }
-            FinalSelection::Flops => {
-                results.sort_by(|a, b| a.profile.gflops.total_cmp(&b.profile.gflops))
-            }
-            FinalSelection::Latency => {
-                results.sort_by(|a, b| a.profile.latency_ms.total_cmp(&b.profile.latency_ms))
-            }
-        }
-        results.truncate(plan.limit);
-        results
+            .collect()
     }
 }

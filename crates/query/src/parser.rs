@@ -14,6 +14,10 @@
 //! criterion  := SIMILARITY | MEMORY | FLOPS | LATENCY
 //! kv         := identifier = (identifier | number)
 //! ```
+//!
+//! The parser copies tokens that borrow from the text, so a query that
+//! parses allocates the token list and what the [`Query`] keeps (its
+//! predicates, a named reference and the `EXEC` pairs), nothing else.
 
 use crate::ast::{
     BoundValue, FinalSelection, Query, RefSpec, ResourceDim, ResourcePredicate, SelectKind,
@@ -62,32 +66,32 @@ impl From<LexError> for ParseError {
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Token<'_>, what: &str) -> Result<(), ParseError> {
         match self.next() {
-            Some(ref t) if t == want => Ok(()),
+            Some(t) if t == want => Ok(()),
             other => Err(self.unexpected(other, what)),
         }
     }
 
-    fn unexpected(&self, found: Option<Token>, expected: &str) -> ParseError {
+    fn unexpected(&self, found: Option<Token<'_>>, expected: &str) -> ParseError {
         ParseError::Unexpected {
             position: self.pos.saturating_sub(1),
             found: found.map(|t| t.to_string()),
@@ -102,7 +106,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(self.unexpected(other, what)),
@@ -123,7 +127,7 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, pos: 0 };
 
-    p.expect(&Token::Select, "SELECT")?;
+    p.expect(Token::Select, "SELECT")?;
     let select = match p.next() {
         Some(Token::Model) => SelectKind::Model,
         Some(Token::Models) => {
@@ -138,16 +142,16 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
         other => return Err(p.unexpected(other, "MODEL or MODELS")),
     };
 
-    p.expect(&Token::Corr, "CORR")?;
+    p.expect(Token::Corr, "CORR")?;
     let reference = match p.peek() {
         Some(Token::Task) => {
             p.next();
             let slug = p.ident("a task category after TASK")?;
-            let task = TaskKind::from_slug(&slug)
+            let task = TaskKind::from_slug(slug)
                 .ok_or_else(|| ParseError::Invalid(format!("unknown task '{slug}'")))?;
             RefSpec::Task(task)
         }
-        _ => RefSpec::Named(p.ident("a reference model name")?),
+        _ => RefSpec::Named(p.ident("a reference model name")?.to_string()),
     };
 
     let mut query = Query {
@@ -159,13 +163,13 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
         exec_spec: Default::default(),
     };
 
-    while let Some(tok) = p.peek().cloned() {
+    while let Some(tok) = p.peek() {
         match tok {
             Token::On => {
                 p.next();
                 loop {
                     query.predicates.push(parse_predicate(&mut p)?);
-                    if p.peek() == Some(&Token::And) {
+                    if p.peek() == Some(Token::And) {
                         p.next();
                     } else {
                         break;
@@ -184,7 +188,7 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
             }
             Token::Order => {
                 p.next();
-                p.expect(&Token::By, "BY after ORDER")?;
+                p.expect(Token::By, "BY after ORDER")?;
                 query.selection = match p.next() {
                     Some(Token::Similarity) => FinalSelection::Similarity,
                     Some(Token::Memory) => FinalSelection::Memory,
@@ -196,15 +200,15 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
             Token::Exec => {
                 p.next();
                 loop {
-                    let key = p.ident("an EXEC setting key")?;
-                    p.expect(&Token::Eq, "'=' in EXEC setting")?;
+                    let key = p.ident("an EXEC setting key")?.to_string();
+                    p.expect(Token::Eq, "'=' in EXEC setting")?;
                     let value = match p.next() {
-                        Some(Token::Ident(v)) => v,
+                        Some(Token::Ident(v)) => v.to_string(),
                         Some(Token::Number(n)) => n.to_string(),
                         other => return Err(p.unexpected(other, "an EXEC setting value")),
                     };
                     query.exec_spec.insert(key, value);
-                    if p.peek() == Some(&Token::Comma) {
+                    if p.peek() == Some(Token::Comma) {
                         p.next();
                     } else {
                         break;
@@ -223,7 +227,7 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
     Ok(query)
 }
 
-fn parse_predicate(p: &mut Parser) -> Result<ResourcePredicate, ParseError> {
+fn parse_predicate(p: &mut Parser<'_>) -> Result<ResourcePredicate, ParseError> {
     let dim = match p.next() {
         Some(Token::Memory) => ResourceDim::Memory,
         Some(Token::Flops) => ResourceDim::Flops,
@@ -243,7 +247,7 @@ fn parse_predicate(p: &mut Parser) -> Result<ResourcePredicate, ParseError> {
         Some(Token::Mb) | Some(Token::Gflops) | Some(Token::Ms) => {
             let unit = p.next().expect("peeked");
             let ok = matches!(
-                (dim, &unit),
+                (dim, unit),
                 (ResourceDim::Memory, Token::Mb)
                     | (ResourceDim::Flops, Token::Gflops)
                     | (ResourceDim::Latency, Token::Ms)

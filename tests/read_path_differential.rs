@@ -6,7 +6,9 @@
 //! of them, at keys with no profile at all, and at synthesized models.
 //! The resource index is held against a plain list of `(key, profile)`
 //! pairs after every one of those steps, and its bytes at the end
-//! against a fresh build of the survivors.
+//! against a fresh build of the survivors. One reference's list has
+//! equal scores, and keys with equal profiles, where a limit cuts it, so
+//! the engine's order among ties is held to the oracle's stable sort.
 //!
 //! The engine's resource stage probes each semantic candidate's profile
 //! and never asks the resource index a range query; this is the check
@@ -37,6 +39,23 @@ const TWICE: usize = MAIN + 1;
 const REINSERTED: usize = MAIN + 1 + 127;
 /// Removed for good (`MAIN`'s candidate 2); so is every `i % 5 == 3`.
 const GONE: usize = MAIN + 1 + 2 * 127;
+/// `MAIN`'s candidates at these positions get `TWICE`'s profile, so
+/// every resource order puts four equal keys first in `MAIN`'s answer.
+const CHEAP_TIES: [usize; 3] = [4, 8, 9];
+
+fn main_candidate(j: usize) -> usize {
+    MAIN + 1 + 127 * j
+}
+
+/// The bound tier of candidate `j` in `i`'s list. `MAIN`'s candidates 0
+/// and 1 share a score, and so do 8, 9 and 10.
+fn tier(i: usize, j: usize) -> usize {
+    match (i, j) {
+        (MAIN, 1) => 0,
+        (MAIN, 9 | 10) => 8,
+        _ => j,
+    }
+}
 
 fn key(i: usize) -> String {
     format!("m{i:04}")
@@ -128,14 +147,15 @@ fn resource_index() -> (ResourceIndex, Vec<(String, ResourceProfile)>) {
         let p = m.profile();
         m.insert(key(i), p);
     }
-    m.insert(
-        key(TWICE),
-        ResourceProfile {
-            memory_mb: 0.1,
-            gflops: 0.1,
-            latency_ms: 0.1,
-        },
-    );
+    let cheap = ResourceProfile {
+        memory_mb: 0.1,
+        gflops: 0.1,
+        latency_ms: 0.1,
+    };
+    m.insert(key(TWICE), cheap);
+    for j in CHEAP_TIES {
+        m.insert(key(main_candidate(j)), cheap);
+    }
     for i in (0..KEYS).filter(|i| removed(*i)) {
         m.remove(&key(i));
     }
@@ -167,7 +187,7 @@ fn semantic_index() -> SemanticIndex {
             let candidates = (0..CANDIDATES)
                 .map(|j| {
                     let other = key((i + 1 + 127 * j) % KEYS);
-                    let diff_bound = 0.01 + 0.05 * j as f64 + 0.001 * (i % 7) as f64;
+                    let diff_bound = 0.01 + 0.05 * tier(i, j) as f64 + 0.001 * (i % 7) as f64;
                     let (key, kind) = match j {
                         7 | 15 => (
                             format!("{}+{other}", key(i)),
@@ -367,6 +387,24 @@ fn query_results_equal_the_naive_oracle_on_a_churned_index() {
     .expect("the main reference is live");
     let keys: Vec<&str> = all.iter().map(|r| r.key.as_str()).collect();
     assert!(keys.contains(&key(TWICE).as_str()) && keys.contains(&key(REINSERTED).as_str()));
+    // Limits 1 and 3 cut inside ties: two equal scores lead the
+    // similarity order, and four equal profiles every resource order.
+    let top = |selection, threshold| {
+        let mut query = Query::corr(key(MAIN)).top(64).within(threshold);
+        query.selection = selection;
+        oracle(semantic, &profiles, &query).expect("the main reference is live")
+    };
+    let by_score = top(FinalSelection::Similarity, 0.9);
+    assert!(by_score.len() >= 2 && by_score[0].score == by_score[1].score);
+    for order in [FinalSelection::Memory, FinalSelection::Flops, FinalSelection::Latency] {
+        let cheapest: Vec<String> = top(order, 0.2).into_iter().take(4).map(|r| r.key).collect();
+        let tied: Vec<String> = [0]
+            .into_iter()
+            .chain(CHEAP_TIES)
+            .map(|j| key(main_candidate(j)))
+            .collect();
+        assert_eq!(cheapest, tied, "{order:?}");
+    }
     assert!(!keys.contains(&key(GONE).as_str()));
     assert_eq!(
         all.iter()
