@@ -65,8 +65,15 @@ fn write_corrupt_snapshot(dir: &Path) {
         "seed_state": 0,
         "edges": []
     }"#;
-    let resource = r#"{"entries": []}"#;
-    let snapshot = format!("{{\"version\":3,\"semantic\":{semantic},\"resource\":{resource}}}");
+    // A header and a profile per key that agree with the rest, so the
+    // snapshot decodes and the index passes see it.
+    let stats = r#"{"stats_version": 2, "models": 2, "candidate_records": 2,
+        "resource_entries": 2, "epoch": 1}"#;
+    let profile = r#"{"memory_mb": 1.0, "gflops": 1.0, "latency_ms": 1.0}"#;
+    let resource = format!(r#"{{"entries": [["ghost", {profile}], ["m-a", {profile}]]}}"#);
+    let snapshot = format!(
+        "{{\"version\":3,\"stats\":{stats},\"semantic\":{semantic},\"resource\":{resource}}}"
+    );
     std::fs::write(dir.join("sommelier.index.json"), snapshot).expect("snapshot writes");
 }
 

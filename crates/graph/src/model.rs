@@ -444,32 +444,25 @@ impl Model {
     }
 
     /// Rehydrate a skeleton produced by [`Model::strip_params`]:
-    /// reattach every extracted parameter set, revalidating shapes,
-    /// then re-check the whole graph so a parameterized operator left
-    /// bare (a truncated manifest) is rejected rather than producing a
-    /// model that fails at execution time.
+    /// reattach every extracted parameter set, then [`Model::validate`]
+    /// the whole model. A skeleton read from a file is taken as written,
+    /// so a forged width, arity or input reference, a parameter of the
+    /// wrong shape, or a parameterized operator left bare (a truncated
+    /// manifest) is refused here rather than served.
     pub fn attach_params(
         skeleton: &Model,
         params: impl IntoIterator<Item = (LayerId, Params)>,
     ) -> Result<Model, ModelError> {
         let mut model = skeleton.clone();
+        let num_layers = model.layers.len();
         for (id, p) in params {
-            if id.index() >= model.layers.len() {
-                return Err(ModelError::BadParams {
-                    layer: id.index(),
-                    detail: format!("no such layer (model has {})", model.layers.len()),
-                });
-            }
-            model.set_params(id, p)?;
+            let layer = model.layers.get_mut(id.index()).ok_or(ModelError::BadParams {
+                layer: id.index(),
+                detail: format!("no such layer (model has {num_layers})"),
+            })?;
+            layer.params = p;
         }
-        for (i, layer) in model.layers.iter().enumerate() {
-            let in_widths: Vec<usize> = layer
-                .inputs
-                .iter()
-                .map(|x| model.widths[x.index()])
-                .collect();
-            Self::check_params(i, layer, &in_widths)?;
-        }
+        model.validate()?;
         Ok(model)
     }
 
@@ -662,6 +655,16 @@ mod tests {
         let stray = Params::with_weight(Tensor::zeros(1, 1));
         params.push((LayerId(99), &stray));
         assert!(Model::attach_params(&skeleton, owned(params)).is_err());
+    }
+
+    #[test]
+    fn attach_rejects_a_skeleton_whose_widths_lie() {
+        let m = tiny_model();
+        let (mut skeleton, params) = m.strip_params();
+        // Layer 2 is a relu: no parameter is checked against its width.
+        skeleton.widths[2] += 1;
+        let err = Model::attach_params(&skeleton, owned(params)).unwrap_err();
+        assert_eq!(err, ModelError::StaleWidth { layer: 2 });
     }
 
     #[test]

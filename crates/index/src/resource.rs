@@ -156,6 +156,12 @@ impl ResourceIndex {
         entries
     }
 
+    /// Every `(key, profile)` in hash order: for a check that reports
+    /// only the smallest offender, so the order never escapes.
+    pub(crate) fn entries_unordered(&self) -> impl Iterator<Item = (&str, &ResourceProfile)> {
+        self.profiles.iter().map(|(k, p)| (k.as_str(), p))
+    }
+
     /// Approximate in-memory footprint in bytes (key bytes + profiles).
     pub fn footprint_bytes(&self) -> usize {
         self.profiles

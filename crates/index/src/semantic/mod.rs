@@ -388,6 +388,12 @@ impl SemanticIndex {
         self.entries.contains_key(&fp)
     }
 
+    /// Every indexed key in hash order: for a check that reports only
+    /// the smallest offender, so the order never escapes.
+    pub(crate) fn keys_unordered(&self) -> impl Iterator<Item = &str> {
+        self.by_key.keys().map(String::as_str)
+    }
+
     /// All indexed keys, sorted (one sort per call: the callers are
     /// persistence, cold open and audits, never a mutation or a query).
     pub fn keys(&self) -> Vec<&str> {

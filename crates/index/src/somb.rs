@@ -661,8 +661,9 @@ fn lookup<'a>(strings: &'a [String], id: u32, what: &str) -> Result<&'a str, Per
 }
 
 /// Decode a binary snapshot image into the same [`IndexSnapshot`] the
-/// JSON loader produces. All section CRCs are verified.
-pub fn decode(bytes: &[u8]) -> Result<IndexSnapshot, PersistError> {
+/// JSON loader produces. All section CRCs are verified; the snapshot
+/// rules are [`crate::persist::decode_snapshot`]'s, the one caller.
+pub(crate) fn decode(bytes: &[u8]) -> Result<IndexSnapshot, PersistError> {
     let header = validate_header(bytes)?;
     // CRC the whole body up front, then parse without re-hashing: the
     // two passes touch the same bytes, and folding the checksums in one
@@ -803,19 +804,16 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
 }
 
 // ---------------------------------------------------------------------------
-// Integrity scan (the lint surface: SOM054, SOM056)
+// Integrity scan (the lint surface: SOM054)
 // ---------------------------------------------------------------------------
 
 /// One structural defect found in a binary snapshot image.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IntegrityIssue {
-    /// Magic/version/header-CRC/section-table failure (SOM054).
+    /// Magic/version/header-CRC/section-table failure.
     Header(String),
-    /// A section's stored CRC disagrees with its bytes (SOM054).
+    /// A section's stored CRC disagrees with its bytes.
     SectionCrc { section: &'static str, stored: u32, computed: u32 },
-    /// A resource row stores a non-finite profile (SOM056). `key` is
-    /// `None` when the string table no longer resolves the row's key id.
-    NonFinite { row: usize, key: Option<String> },
 }
 
 /// Scan a binary snapshot image for structural defects without
@@ -826,45 +824,24 @@ pub fn integrity_issues(bytes: &[u8]) -> Vec<IntegrityIssue> {
         Ok(h) => h,
         Err(e) => return vec![IntegrityIssue::Header(e.to_string())],
     };
-    let mut issues = Vec::new();
-    let mut strings_ok = true;
-    for (i, name) in SECTION_NAMES.iter().enumerate() {
-        let computed = crc32(section_raw(bytes, &header, i));
-        if computed != header.section_crcs[i] {
-            strings_ok &= i != SEC_STRINGS;
-            issues.push(IntegrityIssue::SectionCrc {
+    SECTION_NAMES
+        .iter()
+        .enumerate()
+        .filter_map(|(i, name)| {
+            let computed = crc32(section_raw(bytes, &header, i));
+            (computed != header.section_crcs[i]).then_some(IntegrityIssue::SectionCrc {
                 section: name,
                 stored: header.section_crcs[i],
                 computed,
-            });
-        }
-    }
-    // Non-finite stored profiles. The rows are read whatever their CRC
-    // says (a tear that forges a NaN is still worth naming), past the
-    // 8-byte count/size prefix; the string table only if its CRC holds
-    // (its length fields size allocations).
-    let strings = if strings_ok {
-        decode_strings(section_raw(bytes, &header, SEC_STRINGS)).unwrap_or_default()
-    } else {
-        Vec::new()
-    };
-    let rows = section_raw(bytes, &header, SEC_ROWS).get(8..).unwrap_or_default();
-    for (row, raw) in rows.chunks_exact(RESOURCE_ROW_BYTES as usize).enumerate() {
-        let (key_id, profile) = resource_row(raw);
-        if !profile.is_finite() {
-            issues.push(IntegrityIssue::NonFinite {
-                row,
-                key: strings.get(key_id as usize).cloned(),
-            });
-        }
-    }
-    issues
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::STATS_VERSION;
+    use crate::persist::{Violation, STATS_VERSION};
     use proptest::prelude::*;
 
     /// A small but representative snapshot: every candidate kind, a
@@ -1015,25 +992,27 @@ mod tests {
 
     #[test]
     fn non_finite_profile_rows_are_reported() {
-        // A NaN that was indexed: every CRC holds, the row is the defect.
+        // A NaN that was indexed: every CRC holds, and the decoder
+        // refuses the image naming the row's key.
         let (sem, mut res) = sample_indices();
         res.insert("beta", ResourceProfile { memory_mb: 64.0, gflops: 3.5, latency_ms: f64::NAN });
-        let bytes = encode(&sem, &res, None);
-        assert_eq!(
-            integrity_issues(&bytes),
-            vec![IntegrityIssue::NonFinite { row: 1, key: Some("beta".to_string()) }]
-        );
-        assert!(decode(&bytes).is_ok(), "only lint stands between this image and serving");
-        // A NaN forged into the bytes at rest: named all the same, next
-        // to the CRC it broke.
+        res.insert("gamma", ResourceProfile { memory_mb: 8.0, gflops: 0.5, latency_ms: 0.01 });
+        let bytes = encode(&sem, &res, Some(&SnapshotStats::of(&sem, &res, 5)));
+        assert!(integrity_issues(&bytes).is_empty());
+        assert!(matches!(
+            crate::persist::decode_snapshot(&bytes),
+            Err(PersistError::Invalid(Violation::NonFinite(key))) if key == "beta"
+        ));
+        // A NaN forged into the bytes at rest: refused on the CRC it
+        // broke, which lint names.
         let mut bytes = sample_snapshot_bytes();
         let (off, _) = validate_header(&bytes).unwrap().sections[SEC_ROWS];
         bytes[off + 8 + 8..off + 8 + 16].copy_from_slice(&f64::INFINITY.to_le_bytes());
-        let issues = integrity_issues(&bytes);
-        assert!(issues.contains(&IntegrityIssue::NonFinite { row: 0, key: Some("alpha".to_string()) }));
-        assert!(issues
-            .iter()
-            .any(|i| matches!(i, IntegrityIssue::SectionCrc { section: "resource-rows", .. })));
+        assert!(decode(&bytes).unwrap_err().to_string().contains("resource-rows"));
+        assert!(matches!(
+            integrity_issues(&bytes).as_slice(),
+            [IntegrityIssue::SectionCrc { section: "resource-rows", .. }]
+        ));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Forward abstract interpretation over a model graph.
 //!
-//! One pass over the (topologically ordered) layers computes, per
-//! layer, a [`ShapeFact`] — the recomputed output width — and an
-//! optional [`Interval`] — the hull of every activation value the layer
-//! can produce when the model input stays inside the analyzed input
-//! box. A backward reachability sweep from the output marks the layers
+//! One pass over the (topologically ordered) layers of a valid model
+//! computes, per layer, an optional [`Interval`] — the hull of every
+//! activation value the layer can produce when the model input stays
+//! inside the analyzed input box. A backward reachability sweep from the output marks the layers
 //! whose values can influence an inference at all.
 //!
 //! The interpreter never executes the model: dense and convolution
@@ -15,17 +14,13 @@
 //! constraint.
 
 use super::interval::Interval;
-use super::shape::{self, ShapeFact};
-use sommelier_graph::{Model, Op};
+use sommelier_graph::{LayerId, Model, Op};
 
 /// Abstract facts derived for one layer.
 #[derive(Clone, Debug)]
 pub struct LayerFact {
-    /// Recomputed output width (independent of the stored `widths`).
-    pub shape: ShapeFact,
-    /// Hull of the layer's possible activation values; `None` when the
-    /// value is unanalyzable (shape conflict upstream, or non-finite
-    /// weights poisoning the arithmetic).
+    /// Hull of the layer's possible activation values; `None` when
+    /// non-finite weights poison the arithmetic upstream.
     pub value: Option<Interval>,
     /// Whether the layer can influence the model output.
     pub reachable: bool,
@@ -54,18 +49,12 @@ pub const DEFAULT_INPUT: Interval = Interval { lo: -3.0, hi: 3.0 };
 pub fn analyze(model: &Model, input: Interval) -> ModelAnalysis {
     let n = model.num_layers();
     let mut facts: Vec<LayerFact> = Vec::with_capacity(n);
-    for layer in model.layers() {
-        let in_shapes: Vec<ShapeFact> =
-            layer.inputs.iter().map(|id| facts[id.index()].shape).collect();
-        let shape = shape::transfer(&layer.op, &in_shapes);
+    for (id, layer) in model.layers().iter().enumerate() {
         let in_values: Option<Vec<Interval>> =
             layer.inputs.iter().map(|id| facts[id.index()].value).collect();
-        let value = match (&shape, in_values) {
-            (ShapeFact::Width(w), Some(ins)) => value_transfer(layer, &ins, *w, input),
-            _ => None,
-        };
+        let width = model.width_of(LayerId(id));
+        let value = in_values.and_then(|ins| value_transfer(layer, &ins, width, input));
         facts.push(LayerFact {
-            shape,
             value,
             reachable: false,
         });
@@ -84,8 +73,8 @@ pub fn analyze(model: &Model, input: Interval) -> ModelAnalysis {
     ModelAnalysis { facts }
 }
 
-/// Interval transfer for one layer. `width` is the layer's recomputed
-/// output width; `model_input` the analyzed input box (consumed by the
+/// Interval transfer for one layer. `width` is the layer's output
+/// width; `model_input` the analyzed input box (consumed by the
 /// source layer). Returns `None` when non-finite weights would poison
 /// the arithmetic.
 fn value_transfer(
@@ -207,15 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn recomputed_shapes_match_a_valid_model() {
+    fn every_layer_of_a_chain_model_is_live() {
         let model = mlp(1);
         let analysis = analyze(&model, DEFAULT_INPUT);
+        assert_eq!(analysis.facts.len(), model.num_layers());
         for (i, fact) in analysis.facts.iter().enumerate() {
-            assert_eq!(
-                fact.shape.width(),
-                Some(model.width_of(sommelier_graph::LayerId(i))),
-                "layer {i}"
-            );
             assert!(fact.reachable, "layer {i} of a chain model is live");
         }
     }
@@ -257,8 +242,6 @@ mod tests {
         let analysis = analyze(&model, DEFAULT_INPUT);
         assert!(analysis.facts[1].value.is_none());
         assert!(analysis.output_value().is_none());
-        // Shapes are still derived — the domains are independent.
-        assert_eq!(analysis.facts[1].shape, ShapeFact::Width(3));
     }
 
     #[test]

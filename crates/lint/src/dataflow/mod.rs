@@ -1,16 +1,13 @@
 //! Abstract-interpretation dataflow analysis over model graphs.
 //!
-//! The deep pass family (`SOM080`–`SOM099`) needs facts that the
-//! shallow per-layer lints cannot see: whether an edge is
-//! shape-compatible *after* recomputing every width from the operators
-//! (the stored `widths` array is attacker/bit-rot territory — serde
-//! accepts it verbatim), whether a value can ever escape an
-//! activation's saturation region, whether the output can vary at all.
-//! Those are dataflow properties, so this module provides the two
-//! abstract domains and the forward interpreter that joins them:
+//! The deep pass family (`SOM081`–`SOM086`) needs facts that the
+//! shallow per-layer lints cannot see: whether a value can ever escape
+//! an activation's saturation region, whether the output can vary at
+//! all, whether a layer can reach the output. Those are dataflow
+//! properties over a model whose shapes already hold (the repository
+//! loads only models that pass `Model::validate`), so this module
+//! provides one abstract domain and the forward interpreter over it:
 //!
-//! * [`shape`] — a flat lattice over feature widths
-//!   (`Unknown < Width(w) < Conflict`);
 //! * [`interval`] — closed `[lo, hi]` intervals with sound transfer
 //!   functions for every operator in the taxonomy;
 //! * [`analysis`] — one forward pass per model producing per-layer
@@ -18,8 +15,6 @@
 
 pub mod analysis;
 pub mod interval;
-pub mod shape;
 
 pub use analysis::{analyze, LayerFact, ModelAnalysis, DEFAULT_INPUT};
 pub use interval::Interval;
-pub use shape::ShapeFact;

@@ -158,7 +158,7 @@ mod tests {
         let spec = DenySpec::parse(&["SOM09x"]).unwrap();
         assert!(spec.denies(&Diagnostic::error(codes::FINGERPRINT_DRIFT, "t", "m")));
         assert!(spec.denies(&Diagnostic::error(codes::RESOURCE_DRIFT, "t", "m")));
-        assert!(!spec.denies(&Diagnostic::error(codes::SHAPE_INCOMPATIBLE, "t", "m")));
+        assert!(!spec.denies(&Diagnostic::error(codes::UNREACHABLE_SUBGRAPH, "t", "m")));
         let everything = DenySpec::parse(&["SOM0xx"]).unwrap();
         assert!(everything.denies(&Diagnostic::info(codes::COST_OUTLIER, "t", "m")));
     }
@@ -168,17 +168,22 @@ mod tests {
         let spec = DenySpec::parse(&["SOM081", "SOM09x"]).unwrap();
         assert!(spec.denies(&Diagnostic::error(codes::NONFINITE_WEIGHTS, "t", "m")));
         assert!(spec.denies(&Diagnostic::error(codes::RESOURCE_DRIFT, "t", "m")));
-        assert!(!spec.denies(&Diagnostic::error(codes::SHAPE_INCOMPATIBLE, "t", "m")));
+        assert!(!spec.denies(&Diagnostic::error(codes::UNREACHABLE_SUBGRAPH, "t", "m")));
     }
 
     #[test]
     fn unknown_codes_are_an_error_not_a_noop() {
         assert!(DenySpec::parse(&["SOM999"]).is_err());
         assert!(DenySpec::parse(&["SOM9xx"]).is_err());
+        assert!(DenySpec::parse(&["SOM06x"]).is_err(), "no SOM06x code is left");
         assert!(DenySpec::parse(&["bogus"]).is_err());
         assert!(DenySpec::parse(&["SOMx81"]).is_err(), "non-trailing wildcard");
         assert!(DenySpec::parse(&["SOM08"]).is_err(), "truncated code");
-        for retired in ["SOM025", "SOM062", "SOM092"] {
+        for retired in [
+            "SOM025", "SOM062", "SOM092", // candidate-list shape checks
+            "SOM026", "SOM050", "SOM051", "SOM052", "SOM053", "SOM056", "SOM060", "SOM061",
+            "SOM080", // checked by the snapshot decoder and `Model::validate`
+        ] {
             assert!(DenySpec::parse(&[retired]).is_err(), "{retired} is retired");
         }
     }

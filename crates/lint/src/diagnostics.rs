@@ -12,12 +12,13 @@ use std::fmt;
 
 /// Stable diagnostic codes, grouped by pass family:
 /// `SOM00x` model-graph lints, `SOM02x` repository/index invariants,
-/// `SOM04x` query-plan lints, `SOM05x` snapshot stats-header and
-/// binary-image lints (`SOM054`–`SOM056` cover the `.somb` format),
-/// `SOM06x` snapshot publication-epoch lints, `SOM07x` store-hygiene
-/// lints (quarantine, temp orphans, file naming), `SOM08x` deep
-/// dataflow findings (abstract interpretation over the model graph),
-/// `SOM09x` cross-artifact consistency findings.
+/// `SOM04x` query-plan lints, `SOM054` the `.somb` image's CRCs,
+/// `SOM07x` store-hygiene lints (quarantine, temp orphans, file
+/// naming), `SOM08x` deep dataflow findings (abstract interpretation
+/// over the model graph), `SOM09x` cross-artifact consistency findings.
+/// What the readers refuse (a model that fails `Model::validate`, a
+/// snapshot that breaks a decode rule) is one code each: `SOM007` and
+/// `SOM027`.
 pub mod codes {
     /// A layer's output is never consumed (dead computation).
     pub const DEAD_LAYER: &str = "SOM001";
@@ -31,7 +32,7 @@ pub mod codes {
     pub const ROUND_TRIP_MISMATCH: &str = "SOM005";
     /// A linear layer carries an all-zero weight tensor.
     pub const ZERO_WEIGHTS: &str = "SOM006";
-    /// A stored model file could not be read or parsed.
+    /// A stored model could not be read, or fails `Model::validate`.
     pub const MODEL_UNREADABLE: &str = "SOM007";
     /// An index references a model key absent from the repository.
     pub const DANGLING_KEY: &str = "SOM020";
@@ -41,9 +42,7 @@ pub mod codes {
     pub const TRIANGLE_VIOLATION: &str = "SOM023";
     /// The index snapshot is older than a stored model file.
     pub const STALE_INDEX: &str = "SOM024";
-    /// An indexed model has no live resource profile.
-    pub const MISSING_PROFILE: &str = "SOM026";
-    /// The index snapshot file could not be read or parsed.
+    /// The index snapshot could not be read, or its decoder refused it.
     pub const SNAPSHOT_UNREADABLE: &str = "SOM027";
     /// A `WITHIN` threshold no score can ever reach.
     pub const UNSATISFIABLE_THRESHOLD: &str = "SOM040";
@@ -55,22 +54,8 @@ pub mod codes {
     pub const EMPTY_REFERENCE: &str = "SOM043";
     /// `SELECT models 0` — the query statically returns nothing.
     pub const LIMIT_ZERO: &str = "SOM044";
-    /// The snapshot predates the stats/metrics header (tolerated).
-    pub const MISSING_SNAPSHOT_STATS: &str = "SOM050";
-    /// The stats header declares a version this build does not know.
-    pub const UNKNOWN_STATS_VERSION: &str = "SOM051";
-    /// A stats-header counter is negative.
-    pub const NEGATIVE_STATS_COUNTER: &str = "SOM052";
-    /// The stats header disagrees with the snapshot's actual contents.
-    pub const STATS_CONTENT_MISMATCH: &str = "SOM053";
     /// A binary snapshot's header or a section CRC fails validation.
     pub const BINARY_SNAPSHOT_CORRUPT: &str = "SOM054";
-    /// A stored resource profile holds a NaN or infinite dimension.
-    pub const NON_FINITE_PROFILE: &str = "SOM056";
-    /// The publication epoch is negative, or zero on a populated snapshot.
-    pub const EPOCH_REGRESSION: &str = "SOM060";
-    /// The header's declared version disagrees with its epoch field.
-    pub const EPOCH_HEADER_MISMATCH: &str = "SOM061";
     /// A quarantined (`*.corrupt-<epoch>`) artifact sits in the store.
     pub const QUARANTINED_FILE: &str = "SOM070";
     /// An orphaned temp file (`*.tmp-<pid>-<seq>`) from an interrupted write.
@@ -86,8 +71,6 @@ pub mod codes {
     pub const ORPHANED_CHUNK: &str = "SOM075";
     /// A delta manifest whose base chain is missing or cyclic.
     pub const BROKEN_DELTA_BASE: &str = "SOM076";
-    /// A recomputed layer width disagrees with the stored graph.
-    pub const SHAPE_INCOMPATIBLE: &str = "SOM080";
     /// A parameter tensor contains NaN or infinite values.
     pub const NONFINITE_WEIGHTS: &str = "SOM081";
     /// A subgraph can never reach the output (transitively dead).
@@ -116,26 +99,18 @@ pub mod codes {
         (COST_OUTLIER, "cost profile is an outlier in its series"),
         (ROUND_TRIP_MISMATCH, "model does not survive a serde round-trip"),
         (ZERO_WEIGHTS, "linear layer carries an all-zero weight tensor"),
-        (MODEL_UNREADABLE, "stored model file could not be read"),
+        (MODEL_UNREADABLE, "stored model could not be read or is invalid"),
         (DANGLING_KEY, "index references a key absent from the repository"),
         (UNDERIVED_CANDIDATES, "candidate list differs from its derivation"),
         (TRIANGLE_VIOLATION, "bounds violate the triangle relation"),
         (STALE_INDEX, "index snapshot older than a stored model"),
-        (MISSING_PROFILE, "indexed model has no resource profile"),
-        (SNAPSHOT_UNREADABLE, "index snapshot could not be parsed"),
+        (SNAPSHOT_UNREADABLE, "index snapshot could not be read or decoded"),
         (UNSATISFIABLE_THRESHOLD, "WITHIN threshold no score can reach"),
         (EMPTY_BUDGET, "resource bound statically admits nothing"),
         (SHADOWED_PREDICATE, "predicate shadowed by a tighter one"),
         (EMPTY_REFERENCE, "reference filter prunes every candidate"),
         (LIMIT_ZERO, "SELECT models 0 returns nothing"),
-        (MISSING_SNAPSHOT_STATS, "snapshot predates the stats header"),
-        (UNKNOWN_STATS_VERSION, "stats header declares an unknown version"),
-        (NEGATIVE_STATS_COUNTER, "stats-header counter is negative"),
-        (STATS_CONTENT_MISMATCH, "stats header disagrees with contents"),
         (BINARY_SNAPSHOT_CORRUPT, "binary snapshot header/CRC mismatch"),
-        (NON_FINITE_PROFILE, "stored resource profile is non-finite"),
-        (EPOCH_REGRESSION, "publication epoch regressed or is missing"),
-        (EPOCH_HEADER_MISMATCH, "header version disagrees with its epoch"),
         (QUARANTINED_FILE, "quarantined artifact sits in the store"),
         (ORPHANED_TEMP, "orphaned temp file from an interrupted write"),
         (NON_CANONICAL_MODEL_FILE, "model file name is not a canonical key"),
@@ -143,7 +118,6 @@ pub mod codes {
         (DANGLING_CHUNK, "manifest references a missing chunk"),
         (ORPHANED_CHUNK, "chunk is referenced by no manifest"),
         (BROKEN_DELTA_BASE, "delta manifest base missing or cyclic"),
-        (SHAPE_INCOMPATIBLE, "recomputed layer width disagrees with graph"),
         (NONFINITE_WEIGHTS, "parameter tensor contains NaN/Inf values"),
         (UNREACHABLE_SUBGRAPH, "subgraph can never reach the output"),
         (SATURATED_ACTIVATION, "activation saturated over the input range"),
@@ -449,12 +423,12 @@ mod tests {
         for known in [
             codes::DEAD_LAYER,
             codes::STORE_LISTING_FAILED,
-            codes::SHAPE_INCOMPATIBLE,
+            codes::NONFINITE_WEIGHTS,
             codes::RESOURCE_DRIFT,
         ] {
             assert!(seen.contains(known), "{known} missing from registry");
         }
-        assert_eq!(codes::ALL.len(), 42, "update the registry with new codes");
+        assert_eq!(codes::ALL.len(), 33, "update the registry with new codes");
     }
 
     #[test]

@@ -9,7 +9,13 @@
 //! check is static, so linting an entire repository is cheap enough to
 //! gate CI on.
 //!
-//! Seven pass families always run:
+//! A stored artifact is checked where it is read, once: a model that
+//! fails [`Model::validate`] does not load, and a snapshot that breaks
+//! a rule of [`persist::decode_snapshot`] does not decode. Lint reports
+//! either refusal (`SOM007`, `SOM027`) with the reader's message and
+//! runs no pass over what was refused.
+//!
+//! Five pass families always run:
 //!
 //! * **model graph** ([`passes::model`]) — dead layers, width
 //!   bottlenecks that zero error propagation, suspicious activation
@@ -18,18 +24,12 @@
 //! * **repository & index invariants** ([`passes::index`]) — dangling
 //!   keys, candidate lists that differ from the ones their edge table
 //!   derives, measured-bound triangle violations, stale snapshots
-//!   (`SOM020`–`SOM027`), non-finite stored profiles (`SOM056`);
+//!   (`SOM020`–`SOM027`);
 //! * **query plans** ([`passes::plan`]) — unsatisfiable `WITHIN`
 //!   thresholds, statically empty resource budgets, shadowed
 //!   predicates, references that prune to nothing (`SOM040`–`SOM044`);
-//! * **snapshot stats header** ([`passes::stats`]) — missing,
-//!   unknown-version, negative, or content-inconsistent metrics headers
-//!   in persisted snapshots (`SOM050`–`SOM053`);
 //! * **binary snapshot image** ([`passes::binary`]) — header/section
-//!   CRC mismatches and non-finite resource rows in `.somb` binary
-//!   snapshots (`SOM054`, `SOM056`);
-//! * **publication epoch** ([`passes::epoch`]) — regressed or missing
-//!   publication epochs (`SOM060`–`SOM061`);
+//!   CRC mismatches in `.somb` binary snapshots (`SOM054`);
 //! * **store hygiene** ([`passes::store`]) — the findings of the store
 //!   scan `sommelier fsck` prints ([`sommelier_repo::scan_store`]):
 //!   quarantined artifacts, orphaned temps, non-canonical file names,
@@ -39,12 +39,12 @@
 //!
 //! On request [`run`] adds the *deep* families: an
 //! abstract-interpretation [`dataflow`] engine feeding the
-//! [`passes::deep`] family (`SOM080`–`SOM091`) — shape-incompatible
-//! edges, non-finite weights, unreachable subgraphs, saturated
-//! activations, constant outputs, rank-collapsed matmuls, declared-cost
-//! drift, and the repository ↔ index ↔ snapshot consistency join.
+//! [`passes::deep`] family (`SOM081`–`SOM091`) — non-finite weights,
+//! unreachable subgraphs, saturated activations, constant outputs,
+//! rank-collapsed matmuls, declared-cost drift, and the repository ↔
+//! index ↔ snapshot consistency join.
 //!
-//! The CLI exposes all of this as `sommelier lint <dir>` (the seven
+//! The CLI exposes all of this as `sommelier lint <dir>` (the five
 //! families) and `sommelier audit <dir>` (the deep families too).
 
 pub mod dataflow;
@@ -60,14 +60,14 @@ use sommelier_graph::Model;
 use sommelier_index::{persist, ResourceIndex, SemanticIndex};
 use sommelier_parallel::ThreadPool;
 use sommelier_query::Query;
-use sommelier_repo::{classify, scan_store, ModelRepository, OnDiskRepository, StoreEntry};
+use sommelier_repo::{classify, scan_store, ModelRepository, OnDiskRepository, RepoError, StoreEntry};
 use std::path::Path;
 use std::time::SystemTime;
 
 /// Everything a lint run can look at. All fields are optional-by-shape:
 /// passes skip whatever is absent, so the same runner lints a bare
 /// directory of models, a fully indexed repository, or a single query.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct LintContext {
     /// Stored models as `(repository key, model)`.
     pub models: Vec<(String, Model)>,
@@ -75,8 +75,6 @@ pub struct LintContext {
     pub semantic: Option<SemanticIndex>,
     /// The resource index, if a snapshot was available.
     pub resource: Option<ResourceIndex>,
-    /// The snapshot's content-derived stats header, if present.
-    pub snapshot_stats: Option<persist::SnapshotStats>,
     /// Raw bytes of a binary (`.somb`) snapshot image, when the
     /// repository's index is the binary format. The
     /// [`passes::binary::BinarySnapshotPass`] scans these directly, so
@@ -127,11 +125,7 @@ impl LintContext {
         for key in repo.keys() {
             match repo.load(&key) {
                 Ok(model) => ctx.models.push((key, model)),
-                Err(e) => ctx.load_diagnostics.push(Diagnostic::error(
-                    codes::MODEL_UNREADABLE,
-                    format!("model '{key}'"),
-                    format!("stored model could not be loaded: {e}"),
-                )),
+                Err(e) => ctx.load_diagnostics.push(model_unreadable(&key, &e.to_string())),
             }
         }
         // Manifest mtimes, decoded back to the repository keys they
@@ -154,17 +148,19 @@ impl LintContext {
             ctx.index_mtime = std::fs::metadata(&index_path)
                 .and_then(|m| m.modified())
                 .ok();
-            // Keep the raw image around for the binary-format lints
-            // (sniffed by magic, not extension, so a renamed `.somb`
-            // still gets CRC-level findings).
-            if let Ok(bytes) = std::fs::read(&index_path) {
-                if sommelier_index::somb::is_binary(&bytes) {
-                    ctx.binary_snapshot = Some(bytes);
-                }
-            }
-            match persist::read_snapshot(&index_path) {
-                Ok(snapshot) => {
-                    ctx.snapshot_stats = snapshot.stats;
+            let decoded = std::fs::read(&index_path)
+                .map_err(persist::PersistError::from)
+                .and_then(|bytes| {
+                    let decoded = persist::decode_snapshot(&bytes);
+                    // Kept for the CRC lints (sniffed by magic, not
+                    // extension, so a renamed `.somb` still gets them).
+                    if sommelier_index::somb::is_binary(&bytes) {
+                        ctx.binary_snapshot = Some(bytes);
+                    }
+                    decoded
+                });
+            match decoded {
+                Ok((snapshot, _)) => {
                     ctx.semantic = Some(snapshot.semantic);
                     ctx.resource = Some(snapshot.resource);
                 }
@@ -179,6 +175,15 @@ impl LintContext {
     }
 }
 
+/// `SOM007` on `key`: the repository refused to load it, or would have.
+fn model_unreadable(key: &str, error: &str) -> Diagnostic {
+    Diagnostic::error(
+        codes::MODEL_UNREADABLE,
+        format!("model '{key}'"),
+        format!("stored model could not be loaded: {error}"),
+    )
+}
+
 /// One analysis over the whole context, run once per lint: it looks
 /// across models or at the persisted artifacts. It appends findings and
 /// never mutates what it analyzes.
@@ -187,13 +192,38 @@ pub trait Pass {
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>);
 }
 
-/// Lint everything in the context. The per-model analyses (graph
-/// structure and serde round trip, plus the dataflow family when `deep`)
-/// fan out over `jobs` lanes (`0` = one per core, `1` = inline); the
-/// whole-context passes, plus the cross-artifact join when `deep`, then
-/// run once. The report is sorted and deduplicated, so it is identical
-/// at any lane count.
+/// Lint everything in the context. A model that fails
+/// [`Model::validate`] (only a hand-built context holds one: the
+/// repository does not load it) is reported as `SOM007` and left out of
+/// every pass. The per-model analyses (graph structure and serde round
+/// trip, plus the dataflow family when `deep`) fan out over `jobs` lanes
+/// (`0` = one per core, `1` = inline); the whole-context passes, plus
+/// the cross-artifact join when `deep`, then run once. The report is
+/// sorted and deduplicated, so it is identical at any lane count.
 pub fn run(ctx: &LintContext, deep: bool, jobs: usize) -> LintReport {
+    let mut diagnostics = ctx.load_diagnostics.clone();
+    let invalid: Vec<&str> = ctx
+        .models
+        .iter()
+        .filter_map(|(key, model)| {
+            let error = model.validate().err()?;
+            let refusal = RepoError::Invalid {
+                key: key.clone(),
+                error,
+            };
+            diagnostics.push(model_unreadable(key, &refusal.to_string()));
+            Some(key.as_str())
+        })
+        .collect();
+    let checked;
+    let ctx = if invalid.is_empty() {
+        ctx
+    } else {
+        let mut valid = ctx.clone();
+        valid.models.retain(|(key, _)| !invalid.contains(&key.as_str()));
+        checked = valid;
+        &checked
+    };
     let pool = ThreadPool::new(sommelier_parallel::effective_jobs(jobs));
     let per_model = pool.par_map(&ctx.models, |(key, model)| {
         let mut found = Vec::new();
@@ -204,17 +234,14 @@ pub fn run(ctx: &LintContext, deep: bool, jobs: usize) -> LintReport {
         }
         found
     });
-    let mut diagnostics = ctx.load_diagnostics.clone();
     diagnostics.extend(per_model.into_iter().flatten());
-    let global: [&dyn Pass; 9] = [
+    let global: [&dyn Pass; 7] = [
         &passes::model::ModelCostPass,
         &passes::index::IndexIntegrityPass,
         &passes::index::TrianglePass,
         &passes::index::FreshnessPass,
         &passes::plan::QueryPlanPass,
-        &passes::stats::SnapshotStatsPass,
         &passes::binary::BinarySnapshotPass,
-        &passes::epoch::SnapshotEpochPass,
         &passes::store::StoreHygienePass,
     ];
     for pass in global {
@@ -231,6 +258,22 @@ mod tests {
     use super::*;
     use sommelier_graph::{ModelBuilder, TaskKind};
     use sommelier_tensor::{Prng, Shape};
+
+    /// Lint a repository whose one artifact is `image`, stored under the
+    /// snapshot name its magic selects.
+    pub(crate) fn lint_snapshot_image(tag: &str, image: &[u8]) -> LintReport {
+        let dir = std::env::temp_dir().join(format!("sommelier-lint-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let name = match sommelier_index::somb::is_binary(image) {
+            true => persist::INDEX_FILE_BIN,
+            false => persist::INDEX_FILE,
+        };
+        std::fs::write(dir.join(name), image).unwrap();
+        let report = run(&LintContext::from_repo_dir(&dir).unwrap(), false, 1);
+        std::fs::remove_dir_all(&dir).ok();
+        report
+    }
 
     fn ctx(n: usize) -> LintContext {
         let mut ctx = LintContext::new();

@@ -1,20 +1,16 @@
-//! `SOM054`, `SOM056` — binary (`.somb`) snapshot-image lints.
+//! `SOM054` — binary (`.somb`) snapshot-image lints.
 //!
 //! The binary snapshot format carries its own integrity machinery: a
 //! CRC-checked header and per-section CRCs. The read path already
-//! *rejects* a damaged image (and the engine quarantines + rebuilds), but
-//! the lint layer should explain **what** is wrong with the bytes, not
-//! just that loading failed. This pass scans the raw image with
+//! *rejects* a damaged image (lint reports the refusal as `SOM027`, and
+//! the engine quarantines + rebuilds), but the lint layer should explain
+//! **where** the bytes are wrong, not just that loading failed. This
+//! pass scans the raw image with
 //! [`sommelier_index::somb::integrity_issues`] — no index construction,
-//! so it works even on images too damaged to decode:
-//!
-//! * header or section CRC mismatch → `SOM054` (`Error`);
-//! * a resource row storing a non-finite profile → `SOM056` (`Error`) —
-//!   an image that *decodes* and then answers every bound comparison on
-//!   that key wrongly.
+//! so it works even on images too damaged to decode: a header or
+//! section CRC mismatch is `SOM054` (`Error`).
 
 use crate::diagnostics::{codes, Diagnostic};
-use crate::passes::index::non_finite_profile;
 use crate::{LintContext, Pass};
 use sommelier_index::somb::{self, IntegrityIssue};
 
@@ -27,31 +23,21 @@ impl Pass for BinarySnapshotPass {
             return;
         };
         for issue in somb::integrity_issues(bytes) {
-            out.push(match issue {
-                IntegrityIssue::Header(detail) => Diagnostic::error(
-                    codes::BINARY_SNAPSHOT_CORRUPT,
-                    "binary-snapshot",
-                    format!("header validation failed: {detail}"),
-                )
-                .with_help("quarantine the file and rebuild with `sommelier index`"),
+            let message = match issue {
+                IntegrityIssue::Header(detail) => format!("header validation failed: {detail}"),
                 IntegrityIssue::SectionCrc {
                     section,
                     stored,
                     computed,
-                } => Diagnostic::error(
-                    codes::BINARY_SNAPSHOT_CORRUPT,
-                    "binary-snapshot",
-                    format!(
-                        "section '{section}' CRC mismatch: stored {stored:#010x}, \
-                         computed {computed:#010x}"
-                    ),
-                )
-                .with_help("quarantine the file and rebuild with `sommelier index`"),
-                IntegrityIssue::NonFinite { row, key } => non_finite_profile(
-                    "binary-snapshot",
-                    &key.map_or(format!("resource row {row}"), |k| format!("'{k}'")),
+                } => format!(
+                    "section '{section}' CRC mismatch: stored {stored:#010x}, \
+                     computed {computed:#010x}"
                 ),
-            });
+            };
+            out.push(
+                Diagnostic::error(codes::BINARY_SNAPSHOT_CORRUPT, "binary-snapshot", message)
+                    .with_help("quarantine the file and rebuild with `sommelier index`"),
+            );
         }
     }
 }
@@ -60,6 +46,7 @@ impl Pass for BinarySnapshotPass {
 mod tests {
     use super::*;
     use crate::Severity;
+    use sommelier_index::persist::SnapshotStats;
     use sommelier_index::semantic::SemanticIndexConfig;
     use sommelier_index::{ResourceIndex, SemanticIndex};
 
@@ -69,6 +56,7 @@ mod tests {
         out
     }
 
+    /// What a writer saves for an index holding `m` at `latency_ms`.
     fn image_with_latency(latency_ms: f64) -> Vec<u8> {
         let mut resource = ResourceIndex::default();
         resource.insert(
@@ -80,7 +68,8 @@ mod tests {
             },
         );
         let semantic = SemanticIndex::new(SemanticIndexConfig::default(), 1);
-        somb::encode(&semantic, &resource, None)
+        let stats = SnapshotStats::of(&semantic, &resource, 1);
+        somb::encode(&semantic, &resource, Some(&stats))
     }
 
     fn image() -> Vec<u8> {
@@ -128,12 +117,12 @@ mod tests {
 
     #[test]
     fn non_finite_profile_in_a_binary_image_is_reported_with_its_key() {
-        let mut ctx = LintContext::new();
-        ctx.binary_snapshot = Some(image_with_latency(f64::NAN));
-        let out = run(&ctx);
-        assert_eq!(out.len(), 1, "every CRC holds, the row is the defect: {out:?}");
-        assert_eq!(out[0].code, codes::NON_FINITE_PROFILE);
+        // Every CRC holds: the decoder's refusal is the one finding.
+        let image = image_with_latency(f64::NAN);
+        let out = crate::tests::lint_snapshot_image("binary-nan", &image).diagnostics;
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].code, codes::SNAPSHOT_UNREADABLE);
         assert_eq!(out[0].severity, Severity::Error);
-        assert!(out[0].message.contains("'m'"), "{out:?}");
+        assert!(out[0].message.contains("'m' is non-finite"), "{out:?}");
     }
 }

@@ -1,19 +1,20 @@
-//! Deep analyses (`SOM080`–`SOM091`): the dataflow pass family and the
+//! Deep analyses (`SOM081`–`SOM091`): the dataflow pass family and the
 //! cross-artifact consistency join.
 //!
 //! Two analyses live here. [`deep_model_findings`] runs the forward
 //! abstract interpreter ([`crate::dataflow`]) over one stored model and
-//! turns its facts into findings: shape-incompatible edges, non-finite
-//! weights, unreachable subgraphs, saturated activations, constant
-//! outputs, rank-collapsed matmuls, and declared-vs-recomputed cost
-//! drift; [`crate::run`] fans it out over the models.
+//! turns its facts into findings: non-finite weights, unreachable
+//! subgraphs, saturated activations, constant outputs, rank-collapsed
+//! matmuls, and declared-vs-recomputed cost drift; [`crate::run`] fans
+//! it out over the models, every one of which passed
+//! [`Model::validate`], so its widths and parameter shapes hold.
 //! [`cross_artifact_findings`] joins the repository against the
 //! persisted indices once per lint: recomputed fingerprints must match
 //! the semantic index, and recomputed resource vectors must match the
 //! resource index. (Every candidate bound, transitive ones included, is
 //! held to its exact derivation by [`crate::passes::index`].)
 
-use crate::dataflow::{self, ShapeFact};
+use crate::dataflow;
 use crate::diagnostics::{codes, Diagnostic};
 use crate::LintContext;
 use sommelier_graph::cost::model_cost;
@@ -33,130 +34,16 @@ const RANK_REL_TOL: f64 = 1e-9;
 /// so only float round-trips through JSON separate the two.
 const RESOURCE_REL_TOL: f64 = 1e-6;
 
-/// The deep per-model dataflow lints (`SOM080`–`SOM086`) on one model,
-/// appending findings that target `model '<key>'`.
+/// The deep per-model dataflow lints (`SOM081`–`SOM086`) on one valid
+/// model, appending findings that target `model '<key>'`.
 pub fn deep_model_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
     let target = format!("model '{key}'");
     let analysis = dataflow::analyze(model, dataflow::DEFAULT_INPUT);
-    check_shapes(model, &analysis, &target, out);
     check_weights(model, &target, out);
     check_reachability(model, &analysis, &target, out);
     check_saturation(model, &analysis, &target, out);
     check_constant_output(model, &analysis, &target, out);
     check_declared_cost(model, &target, out);
-}
-
-/// `SOM080`: recomputed widths must agree with the stored `widths`
-/// array, every operator must accept its recomputed input widths, and
-/// every parameter tensor must have the dimensions its operator
-/// implies. Deserialization accepts all of these unvalidated, so a
-/// tampered or bit-rotted artifact surfaces exactly here.
-fn check_shapes(
-    model: &Model,
-    analysis: &dataflow::ModelAnalysis,
-    target: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (id, layer) in model.layers().iter().enumerate() {
-        let fact = analysis.facts[id].shape;
-        let inputs_ok = layer
-            .inputs
-            .iter()
-            .all(|i| matches!(analysis.facts[i.index()].shape, ShapeFact::Width(_)));
-        match fact {
-            // Report a conflict only where it originates; downstream
-            // layers are poisoned by construction and repeating the
-            // finding per descendant would bury the root cause.
-            ShapeFact::Conflict if inputs_ok => {
-                let widths: Vec<usize> = layer
-                    .inputs
-                    .iter()
-                    .filter_map(|i| analysis.facts[i.index()].shape.width())
-                    .collect();
-                out.push(
-                    Diagnostic::error(
-                        codes::SHAPE_INCOMPATIBLE,
-                        target,
-                        format!(
-                            "operator '{}' rejects its input widths {widths:?}",
-                            layer.op.type_tag()
-                        ),
-                    )
-                    .with_layer(id)
-                    .with_help("an edge feeds this layer a shape it cannot consume"),
-                );
-            }
-            ShapeFact::Width(w) if w != model.width_of(sommelier_graph::LayerId(id)) => {
-                out.push(
-                    Diagnostic::error(
-                        codes::SHAPE_INCOMPATIBLE,
-                        target,
-                        format!(
-                            "stored width {} disagrees with recomputed width {w}",
-                            model.width_of(sommelier_graph::LayerId(id))
-                        ),
-                    )
-                    .with_layer(id)
-                    .with_help("the artifact's widths array was modified after validation"),
-                );
-            }
-            _ => {}
-        }
-        check_param_shape(model, &analysis.facts, id, target, out);
-    }
-}
-
-/// Parameter-tensor dimension checks, part of `SOM080`.
-fn check_param_shape(
-    model: &Model,
-    facts: &[dataflow::LayerFact],
-    id: usize,
-    target: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let layer = &model.layers()[id];
-    let input_width = layer
-        .inputs
-        .first()
-        .and_then(|i| facts[i.index()].shape.width());
-    let expected: Option<(usize, usize)> = match (&layer.op, input_width) {
-        (Op::Dense { units }, Some(in_w)) => Some((in_w, *units)),
-        (
-            Op::Conv1d {
-                out_channels,
-                kernel_size,
-                ..
-            },
-            _,
-        ) => Some((*out_channels, *kernel_size)),
-        (Op::Scale, Some(in_w)) => Some((1, in_w)),
-        _ => None,
-    };
-    let Some((rows, cols)) = expected else { return };
-    match &layer.params.weight {
-        None => out.push(
-            Diagnostic::error(
-                codes::SHAPE_INCOMPATIBLE,
-                target,
-                format!("linear operator '{}' is missing its weight tensor", layer.op.type_tag()),
-            )
-            .with_layer(id),
-        ),
-        Some(w) if w.rows() != rows || w.cols() != cols => out.push(
-            Diagnostic::error(
-                codes::SHAPE_INCOMPATIBLE,
-                target,
-                format!(
-                    "weight tensor is {}x{}, operator '{}' requires {rows}x{cols}",
-                    w.rows(),
-                    w.cols(),
-                    layer.op.type_tag()
-                ),
-            )
-            .with_layer(id),
-        ),
-        _ => {}
-    }
 }
 
 /// `SOM081` non-finite parameters and `SOM085` rank-collapsed matmuls.
@@ -509,13 +396,16 @@ mod tests {
         let patched = json.replace("\"widths\":[4,8,8,3,3]", "\"widths\":[4,8,9,3,3]");
         assert_ne!(json, patched, "fixture must actually patch the widths");
         let tampered: Model = serde_json::from_str(&patched).unwrap();
-        let ctx = ctx_with(vec![("tampered", tampered)]);
-        let diags = deep(&ctx);
+        // The one finding is the refusal: no pass analyses the model.
+        let ctx = ctx_with(vec![("tampered", tampered), ("ok", mlp("ok", 1))]);
+        let diags = crate::run(&ctx, true, 1).diagnostics;
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::MODEL_UNREADABLE);
+        assert_eq!(diags[0].target, "model 'tampered'");
         assert!(
-            diags
-                .iter()
-                .any(|d| d.code == codes::SHAPE_INCOMPATIBLE && d.layer == Some(2)),
-            "{diags:?}"
+            diags[0].message.contains("layer 2: stored output width disagrees"),
+            "{}",
+            diags[0].message
         );
     }
 

@@ -1,11 +1,13 @@
-//! Repository & index invariant lints (`SOM020`–`SOM026`).
+//! Repository & index invariant lints (`SOM020`–`SOM024`).
 //!
 //! The persisted indices are derived data: every key they register must
 //! exist in the repository, every candidate list must be exactly the one
-//! its edge table derives, stored resource profiles must be finite,
-//! directly measured bounds must be mutually consistent, and the
-//! snapshot must not predate the artifacts it summarizes. Each of these
-//! is checked here without touching a single weight.
+//! its edge table derives, directly measured bounds must be mutually
+//! consistent, and the snapshot must not predate the artifacts it
+//! summarizes. Each of these is checked here without touching a single
+//! weight. What a snapshot holds on its own (a profile for every key,
+//! finite profiles, a header that matches it) is the decoder's to check:
+//! a snapshot that breaks it never reaches a pass (`SOM027`).
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
@@ -20,11 +22,9 @@ const RESOURCE: &str = "resource-index";
 const TRIANGLE_EPS: f64 = 1e-9;
 
 /// Referential and derivation invariants of both indices: dangling keys
-/// (`SOM020`), candidate lists that differ from their derivation
-/// (`SOM021`), indexed models without a resource profile (`SOM026`), and
-/// non-finite profiles in a JSON image (`SOM056`). Every derived record
-/// names an entry, so checking the entry keys against the store covers
-/// every candidate too.
+/// (`SOM020`) and candidate lists that differ from their derivation
+/// (`SOM021`). Every derived record names an entry, so checking the
+/// entry keys against the store covers every candidate too.
 pub struct IndexIntegrityPass;
 
 /// One record as a `SOM021` finding prints it; `none` past a list's end.
@@ -32,17 +32,6 @@ fn describe(c: Option<&CandidateRecord>) -> String {
     c.map_or("none".into(), |c| {
         format!("{:?} '{}' bound {:?} score {:?}", c.kind, c.key, c.diff_bound, c.score)
     })
-}
-
-/// `SOM056` on `subject` — raised here for a JSON image and by
-/// [`crate::passes::binary`] for a `.somb` one.
-pub(crate) fn non_finite_profile(location: &str, subject: &str) -> Diagnostic {
-    Diagnostic::error(
-        codes::NON_FINITE_PROFILE,
-        location,
-        format!("stored resource profile of {subject} is non-finite"),
-    )
-    .with_help("no bound comparison against it means anything; re-run `sommelier index`")
 }
 
 impl Pass for IndexIntegrityPass {
@@ -78,7 +67,7 @@ impl Pass for IndexIntegrityPass {
             }
         }
         if let Some(resource) = &ctx.resource {
-            for (key, profile) in resource.entries_audit() {
+            for (key, _) in resource.entries_audit() {
                 if !stored.contains(key) {
                     out.push(
                         Diagnostic::error(
@@ -87,25 +76,6 @@ impl Pass for IndexIntegrityPass {
                             format!("profiled key '{key}' has no stored model"),
                         )
                         .with_help("re-run `sommelier index` to rebuild from the repository"),
-                    );
-                }
-                // A `.somb` image's rows are read by the binary pass,
-                // which also works when the image no longer decodes.
-                if ctx.binary_snapshot.is_none() && !profile.is_finite() {
-                    out.push(non_finite_profile(RESOURCE, &format!("'{key}'")));
-                }
-            }
-        }
-        if let (Some(semantic), Some(resource)) = (&ctx.semantic, &ctx.resource) {
-            for key in semantic.keys() {
-                if stored.contains(key) && resource.profile_of(key).is_none() {
-                    out.push(
-                        Diagnostic::warn(
-                            codes::MISSING_PROFILE,
-                            RESOURCE,
-                            format!("'{key}' is semantically indexed but has no resource profile"),
-                        )
-                        .with_help("resource-constrained queries will never return this model"),
                     );
                 }
             }
@@ -210,6 +180,7 @@ mod tests {
     use super::*;
     use crate::diagnostics::Severity;
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
+    use sommelier_index::persist::{IndexSnapshot, SnapshotStats, SNAPSHOT_VERSION};
     use sommelier_index::{ResourceIndex, SemanticIndex};
     use sommelier_runtime::ResourceProfile;
     use sommelier_tensor::{Prng, Shape};
@@ -388,65 +359,59 @@ mod tests {
         }
     }
 
+    /// `semantic` under `resource` as a writer saves them at epoch 1,
+    /// with every `1234.5` in the text made `1e999`, a number the JSON
+    /// text can spell that reads back as +inf.
+    fn json_image(semantic: SemanticIndex, resource: ResourceIndex) -> String {
+        let snapshot = IndexSnapshot {
+            version: SNAPSHOT_VERSION,
+            stats: Some(SnapshotStats::of(&semantic, &resource, 1)),
+            semantic,
+            resource,
+        };
+        serde_json::to_string(&snapshot).unwrap().replace("1234.5", "1e999")
+    }
+
+    /// The one finding of linting `image`: the decoder's refusal.
+    fn refusal(tag: &str, image: &str) -> String {
+        let diags = crate::tests::lint_snapshot_image(tag, image.as_bytes()).diagnostics;
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::SNAPSHOT_UNREADABLE);
+        assert_eq!(diags[0].severity, Severity::Error);
+        diags[0].message.clone()
+    }
+
     #[test]
     fn non_finite_profile_in_a_json_image_is_reported_with_its_key() {
-        let mut ctx = ctx_with_models(&["m-a", "m-b", "m-c"]);
-        // What the JSON text can spell: a number that overflows to +inf.
-        let mut resource: ResourceIndex = serde_json::from_str(
-            r#"{"entries": [
-                ["m-a", {"memory_mb": 1.0, "gflops": 1.0, "latency_ms": 1.0}],
-                ["m-b", {"memory_mb": 2.0, "gflops": 2.0, "latency_ms": 1e999}]
-            ]}"#,
-        )
-        .expect("fixture parses");
-        // What only a profiling bug can put there.
-        resource.insert(
-            "m-c",
-            ResourceProfile {
-                memory_mb: 3.0,
-                gflops: 3.0,
-                latency_ms: f64::NAN,
-            },
-        );
-        ctx.resource = Some(resource);
-        let diags = run(&IndexIntegrityPass, &ctx);
-        let named: Vec<&str> = diags
-            .iter()
-            .filter(|d| d.code == codes::NON_FINITE_PROFILE && d.severity == Severity::Error)
-            .map(|d| d.message.as_str())
+        let profile = |latency_ms| ResourceProfile {
+            memory_mb: 1.0,
+            gflops: 1.0,
+            latency_ms,
+        };
+        let resource = [("m-a", 1.0), ("m-b", 1234.5)]
+            .map(|(key, latency)| (key.to_string(), profile(latency)))
+            .into_iter()
             .collect();
-        assert_eq!(named.len(), 2, "{diags:?}");
-        assert!(named[0].contains("'m-b'") && named[1].contains("'m-c'"), "{named:?}");
-        // The same index behind a `.somb` image is the binary pass's to
-        // report, from the rows as stored.
-        ctx.binary_snapshot = Some(Vec::new());
-        assert!(run(&IndexIntegrityPass, &ctx).is_empty());
+        let empty = SemanticIndex::new(Default::default(), 1);
+        let message = refusal("json-inf", &json_image(empty, resource));
+        assert!(message.contains("'m-b' is non-finite"), "{message}");
     }
 
     #[test]
     fn missing_resource_profile_is_reported() {
-        let mut ctx = ctx_with_models(&["m-a"]);
-        ctx.semantic = Some(
-            serde_json::from_str(
-                r#"{
-                    "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
-                    "entries": {"1": {"key": "m-a", "candidates": []}},
-                    "by_key": {"m-a": 1},
-                    "order": ["m-a"],
-                    "seed_state": 0,
-                    "edges": []
-                }"#,
-            )
-            .expect("fixture parses"),
-        );
-        ctx.resource = Some(ResourceIndex::default());
-        let diags = run(&IndexIntegrityPass, &ctx);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == codes::MISSING_PROFILE && d.severity == Severity::Warn),
-            "{diags:?}"
-        );
+        let semantic = serde_json::from_str(
+            r#"{
+                "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
+                "entries": {"1": {"key": "m-a", "candidates": []}},
+                "by_key": {"m-a": 1},
+                "order": ["m-a"],
+                "seed_state": 0,
+                "edges": []
+            }"#,
+        )
+        .expect("fixture parses");
+        let message = refusal("unprofiled", &json_image(semantic, ResourceIndex::default()));
+        assert!(message.contains("'m-a' has no resource profile"), "{message}");
     }
 
     #[test]
@@ -527,5 +492,76 @@ mod tests {
         ctx.index_mtime = Some(t0);
         ctx.model_mtimes.push(("old".into(), t0 - Duration::from_secs(60)));
         assert!(run(&FreshnessPass, &ctx).is_empty());
+    }
+    /// `m-a` and `m-b` registered, `m-a`'s candidates reference `m-b`
+    /// plus three keys this snapshot never published; the one edge
+    /// derives only the first record.
+    fn semantic_with_unregistered_refs() -> SemanticIndex {
+        serde_json::from_str(
+            r#"{
+                "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
+                "entries": {
+                    "1": {"key": "m-a", "candidates": [
+                        {"key": "m-b", "diff_bound": 0.1, "score": 0.9, "kind": "Whole"},
+                        {"key": "phantom", "diff_bound": 0.2, "score": 0.8, "kind": "Whole"},
+                        {"key": "m-b", "diff_bound": 0.3, "score": 0.7,
+                         "kind": {"Transitive": {"via": "gone"}}},
+                        {"key": "m-a", "diff_bound": 0.4, "score": 0.6,
+                         "kind": {"Synthesized": {"donor": "missing"}}}
+                    ]},
+                    "2": {"key": "m-b", "candidates": []}
+                },
+                "by_key": {"m-a": 1, "m-b": 2},
+                "order": ["m-a", "m-b"],
+                "seed_state": 0,
+                "edges": [{"lo": 1, "hi": 2, "fwd": 0.1, "rev": null,
+                           "seg_fwd": null, "seg_rev": null}]
+            }"#,
+        )
+        .expect("fixture parses")
+    }
+
+    #[test]
+    fn unregistered_candidate_references_are_errors() {
+        // `phantom` IS stored in the repository, so the index key check
+        // (SOM020) stays silent about it; the snapshot still never
+        // registered it, and no edge derives a record naming it.
+        let mut ctx = ctx_with_models(&["m-a", "m-b", "phantom"]);
+        ctx.semantic = Some(semantic_with_unregistered_refs());
+        let out = run(&IndexIntegrityPass, &ctx);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].code, codes::UNDERIVED_CANDIDATES);
+        // `m-b` at 0.1 is the one record the edge table derives.
+        let message = &out[0].message;
+        assert!(message.contains("'m-a'"), "{message}");
+        assert!(message.contains("record 1: stored Whole 'phantom'"), "{message}");
+        assert!(message.ends_with("derived none"), "{message}");
+        assert_eq!(out[0].severity, Severity::Error);
+    }
+
+    #[test]
+    fn registered_candidates_lint_clean() {
+        let mut ctx = ctx_with_models(&["m-a", "m-b"]);
+        let semantic: SemanticIndex = serde_json::from_str(
+            r#"{
+                "config": {"sample_size": 5, "segments": true, "max_candidates": 64},
+                "entries": {
+                    "1": {"key": "m-a", "candidates": [
+                        {"key": "m-b", "diff_bound": 0.1, "score": 0.9, "kind": "Whole"}
+                    ]},
+                    "2": {"key": "m-b", "candidates": []}
+                },
+                "by_key": {"m-a": 1, "m-b": 2},
+                "order": ["m-a", "m-b"],
+                "seed_state": 0,
+                "edges": [{"lo": 1, "hi": 2, "fwd": 0.1, "rev": null,
+                           "seg_fwd": null, "seg_rev": null}]
+            }"#,
+        )
+        .expect("fixture parses");
+        assert!(semantic.underived_entries().is_empty());
+        ctx.semantic = Some(semantic);
+        let out = run(&IndexIntegrityPass, &ctx);
+        assert!(out.is_empty(), "{out:?}");
     }
 }

@@ -4,10 +4,8 @@
 //! * [`index`] — cross-checks between the repository and the persisted
 //!   semantic/resource indices (`SOM02x`);
 //! * [`plan`] — static analyses of parsed query ASTs (`SOM04x`);
-//! * [`stats`] — snapshot stats-header validation (`SOM050`–`SOM053`);
 //! * [`binary`] — binary (`.somb`) snapshot-image validation: header
-//!   and section CRCs, non-finite resource rows (`SOM054`, `SOM056`);
-//! * [`epoch`] — snapshot publication-epoch validation (`SOM06x`);
+//!   and section CRCs (`SOM054`);
 //! * [`store`] — store-directory hygiene: quarantined artifacts,
 //!   orphaned temp files, non-canonical file names (`SOM07x`);
 //! * [`deep`] — the abstract-interpretation dataflow family and the
@@ -18,9 +16,7 @@
 
 pub mod binary;
 pub mod deep;
-pub mod epoch;
 pub mod index;
 pub mod model;
 pub mod plan;
-pub mod stats;
 pub mod store;

@@ -1185,7 +1185,7 @@ mod tests {
             std::process::id()
         ));
         let path = dir.join("sommelier.index.json");
-        for case in ["torn", "version 2"] {
+        for case in ["torn", "forged header", "version 2"] {
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).unwrap();
             engine.save_indices(&path).unwrap();
@@ -1193,6 +1193,18 @@ mod tests {
             if case == "torn" {
                 // Tear the snapshot the way a mid-write crash would.
                 std::fs::write(&path, &whole[..whole.len() / 2]).unwrap();
+            } else if case == "forged header" {
+                // A header count one off the contents it describes.
+                let records = engine.semantic_index().candidate_records();
+                let field = |n: usize| format!("\"candidate_records\":{n}");
+                let forged = whole.replacen(&field(records), &field(records + 1), 1);
+                assert_ne!(forged, whole);
+                std::fs::write(&path, forged).unwrap();
+                use sommelier_index::persist::{read_snapshot, PersistError, Violation};
+                assert!(matches!(
+                    read_snapshot(&path),
+                    Err(PersistError::Invalid(Violation::Count { field: "candidate_records", .. }))
+                ));
             } else {
                 // The image the previous format version wrote: its
                 // version number and its resource members.

@@ -55,7 +55,7 @@ impl Sommelier {
     /// restart. The snapshot format (JSON or binary) is sniffed from the
     /// file contents. Default reference models are re-derived from the
     /// indexed order; the publication epoch resumes from the snapshot's
-    /// stats header (pre-epoch snapshots resume from 0).
+    /// stats header.
     pub fn connect_with_indices(
         repo: Arc<dyn ModelRepository>,
         config: SommelierConfig,
@@ -88,11 +88,8 @@ impl Sommelier {
         config: SommelierConfig,
         snapshot: sommelier_index::persist::IndexSnapshot,
     ) -> Self {
-        let epoch = snapshot
-            .stats
-            .and_then(|s| s.epoch)
-            .map(|e| e.max(0) as u64)
-            .unwrap_or(0);
+        // A decoded snapshot's epoch is never negative.
+        let epoch = snapshot.stats.and_then(|s| s.epoch).map_or(0, |e| e as u64);
         let mut default_refs = HashMap::new();
         let mut tasks = HashMap::new();
         let analyzer = EquivAnalyzer::of(&config);

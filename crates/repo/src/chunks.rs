@@ -462,7 +462,9 @@ pub fn reconstruct(
         .into_iter()
         .enumerate()
         .filter_map(|(i, p)| p.map(|p| (LayerId(i), p)));
-    Model::attach_params(&manifest.skeleton, pairs).map_err(|e| bad(e.to_string()))
+    // The `ModelError` stays the source, so a load can report it typed.
+    Model::attach_params(&manifest.skeleton, pairs)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ pub enum RepoError {
     AlreadyExists { key: String },
     /// Storage-layer failure (I/O, serialization).
     Storage(String),
-    /// The model fails [`Model::new`]'s checks (it was read unchecked
-    /// from a file), so it could not be loaded back once stored.
+    /// The model fails [`Model::validate`]: a publish refuses to store
+    /// it, and a load refuses to hand out a stored one.
     Invalid { key: String, error: ModelError },
 }
 
@@ -381,8 +381,15 @@ impl OnDiskRepository {
             None => None,
         };
         let store = self.chunk_store();
-        chunks::reconstruct(&manifest, base.as_ref(), &store)
-            .map_err(|e| RepoError::Storage(format!("reconstructing '{key}': {e}")))
+        chunks::reconstruct(&manifest, base.as_ref(), &store).map_err(|e| {
+            match e.get_ref().and_then(|source| source.downcast_ref::<ModelError>()) {
+                Some(error) => RepoError::Invalid {
+                    key: key.into(),
+                    error: error.clone(),
+                },
+                None => RepoError::Storage(format!("reconstructing '{key}': {e}")),
+            }
+        })
     }
 }
 
@@ -857,6 +864,48 @@ mod tests {
         assert_eq!(repo.try_keys().unwrap(), vec!["real"]);
         assert_eq!(repo.load("real").unwrap(), real);
         assert!(matches!(repo.load("flat"), Err(RepoError::NotFound { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    #[test]
+    fn a_stored_model_that_lies_about_itself_does_not_load() {
+        let dir = temp_dir("lies");
+        let repo = OnDiskRepository::open(&dir).unwrap();
+        let mut rng = Prng::seed_from_u64(3);
+        let m = ModelBuilder::new("m", TaskKind::Other, Shape::vector(4))
+            .dense(8, &mut rng)
+            .relu()
+            .dense(3, &mut rng)
+            .build()
+            .unwrap();
+        repo.publish("m", &m, false).unwrap();
+        let path = repo.manifest_path_for("m");
+        let stored = std::fs::read_to_string(&path).unwrap();
+        let weight = |rows: usize, cols: usize| format!(r#""rows":{rows},"cols":{cols}"#);
+        for (what, from, to, layer) in [
+            // The sabotage matrix's shape break: widths[1] bumped.
+            ("width", r#""widths":[4,8,8,3]"#.into(), r#""widths":[4,9,8,3]"#.into(), 1),
+            ("forward input", "\"inputs\":[1]".into(), "\"inputs\":[3]".into(), 2),
+            ("weight shape", weight(4, 8), weight(8, 4), 1),
+        ] {
+            let edited = stored.replacen(&from, &to, 1);
+            assert_ne!(edited, stored, "{what}: the edit must land");
+            std::fs::write(&path, edited).unwrap();
+            match repo.load("m") {
+                Err(RepoError::Invalid { key, error }) => {
+                    assert_eq!(key, "m", "{what}");
+                    let at = match error {
+                        ModelError::StaleWidth { layer }
+                        | ModelError::BadInputRef { layer, .. }
+                        | ModelError::BadParams { layer, .. } => layer,
+                        other => panic!("{what}: {other}"),
+                    };
+                    assert_eq!(at, layer, "{what}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        std::fs::write(&path, &stored).unwrap();
+        assert_eq!(repo.load("m").unwrap(), m);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

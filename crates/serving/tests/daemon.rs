@@ -374,30 +374,27 @@ fn query_reply_keeps_its_golden_bytes() {
 
 #[test]
 fn a_non_finite_result_is_refused_typed_and_the_connection_serves_on() {
-    // A `.somb` image whose reference row has a NaN `memory_mb` decodes
-    // (only lint reports the row), and every synthesized result the
-    // query returns carries its host's, the reference's, profile.
+    // An engine whose reference row has a NaN `memory_mb`, and every
+    // synthesized result the query returns carries its host's, the
+    // reference's, profile. No snapshot file can carry that row (the
+    // decoder refuses it), so the engine is put together from the
+    // indices in memory.
     let (engine, reference, _victim) = fixture();
-    let dir = std::env::temp_dir().join(format!("sommelier-daemon-nan-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let image = dir.join("index.somb");
     let mut resource = engine.resource_index().clone();
     let mut row = *resource
         .profile_of(&reference)
         .expect("reference is indexed");
     row.memory_mb = f64::NAN;
     resource.insert(reference.clone(), row);
-    sommelier_index::persist::save_binary(
-        engine.semantic_index(),
-        &resource,
-        engine.epoch(),
-        &image,
-    )
-    .unwrap();
-    // A named reference is answered from the image alone.
+    let snapshot = sommelier_index::IndexSnapshot {
+        version: sommelier_index::persist::SNAPSHOT_VERSION,
+        stats: None,
+        semantic: engine.semantic_index().clone(),
+        resource,
+    };
+    // A named reference is answered from the indices alone.
     let repo = Arc::new(InMemoryRepository::new());
-    let engine = Sommelier::connect_with_indices(repo, config(), &image).expect("image decodes");
-    std::fs::remove_dir_all(&dir).ok();
+    let engine = Sommelier::assemble_from_snapshot(repo, config(), snapshot);
     let handle = Daemon::serve(engine, DaemonConfig::default()).expect("daemon starts");
 
     let stream = TcpStream::connect(handle.addr()).unwrap();

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Defect {
     /// A stored model's `widths` array is rewritten to disagree with
-    /// the widths its operators recompute.
+    /// the widths its operators recompute, so the model no longer loads.
     ShapeBreak,
     /// A stored weight becomes `+inf`.
     NonFiniteWeights,
@@ -88,7 +88,7 @@ impl Defect {
     /// codes are a stable public contract.
     pub fn expected_code(self) -> &'static str {
         match self {
-            Defect::ShapeBreak => "SOM080",
+            Defect::ShapeBreak => "SOM007",
             Defect::NonFiniteWeights => "SOM081",
             Defect::DeadSubgraph => "SOM082",
             Defect::FingerprintDrift => "SOM090",
@@ -140,9 +140,8 @@ fn write(path: &Path, text: &str) -> Result<(), String> {
 
 /// Rewrite the second entry of the victim skeleton's `widths` array:
 /// the stored width no longer matches the width its producer
-/// recomputes. In every seeded family layer 1 feeds only an activation,
-/// which has no parameters to check against it, so the model still
-/// loads and only the audit's shape analysis sees the break.
+/// recomputes, so `Model::validate` refuses the model on load and lint
+/// reports the refusal.
 fn plant_shape_break(dir: &Path) -> Result<String, String> {
     let path = victim(dir)?;
     let text = read(&path)?;

@@ -123,6 +123,16 @@ fn sabotage_detection_matrix() {
              expected {}",
             defect.expected_code()
         );
+        if defect == Defect::ShapeBreak {
+            // The repository refuses the model on load: the finding is
+            // the load's, not one `run` raises for a model it was given.
+            let ctx = LintContext::from_repo_dir(&copy).unwrap();
+            assert!(
+                ctx.load_diagnostics.iter().any(|d| d.code == "SOM007"),
+                "{:?}",
+                ctx.load_diagnostics
+            );
+        }
     }
 }
 
