@@ -199,7 +199,7 @@ pub fn export(args: &[String]) -> CmdResult {
     let key = positional.get(1).ok_or("missing model key argument")?;
     let file = positional.get(2).ok_or("missing output file argument")?;
     let model = open_repo(&dir)?.load(key).map_err(fail)?;
-    serde_model::save(&model, Path::new(file)).map_err(fail)?;
+    serde_model::save(&model, Path::new(file)).map_err(|e| format!("cannot export '{key}': {e}"))?;
     outln!("exported '{key}' to {file}");
     Ok(())
 }

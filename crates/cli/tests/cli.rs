@@ -121,6 +121,29 @@ fn a_flag_a_command_does_not_take_is_refused() {
 }
 
 #[test]
+fn exporting_a_model_with_a_non_finite_weight_is_refused_by_key() {
+    let dir = temp_repo("export-inf");
+    let d = dir.to_str().unwrap();
+    assert!(run(&["init", d]).status.success());
+    assert!(run(&["seed", d, "--series", "1", "--seed", "7"]).status.success());
+    sommelier_zoo::sabotage::plant(&dir, sommelier_zoo::sabotage::Defect::NonFiniteWeights)
+        .unwrap();
+    let listing = stdout(&run(&["list", d]));
+    let keys: Vec<&str> = listing.lines().collect();
+    // The victim is the first stored key in sorted order.
+    let file = dir.join("victim.model.json");
+    let out = run(&["export", d, keys[0], file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let err = stderr(&out);
+    assert!(err.contains(&format!("cannot export '{}'", keys[0])), "{err}");
+    assert!(err.contains("non-finite"), "{err}");
+    assert!(!file.exists(), "a refused export wrote its file");
+    let out = run(&["export", d, keys[1], file.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn full_session_init_seed_index_query_show_diff() {
     let dir = temp_repo("session");
     let d = dir.to_str().unwrap();

@@ -338,6 +338,24 @@ impl Model {
         out
     }
 
+    /// For each layer, whether some path of data dependencies connects
+    /// it to the output layer. A layer that is not live is dead
+    /// computation, even when a (dead) layer consumes it.
+    pub fn live_layers(&self) -> Vec<bool> {
+        let mut live = vec![false; self.layers.len()];
+        live[self.output_id().index()] = true;
+        // Every input has a smaller id than its consumer, so one
+        // backward sweep settles each layer before its inputs.
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            if live[i] {
+                for input in &layer.inputs {
+                    live[input.index()] = true;
+                }
+            }
+        }
+        live
+    }
+
     /// Longest path length (in layers) from input to output; a proxy for
     /// model depth `d` in the generalization bound (paper Section 4.1).
     pub fn depth(&self) -> usize {
@@ -579,6 +597,29 @@ mod tests {
         let cons = m.consumers();
         assert_eq!(cons[0], vec![LayerId(1)]);
         assert!(cons[m.output_id().index()].is_empty());
+    }
+
+    #[test]
+    fn live_layers_exclude_transitively_dead_branches() {
+        let mut rng = Prng::seed_from_u64(3);
+        let mut b = ModelBuilder::new("dead", TaskKind::Other, Shape::vector(4));
+        b.dense(4, &mut rng);
+        let trunk = b.cursor();
+        b.relu();
+        let live = b.cursor();
+        b.goto(trunk);
+        b.dense(2, &mut rng); // dead branch head
+        let dead_head = b.cursor();
+        b.relu(); // transitively dead: consumed, but only by dead layers
+        let dead_tail = b.cursor();
+        b.goto(live);
+        b.softmax();
+        let m = b.build().unwrap();
+        let flags = m.live_layers();
+        assert!(!flags[dead_head.index()] && !flags[dead_tail.index()]);
+        assert!(flags[live.index()] && flags[trunk.index()]);
+        assert!(flags[0], "input feeds the live trunk");
+        assert!(tiny_model().live_layers().iter().all(|&l| l), "a chain is all live");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! framework-agnostic (Section 6). This reproduction's equivalent is a
 //! self-describing JSON envelope with a format-version field; everything a
 //! model contains (graph, parameters, task, metadata) round-trips through
-//! it. Repositories (`sommelier-repo`) store models in this format.
+//! it. It is the standalone model file that `sommelier add` and
+//! `apply --add` read and `sommelier export` writes; the repository
+//! (`sommelier-repo`) stores manifests over content-addressed chunks.
 
 use crate::model::Model;
 use serde::{Deserialize, Serialize};
@@ -32,6 +34,8 @@ pub enum CodecError {
     Format(String),
     /// The file declares an unsupported format version.
     UnsupportedVersion { found: u32 },
+    /// The model has no JSON form (a non-finite weight).
+    Unencodable(String),
 }
 
 impl fmt::Display for CodecError {
@@ -42,6 +46,7 @@ impl fmt::Display for CodecError {
             CodecError::UnsupportedVersion { found } => {
                 write!(f, "unsupported model format version {found} (supported: {FORMAT_VERSION})")
             }
+            CodecError::Unencodable(e) => write!(f, "model cannot be encoded: {e}"),
         }
     }
 }
@@ -54,13 +59,14 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// Serialize a model to its JSON interchange form.
-pub fn to_json(model: &Model) -> String {
+/// Serialize a model to its JSON interchange form. A non-finite
+/// weight has no JSON spelling, so such a model is refused.
+pub fn to_json(model: &Model) -> Result<String, CodecError> {
     let envelope = Envelope {
         format_version: FORMAT_VERSION,
         model: model.clone(),
     };
-    serde_json::to_string(&envelope).expect("model serialization is infallible")
+    serde_json::to_string(&envelope).map_err(|e| CodecError::Unencodable(e.to_string()))
 }
 
 /// Deserialize a model from its JSON interchange form.
@@ -75,9 +81,9 @@ pub fn from_json(json: &str) -> Result<Model, CodecError> {
     Ok(envelope.model)
 }
 
-/// Write a model to a file.
+/// Write a model to a file; a model [`to_json`] refuses writes nothing.
 pub fn save(model: &Model, path: &Path) -> Result<(), CodecError> {
-    fs::write(path, to_json(model))?;
+    fs::write(path, to_json(model)?)?;
     Ok(())
 }
 
@@ -112,7 +118,7 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_model() {
         let m = model();
-        let restored = from_json(&to_json(&m)).unwrap();
+        let restored = from_json(&to_json(&m).unwrap()).unwrap();
         assert_eq!(m, restored);
         assert_eq!(Fingerprint::of_model(&m), Fingerprint::of_model(&restored));
     }
@@ -140,12 +146,28 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let mut json = to_json(&model());
+        let mut json = to_json(&model()).unwrap();
         json = json.replace("\"format_version\":1", "\"format_version\":999");
         assert!(matches!(
             from_json(&json),
             Err(CodecError::UnsupportedVersion { found: 999 })
         ));
+    }
+
+    #[test]
+    fn a_non_finite_weight_is_refused_and_nothing_is_written() {
+        let mut weight = sommelier_tensor::Tensor::zeros(6, 3);
+        weight.set(0, 0, f32::INFINITY);
+        let m = ModelBuilder::new("inf", TaskKind::Other, Shape::vector(6))
+            .dense_with(weight, None)
+            .build()
+            .unwrap();
+        assert!(matches!(to_json(&m), Err(CodecError::Unencodable(_))));
+        let path = std::env::temp_dir().join(format!("sommelier-serde-inf-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let err = save(&m, &path).unwrap_err();
+        assert!(err.to_string().contains("non-finite"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * an interned string table (every key stored once, rows refer by id);
 //! * fixed-size resource rows and candidate rows with inline filter
 //!   metadata (flags, fingerprints, cost bounds as exact `f64` bits);
-//! * per-section CRC32s so tears localize (and the lint layer can name
-//!   the torn section).
+//! * per-section CRC32s so tears localize: the decoder's refusal names
+//!   the torn section.
 //!
 //! Numeric profile and score values are stored as exact `f64` bit
 //! patterns. The vendored JSON layer round-trips `f64` exactly too
@@ -77,7 +77,7 @@ const SEC_ROWS: usize = 1;
 const SEC_SEMANTIC: usize = 2;
 const SEC_EDGES: usize = 3;
 
-/// Human-readable section names (lint diagnostics).
+/// Human-readable section names (decode errors).
 pub const SECTION_NAMES: [&str; SECTION_COUNT] = ["strings", "resource-rows", "semantic", "edges"];
 
 /// Byte size of one fixed resource row: key id u32, reserved u32, then
@@ -516,7 +516,7 @@ pub fn is_binary(bytes: &[u8]) -> bool {
 
 /// Validate magic, version, and the header CRC, and parse the section
 /// table — O(1) in snapshot size (the body is untouched; section CRCs
-/// verify on decode, or under lint).
+/// verify on decode).
 pub fn validate_header(bytes: &[u8]) -> Result<Header, PersistError> {
     if !is_binary(bytes) {
         return Err(PersistError::Format("missing SOMB magic".to_string()));
@@ -803,41 +803,6 @@ fn decode_sections(bytes: &[u8], header: &Header) -> Result<IndexSnapshot, Persi
     })
 }
 
-// ---------------------------------------------------------------------------
-// Integrity scan (the lint surface: SOM054)
-// ---------------------------------------------------------------------------
-
-/// One structural defect found in a binary snapshot image.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IntegrityIssue {
-    /// Magic/version/header-CRC/section-table failure.
-    Header(String),
-    /// A section's stored CRC disagrees with its bytes.
-    SectionCrc { section: &'static str, stored: u32, computed: u32 },
-}
-
-/// Scan a binary snapshot image for structural defects without
-/// constructing indices. Header failure short-circuits (nothing after
-/// it is trustworthy); section-level findings accumulate.
-pub fn integrity_issues(bytes: &[u8]) -> Vec<IntegrityIssue> {
-    let header = match validate_header(bytes) {
-        Ok(h) => h,
-        Err(e) => return vec![IntegrityIssue::Header(e.to_string())],
-    };
-    SECTION_NAMES
-        .iter()
-        .enumerate()
-        .filter_map(|(i, name)| {
-            let computed = crc32(section_raw(bytes, &header, i));
-            (computed != header.section_crcs[i]).then_some(IntegrityIssue::SectionCrc {
-                section: name,
-                stored: header.section_crcs[i],
-                computed,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -941,8 +906,8 @@ mod tests {
         let mut bytes = sample_snapshot_bytes();
         bytes[20] ^= 0xFF; // epoch bytes, covered by the header CRC
         assert!(matches!(validate_header(&bytes), Err(PersistError::Format(_))));
-        let issues = integrity_issues(&bytes);
-        assert!(matches!(issues.as_slice(), [IntegrityIssue::Header(_)]));
+        let err = decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("header CRC mismatch (stored 0x"), "{err}");
     }
 
     #[test]
@@ -968,17 +933,17 @@ mod tests {
         let bytes = sample_snapshot_bytes();
         let h = validate_header(&bytes).unwrap();
         // Flip a byte inside the resource rows: header still validates
-        // (O(1) open), decode fails on the section CRC, lint names the
-        // section.
+        // (O(1) open), and decode fails on the section CRC, naming the
+        // section and both CRCs.
         let mut torn = bytes.clone();
         torn[h.sections[SEC_ROWS].0] ^= 0x5A;
         assert!(validate_header(&torn).is_ok());
-        let err = decode(&torn).unwrap_err();
-        assert!(err.to_string().contains("resource-rows"), "{err}");
-        let issues = integrity_issues(&torn);
-        assert!(issues
-            .iter()
-            .any(|i| matches!(i, IntegrityIssue::SectionCrc { section: "resource-rows", .. })));
+        let err = decode(&torn).unwrap_err().to_string();
+        let stored = h.section_crcs[SEC_ROWS];
+        assert!(
+            err.contains(&format!("section 'resource-rows' CRC mismatch (stored {stored:#010x}, computed 0x")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -998,21 +963,17 @@ mod tests {
         res.insert("beta", ResourceProfile { memory_mb: 64.0, gflops: 3.5, latency_ms: f64::NAN });
         res.insert("gamma", ResourceProfile { memory_mb: 8.0, gflops: 0.5, latency_ms: 0.01 });
         let bytes = encode(&sem, &res, Some(&SnapshotStats::of(&sem, &res, 5)));
-        assert!(integrity_issues(&bytes).is_empty());
+        assert!(decode(&bytes).is_ok(), "every CRC holds");
         assert!(matches!(
             crate::persist::decode_snapshot(&bytes),
             Err(PersistError::Invalid(Violation::NonFinite(key))) if key == "beta"
         ));
         // A NaN forged into the bytes at rest: refused on the CRC it
-        // broke, which lint names.
+        // broke, named in the refusal.
         let mut bytes = sample_snapshot_bytes();
         let (off, _) = validate_header(&bytes).unwrap().sections[SEC_ROWS];
         bytes[off + 8 + 8..off + 8 + 16].copy_from_slice(&f64::INFINITY.to_le_bytes());
-        assert!(decode(&bytes).unwrap_err().to_string().contains("resource-rows"));
-        assert!(matches!(
-            integrity_issues(&bytes).as_slice(),
-            [IntegrityIssue::SectionCrc { section: "resource-rows", .. }]
-        ));
+        assert!(decode(&bytes).unwrap_err().to_string().contains("section 'resource-rows' CRC"));
     }
 
     #[test]
@@ -1401,8 +1362,6 @@ mod tests {
             let forged = forge(bytes.clone(), sec, at, &u32::MAX.to_le_bytes());
             assert!(validate_header(&forged).is_ok(), "{what}");
             assert!(matches!(decode(&forged), Err(PersistError::Format(_))), "{what}");
-            // The lint scan reads the same string table.
-            let _ = integrity_issues(&forged);
         }
     }
 

@@ -3,8 +3,7 @@
 //! One pass over the (topologically ordered) layers of a valid model
 //! computes, per layer, an optional [`Interval`] — the hull of every
 //! activation value the layer can produce when the model input stays
-//! inside the analyzed input box. A backward reachability sweep from the output marks the layers
-//! whose values can influence an inference at all.
+//! inside the analyzed input box.
 //!
 //! The interpreter never executes the model: dense and convolution
 //! transfer functions fold the *weights* into interval arithmetic
@@ -16,27 +15,19 @@
 use super::interval::Interval;
 use sommelier_graph::{LayerId, Model, Op};
 
-/// Abstract facts derived for one layer.
-#[derive(Clone, Debug)]
-pub struct LayerFact {
-    /// Hull of the layer's possible activation values; `None` when
-    /// non-finite weights poison the arithmetic upstream.
-    pub value: Option<Interval>,
-    /// Whether the layer can influence the model output.
-    pub reachable: bool,
-}
-
 /// The result of one abstract interpretation run.
 #[derive(Clone, Debug)]
 pub struct ModelAnalysis {
-    /// Per-layer facts, indexed by layer id.
-    pub facts: Vec<LayerFact>,
+    /// Per layer, indexed by layer id: the hull of its possible
+    /// activation values; `None` when non-finite weights poison the
+    /// arithmetic upstream.
+    pub values: Vec<Option<Interval>>,
 }
 
 impl ModelAnalysis {
     /// The abstract output value of the model, if analyzable.
     pub fn output_value(&self) -> Option<Interval> {
-        self.facts.last().and_then(|f| f.value)
+        self.values.last().copied().flatten()
     }
 }
 
@@ -48,29 +39,14 @@ pub const DEFAULT_INPUT: Interval = Interval { lo: -3.0, hi: 3.0 };
 /// Run the forward interpreter with the model input confined to `input`.
 pub fn analyze(model: &Model, input: Interval) -> ModelAnalysis {
     let n = model.num_layers();
-    let mut facts: Vec<LayerFact> = Vec::with_capacity(n);
+    let mut values: Vec<Option<Interval>> = Vec::with_capacity(n);
     for (id, layer) in model.layers().iter().enumerate() {
         let in_values: Option<Vec<Interval>> =
-            layer.inputs.iter().map(|id| facts[id.index()].value).collect();
+            layer.inputs.iter().map(|id| values[id.index()]).collect();
         let width = model.width_of(LayerId(id));
-        let value = in_values.and_then(|ins| value_transfer(layer, &ins, width, input));
-        facts.push(LayerFact {
-            value,
-            reachable: false,
-        });
+        values.push(in_values.and_then(|ins| value_transfer(layer, &ins, width, input)));
     }
-    // Backward reachability from the output: a layer is live iff some
-    // path of data dependencies connects it to the output layer.
-    let mut stack = vec![model.output_id()];
-    while let Some(id) = stack.pop() {
-        let fact = &mut facts[id.index()];
-        if fact.reachable {
-            continue;
-        }
-        fact.reachable = true;
-        stack.extend(model.layer(id).inputs.iter().copied());
-    }
-    ModelAnalysis { facts }
+    ModelAnalysis { values }
 }
 
 /// Interval transfer for one layer. `width` is the layer's output
@@ -196,16 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn every_layer_of_a_chain_model_is_live() {
-        let model = mlp(1);
-        let analysis = analyze(&model, DEFAULT_INPUT);
-        assert_eq!(analysis.facts.len(), model.num_layers());
-        for (i, fact) in analysis.facts.iter().enumerate() {
-            assert!(fact.reachable, "layer {i} of a chain model is live");
-        }
-    }
-
-    #[test]
     fn intervals_bound_a_concrete_execution() {
         let model = mlp(2);
         let analysis = analyze(&model, DEFAULT_INPUT);
@@ -213,7 +179,7 @@ mod tests {
         // layer by layer would need the runtime; here we check the two
         // invariants the audit relies on: relu output is non-negative
         // and softmax output lands in [0, 1].
-        let relu = analysis.facts[2].value.unwrap();
+        let relu = analysis.values[2].unwrap();
         assert!(relu.lo >= 0.0);
         let out = analysis.output_value().unwrap();
         assert!(out.lo >= 0.0 && out.hi <= 1.0);
@@ -240,30 +206,8 @@ mod tests {
             .build()
             .unwrap();
         let analysis = analyze(&model, DEFAULT_INPUT);
-        assert!(analysis.facts[1].value.is_none());
+        assert!(analysis.values[1].is_none());
         assert!(analysis.output_value().is_none());
     }
 
-    #[test]
-    fn dead_branches_are_unreachable() {
-        let mut rng = Prng::seed_from_u64(3);
-        let mut b = ModelBuilder::new("dead", TaskKind::Other, Shape::vector(4));
-        b.dense(4, &mut rng);
-        let trunk = b.cursor();
-        b.relu();
-        let live = b.cursor();
-        b.goto(trunk);
-        b.dense(2, &mut rng); // dead branch head
-        let dead_head = b.cursor();
-        b.relu(); // transitively dead: consumed, but only by dead layers
-        let dead_tail = b.cursor();
-        b.goto(live);
-        b.softmax();
-        let model = b.build().unwrap();
-        let analysis = analyze(&model, DEFAULT_INPUT);
-        assert!(!analysis.facts[dead_head.index()].reachable);
-        assert!(!analysis.facts[dead_tail.index()].reachable);
-        assert!(analysis.facts[live.index()].reachable);
-        assert!(analysis.facts[0].reachable, "input feeds the live trunk");
-    }
 }

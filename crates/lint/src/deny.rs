@@ -158,7 +158,7 @@ mod tests {
         let spec = DenySpec::parse(&["SOM09x"]).unwrap();
         assert!(spec.denies(&Diagnostic::error(codes::FINGERPRINT_DRIFT, "t", "m")));
         assert!(spec.denies(&Diagnostic::error(codes::RESOURCE_DRIFT, "t", "m")));
-        assert!(!spec.denies(&Diagnostic::error(codes::UNREACHABLE_SUBGRAPH, "t", "m")));
+        assert!(!spec.denies(&Diagnostic::error(codes::SATURATED_ACTIVATION, "t", "m")));
         let everything = DenySpec::parse(&["SOM0xx"]).unwrap();
         assert!(everything.denies(&Diagnostic::info(codes::COST_OUTLIER, "t", "m")));
     }
@@ -168,7 +168,7 @@ mod tests {
         let spec = DenySpec::parse(&["SOM081", "SOM09x"]).unwrap();
         assert!(spec.denies(&Diagnostic::error(codes::NONFINITE_WEIGHTS, "t", "m")));
         assert!(spec.denies(&Diagnostic::error(codes::RESOURCE_DRIFT, "t", "m")));
-        assert!(!spec.denies(&Diagnostic::error(codes::UNREACHABLE_SUBGRAPH, "t", "m")));
+        assert!(!spec.denies(&Diagnostic::error(codes::SATURATED_ACTIVATION, "t", "m")));
     }
 
     #[test]
@@ -176,6 +176,7 @@ mod tests {
         assert!(DenySpec::parse(&["SOM999"]).is_err());
         assert!(DenySpec::parse(&["SOM9xx"]).is_err());
         assert!(DenySpec::parse(&["SOM06x"]).is_err(), "no SOM06x code is left");
+        assert!(DenySpec::parse(&["SOM05x"]).is_err(), "no SOM05x code is left");
         assert!(DenySpec::parse(&["bogus"]).is_err());
         assert!(DenySpec::parse(&["SOMx81"]).is_err(), "non-trailing wildcard");
         assert!(DenySpec::parse(&["SOM08"]).is_err(), "truncated code");
@@ -183,6 +184,7 @@ mod tests {
             "SOM025", "SOM062", "SOM092", // candidate-list shape checks
             "SOM026", "SOM050", "SOM051", "SOM052", "SOM053", "SOM056", "SOM060", "SOM061",
             "SOM080", // checked by the snapshot decoder and `Model::validate`
+            "SOM005", "SOM054", "SOM082", // second checks of SOM081, SOM027 and SOM001
         ] {
             assert!(DenySpec::parse(&[retired]).is_err(), "{retired} is retired");
         }

@@ -12,15 +12,15 @@ use std::fmt;
 
 /// Stable diagnostic codes, grouped by pass family:
 /// `SOM00x` model-graph lints, `SOM02x` repository/index invariants,
-/// `SOM04x` query-plan lints, `SOM054` the `.somb` image's CRCs,
-/// `SOM07x` store-hygiene lints (quarantine, temp orphans, file
-/// naming), `SOM08x` deep dataflow findings (abstract interpretation
-/// over the model graph), `SOM09x` cross-artifact consistency findings.
+/// `SOM04x` query-plan lints, `SOM07x` store-hygiene lints (quarantine,
+/// temp orphans, file naming), `SOM08x` weight and dataflow findings
+/// (`SOM081` runs in every lint, the rest only in the deep audit),
+/// `SOM09x` cross-artifact consistency findings.
 /// What the readers refuse (a model that fails `Model::validate`, a
 /// snapshot that breaks a decode rule) is one code each: `SOM007` and
 /// `SOM027`.
 pub mod codes {
-    /// A layer's output is never consumed (dead computation).
+    /// A layer has no data path to the output (dead computation).
     pub const DEAD_LAYER: &str = "SOM001";
     /// An interior layer narrows to width 1, zeroing error propagation.
     pub const WIDTH_BOTTLENECK: &str = "SOM002";
@@ -28,8 +28,6 @@ pub mod codes {
     pub const SUSPICIOUS_ORDER: &str = "SOM003";
     /// Cost profile is an outlier against the model's declared family.
     pub const COST_OUTLIER: &str = "SOM004";
-    /// The model does not survive a serde round-trip intact.
-    pub const ROUND_TRIP_MISMATCH: &str = "SOM005";
     /// A linear layer carries an all-zero weight tensor.
     pub const ZERO_WEIGHTS: &str = "SOM006";
     /// A stored model could not be read, or fails `Model::validate`.
@@ -54,8 +52,6 @@ pub mod codes {
     pub const EMPTY_REFERENCE: &str = "SOM043";
     /// `SELECT models 0` — the query statically returns nothing.
     pub const LIMIT_ZERO: &str = "SOM044";
-    /// A binary snapshot's header or a section CRC fails validation.
-    pub const BINARY_SNAPSHOT_CORRUPT: &str = "SOM054";
     /// A quarantined (`*.corrupt-<epoch>`) artifact sits in the store.
     pub const QUARANTINED_FILE: &str = "SOM070";
     /// An orphaned temp file (`*.tmp-<pid>-<seq>`) from an interrupted write.
@@ -73,8 +69,6 @@ pub mod codes {
     pub const BROKEN_DELTA_BASE: &str = "SOM076";
     /// A parameter tensor contains NaN or infinite values.
     pub const NONFINITE_WEIGHTS: &str = "SOM081";
-    /// A subgraph can never reach the output (transitively dead).
-    pub const UNREACHABLE_SUBGRAPH: &str = "SOM082";
     /// An activation is saturated for every input in the analyzed range.
     pub const SATURATED_ACTIVATION: &str = "SOM083";
     /// The output interval is a single point — input-independent output.
@@ -93,11 +87,10 @@ pub mod codes {
     /// code table; adding a constant above without registering it here
     /// fails the `registry_covers_every_constant` test.
     pub const ALL: &[(&str, &str)] = &[
-        (DEAD_LAYER, "a layer's output is never consumed"),
+        (DEAD_LAYER, "layer has no data path to the output"),
         (WIDTH_BOTTLENECK, "interior layer narrows to width 1"),
         (SUSPICIOUS_ORDER, "redundant activation/normalization ordering"),
         (COST_OUTLIER, "cost profile is an outlier in its series"),
-        (ROUND_TRIP_MISMATCH, "model does not survive a serde round-trip"),
         (ZERO_WEIGHTS, "linear layer carries an all-zero weight tensor"),
         (MODEL_UNREADABLE, "stored model could not be read or is invalid"),
         (DANGLING_KEY, "index references a key absent from the repository"),
@@ -110,7 +103,6 @@ pub mod codes {
         (SHADOWED_PREDICATE, "predicate shadowed by a tighter one"),
         (EMPTY_REFERENCE, "reference filter prunes every candidate"),
         (LIMIT_ZERO, "SELECT models 0 returns nothing"),
-        (BINARY_SNAPSHOT_CORRUPT, "binary snapshot header/CRC mismatch"),
         (QUARANTINED_FILE, "quarantined artifact sits in the store"),
         (ORPHANED_TEMP, "orphaned temp file from an interrupted write"),
         (NON_CANONICAL_MODEL_FILE, "model file name is not a canonical key"),
@@ -119,7 +111,6 @@ pub mod codes {
         (ORPHANED_CHUNK, "chunk is referenced by no manifest"),
         (BROKEN_DELTA_BASE, "delta manifest base missing or cyclic"),
         (NONFINITE_WEIGHTS, "parameter tensor contains NaN/Inf values"),
-        (UNREACHABLE_SUBGRAPH, "subgraph can never reach the output"),
         (SATURATED_ACTIVATION, "activation saturated over the input range"),
         (CONSTANT_OUTPUT, "output provably independent of the input"),
         (RANK_COLLAPSED, "multi-unit linear layer has rank <= 1"),
@@ -428,7 +419,7 @@ mod tests {
         ] {
             assert!(seen.contains(known), "{known} missing from registry");
         }
-        assert_eq!(codes::ALL.len(), 33, "update the registry with new codes");
+        assert_eq!(codes::ALL.len(), 30, "update the registry with new codes");
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! either refusal (`SOM007`, `SOM027`) with the reader's message and
 //! runs no pass over what was refused.
 //!
-//! Five pass families always run:
+//! Four pass families always run:
 //!
-//! * **model graph** ([`passes::model`]) — dead layers, width
-//!   bottlenecks that zero error propagation, suspicious activation
-//!   orderings, family cost outliers, serde round-trip drift, all-zero
-//!   weights (`SOM001`–`SOM007`);
+//! * **model graph** ([`passes::model`]) — layers with no data path to
+//!   the output, width bottlenecks that zero error propagation,
+//!   suspicious activation orderings, family cost outliers, all-zero
+//!   weights, non-finite weights (`SOM001`–`SOM006`, `SOM081`);
 //! * **repository & index invariants** ([`passes::index`]) — dangling
 //!   keys, candidate lists that differ from the ones their edge table
 //!   derives, measured-bound triangle violations, stale snapshots
@@ -28,8 +28,6 @@
 //! * **query plans** ([`passes::plan`]) — unsatisfiable `WITHIN`
 //!   thresholds, statically empty resource budgets, shadowed
 //!   predicates, references that prune to nothing (`SOM040`–`SOM044`);
-//! * **binary snapshot image** ([`passes::binary`]) — header/section
-//!   CRC mismatches in `.somb` binary snapshots (`SOM054`);
 //! * **store hygiene** ([`passes::store`]) — the findings of the store
 //!   scan `sommelier fsck` prints ([`sommelier_repo::scan_store`]):
 //!   quarantined artifacts, orphaned temps, non-canonical file names,
@@ -39,12 +37,11 @@
 //!
 //! On request [`run`] adds the *deep* families: an
 //! abstract-interpretation [`dataflow`] engine feeding the
-//! [`passes::deep`] family (`SOM081`–`SOM091`) — non-finite weights,
-//! unreachable subgraphs, saturated activations, constant outputs,
-//! rank-collapsed matmuls, declared-cost drift, and the repository ↔
-//! index ↔ snapshot consistency join.
+//! [`passes::deep`] family (`SOM083`–`SOM091`) — saturated
+//! activations, constant outputs, rank-collapsed matmuls, declared-cost
+//! drift, and the repository ↔ index ↔ snapshot consistency join.
 //!
-//! The CLI exposes all of this as `sommelier lint <dir>` (the five
+//! The CLI exposes all of this as `sommelier lint <dir>` (the four
 //! families) and `sommelier audit <dir>` (the deep families too).
 
 pub mod dataflow;
@@ -75,15 +72,10 @@ pub struct LintContext {
     pub semantic: Option<SemanticIndex>,
     /// The resource index, if a snapshot was available.
     pub resource: Option<ResourceIndex>,
-    /// Raw bytes of a binary (`.somb`) snapshot image, when the
-    /// repository's index is the binary format. The
-    /// [`passes::binary::BinarySnapshotPass`] scans these directly, so
-    /// CRC and row findings survive even when the image is too damaged
-    /// to decode into `semantic`/`resource`.
-    pub binary_snapshot: Option<Vec<u8>>,
     /// Modification time of the index snapshot file.
     pub index_mtime: Option<SystemTime>,
-    /// Modification times of stored model files, keyed like `models`.
+    /// Modification times of the stored manifests, keyed like `models`:
+    /// one for every manifest the store lists, whether it loads or not.
     pub model_mtimes: Vec<(String, SystemTime)>,
     /// What the store scan ([`sommelier_repo::scan_store`], the one
     /// `sommelier fsck` prints) found wrong with the directory.
@@ -150,15 +142,7 @@ impl LintContext {
                 .ok();
             let decoded = std::fs::read(&index_path)
                 .map_err(persist::PersistError::from)
-                .and_then(|bytes| {
-                    let decoded = persist::decode_snapshot(&bytes);
-                    // Kept for the CRC lints (sniffed by magic, not
-                    // extension, so a renamed `.somb` still gets them).
-                    if sommelier_index::somb::is_binary(&bytes) {
-                        ctx.binary_snapshot = Some(bytes);
-                    }
-                    decoded
-                });
+                .and_then(|bytes| persist::decode_snapshot(&bytes));
             match decoded {
                 Ok((snapshot, _)) => {
                     ctx.semantic = Some(snapshot.semantic);
@@ -195,8 +179,8 @@ pub trait Pass {
 /// Lint everything in the context. A model that fails
 /// [`Model::validate`] (only a hand-built context holds one: the
 /// repository does not load it) is reported as `SOM007` and left out of
-/// every pass. The per-model analyses (graph structure and serde round
-/// trip, plus the dataflow family when `deep`) fan out over `jobs` lanes
+/// every pass. The per-model analyses (graph structure and weights,
+/// plus the dataflow family when `deep`) fan out over `jobs` lanes
 /// (`0` = one per core, `1` = inline); the whole-context passes, plus
 /// the cross-artifact join when `deep`, then run once. The report is
 /// sorted and deduplicated, so it is identical at any lane count.
@@ -228,20 +212,18 @@ pub fn run(ctx: &LintContext, deep: bool, jobs: usize) -> LintReport {
     let per_model = pool.par_map(&ctx.models, |(key, model)| {
         let mut found = Vec::new();
         passes::model::model_graph_findings(key, model, &mut found);
-        passes::model::round_trip_findings(key, model, &mut found);
         if deep {
             passes::deep::deep_model_findings(key, model, &mut found);
         }
         found
     });
     diagnostics.extend(per_model.into_iter().flatten());
-    let global: [&dyn Pass; 7] = [
+    let global: [&dyn Pass; 6] = [
         &passes::model::ModelCostPass,
         &passes::index::IndexIntegrityPass,
         &passes::index::TrianglePass,
         &passes::index::FreshnessPass,
         &passes::plan::QueryPlanPass,
-        &passes::binary::BinarySnapshotPass,
         &passes::store::StoreHygienePass,
     ];
     for pass in global {

@@ -1,11 +1,12 @@
-//! Deep analyses (`SOM081`–`SOM091`): the dataflow pass family and the
+//! Deep analyses (`SOM083`–`SOM091`): the dataflow pass family and the
 //! cross-artifact consistency join.
 //!
 //! Two analyses live here. [`deep_model_findings`] runs the forward
 //! abstract interpreter ([`crate::dataflow`]) over one stored model and
-//! turns its facts into findings: non-finite weights, unreachable
-//! subgraphs, saturated activations, constant outputs, rank-collapsed
-//! matmuls, and declared-vs-recomputed cost drift; [`crate::run`] fans
+//! turns its facts into findings: saturated activations, constant
+//! outputs, rank-collapsed matmuls, and declared-vs-recomputed cost
+//! drift (dead layers and non-finite weights are the shallow
+//! [`crate::passes::model`] pass's); [`crate::run`] fans
 //! it out over the models, every one of which passed
 //! [`Model::validate`], so its widths and parameter shapes hold.
 //! [`cross_artifact_findings`] joins the repository against the
@@ -34,43 +35,23 @@ const RANK_REL_TOL: f64 = 1e-9;
 /// so only float round-trips through JSON separate the two.
 const RESOURCE_REL_TOL: f64 = 1e-6;
 
-/// The deep per-model dataflow lints (`SOM081`–`SOM086`) on one valid
+/// The deep per-model dataflow lints (`SOM083`–`SOM086`) on one valid
 /// model, appending findings that target `model '<key>'`.
 pub fn deep_model_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
     let target = format!("model '{key}'");
     let analysis = dataflow::analyze(model, dataflow::DEFAULT_INPUT);
-    check_weights(model, &target, out);
-    check_reachability(model, &analysis, &target, out);
+    check_rank(model, &target, out);
     check_saturation(model, &analysis, &target, out);
     check_constant_output(model, &analysis, &target, out);
     check_declared_cost(model, &target, out);
 }
 
-/// `SOM081` non-finite parameters and `SOM085` rank-collapsed matmuls.
-fn check_weights(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
+/// `SOM085`: rank-collapsed matmuls. A non-finite weight tensor is
+/// skipped: it is `SOM081`, and no rank is defined for it.
+fn check_rank(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
     for (id, layer) in model.layers().iter().enumerate() {
-        let tensors = [layer.params.weight.as_ref(), layer.params.bias.as_ref()];
-        let nonfinite: usize = tensors
-            .iter()
-            .flatten()
-            .map(|t| t.as_slice().iter().filter(|v| !v.is_finite()).count())
-            .sum();
-        if nonfinite > 0 {
-            out.push(
-                Diagnostic::error(
-                    codes::NONFINITE_WEIGHTS,
-                    target,
-                    format!(
-                        "layer '{}' carries {nonfinite} non-finite parameter value(s)",
-                        layer.name
-                    ),
-                )
-                .with_layer(id)
-                .with_help("NaN/Inf weights poison every inference and cannot be re-serialized"),
-            );
-        }
         if let (Op::Dense { .. }, Some(w)) = (&layer.op, layer.params.weight.as_ref()) {
-            if nonfinite == 0
+            if w.as_slice().iter().all(|v| v.is_finite())
                 && w.rows() >= 2
                 && w.cols() >= 2
                 && w.max_abs() > 0.0
@@ -139,33 +120,6 @@ fn numerical_rank_le_1(w: &sommelier_tensor::Tensor) -> bool {
     true
 }
 
-/// `SOM082`: layers with no data path to the output. Subsumes chains
-/// that `SOM001` cannot see — a dead branch whose members consume each
-/// other is transitively dead even though only its tip is unconsumed.
-fn check_reachability(
-    model: &Model,
-    analysis: &dataflow::ModelAnalysis,
-    target: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (id, fact) in analysis.facts.iter().enumerate() {
-        if !fact.reachable {
-            out.push(
-                Diagnostic::warn(
-                    codes::UNREACHABLE_SUBGRAPH,
-                    target,
-                    format!(
-                        "layer '{}' has no data path to the output",
-                        model.layers()[id].name
-                    ),
-                )
-                .with_layer(id)
-                .with_help("the subgraph burns compute without influencing any inference"),
-            );
-        }
-    }
-}
-
 /// `SOM083`: activations whose entire pre-activation interval sits in a
 /// saturation region — the layer is a constant for every analyzable
 /// input, so downstream weights see no gradient-bearing signal.
@@ -175,14 +129,15 @@ fn check_saturation(
     target: &str,
     out: &mut Vec<Diagnostic>,
 ) {
+    let live = model.live_layers();
     for (id, layer) in model.layers().iter().enumerate() {
-        if !analysis.facts[id].reachable {
-            continue; // dead subgraphs are already reported whole
+        if !live[id] {
+            continue; // dead layers are already reported whole (SOM001)
         }
         let Some(pre) = layer
             .inputs
             .first()
-            .and_then(|i| analysis.facts[i.index()].value)
+            .and_then(|i| analysis.values[i.index()])
         else {
             continue;
         };
@@ -410,51 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_weights_are_an_error() {
-        let mut w = Tensor::zeros(4, 3);
-        w.set(0, 0, f32::NAN);
-        w.set(1, 1, f32::INFINITY);
-        w.set(0, 1, 1.0);
-        let model = ModelBuilder::new("nan", TaskKind::Other, Shape::vector(4))
-            .dense_with(w, None)
-            .softmax()
-            .build()
-            .unwrap();
-        let ctx = ctx_with(vec![("nan", model)]);
-        let diags = deep(&ctx);
-        let hit = diags
-            .iter()
-            .find(|d| d.code == codes::NONFINITE_WEIGHTS)
-            .expect("non-finite weights reported");
-        assert_eq!(hit.severity, Severity::Error);
-        assert!(hit.message.contains("2 non-finite"), "{}", hit.message);
-    }
-
-    #[test]
-    fn transitively_dead_chains_are_unreachable() {
-        let mut rng = Prng::seed_from_u64(5);
-        let mut b = ModelBuilder::new("dead", TaskKind::Other, Shape::vector(4));
-        b.dense(4, &mut rng);
-        let trunk = b.cursor();
-        b.relu();
-        let live = b.cursor();
-        b.goto(trunk);
-        b.dense(2, &mut rng);
-        b.relu(); // consumed by nothing; its producer is consumed by it
-        b.goto(live);
-        b.softmax();
-        let model = b.build().unwrap();
-        let ctx = ctx_with(vec![("dead", model)]);
-        let diags = deep(&ctx);
-        let unreachable: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == codes::UNREACHABLE_SUBGRAPH)
-            .collect();
-        // Both members of the dead chain — SOM001 would only flag the tip.
-        assert_eq!(unreachable.len(), 2, "{diags:?}");
-    }
-
-    #[test]
     fn saturated_sigmoid_is_reported() {
         // Bias +100 pushes every pre-activation far beyond saturation.
         let w = Tensor::from_vec(4, 2, vec![0.1; 8]);
@@ -508,6 +418,17 @@ mod tests {
             diags.iter().any(|d| d.code == codes::RANK_COLLAPSED),
             "{diags:?}"
         );
+        // A non-finite tensor is SOM081's, whatever its rows.
+        let mut inf = Tensor::from_vec(3, 3, vec![1.0, 2.0, -1.0, 2.0, 4.0, -2.0, -0.5, -1.0, 0.5]);
+        inf.set(0, 0, f32::INFINITY);
+        let model = ModelBuilder::new("inf", TaskKind::Other, Shape::vector(3))
+            .dense_with(inf, None)
+            .softmax()
+            .build()
+            .unwrap();
+        assert!(deep(&ctx_with(vec![("inf", model)]))
+            .iter()
+            .all(|d| d.code != codes::RANK_COLLAPSED));
         // A healthy random dense must not trip the check.
         let clean = ctx_with(vec![("ok", mlp("ok", 7))]);
         assert!(deep(&clean)

@@ -6,8 +6,9 @@
 //! consistent, and the snapshot must not predate the artifacts it
 //! summarizes. Each of these is checked here without touching a single
 //! weight. What a snapshot holds on its own (a profile for every key,
-//! finite profiles, a header that matches it) is the decoder's to check:
-//! a snapshot that breaks it never reaches a pass (`SOM027`).
+//! finite profiles, a header that matches it, intact `.somb` CRCs) is
+//! the decoder's to check: a snapshot that breaks it never reaches a
+//! pass (`SOM027`).
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
@@ -24,7 +25,9 @@ const TRIANGLE_EPS: f64 = 1e-9;
 /// Referential and derivation invariants of both indices: dangling keys
 /// (`SOM020`) and candidate lists that differ from their derivation
 /// (`SOM021`). Every derived record names an entry, so checking the
-/// entry keys against the store covers every candidate too.
+/// entry keys against the store covers every candidate too. A key is
+/// stored when the store lists its manifest, whether or not it loads: a
+/// manifest that does not load is `SOM007`, not a missing model.
 pub struct IndexIntegrityPass;
 
 /// One record as a `SOM021` finding prints it; `none` past a list's end.
@@ -36,7 +39,9 @@ fn describe(c: Option<&CandidateRecord>) -> String {
 
 impl Pass for IndexIntegrityPass {
     fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        let stored: HashSet<&str> = ctx.models.iter().map(|(k, _)| k.as_str()).collect();
+        let listed = ctx.model_mtimes.iter().map(|(k, _)| k);
+        let stored: HashSet<&str> =
+            ctx.models.iter().map(|(k, _)| k).chain(listed).map(String::as_str).collect();
         if let Some(semantic) = &ctx.semantic {
             for (key, _) in semantic.by_key_audit() {
                 if !stored.contains(key) {
@@ -293,6 +298,17 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_listed_key_that_does_not_load_is_not_dangling() {
+        // `ghost`'s manifest is listed but did not load (SOM007 at load):
+        // only the candidate list is still wrong.
+        let mut ctx = ctx_with_models(&["m-a", "m-b"]);
+        ctx.semantic = Some(serde_json::from_str(&corrupt_semantic_json()).expect("parses"));
+        ctx.model_mtimes.push(("ghost".into(), SystemTime::now()));
+        let found: Vec<String> = run(&IndexIntegrityPass, &ctx).into_iter().map(|d| d.code).collect();
+        assert_eq!(found, [codes::UNDERIVED_CANDIDATES]);
+    }
+
     /// Three models with exactly representable bounds: `m-a ↔ m-c` and
     /// `m-c ↔ m-b` measured at 0.125, `m-a ↔ m-b` never attempted, and
     /// `m-c` donating a segment to `m-a` at 0.375. `m_a` is `m-a`'s list.
@@ -373,8 +389,8 @@ mod tests {
     }
 
     /// The one finding of linting `image`: the decoder's refusal.
-    fn refusal(tag: &str, image: &str) -> String {
-        let diags = crate::tests::lint_snapshot_image(tag, image.as_bytes()).diagnostics;
+    fn refusal(tag: &str, image: &[u8]) -> String {
+        let diags = crate::tests::lint_snapshot_image(tag, image).diagnostics;
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, codes::SNAPSHOT_UNREADABLE);
         assert_eq!(diags[0].severity, Severity::Error);
@@ -393,8 +409,42 @@ mod tests {
             .into_iter()
             .collect();
         let empty = SemanticIndex::new(Default::default(), 1);
-        let message = refusal("json-inf", &json_image(empty, resource));
+        let message = refusal("json-inf", json_image(empty, resource).as_bytes());
         assert!(message.contains("'m-b' is non-finite"), "{message}");
+    }
+
+    /// What a writer saves as a binary image for an index holding `m`
+    /// at `latency_ms`.
+    fn binary_image(latency_ms: f64) -> Vec<u8> {
+        let profile = ResourceProfile {
+            memory_mb: 10.0,
+            gflops: 2.0,
+            latency_ms,
+        };
+        let resource: ResourceIndex = [("m".to_string(), profile)].into_iter().collect();
+        let semantic = SemanticIndex::new(Default::default(), 1);
+        let stats = SnapshotStats::of(&semantic, &resource, 1);
+        sommelier_index::somb::encode(&semantic, &resource, Some(&stats))
+    }
+
+    #[test]
+    fn non_finite_profile_in_a_binary_image_is_reported_with_its_key() {
+        // Every CRC holds: the decoder's refusal is the one finding.
+        let message = refusal("binary-nan", &binary_image(f64::NAN));
+        assert!(message.contains("'m' is non-finite"), "{message}");
+    }
+
+    #[test]
+    fn a_torn_binary_image_is_one_finding_naming_the_section_and_both_crcs() {
+        // Intact, the image decodes (its one finding is `m`, stored nowhere).
+        let intact = crate::tests::lint_snapshot_image("binary-ok", &binary_image(5.0));
+        assert!(intact.diagnostics.iter().all(|d| d.code == codes::DANGLING_KEY), "{intact:?}");
+        let mut torn = binary_image(5.0);
+        let last = torn.len() - 1;
+        torn[last] ^= 0x01; // the last section's payload
+        let message = refusal("binary-torn", &torn);
+        assert!(message.contains("section 'edges' CRC mismatch (stored 0x"), "{message}");
+        assert!(message.contains(", computed 0x"), "{message}");
     }
 
     #[test]
@@ -410,7 +460,8 @@ mod tests {
             }"#,
         )
         .expect("fixture parses");
-        let message = refusal("unprofiled", &json_image(semantic, ResourceIndex::default()));
+        let message =
+            refusal("unprofiled", json_image(semantic, ResourceIndex::default()).as_bytes());
         assert!(message.contains("'m-a' has no resource profile"), "{message}");
     }
 

@@ -1,44 +1,44 @@
-//! Model-graph lints (`SOM001`–`SOM006`).
+//! Model-graph lints (`SOM001`–`SOM006`, `SOM081`).
 //!
 //! Everything here is derived from the stored graph alone — no weights
 //! are ever multiplied. The checks mirror what a careful reviewer would
 //! notice in a model card: computation that cannot influence the output,
 //! layers that destroy the information the rest of the network needs,
 //! operator sequences that collapse to a no-op, cost profiles that do
-//! not fit the family the model claims to belong to, and artifacts that
-//! would not survive the repository's own interchange encoding.
+//! not fit the family the model claims to belong to, and weights that
+//! are all zero or not finite.
 
 use crate::diagnostics::{codes, Diagnostic};
 use crate::{LintContext, Pass};
 use sommelier_graph::cost::model_cost;
-use sommelier_graph::{Fingerprint, Model, Op, OpKind};
+use sommelier_graph::{Model, Op, OpKind};
 
 /// Structural lints over one model's layer DAG: dead layers
 /// (`SOM001`), interior width-1 bottlenecks (`SOM002`), suspicious
-/// activation/normalization orderings (`SOM003`), and all-zero linear
-/// weights (`SOM006`).
+/// activation/normalization orderings (`SOM003`), all-zero linear
+/// weights (`SOM006`) and non-finite parameters (`SOM081`).
 pub fn model_graph_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
     let target = format!("model '{key}'");
     check_dead_layers(model, &target, out);
     check_width_bottlenecks(model, &target, out);
     check_op_orderings(model, &target, out);
     check_zero_weights(model, &target, out);
+    check_nonfinite_weights(model, &target, out);
 }
 
-/// `SOM001`: a non-output layer whose value no later layer consumes is
-/// dead computation — it burns FLOPs and memory without affecting any
-/// inference.
+/// `SOM001`: a layer with no data path to the output is dead
+/// computation — it burns FLOPs and memory without affecting any
+/// inference. Every member of a dead chain is reported, not only its
+/// unconsumed tip.
 fn check_dead_layers(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
-    let consumers = model.consumers();
-    let output = model.output_id().index();
-    for (id, consumed_by) in consumers.iter().enumerate() {
-        if id != output && consumed_by.is_empty() {
+    for (id, live) in model.live_layers().into_iter().enumerate() {
+        if !live {
             out.push(
                 Diagnostic::warn(
                     codes::DEAD_LAYER,
                     target,
                     format!(
-                        "layer '{}' is never consumed and is not the output",
+                        "layer '{}' has no data path to the output",
                         model.layer(sommelier_graph::LayerId(id)).name
                     ),
                 )
@@ -139,6 +139,32 @@ fn check_zero_weights(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// `SOM081`: a parameter tensor holding NaN or an infinity poisons
+/// every inference, and the model cannot be exported.
+fn check_nonfinite_weights(model: &Model, target: &str, out: &mut Vec<Diagnostic>) {
+    for (id, layer) in model.layers().iter().enumerate() {
+        let nonfinite: usize = [&layer.params.weight, &layer.params.bias]
+            .into_iter()
+            .flatten()
+            .map(|t| t.as_slice().iter().filter(|v| !v.is_finite()).count())
+            .sum();
+        if nonfinite > 0 {
+            out.push(
+                Diagnostic::error(
+                    codes::NONFINITE_WEIGHTS,
+                    target,
+                    format!(
+                        "layer '{}' carries {nonfinite} non-finite parameter value(s)",
+                        layer.name
+                    ),
+                )
+                .with_layer(id)
+                .with_help("NaN/Inf weights poison every inference and cannot be exported"),
+            );
+        }
+    }
+}
+
 /// `SOM004`: cost-profile outliers within a declared family.
 ///
 /// Models seeded from the same series (`metadata["series"]`) should have
@@ -192,46 +218,6 @@ impl Pass for ModelCostPass {
                     );
                 }
             }
-        }
-    }
-}
-
-/// `SOM005`: the model must survive the repository's own interchange
-/// encoding. A model that fails to serialize (e.g. a non-finite weight),
-/// fails to parse back, or comes back with a different fingerprint would
-/// silently corrupt on its next republish.
-pub fn round_trip_findings(key: &str, model: &Model, out: &mut Vec<Diagnostic>) {
-    let target = format!("model '{key}'");
-    let json = match serde_json::to_string(model) {
-        Ok(json) => json,
-        Err(e) => {
-            out.push(
-                Diagnostic::error(
-                    codes::ROUND_TRIP_MISMATCH,
-                    target,
-                    format!("model does not serialize: {e}"),
-                )
-                .with_help("non-finite weights cannot be stored"),
-            );
-            return;
-        }
-    };
-    match serde_json::from_str::<Model>(&json) {
-        Ok(back) => {
-            if Fingerprint::of_model(&back) != Fingerprint::of_model(model) {
-                out.push(Diagnostic::error(
-                    codes::ROUND_TRIP_MISMATCH,
-                    target,
-                    "model fingerprint changes across a serialization round-trip",
-                ));
-            }
-        }
-        Err(e) => {
-            out.push(Diagnostic::error(
-                codes::ROUND_TRIP_MISMATCH,
-                target,
-                format!("serialized model does not parse back: {e}"),
-            ));
         }
     }
 }
@@ -307,6 +293,30 @@ mod tests {
                 .any(|d| d.code == codes::DEAD_LAYER && d.layer == Some(dead.index())),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn every_member_of_a_dead_chain_is_reported() {
+        let mut rng = Prng::seed_from_u64(5);
+        let mut b = ModelBuilder::new("dead", TaskKind::Other, Shape::vector(4));
+        b.dense(4, &mut rng);
+        let trunk = b.cursor();
+        b.relu();
+        let live = b.cursor();
+        b.goto(trunk);
+        b.dense(2, &mut rng);
+        let head = b.cursor();
+        b.relu(); // consumed by nothing; its producer is consumed by it
+        let tip = b.cursor();
+        b.goto(live);
+        b.softmax();
+        let ctx = ctx_with(vec![("dead", b.build().unwrap())]);
+        let dead: Vec<Option<usize>> = each_model(model_graph_findings, &ctx)
+            .iter()
+            .filter(|d| d.code == codes::DEAD_LAYER)
+            .map(|d| d.layer)
+            .collect();
+        assert_eq!(dead, [Some(head.index()), Some(tip.index())]);
     }
 
     #[test]
@@ -432,24 +442,22 @@ mod tests {
     }
 
     #[test]
-    fn healthy_model_round_trips_clean() {
-        let ctx = ctx_with(vec![("ok", mlp("ok", 8, 15))]);
-        assert!(each_model(round_trip_findings, &ctx).is_empty());
-    }
-
-    #[test]
-    fn non_finite_weight_breaks_the_round_trip() {
+    fn non_finite_weights_are_an_error_in_the_shallow_pass() {
         let mut weight = Tensor::zeros(4, 3);
         weight.set(0, 0, f32::NAN);
+        weight.set(1, 1, f32::INFINITY);
+        weight.set(0, 1, 1.0);
         let model = ModelBuilder::new("nan", TaskKind::Other, Shape::vector(4))
             .dense_with(weight, None)
             .softmax()
             .build()
             .unwrap();
-        let ctx = ctx_with(vec![("nan", model)]);
-        let diags = each_model(round_trip_findings, &ctx);
+        let ctx = ctx_with(vec![("nan", model), ("ok", mlp("ok", 8, 15))]);
+        let diags = each_model(model_graph_findings, &ctx);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, codes::ROUND_TRIP_MISMATCH);
+        assert_eq!(diags[0].code, codes::NONFINITE_WEIGHTS);
         assert_eq!(diags[0].severity, Severity::Error);
+        assert_eq!((diags[0].target.as_str(), diags[0].layer), ("model 'nan'", Some(1)));
+        assert!(diags[0].message.contains("2 non-finite"), "{}", diags[0].message);
     }
 }

@@ -15,10 +15,10 @@
 //! models live from the repository, which sits outside the snapshot and
 //! may change without an epoch bump.
 //!
-//! The structure mirrors the pairwise-analysis cache: lock-striped
-//! shards, per-shard LRU clock, `capacity == 0` disables caching
-//! entirely, and hit/miss counters publish to the process-wide metrics
-//! registry on demand (`plan_cache.*`).
+//! The cache is lock-striped shards with a per-shard LRU clock;
+//! `capacity == 0` disables caching entirely, and hit/miss counters
+//! publish to the process-wide metrics registry on demand
+//! (`plan_cache.*`).
 
 use crate::engine::QueryResult;
 use sommelier_runtime::metrics::counters;

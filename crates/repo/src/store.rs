@@ -623,8 +623,8 @@ mod tests {
         // Byte-identical: the reconstructed model serializes to the
         // same JSON the flat representation would have stored.
         assert_eq!(
-            serde_model::to_json(&repo.load("chunky").unwrap()),
-            serde_model::to_json(&m)
+            serde_model::to_json(&repo.load("chunky").unwrap()).unwrap(),
+            serde_model::to_json(&m).unwrap()
         );
         assert!(matches!(
             repo.publish_chunked("chunky", &m, false),
@@ -857,7 +857,7 @@ mod tests {
         repo.publish("real", &real, false).unwrap();
         // Whole models under the old flat names: one beside a manifest,
         // one alone. Neither is a key, and neither shadows a manifest.
-        let other = serde_model::to_json(&perturbed(&real, "other", 1.0));
+        let other = serde_model::to_json(&perturbed(&real, "other", 1.0)).unwrap();
         for name in ["real.model.json", "flat.model.json"] {
             std::fs::write(dir.join(name), &other).unwrap();
         }

@@ -452,8 +452,9 @@ fn run_query_op(request: &Request, reader: &SommelierReader) -> String {
             None,
         )),
     };
-    // A snapshot can hold a non-finite profile row (only lint reports
-    // one); the answer it produces cannot be written as JSON.
+    // The decoder refuses a snapshot with a non-finite profile; should a
+    // value computed at run time (a score, an `EXEC` measurement) not be
+    // finite, the answer cannot be written as JSON.
     reply.unwrap_or_else(|e| {
         error_frame(
             Some(request.id),

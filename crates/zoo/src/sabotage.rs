@@ -83,18 +83,21 @@ impl Defect {
     }
 
     /// The diagnostic code `sommelier audit` must raise for this
-    /// defect. Literal `SOM` codes rather than `sommelier_lint`
-    /// constants: the zoo stays independent of the lint crate, and the
-    /// codes are a stable public contract.
+    /// defect: the one check that owns the fault. A dead chain is
+    /// `SOM001` on each of its layers, a non-finite weight `SOM081`
+    /// (plain `lint` raises both too), and a torn `.somb` the decoder's
+    /// refusal, `SOM027`, naming the torn section. Literal `SOM` codes
+    /// rather than `sommelier_lint` constants: the zoo stays independent
+    /// of the lint crate, and the codes are a stable public contract.
     pub fn expected_code(self) -> &'static str {
         match self {
             Defect::ShapeBreak => "SOM007",
             Defect::NonFiniteWeights => "SOM081",
-            Defect::DeadSubgraph => "SOM082",
+            Defect::DeadSubgraph => "SOM001",
             Defect::FingerprintDrift => "SOM090",
             Defect::StaleIndexEntry => "SOM020",
             Defect::BrokenTriangle | Defect::ForgedWhole => "SOM021",
-            Defect::BinarySnapshotTear => "SOM054",
+            Defect::BinarySnapshotTear => "SOM027",
         }
     }
 }

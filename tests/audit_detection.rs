@@ -4,7 +4,8 @@
 //!
 //! 1. a clean seeded-and-indexed zoo audits to **zero** findings;
 //! 2. every [`sabotage::Defect`] planted into a copy of that zoo is
-//!    detected — the audit reports the defect's expected code;
+//!    detected — the audit reports the defect's expected code, once per
+//!    faulty object, and no retired code;
 //! 3. the JSON report is byte-identical at `--jobs 1/4/8`;
 //! 4. two keys with the same weights are each judged on their own
 //!    content, metadata included;
@@ -19,7 +20,7 @@
 use serde::{Deserialize, Serialize, Value};
 use sommelier::index::persist::INDEX_FILE;
 use sommelier::index::{CandidateKind, CandidateRecord};
-use sommelier::lint::{DenySpec, LintContext};
+use sommelier::lint::{DenySpec, Diagnostic, LintContext};
 use sommelier::prelude::*;
 use sommelier::zoo::sabotage::{self, Defect};
 use sommelier::zoo::series::build_series;
@@ -94,12 +95,59 @@ fn copy_files(src: &Path, dst: &Path) {
 }
 
 fn audit_codes(dir: &Path, jobs: usize) -> Vec<String> {
+    findings(dir, true, jobs).into_iter().map(|d| d.code).collect()
+}
+
+/// What `lint` (`deep = false`) or `audit` (`deep = true`) reports on `dir`.
+fn findings(dir: &Path, deep: bool, jobs: usize) -> Vec<Diagnostic> {
     let ctx = LintContext::from_repo_dir(dir).unwrap();
-    sommelier::lint::run(&ctx, true, jobs)
-        .diagnostics
+    sommelier::lint::run(&ctx, deep, jobs).diagnostics
+}
+
+/// Codes that each duplicated a check that stays: `SOM005` (`SOM081`),
+/// `SOM054` (`SOM027`) and `SOM082` (`SOM001`).
+const RETIRED: [&str; 3] = ["SOM005", "SOM054", "SOM082"];
+
+/// `(target, layer)` of every `code` finding in `found`.
+fn located<'a>(found: &'a [Diagnostic], code: &str) -> Vec<(&'a str, Option<usize>)> {
+    found
         .iter()
-        .map(|d| d.code.clone())
+        .filter(|d| d.code == code)
+        .map(|d| (d.target.as_str(), d.layer))
         .collect()
+}
+
+/// One finding per faulty object: what each defect's owning check must
+/// report, and nothing a second check would add.
+fn assert_one_finding_per_fault(defect: Defect, dir: &Path, found: &[Diagnostic]) {
+    let codes: Vec<&str> = found.iter().map(|d| d.code.as_str()).collect();
+    for retired in RETIRED {
+        assert!(!codes.contains(&retired), "{defect:?} raised {retired}: {codes:?}");
+    }
+    match defect {
+        Defect::NonFiniteWeights => {
+            let victim = OnDiskRepository::open(dir).unwrap().try_keys().unwrap().remove(0);
+            let target = format!("model '{victim}'");
+            let one = [(target.as_str(), Some(1))];
+            assert_eq!(located(found, "SOM081"), one, "{codes:?}");
+            // Plain lint owns the check: no audit needed.
+            assert_eq!(located(&findings(dir, false, 2), "SOM081"), one);
+        }
+        Defect::DeadSubgraph => {
+            // Both members of the dead `dense → relu` chain, not its tip only.
+            let dead = [("model 'sabotage-dead'", Some(3)), ("model 'sabotage-dead'", Some(4))];
+            assert_eq!(located(found, "SOM001"), dead, "{codes:?}");
+        }
+        Defect::BinarySnapshotTear => {
+            assert_eq!(codes, ["SOM027"], "{found:?}");
+            assert!(found[0].message.contains("section 'resource-rows' CRC mismatch"), "{found:?}");
+        }
+        Defect::ShapeBreak => {
+            // The manifest is on disk: the model is unloadable, not missing.
+            assert!(!codes.contains(&"SOM020"), "{found:?}");
+        }
+        _ => {}
+    }
 }
 
 #[test]
@@ -111,14 +159,17 @@ fn sabotage_detection_matrix() {
     let clean = audit_codes(&golden, 2);
     assert!(clean.is_empty(), "clean zoo raised findings: {clean:?}");
 
-    // 2. Every planted defect is found under its expected code.
+    // 2. Every planted defect is found under its expected code, once
+    // per faulty object.
     for defect in Defect::ALL {
         let copy = copy_zoo(&golden, defect.name());
         let what = sabotage::plant(&copy, defect)
             .unwrap_or_else(|e| panic!("planting {defect:?} failed: {e}"));
-        let codes = audit_codes(&copy, 2);
+        let found = findings(&copy, true, 2);
+        assert_one_finding_per_fault(defect, &copy, &found);
+        let codes: Vec<&str> = found.iter().map(|d| d.code.as_str()).collect();
         assert!(
-            codes.iter().any(|c| c == defect.expected_code()),
+            codes.contains(&defect.expected_code()),
             "{defect:?} ({what}) not detected: audit raised {codes:?}, \
              expected {}",
             defect.expected_code()

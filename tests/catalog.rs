@@ -92,7 +92,7 @@ fn catalog_models_round_trip_through_the_interchange_format() {
     // Spot-check one model per series (all 163 would be slow in CI).
     for series in &catalog {
         let m = &series.models[series.models.len() / 2];
-        let restored = serde_model::from_json(&serde_model::to_json(m)).expect("round trip");
+        let restored = serde_model::from_json(&serde_model::to_json(m).unwrap()).expect("round trip");
         assert_eq!(m, &restored);
     }
 }

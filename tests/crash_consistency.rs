@@ -371,7 +371,7 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
         .unwrap()
         .into_iter()
         .filter_map(|key| {
-            let json = serde_model::to_json(&repo.load(&key).ok()?);
+            let json = serde_model::to_json(&repo.load(&key).ok()?).unwrap();
             Some((key, json))
         })
         .collect();
@@ -387,7 +387,7 @@ fn repair_crashed_at_every_op_keeps_every_loadable_key_and_a_rerun_finishes() {
             let model = repo
                 .load(key)
                 .unwrap_or_else(|e| panic!("{when}: load '{key}': {e}"));
-            assert_eq!(&serde_model::to_json(&model), json, "{when}: '{key}' changed");
+            assert_eq!(&serde_model::to_json(&model).unwrap(), json, "{when}: '{key}' changed");
         }
     };
 

@@ -127,7 +127,7 @@ proptest! {
 
     #[test]
     fn serde_round_trip_preserves_model_and_fingerprint(m in model_strategy()) {
-        let restored = serde_model::from_json(&serde_model::to_json(&m)).expect("round trip");
+        let restored = serde_model::from_json(&serde_model::to_json(&m).unwrap()).expect("round trip");
         prop_assert_eq!(Fingerprint::of_model(&m), Fingerprint::of_model(&restored));
         prop_assert_eq!(m, restored);
     }
@@ -217,7 +217,7 @@ proptest! {
     ) {
         // Truncations, injections, and arbitrary garbage must yield
         // errors, never panics.
-        let json = serde_model::to_json(&m);
+        let json = serde_model::to_json(&m).unwrap();
         if let Some(truncated) = json.get(..cut.min(json.len())) {
             let _ = serde_model::from_json(truncated);
         }
@@ -303,7 +303,7 @@ proptest! {
         use sommelier::prelude::{InMemoryRepository, ModelRepository, Sommelier, SommelierConfig};
         use std::sync::Arc;
 
-        let json = serde_model::to_json(&base);
+        let json = serde_model::to_json(&base).unwrap();
         let sites = integer_sites(&json);
         let site = sites[site % sites.len()].clone();
         let old: usize = json[site.clone()].parse().unwrap();
