@@ -171,6 +171,20 @@ mod tests {
             .unwrap()
     }
 
+    /// Liveness is the model's ([`Model::live_layers`]), not the
+    /// interpreter's: a chain model is live throughout, and every layer
+    /// gets a value.
+    #[test]
+    fn every_layer_of_a_chain_model_is_live() {
+        let model = mlp(1);
+        let analysis = analyze(&model, DEFAULT_INPUT);
+        assert_eq!(analysis.values.len(), model.num_layers());
+        for (i, (live, value)) in model.live_layers().iter().zip(&analysis.values).enumerate() {
+            assert!(live, "layer {i} of a chain model is live");
+            assert!(value.is_some(), "layer {i} of a finite model is analyzable");
+        }
+    }
+
     #[test]
     fn intervals_bound_a_concrete_execution() {
         let model = mlp(2);
@@ -210,4 +224,31 @@ mod tests {
         assert!(analysis.output_value().is_none());
     }
 
+    /// The interpreter values dead layers like any other; the deep
+    /// pass reads [`Model::live_layers`] to skip them.
+    #[test]
+    fn dead_branches_are_unreachable() {
+        let mut rng = Prng::seed_from_u64(3);
+        let mut b = ModelBuilder::new("dead", TaskKind::Other, Shape::vector(4));
+        b.dense(4, &mut rng);
+        let trunk = b.cursor();
+        b.relu();
+        let live = b.cursor();
+        b.goto(trunk);
+        b.dense(2, &mut rng); // dead branch head
+        let dead_head = b.cursor();
+        b.relu(); // transitively dead: consumed, but only by dead layers
+        let dead_tail = b.cursor();
+        b.goto(live);
+        b.softmax();
+        let model = b.build().unwrap();
+        let analysis = analyze(&model, DEFAULT_INPUT);
+        let reachable = model.live_layers();
+        for dead in [dead_head, dead_tail] {
+            assert!(!reachable[dead.index()]);
+            assert!(analysis.values[dead.index()].is_some());
+        }
+        assert!(reachable[live.index()]);
+        assert!(reachable[0], "input feeds the live trunk");
+    }
 }

@@ -257,6 +257,15 @@ mod tests {
         report
     }
 
+    /// The one finding of linting `image`: the decoder's refusal.
+    pub(crate) fn refusal(tag: &str, image: &[u8]) -> String {
+        let diags = lint_snapshot_image(tag, image).diagnostics;
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, codes::SNAPSHOT_UNREADABLE);
+        assert_eq!(diags[0].severity, Severity::Error);
+        diags[0].message.clone()
+    }
+
     fn ctx(n: usize) -> LintContext {
         let mut ctx = LintContext::new();
         for i in 0..n {

@@ -1,75 +1,31 @@
-//! `SOM054` — binary (`.somb`) snapshot-image lints.
+//! Lint over a binary (`.somb`) snapshot image.
 //!
-//! The binary snapshot format carries its own integrity machinery: a
-//! CRC-checked header and per-section CRCs. The read path already
-//! *rejects* a damaged image (lint reports the refusal as `SOM027`, and
-//! the engine quarantines + rebuilds), but the lint layer should explain
-//! **where** the bytes are wrong, not just that loading failed. This
-//! pass scans the raw image with
-//! [`sommelier_index::somb::integrity_issues`] — no index construction,
-//! so it works even on images too damaged to decode: a header or
-//! section CRC mismatch is `SOM054` (`Error`).
-
-use crate::diagnostics::{codes, Diagnostic};
-use crate::{LintContext, Pass};
-use sommelier_index::somb::{self, IntegrityIssue};
-
-/// Validates the raw bytes of a binary snapshot image.
-pub struct BinarySnapshotPass;
-
-impl Pass for BinarySnapshotPass {
-    fn run(&self, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
-        let Some(bytes) = &ctx.binary_snapshot else {
-            return;
-        };
-        for issue in somb::integrity_issues(bytes) {
-            let message = match issue {
-                IntegrityIssue::Header(detail) => format!("header validation failed: {detail}"),
-                IntegrityIssue::SectionCrc {
-                    section,
-                    stored,
-                    computed,
-                } => format!(
-                    "section '{section}' CRC mismatch: stored {stored:#010x}, \
-                     computed {computed:#010x}"
-                ),
-            };
-            out.push(
-                Diagnostic::error(codes::BINARY_SNAPSHOT_CORRUPT, "binary-snapshot", message)
-                    .with_help("quarantine the file and rebuild with `sommelier index`"),
-            );
-        }
-    }
-}
+//! No pass lives here. The decoder checks the header CRC and every
+//! section CRC, and refuses an image that breaks one; lint reports that
+//! refusal as the one `SOM027` finding, naming the torn part and both
+//! CRCs. `SOM054`, a second scan of the same CRCs, is retired. These
+//! tests pin that a damaged image is exactly one finding.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Severity;
+    use crate::diagnostics::codes;
+    use crate::tests::{lint_snapshot_image, refusal};
     use sommelier_index::persist::SnapshotStats;
-    use sommelier_index::semantic::SemanticIndexConfig;
     use sommelier_index::{ResourceIndex, SemanticIndex};
+    use sommelier_runtime::ResourceProfile;
 
-    fn run(ctx: &LintContext) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        BinarySnapshotPass.run(ctx, &mut out);
-        out
-    }
-
-    /// What a writer saves for an index holding `m` at `latency_ms`.
+    /// What a writer saves as a binary image for an index holding `m`
+    /// at `latency_ms`.
     fn image_with_latency(latency_ms: f64) -> Vec<u8> {
-        let mut resource = ResourceIndex::default();
-        resource.insert(
-            "m",
-            sommelier_runtime::ResourceProfile {
-                memory_mb: 10.0,
-                gflops: 2.0,
-                latency_ms,
-            },
-        );
-        let semantic = SemanticIndex::new(SemanticIndexConfig::default(), 1);
+        let profile = ResourceProfile {
+            memory_mb: 10.0,
+            gflops: 2.0,
+            latency_ms,
+        };
+        let resource: ResourceIndex = [("m".to_string(), profile)].into_iter().collect();
+        let semantic = SemanticIndex::new(Default::default(), 1);
         let stats = SnapshotStats::of(&semantic, &resource, 1);
-        somb::encode(&semantic, &resource, Some(&stats))
+        sommelier_index::somb::encode(&semantic, &resource, Some(&stats))
     }
 
     fn image() -> Vec<u8> {
@@ -78,51 +34,51 @@ mod tests {
 
     #[test]
     fn no_binary_image_is_silent() {
-        assert!(run(&LintContext::new()).is_empty());
+        let tag = format!("sommelier-lint-no-image-{}", std::process::id());
+        let dir = std::env::temp_dir().join(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let report = crate::run(&crate::LintContext::from_repo_dir(&dir).unwrap(), false, 1);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(report.diagnostics.is_empty(), "{report:?}");
     }
 
     #[test]
     fn intact_image_lints_clean() {
-        let mut ctx = LintContext::new();
-        ctx.binary_snapshot = Some(image());
-        assert!(run(&ctx).is_empty());
+        // The image decodes: its one finding is `m`, stored nowhere.
+        let report = lint_snapshot_image("binary-ok", &image());
+        let found: Vec<&str> = report.diagnostics.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(found, [codes::DANGLING_KEY], "{report:?}");
     }
 
     #[test]
     fn torn_header_reports_som054() {
         let mut bytes = image();
-        bytes[6] ^= 0xFF; // inside the header, breaks its CRC
-        let mut ctx = LintContext::new();
-        ctx.binary_snapshot = Some(bytes);
-        let out = run(&ctx);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].code, codes::BINARY_SNAPSHOT_CORRUPT);
-        assert_eq!(out[0].severity, Severity::Error);
+        bytes[20] ^= 0xFF; // the epoch, covered by the header CRC
+        let message = refusal("binary-torn-header", &bytes);
+        assert!(
+            message.contains("header CRC mismatch (stored 0x"),
+            "{message}"
+        );
+        assert!(codes::ALL.iter().all(|(code, _)| *code != "SOM054"));
     }
 
     #[test]
     fn torn_section_reports_som054_with_the_section_name() {
         let mut bytes = image();
         let last = bytes.len() - 1;
-        bytes[last] ^= 0x01; // past the header: some section's payload
-        let mut ctx = LintContext::new();
-        ctx.binary_snapshot = Some(bytes);
-        let out = run(&ctx);
+        bytes[last] ^= 0x01; // the last section's payload
+        let message = refusal("binary-torn-section", &bytes);
         assert!(
-            out.iter().any(|d| d.code == codes::BINARY_SNAPSHOT_CORRUPT
-                && d.message.contains("CRC mismatch")),
-            "{out:?}"
+            message.contains("section 'edges' CRC mismatch (stored 0x"),
+            "{message}"
         );
+        assert!(message.contains(", computed 0x"), "{message}");
     }
 
     #[test]
     fn non_finite_profile_in_a_binary_image_is_reported_with_its_key() {
         // Every CRC holds: the decoder's refusal is the one finding.
-        let image = image_with_latency(f64::NAN);
-        let out = crate::tests::lint_snapshot_image("binary-nan", &image).diagnostics;
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].code, codes::SNAPSHOT_UNREADABLE);
-        assert_eq!(out[0].severity, Severity::Error);
-        assert!(out[0].message.contains("'m' is non-finite"), "{out:?}");
+        let message = refusal("binary-nan", &image_with_latency(f64::NAN));
+        assert!(message.contains("'m' is non-finite"), "{message}");
     }
 }

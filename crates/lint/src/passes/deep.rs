@@ -364,6 +364,49 @@ mod tests {
         );
     }
 
+    /// Under `audit` a non-finite weight is still one finding: the
+    /// shallow pass's `SOM081`, which the deep pass does not repeat.
+    #[test]
+    fn non_finite_weights_are_an_error() {
+        let mut w = Tensor::zeros(4, 3);
+        w.set(0, 0, f32::NAN);
+        w.set(1, 1, f32::INFINITY);
+        w.set(0, 1, 1.0);
+        let model = ModelBuilder::new("nan", TaskKind::Other, Shape::vector(4))
+            .dense_with(w, None)
+            .softmax()
+            .build()
+            .unwrap();
+        let ctx = ctx_with(vec![("nan", model)]);
+        assert!(deep(&ctx).iter().all(|d| d.code != codes::NONFINITE_WEIGHTS));
+        let diags = crate::run(&ctx, true, 1).diagnostics;
+        let hits: Vec<_> = diags.iter().filter(|d| d.code == codes::NONFINITE_WEIGHTS).collect();
+        assert_eq!(hits.len(), 1, "{diags:?}");
+        assert_eq!(hits[0].severity, Severity::Error);
+        assert!(hits[0].message.contains("2 non-finite"), "{}", hits[0].message);
+    }
+
+    /// Under `audit` each member of a dead chain is one finding: the
+    /// shallow pass's `SOM001`, which the deep pass does not repeat.
+    #[test]
+    fn transitively_dead_chains_are_unreachable() {
+        let mut rng = Prng::seed_from_u64(5);
+        let mut b = ModelBuilder::new("dead", TaskKind::Other, Shape::vector(4));
+        b.dense(4, &mut rng);
+        let trunk = b.cursor();
+        b.relu();
+        let live = b.cursor();
+        b.goto(trunk);
+        b.dense(2, &mut rng);
+        b.relu(); // consumed by nothing; its producer is consumed by it
+        b.goto(live);
+        b.softmax();
+        let ctx = ctx_with(vec![("dead", b.build().unwrap())]);
+        let diags = crate::run(&ctx, true, 1).diagnostics;
+        let found: Vec<&str> = diags.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(found, [codes::DEAD_LAYER, codes::DEAD_LAYER], "{diags:?}");
+    }
+
     #[test]
     fn saturated_sigmoid_is_reported() {
         // Bias +100 pushes every pre-activation far beyond saturation.

@@ -184,6 +184,7 @@ impl Pass for FreshnessPass {
 mod tests {
     use super::*;
     use crate::diagnostics::Severity;
+    use crate::tests::refusal;
     use sommelier_graph::{Model, ModelBuilder, TaskKind};
     use sommelier_index::persist::{IndexSnapshot, SnapshotStats, SNAPSHOT_VERSION};
     use sommelier_index::{ResourceIndex, SemanticIndex};
@@ -388,15 +389,6 @@ mod tests {
         serde_json::to_string(&snapshot).unwrap().replace("1234.5", "1e999")
     }
 
-    /// The one finding of linting `image`: the decoder's refusal.
-    fn refusal(tag: &str, image: &[u8]) -> String {
-        let diags = crate::tests::lint_snapshot_image(tag, image).diagnostics;
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, codes::SNAPSHOT_UNREADABLE);
-        assert_eq!(diags[0].severity, Severity::Error);
-        diags[0].message.clone()
-    }
-
     #[test]
     fn non_finite_profile_in_a_json_image_is_reported_with_its_key() {
         let profile = |latency_ms| ResourceProfile {
@@ -411,40 +403,6 @@ mod tests {
         let empty = SemanticIndex::new(Default::default(), 1);
         let message = refusal("json-inf", json_image(empty, resource).as_bytes());
         assert!(message.contains("'m-b' is non-finite"), "{message}");
-    }
-
-    /// What a writer saves as a binary image for an index holding `m`
-    /// at `latency_ms`.
-    fn binary_image(latency_ms: f64) -> Vec<u8> {
-        let profile = ResourceProfile {
-            memory_mb: 10.0,
-            gflops: 2.0,
-            latency_ms,
-        };
-        let resource: ResourceIndex = [("m".to_string(), profile)].into_iter().collect();
-        let semantic = SemanticIndex::new(Default::default(), 1);
-        let stats = SnapshotStats::of(&semantic, &resource, 1);
-        sommelier_index::somb::encode(&semantic, &resource, Some(&stats))
-    }
-
-    #[test]
-    fn non_finite_profile_in_a_binary_image_is_reported_with_its_key() {
-        // Every CRC holds: the decoder's refusal is the one finding.
-        let message = refusal("binary-nan", &binary_image(f64::NAN));
-        assert!(message.contains("'m' is non-finite"), "{message}");
-    }
-
-    #[test]
-    fn a_torn_binary_image_is_one_finding_naming_the_section_and_both_crcs() {
-        // Intact, the image decodes (its one finding is `m`, stored nowhere).
-        let intact = crate::tests::lint_snapshot_image("binary-ok", &binary_image(5.0));
-        assert!(intact.diagnostics.iter().all(|d| d.code == codes::DANGLING_KEY), "{intact:?}");
-        let mut torn = binary_image(5.0);
-        let last = torn.len() - 1;
-        torn[last] ^= 0x01; // the last section's payload
-        let message = refusal("binary-torn", &torn);
-        assert!(message.contains("section 'edges' CRC mismatch (stored 0x"), "{message}");
-        assert!(message.contains(", computed 0x"), "{message}");
     }
 
     #[test]

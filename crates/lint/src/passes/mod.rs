@@ -13,6 +13,8 @@
 //! Passes only read the [`crate::LintContext`]; they never execute a
 //! model and never mutate an index.
 
+#[cfg(test)]
+mod binary;
 pub mod deep;
 pub mod index;
 pub mod model;

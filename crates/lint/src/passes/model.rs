@@ -226,7 +226,7 @@ impl Pass for ModelCostPass {
 mod tests {
     use super::*;
     use crate::diagnostics::Severity;
-    use sommelier_graph::{ModelBuilder, TaskKind};
+    use sommelier_graph::{serde_model, Fingerprint, ModelBuilder, TaskKind};
     use sommelier_tensor::{Prng, Shape, Tensor};
 
     fn ctx_with(models: Vec<(&str, Model)>) -> LintContext {
@@ -441,8 +441,22 @@ mod tests {
         assert!(run(&ModelCostPass, &ctx).is_empty());
     }
 
+    /// A healthy model lints clean, and the interchange encoding that
+    /// `sommelier export` writes reads back to the same fingerprint.
     #[test]
-    fn non_finite_weights_are_an_error_in_the_shallow_pass() {
+    fn healthy_model_round_trips_clean() {
+        let model = mlp("ok", 8, 15);
+        let ctx = ctx_with(vec![("ok", model.clone())]);
+        assert!(each_model(model_graph_findings, &ctx).is_empty());
+        let json = serde_model::to_json(&model).expect("a finite model encodes");
+        let back = serde_model::from_json(&json).expect("its encoding decodes");
+        assert_eq!(Fingerprint::of_model(&back), Fingerprint::of_model(&model));
+    }
+
+    /// A non-finite weight is one `SOM081` on its layer in the shallow
+    /// pass, and the encoding refuses the model.
+    #[test]
+    fn non_finite_weight_breaks_the_round_trip() {
         let mut weight = Tensor::zeros(4, 3);
         weight.set(0, 0, f32::NAN);
         weight.set(1, 1, f32::INFINITY);
@@ -452,6 +466,8 @@ mod tests {
             .softmax()
             .build()
             .unwrap();
+        let refused = serde_model::to_json(&model);
+        assert!(matches!(refused, Err(serde_model::CodecError::Unencodable(_))), "{refused:?}");
         let ctx = ctx_with(vec![("nan", model), ("ok", mlp("ok", 8, 15))]);
         let diags = each_model(model_graph_findings, &ctx);
         assert_eq!(diags.len(), 1, "{diags:?}");
