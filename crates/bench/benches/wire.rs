@@ -9,8 +9,11 @@
 //!   under `taskset -c 0`, `one_write` is the floor a round trip can
 //!   reach when the client and the daemon share one CPU.
 //! - `codec/*`: the JSON a `query` round trip carries.
-//!   `query_frame_4_results` is how the daemon writes a 4-result reply,
-//!   straight from the item; `ok_frame_4_results` builds the
+//!   `query_frame_4_results` is how the daemon writes a 4-result reply
+//!   to a repeated query, straight from the item, whose shared result
+//!   set has kept its text; `query_frame_4_results_first` is the reply
+//!   to a miss, a new set's first render (timed with the copy of the 4
+//!   results that makes the set). `ok_frame_4_results` builds the
 //!   `BatchQueryItem::fields` tree first and renders that (the same
 //!   bytes: the path control ops and the CLI still take).
 //!   `f64_debug_x16` formats the 16 floats of a 3-result reply, the
@@ -24,7 +27,7 @@ use std::net::{TcpListener, TcpStream};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Value;
 use sommelier_index::CandidateKind;
-use sommelier_query::{BatchQueryItem, QueryResult};
+use sommelier_query::{BatchQueryItem, QueryResult, ResultSet};
 use sommelier_runtime::ResourceProfile;
 use sommelier_serving::daemon::protocol::{ok_frame, parse_request, query_frame, write_frame};
 
@@ -48,7 +51,7 @@ fn reply_item() -> BatchQueryItem {
         },
     };
     BatchQueryItem {
-        results: Ok((1..=4).map(result).collect()),
+        results: Ok(ResultSet::new((1..=4).map(result).collect())),
         latency_ms: 0.017_407_000_000_000_002,
         epoch: 7,
     }
@@ -135,6 +138,16 @@ fn bench_codec(c: &mut Criterion) {
     let Ok(results) = &item.results else {
         unreachable!("the reply item is an answer")
     };
+    group.bench_function("query_frame_4_results_first", |b| {
+        b.iter(|| {
+            let first = BatchQueryItem {
+                results: Ok(ResultSet::new(results.to_vec())),
+                latency_ms: item.latency_ms,
+                epoch: item.epoch,
+            };
+            query_frame(1, &first).expect("finite floats")
+        })
+    });
     let floats: Vec<f64> = std::iter::once(item.latency_ms)
         .chain(results[..3].iter().flat_map(|r| {
             [

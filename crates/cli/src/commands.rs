@@ -496,7 +496,7 @@ pub fn query(args: &[String]) -> CmdResult {
     if repeat > 1 {
         outln!();
         for (i, item) in items.iter().enumerate() {
-            let n = item.results.as_ref().map(Vec::len).unwrap_or(0);
+            let n = item.results.as_ref().map(|r| r.len()).unwrap_or(0);
             outln!(
                 "query #{:<3} {} result(s) in {:>8.3} ms  (epoch {})",
                 i + 1,

@@ -24,6 +24,7 @@ pub use reader::SommelierReader;
 pub use writer::{MutationBatch, Sommelier};
 
 use crate::parser::ParseError;
+use crate::plancache::ResultSet;
 use serde::Value;
 use sommelier_equiv::EquivConfig;
 use sommelier_graph::TaskKind;
@@ -226,8 +227,9 @@ pub struct EngineSnapshot {
 /// One lane's answer from [`SommelierReader::query_batch`].
 #[derive(Debug)]
 pub struct BatchQueryItem {
-    /// The query's result set (or its failure).
-    pub results: Result<Vec<QueryResult>, QueryError>,
+    /// The query's result set (or its failure): on a cached query, the
+    /// same set the plan cache holds.
+    pub results: Result<ResultSet, QueryError>,
     /// Wall-clock execution time of this lane, milliseconds.
     pub latency_ms: f64,
     /// The snapshot epoch the query was served from. Every item of one
@@ -977,7 +979,7 @@ mod tests {
                 )
             })
             .collect();
-        let baseline: Vec<Vec<QueryResult>> = engine
+        let baseline: Vec<ResultSet> = engine
             .reader()
             .with_pool(1)
             .query_batch(&texts)
@@ -985,7 +987,7 @@ mod tests {
             .map(|i| i.results.unwrap())
             .collect();
         for lanes in [4, 8] {
-            let got: Vec<Vec<QueryResult>> = engine
+            let got: Vec<ResultSet> = engine
                 .reader()
                 .with_pool(lanes)
                 .query_batch(&texts)
@@ -1023,6 +1025,24 @@ mod tests {
         assert!(after.iter().all(|r| r.key != names[2]));
         let stats2 = engine.plan_cache_stats();
         assert!(stats2.misses > stats1.misses, "new epoch must miss");
+    }
+
+    #[test]
+    fn a_hit_answers_with_the_set_its_miss_built() {
+        let (engine, names) = engine_with_variants();
+        let reader = engine.reader().with_pool(1);
+        let q = format!("SELECT models 5 CORR {} WITHIN 0.2", names[0]);
+        let set = |items: Vec<BatchQueryItem>| items.into_iter().next().unwrap().results.unwrap();
+        let miss = set(reader.query_batch(std::slice::from_ref(&q)));
+        assert!(!miss.is_empty());
+        let hit = set(reader.query_batch(&[q.replace(' ', "  ")]));
+        assert!(ResultSet::ptr_eq(&miss, &hit), "a hit copied its miss's set");
+        // An uncached (EXEC) answer is a set of its own every time.
+        let exec = format!("{q} EXEC device = cpu");
+        let first = set(reader.query_batch(std::slice::from_ref(&exec)));
+        let again = set(reader.query_batch(std::slice::from_ref(&exec)));
+        assert_eq!(first, again);
+        assert!(!ResultSet::ptr_eq(&first, &again));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use super::{BatchQueryItem, EngineSnapshot, QueryError, QueryResult, SommelierCo
 use crate::ast::{FinalSelection, Query, RefSpec};
 use crate::parser::parse;
 use crate::plan::{plan, QueryPlan};
-use crate::plancache::{normalize_query, PlanCache, PlanCacheStats};
+use crate::plancache::{normalize_query, PlanCache, PlanCacheStats, ResultSet};
 use sommelier_index::{CandidateKind, CandidateRecord};
 use sommelier_parallel::ThreadPool;
 use sommelier_repo::ModelRepository;
@@ -102,7 +102,7 @@ impl SommelierReader {
     pub fn query(&self, text: &str) -> Result<Vec<QueryResult>, QueryError> {
         let snap = self.snapshot();
         SNAPSHOT_EPOCH.set(snap.epoch);
-        self.query_on(&snap, text)
+        self.query_on(&snap, text).map(ResultSet::into_vec)
     }
 
     /// Execute a programmatically built query against the current
@@ -110,7 +110,7 @@ impl SommelierReader {
     pub fn query_ast(&self, query: &Query) -> Result<Vec<QueryResult>, QueryError> {
         let snap = self.snapshot();
         SNAPSHOT_EPOCH.set(snap.epoch);
-        self.query_ast_cached(&snap, query, None)
+        self.query_ast_cached(&snap, query, None).map(ResultSet::into_vec)
     }
 
     /// Execute a batch of textual queries, fanned across the reader's
@@ -143,27 +143,26 @@ impl SommelierReader {
 
     /// The text-keyed hot path: probe the plan/result cache before
     /// even parsing — a hit skips the parser, planner, and both index
-    /// filters outright (the memoized result is exact: the snapshot is
-    /// immutable and execution is deterministic).
-    fn query_on(
-        &self,
-        snap: &EngineSnapshot,
-        text: &str,
-    ) -> Result<Vec<QueryResult>, QueryError> {
+    /// filters outright and hands out the cached set itself (the
+    /// memoized result is exact: the snapshot is immutable and
+    /// execution is deterministic).
+    fn query_on(&self, snap: &EngineSnapshot, text: &str) -> Result<ResultSet, QueryError> {
         let normalized = normalize_query(text);
         if let Some(results) = self.plan_cache.get(snap.epoch, &normalized) {
             return Ok(results);
         }
         let ast = parse(&normalized)?;
-        self.query_ast_cached(snap, &ast, Some(&normalized))
+        self.query_ast_cached(snap, &ast, Some(normalized))
     }
 
+    /// Run `query`; with `cache_text`, the set it builds is the one the
+    /// plan cache keeps under that text, not a copy of it.
     fn query_ast_cached(
         &self,
         snap: &EngineSnapshot,
         query: &Query,
-        cache_text: Option<&str>,
-    ) -> Result<Vec<QueryResult>, QueryError> {
+        cache_text: Option<String>,
+    ) -> Result<ResultSet, QueryError> {
         let reference_key = match &query.reference {
             RefSpec::Named(k) => {
                 if !snap.semantic.contains(k) {
@@ -186,14 +185,15 @@ impl SommelierReader {
             let ref_model = self.repo.load(reference_key)?;
             let ref_profile = ResourceProfile::under(&ref_model, &setting);
             let plan = plan(query, reference_key, &ref_profile);
-            return Ok(self.execute_plan(snap, &plan, &ref_profile, Some(&setting)));
+            let results = self.execute_plan(snap, &plan, &ref_profile, Some(&setting));
+            return Ok(ResultSet::new(results));
         }
         let ref_profile = *snap
             .resource
             .profile_of(reference_key)
             .ok_or_else(|| QueryError::UnknownReference(reference_key.to_string()))?;
         let plan = plan(query, reference_key, &ref_profile);
-        let results = self.execute_plan(snap, &plan, &ref_profile, None);
+        let results = ResultSet::new(self.execute_plan(snap, &plan, &ref_profile, None));
         if let Some(text) = cache_text {
             self.plan_cache.insert(snap.epoch, text, results.clone());
         }

@@ -38,4 +38,4 @@ pub use engine::{
 };
 pub use parser::{parse, ParseError};
 pub use plan::{plan, plan_checked, PlanDiagnostic, QueryPlan};
-pub use plancache::{normalize_query, PlanCache, PlanCacheStats};
+pub use plancache::{normalize_query, PlanCache, PlanCacheStats, ResultSet};

@@ -11,6 +11,11 @@
 //! any explicit flush (the paper's Section 5.5 observation that indices
 //! are cheap to keep around applies to result sets a fortiori).
 //!
+//! The memo is a [`ResultSet`]: the miss that computes it hands the same
+//! allocation to the cache and to its caller, the entry keeps the
+//! normalized text the miss already owned, and a hit hands out the
+//! stored set and copies nothing.
+//!
 //! Queries carrying an `EXEC` clause are *never* cached: they re-profile
 //! models live from the repository, which sits outside the snapshot and
 //! may change without an epoch bump.
@@ -24,9 +29,11 @@ use crate::engine::QueryResult;
 use sommelier_runtime::metrics::counters;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const SHARDS: usize = 16;
 
@@ -44,10 +51,104 @@ pub fn normalize_query(text: &str) -> String {
     out
 }
 
+/// One query's answer, shared and immutable: the plan cache stores it
+/// and every caller it answers holds the same allocation, so cloning a
+/// set copies no result. Derefs to the results in order.
+///
+/// The one thing a set gains after it is built is its text: the reply
+/// writer renders it through [`ResultSet::write_text`], which keeps what
+/// the set's second render wrote and hands out those bytes from then on.
+/// The text lives and dies with the set, so a cached entry carries it
+/// until the LRU evicts the entry.
+#[derive(Clone)]
+pub struct ResultSet(Arc<Shared>);
+
+struct Shared {
+    results: Vec<QueryResult>,
+    /// Whether the set was rendered once already.
+    rendered: AtomicBool,
+    text: OnceLock<Box<str>>,
+}
+
+impl ResultSet {
+    /// A set holding `results`, with no text yet.
+    pub fn new(results: Vec<QueryResult>) -> Self {
+        ResultSet(Arc::new(Shared {
+            results,
+            rendered: AtomicBool::new(false),
+            text: OnceLock::new(),
+        }))
+    }
+
+    /// Whether `a` and `b` are the same shared set, not just equal ones.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The results, moved out when no one else holds the set and
+    /// copied otherwise.
+    pub fn into_vec(self) -> Vec<QueryResult> {
+        Arc::try_unwrap(self.0).map_or_else(|shared| shared.results.clone(), |s| s.results)
+    }
+
+    /// The text [`ResultSet::write_text`] kept, if it kept one yet.
+    pub fn text(&self) -> Option<&str> {
+        self.0.text.get().map(|text| &**text)
+    }
+
+    /// Append the set's text to `out`: the kept text if there is one,
+    /// else what `render` appends from the results. The text of the
+    /// set's second render is kept, exact size, so a set answered again
+    /// and again is formatted twice, and a set answered once (a miss no
+    /// later probe hits) keeps nothing. A render that fails keeps
+    /// nothing and counts for nothing. Every render of a set must write
+    /// the same text: the daemon's reply writer is the one caller.
+    pub fn write_text<E>(
+        &self,
+        out: &mut String,
+        render: impl FnOnce(&mut String, &[QueryResult]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if let Some(text) = self.text() {
+            out.push_str(text);
+            return Ok(());
+        }
+        let start = out.len();
+        render(out, &self.0.results)?;
+        // `Relaxed`: the flag publishes no data; the text is published
+        // by the `OnceLock`. A concurrent second render may set the text
+        // first, and both wrote the same bytes.
+        if self.0.rendered.swap(true, Ordering::Relaxed) {
+            let _ = self.0.text.set(out[start..].into());
+        }
+        Ok(())
+    }
+}
+
+impl Deref for ResultSet {
+    type Target = [QueryResult];
+
+    fn deref(&self) -> &[QueryResult] {
+        &self.0.results
+    }
+}
+
+/// Sets compare by their results, wherever they live.
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for ResultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 struct Entry {
     epoch: u64,
     text: String,
-    results: Vec<QueryResult>,
+    results: ResultSet,
     stamp: u64,
 }
 
@@ -68,7 +169,7 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-/// A sharded, epoch-keyed LRU over result sets.
+/// A sharded, epoch-keyed LRU over shared result sets.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     per_shard: usize,
@@ -109,8 +210,8 @@ impl PlanCache {
     }
 
     /// Look up the result set cached for `(epoch, text)`. `text` must
-    /// already be normalized.
-    pub fn get(&self, epoch: u64, text: &str) -> Option<Vec<QueryResult>> {
+    /// already be normalized. A hit hands out the stored set itself.
+    pub fn get(&self, epoch: u64, text: &str) -> Option<ResultSet> {
         if self.is_disabled() {
             return None;
         }
@@ -134,12 +235,13 @@ impl PlanCache {
         }
     }
 
-    /// Store the results computed for `(epoch, text)`.
-    pub fn insert(&self, epoch: u64, text: &str, results: Vec<QueryResult>) {
+    /// Store the set computed for `(epoch, text)`; the entry keeps
+    /// `text` itself to tell colliding keys apart.
+    pub fn insert(&self, epoch: u64, text: String, results: ResultSet) {
         if self.is_disabled() {
             return;
         }
-        let key = Self::key_of(epoch, text);
+        let key = Self::key_of(epoch, &text);
         let mut shard = self.shard_of(key).lock().unwrap_or_else(|e| e.into_inner());
         shard.clock += 1;
         let stamp = shard.clock;
@@ -158,7 +260,7 @@ impl PlanCache {
             key,
             Entry {
                 epoch,
-                text: text.to_string(),
+                text,
                 results,
                 stamp,
             },
@@ -194,8 +296,12 @@ mod tests {
     use sommelier_index::CandidateKind;
     use sommelier_runtime::ResourceProfile;
 
-    /// `n` results, told apart by their count.
-    fn results(n: usize) -> Vec<QueryResult> {
+    /// A set of `n` results, told apart by their count.
+    fn results(n: usize) -> ResultSet {
+        ResultSet::new(results_vec(n))
+    }
+
+    fn results_vec(n: usize) -> Vec<QueryResult> {
         (0..n)
             .map(|i| QueryResult {
                 key: format!("m{i}"),
@@ -225,18 +331,86 @@ mod tests {
     fn hit_returns_stored_results() {
         let cache = PlanCache::new(64);
         assert!(cache.get(1, "q").is_none());
-        cache.insert(1, "q", results(3));
+        cache.insert(1, "q".into(), results(3));
         assert_eq!(cache.get(1, "q").expect("hit after insert"), results(3));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
+    fn a_hit_hands_out_the_set_its_miss_inserted() {
+        let cache = PlanCache::new(64);
+        let inserted = results(3);
+        cache.insert(1, "q".into(), inserted.clone());
+        let first = cache.get(1, "q").expect("hit after insert");
+        let second = cache.get(1, "q").expect("hit again");
+        assert!(ResultSet::ptr_eq(&first, &inserted), "a hit copied the set");
+        assert!(ResultSet::ptr_eq(&second, &inserted));
+        // Equal results in another allocation are equal, not the same.
+        assert_eq!(first, results(3));
+        assert!(!ResultSet::ptr_eq(&first, &results(3)));
+    }
+
+    #[test]
+    fn a_set_keeps_its_text_from_its_second_render_on() {
+        let set = results(2);
+        let renders = std::cell::Cell::new(0);
+        let render = |out: &mut String, r: &[QueryResult]| -> Result<(), ()> {
+            renders.set(renders.get() + 1);
+            out.push_str(&format!("[{}]", r.len()));
+            Ok(())
+        };
+        let mut out = String::from("a");
+        set.write_text(&mut out, render).unwrap();
+        assert_eq!((out.as_str(), set.text(), renders.get()), ("a[2]", None, 1));
+        set.write_text(&mut out, render).unwrap();
+        assert_eq!(
+            (out.as_str(), set.text(), renders.get()),
+            ("a[2][2]", Some("[2]"), 2)
+        );
+        set.write_text(&mut out, render).unwrap();
+        assert_eq!(
+            (out.as_str(), renders.get()),
+            ("a[2][2][2]", 2),
+            "a kept text was rendered"
+        );
+        assert_eq!(set.text().map(str::len), Some(3));
+    }
+
+    #[test]
+    fn a_failed_render_keeps_nothing() {
+        let set = results(1);
+        for _ in 0..3 {
+            let mut out = String::new();
+            assert!(set.write_text(&mut out, |_, _| Err(())).is_err());
+            assert_eq!(set.text(), None);
+        }
+        // Failures do not count: the next good render is still a first.
+        let good = |out: &mut String, _: &[QueryResult]| -> Result<(), ()> {
+            out.push('x');
+            Ok(())
+        };
+        set.write_text(&mut String::new(), good).unwrap();
+        assert_eq!(set.text(), None);
+        set.write_text(&mut String::new(), good).unwrap();
+        assert_eq!(set.text(), Some("x"));
+    }
+
+    #[test]
+    fn into_vec_moves_a_lone_set_and_copies_a_shared_one() {
+        assert_eq!(results(2).into_vec(), results_vec(2));
+        let shared = results(2);
+        let held = shared.clone();
+        assert_eq!(shared.into_vec(), results_vec(2));
+        assert_eq!(held.len(), 2);
+    }
+
+    #[test]
     fn epochs_partition_the_key_space() {
         let cache = PlanCache::new(64);
-        cache.insert(1, "q", results(1));
+        cache.insert(1, "q".into(), results(1));
         assert!(cache.get(2, "q").is_none(), "new epoch must miss");
-        cache.insert(2, "q", results(2));
+        cache.insert(2, "q".into(), results(2));
         assert_eq!(cache.get(1, "q").unwrap().len(), 1);
         assert_eq!(cache.get(2, "q").unwrap().len(), 2);
     }
@@ -244,7 +418,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_everything() {
         let cache = PlanCache::new(0);
-        cache.insert(1, "q", results(1));
+        cache.insert(1, "q".into(), results(1));
         assert!(cache.get(1, "q").is_none());
         assert_eq!(cache.stats(), PlanCacheStats::default());
     }
@@ -255,7 +429,7 @@ mod tests {
         // stalest entry of its shard.
         let cache = PlanCache::new(SHARDS);
         for i in 0..(SHARDS as u64 * 4) {
-            cache.insert(1, &format!("q{i}"), results(1));
+            cache.insert(1, format!("q{i}"), results(1));
         }
         let stats = cache.stats();
         assert!(stats.entries <= SHARDS as u64, "capacity respected");
@@ -282,7 +456,7 @@ mod tests {
                     cache.get(epoch, q).is_none(),
                     "entry from a dead epoch must not answer epoch {epoch}"
                 );
-                cache.insert(epoch, q, results(1));
+                cache.insert(epoch, q.clone(), results(1));
             }
         }
         let stats = cache.stats();
@@ -297,7 +471,7 @@ mod tests {
         );
         assert_eq!(stats.hits, 0, "every probe crossed an epoch boundary");
         // Current-epoch entries still serve hits after all that churn.
-        cache.insert(500, "fresh", results(7));
+        cache.insert(500, "fresh".into(), results(7));
         assert_eq!(cache.get(500, "fresh").unwrap().len(), 7);
     }
 }

@@ -45,6 +45,16 @@
 //! with a non-finite float has no JSON spelling, so the writer returns
 //! `Err` and the daemon answers `internal` on the same connection.
 //!
+//! A repeated answer's text is written once. An item's results are the
+//! plan cache's shared [`ResultSet`], and the writer renders a set's
+//! `[…]` through [`ResultSet::write_text`], which keeps the text of the
+//! set's second render (its first plan-cache hit) and copies those bytes
+//! into every later reply. A miss renders and keeps nothing. The reply
+//! bytes are the same either way.
+//!
+//! [`ResultSet`]: sommelier_query::ResultSet
+//! [`ResultSet::write_text`]: sommelier_query::ResultSet::write_text
+//!
 //! A request frame is at most [`MAX_FRAME_BYTES`] bytes before its
 //! newline. A longer one is answered with `frame_too_large` (id 0) and
 //! the connection is closed, so a peer that never sends `\n` cannot grow
@@ -136,11 +146,15 @@ impl Op {
     }
 }
 
+/// 2^64, the first float past every `u64`.
+const TWO_TO_64: f64 = 18_446_744_073_709_551_616.0;
+
 fn field_u64(v: &Value) -> Option<u64> {
     match v {
         Value::UInt(n) => Some(*n),
         Value::Int(n) if *n >= 0 => Some(*n as u64),
-        Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
+        // 2^64 and up would saturate to `u64::MAX`, an id never sent.
+        Value::Float(f) if *f >= 0.0 && f.fract() == 0.0 && *f < TWO_TO_64 => Some(*f as u64),
         _ => None,
     }
 }
@@ -240,7 +254,7 @@ const RESULT_BYTES: usize = 320;
 /// `ok_frame(id, item.fields())`, written from the item itself. `Err`
 /// when a float in it is not finite.
 pub fn query_frame(id: u64, item: &BatchQueryItem) -> Result<String, serde_json::Error> {
-    let results = item.results.as_ref().map_or(0, Vec::len);
+    let results = item.results.as_ref().map_or(0, |r| r.len());
     let mut out = String::with_capacity(256 + RESULT_BYTES * results);
     let _ = write!(out, "{{\"id\":{id},\"ok\":true,");
     push_item(&mut out, item)?;
@@ -257,7 +271,7 @@ pub(crate) fn batch_frame(id: u64, items: &[BatchQueryItem]) -> Result<String, s
     let epoch = items.first().map_or(0, |i| i.epoch);
     let results: usize = items
         .iter()
-        .map(|i| i.results.as_ref().map_or(1, Vec::len))
+        .map(|i| i.results.as_ref().map_or(1, |r| r.len()))
         .sum();
     let mut out = String::with_capacity(256 + RESULT_BYTES * results);
     let _ = write!(
@@ -274,26 +288,34 @@ pub(crate) fn batch_frame(id: u64, items: &[BatchQueryItem]) -> Result<String, s
 }
 
 /// Append the members of [`BatchQueryItem::fields`], in its order and
-/// spelling, to an object `out` has opened.
+/// spelling, to an object `out` has opened. The results are the set's
+/// kept text when it has one.
 fn push_item(out: &mut String, item: &BatchQueryItem) -> Result<(), serde_json::Error> {
     let _ = write!(out, "\"epoch\":{},\"latency_ms\":", item.epoch);
     serde_json::f64_into(out, item.latency_ms)?;
     match &item.results {
         Ok(results) => {
-            out.push_str(",\"results\":[");
-            for (i, result) in results.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_result(out, result)?;
-            }
-            out.push(']');
+            out.push_str(",\"results\":");
+            results.write_text(out, push_results)?;
         }
         Err(e) => {
             out.push_str(",\"error\":");
             serde_json::str_into(out, &e.to_string());
         }
     }
+    Ok(())
+}
+
+/// Append `results` as the array [`BatchQueryItem::fields`] gives them.
+fn push_results(out: &mut String, results: &[QueryResult]) -> Result<(), serde_json::Error> {
+    out.push('[');
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_result(out, result)?;
+    }
+    out.push(']');
     Ok(())
 }
 
@@ -423,6 +445,26 @@ mod tests {
         assert_eq!(id, None);
     }
 
+    /// A float id is an integer only below 2^64; at and past it the cast
+    /// would saturate and the reply would echo `u64::MAX`.
+    #[test]
+    fn an_id_past_u64_is_refused_not_saturated() {
+        for id in ["1e20", "18446744073709551616", "18446744073709551616.0"] {
+            let (salvaged, message) =
+                parse_request(&format!(r#"{{"id": {id}, "op": "ping"}}"#)).unwrap_err();
+            assert_eq!(salvaged, None, "{id}");
+            assert_eq!(message, "missing or non-integer 'id'", "{id}");
+        }
+        for (id, echoed) in [
+            ("1e19", 10_000_000_000_000_000_000),
+            ("18446744073709549568.0", 18_446_744_073_709_549_568),
+            ("18446744073709551615", u64::MAX),
+        ] {
+            let r = parse_request(&format!(r#"{{"id": {id}, "op": "ping"}}"#)).unwrap();
+            assert_eq!(r.id, echoed, "{id}");
+        }
+    }
+
     #[test]
     fn error_frame_carries_retry_hint() {
         let f = error_frame(Some(4), ErrorCode::Overloaded, "queue full", Some(12));
@@ -519,7 +561,7 @@ mod tests {
     mod writer {
         use super::*;
         use proptest::prelude::*;
-        use sommelier_query::QueryError;
+        use sommelier_query::{QueryError, ResultSet};
         use sommelier_runtime::ResourceProfile;
 
         /// The float set the vendored codec's own equivalence proptest
@@ -598,39 +640,81 @@ mod tests {
             BatchQueryItem {
                 results: match rng.below(4) {
                     0 => Err(QueryError::UnknownReference(text(rng))),
-                    _ => Ok((0..rng.below(9)).map(|_| result(rng)).collect()),
+                    _ => Ok(ResultSet::new(
+                        (0..rng.below(9)).map(|_| result(rng)).collect(),
+                    )),
                 },
                 latency_ms: float(rng),
                 epoch,
             }
         }
 
+        /// An id, and the same items twice over in sets of their own: one
+        /// copy for `query_frame`, one for `batch_frame`, so each writer
+        /// meets every set new.
         impl Strategy for Items {
-            type Value = (u64, Vec<BatchQueryItem>);
+            type Value = (u64, Vec<BatchQueryItem>, Vec<BatchQueryItem>);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let epoch = rng.next_u64() >> rng.below(64);
-                let items = (0..=rng.below(4)).map(|_| item(rng, epoch)).collect();
-                (rng.next_u64() >> rng.below(64), items)
+                let n = rng.below(4);
+                let mut twin = rng.clone();
+                let items = (0..=n).map(|_| item(rng, epoch)).collect();
+                let batch = (0..=n).map(|_| item(&mut twin, epoch)).collect();
+                (rng.next_u64() >> rng.below(64), items, batch)
             }
         }
+
+        /// Serves of one shared set: the miss that built it, its first
+        /// hit (which keeps its text) and a hit that copies that text.
+        const SERVES: [&str; 3] = ["miss", "first hit", "kept text"];
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             #[test]
-            fn writer_matches_ok_frame_over_fields((id, items) in Items) {
+            fn writer_matches_ok_frame_over_fields((id, items, batch) in Items) {
                 for item in &items {
-                    prop_assert_eq!(query_frame(id, item).unwrap(), ok_frame(id, item.fields()));
+                    let want = ok_frame(id, item.fields());
+                    for serve in SERVES {
+                        let got = query_frame(id, item).unwrap();
+                        prop_assert!(got == want, "{serve}: `{got}` != `{want}`");
+                    }
+                    if let Ok(set) = &item.results {
+                        prop_assert!(set.text().is_some(), "a set served thrice kept no text");
+                    }
                 }
                 let tree = vec![
-                    ("epoch".to_string(), Value::UInt(items[0].epoch)),
+                    ("epoch".to_string(), Value::UInt(batch[0].epoch)),
                     (
                         "items".to_string(),
-                        Value::Seq(items.iter().map(|item| Value::Map(item.fields())).collect()),
+                        Value::Seq(batch.iter().map(|item| Value::Map(item.fields())).collect()),
                     ),
                 ];
-                prop_assert_eq!(batch_frame(id, &items).unwrap(), ok_frame(id, tree));
+                let want = ok_frame(id, tree);
+                for serve in SERVES {
+                    let got = batch_frame(id, &batch).unwrap();
+                    prop_assert!(got == want, "{serve}: `{got}` != `{want}`");
+                }
             }
+        }
+
+        #[test]
+        fn a_miss_keeps_no_text_and_a_hit_does() {
+            let mut rng = TestRng::deterministic("kept text");
+            let set = ResultSet::new(vec![result(&mut rng)]);
+            let item = BatchQueryItem {
+                results: Ok(set.clone()),
+                latency_ms: 1.0,
+                epoch: 1,
+            };
+            let reply = query_frame(1, &item).unwrap();
+            assert_eq!(set.text(), None, "a miss kept its text");
+            assert_eq!(query_frame(1, &item).unwrap(), reply);
+            let text = set.text().expect("the first hit keeps the text");
+            assert!(
+                reply.ends_with(&format!(",\"results\":{text}}}")),
+                "{reply} / {text}"
+            );
         }
 
         #[test]
@@ -648,13 +732,19 @@ mod tests {
                         4 => r.profile.latency_ms = bad,
                         _ => latency_ms = bad,
                     }
+                    let set = ResultSet::new(vec![r]);
                     let item = BatchQueryItem {
-                        results: Ok(vec![r]),
+                        results: Ok(set.clone()),
                         latency_ms,
                         epoch: 1,
                     };
-                    assert!(query_frame(1, &item).is_err(), "slot {slot}: {bad}");
-                    assert!(batch_frame(1, std::slice::from_ref(&item)).is_err());
+                    // Every serve of the set is refused, and it never
+                    // keeps a text to answer from.
+                    for _ in SERVES {
+                        assert!(query_frame(1, &item).is_err(), "slot {slot}: {bad}");
+                        assert!(batch_frame(1, std::slice::from_ref(&item)).is_err());
+                        assert_eq!(set.text(), None, "slot {slot}: {bad}");
+                    }
                 }
             }
         }
