@@ -9,6 +9,7 @@ use sommelier_lint::DenySpec;
 use sommelier_query::{SnapshotRecovery, Sommelier, SommelierConfig};
 use sommelier_repo::{repair_store, scan_store, ModelRepository, OnDiskRepository, Outcome};
 use sommelier_runtime::ResourceProfile;
+use sommelier_serving::LatencyStats;
 use sommelier_tensor::{Prng, Tensor};
 use sommelier_zoo::series::build_series;
 use sommelier_zoo::families::Family;
@@ -451,17 +452,13 @@ pub fn query(args: &[String]) -> CmdResult {
         let queries = Value::Seq(items.iter().map(|item| Value::Map(item.fields())).collect());
         // Aggregate quantiles over the batch: exact nearest-rank
         // p50/p90/p99 of the per-query latencies.
-        let mut sorted: Vec<f64> = items.iter().map(|i| i.latency_ms).collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = |q: f64| -> f64 {
-            let i = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[i - 1]
-        };
+        let latencies: Vec<f64> = items.iter().map(|i| i.latency_ms).collect();
+        let stats = LatencyStats::from(&latencies);
         let latency = Value::Map(vec![
-            ("count".to_string(), Value::UInt(sorted.len() as u64)),
-            ("p50_ms".to_string(), Value::Float(rank(0.50))),
-            ("p90_ms".to_string(), Value::Float(rank(0.90))),
-            ("p99_ms".to_string(), Value::Float(rank(0.99))),
+            ("count".to_string(), Value::UInt(stats.count as u64)),
+            ("p50_ms".to_string(), Value::Float(stats.p50)),
+            ("p90_ms".to_string(), Value::Float(stats.p90)),
+            ("p99_ms".to_string(), Value::Float(stats.p99)),
         ]);
         // The served snapshot's provenance rides along with the
         // answers: which on-disk encoding the engine loaded.

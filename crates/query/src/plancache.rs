@@ -5,11 +5,12 @@
 //! planning is deterministic, and execution orders with `total_cmp` — so
 //! the final result set can be memoized outright. A hit skips parsing and
 //! planning too, so the plan itself is not kept: nothing would read it.
-//! Entries are keyed by the epoch, which makes invalidation free: a
-//! registration publishes a new snapshot with a bumped epoch, new queries
-//! probe under the new key, and stale entries age out of the LRU without
-//! any explicit flush (the paper's Section 5.5 observation that indices
-//! are cheap to keep around applies to result sets a fortiori).
+//! Each shard answers one epoch, which makes invalidation free: a
+//! registration publishes a new snapshot with a bumped epoch, and the
+//! first insert at that epoch clears the shard it lands in, so a dead
+//! epoch's sets are freed as the new epoch's queries arrive, with no
+//! flush at the publish. A reader still pinning an older snapshot
+//! misses and stores nothing.
 //!
 //! The memo is a [`ResultSet`]: the miss that computes it hands the same
 //! allocation to the cache and to its caller, the entry keeps the
@@ -59,7 +60,7 @@ pub fn normalize_query(text: &str) -> String {
 /// writer renders it through [`ResultSet::write_text`], which keeps what
 /// the set's second render wrote and hands out those bytes from then on.
 /// The text lives and dies with the set, so a cached entry carries it
-/// until the LRU evicts the entry.
+/// until the entry is evicted or its epoch dies.
 #[derive(Clone)]
 pub struct ResultSet(Arc<Shared>);
 
@@ -146,7 +147,6 @@ impl fmt::Debug for ResultSet {
 }
 
 struct Entry {
-    epoch: u64,
     text: String,
     results: ResultSet,
     stamp: u64,
@@ -154,6 +154,8 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
+    /// The one epoch this shard's entries answer.
+    epoch: u64,
     map: HashMap<u64, Entry>,
     clock: u64,
 }
@@ -169,7 +171,7 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-/// A sharded, epoch-keyed LRU over shared result sets.
+/// A sharded LRU over shared result sets, each shard at one epoch.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     per_shard: usize,
@@ -196,11 +198,10 @@ impl PlanCache {
         self.capacity == 0
     }
 
-    fn key_of(epoch: u64, text: &str) -> u64 {
+    fn key_of(text: &str) -> u64 {
         // DefaultHasher with `new()` uses fixed keys, so the mapping is
         // deterministic across processes and job counts.
         let mut h = DefaultHasher::new();
-        epoch.hash(&mut h);
         text.hash(&mut h);
         h.finish()
     }
@@ -210,20 +211,20 @@ impl PlanCache {
     }
 
     /// Look up the result set cached for `(epoch, text)`. `text` must
-    /// already be normalized. A hit hands out the stored set itself.
+    /// already be normalized. A hit hands out the stored set itself; a
+    /// shard at another epoch misses.
     pub fn get(&self, epoch: u64, text: &str) -> Option<ResultSet> {
         if self.is_disabled() {
             return None;
         }
-        let key = Self::key_of(epoch, text);
+        let key = Self::key_of(text);
         let mut shard = self.shard_of(key).lock().unwrap_or_else(|e| e.into_inner());
         shard.clock += 1;
         let stamp = shard.clock;
+        let live = shard.epoch == epoch;
         match shard.map.get_mut(&key) {
-            // The epoch/text check guards against hash collisions; the
-            // epoch is also hashed, so stale-epoch entries are simply
-            // unreachable and age out via LRU.
-            Some(e) if e.epoch == epoch && e.text == text => {
+            // The text check guards against hash collisions.
+            Some(e) if live && e.text == text => {
                 e.stamp = stamp;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.results.clone())
@@ -236,13 +237,22 @@ impl PlanCache {
     }
 
     /// Store the set computed for `(epoch, text)`; the entry keeps
-    /// `text` itself to tell colliding keys apart.
+    /// `text` itself to tell colliding keys apart. An insert at a newer
+    /// epoch than its shard's first drops every entry there, and one at
+    /// an older epoch stores nothing.
     pub fn insert(&self, epoch: u64, text: String, results: ResultSet) {
         if self.is_disabled() {
             return;
         }
-        let key = Self::key_of(epoch, &text);
+        let key = Self::key_of(&text);
         let mut shard = self.shard_of(key).lock().unwrap_or_else(|e| e.into_inner());
+        if epoch < shard.epoch {
+            return;
+        }
+        if epoch > shard.epoch {
+            shard.map.clear();
+            shard.epoch = epoch;
+        }
         shard.clock += 1;
         let stamp = shard.clock;
         if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
@@ -259,7 +269,6 @@ impl PlanCache {
         shard.map.insert(
             key,
             Entry {
-                epoch,
                 text,
                 results,
                 stamp,
@@ -411,8 +420,28 @@ mod tests {
         cache.insert(1, "q".into(), results(1));
         assert!(cache.get(2, "q").is_none(), "new epoch must miss");
         cache.insert(2, "q".into(), results(2));
-        assert_eq!(cache.get(1, "q").unwrap().len(), 1);
+        assert!(cache.get(1, "q").is_none(), "a dead epoch must miss");
         assert_eq!(cache.get(2, "q").unwrap().len(), 2);
+        // A reader still pinning epoch 1 stores nothing over epoch 2.
+        cache.insert(1, "q".into(), results(1));
+        assert!(cache.get(1, "q").is_none());
+        assert_eq!(cache.get(2, "q").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_publish_frees_the_dead_epochs_entries() {
+        let cache = PlanCache::new(512);
+        let texts: Vec<String> = (0..64).map(|i| format!("q{i}")).collect();
+        for text in &texts {
+            cache.insert(1, text.clone(), results(1));
+        }
+        assert_eq!(cache.stats().entries, 64);
+        // The new epoch's traffic asks the same texts: each lands in
+        // the shard its old entry sat in.
+        for text in &texts {
+            cache.insert(2, text.clone(), results(1));
+        }
+        assert_eq!(cache.stats().entries, 64, "dead-epoch entries stayed");
     }
 
     #[test]
@@ -436,12 +465,11 @@ mod tests {
         assert!(stats.entries > 0);
     }
 
-    /// Regression test for republish churn: epochs key the cache, so a
-    /// long-lived process (the serving daemon) that survives thousands
-    /// of snapshot publications must not let dead-epoch entries pile
-    /// up. Stale entries become unreachable the moment the epoch
-    /// bumps; the LRU must then actually evict them instead of letting
-    /// the map grow by one generation per epoch.
+    /// Regression test for republish churn: a long-lived process (the
+    /// serving daemon) that survives thousands of snapshot publications
+    /// must not let dead-epoch entries pile up. Stale entries become
+    /// unreachable the moment the epoch bumps, and must then actually
+    /// go instead of the map growing by one generation per epoch.
     #[test]
     fn stale_epoch_entries_are_evicted_under_republish_churn() {
         let capacity = 32;

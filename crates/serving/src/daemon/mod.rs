@@ -17,6 +17,13 @@
 //! Overload is a *typed response* (`overloaded` + `retry_after_ms`),
 //! never a hang and never an unbounded buffer.
 //!
+//! A live connection is recorded once: the registry in `Shared::conns`
+//! maps its id to a clone of its stream. The accept loop inserts the
+//! clone before it spawns the handler, and the handler's [`Connection`]
+//! guard removes its own id however the handler ends, a reset peer or a
+//! panic included. Shutdown walks the registry, `serve.active_connections`
+//! is its length and [`DaemonHandle::wait`] returns once it is empty.
+//!
 //! Per-connection latency is recorded into a thread-private
 //! [`latency::LocalRecorder`] and merged into the global
 //! `serve.request_ms` histogram every [`FLUSH_EVERY`] requests — the
@@ -33,11 +40,12 @@ pub mod client;
 pub mod protocol;
 pub mod tenants;
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use serde::Value;
@@ -89,11 +97,18 @@ struct Shared {
     tenants: TenantBook,
     stopping: AtomicBool,
     addr: SocketAddr,
-    /// Stream clones of live connections, for read-side shutdown.
-    conns: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    active: AtomicU64,
+    /// The live connections; `drained` is signalled when it empties.
+    conns: Mutex<Conns>,
+    drained: Condvar,
     hist: Arc<latency::Histogram>,
+}
+
+/// The connection registry: each live connection's stream clone, for
+/// read-side shutdown, under the id its [`Connection`] guard removes.
+#[derive(Default)]
+struct Conns {
+    next_id: u64,
+    live: HashMap<u64, TcpStream>,
 }
 
 impl Shared {
@@ -111,11 +126,14 @@ impl Shared {
             tenants,
             stopping: AtomicBool::new(false),
             addr,
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
-            active: AtomicU64::new(0),
+            conns: Mutex::default(),
+            drained: Condvar::new(),
             hist: latency::histogram(REQUEST_HISTOGRAM),
         }
+    }
+
+    fn conns(&self) -> MutexGuard<'_, Conns> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn begin_shutdown(&self) {
@@ -130,8 +148,7 @@ impl Shared {
         // Close only the READ side of every live connection: a handler
         // mid-write finishes its response, then its next read sees EOF
         // and the connection closes cleanly — no torn frames.
-        let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        for c in conns.iter() {
+        for c in self.conns().live.values() {
             let _ = c.shutdown(std::net::Shutdown::Read);
         }
     }
@@ -167,27 +184,14 @@ impl DaemonHandle {
         f(&mut engine)
     }
 
-    /// Block until the accept loop and every connection thread exit.
+    /// Block until the accept loop exits and every connection closes.
     pub fn wait(mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        loop {
-            let handles: Vec<_> = {
-                let mut v = self
-                    .shared
-                    .conn_threads
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *v)
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        let conns = self.shared.conns();
+        let drained = self.shared.drained.wait_while(conns, |c| !c.live.is_empty());
+        drop(drained.unwrap_or_else(|e| e.into_inner()));
     }
 }
 
@@ -223,71 +227,59 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || handle_connection(conn_shared, stream));
-        let mut threads = shared
-            .conn_threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        // Reap here, where the list grows: a daemon must not hold one
-        // handle per connection it has ever accepted.
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
+        // The guard moves into the handler's thread; should the spawn
+        // fail, dropping the closure drops the guard too.
+        if let Some(conn) = Connection::register(&shared, stream) {
+            std::thread::spawn(move || conn.serve());
+        }
     }
 }
 
-fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
-    stream.set_nodelay(true).ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let conn = Connection::register(&shared, stream);
-    serve_frames(&shared, BufReader::new(read_half), &conn.stream);
-}
-
-/// A live connection: registered for read-side shutdown and counted in
-/// `serve.active_connections`. Dropping it — on return, or while a panic
-/// unwinds its handler — unregisters the stream, shuts it down and
-/// uncounts it, so the peer sees EOF instead of a socket no thread reads.
-struct Connection<'a> {
-    shared: &'a Shared,
+/// A live connection, registered under its id. Dropping it — on
+/// return, or while a panic unwinds its handler — removes the id and
+/// with it the registry's clone, so the socket closes and the peer sees
+/// EOF instead of a socket no thread reads.
+struct Connection {
+    shared: Arc<Shared>,
+    id: u64,
     stream: TcpStream,
-    peer: Option<SocketAddr>,
 }
 
-impl<'a> Connection<'a> {
-    fn register(shared: &'a Shared, stream: TcpStream) -> Self {
-        let peer = stream.peer_addr().ok();
-        if let Ok(clone) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(clone);
+impl Connection {
+    /// Register a clone of `stream`; `None` (and the stream closed) if
+    /// it cannot be cloned or shutdown has begun. The registry's lock
+    /// orders this against [`Shared::begin_shutdown`]'s walk: a
+    /// connection is either refused here or shut down there.
+    fn register(shared: &Arc<Shared>, stream: TcpStream) -> Option<Self> {
+        let clone = stream.try_clone().ok()?;
+        let mut conns = shared.conns();
+        if shared.stopping.load(Ordering::SeqCst) {
+            return None;
         }
-        let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-        counters::set("serve.active_connections", active);
+        let id = conns.next_id;
+        conns.next_id += 1;
+        conns.live.insert(id, clone);
         counters::add("serve.connections", 1);
-        Connection {
-            shared,
+        Some(Connection {
+            shared: Arc::clone(shared),
+            id,
             stream,
-            peer,
-        }
+        })
+    }
+
+    fn serve(self) {
+        self.stream.set_nodelay(true).ok();
+        serve_frames(&self.shared, BufReader::new(&self.stream), &self.stream);
     }
 }
 
-impl Drop for Connection<'_> {
+impl Drop for Connection {
     fn drop(&mut self) {
-        // Unregister first: a shut-down socket may no longer report its
-        // peer, and the peer is what finds this stream's clone.
-        self.shared
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|c| c.peer_addr().ok() != self.peer || self.peer.is_none());
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        let active = self.shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        counters::set("serve.active_connections", active);
+        let mut conns = self.shared.conns();
+        conns.live.remove(&self.id);
+        if conns.live.is_empty() {
+            self.shared.drained.notify_all();
+        }
     }
 }
 
@@ -573,16 +565,7 @@ fn metrics_frame(shared: &Shared, id: u64, reader: &SommelierReader) -> String {
     counters::set("serve.accepted", stats.accepted);
     counters::set("serve.shed", stats.shed);
     counters::set("serve.max_inflight", stats.max_inflight as u64);
-    counters::set(
-        "serve.active_connections",
-        shared.active.load(Ordering::SeqCst),
-    );
-    let conn_threads = shared
-        .conn_threads
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .len();
-    counters::set("serve.conn_threads", conn_threads as u64);
+    counters::set("serve.active_connections", shared.conns().live.len() as u64);
     let counter_map = Value::Map(
         counters::snapshot()
             .into_iter()
@@ -672,6 +655,25 @@ mod tests {
         assert_eq!(replies[0].get_field("pong"), Some(&Value::Bool(true)));
         assert_eq!(code(&replies[1]), Some(&Value::Str("frame_too_large".into())));
         assert_eq!(replies[1].get_field("id"), Some(&Value::UInt(0)));
+    }
+
+    #[test]
+    fn a_reset_connection_leaves_the_registry() {
+        let shared = Arc::new(shared());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // The peer hangs up before the reply: writing the pong draws a
+        // reset, after which the socket no longer reports its peer.
+        peer.write_all(b"{\"id\":1,\"op\":\"ping\"}\n").unwrap();
+        drop(peer);
+        let conn = Connection::register(&shared, stream).expect("registered");
+        assert_eq!(shared.conns().live.len(), 1);
+        conn.serve();
+        assert!(
+            shared.conns().live.is_empty(),
+            "the reset connection is still held"
+        );
     }
 
     #[test]
